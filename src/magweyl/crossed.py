@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -42,8 +42,6 @@ from scipy.signal import fftconvolve
 from .fields import (
     MagneticField,
     VectorPotential,
-    circulation,
-    lambda_a,
     omega_b,
     transversal_gauge,
 )
@@ -55,13 +53,6 @@ from .grid import (
     shift_q,
     _shift_axis_int,
 )
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover - numba optional
-    _HAVE_NUMBA = False
 
 __all__ = [
     "KernelElement",
@@ -88,6 +79,10 @@ __all__ = [
 
 # tail fraction of ||phi||1*||psi||1 above which a product attaches a warning
 TAIL_WARN_FRACTION = 1e-2
+
+# node pairs (or matrix entries) handled per block when a dense matrix is
+# filled or scanned; keeps the circulation quadrature's temporaries small
+_PAIR_BLOCK = 8192
 
 # algebra elements are kernel samples with finite ‖·‖₁; the alias names the
 # role they play here
@@ -291,54 +286,6 @@ def _lambda_factors(
     return out
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _accum_2d(out, a, b, off1, off2, pad):  # pragma: no cover - jit
-        n1, n2, da1, da2 = a.shape
-        db1, db2 = b.shape[2], b.shape[3]
-        do1, do2 = out.shape[2], out.shape[3]
-        ka1 = (da1 - 1) // 2
-        ka2 = (da2 - 1) // 2
-        nb1, nb2 = b.shape[0], b.shape[1]
-        for y1 in range(da1):
-            s1 = y1 - ka1
-            r1lo = 0 if -s1 - pad < 0 else -s1 - pad
-            r1hi = n1 if nb1 - s1 - pad > n1 else nb1 - s1 - pad
-            w1lo = -off1 - y1
-            if w1lo < 0:
-                w1lo = 0
-            w1hi = do1 - off1 - y1
-            if w1hi > db1:
-                w1hi = db1
-            if w1hi <= w1lo or r1hi <= r1lo:
-                continue
-            for y2 in range(da2):
-                s2 = y2 - ka2
-                r2lo = 0 if -s2 - pad < 0 else -s2 - pad
-                r2hi = n2 if nb2 - s2 - pad > n2 else nb2 - s2 - pad
-                w2lo = -off2 - y2
-                if w2lo < 0:
-                    w2lo = 0
-                w2hi = do2 - off2 - y2
-                if w2hi > db2:
-                    w2hi = db2
-                if w2hi <= w2lo or r2hi <= r2lo:
-                    continue
-                for r1 in range(r1lo, r1hi):
-                    b1 = r1 + s1 + pad
-                    for r2 in range(r2lo, r2hi):
-                        av = a[r1, r2, y1, y2]
-                        if av.real == 0.0 and av.imag == 0.0:
-                            continue
-                        brow = b[b1, r2 + s2 + pad]
-                        orow = out[r1, r2]
-                        for w1 in range(w1lo, w1hi):
-                            o1 = y1 + w1 + off1
-                            for w2 in range(w2lo, w2hi):
-                                orow[o1, y2 + w2 + off2] += av * brow[w1, w2]
-
-
 def _accum_numpy(out, a, b, offs, pad, dim):
     """Generic shifted-convolution accumulation, any dimension.
 
@@ -451,10 +398,7 @@ def _product_general(phi, psi, field, out_count, scheme, order, sheet="centered"
     out = np.zeros((grid.n,) * dim + (out_count,) * dim, dtype=complex)
     a = np.ascontiguousarray(a)
     b = np.ascontiguousarray(b)
-    if dim == 2 and _HAVE_NUMBA:
-        _accum_2d(out, a, b, off, off, pad)
-    else:
-        _accum_numpy(out, a, b, off, pad, dim)
+    _accum_numpy(out, a, b, off, pad, dim)
     out *= grid.cell_volume
 
     # undress: out~ = conj(Λ(r;x)) * acc(r;x)
@@ -755,12 +699,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def check_hermitian(self, rtol: float = 1e-12) -> bool:
-        scale = np.abs(self.mat).max()
-        if scale == 0:
-            return True
-        return np.abs(self.mat - self.mat.conj().T).max() <= rtol * scale
-
     def __matmul__(self, other):
         if isinstance(other, OperatorMatrix):
             return OperatorMatrix(self.mat @ other.mat, self.grid)
@@ -847,6 +785,27 @@ class BandedOperator:
         return mat
 
 
+def _sheared_coefficients(kernel: KernelSample, scheme: str) -> np.ndarray:
+    """φ~(x;u) as stored for tilde-tagged kernels (``meta["sheet"] ==
+    "tilde"``, no interpolation enters), else from :func:`_tilde_values`."""
+    if kernel.meta.get("sheet") == "tilde":
+        return kernel.values.astype(complex, copy=False)
+    return _tilde_values(kernel, scheme)
+
+
+def _hermitian_residual(mat: np.ndarray) -> float:
+    """max|M - M*| / max|M| (0 for M = 0), scanned over row blocks so no
+    full-size temporary is made."""
+    size = mat.shape[0]
+    step = max(1, _PAIR_BLOCK // size)
+    scale = worst = 0.0
+    for start in range(0, size, step):
+        rows = mat[start:start + step]
+        scale = max(scale, float(np.abs(rows).max()))
+        worst = max(worst, float(np.abs(rows - mat[:, start:start + step].conj().T).max()))
+    return worst / scale if scale > 0 else 0.0
+
+
 def rep_banded(
     pot: VectorPotential,
     kernel: KernelSample,
@@ -856,16 +815,12 @@ def rep_banded(
 ) -> BandedOperator:
     """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
 
-    Kernels tagged as already living on the sheared sheet (``meta["sheet"]
-    == "tilde"``) are consumed as-is, so no interpolation enters.
+    The matrix-free form of :func:`rep`, for ``matvec``/``rmatvec`` users.
     """
     grid = kernel.grid
     dim = grid.dim
     d = kernel.disp_count
-    if kernel.meta.get("sheet") == "tilde":
-        tilde = kernel.values.astype(complex, copy=False)
-    else:
-        tilde = _tilde_values(kernel, scheme)
+    tilde = _sheared_coefficients(kernel, scheme)
     if kernel.q_independent:
         tilde = np.broadcast_to(
             tilde.reshape((1,) * dim + tilde.shape), (grid.n,) * dim + tilde.shape
@@ -888,14 +843,45 @@ def rep(
     scheme: str = "linear",
     order: int = 8,
 ) -> OperatorMatrix:
-    """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x)."""
-    banded = rep_banded(pot, kernel, scheme=scheme, order=order)
-    mat = banded.to_dense()
-    herm = False
-    if mat.shape[0] <= 4200:
-        scale = np.abs(mat).max()
-        herm = scale == 0 or np.abs(mat - mat.conj().T).max() <= 1e-12 * scale
-    return OperatorMatrix(mat=mat, grid=kernel.grid, hermitian=herm)
+    """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
+
+    Filled directly over the node pairs whose difference u = y - x lies in
+    the kernel window, a fixed number of pairs per block of rows: the entry
+    is Δ^N exp(-i circulation(x, u)) φ~(x;u) with the sheared value
+    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-tagged kernels.
+    Periodic boxes wrap the column index.  Entries equal those of
+    ``rep_banded(...).to_dense()`` bit for bit.
+    """
+    grid = kernel.grid
+    dim, n, size = grid.dim, grid.n, grid.size
+    d = kernel.disp_count
+    count = d**dim
+    tilde = _sheared_coefficients(kernel, scheme).reshape(-1, count)
+    disp = grid.disp_axis(d)[np.stack(np.unravel_index(np.arange(count), (d,) * dim), axis=-1)]
+    # per axis: the node reached from node i by the j-th step, and whether
+    # it lies in the box
+    target = np.arange(n)[:, None] + np.arange(d)[None, :] - d // 2
+    inside = (target >= 0) & (target < n)
+    if grid.bc == "periodic":
+        target %= n
+        inside[:] = True
+    pts = grid.points()
+    mat = np.zeros((size, size), dtype=complex)
+    rows_per_block = max(1, _PAIR_BLOCK // count)
+    for start in range(0, size, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, size))
+        col, ok = 0, True
+        for ax, node in enumerate(np.unravel_index(rows, (n,) * dim)):
+            shape = (len(rows),) + (1,) * ax + (d,) + (1,) * (dim - 1 - ax)
+            col = col * n + target[node].reshape(shape)
+            ok = ok & inside[node].reshape(shape)
+        r, j = np.nonzero(ok.reshape(len(rows), count))
+        col = col.reshape(len(rows), count)[r, j]
+        r += start
+        coef = np.take(tilde[0], j) if kernel.q_independent else tilde[r, j]
+        circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
+        mat[r, col] = np.exp(-1j * circ) * coef * grid.cell_volume
+    return OperatorMatrix(mat=mat, grid=grid, hermitian=_hermitian_residual(mat) <= 1e-12)
 
 
 def op_weyl(

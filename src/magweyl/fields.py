@@ -262,35 +262,15 @@ def gamma_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> n
     gamma_b(q; x, y) = exp{-i sum_{j,k} x_j y_k
         int_0^1 dt int_0^1 ds  s * B_jk(q - x/2 - y/2 + s x + s t (y - x))}.
 
-    It relates to the triangle cocycle through
-    gamma_b(q; 2x, 2y) = omega_b(q - x - y; 2x, 2(y - x)), which is covered
-    by tests as a cross-parametrization check.
+    This is omega_b(q - x/2 - y/2; x, y - x): the triangle flux has the same
+    sample points, and its weights x_j (y - x)_k - x_k (y - x)_j equal
+    x_j y_k - x_k y_j.  Equivalently gamma_b(q; 2x, 2y) = omega_b(q - x - y; 2x, 2(y - x)),
+    which the tests check as a cross-parametrization identity.
     """
     q = np.asarray(q, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    q, x, y = np.broadcast_arrays(q, x, y)
-    if B.is_constant:
-        # the double integral of s collapses to 1/2 for constant components
-        bx = np.einsum("jk,...k->...j", B.constant, y)
-        return np.exp(-0.5j * np.einsum("...j,...j->...", x, bx))
-    s, ws = unit_gauss_legendre(order)
-    t, wt = unit_gauss_legendre(order)
-    base = q - 0.5 * x - 0.5 * y
-    d = y - x
-    pts = (
-        base[..., None, None, :]
-        + s[:, None, None] * x[..., None, None, :]
-        + (s[:, None] * t[None, :])[..., None] * d[..., None, None, :]
-    )
-    total = np.zeros(q.shape[:-1])
-    w2 = (ws * s)[:, None] * wt[None, :]
-    for (j, k) in sorted(B.components):
-        vals = B.component(j, k, pts)
-        # antisymmetry folds the (k, j) term into the same integral
-        weight = x[..., j] * y[..., k] - x[..., k] * y[..., j]
-        total = total + weight * np.einsum("st,...st->...", w2, vals)
-    return np.exp(-1j * total)
+    return omega_b(B, q - 0.5 * x - 0.5 * y, x, y - x, order=order)
 
 
 # ---------------------------------------------------------------------------

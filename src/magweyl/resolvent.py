@@ -116,23 +116,29 @@ def _h_order(h, default: float = 2.0) -> float:
     return float(h.order) if isinstance(h, Symbol) else float(default)
 
 
-def _grid_infimum(hf: Callable, grid: BoxGrid) -> float:
-    vals = np.asarray(hf(grid.momentum().mesh()))
+def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
+    """Real part of sampled symbol values, refusing imaginary parts above
+    1e-12 relative to max(1, max|h|)."""
     if np.iscomplexobj(vals):
         scale = max(float(np.abs(vals).max()), 1.0)
         if float(np.abs(vals.imag).max()) > 1e-12 * scale:
-            raise ValueError("symbol must be real-valued below the shift")
+            raise ValueError(message)
         vals = vals.real
-    return float(vals.min())
+    return vals
 
 
-def _check_shift(hf: Callable, a: float, grid: BoxGrid) -> float:
-    lo = _grid_infimum(hf, grid)
+def _grid_infimum(hf: Callable, grid: BoxGrid) -> float:
+    vals = np.asarray(hf(grid.momentum().mesh()))
+    return float(_real_symbol_values(vals, "symbol must be real-valued below the shift").min())
+
+
+def _check_shift(a: float, lo: float) -> None:
+    """The shift must lift h to h + a >= 1, given lo = inf h."""
     if a < -lo + 1.0 - 1e-12:
         raise ValueError(
             f"shift too small: a = {a:.6g} < -inf h + 1 = {-lo + 1.0:.6g}"
         )
-    return lo
+
 
 def _check_elliptic_declaration(h) -> None:
     # unbounded symbols must declare their ellipticity constants; plain
@@ -162,10 +168,7 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
         pts = np.concatenate([np.zeros((1, h.dim)), h._sample_points(40.0, 128)])
         vals = np.asarray(h.func(pts), dtype=float)
         lo = float(vals.min())
-    if a < -lo + 1.0 - 1e-12:
-        raise ValueError(
-            f"shift too small: a = {a:.6g} < -inf h + 1 = {-lo + 1.0:.6g}"
-        )
+    _check_shift(a, lo)
     hf = h.func
 
     def inv(p):
@@ -227,7 +230,7 @@ def defect(
     """
     hf = _h_func(h)
     _check_elliptic_declaration(h)
-    _check_shift(hf, a, grid)
+    _check_shift(a, _grid_infimum(hf, grid))
     _, kinv, f = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order, trim_tol=trim_tol)
     norm = l1_norm(f)
     report = DefectReport(a=float(a), kernel=f, norm=norm)
@@ -416,7 +419,7 @@ def moyal_inverse(
     """
     hf = _h_func(h)
     _check_elliptic_declaration(h)
-    _check_shift(hf, a, grid)
+    _check_shift(a, _grid_infimum(hf, grid))
     kha, kinv, f_right = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order, trim_tol=trim_tol)
     dn = l1_norm(f_right)
     if dn >= 1.0:

@@ -4,17 +4,17 @@ Dense assembly of Op^A(h) + V(Q), windowed Hermitian eigensolves, limit
 operators attached to anisotropy descriptors, and a box-ladder detector
 for the essential spectrum, together with Hausdorff comparison helpers.
 
-Assembly dispatches on field structure.  Constant fields get the closed
-transversal circulation, fields depending on a single coordinate get an
-exact axial gauge built from tabulated antiderivatives, and everything
-else falls back to the generic quadrature representation.  All fast paths
-reproduce ``rep(transversal_gauge(B), kernel)`` to rounding; they only
-avoid its per-displacement loop.
+Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
+plus the diagonal potential.  Only the gauge depends on the spec: an
+explicit ``vector_potential``, else an exact axial gauge built from
+tabulated antiderivatives when a one-variable profile is declared, else
+the transversal gauge (closed circulation for constant fields, quadrature
+otherwise).  Periodic boxes, which admit only a vanishing field, use the
+exact Fourier multiplier instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
@@ -24,7 +24,7 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .crossed import OperatorMatrix, rep
+from .crossed import OperatorMatrix, _hermitian_residual, rep
 from .fields import (
     MagneticField,
     VectorPotential,
@@ -33,12 +33,11 @@ from .fields import (
 )
 from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
 from .moyal import Symbol
+from .resolvent import _check_elliptic_declaration, _real_symbol_values
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
 # storage stop being desk scale
 EIG_CAP = 12000
-
-_ASSEMBLY_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +237,15 @@ def _symbol_values(h, grid: BoxGrid) -> np.ndarray:
     vals = np.asarray(h(grid.momentum().mesh()))
     if vals.shape != (grid.n,) * grid.dim:
         raise ValueError("kinetic symbol must map momentum points to scalars")
-    if np.iscomplexobj(vals):
-        scale = float(np.max(np.abs(vals))) or 1.0
-        if np.max(np.abs(vals.imag)) > 1e-12 * scale:
-            raise ValueError("kinetic symbol must be real-valued")
-        vals = vals.real
+    vals = _real_symbol_values(vals, "kinetic symbol must be real-valued")
     if not np.all(np.isfinite(vals)):
         raise ValueError("kinetic symbol produced non-finite values")
     return vals.astype(float)
 
 
 def _check_elliptic(h, hvals: np.ndarray) -> None:
+    _check_elliptic_declaration(h)
     if isinstance(h, Symbol):
-        if h.order > 0 and h.elliptic is None:
-            raise ValueError("symbol of positive order must declare ellipticity constants")
         return
     # sampled heuristic: an elliptic symbol grows outward, so its minimum
     # must sit strictly inside the momentum box
@@ -308,51 +302,35 @@ def _antiderivative_pair(beta: Callable, half_length: float, oversample: int = 1
     return p_spline, q_spline
 
 
-def _kernel_table(kernel, grid: BoxGrid) -> np.ndarray:
-    """Kernel values indexed by the full node-difference lattice.
+def _axial_gauge(field: MagneticField, axis: int, grid: BoxGrid) -> VectorPotential:
+    """Exact gauge of a field whose B_01 depends on x[axis] only.
 
-    Output axes have length 2n-1 with difference d at index d + n - 1;
-    differences beyond the kernel window hold zero.
+    The potential has the single component A_inv = sgn * P(x_axis), with P
+    the antiderivative of the profile; its line integral reduces to
+    second-antiderivative differences, exact for arbitrarily long straight
+    segments.
     """
-    n = grid.n
-    k = kernel.disp_count // 2
-    table = np.zeros((2 * n - 1,) * grid.dim, dtype=complex)
-    sl = tuple(slice(n - 1 - k, n + k) for _ in range(grid.dim))
-    table[sl] = kernel.values
-    return table
-
-
-def _phase_argument_constant(bmat: np.ndarray, rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # circulation of the linear transversal gauge: -(1/2) (B x_i) . x_j
-    bx = rows @ bmat.T
-    return -0.5 * (bx @ pts.T)
-
-
-def _one_variable_phase(
-    sgn: float,
-    axis: int,
-    p_spline,
-    q_spline,
-    rows: np.ndarray,
-    pts: np.ndarray,
-) -> np.ndarray:
-    """Circulation of the axial gauge along all row-to-column segments.
-
-    The potential has the single component A_inv = sgn * P(x_axis); its
-    line integral reduces to second-antiderivative differences, exact for
-    arbitrarily long straight segments.
-    """
+    beta = _check_profile_hint(field, axis, grid)
+    # the component lives on the other coordinate; curl fixes its sign
+    # relative to the profile
+    sgn = 1.0 if axis == 0 else -1.0
     inv = 1 - axis
-    tv_r = rows[:, axis][:, None]
-    tv_c = pts[:, axis][None, :]
-    ti_r = rows[:, inv][:, None]
-    ti_c = pts[:, inv][None, :]
-    den = tv_c - tv_r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        avg = (q_spline(tv_c) - q_spline(tv_r)) / den
-    flat = np.broadcast_to(p_spline(tv_r), avg.shape)
-    avg = np.where(den == 0.0, flat, avg)
-    return sgn * (ti_c - ti_r) * avg
+    reach = np.sqrt(grid.dim) * grid.half_length + grid.delta
+    p_spline, q_spline = _antiderivative_pair(beta, reach)
+
+    def func(pts):
+        out = np.zeros(pts.shape)
+        out[..., inv] = sgn * p_spline(pts[..., axis])
+        return out
+
+    def circ(q, x):
+        start, step = q[..., axis], x[..., axis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            avg = (q_spline(start + step) - q_spline(start)) / step
+        avg = np.where(step == 0.0, p_spline(start), avg)
+        return sgn * x[..., inv] * avg
+
+    return VectorPotential(dim=grid.dim, func=func, circulation_exact=circ)
 
 
 def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
@@ -381,10 +359,12 @@ def assemble(
 ) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
-    The gauge is transversal unless ``spec.vector_potential`` overrides it.
-    Constant and one-variable fields use closed circulation formulas; an
-    explicit potential or a genuinely multivariate field goes through the
-    generic quadrature representation, whose cost grows quickly with n.
+    Every truncated box goes through ``rep(gauge, kernel)``.  The gauge is
+    ``spec.vector_potential`` when set; else, for a non-constant field
+    with a validated ``profile_axis`` hint, the exact axial gauge; else
+    the transversal gauge of the field.  Without field and explicit gauge
+    a real kernel gives a real (float64) matrix.  Periodic boxes use the
+    exact Fourier multiplier.
     """
     grid = spec.grid
     if grid is None:
@@ -401,72 +381,24 @@ def assemble(
         mat[np.diag_indices_from(mat)] += vvals
         return OperatorMatrix(mat=mat, grid=grid, hermitian=True)
 
-    if spec.vector_potential is not None or (
-        not field.is_constant and spec.profile_axis is None
-    ):
-        pot = spec.vector_potential or transversal_gauge(field, order=order)
-        kernel = partial_fourier_inv(
-            PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True),
-            r_disp=r_disp,
-        )
-        op = rep(pot, kernel, scheme=scheme, order=order)
-        mat = op.mat
-        mat[np.diag_indices_from(mat)] += vvals
-        return OperatorMatrix(mat=mat, grid=grid, hermitian=op.hermitian)
-
     kernel = partial_fourier_inv(
         PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True),
         r_disp=r_disp,
     )
-    table = _kernel_table(kernel, grid)
-    pts = grid.points()
-    n, size = grid.n, grid.size
-    index = np.stack(
-        np.unravel_index(np.arange(size), (n,) * grid.dim), axis=-1
-    ).astype(np.int32)
-
-    if field.is_zero:
-        phase_block = None
-    elif field.is_constant:
-        bmat = field.constant
-        phase_block = lambda rows: _phase_argument_constant(bmat, pts[rows], pts)
+    if spec.vector_potential is not None:
+        pot = spec.vector_potential
+    elif spec.profile_axis is not None and not field.is_constant:
+        pot = _axial_gauge(field, spec.profile_axis, grid)
     else:
-        beta = _check_profile_hint(field, spec.profile_axis, grid)
-        # the axial component lives on the other coordinate; curl fixes
-        # its sign relative to the profile
-        sgn = 1.0 if spec.profile_axis == 0 else -1.0
-        reach = np.sqrt(grid.dim) * grid.half_length + grid.delta
-        p_spline, q_spline = _antiderivative_pair(beta, reach)
-        axis = spec.profile_axis
-        phase_block = lambda rows: _one_variable_phase(
-            sgn, axis, p_spline, q_spline, pts[rows], pts
-        )
-
-    real_kernel = bool(np.max(np.abs(table.imag)) <= 1e-13 * np.max(np.abs(table.real)))
-    out_dtype = float if (phase_block is None and real_kernel) else complex
-    mat = np.empty((size, size), dtype=out_dtype)
-    offset = n - 1
-    for start in range(0, size, _ASSEMBLY_BLOCK):
-        stop = min(start + _ASSEMBLY_BLOCK, size)
-        rows = np.arange(start, stop)
-        diff = tuple(
-            index[None, :, ax] - index[rows, None, ax] + offset
-            for ax in range(grid.dim)
-        )
-        block = table[diff]
-        if phase_block is not None:
-            block = block * np.exp(-1j * phase_block(rows))
-        mat[start:stop] = block.real if out_dtype is float else block
-    mat *= grid.cell_volume
-    if out_dtype is float:
-        mat[np.diag_indices_from(mat)] += vvals
-    else:
-        mat[np.diag_indices_from(mat)] += vvals.astype(complex)
-    herm = True
-    if size <= 4200:
-        scale = np.abs(mat).max()
-        herm = scale == 0 or np.abs(mat - mat.conj().T).max() <= 1e-12 * scale
-    return OperatorMatrix(mat=mat, grid=grid, hermitian=herm)
+        pot = transversal_gauge(field, order=order)
+    op = rep(pot, kernel, scheme=scheme, order=order)
+    mat = op.mat
+    real_kernel = np.max(np.abs(kernel.values.imag)) <= 1e-13 * np.max(np.abs(kernel.values.real))
+    if spec.vector_potential is None and field.is_zero and real_kernel:
+        # no phase: keep the real matrix so eig takes the real solver
+        mat = np.ascontiguousarray(mat.real)
+    mat[np.diag_indices_from(mat)] += vvals
+    return OperatorMatrix(mat=mat, grid=grid, hermitian=op.hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +436,7 @@ def eig(
             f"dense eigensolve refused at dimension {size} > {cap}; run a "
             "windowed iterative mode (shift-invert or Lanczos) or coarsen the grid"
         )
-    scale = float(np.abs(mat).max())
-    residual = 0.0
-    if scale > 0:
-        residual = float(np.abs(mat - mat.conj().T).max()) / scale
+    residual = _hermitian_residual(mat)
     if residual > herm_tol:
         raise ValueError(
             f"operator is not Hermitian: relative residual {residual:.3e} "
