@@ -1,10 +1,10 @@
 """Magnetic Weyl calculus on finite box grids.
 
 Twisted kernel algebra with magnetic 2-cocycles, phase-space product of
-symbols, constructive resolvents of perturbed kinetic symbols, spectral
-experiments (asymptotic unions, fibered models) and non-propagation
+symbols, constructive resolvents of perturbed kinetic symbols and spectral
+experiments (asymptotic unions, fibered models).  Non-propagation
 estimates for states filtered into spectral gaps of the asymptotic
-operators.
+operators are planned; nothing here implements them yet.
 """
 
 from .fields import (
@@ -28,7 +28,6 @@ from .grid import (
     partial_fourier_inv,
 )
 from .crossed import (
-    KernelElement,
     OperatorMatrix,
     BandedOperator,
     UnitizedKernel,

@@ -13,15 +13,29 @@ Internally products and representations work on the sheared sheet
 
     (φ ⋄ ψ)~(r;x) = Σ_{y+w=x} Δ^N φ~(r;y) ψ~(r+y;w) ω^B(r;y,w)
 
-with all base points on the lattice.  The 2-cocycle is evaluated through
-the circulation factorization ω^B(r;y,w) = Λ(r;y) Λ(r+y;w) conj(Λ(r;y+w))
-with Λ = λ^{A₀} for an internal transversal-gauge potential A₀ of B; this
-is an exact identity (verified against direct flux quadrature by
-``twisted_product_reference``), so the phases can be absorbed into the
-factors and the inner loop reduces to a plain shifted convolution.  Sampled
-values at off-lattice base points come from the kernel's exact callable
-when present, else from symmetric interpolation (linear by default; linear
-never overshoots, which keeps ‖rep(φ)‖ ≤ ‖φ‖₁ exact).
+with all base points on the lattice.  ``KernelSample.sheet`` says which
+form a kernel stores; products return centered values unless asked for
+the tilde sheet, and ``rep`` reads either.
+
+``twisted_product`` has two branches.  A factor with one displacement node
+is a multiplier and scales the other factor at shifted base points.  Every
+other product runs the one accumulation loop ``_accumulate`` over the
+left factor's displacement nodes, and the 2-cocycle enters in one of two
+ways.  For a constant field and two base-point independent kernels it
+depends on the displacements only, ω^B(y,w) = exp(-i/2 yᵀBw), and
+modulates each node's update.  Otherwise, for a non-zero field, it is
+evaluated through the circulation factorization
+ω^B(r;y,w) = Λ(r;y) Λ(r+y;w) conj(Λ(r;y+w)) with Λ = λ^{A₀} for an
+internal transversal-gauge potential A₀ of B; this is an exact identity
+(verified against direct flux quadrature by ``twisted_product_reference``),
+so the phases are absorbed into the factors and the loop is a plain
+shifted convolution.  Mass falling outside the kept output window is
+recorded as the sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N}
+over the dropped nodes x, an upper bound on the exact clipped L¹ mass.
+
+Sampled values at off-lattice base points come from the kernel's exact
+callable when present, else from symmetric interpolation (linear by
+default; linear never overshoots, which keeps ‖rep(φ)‖ ≤ ‖φ‖₁ exact).
 
 Base points beyond the box: kernels are zero there in truncated mode (the
 operator acts on the box), so shifted factors zero-extend; base-point
@@ -51,11 +65,11 @@ from .grid import (
     PhaseGridFunction,
     partial_fourier_inv,
     shift_q,
+    _require_centered,
     _shift_axis_int,
 )
 
 __all__ = [
-    "KernelElement",
     "OperatorMatrix",
     "UnitizedKernel",
     "BandedOperator",
@@ -83,10 +97,6 @@ TAIL_WARN_FRACTION = 1e-2
 # node pairs (or matrix entries) handled per block when a dense matrix is
 # filled or scanned; keeps the circulation quadrature's temporaries small
 _PAIR_BLOCK = 8192
-
-# algebra elements are kernel samples with finite ‖·‖₁; the alias names the
-# role they play here
-KernelElement = KernelSample
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +176,7 @@ def l1_norm(k: KernelSample) -> float:
 
 def twisted_involution(k: KernelSample) -> KernelSample:
     """φ^◇(q;x) = conj(φ(q;-x)); exact on the lattice."""
+    _require_centered(k, "twisted_involution")
     dim = k.grid.dim
     flip = (slice(None),) * (k.values.ndim - dim) + (slice(None, None, -1),) * dim
     values = np.conj(k.values[flip])
@@ -182,14 +193,17 @@ def twisted_involution(k: KernelSample) -> KernelSample:
         q_independent=k.q_independent,
         func=func,
         tail_mass=k.tail_mass,
+        sheet=k.sheet,
     )
 
 
 def kernel_lincomb(terms) -> KernelSample:
     """Σ c_i φ_i with displacement windows unified to the widest one.
 
-    Mixed base-point dependence broadcasts the independent factors.  The
-    exact callables are dropped (the sum is a new object).
+    Mixed base-point dependence broadcasts the independent factors, which
+    read the same on both sheets.  The base-point dependent terms must share
+    one sheet, which the sum keeps.  The exact callables are dropped (the
+    sum is a new object).
     """
     terms = [(complex(c), k) for c, k in terms]
     if not terms:
@@ -198,6 +212,10 @@ def kernel_lincomb(terms) -> KernelSample:
     dim = grid.dim
     if any(k.grid != grid for _, k in terms):
         raise ValueError("kernels live on different grids")
+    sheets = {k.sheet for _, k in terms if not k.q_independent}
+    if len(sheets) > 1:
+        raise ValueError("base-point dependent terms live on different sheets")
+    sheet = sheets.pop() if sheets else terms[0][1].sheet
     q_independent = all(k.q_independent for _, k in terms)
     count = max(k.disp_count for _, k in terms)
     kmax = count // 2
@@ -212,7 +230,9 @@ def kernel_lincomb(terms) -> KernelSample:
         else:
             out[sl] += c * k.as_q_dependent()
         tail += abs(c) * k.tail_mass
-    return KernelSample(grid=grid, values=out, q_independent=q_independent, tail_mass=tail)
+    return KernelSample(
+        grid=grid, values=out, q_independent=q_independent, tail_mass=tail, sheet=sheet
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,48 +240,46 @@ def kernel_lincomb(terms) -> KernelSample:
 # ---------------------------------------------------------------------------
 
 
-def _tilde_values(k: KernelSample, scheme: str, pad: int = 0) -> np.ndarray:
-    """φ~(r;x) = φ(r + x/2; x) for every displacement node.
+def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str) -> np.ndarray:
+    """Move every displacement row to base points h·u/2 away:
+    out[..., j] = shift_q(values[..., j], h·(j - k)).
 
-    Exact via the kernel's callable when present; base-point independent
-    kernels are unaffected by the shear.  With ``pad`` the base mesh is
-    extended by that many lattice steps per face: callables are evaluated
-    there directly, plain arrays are zero-extended.
+    h = +1 takes centered values φ(q;u) to the tilde sheet φ~(r;u) =
+    φ(r + u/2; u), h = -1 takes them back; even h are exact lattice
+    translations.
     """
-    if k.q_independent:
-        return k.values.astype(complex, copy=False)
-    grid = k.grid
     dim = grid.dim
-    d = k.disp_count
+    d = values.shape[-1]
     kk = d // 2
-    if k.func is not None:
-        mesh = _ext_mesh(grid, pad) if pad else grid.mesh()
-        dax = grid.disp_axis(d)
-        out = np.empty(mesh.shape[:-1] + (d,) * dim, dtype=complex)
-        for j in np.ndindex(*(d,) * dim):
-            u = np.array([dax[i] for i in j])
-            out[(Ellipsis,) + j] = k.func(mesh + 0.5 * u, u)
-        return out
-    out = np.empty(k.values.shape, dtype=complex)
+    out = np.empty(values.shape, dtype=complex)
     for j in np.ndindex(*(d,) * dim):
-        steps = [i - kk for i in j]
-        out[(Ellipsis,) + j] = shift_q(k.values[(Ellipsis,) + j], grid, steps, scheme=scheme)
-    if pad:
-        out = np.pad(out, [(pad, pad)] * dim + [(0, 0)] * dim)
+        steps = [h * (i - kk) for i in j]
+        out[(Ellipsis,) + j] = shift_q(values[(Ellipsis,) + j], grid, steps, scheme=scheme)
     return out
 
 
-def _centered_from_tilde(vals: np.ndarray, grid: BoxGrid, q_independent: bool, scheme: str) -> np.ndarray:
-    """Undo the shear: φ(q;x) = φ~(q - x/2; x)."""
-    if q_independent:
-        return vals
+def _tilde_values(k: KernelSample, scheme: str, pad: int = 0) -> np.ndarray:
+    """φ~(r;x) = φ(r + x/2; x) for every displacement node.
+
+    Tilde-sheet kernels return their values as stored and base-point
+    independent kernels are unaffected by the shear.  Otherwise exact via
+    the kernel's callable when present, interpolated by :func:`_shear`
+    else.  With ``pad`` the callable is evaluated on the base mesh extended
+    by that many lattice steps per face.
+    """
+    if k.q_independent or k.sheet == "tilde":
+        return k.values.astype(complex, copy=False)
+    grid = k.grid
+    if k.func is None:
+        return _shear(k.values, grid, 1, scheme)
     dim = grid.dim
-    d = vals.shape[-1]
-    kk = d // 2
-    out = np.empty(vals.shape, dtype=complex)
+    d = k.disp_count
+    mesh = _ext_mesh(grid, pad) if pad else grid.mesh()
+    dax = grid.disp_axis(d)
+    out = np.empty(mesh.shape[:-1] + (d,) * dim, dtype=complex)
     for j in np.ndindex(*(d,) * dim):
-        steps = [-(i - kk) for i in j]
-        out[(Ellipsis,) + j] = shift_q(vals[(Ellipsis,) + j], grid, steps, scheme=scheme)
+        u = np.array([dax[i] for i in j])
+        out[(Ellipsis,) + j] = k.func(mesh + 0.5 * u, u)
     return out
 
 
@@ -286,38 +304,56 @@ def _lambda_factors(
     return out
 
 
-def _accum_numpy(out, a, b, offs, pad, dim):
-    """Generic shifted-convolution accumulation, any dimension.
+def _accumulate(a, b, out_count, pad, grid, bmat=None):
+    """The shifted convolution every product runs through:
 
-    out[r; y+w+off] += a[r; y] * b[r+y+pad; w], vectorized over (r, w) for
-    each displacement node y of the left factor.
+        out[r; y+w+off] += a[r;y] m_y[w] b[r+y+pad; w]
+
+    one vectorized update per displacement node y of the left factor, with
+    off centring the natural window on the kept one and ``b`` carrying
+    ``pad`` extra base points per face.  A factor without base axes
+    broadcasts over r, and such a left factor skips its zero nodes; the
+    output has base axes when either factor has.  ``bmat`` (a constant
+    field, both factors base-point independent) brings in the cocycle as
+    the modulation m_y[w] = exp(-i/2 yᵀBw), evaluated on the kept window
+    only; otherwise m = 1 and the factors carry it as circulation dressing.
     """
-    n = out.shape[0]
-    da = a.shape[-1]
-    db = b.shape[-1]
-    ka = (da - 1) // 2
-    do = out.shape[-1]
-    nb = b.shape[0]
+    dim = grid.dim
+    n = grid.n
+    da, db = a.shape[-1], b.shape[-1]
+    ka = da // 2
+    off = out_count // 2 - ka - db // 2
+    a_base, b_base = a.ndim > dim, b.ndim > dim
+    out = np.zeros(((n,) * dim if a_base or b_base else ()) + (out_count,) * dim, dtype=complex)
+    if bmat is not None:
+        axa = grid.disp_axis(da)
+        bx = np.stack(np.meshgrid(*([grid.disp_axis(db)] * dim), indexing="ij"), axis=-1)
+    rsl = bsl = ()
+    if a_base and not b_base:
+        rsl = (slice(None),) * dim
     for j in np.ndindex(*(da,) * dim):
-        s = [i - ka for i in j]
-        # valid base range so that r + s + pad indexes b
-        rlo = [max(0, -si - pad) for si in s]
-        rhi = [min(n, nb - si - pad) for si in s]
-        if any(hi <= lo for lo, hi in zip(rlo, rhi)):
+        if not a_base and a[j] == 0:
             continue
-        # output window for this y: o = y + w + off in [0, do)
-        wlo = [max(0, -offs - ji) for ji in j]
-        whi = [min(db, do - offs - ji) for ji in j]
-        if any(hi <= lo for lo, hi in zip(wlo, whi)):
+        # nodes w with y + w + off inside the kept window
+        wsl = tuple(slice(max(0, -off - i), min(db, out_count - off - i)) for i in j)
+        if any(sl.stop <= sl.start for sl in wsl):
             continue
-        asl = tuple(slice(lo, hi) for lo, hi in zip(rlo, rhi)) + j
-        bsl = tuple(
-            slice(lo + si + pad, hi + si + pad) for lo, hi, si in zip(rlo, rhi, s)
-        ) + tuple(slice(lo, hi) for lo, hi in zip(wlo, whi))
-        osl = tuple(slice(lo, hi) for lo, hi in zip(rlo, rhi)) + tuple(
-            slice(ji + lo + offs, ji + hi + offs) for ji, lo, hi in zip(j, wlo, whi)
-        )
-        out[osl] += a[asl][(Ellipsis,) + (None,) * dim] * b[bsl]
+        if b_base:
+            # base points r whose shifted point r + y + pad indexes b
+            s = [i - ka for i in j]
+            rsl = tuple(slice(max(0, -si - pad), min(n, b.shape[0] - si - pad)) for si in s)
+            if any(sl.stop <= sl.start for sl in rsl):
+                continue
+            bsl = tuple(slice(sl.start + si + pad, sl.stop + si + pad) for sl, si in zip(rsl, s))
+        osl = tuple(slice(i + sl.start + off, i + sl.stop + off) for i, sl in zip(j, wsl))
+        left = a[rsl + j][(Ellipsis,) + (None,) * dim] if a_base else a[j]
+        if bmat is not None:
+            y = np.array([axa[i] for i in j])
+            # flux of the constant field over the (y, w) triangle
+            flux = 0.5 * np.einsum("...j,j->...", bx[wsl], bmat.T @ y)
+            left = left * np.exp(-1j * flux)
+        out[rsl + osl] += left * b[bsl + wsl]
+    return out
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
@@ -331,166 +367,39 @@ def _clip_mass(sup_a, sup_b, keep_count, cell):
     return float(max(total - kept, 0.0)) * cell * cell
 
 
+def _multiply(v, other, h, scheme, tilde):
+    """Product with a displacement-0 factor v: the other factor's values
+    times v read at base point q + h·x/2.
+
+    Centered, (v ⋄ ψ)(q;x) = v(q - x/2) ψ(q;x) (h = -1) and
+    (φ ⋄ v)(q;x) = φ(q;x) v(q + x/2) (h = +1).  On the tilde sheet the
+    left shift drops out, (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) (h = 0), and
+    (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  v comes from its callable
+    when it has one and h ≠ 0, else from its shifted samples.
+    """
+    grid = v.grid
+    dim = grid.dim
+    vals = _tilde_values(other, scheme) if tilde else other.values
+    if v.q_independent:
+        return (v.values[(0,) * dim] * grid.cell_volume * vals).astype(complex)
+    d = other.disp_count
+    shape = (grid.n,) * dim + (d,) * dim
+    if h and v.func is not None:
+        mesh = grid.mesh()
+        dax = grid.disp_axis(d)
+        vv = np.empty(shape, dtype=complex)
+        for j in np.ndindex(*(d,) * dim):
+            u = np.array([dax[i] for i in j])
+            vv[(Ellipsis,) + j] = v.func(mesh + 0.5 * h * u, np.zeros(dim)) * grid.cell_volume
+    else:
+        vq = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
+        vv = _shear(np.broadcast_to(vq[(Ellipsis,) + (None,) * dim], shape), grid, h, scheme)
+    return vv * vals
+
+
 # ---------------------------------------------------------------------------
 # the twisted product
 # ---------------------------------------------------------------------------
-
-
-def _product_qindep_const(phi, psi, field, out_count):
-    """Translation-invariant fast path: both kernels base-point independent
-    and the field constant, so the cocycle depends only on (y, w)."""
-    grid = phi.grid
-    dim = grid.dim
-    da, db = phi.disp_count, psi.disp_count
-    ka, kb = da // 2, db // 2
-    dfull = da + db - 1
-    axa = grid.disp_axis(da)
-    axb = grid.disp_axis(db)
-    bmat = field.constant if field.constant is not None else np.zeros((dim, dim))
-    acc = np.zeros((dfull,) * dim, dtype=complex)
-    bx = np.stack(np.meshgrid(*([axb] * dim), indexing="ij"), axis=-1)
-    for j in np.ndindex(*(da,) * dim):
-        av = phi.values[j]
-        if av == 0:
-            continue
-        y = np.array([axa[i] for i in j])
-        # flux of the constant field over the (y, w) triangle
-        flux = 0.5 * np.einsum("...j,j->...", bx, bmat.T @ y)
-        block = av * np.exp(-1j * flux) * psi.values
-        osl = tuple(slice(ji, ji + db) for ji in j)
-        acc[osl] += block
-    acc *= grid.cell_volume
-    kfull = (dfull - 1) // 2
-    kk = out_count // 2
-    sl = tuple(slice(kfull - kk, kfull + kk + 1) for _ in range(dim))
-    kept = acc[sl].copy()
-    clipped = float((np.abs(acc).sum() - np.abs(kept).sum())) * grid.cell_volume
-    return kept, clipped
-
-
-def _product_general(phi, psi, field, out_count, scheme, order, sheet="centered"):
-    """Sheared-sheet accumulation with circulation-dressed factors."""
-    grid = phi.grid
-    dim = grid.dim
-    da, db = phi.disp_count, psi.disp_count
-    ka, kb = da // 2, db // 2
-    kout = out_count // 2
-    off = kout - ka - kb
-
-    pot = transversal_gauge(field, order=order)
-    # the right factor is read at shifted base points r + y; callables and
-    # base-point independent kernels extend past the box, arrays do not
-    pad = ka if (psi.q_independent or psi.func is not None) else 0
-    a = _tilde_values(phi, scheme)
-    b = _tilde_values(psi, scheme, pad=pad)
-    if not field.is_zero:
-        # gauge dressing turns the twisted sum into a plain shifted convolution
-        a = _lambda_factors(pot, grid, da, pad=0, order=order) * a
-        b = _lambda_factors(pot, grid, db, pad=pad, order=order) * b
-    # ensure both factors carry base axes (the dressing already adds them
-    # unless the field is zero and the factor is base-point independent)
-    if a.ndim == dim:
-        a = np.broadcast_to(a.reshape((1,) * dim + a.shape), (grid.n,) * dim + a.shape).copy()
-    if b.ndim == dim:
-        nb = grid.n + 2 * pad
-        b = np.broadcast_to(b.reshape((1,) * dim + b.shape), (nb,) * dim + b.shape).copy()
-
-    out = np.zeros((grid.n,) * dim + (out_count,) * dim, dtype=complex)
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    _accum_numpy(out, a, b, off, pad, dim)
-    out *= grid.cell_volume
-
-    # undress: out~ = conj(Λ(r;x)) * acc(r;x)
-    if not field.is_zero:
-        mesh = grid.mesh()
-        dax = grid.disp_axis(out_count)
-        for j in np.ndindex(*(out_count,) * dim):
-            u = np.array([dax[i] for i in j])
-            out[(Ellipsis,) + j] *= np.exp(1j * pot.circulation(mesh, u, order=order))
-
-    if sheet == "tilde":
-        vals = out
-    else:
-        vals = _centered_from_tilde(out, grid, False, scheme)
-    sup_a = phi.sup_over_q()
-    sup_b = psi.sup_over_q()
-    clipped = _clip_mass(sup_a, sup_b, out_count, grid.cell_volume)
-    return vals, clipped
-
-
-def _mult_left(phi, psi, scheme, sheet="centered"):
-    """(v ⋄ ψ)(q;x) = v(q - x/2) ψ(q;x) for a displacement-0 left factor.
-
-    On the sheared sheet the shift drops out: (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x).
-    """
-    grid = phi.grid
-    dim = grid.dim
-    d = psi.disp_count
-    kk = d // 2
-    dax = grid.disp_axis(d)
-    if phi.q_independent:
-        c = phi.values[(0,) * dim] * grid.cell_volume
-        vals = _tilde_values(psi, scheme) if sheet == "tilde" else psi.values
-        return (c * vals).astype(complex), 0.0
-    out = np.empty((grid.n,) * dim + (d,) * dim, dtype=complex)
-    mesh = grid.mesh()
-    vq = phi.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
-    if sheet == "tilde":
-        # base point is r itself, so the stored samples apply unshifted
-        tb = _tilde_values(psi, scheme)
-        for j in np.ndindex(*(d,) * dim):
-            psij = tb[j] if psi.q_independent else tb[(Ellipsis,) + j]
-            out[(Ellipsis,) + j] = vq * psij
-        return out, 0.0
-    for j in np.ndindex(*(d,) * dim):
-        u = np.array([dax[i] for i in j])
-        if phi.func is not None:
-            vv = phi.func(mesh - 0.5 * u, np.zeros(dim)) * grid.cell_volume
-        else:
-            vv = shift_q(vq, grid, [-(i - kk) for i in j], scheme=scheme)
-        psij = psi.values[j] if psi.q_independent else psi.values[(Ellipsis,) + j]
-        out[(Ellipsis,) + j] = vv * psij
-    return out, 0.0
-
-
-def _mult_right(phi, psi, scheme, sheet="centered"):
-    """(φ ⋄ v)(q;x) = φ(q;x) v(q + x/2) for a displacement-0 right factor.
-
-    Sheared form: (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x).
-    """
-    grid = phi.grid
-    dim = grid.dim
-    d = phi.disp_count
-    kk = d // 2
-    dax = grid.disp_axis(d)
-    if psi.q_independent:
-        c = psi.values[(0,) * dim] * grid.cell_volume
-        vals = _tilde_values(phi, scheme) if sheet == "tilde" else phi.values
-        return (c * vals).astype(complex), 0.0
-    out = np.empty((grid.n,) * dim + (d,) * dim, dtype=complex)
-    mesh = grid.mesh()
-    vq = psi.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
-    if sheet == "tilde":
-        ta = _tilde_values(phi, scheme)
-        for j in np.ndindex(*(d,) * dim):
-            u = np.array([dax[i] for i in j])
-            if psi.func is not None:
-                vv = psi.func(mesh + u, np.zeros(dim)) * grid.cell_volume
-            else:
-                vv = shift_q(vq, grid, [2 * (i - kk) for i in j], scheme=scheme)
-            phij = ta[j] if phi.q_independent else ta[(Ellipsis,) + j]
-            out[(Ellipsis,) + j] = vv * phij
-        return out, 0.0
-    for j in np.ndindex(*(d,) * dim):
-        u = np.array([dax[i] for i in j])
-        if psi.func is not None:
-            vv = psi.func(mesh + 0.5 * u, np.zeros(dim)) * grid.cell_volume
-        else:
-            vv = shift_q(vq, grid, [i - kk for i in j], scheme=scheme)
-        phij = phi.values[j] if phi.q_independent else phi.values[(Ellipsis,) + j]
-        out[(Ellipsis,) + j] = vv * phij
-    return out, 0.0
 
 
 def twisted_product(
@@ -506,16 +415,30 @@ def twisted_product(
 ) -> KernelSample:
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
 
+    A factor with a single displacement node is a multiplier: the other
+    factor's values are multiplied by it at shifted base points, and the
+    window is the other factor's.  Every other product is the shifted
+    convolution of the sheared values (:func:`_accumulate`).  When both
+    kernels are base-point independent and the field is constant the
+    cocycle depends only on the displacements and enters as a per-node
+    modulation; the result is base-point independent.  Otherwise, for a
+    non-zero field, the factors are dressed with circulation phases of the
+    transversal gauge and the result is undressed.
+
     The output displacement window defaults to the largest representable
-    one; mass pushed past it is recorded in ``tail_mass`` (plus the inputs'
-    inherited tails) and a warning is attached when the total exceeds
+    one.  Mass pushed past it is recorded in ``tail_mass`` as the
+    sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|) over the dropped nodes,
+    which is at least the exact clipped L¹ mass, plus the inputs'
+    inherited tails; a warning is attached when the total exceeds
     ``tail_warn`` relative to ‖φ‖₁‖ψ‖₁.
 
     ``sheet="tilde"`` returns the raw sheared-sheet values
-    out~(r;x) = out(r + x/2; x) instead of recentering them.  Every base
-    point of the accumulation lies on the node lattice there, so that form
-    is free of the half-step interpolation the centered output needs on odd
-    displacement rows; it is the right object for cross-route validation.
+    out~(r;x) = out(r + x/2; x), tagged ``sheet="tilde"``, instead of
+    recentering them.  Every base point of the accumulation lies on the
+    node lattice there, so that form is free of the half-step
+    interpolation the centered output needs on odd displacement rows; it
+    is the right object for cross-route validation and for ``rep``.
+    Base-point dependent inputs must be centered.
     """
     if phi.grid != psi.grid:
         raise ValueError("kernels live on different grids")
@@ -524,7 +447,9 @@ def twisted_product(
         raise ValueError("field dimension does not match the grid")
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
-    dim = grid.dim
+    _require_centered(phi, "twisted_product")
+    _require_centered(psi, "twisted_product")
+    tilde = sheet == "tilde"
     natural = phi.disp_count + psi.disp_count - 1
     if out_disp_count is None:
         out_count = min(natural, grid.max_disp_count())
@@ -533,22 +458,34 @@ def twisted_product(
             raise ValueError("output displacement count must be odd")
         out_count = min(out_disp_count, grid.max_disp_count())
 
-    q_independent = False
-    if phi.disp_count == 1:
-        vals, clipped = _mult_left(phi, psi, scheme, sheet)
-        q_independent = phi.q_independent and psi.q_independent
-        out_count = psi.disp_count
-    elif psi.disp_count == 1:
-        vals, clipped = _mult_right(phi, psi, scheme, sheet)
-        q_independent = phi.q_independent and psi.q_independent
-        out_count = phi.disp_count
-    elif phi.q_independent and psi.q_independent and (field.is_constant or field.is_zero):
-        # base-point independent values are shear-invariant, same array
-        # serves both sheets
-        vals, clipped = _product_qindep_const(phi, psi, field, out_count)
-        q_independent = True
+    q_independent = phi.q_independent and psi.q_independent
+    if phi.disp_count == 1 or psi.disp_count == 1:
+        left = phi.disp_count == 1
+        v, other = (phi, psi) if left else (psi, phi)
+        h = (0 if left else 2) if tilde else (-1 if left else 1)
+        vals = _multiply(v, other, h, scheme, tilde)
+        clipped = 0.0
     else:
-        vals, clipped = _product_general(phi, psi, field, out_count, scheme, order, sheet)
+        q_independent = q_independent and field.is_constant
+        # the right factor is read at shifted base points r + y; callables
+        # and base-point independent kernels extend past the box, arrays do not
+        pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
+        a = _tilde_values(phi, scheme)
+        b = _tilde_values(psi, scheme, pad=pad)
+        dressed = not (q_independent or field.is_zero)
+        if dressed:
+            # gauge dressing turns the twisted sum into a plain shifted convolution
+            pot = transversal_gauge(field, order=order)
+            a = _lambda_factors(pot, grid, phi.disp_count, order=order) * a
+            b = _lambda_factors(pot, grid, psi.disp_count, pad=pad, order=order) * b
+        vals = _accumulate(a, b, out_count, pad, grid, field.constant if q_independent else None)
+        vals *= grid.cell_volume
+        if dressed:
+            # undress: out~ = conj(Λ(r;x)) acc(r;x)
+            vals *= np.conj(_lambda_factors(pot, grid, out_count, order=order))
+        if not (q_independent or tilde):
+            vals = _shear(vals, grid, -1, scheme)
+        clipped = _clip_mass(phi.sup_over_q(), psi.sup_over_q(), out_count, grid.cell_volume)
 
     tail = clipped + phi.tail_mass * l1_norm(psi) + l1_norm(phi) * psi.tail_mass
     out = KernelSample(
@@ -556,9 +493,8 @@ def twisted_product(
         values=vals,
         q_independent=q_independent,
         tail_mass=tail,
+        sheet=sheet,
     )
-    if sheet == "tilde":
-        out.meta["sheet"] = "tilde"
     scale = l1_norm(phi) * l1_norm(psi)
     if scale > 0 and tail > tail_warn * scale:
         out.meta["tail_warning"] = True
@@ -593,6 +529,8 @@ def twisted_product_reference(
         raise ValueError("kernels live on different grids")
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
+    _require_centered(phi, "twisted_product_reference")
+    _require_centered(psi, "twisted_product_reference")
     grid = phi.grid
     dim = grid.dim
     da, db = phi.disp_count, psi.disp_count
@@ -667,13 +605,9 @@ def twisted_product_reference(
                 om = omega_b(field, mesh - 0.5 * x, y, w, order=order)
             acc = acc + fa * fb * om
         out[(Ellipsis,) + jo] = acc * grid.cell_volume
-    if phi.q_independent and psi.q_independent and (field.is_constant or field.is_zero):
-        res = KernelSample(grid=grid, values=out[(0,) * dim], q_independent=True)
-    else:
-        res = KernelSample(grid=grid, values=out, q_independent=False)
-    if tilde:
-        res.meta["sheet"] = "tilde"
-    return res
+    if phi.q_independent and psi.q_independent and field.is_constant:
+        return KernelSample(grid=grid, values=out[(0,) * dim], q_independent=True, sheet=sheet)
+    return KernelSample(grid=grid, values=out, q_independent=False, sheet=sheet)
 
 
 # ---------------------------------------------------------------------------
@@ -785,14 +719,6 @@ class BandedOperator:
         return mat
 
 
-def _sheared_coefficients(kernel: KernelSample, scheme: str) -> np.ndarray:
-    """φ~(x;u) as stored for tilde-tagged kernels (``meta["sheet"] ==
-    "tilde"``, no interpolation enters), else from :func:`_tilde_values`."""
-    if kernel.meta.get("sheet") == "tilde":
-        return kernel.values.astype(complex, copy=False)
-    return _tilde_values(kernel, scheme)
-
-
 def _hermitian_residual(mat: np.ndarray) -> float:
     """max|M - M*| / max|M| (0 for M = 0), scanned over row blocks so no
     full-size temporary is made."""
@@ -820,7 +746,7 @@ def rep_banded(
     grid = kernel.grid
     dim = grid.dim
     d = kernel.disp_count
-    tilde = _sheared_coefficients(kernel, scheme)
+    tilde = _tilde_values(kernel, scheme)
     if kernel.q_independent:
         tilde = np.broadcast_to(
             tilde.reshape((1,) * dim + tilde.shape), (grid.n,) * dim + tilde.shape
@@ -848,7 +774,7 @@ def rep(
     Filled directly over the node pairs whose difference u = y - x lies in
     the kernel window, a fixed number of pairs per block of rows: the entry
     is Δ^N exp(-i circulation(x, u)) φ~(x;u) with the sheared value
-    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-tagged kernels.
+    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet kernels.
     Periodic boxes wrap the column index.  Entries equal those of
     ``rep_banded(...).to_dense()`` bit for bit.
     """
@@ -856,7 +782,7 @@ def rep(
     dim, n, size = grid.dim, grid.n, grid.size
     d = kernel.disp_count
     count = d**dim
-    tilde = _sheared_coefficients(kernel, scheme).reshape(-1, count)
+    tilde = _tilde_values(kernel, scheme).reshape(-1, count)
     disp = grid.disp_axis(d)[np.stack(np.unravel_index(np.arange(count), (d,) * dim), axis=-1)]
     # per axis: the node reached from node i by the j-th step, and whether
     # it lies in the box
@@ -893,16 +819,13 @@ def op_weyl(
     q_independent: bool = True,
     scheme: str = "linear",
     order: int = 8,
-    banded: bool = False,
-):
+) -> OperatorMatrix:
     """Quantization of a phase-space symbol: rep of its partial Fourier kernel."""
     if not isinstance(f, PhaseGridFunction):
         if grid is None:
             raise ValueError("grid required when the symbol is a callable")
         f = PhaseGridFunction.sample(f, grid, q_independent=q_independent)
     kernel = partial_fourier_inv(f, r_disp=r_disp)
-    if banded:
-        return rep_banded(pot, kernel, scheme=scheme, order=order)
     return rep(pot, kernel, scheme=scheme, order=order)
 
 
@@ -978,21 +901,6 @@ class UnitizedKernel:
     def involution(self) -> "UnitizedKernel":
         k = twisted_involution(self.kernel) if self.kernel is not None else None
         return UnitizedKernel(scalar=np.conj(self.scalar), kernel=k)
-
-    def add(self, other: "UnitizedKernel") -> "UnitizedKernel":
-        terms = []
-        if self.kernel is not None:
-            terms.append((1.0, self.kernel))
-        if other.kernel is not None:
-            terms.append((1.0, other.kernel))
-        kernel = kernel_lincomb(terms) if terms else None
-        return UnitizedKernel(scalar=self.scalar + other.scalar, kernel=kernel)
-
-    def scale(self, c: complex) -> "UnitizedKernel":
-        k = None
-        if self.kernel is not None:
-            k = kernel_lincomb([(c, self.kernel)])
-        return UnitizedKernel(scalar=c * self.scalar, kernel=k)
 
 
 # ---------------------------------------------------------------------------

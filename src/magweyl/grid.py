@@ -95,10 +95,6 @@ class BoxGrid:
         k = count // 2
         return np.arange(-k, k + 1) * self.delta
 
-    def full_disp_axis(self) -> np.ndarray:
-        """The n-point displacement lattice paired with the momentum axis."""
-        return (np.arange(self.n) - self.n / 2) * self.delta
-
     def max_disp_count(self) -> int:
         """Largest symmetric displacement window, |x| <= L - delta."""
         return self.n - 1
@@ -118,9 +114,6 @@ class BoxGrid:
         for _ in range(self.dim - 1):
             mask = np.logical_and.outer(mask, inner)
         return mask
-
-    def with_n(self, n: int) -> "BoxGrid":
-        return BoxGrid(dim=self.dim, half_length=self.half_length, n=n, bc=self.bc)
 
 
 @dataclass(frozen=True)
@@ -251,6 +244,10 @@ class KernelSample:
     present, evaluates the kernel exactly at arbitrary off-lattice base
     points (used to avoid interpolation for analytically known inputs).
     ``tail_mass`` records the L1 mass discarded by displacement truncation.
+    ``sheet`` says how the base point is read: "centered" values are
+    φ(q;x), "tilde" values are φ~(r;x) = φ(r + x/2; x), the sheared form
+    products and representations work on.  Base-point independent values
+    are the same on both sheets.
     """
 
     grid: BoxGrid
@@ -258,9 +255,12 @@ class KernelSample:
     q_independent: bool = False
     func: Optional[Callable] = None
     tail_mass: float = 0.0
+    sheet: str = "centered"
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        if self.sheet not in ("centered", "tilde"):
+            raise ValueError("sheet must be 'centered' or 'tilde'")
         dim = self.grid.dim
         want = dim if self.q_independent else 2 * dim
         if self.values.ndim != want:
@@ -296,7 +296,9 @@ class KernelSample:
         return np.broadcast_to(self.values.reshape((1,) * dim + self.values.shape), shape)
 
     def copy(self) -> "KernelSample":
-        return KernelSample(self.grid, self.values.copy(), self.q_independent, self.func, self.tail_mass)
+        return KernelSample(
+            self.grid, self.values.copy(), self.q_independent, self.func, self.tail_mass, self.sheet
+        )
 
     def sup_over_q(self) -> np.ndarray:
         """Pointwise sup over base points, one value per displacement node."""
@@ -304,6 +306,15 @@ class KernelSample:
             return np.abs(self.values)
         dim = self.grid.dim
         return np.abs(self.values).max(axis=tuple(range(dim)))
+
+
+def _require_centered(k: KernelSample, what: str) -> None:
+    """Refuse a base-point dependent kernel stored on the tilde sheet."""
+    if k.sheet == "tilde" and not k.q_independent:
+        raise ValueError(
+            f"{what} needs centered values; this base-point dependent kernel "
+            "is stored on the tilde sheet (rep and rep_banded accept it)"
+        )
 
 
 def _pad_disp_to_full(values: np.ndarray, grid: BoxGrid, dim_disp_axes: int) -> np.ndarray:
@@ -323,6 +334,7 @@ def _pad_disp_to_full(values: np.ndarray, grid: BoxGrid, dim_disp_axes: int) -> 
 
 def partial_fourier(kernel: KernelSample) -> PhaseGridFunction:
     """Transform a sampled kernel to its phase-space symbol."""
+    _require_centered(kernel, "partial_fourier")
     grid = kernel.grid
     dim = grid.dim
     full = _pad_disp_to_full(kernel.values, grid, dim)

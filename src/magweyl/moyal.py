@@ -251,6 +251,7 @@ def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
         q_independent=k.q_independent,
         func=k.func,
         tail_mass=k.tail_mass,
+        sheet=k.sheet,
         meta=dict(k.meta),
     )
 

@@ -111,16 +111,6 @@ class UnionSpectrum:
                 return res
         raise KeyError(f"no component labelled {label!r}")
 
-    def check_merged(self) -> float:
-        """Largest distance of any component value to the merged set."""
-        worst = 0.0
-        for _, res in self.components:
-            for v in res.values:
-                if len(self.merged) == 0:
-                    return float("inf")
-                worst = max(worst, float(np.min(np.abs(self.merged - v))))
-        return worst
-
 
 def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
     """Sorted representatives of a point set, eps-close duplicates dropped."""
@@ -132,18 +122,6 @@ def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
         if v - keep[-1] > eps:
             keep.append(v)
     return np.asarray(keep)
-
-
-def cluster_values(values: np.ndarray, gap: float) -> list:
-    """Split a sorted value set at gaps larger than ``gap``.
-
-    Returns one array per cluster, in ascending order.
-    """
-    values = np.sort(np.asarray(values, dtype=float).ravel())
-    if len(values) == 0:
-        return []
-    cuts = np.flatnonzero(np.diff(values) > gap) + 1
-    return np.split(values, cuts)
 
 
 def hausdorff(s1, s2, window: tuple) -> float:
@@ -353,7 +331,6 @@ def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
 def assemble(
     spec: SchrodingerSpec,
     *,
-    scheme: str = "linear",
     order: int = 8,
     r_disp: Optional[float] = None,
 ) -> OperatorMatrix:
@@ -391,7 +368,7 @@ def assemble(
         pot = _axial_gauge(field, spec.profile_axis, grid)
     else:
         pot = transversal_gauge(field, order=order)
-    op = rep(pot, kernel, scheme=scheme, order=order)
+    op = rep(pot, kernel, order=order)
     mat = op.mat
     real_kernel = np.max(np.abs(kernel.values.imag)) <= 1e-13 * np.max(np.abs(kernel.values.real))
     if spec.vector_potential is None and field.is_zero and real_kernel:
@@ -411,15 +388,11 @@ def eig(
     window: Optional[tuple] = None,
     *,
     vectors: bool = False,
-    single: bool = False,
     herm_tol: float = 1e-12,
     cap: int = EIG_CAP,
 ) -> SpectrumResult:
     """Windowed Hermitian eigendecomposition of a dense operator.
 
-    ``single`` solves in single precision, trading ~1e-5 relative
-    eigenvalue noise for roughly half the runtime and memory; the
-    Hermiticity contract is still checked on the double-precision input.
     Dimensions above ``cap`` are refused rather than silently thrashing.
     """
     grid = None
@@ -445,10 +418,9 @@ def eig(
 
     real_input = not np.iscomplexobj(mat) or np.max(np.abs(mat.imag)) == 0.0
     if real_input:
-        work = np.ascontiguousarray(mat.real)
-        work = work.astype(np.float32) if single else work.astype(np.float64, copy=True)
+        work = np.ascontiguousarray(mat.real).astype(np.float64, copy=True)
     else:
-        work = mat.astype(np.complex64) if single else mat.astype(np.complex128, copy=True)
+        work = mat.astype(np.complex128, copy=True)
 
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
@@ -480,7 +452,6 @@ def eig(
         meta={
             "source": "eig",
             "hermiticity_residual": residual,
-            "single": bool(single),
             "size": size,
         },
     )
@@ -700,7 +671,6 @@ def asymptotic_spectra(
     *,
     eps_merge: float = 1e-6,
     band_step: Optional[float] = None,
-    single: bool = False,
     threads: int = 1,
     fiber_ks: Optional[np.ndarray] = None,
 ) -> UnionSpectrum:
@@ -728,7 +698,7 @@ def asymptotic_spectra(
             spec = SchrodingerSpec(
                 h=h, field=pair.field, potential=pair.potential, grid=grid
             )
-            return pair.label, eig(assemble(spec), window, single=single)
+            return pair.label, eig(assemble(spec), window)
         if pair.kind == "one_variable":
             return pair.label, fibered_spectrum(
                 pair.profile_b,
@@ -742,7 +712,7 @@ def asymptotic_spectra(
         spec = SchrodingerSpec(
             h=h, field=pair.field, potential=pair.potential, grid=grid
         )
-        return pair.label, eig(assemble(spec), window, single=single)
+        return pair.label, eig(assemble(spec), window)
 
     components = _map_tasks(solve, pairs, threads)
     merged = merge_points(
@@ -842,9 +812,7 @@ def essential_estimate(
     theta_bulk: float = 0.6,
     collar_frac: float = 0.125,
     density: Optional[float] = None,
-    single: bool = False,
     threads: int = 1,
-    assemble_kwargs: Optional[dict] = None,
 ) -> EssentialEstimate:
     """Numerical stand-in for the essential spectrum via growing boxes.
 
@@ -875,15 +843,14 @@ def essential_estimate(
         dim = spec.grid.dim
     else:
         dim = 2
-    kwargs = assemble_kwargs or {}
 
     def solve(box_l):
         n = int(round(2.0 * box_l * density))
         n += n % 2
         n = max(n, 8)
         grid_i = BoxGrid(dim=dim, half_length=box_l, n=n, bc=bc)
-        op = assemble(spec.with_grid(grid_i), **kwargs)
-        res = eig(op, (lo, hi), vectors=True, single=single)
+        op = assemble(spec.with_grid(grid_i))
+        res = eig(op, (lo, hi), vectors=True)
         del op
         return res
 
@@ -948,7 +915,6 @@ def essential_estimate(
             "theta_bulk": theta_bulk,
             "collar_frac": collar_frac,
             "density": density,
-            "single": bool(single),
         },
     )
 

@@ -10,7 +10,8 @@ from magweyl.fields import (
     gauge_shift,
     transversal_gauge,
 )
-from magweyl.grid import BoxGrid, KernelSample, MomentumGrid, PhaseGridFunction
+from magweyl.grid import BoxGrid, KernelSample, MomentumGrid, PhaseGridFunction, partial_fourier
+from magweyl.moyal import trim_kernel
 from magweyl.crossed import (
     BandedOperator,
     UnitizedKernel,
@@ -104,6 +105,25 @@ def test_tilde_route_agreement_mixed_inputs():
     assert np.abs(p.values - r.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("qindep_left", [True, False])
+@pytest.mark.parametrize(
+    "fld", [MagneticField.zero(2), MagneticField.constant_2d(0.9)], ids=["zero", "constant"]
+)
+def test_tilde_route_agreement_qindep_times_qdep(fld, qindep_left):
+    # one base-point independent factor without dressing (zero field) or
+    # with it (constant field), on either side
+    rng = np.random.default_rng(30)
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    qi = KernelSample(grid=g, values=a, q_independent=True)
+    _, qd = pair_on(g, 7, attach=False)
+    phi, psi = (qi, qd) if qindep_left else (qd, qi)
+    p = twisted_product(phi, psi, fld, sheet="tilde")
+    r = twisted_product_reference(phi, psi, fld, sheet="tilde")
+    assert p.sheet == r.sheet == "tilde"
+    assert np.abs(p.values - r.values).max() < 1e-12
+
+
 def test_tilde_route_agreement_qindep_against_variable_field():
     # base-point independent kernels but a non-constant field: the general
     # path with padded broadcast factors
@@ -134,6 +154,27 @@ def test_qindep_const_fast_path_matches_reference():
     r = twisted_product_reference(phi, psi, fld)
     assert p.q_independent and r.q_independent
     assert np.abs(p.values - r.values).max() < 1e-12
+
+
+def test_clipped_qindep_const_product_keeps_window_and_bounds_tail():
+    # a kept window narrower than the natural one: the kept nodes match the
+    # reference and the recorded tail bounds the exact clipped L1 mass
+    rng = np.random.default_rng(43)
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    phi = KernelSample(grid=g, values=a, q_independent=True)
+    psi = KernelSample(grid=g, values=b, q_independent=True)
+    fld = MagneticField.constant_2d(0.9)
+    with pytest.warns(UserWarning, match="discarded"):
+        p = twisted_product(phi, psi, fld, out_disp_count=7)
+    full = twisted_product_reference(phi, psi, fld)
+    assert p.disp_count == 7 < full.disp_count == 11
+    kept = full.values[2:9, 2:9]
+    assert np.abs(p.values - kept).max() < 1e-12
+    exact = (np.abs(full.values).sum() - np.abs(kept).sum()) * g.cell_volume
+    assert exact > 0
+    assert p.tail_mass >= exact
 
 
 def test_centered_route_agreement_refines():
@@ -202,6 +243,64 @@ def test_product_submultiplicative_l1():
         psi = KernelSample(grid=g, values=b)
         prod = twisted_product(phi, psi, fld)
         assert l1_norm(prod) <= l1_norm(phi) * l1_norm(psi) + prod.tail_mass + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# sheet tag
+# ---------------------------------------------------------------------------
+
+
+def tilde_product():
+    g = BoxGrid(dim=2, half_length=3.0, n=10)
+    phi, psi = pair_on(g, 5)
+    return twisted_product(phi, psi, variable_field(), sheet="tilde")
+
+
+def test_sheet_tag_survives_copy_lincomb_and_trim():
+    prod = tilde_product()
+    pot = transversal_gauge(variable_field())
+    want = rep(pot, prod).mat
+    copies = [
+        prod.copy(),
+        kernel_lincomb([(1.0, prod)]),
+        kernel_lincomb([(1.0, prod), (0.0, delta_kernel(prod.grid))]),
+        trim_kernel(prod, rel_tol=1e-2),
+    ]
+    assert copies[-1].disp_count < prod.disp_count
+    for k in copies:
+        assert k.sheet == "tilde"
+    for k in copies[:3]:
+        assert np.array_equal(rep(pot, k).mat, want)
+
+
+def test_sheet_tag_refusals():
+    prod = tilde_product()
+    fld = variable_field()
+    centered, _ = pair_on(prod.grid, 5)
+    for call in (
+        lambda: twisted_product(prod, centered, fld),
+        lambda: twisted_product(centered, prod, fld, sheet="tilde"),
+        lambda: twisted_involution(prod),
+        lambda: partial_fourier(prod),
+    ):
+        with pytest.raises(ValueError, match="tilde sheet"):
+            call()
+    with pytest.raises(ValueError, match="different sheets"):
+        kernel_lincomb([(1.0, prod), (1.0, centered)])
+    with pytest.raises(ValueError, match="sheet must be"):
+        KernelSample(grid=prod.grid, values=prod.values, sheet="sheared")
+
+
+def test_base_point_independent_tilde_kernel_is_accepted():
+    # shear-invariant values: the tag may be either and the product agrees
+    g = BoxGrid(dim=2, half_length=3.0, n=10)
+    vals = np.random.default_rng(44).normal(size=(5, 5)) + 0j
+    fld = MagneticField.constant_2d(0.5)
+    plain = KernelSample(grid=g, values=vals, q_independent=True)
+    tagged = KernelSample(grid=g, values=vals, q_independent=True, sheet="tilde")
+    p = twisted_product(tagged, tagged, fld)
+    assert np.array_equal(p.values, twisted_product(plain, plain, fld).values)
+    assert np.array_equal(twisted_involution(tagged).values, twisted_involution(plain).values)
 
 
 # ---------------------------------------------------------------------------

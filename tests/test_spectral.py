@@ -116,7 +116,7 @@ def kernel_case(case):
     if case == "tilde":
         phi = kernel_from_func(gauss, grid, disp_count=5)
         prod = twisted_product(phi, phi, variable_field(), sheet="tilde")
-        assert prod.meta["sheet"] == "tilde"
+        assert prod.sheet == "tilde"
         return prod
     return kernel_from_func(gauss, grid, disp_count=7, attach_func=(case != "q_dependent"))
 
