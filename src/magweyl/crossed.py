@@ -487,7 +487,8 @@ def twisted_product(
             vals = _shear(vals, grid, -1, scheme)
         clipped = _clip_mass(phi.sup_over_q(), psi.sup_over_q(), out_count, grid.cell_volume)
 
-    tail = clipped + phi.tail_mass * l1_norm(psi) + l1_norm(phi) * psi.tail_mass
+    norm_phi, norm_psi = l1_norm(phi), l1_norm(psi)
+    tail = clipped + phi.tail_mass * norm_psi + norm_phi * psi.tail_mass
     out = KernelSample(
         grid=grid,
         values=vals,
@@ -495,7 +496,7 @@ def twisted_product(
         tail_mass=tail,
         sheet=sheet,
     )
-    scale = l1_norm(phi) * l1_norm(psi)
+    scale = norm_phi * norm_psi
     if scale > 0 and tail > tail_warn * scale:
         out.meta["tail_warning"] = True
         warnings.warn(

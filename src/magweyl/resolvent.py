@@ -25,8 +25,27 @@ Everything here returns kernels together with computed residuals; the
 audit routine fits the observed growth and decay rates against the
 envelopes the construction is built on.
 
-Intermediate products suppress the per-call clipped-tail warning and
-the accumulated tail is surfaced once on the final kernel.
+The construction runs one fixed configuration:
+
+* Neumann series: stop once a term's L¹ norm drops below 1e-10
+  (``_TOL``), give up after 200 terms (``_MAX_TERMS``), and drop
+  displacement rows relatively below 1e-13 from every running term and
+  assembled inverse (``_SERIES_TRIM``).  Sampled momentum kernels drop
+  rows below 1e-15 (``_KERNEL_TRIM``).
+* Continuation: at most 12 step halvings in a row (``_MAX_HALVINGS``)
+  and 400 steps (``_MAX_STEPS``).
+* Shift search and defect sweep: ``find_a0`` stops at the first rung
+  whose defect norm is below 1 - 0.1 (``_A0_MARGIN``); the last two
+  sweep rungs must agree to 5e-2 relative or 5e-3 absolute
+  (``_SWEEP_RTOL``, ``_SWEEP_ATOL``).
+* Audit: Gaussian widths 0.6, 1.0, 1.6 and weight exponent t = -1 for
+  the seminorm check (``_AUDIT_WIDTHS``, ``_AUDIT_T``), random seed 7
+  for the γ^B samples (``_AUDIT_SEED``).
+
+Interpolation and quadrature options live on the algebra layer
+(``twisted_product``, ``rep``, ``moyal``); every product here takes its
+defaults.  Intermediate products suppress the per-call clipped-tail
+warning and the accumulated tail is surfaced once on the final kernel.
 """
 
 from __future__ import annotations
@@ -64,6 +83,20 @@ __all__ = [
     "report_text",
 ]
 
+_TOL = 1e-10
+_MAX_TERMS = 200
+_SERIES_TRIM = 1e-13
+_KERNEL_TRIM = 1e-15
+_MAX_HALVINGS = 12
+_MAX_STEPS = 400
+_A0_MARGIN = 0.1
+_SWEEP_RTOL = 5e-2
+_SWEEP_ATOL = 5e-3
+_AUDIT_WIDTHS = (0.6, 1.0, 1.6)
+_AUDIT_T = -1.0
+_AUDIT_SEED = 7
+_AUDIT_KEYS = ("grid", "grids", "a_ladder")
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -79,7 +112,6 @@ class DefectReport:
     norm: float
     sweep: Dict[str, list] = dc_field(default_factory=dict)
     converged: bool = True
-    per_j: Optional[list] = None
 
     @property
     def grid(self) -> BoxGrid:
@@ -88,19 +120,15 @@ class DefectReport:
 
 @dataclass
 class ResolventElement:
-    """Algebra element representing (h - z)^(-1); scalar part is always 0."""
+    """Kernel of (h - z)^(-1) in the algebra, with its residual and audit."""
 
-    element: UnitizedKernel
+    kernel: KernelSample
     z: complex
     residual: float
     meta: Dict = dc_field(default_factory=dict)
 
-    @property
-    def kernel(self) -> KernelSample:
-        return self.element.kernel
-
     def norm(self) -> float:
-        return l1_norm(self.element.kernel)
+        return l1_norm(self.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +138,6 @@ class ResolventElement:
 
 def _h_func(h) -> Callable:
     return h.func if isinstance(h, Symbol) else h
-
-
-def _h_order(h, default: float = 2.0) -> float:
-    return float(h.order) if isinstance(h, Symbol) else float(default)
 
 
 def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
@@ -127,9 +151,13 @@ def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
     return vals
 
 
-def _grid_infimum(hf: Callable, grid: BoxGrid) -> float:
-    vals = np.asarray(hf(grid.momentum().mesh()))
+def _infimum(hf: Callable, pts: np.ndarray) -> float:
+    vals = np.asarray(hf(pts))
     return float(_real_symbol_values(vals, "symbol must be real-valued below the shift").min())
+
+
+def _grid_infimum(hf: Callable, grid: BoxGrid) -> float:
+    return _infimum(hf, grid.momentum().mesh())
 
 
 def _check_shift(a: float, lo: float) -> None:
@@ -149,9 +177,26 @@ def _check_elliptic_declaration(h) -> None:
         )
 
 
-def _momentum_kernel(func: Callable, grid: BoxGrid, trim_tol: float = 1e-15) -> KernelSample:
+def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
     f = PhaseGridFunction.sample(func, grid, q_independent=True)
-    return trim_kernel(partial_fourier_inv(f), trim_tol)
+    return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
+
+
+def _product(a: KernelSample, b: KernelSample, field: MagneticField) -> KernelSample:
+    # per-product tail warnings are off; _surface_tail reports the sum once
+    return twisted_product(a, b, field, tail_warn=np.inf)
+
+
+def _minus_unit(products: List[KernelSample]) -> KernelSample:
+    """p₁ - 1 + p₂ + ... for the expanded products p_i of op ⋄ Φ (or
+    Φ ⋄ op): the defect of an inverse, whose L¹ norm is the residual.
+
+    The unit enters second, which fixes the order the sum rounds in.
+    """
+    first, *rest = products
+    return kernel_lincomb(
+        [(1.0, first), (-1.0, delta_kernel(first.grid))] + [(1.0, p) for p in rest]
+    )
 
 
 def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Symbol:
@@ -160,14 +205,14 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
     The precondition a ≥ -inf h + 1 guarantees h + a ≥ 1, so the inverse
     is bounded by 1 and inherits type -s envelopes from an elliptic h of
     type s.  The infimum is taken over the grid momentum mesh when a grid
-    is supplied, over a radial reference sample otherwise.
+    is supplied, over a radial reference sample otherwise; either way the
+    sampled values must be real.
     """
+    _check_elliptic_declaration(h)
     if grid is not None:
         lo = _grid_infimum(h.func, grid)
     else:
-        pts = np.concatenate([np.zeros((1, h.dim)), h._sample_points(40.0, 128)])
-        vals = np.asarray(h.func(pts), dtype=float)
-        lo = float(vals.min())
+        lo = _infimum(h.func, np.concatenate([np.zeros((1, h.dim)), h._sample_points(40.0, 128)]))
     _check_shift(a, lo)
     hf = h.func
 
@@ -183,21 +228,12 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
 
 
 def _defect_kernel(
-    hf: Callable,
-    a: float,
-    field: MagneticField,
-    grid: BoxGrid,
-    *,
-    scheme: str = "linear",
-    order: int = 8,
-    trim_tol: float = 1e-15,
+    hf: Callable, a: float, field: MagneticField, grid: BoxGrid
 ) -> Tuple[KernelSample, KernelSample, KernelSample]:
     """(kernel of h_a, kernel of 1/h_a, right defect h_a ⋄ h_a^{-1} - 1)."""
-    kha = _momentum_kernel(lambda p: np.asarray(hf(p)) + a, grid, trim_tol)
-    kinv = _momentum_kernel(lambda p: 1.0 / (np.asarray(hf(p)) + a), grid, trim_tol)
-    prod = twisted_product(kha, kinv, field, scheme=scheme, order=order, tail_warn=np.inf)
-    f = kernel_lincomb([(1.0, prod), (-1.0, delta_kernel(grid))])
-    return kha, kinv, f
+    kha = _momentum_kernel(lambda p: np.asarray(hf(p)) + a, grid)
+    kinv = _momentum_kernel(lambda p: 1.0 / (np.asarray(hf(p)) + a), grid)
+    return kha, kinv, _minus_unit([_product(kha, kinv, field)])
 
 
 def defect(
@@ -206,62 +242,51 @@ def defect(
     field: MagneticField,
     grid: BoxGrid,
     *,
-    scheme: str = "linear",
-    order: int = 8,
-    sweep: bool = True,
-    cutoffs: Optional[CutoffFamily] = None,
     scales: Optional[np.ndarray] = None,
-    sweep_rtol: float = 5e-2,
-    sweep_atol: float = 5e-3,
-    trim_tol: float = 1e-15,
 ) -> DefectReport:
     """Defect report for the shifted pointwise inverse.
 
     The reported kernel is the full-window product minus the unit and the
     reported norm is exactly its L¹ norm.  The sweep replays the product
-    with plateau-cutoff regularizations χ_n·h_a at a ladder of scales
-    inside the momentum zone, each compared against its own limit symbol
-    χ_n.  The last two rungs must agree to ``sweep_rtol`` relative or
-    ``sweep_atol`` absolute, otherwise the window cannot support the
-    symbol and a RuntimeError carries the trace.  The gap between the
-    last rung and the full-window norm is recorded but not gated: the
-    radial cutoff never reaches the corners of the square momentum zone,
-    so a structural offset remains even for well-resolved symbols.
+    with plateau-cutoff regularizations χ_n·h_a at a ladder of ``scales``
+    (by default four inside the momentum zone), each compared against its
+    own limit symbol χ_n.  The last two rungs must agree to 5e-2 relative
+    or 5e-3 absolute, otherwise the window cannot support the symbol and a
+    RuntimeError carries the trace.  The gap between the last rung and the
+    full-window norm is recorded but not gated: the radial cutoff never
+    reaches the corners of the square momentum zone, so a structural
+    offset remains even for well-resolved symbols.
     """
     hf = _h_func(h)
     _check_elliptic_declaration(h)
     _check_shift(a, _grid_infimum(hf, grid))
-    _, kinv, f = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order, trim_tol=trim_tol)
+    _, kinv, f = _defect_kernel(hf, a, field, grid)
     norm = l1_norm(f)
     report = DefectReport(a=float(a), kernel=f, norm=norm)
 
-    if sweep:
-        if cutoffs is None:
-            cutoffs = CutoffFamily()
-        if scales is None:
-            # support of χ_n is |p| ≤ 2n; keep it inside the zone
-            top = 0.5 * grid.momentum().p_max
-            scales = top * np.array([0.4, 0.55, 0.75, 1.0])
-        scales = np.asarray(scales, dtype=float)
-        norms = []
-        for s in scales:
-            ha_cut = cutoffs.compose(lambda p: np.asarray(hf(p)) + a, s)
-            kcut = _momentum_kernel(ha_cut, grid, trim_tol)
-            base = _momentum_kernel(lambda p, s=s: cutoffs.scaled(p, s), grid, trim_tol)
-            prod = twisted_product(kcut, kinv, field, scheme=scheme, order=order, tail_warn=np.inf)
-            norms.append(l1_norm(kernel_lincomb([(1.0, prod), (-1.0, base)])))
-        report.sweep = {
-            "scale": [float(s) for s in scales],
-            "norm": norms,
-            "full_gap": abs(norms[-1] - norm),
-        }
-        gap = abs(norms[-1] - norms[-2])
-        if gap > max(sweep_rtol * abs(norms[-1]), sweep_atol):
-            report.converged = False
-            raise RuntimeError(
-                "cutoff sweep did not stabilize: "
-                + ", ".join(f"{s:.3g}->{n:.6e}" for s, n in zip(report.sweep["scale"], norms))
-            )
+    cutoffs = CutoffFamily()
+    if scales is None:
+        # support of χ_n is |p| ≤ 2n; keep it inside the zone
+        top = 0.5 * grid.momentum().p_max
+        scales = top * np.array([0.4, 0.55, 0.75, 1.0])
+    scales = np.asarray(scales, dtype=float)
+    norms = []
+    for s in scales:
+        ha_cut = cutoffs.compose(lambda p: np.asarray(hf(p)) + a, s)
+        kcut = _momentum_kernel(ha_cut, grid)
+        base = _momentum_kernel(lambda p, s=s: cutoffs.scaled(p, s), grid)
+        norms.append(l1_norm(kernel_lincomb([(1.0, _product(kcut, kinv, field)), (-1.0, base)])))
+    report.sweep = {
+        "scale": [float(s) for s in scales],
+        "norm": norms,
+        "full_gap": abs(norms[-1] - norm),
+    }
+    gap = abs(norms[-1] - norms[-2])
+    if gap > max(_SWEEP_RTOL * abs(norms[-1]), _SWEEP_ATOL):
+        raise RuntimeError(
+            "cutoff sweep did not stabilize: "
+            + ", ".join(f"{s:.3g}->{n:.6e}" for s, n in zip(report.sweep["scale"], norms))
+        )
     return report
 
 
@@ -270,16 +295,13 @@ def find_a0(
     field: MagneticField,
     grid: BoxGrid,
     *,
-    margin: float = 0.1,
     budget: int = 14,
-    scheme: str = "linear",
-    order: int = 8,
     return_trace: bool = False,
 ):
     """Smallest admissible shift on the doubling ladder a_k = a_min + 2^k - 1.
 
     a_min = -inf h + 1 is the positivity floor; the ladder stops at the
-    first rung whose defect norm is below 1 - margin.  Field-free symbols
+    first rung whose defect norm is below 0.9.  Field-free symbols
     return the floor immediately (the defect vanishes identically).  The
     search is deterministic: same inputs, same rung, bit for bit.
     """
@@ -289,10 +311,10 @@ def find_a0(
     trace = []
     for k in range(budget):
         a = a_min + (2.0 ** k - 1.0)
-        _, _, f = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order)
+        _, _, f = _defect_kernel(hf, a, field, grid)
         norm = l1_norm(f)
         trace.append((a, norm))
-        if norm < 1.0 - margin:
+        if norm < 1.0 - _A0_MARGIN:
             return (a, trace) if return_trace else a
     raise RuntimeError(
         f"defect norm still {trace[-1][1]:.3f} at a = {trace[-1][0]:.6g} "
@@ -305,65 +327,46 @@ def find_a0(
 # ---------------------------------------------------------------------------
 
 
-def _inv_one_plus(
-    g: KernelSample,
-    field: MagneticField,
-    *,
-    tol: float = 1e-10,
-    maxterms: int = 200,
-    scheme: str = "linear",
-    order: int = 8,
-    series_trim: float = 1e-13,
-) -> Tuple[KernelSample, Dict]:
+def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, Dict]:
     """Kernel part w of (1 + g)^(-1) = 1 + w, by the alternating series.
 
-    ``series_trim`` drops displacement rows relatively below it from each
-    running term; decaying kernels then shrink their window as the series
-    progresses instead of paying full-window convolutions throughout.
+    Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
+    shrink their window as the series progresses instead of paying
+    full-window convolutions throughout.
     """
     gn = l1_norm(g)
     if gn >= 1.0:
         raise ValueError(f"Neumann radius exceeded: ‖g‖₁ = {gn:.6f} ≥ 1")
-    neg = trim_kernel(kernel_lincomb([(-1.0, g)]), series_trim)
+    neg = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
     term = neg
     acc = neg
     terms = 1
-    while l1_norm(term) >= tol:
-        if terms >= maxterms:
+    term_norm = l1_norm(term)
+    while term_norm >= _TOL:
+        if terms >= _MAX_TERMS:
             raise RuntimeError(
-                f"Neumann series stalled after {maxterms} terms "
-                f"(last term {l1_norm(term):.3e}, radius {gn:.3f})"
+                f"Neumann series stalled after {_MAX_TERMS} terms "
+                f"(last term {term_norm:.3e}, radius {gn:.3f})"
             )
-        term = trim_kernel(
-            twisted_product(term, neg, field, scheme=scheme, order=order, tail_warn=np.inf),
-            series_trim,
-        )
+        term = trim_kernel(_product(term, neg, field), _SERIES_TRIM)
         acc = kernel_lincomb([(1.0, acc), (1.0, term)])
         terms += 1
+        term_norm = l1_norm(term)
     info = {
         "terms": terms,
         "radius": gn,
-        "last_term": l1_norm(term),
-        "remainder_bound": tol / (1.0 - gn),
+        "last_term": term_norm,
+        "remainder_bound": _TOL / (1.0 - gn),
     }
     return acc, info
 
 
-def neumann_inverse(
-    u: UnitizedKernel,
-    field: MagneticField,
-    tol: float = 1e-10,
-    *,
-    maxterms: int = 200,
-    scheme: str = "linear",
-    order: int = 8,
-    series_trim: float = 1e-13,
-) -> UnitizedKernel:
+def neumann_inverse(u: UnitizedKernel, field: MagneticField) -> UnitizedKernel:
     """Inverse of u = μ + g in the unitized algebra, ‖g/μ‖₁ < 1 required.
 
     The series for (1 + g/μ)^(-1) is truncated once the running term
-    drops below ``tol``; the exact truncation remainder is then bounded
-    by tol/(1 - ‖g/μ‖₁).  The computed two-sided residual ‖u ⋄ result - 1‖
+    drops below 1e-10; the exact truncation remainder is then bounded
+    by 1e-10/(1 - ‖g/μ‖₁).  The computed residual ‖u ⋄ result - 1‖
     and the term count land in the result kernel's meta.
     """
     mu = complex(u.scalar)
@@ -372,13 +375,15 @@ def neumann_inverse(
     if u.kernel is None:
         return UnitizedKernel(scalar=1.0 / mu, kernel=None)
     v = kernel_lincomb([(1.0 / mu, u.kernel)])
-    w, info = _inv_one_plus(v, field, tol=tol, maxterms=maxterms, scheme=scheme, order=order,
-                            series_trim=series_trim)
+    w, info = _inv_one_plus(v, field)
     result = UnitizedKernel(scalar=1.0 / mu, kernel=kernel_lincomb([(1.0 / mu, w)]))
-    check = u.product(result, field, scheme=scheme, order=order, tail_warn=np.inf)
-    residual = abs(check.scalar - 1.0)
-    if check.kernel is not None:
-        residual += l1_norm(check.kernel)
+    # u ⋄ result expanded in the unitization: μν + (ν g + μ k + g ⋄ k)
+    check = kernel_lincomb([
+        (result.scalar, u.kernel),
+        (u.scalar, result.kernel),
+        (1.0, _product(u.kernel, result.kernel, field)),
+    ])
+    residual = abs(u.scalar * result.scalar - 1.0) + l1_norm(check)
     result.kernel.meta["neumann"] = dict(info, residual=float(residual))
     return result
 
@@ -398,18 +403,7 @@ def _surface_tail(k: KernelSample, context: str) -> None:
         )
 
 
-def moyal_inverse(
-    h,
-    a: float,
-    field: MagneticField,
-    grid: BoxGrid,
-    *,
-    scheme: str = "linear",
-    order: int = 8,
-    tol: float = 1e-10,
-    trim_tol: float = 1e-15,
-    series_trim: float = 1e-13,
-) -> ResolventElement:
+def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> ResolventElement:
     """Two-sided algebra inverse of h + a at a real admissible shift.
 
     Builds the right route (1/h_a) ⋄ (1 + F_r)^(-1) and the left route
@@ -420,40 +414,24 @@ def moyal_inverse(
     hf = _h_func(h)
     _check_elliptic_declaration(h)
     _check_shift(a, _grid_infimum(hf, grid))
-    kha, kinv, f_right = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order, trim_tol=trim_tol)
+    kha, kinv, f_right = _defect_kernel(hf, a, field, grid)
     dn = l1_norm(f_right)
     if dn >= 1.0:
         raise ValueError(
             f"defect norm {dn:.3f} ≥ 1 at a = {a:.6g}; raise the shift (see find_a0)"
         )
-    prod_left = twisted_product(kinv, kha, field, scheme=scheme, order=order, tail_warn=np.inf)
-    f_left = kernel_lincomb([(1.0, prod_left), (-1.0, delta_kernel(grid))])
+    f_left = _minus_unit([_product(kinv, kha, field)])
 
-    w_r, info_r = _inv_one_plus(f_right, field, tol=tol, scheme=scheme, order=order,
-                                series_trim=series_trim)
-    w_l, info_l = _inv_one_plus(f_left, field, tol=tol, scheme=scheme, order=order,
-                                series_trim=series_trim)
-    phi = kernel_lincomb([
-        (1.0, kinv),
-        (1.0, twisted_product(kinv, w_r, field, scheme=scheme, order=order, tail_warn=np.inf)),
-    ])
-    phi_left = kernel_lincomb([
-        (1.0, kinv),
-        (1.0, twisted_product(w_l, kinv, field, scheme=scheme, order=order, tail_warn=np.inf)),
-    ])
-    phi = trim_kernel(phi, series_trim)
-    phi_left = trim_kernel(phi_left, series_trim)
+    w_r, info_r = _inv_one_plus(f_right, field)
+    w_l, info_l = _inv_one_plus(f_left, field)
+    phi = kernel_lincomb([(1.0, kinv), (1.0, _product(kinv, w_r, field))])
+    phi_left = kernel_lincomb([(1.0, kinv), (1.0, _product(w_l, kinv, field))])
+    phi = trim_kernel(phi, _SERIES_TRIM)
+    phi_left = trim_kernel(phi_left, _SERIES_TRIM)
     discrepancy = l1_norm(kernel_lincomb([(1.0, phi), (-1.0, phi_left)]))
 
-    delta = delta_kernel(grid)
-    res_r = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(kha, phi, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-    ]))
-    res_l = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(phi, kha, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-    ]))
+    res_r = l1_norm(_minus_unit([_product(kha, phi, field)]))
+    res_l = l1_norm(_minus_unit([_product(phi, kha, field)]))
     _surface_tail(phi, "inverse kernel")
     meta = {
         "defect_norm": dn,
@@ -464,12 +442,7 @@ def moyal_inverse(
         "residual_right": res_r,
         "residual_left": res_l,
     }
-    return ResolventElement(
-        element=UnitizedKernel(scalar=0.0, kernel=phi),
-        z=complex(-a),
-        residual=max(res_r, res_l),
-        meta=meta,
-    )
+    return ResolventElement(kernel=phi, z=complex(-a), residual=max(res_r, res_l), meta=meta)
 
 
 def resolvent(
@@ -479,12 +452,6 @@ def resolvent(
     z: complex,
     *,
     a0: Optional[float] = None,
-    scheme: str = "linear",
-    order: int = 8,
-    tol: float = 1e-10,
-    max_halvings: int = 12,
-    max_steps: int = 400,
-    series_trim: float = 1e-13,
 ) -> ResolventElement:
     """Resolvent kernel at any z off the spectrum-bearing half-line.
 
@@ -494,74 +461,64 @@ def resolvent(
         Φ(r_ζ') = Φ(r_ζ) ⋄ (1 + (ζ - ζ') Φ(r_ζ))^(-1)
 
     with step length 0.5/‖Φ(r_ζ)‖₁ so the Neumann radius stays at 1/2.
-    Steps that still fail are halved, at most ``max_halvings`` times in a
-    row.  The endpoint is audited with both one-sided residuals against
-    the kernel of h - z and with the resolvent identity back to the
-    anchor.
+    Steps that still fail are halved, at most 12 times in a row, and the
+    continuation gives up after 400 steps.  The endpoint is audited with
+    both one-sided residuals against the kernel of h - z and with the
+    resolvent identity back to the anchor.
     """
     z = complex(z)
     hf = _h_func(h)
     if a0 is None:
-        a0 = find_a0(h, field, grid, scheme=scheme, order=order)
+        a0 = find_a0(h, field, grid)
     if z.imag == 0.0 and z.real >= -a0:
         raise ValueError(
             f"z = {z:.6g} must be non-real or lie left of -a0 = {-a0:.6g}"
         )
     x0 = -a0 - 1.0
-    anchor = moyal_inverse(h, -x0, field, grid, scheme=scheme, order=order, tol=tol,
-                           series_trim=series_trim)
+    anchor = moyal_inverse(h, -x0, field, grid)
     phi = anchor.kernel
     z_cur = complex(x0)
-    path = [(z_cur, l1_norm(phi))]
+    nrm = l1_norm(phi)
+    path = [(z_cur, nrm)]
     halvings_total = 0
     steps = 0
 
     while z_cur != z:
-        if steps >= max_steps:
-            raise RuntimeError(f"continuation exceeded {max_steps} steps at z = {z_cur:.6g}")
-        nrm = l1_norm(phi)
+        if steps >= _MAX_STEPS:
+            raise RuntimeError(f"continuation exceeded {_MAX_STEPS} steps at z = {z_cur:.6g}")
         step = 0.5 / nrm
         rest = z - z_cur
         target = z if abs(rest) <= step else z_cur + rest / abs(rest) * step
         halvings = 0
         while True:
             try:
-                g = kernel_lincomb([(z_cur - target, phi)])
-                w, _ = _inv_one_plus(g, field, tol=tol, scheme=scheme, order=order,
-                                     series_trim=series_trim)
+                w, _ = _inv_one_plus(kernel_lincomb([(z_cur - target, phi)]), field)
                 break
             except (ValueError, RuntimeError):
-                if halvings >= max_halvings:
+                if halvings >= _MAX_HALVINGS:
                     raise RuntimeError(
                         f"continuation stalled at z = {z_cur:.6g} "
-                        f"after {max_halvings} step halvings"
+                        f"after {_MAX_HALVINGS} step halvings"
                     )
                 halvings += 1
                 halvings_total += 1
                 target = z_cur + (target - z_cur) / 2.0
-        phi = trim_kernel(kernel_lincomb([
-            (1.0, phi),
-            (1.0, twisted_product(phi, w, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        ]), series_trim)
+        phi = trim_kernel(
+            kernel_lincomb([(1.0, phi), (1.0, _product(phi, w, field))]), _SERIES_TRIM
+        )
         z_cur = target
         steps += 1
-        path.append((z_cur, l1_norm(phi)))
+        nrm = l1_norm(phi)
+        path.append((z_cur, nrm))
 
-    delta = delta_kernel(grid)
     khz = _momentum_kernel(lambda p: np.asarray(hf(p)) - z, grid)
-    res_r = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(khz, phi, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-    ]))
-    res_l = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(phi, khz, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-    ]))
+    res_r = l1_norm(_minus_unit([_product(khz, phi, field)]))
+    res_l = l1_norm(_minus_unit([_product(phi, khz, field)]))
     # resolvent identity against the anchor: Φ_z - Φ_x0 = (z - x0) Φ_z ⋄ Φ_x0
     ident = l1_norm(kernel_lincomb([
         (1.0, phi),
         (-1.0, anchor.kernel),
-        (-(z - x0), twisted_product(phi, anchor.kernel, field, scheme=scheme, order=order, tail_warn=np.inf)),
+        (-(z - x0), _product(phi, anchor.kernel, field)),
     ]))
     _surface_tail(phi, "resolvent kernel")
     meta = {
@@ -577,12 +534,7 @@ def resolvent(
     }
     if z.imag != 0.0:
         meta["norm_bound"] = 1.0 / abs(z.imag)
-    return ResolventElement(
-        element=UnitizedKernel(scalar=0.0, kernel=phi),
-        z=z,
-        residual=max(res_r, res_l),
-        meta=meta,
-    )
+    return ResolventElement(kernel=phi, z=z, residual=max(res_r, res_l), meta=meta)
 
 
 def resolvent_with_potential(
@@ -593,10 +545,6 @@ def resolvent_with_potential(
     z: complex,
     *,
     base: Optional[ResolventElement] = None,
-    scheme: str = "linear",
-    order: int = 8,
-    tol: float = 1e-10,
-    series_trim: float = 1e-13,
 ) -> ResolventElement:
     """Resolvent of h + V for a bounded multiplier V, perturbing from V = 0.
 
@@ -607,48 +555,35 @@ def resolvent_with_potential(
     """
     z = complex(z)
     if base is None:
-        base = resolvent(h, field, grid, z, scheme=scheme, order=order, tol=tol,
-                         series_trim=series_trim)
+        base = resolvent(h, field, grid, z)
     elif base.z != z:
         raise ValueError("base resolvent was computed at a different z")
     phi = base.kernel
     kv = multiplier_kernel(v, grid)
-    g = twisted_product(kv, phi, field, scheme=scheme, order=order, tail_warn=np.inf)
+    g = _product(kv, phi, field)
     gn = l1_norm(g)
     if gn >= 1.0:
         raise ValueError(
             f"perturbation norm ‖V⋄Φ‖₁ = {gn:.3f} ≥ 1; "
             "increase |Im z| or shrink the potential"
         )
-    w, info = _inv_one_plus(g, field, tol=tol, scheme=scheme, order=order,
-                            series_trim=series_trim)
-    corr = trim_kernel(
-        twisted_product(phi, w, field, scheme=scheme, order=order, tail_warn=np.inf),
-        series_trim,
-    )
-    phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), series_trim)
+    w, info = _inv_one_plus(g, field)
+    corr = trim_kernel(_product(phi, w, field), _SERIES_TRIM)
+    phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), _SERIES_TRIM)
 
     hf = _h_func(h)
-    delta = delta_kernel(grid)
     khz = _momentum_kernel(lambda p: np.asarray(hf(p)) - z, grid)
     # (h - z + V) ⋄ (Φ + corr) - 1 assembled piecewise: Φ does not decay at
     # the box edge, so folding it into one base-dependent array would make
     # the stiff momentum factor read zeros past the boundary; split apart,
     # every factor pair extends validly (corr and V-products decay in the
     # base point, the rest is base-independent or has an attached callable)
-    res_r = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(khz, phi, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-        (1.0, twisted_product(khz, corr, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (1.0, g),
-        (1.0, twisted_product(kv, corr, field, scheme=scheme, order=order, tail_warn=np.inf)),
+    res_r = l1_norm(_minus_unit([
+        _product(khz, phi, field), _product(khz, corr, field), g, _product(kv, corr, field),
     ]))
-    res_l = l1_norm(kernel_lincomb([
-        (1.0, twisted_product(phi, khz, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (-1.0, delta),
-        (1.0, twisted_product(corr, khz, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (1.0, twisted_product(phi, kv, field, scheme=scheme, order=order, tail_warn=np.inf)),
-        (1.0, twisted_product(corr, kv, field, scheme=scheme, order=order, tail_warn=np.inf)),
+    res_l = l1_norm(_minus_unit([
+        _product(phi, khz, field), _product(corr, khz, field),
+        _product(phi, kv, field), _product(corr, kv, field),
     ]))
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {
@@ -658,12 +593,7 @@ def resolvent_with_potential(
         "residual_left": res_l,
         "base_residual": base.residual,
     }
-    return ResolventElement(
-        element=UnitizedKernel(scalar=0.0, kernel=phi_v),
-        z=z,
-        residual=max(res_r, res_l),
-        meta=meta,
-    )
+    return ResolventElement(kernel=phi_v, z=z, residual=max(res_r, res_l), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +601,7 @@ def resolvent_with_potential(
 # ---------------------------------------------------------------------------
 
 
-def _gamma_growth(field: MagneticField, dim: int, rng: np.random.Generator, fd_step: float = 1e-3):
+def _gamma_growth(field: MagneticField, dim: int, fd_step: float = 1e-3):
     """Envelope fit for first derivatives of γ^B in the leg endpoints.
 
     Samples |∂ γ^B(q; t·u, t·v)| over base points and directions at a
@@ -679,6 +609,7 @@ def _gamma_growth(field: MagneticField, dim: int, rng: np.random.Generator, fd_s
     fitted degree plays the role of s₁ + s₂ in the polynomial envelope
     c⟨x⟩^{s₁}⟨y⟩^{s₂}; a flat or empty fit reports degree and constant 0.
     """
+    rng = np.random.default_rng(_AUDIT_SEED)
     qs = rng.uniform(-3.0, 3.0, size=(6, dim))
     us = rng.normal(size=(4, dim))
     us /= np.linalg.norm(us, axis=1, keepdims=True)
@@ -715,10 +646,10 @@ def _gamma_growth(field: MagneticField, dim: int, rng: np.random.Generator, fd_s
     return out
 
 
-def _defect_scaling(hf, field, grid, ladder, mu, *, scheme, order):
+def _defect_scaling(hf, field, grid, ladder, mu):
     norms = []
     for a in ladder:
-        _, _, f = _defect_kernel(hf, a, field, grid, scheme=scheme, order=order)
+        _, _, f = _defect_kernel(hf, a, field, grid)
         norms.append(l1_norm(f))
     la = np.log(np.asarray(ladder, dtype=float))
     ln = np.log(np.maximum(norms, 1e-300))
@@ -734,7 +665,7 @@ def _defect_scaling(hf, field, grid, ladder, mu, *, scheme, order):
     }
 
 
-def _seminorm_domination(dim, grids, widths, t, trim_tol=1e-15):
+def _seminorm_domination(dim, grids):
     """Ratio ‖𝓕⁻¹f‖₁ / max_{|α|≤2} sup_p ⟨p⟩^{-t+|α|}|∂^α f| on Gaussians.
 
     The kernel L¹ norm of a negative-type symbol is dominated by finitely
@@ -745,17 +676,17 @@ def _seminorm_domination(dim, grids, widths, t, trim_tol=1e-15):
     for grid in grids:
         worst = 0.0
         ratios = {}
-        for wdt in widths:
+        for wdt in _AUDIT_WIDTHS:
             f = lambda p, wdt=wdt: np.exp(-wdt * np.sum(np.asarray(p) ** 2, axis=-1))
-            sem = max(Symbol(dim=dim, func=f, order=t).spot_check().values())
-            l1 = l1_norm(_momentum_kernel(f, grid, trim_tol))
+            sem = max(Symbol(dim=dim, func=f, order=_AUDIT_T).spot_check().values())
+            l1 = l1_norm(_momentum_kernel(f, grid))
             ratios[wdt] = l1 / sem
             worst = max(worst, l1 / sem)
         per_grid.append({"n": grid.n, "half_length": grid.half_length,
                          "constant": worst, "ratios": ratios})
     consts = [g["constant"] for g in per_grid]
     spread = (max(consts) - min(consts)) / max(consts) if consts else 0.0
-    return {"t": t, "per_grid": per_grid, "spread": float(spread)}
+    return {"t": _AUDIT_T, "per_grid": per_grid, "spread": float(spread)}
 
 
 def estimate_audit(h, field: MagneticField, config: Optional[Dict] = None) -> Dict:
@@ -766,32 +697,33 @@ def estimate_audit(h, field: MagneticField, config: Optional[Dict] = None) -> Di
     * ``gamma_growth``: fitted polynomial degree and constant for first
       derivatives of γ^B in the two leg endpoints.
     * ``defect_scaling``: defect norms along a shift ladder and the
-      fitted decay exponent against the predicted -1/μ, μ = max{1,s}+0.1.
+      fitted decay exponent against the predicted -1/μ, μ = max{1,s}+0.1,
+      with s the symbol's order (2 for a plain callable).
     * ``seminorm_domination``: observed constant dominating kernel L¹
       norms by weighted sup seminorms on a Gaussian family, per grid.
+
+    ``config`` may set ``grid`` (the box of the defect ladder, n=48 over
+    [-6, 6]^N by default), ``grids`` (the seminorm grids, by default that
+    box and its doubling) and ``a_ladder``; any other key is refused.
     """
     cfg = dict(config or {})
+    unknown = [k for k in cfg if k not in _AUDIT_KEYS]
+    if unknown:
+        raise ValueError(f"unknown estimate_audit config key(s): {', '.join(map(repr, unknown))}")
     grid = cfg.get("grid")
     if grid is None:
         grid = BoxGrid(dim=field.dim, half_length=6.0, n=48)
     dim = grid.dim
-    s = _h_order(h, default=float(cfg.get("order", 2.0)))
-    mu = float(cfg.get("mu", max(1.0, s) + 0.1))
+    mu = max(1.0, float(h.order) if isinstance(h, Symbol) else 2.0) + 0.1
     ladder = cfg.get("a_ladder", (16.0, 32.0, 64.0, 128.0, 256.0))
-    widths = cfg.get("widths", (0.6, 1.0, 1.6))
-    t = float(cfg.get("t", -1.0))
     grids = cfg.get("grids")
     if grids is None:
         grids = [grid, BoxGrid(dim=dim, half_length=grid.half_length, n=2 * grid.n)]
-    scheme = cfg.get("scheme", "linear")
-    order = int(cfg.get("order_quad", 8))
-    rng = np.random.default_rng(int(cfg.get("seed", 7)))
 
-    hf = _h_func(h)
     return {
-        "gamma_growth": _gamma_growth(field, dim, rng),
-        "defect_scaling": _defect_scaling(hf, field, grid, ladder, mu, scheme=scheme, order=order),
-        "seminorm_domination": _seminorm_domination(dim, grids, widths, t),
+        "gamma_growth": _gamma_growth(field, dim),
+        "defect_scaling": _defect_scaling(_h_func(h), field, grid, ladder, mu),
+        "seminorm_domination": _seminorm_domination(dim, grids),
     }
 
 

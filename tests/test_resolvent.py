@@ -1,5 +1,7 @@
 """Constructive inversion: defect sweeps, Neumann series, resolvents, audits."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ def test_pointwise_inverse_shift_guard():
         pointwise_inverse(h, -0.5)
 
 
+def test_pointwise_inverse_refuses_complex_symbol_without_grid():
+    h = Symbol(dim=2, func=lambda p: 1.0 + np.sum(p * p, axis=-1) + 0.5j * p[..., 0],
+               order=2.0, elliptic=(0.5, 3.0))
+    with pytest.raises(ValueError, match="real-valued"):
+        pointwise_inverse(h, 2.0)
+
+
+def test_pointwise_inverse_requires_ellipticity_declaration():
+    h = Symbol(dim=2, func=lambda p: 1.0 + np.sum(p * p, axis=-1), order=2.0)
+    with pytest.raises(ValueError, match="declare ellipticity"):
+        pointwise_inverse(h, 2.0)
+
+
 def test_unbounded_symbol_must_declare_ellipticity():
     h = Symbol(dim=2, func=lambda p: 1.0 + np.sum(p * p, axis=-1), order=2.0)
     with pytest.raises(ValueError, match="declare ellipticity"):
@@ -140,6 +155,14 @@ def test_neumann_radius_guard():
     g = box(12, 3.0)
     u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(1.2, delta_kernel(g))]))
     with pytest.raises(ValueError, match="Neumann radius"):
+        neumann_inverse(u, FIELD)
+
+
+def test_neumann_stall_guard():
+    # radius 0.95 needs more terms than the series allows
+    g = box(12, 3.0)
+    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(0.95, delta_kernel(g))]))
+    with pytest.raises(RuntimeError, match="stalled after 200 terms"):
         neumann_inverse(u, FIELD)
 
 
@@ -305,6 +328,14 @@ def test_resolvent_two_point_identity():
     assert l1_norm(kernel_lincomb([(1.0, lhs), (-(Z1 - z2), prod)])) < 1e-5
 
 
+def test_resolvent_step_limit(monkeypatch):
+    # the package attribute of the same name is the function, not the module
+    monkeypatch.setattr(importlib.import_module("magweyl.resolvent"), "_MAX_STEPS", 2)
+    g = box(16, 4.0)
+    with pytest.raises(RuntimeError, match="exceeded 2 steps"):
+        resolvent(trig_kinetic(g), FIELD, g, -1.0 + 4.0j, a0=0.0)
+
+
 def test_resolvent_rejects_bad_real_z():
     g = box(32)
     with pytest.raises(ValueError, match="non-real or lie left"):
@@ -408,6 +439,11 @@ def test_audit_sections_and_scaling():
     sd = audit["seminorm_domination"]
     assert all(gr["constant"] > 0 for gr in sd["per_grid"])
     assert 0.0 <= sd["spread"] < 1.0
+
+
+def test_audit_rejects_unknown_config_key():
+    with pytest.raises(ValueError, match="'seed'"):
+        estimate_audit(continuum_kinetic, FIELD, config={"grid": box(24), "seed": 3})
 
 
 # ---------------------------------------------------------------------------
