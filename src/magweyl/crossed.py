@@ -17,14 +17,14 @@ with all base points on the lattice.  ``KernelSample.sheet`` says which
 form a kernel stores; products return centered values unless asked for
 the tilde sheet, and ``rep`` reads either.
 
-``twisted_product`` has two branches.  A factor with one displacement node
-is a multiplier and scales the other factor at shifted base points.  Every
-other product runs the one accumulation loop ``_accumulate`` over the
-left factor's displacement nodes, and the 2-cocycle enters in one of two
-ways.  For a constant field and two base-point independent kernels it
-depends on the displacements only, ω^B(y,w) = exp(-i/2 yᵀBw), and
-modulates each node's update.  Otherwise, for a non-zero field, it is
-evaluated through the circulation factorization
+``twisted_product`` has three branches.  A factor with one displacement
+node is a multiplier and scales the other factor at shifted base points.
+For a constant field and two base-point independent kernels the 2-cocycle
+ω^B(y,w) = exp(-i/2 yᵀBw) depends on the displacements only, and the
+product is a twisted convolution computed by batched 1-D FFTs
+(``_twisted_convolution``, O(d^(2N-1) log d) for d nodes per axis).  Every
+other product runs ``_accumulate``, a loop over the left factor's nodes;
+for a non-zero field the cocycle enters through the factorization
 ω^B(r;y,w) = Λ(r;y) Λ(r+y;w) conj(Λ(r;y+w)) with Λ = λ^{A₀} for an
 internal transversal-gauge potential A₀ of B; this is an exact identity
 (verified against direct flux quadrature by ``twisted_product_reference``),
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from .fields import (
@@ -97,6 +98,10 @@ TAIL_WARN_FRACTION = 1e-2
 # node pairs (or matrix entries) handled per block when a dense matrix is
 # filled or scanned; keeps the circulation quadrature's temporaries small
 _PAIR_BLOCK = 8192
+
+# complex entries (1 MB) per batch temporary of the constant-field product's
+# FFTs; bounds its memory whatever the window
+_FFT_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +309,17 @@ def _lambda_factors(
     return out
 
 
-def _accumulate(a, b, out_count, pad, grid, bmat=None):
-    """The shifted convolution every product runs through:
+def _accumulate(a, b, out_count, pad, grid):
+    """The shifted convolution of the general product:
 
-        out[r; y+w+off] += a[r;y] m_y[w] b[r+y+pad; w]
+        out[r; y+w+off] += a[r;y] b[r+y+pad; w]
 
     one vectorized update per displacement node y of the left factor, with
     off centring the natural window on the kept one and ``b`` carrying
     ``pad`` extra base points per face.  A factor without base axes
-    broadcasts over r, and such a left factor skips its zero nodes; the
-    output has base axes when either factor has.  ``bmat`` (a constant
-    field, both factors base-point independent) brings in the cocycle as
-    the modulation m_y[w] = exp(-i/2 yᵀBw), evaluated on the kept window
-    only; otherwise m = 1 and the factors carry it as circulation dressing.
+    broadcasts over r, and such a left factor skips its zero nodes; at
+    least one factor has base axes, and so has the output.  The cocycle is
+    not applied here: the caller dresses the factors with circulation phases.
     """
     dim = grid.dim
     n = grid.n
@@ -324,10 +327,7 @@ def _accumulate(a, b, out_count, pad, grid, bmat=None):
     ka = da // 2
     off = out_count // 2 - ka - db // 2
     a_base, b_base = a.ndim > dim, b.ndim > dim
-    out = np.zeros(((n,) * dim if a_base or b_base else ()) + (out_count,) * dim, dtype=complex)
-    if bmat is not None:
-        axa = grid.disp_axis(da)
-        bx = np.stack(np.meshgrid(*([grid.disp_axis(db)] * dim), indexing="ij"), axis=-1)
+    out = np.zeros((n,) * dim + (out_count,) * dim, dtype=complex)
     rsl = bsl = ()
     if a_base and not b_base:
         rsl = (slice(None),) * dim
@@ -347,13 +347,50 @@ def _accumulate(a, b, out_count, pad, grid, bmat=None):
             bsl = tuple(slice(sl.start + si + pad, sl.stop + si + pad) for sl, si in zip(rsl, s))
         osl = tuple(slice(i + sl.start + off, i + sl.stop + off) for i, sl in zip(j, wsl))
         left = a[rsl + j][(Ellipsis,) + (None,) * dim] if a_base else a[j]
-        if bmat is not None:
-            y = np.array([axa[i] for i in j])
-            # flux of the constant field over the (y, w) triangle
-            flux = 0.5 * np.einsum("...j,j->...", bx[wsl], bmat.T @ y)
-            left = left * np.exp(-1j * flux)
         out[rsl + osl] += left * b[bsl + wsl]
     return out
+
+
+def _twisted_convolution(a, b, out_count, grid, bmat):
+    """Product of two base-point independent kernels in a constant field B,
+
+        out[x] = Δ^N Σ_y a[y] b[x-y] exp(-i/2 yᵀBx),
+
+    on the kept window (the cocycle exp(-i/2 yᵀBw), w = x - y, equals this
+    phase since B is antisymmetric).  With the leading N-1 axes x', y' fixed
+    the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row in
+    y_N and one of the output row in x_N, so the sum over y_N is a 1-D
+    convolution.  All (x', y') pairs run as batched FFTs, a block of output
+    rows x' at a time so that each temporary holds about ``_FFT_BLOCK``
+    entries: O(d^(2N-1) log d) work for d nodes per axis.
+    """
+    p = grid.dim - 1
+    da, db = a.shape[-1], b.shape[-1]
+    off = out_count // 2 - da // 2 - db // 2
+    size = sp_fft.next_fast_len(da + db - 1)
+    # kept nodes of the last output axis
+    lo, hi = max(0, off), min(out_count, da + db - 1 + off)
+    rows_a = np.array(list(np.ndindex(*(da,) * p)), dtype=int).reshape(da**p, p)
+    rows_o = np.array(list(np.ndindex(*(out_count,) * p)), dtype=int).reshape(out_count**p, p)
+    ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
+    y_pre, x_pre = ya[rows_a], xo[rows_o]
+    brows = sp_fft.fft(b.reshape(-1, db), size)
+    out_mod = np.exp(-0.5j * np.outer(y_pre @ bmat[:p, p], xo[lo:hi]))
+    strides = db ** np.arange(p - 1, -1, -1)
+    out = np.zeros((len(rows_o), out_count), dtype=complex)
+    step = max(1, _FFT_BLOCK // (len(rows_a) * size))
+    for start in range(0, len(rows_o), step):
+        blk = slice(start, start + step)
+        # row x' - y' of b, and whether it lies in b's window
+        k = rows_o[blk, None, :] - off - rows_a[None, :, :]
+        inside = np.all((k >= 0) & (k < db), axis=-1)
+        cross = np.where(inside, np.exp(-0.5j * (x_pre[blk] @ bmat[:p, :p].T @ y_pre.T)), 0.0)
+        left = np.exp(-0.5j * np.outer(x_pre[blk] @ bmat[p, :p], ya))
+        spec = sp_fft.fft(cross[:, :, None] * left[:, None, :] * a.reshape(-1, da), size)
+        spec *= brows[np.clip(k, 0, db - 1) @ strides]
+        conv = sp_fft.ifft(spec, overwrite_x=True)[..., lo - off:hi - off]
+        out[blk, lo:hi] = np.einsum("rpx,px->rx", conv, out_mod)
+    return out.reshape((out_count,) * grid.dim) * grid.cell_volume
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
@@ -417,12 +454,13 @@ def twisted_product(
 
     A factor with a single displacement node is a multiplier: the other
     factor's values are multiplied by it at shifted base points, and the
-    window is the other factor's.  Every other product is the shifted
-    convolution of the sheared values (:func:`_accumulate`).  When both
-    kernels are base-point independent and the field is constant the
-    cocycle depends only on the displacements and enters as a per-node
-    modulation; the result is base-point independent.  Otherwise, for a
-    non-zero field, the factors are dressed with circulation phases of the
+    window is the other factor's.  For two base-point independent kernels
+    and a constant (or zero) field the cocycle depends only on the
+    displacements: the product is a twisted convolution by batched FFTs,
+    O(d^(2N-1) log d) for d nodes per axis (:func:`_twisted_convolution`),
+    and base-point independent.  Every other product is the shifted
+    convolution of the sheared values (:func:`_accumulate`); for a non-zero
+    field the factors are dressed with circulation phases of the
     transversal gauge and the result is undressed.
 
     The output displacement window defaults to the largest representable
@@ -459,35 +497,39 @@ def twisted_product(
         out_count = min(out_disp_count, grid.max_disp_count())
 
     q_independent = phi.q_independent and psi.q_independent
+    sup_phi, sup_psi = phi.sup_over_q(), psi.sup_over_q()
     if phi.disp_count == 1 or psi.disp_count == 1:
         left = phi.disp_count == 1
         v, other = (phi, psi) if left else (psi, phi)
         h = (0 if left else 2) if tilde else (-1 if left else 1)
         vals = _multiply(v, other, h, scheme, tilde)
         clipped = 0.0
+    elif q_independent and field.is_constant:
+        vals = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
+        clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
     else:
-        q_independent = q_independent and field.is_constant
+        q_independent = False
         # the right factor is read at shifted base points r + y; callables
         # and base-point independent kernels extend past the box, arrays do not
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
         a = _tilde_values(phi, scheme)
         b = _tilde_values(psi, scheme, pad=pad)
-        dressed = not (q_independent or field.is_zero)
+        dressed = not field.is_zero
         if dressed:
             # gauge dressing turns the twisted sum into a plain shifted convolution
             pot = transversal_gauge(field, order=order)
             a = _lambda_factors(pot, grid, phi.disp_count, order=order) * a
             b = _lambda_factors(pot, grid, psi.disp_count, pad=pad, order=order) * b
-        vals = _accumulate(a, b, out_count, pad, grid, field.constant if q_independent else None)
+        vals = _accumulate(a, b, out_count, pad, grid)
         vals *= grid.cell_volume
         if dressed:
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
             vals *= np.conj(_lambda_factors(pot, grid, out_count, order=order))
-        if not (q_independent or tilde):
+        if not tilde:
             vals = _shear(vals, grid, -1, scheme)
-        clipped = _clip_mass(phi.sup_over_q(), psi.sup_over_q(), out_count, grid.cell_volume)
+        clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
 
-    norm_phi, norm_psi = l1_norm(phi), l1_norm(psi)
+    norm_phi, norm_psi = (float(sup.sum()) * grid.cell_volume for sup in (sup_phi, sup_psi))
     tail = clipped + phi.tail_mass * norm_psi + norm_phi * psi.tail_mass
     out = KernelSample(
         grid=grid,

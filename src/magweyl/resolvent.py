@@ -111,7 +111,6 @@ class DefectReport:
     kernel: KernelSample
     norm: float
     sweep: Dict[str, list] = dc_field(default_factory=dict)
-    converged: bool = True
 
     @property
     def grid(self) -> BoxGrid:
@@ -754,7 +753,6 @@ def report_text(obj) -> str:
             "kind: defect",
             f"a: {_fmt(obj.a)}",
             f"norm: {_fmt(obj.norm)}",
-            f"converged: {str(obj.converged).lower()}",
             f"dim: {obj.grid.dim}",
             f"n: {obj.grid.n}",
             f"half_length: {_fmt(float(obj.grid.half_length))}",

@@ -1,5 +1,7 @@
 """Twisted kernel algebra: product routes, involution, representation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
@@ -82,6 +84,12 @@ def test_b_zero_qindep_is_plain_convolution():
     prod = twisted_product(phi, psi, MagneticField.zero(2))
     assert prod.q_independent
     assert np.abs(prod.values - oracle).max() < 1e-10
+    # asymmetric windows, kept window clipped to 5 of the natural 9
+    phi = KernelSample(grid=g, values=rng.normal(size=(7, 7)) + 0j, q_independent=True)
+    psi = KernelSample(grid=g, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
+    oracle = fftconvolve(phi.values, psi.values)[2:7, 2:7] * g.cell_volume
+    prod = twisted_product(phi, psi, MagneticField.zero(2), out_disp_count=5, tail_warn=np.inf)
+    assert np.abs(prod.values - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("attach", [True, False])
@@ -175,6 +183,68 @@ def test_clipped_qindep_const_product_keeps_window_and_bounds_tail():
     exact = (np.abs(full.values).sum() - np.abs(kept).sum()) * g.cell_volume
     assert exact > 0
     assert p.tail_mass >= exact
+
+
+def qindep_pair(g, da, db, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(da,) * g.dim) + 1j * rng.normal(size=(da,) * g.dim)
+    b = rng.normal(size=(db,) * g.dim) + 1j * rng.normal(size=(db,) * g.dim)
+    return KernelSample(grid=g, values=a, q_independent=True), KernelSample(grid=g, values=b, q_independent=True)
+
+
+def assert_matches_reference(phi, psi, fld, out=None):
+    p = twisted_product(phi, psi, fld, out_disp_count=out, tail_warn=np.inf)
+    r = twisted_product_reference(phi, psi, fld, out_disp_count=out)
+    assert p.q_independent and r.q_independent
+    assert p.values.shape == r.values.shape
+    assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
+    return p
+
+
+def test_fft_route_dim1_zero_field():
+    # one axis: no leading axes, the product is a single 1-D convolution
+    g = BoxGrid(dim=1, half_length=4.0, n=16)
+    phi, psi = qindep_pair(g, 7, 5, seed=50)
+    assert_matches_reference(phi, psi, MagneticField.zero(1))
+
+
+@pytest.mark.parametrize(
+    "da, db, out", [(7, 7, None), (3, 11, None), (11, 3, None), (11, 11, 7)],
+    ids=["equal", "3x11", "11x3", "clipped"],
+)
+def test_fft_route_constant_field_2d(da, db, out):
+    g = BoxGrid(dim=2, half_length=3.0, n=22)
+    phi, psi = qindep_pair(g, da, db, seed=51)
+    p = assert_matches_reference(phi, psi, MagneticField.constant_2d(0.9), out)
+    assert p.disp_count == (out or da + db - 1)
+
+
+@pytest.mark.parametrize("da, db", [(3, 5), (5, 5)], ids=["natural", "clipped"])
+def test_fft_route_constant_field_3d(da, db):
+    # only three axes exercise the phase between the leading axes x', y'
+    g = BoxGrid(dim=3, half_length=3.0, n=8)
+    bmat = np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
+    phi, psi = qindep_pair(g, da, db, seed=52)
+    p = assert_matches_reference(phi, psi, MagneticField(dim=3, constant=bmat))
+    assert p.disp_count == min(da + db - 1, g.max_disp_count())
+
+
+def test_fft_route_memory_is_blocked():
+    # the batched FFTs run a block of output rows at a time; one product at
+    # the n=48 resolvent's window peaks near 3.3 MB, where one batch over
+    # all rows would take about 7 MB
+    g = BoxGrid(dim=2, half_length=6.0, n=48)
+    k = kernel_from_func(lambda q, x: np.exp(-np.sum(x * x, axis=-1)), g, q_independent=True)
+    fld = MagneticField.constant_2d(0.5)
+    assert k.disp_count == 47
+    twisted_product(k, k, fld)
+    tracemalloc.start()
+    try:
+        twisted_product(k, k, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_centered_route_agreement_refines():
