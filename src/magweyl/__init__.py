@@ -43,10 +43,6 @@ from .crossed import (
     rep_banded,
     op_weyl,
     op_norm,
-    save_matrix_bin,
-    load_matrix_bin,
-    save_matrix_csv,
-    load_matrix_csv,
 )
 from .moyal import (
     Symbol,

@@ -45,7 +45,6 @@ values extend unchanged.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -86,10 +85,6 @@ __all__ = [
     "rep_banded",
     "op_weyl",
     "op_norm",
-    "save_matrix_bin",
-    "load_matrix_bin",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 # tail fraction of ||phi||1*||psi||1 above which a product attaches a warning
@@ -944,50 +939,3 @@ class UnitizedKernel:
     def involution(self) -> "UnitizedKernel":
         k = twisted_involution(self.kernel) if self.kernel is not None else None
         return UnitizedKernel(scalar=np.conj(self.scalar), kernel=k)
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-
-def save_matrix_bin(path, mat) -> None:
-    """Binary layout: uint64 little-endian dimension, then row-major
-    (real, imag) float64 little-endian pairs."""
-    if isinstance(mat, OperatorMatrix):
-        mat = mat.mat
-    mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[0]
-    inter = np.empty((dim, dim, 2), dtype="<f8")
-    inter[..., 0] = mat.real
-    inter[..., 1] = mat.imag
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", dim))
-        fh.write(inter.tobytes())
-
-
-def load_matrix_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != 2 * dim * dim:
-        raise ValueError("binary matrix file is truncated")
-    data = data.reshape(dim, dim, 2)
-    return (data[..., 0] + 1j * data[..., 1]).astype(complex)
-
-
-def save_matrix_csv(path, mat) -> None:
-    """CSV layout: one matrix row per line, entries as real,imag pairs."""
-    if isinstance(mat, OperatorMatrix):
-        mat = mat.mat
-    mat = np.asarray(mat, dtype=complex)
-    dim = mat.shape[0]
-    inter = np.empty((dim, 2 * dim))
-    inter[:, 0::2] = mat.real
-    inter[:, 1::2] = mat.imag
-    np.savetxt(path, inter, fmt="%.17g", delimiter=",")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    inter = np.loadtxt(path, delimiter=",", ndmin=2)
-    return inter[:, 0::2] + 1j * inter[:, 1::2]

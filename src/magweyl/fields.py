@@ -15,6 +15,21 @@ covariance holds to rounding on the lattice.
 
 All evaluation functions are vectorized: point arguments may carry arbitrary
 leading batch dimensions, with the coordinate dimension last.
+
+The anisotropy descriptors probe their profiles at fixed places:
+
+* ``ConstPlusDecay`` checks that the decaying terms are below 1e-2
+  (``_LIMIT_TOL``) at eight points of the circle of radius 50
+  (``_DECAY_RADIUS``).
+* ``Cartesian2D`` checks that each one-variable factor is within 1e-2
+  (``_LIMIT_TOL``) of its declared limits at -60 and 60
+  (``_LIMIT_DISTANCE``).
+* ``VanishingOscillation`` takes 9 probes (``_N_PROBES``) on a golden-angle
+  spiral over the annulus of radii 40 to 250 (``_VO_RADII``), and
+  ``asymptotic_range`` samples that annulus on 25 circles of 720 points
+  (``_RANGE_ANGLES``).
+* ``MixedVOAP`` freezes its slow factor at 9 equally spaced points
+  (``_N_PROBES``) of the circle of radius 80 (``_MIXED_RADIUS``).
 """
 
 from __future__ import annotations
@@ -45,6 +60,14 @@ __all__ = [
 
 DEFAULT_LINE_ORDER = 8
 DEFAULT_TRIANGLE_ORDER = 8
+
+_LIMIT_TOL = 1e-2
+_DECAY_RADIUS = 50.0
+_LIMIT_DISTANCE = 60.0
+_N_PROBES = 9
+_VO_RADII = (40.0, 250.0)
+_RANGE_ANGLES = 720
+_MIXED_RADIUS = 80.0
 
 _leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -177,7 +200,6 @@ class VectorPotential:
     dim: int
     func: Callable
     circulation_exact: Optional[Callable] = None
-    line_order: int = DEFAULT_LINE_ORDER
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(pts, dtype=float)), dtype=float)
@@ -189,7 +211,7 @@ class VectorPotential:
         q, x = np.broadcast_arrays(q, x)
         if self.circulation_exact is not None:
             return np.asarray(self.circulation_exact(q, x), dtype=float)
-        nodes, weights = unit_gauss_legendre(order or self.line_order)
+        nodes, weights = unit_gauss_legendre(order or DEFAULT_LINE_ORDER)
         # points of shape (..., order, dim)
         pts = q[..., None, :] + nodes[:, None] * x[..., None, :]
         vals = self(pts)  # (..., order, dim)
@@ -364,8 +386,6 @@ class ConstPlusDecay:
     v_inf: float = 0.0
     b_decay: Optional[Callable] = None
     v_decay: Optional[Callable] = None
-    decay_check_radius: float = 50.0
-    decay_check_tol: float = 1e-2
 
     def field(self) -> MagneticField:
         if self.dim != 2:
@@ -382,15 +402,14 @@ class ConstPlusDecay:
         return lambda pts: v_inf + np.asarray(extra(pts), dtype=float)
 
     def validate(self) -> None:
-        r = self.decay_check_radius
-        probes = r * _unit_circle_probes(8)
+        probes = _DECAY_RADIUS * _unit_circle_probes(8)
         for fn, name in ((self.b_decay, "b_decay"), (self.v_decay, "v_decay")):
             if fn is None:
                 continue
             worst = float(np.max(np.abs(np.asarray(fn(probes), dtype=float))))
-            if worst > self.decay_check_tol:
+            if worst > _LIMIT_TOL:
                 raise ValueError(
-                    f"{name} does not vanish at radius {r:g}: max magnitude {worst:.3e}"
+                    f"{name} does not vanish at radius {_DECAY_RADIUS:g}: max magnitude {worst:.3e}"
                 )
 
     def pairs(self) -> list[AsymptoticPair]:
@@ -411,15 +430,13 @@ class VanishingOscillation:
 
     The admissible limits at infinity fill the asymptotic range of the
     profile.  That range is estimated on a probe annulus and sampled with
-    ``n_samples`` joint direction probes, each contributing one constant
-    field / potential pair.
+    joint probes spread over radius and angle, each contributing one
+    constant field / potential pair.
     """
 
     dim: int
     b_profile: Callable
     v_profile: Optional[Callable] = None
-    probe_radii: tuple = (40.0, 250.0)
-    n_samples: int = 9
 
     def field(self) -> MagneticField:
         if self.dim != 2:
@@ -429,7 +446,7 @@ class VanishingOscillation:
     def potential(self):
         return self.v_profile if self.v_profile is not None else 0.0
 
-    def asymptotic_range(self, which: str = "b", n_dense: int = 720) -> tuple[float, float]:
+    def asymptotic_range(self, which: str = "b") -> tuple[float, float]:
         """Numerical [liminf, limsup] of the named profile over the probe annulus."""
         if which == "b":
             profile = self.b_profile
@@ -437,9 +454,8 @@ class VanishingOscillation:
             profile = self.v_profile if self.v_profile is not None else (lambda p: np.zeros(p.shape[:-1]))
         else:
             raise ValueError("which must be 'b' or 'v'")
-        r0, r1 = self.probe_radii
-        radii = np.linspace(r0, r1, 25)
-        angles = np.linspace(0.0, 2.0 * np.pi, n_dense, endpoint=False)
+        radii = np.linspace(*_VO_RADII, 25)
+        angles = np.linspace(0.0, 2.0 * np.pi, _RANGE_ANGLES, endpoint=False)
         pts = radii[:, None, None] * np.stack(
             [np.cos(angles), np.sin(angles)], axis=-1
         )[None, :, :]
@@ -449,10 +465,9 @@ class VanishingOscillation:
     def pairs(self) -> list[AsymptoticPair]:
         # spiral probes: spread over radius and angle so radial and angular
         # oscillations both contribute joint (field, potential) samples
-        r0, r1 = self.probe_radii
-        radii = np.linspace(r0, r1, self.n_samples)
+        radii = np.linspace(*_VO_RADII, _N_PROBES)
         golden = np.pi * (3.0 - np.sqrt(5.0))
-        angles = golden * np.arange(self.n_samples)
+        angles = golden * np.arange(_N_PROBES)
         probes = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         b_vals = np.asarray(self.b_profile(probes), dtype=float)
         if self.v_profile is None:
@@ -460,7 +475,7 @@ class VanishingOscillation:
         else:
             v_vals = np.asarray(self.v_profile(probes), dtype=float)
         out = []
-        for i in range(self.n_samples):
+        for i in range(_N_PROBES):
             out.append(
                 AsymptoticPair(
                     field=MagneticField.constant_2d(float(b_vals[i])),
@@ -486,8 +501,6 @@ class MixedVOAP:
     vo_factor: Callable
     ap_factor: Callable
     mode: str = "product"  # 'product' or 'sum'
-    probe_radii: tuple = (40.0, 80.0)
-    n_samples: int = 9
 
     def __post_init__(self):
         if self.mode not in ("product", "sum"):
@@ -504,13 +517,12 @@ class MixedVOAP:
         )
 
     def pairs(self) -> list[AsymptoticPair]:
-        r1 = self.probe_radii[1]
-        angles = np.linspace(0.0, 2.0 * np.pi, self.n_samples, endpoint=False)
-        probes = r1 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        angles = np.linspace(0.0, 2.0 * np.pi, _N_PROBES, endpoint=False)
+        probes = _MIXED_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         c_vals = np.asarray(self.vo_factor(probes), dtype=float)
         ap, mode = self.ap_factor, self.mode
         out = []
-        for i in range(self.n_samples):
+        for i in range(_N_PROBES):
             c = float(c_vals[i])
             if mode == "product":
                 frozen = (lambda cc: lambda pts: cc * np.asarray(ap(pts), dtype=float))(c)
@@ -548,11 +560,9 @@ class Cartesian2D:
     v2_limits: tuple = (0.0, 0.0)
     b0: Optional[Callable] = None
     v0: Optional[Callable] = None
-    limit_check_distance: float = 60.0
-    limit_check_tol: float = 1e-2
 
     def validate(self) -> None:
-        d = self.limit_check_distance
+        d = _LIMIT_DISTANCE
         for prof, limits, name in (
             (self.b1, self.b1_limits, "b1"),
             (self.b2, self.b2_limits, "b2"),
@@ -563,7 +573,7 @@ class Cartesian2D:
                 continue
             lo = float(np.asarray(prof(np.array([-d]))).reshape(-1)[0])
             hi = float(np.asarray(prof(np.array([d]))).reshape(-1)[0])
-            if abs(lo - limits[0]) > self.limit_check_tol or abs(hi - limits[1]) > self.limit_check_tol:
+            if abs(lo - limits[0]) > _LIMIT_TOL or abs(hi - limits[1]) > _LIMIT_TOL:
                 raise ValueError(
                     f"profile {name} does not reach its declared limits: "
                     f"({lo:.4f}, {hi:.4f}) vs declared {limits}"

@@ -157,6 +157,26 @@ class Symbol:
                     )
 
 
+def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
+    """Real part of sampled symbol values, refusing imaginary parts above
+    1e-12 relative to max(1, max|h|)."""
+    if np.iscomplexobj(vals):
+        scale = max(float(np.abs(vals).max()), 1.0)
+        if float(np.abs(vals.imag).max()) > 1e-12 * scale:
+            raise ValueError(message)
+        vals = vals.real
+    return vals
+
+
+def _check_elliptic_declaration(h) -> None:
+    # unbounded symbols must declare their ellipticity constants; plain
+    # callables are admitted on the strength of the grid infimum alone
+    if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
+        raise ValueError(
+            "symbol of positive order must declare ellipticity constants"
+        )
+
+
 # ---------------------------------------------------------------------------
 # cutoffs
 # ---------------------------------------------------------------------------

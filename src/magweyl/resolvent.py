@@ -67,7 +67,13 @@ from .crossed import (
 )
 from .fields import MagneticField, gamma_b
 from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
-from .moyal import CutoffFamily, Symbol, trim_kernel
+from .moyal import (
+    CutoffFamily,
+    Symbol,
+    _check_elliptic_declaration,
+    _real_symbol_values,
+    trim_kernel,
+)
 
 __all__ = [
     "DefectReport",
@@ -139,17 +145,6 @@ def _h_func(h) -> Callable:
     return h.func if isinstance(h, Symbol) else h
 
 
-def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
-    """Real part of sampled symbol values, refusing imaginary parts above
-    1e-12 relative to max(1, max|h|)."""
-    if np.iscomplexobj(vals):
-        scale = max(float(np.abs(vals).max()), 1.0)
-        if float(np.abs(vals.imag).max()) > 1e-12 * scale:
-            raise ValueError(message)
-        vals = vals.real
-    return vals
-
-
 def _infimum(hf: Callable, pts: np.ndarray) -> float:
     vals = np.asarray(hf(pts))
     return float(_real_symbol_values(vals, "symbol must be real-valued below the shift").min())
@@ -164,15 +159,6 @@ def _check_shift(a: float, lo: float) -> None:
     if a < -lo + 1.0 - 1e-12:
         raise ValueError(
             f"shift too small: a = {a:.6g} < -inf h + 1 = {-lo + 1.0:.6g}"
-        )
-
-
-def _check_elliptic_declaration(h) -> None:
-    # unbounded symbols must declare their ellipticity constants; plain
-    # callables are admitted on the strength of the grid infimum alone
-    if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
-        raise ValueError(
-            "symbol of positive order must declare ellipticity constants"
         )
 
 

@@ -11,12 +11,31 @@ tabulated antiderivatives when a one-variable profile is declared, else
 the transversal gauge (closed circulation for constant fields, quadrature
 otherwise).  Periodic boxes, which admit only a vanishing field, use the
 exact Fourier multiplier instead.
+
+The layer runs one fixed configuration:
+
+* ``eig`` refuses a relative Hermiticity residual above 1e-12
+  (``_HERM_TOL``) and dimensions above 12000 (``EIG_CAP``).
+* A state counts as bulk when at least 0.6 of its mass (``_BULK_THETA``)
+  lies outside a boundary collar one eighth of the box half-length wide
+  (``_COLLAR_FRAC``).  ``SpectrumResult.bulk_scores``, the fiber filter of
+  ``fibered_spectrum`` and the box-ladder detector all read these two.
+* ``asymptotic_spectra`` merges points closer than 1e-6 (``_EPS_MERGE``)
+  and samples band ranges at the step (hi - lo)/2000 (``_BAND_STEPS``).
+* ``fibered_spectrum`` takes n + 1 dual momenta spanning the range of the
+  gauge potential, padded by sqrt(max(hi - min V, 1)) for a finite window
+  end hi and by pi/delta otherwise.
+* ``essential_estimate`` clusters and chains eigenvalues at the
+  persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
+
+The probe radii and tolerances of the anisotropy descriptors are listed
+in :mod:`magweyl.fields`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -32,12 +51,17 @@ from .fields import (
     transversal_gauge,
 )
 from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
-from .moyal import Symbol
-from .resolvent import _check_elliptic_declaration, _real_symbol_values
+from .moyal import Symbol, _check_elliptic_declaration, _real_symbol_values
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
 # storage stop being desk scale
 EIG_CAP = 12000
+_HERM_TOL = 1e-12
+_BULK_THETA = 0.6
+_COLLAR_FRAC = 0.125
+_EPS_MERGE = 1e-6
+_BAND_STEPS = 2000
+_PERSIST_FRAC = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +112,7 @@ class SpectrumResult:
             raise ValueError("bulk scores need eigenvectors and a grid")
         grid = self.grid
         if collar is None:
-            collar = grid.half_length / 8.0
+            collar = grid.half_length * _COLLAR_FRAC
         mask = grid.interior_mask(collar).ravel()
         dens = np.abs(self.vectors) ** 2
         total = dens.sum(axis=0)
@@ -179,7 +203,6 @@ class SchrodingerSpec:
     grid: Optional[BoxGrid] = None
     vector_potential: Optional[VectorPotential] = None
     profile_axis: Optional[int] = None
-    label: str = ""
 
     def field_or_zero(self) -> MagneticField:
         if self.field is None:
@@ -200,15 +223,7 @@ class SchrodingerSpec:
         return vals
 
     def with_grid(self, grid: BoxGrid) -> "SchrodingerSpec":
-        return SchrodingerSpec(
-            h=self.h,
-            field=self.field,
-            potential=self.potential,
-            grid=grid,
-            vector_potential=self.vector_potential,
-            profile_axis=self.profile_axis,
-            label=self.label,
-        )
+        return replace(self, grid=grid)
 
 
 def _symbol_values(h, grid: BoxGrid) -> np.ndarray:
@@ -328,12 +343,7 @@ def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
     return (u.conj().T * hvals.ravel()) @ u
 
 
-def assemble(
-    spec: SchrodingerSpec,
-    *,
-    order: int = 8,
-    r_disp: Optional[float] = None,
-) -> OperatorMatrix:
+def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
     Every truncated box goes through ``rep(gauge, kernel)``.  The gauge is
@@ -359,8 +369,7 @@ def assemble(
         return OperatorMatrix(mat=mat, grid=grid, hermitian=True)
 
     kernel = partial_fourier_inv(
-        PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True),
-        r_disp=r_disp,
+        PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True)
     )
     if spec.vector_potential is not None:
         pot = spec.vector_potential
@@ -383,17 +392,10 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 
-def eig(
-    op,
-    window: Optional[tuple] = None,
-    *,
-    vectors: bool = False,
-    herm_tol: float = 1e-12,
-    cap: int = EIG_CAP,
-) -> SpectrumResult:
+def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> SpectrumResult:
     """Windowed Hermitian eigendecomposition of a dense operator.
 
-    Dimensions above ``cap`` are refused rather than silently thrashing.
+    Dimensions above ``EIG_CAP`` are refused rather than silently thrashing.
     """
     grid = None
     if isinstance(op, OperatorMatrix):
@@ -404,16 +406,16 @@ def eig(
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
     size = mat.shape[0]
-    if size > cap:
+    if size > EIG_CAP:
         raise ValueError(
-            f"dense eigensolve refused at dimension {size} > {cap}; run a "
+            f"dense eigensolve refused at dimension {size} > {EIG_CAP}; run a "
             "windowed iterative mode (shift-invert or Lanczos) or coarsen the grid"
         )
     residual = _hermitian_residual(mat)
-    if residual > herm_tol:
+    if residual > _HERM_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative residual {residual:.3e} "
-            f"exceeds {herm_tol:.1e}"
+            f"exceeds {_HERM_TOL:.1e}"
         )
 
     real_input = not np.iscomplexobj(mat) or np.max(np.abs(mat.imag)) == 0.0
@@ -541,50 +543,24 @@ def _separable_split(h, probe: np.ndarray):
     return f_varying, base
 
 
-def fibered_spectrum(
-    profile,
-    h,
-    grid: BoxGrid,
-    ks: Optional[np.ndarray] = None,
-    *,
-    invariant_axis: int = 1,
-    potential=None,
-    window: Optional[tuple] = None,
-    theta_bulk: float = 0.6,
-    collar: Optional[float] = None,
-    threads: int = 1,
-) -> SpectrumResult:
-    """Band spectrum of a field depending on one coordinate only.
+def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, potential):
+    """Fiber operators of a field depending on one coordinate only.
 
-    In the gauge with a single component along the invariant direction the
-    operator commutes with translations there; a partial Fourier transform
-    leaves a family of one-dimensional operators indexed by the dual
-    momentum k, each diagonalized on the varying coordinate.  Fiber states
-    hugging the box edge (well centers pushed outside) are discarded by an
-    interior-mass threshold before the bands are unioned.
+    In the gauge A_inv = P(x), P the antiderivative of ``profile`` on the
+    varying coordinate x, the fiber at dual momentum k is h(p, A(x) - k) +
+    V(x) on the one-dimensional grid ``grid1``.  Returns ``(fiber, a_vals,
+    v_vals)`` with ``fiber(k)`` the n x n matrix H_k and the gauge and
+    potential sampled on the nodes.  A separable symbol h = f(p_var) +
+    g(p_inv) is exact: f is a Fourier multiplier and g(A - k) - g(0) a
+    multiplication, O(n^2) per fiber.  Any other symbol is evaluated on
+    every pair of fiber momentum and segment-averaged gauge, O(n^3) per
+    fiber.  V is added on the diagonal either way.
     """
-    if grid.dim == 2:
-        grid1 = BoxGrid(dim=1, half_length=grid.half_length, n=grid.n)
-    elif grid.dim == 1:
-        grid1 = grid
-    else:
-        raise ValueError("fibered analysis needs a one- or two-dimensional grid")
-    if invariant_axis not in (0, 1):
-        raise ValueError("invariant axis must be 0 or 1")
     varying = 1 - invariant_axis
     n = grid1.n
     xs = grid1.axis()
-
-    if callable(profile):
-        beta_vals = np.asarray(profile(xs), dtype=float)
-        if beta_vals.shape != xs.shape:
-            beta_vals = np.broadcast_to(beta_vals, xs.shape)
-        p_spline, _ = _antiderivative_pair(profile, grid1.half_length + grid1.delta)
-        a_vals = p_spline(xs)
-    else:
-        b = float(profile)
-        a_vals = b * xs
-
+    p_spline, _ = _antiderivative_pair(profile, grid1.half_length + grid1.delta)
+    a_vals = p_spline(xs)
     if potential is None:
         v_vals = np.zeros(n)
     elif callable(potential):
@@ -592,23 +568,13 @@ def fibered_spectrum(
     else:
         v_vals = np.full(n, float(potential))
 
-    lo, hi = (-np.inf, np.inf) if window is None else (float(window[0]), float(window[1]))
-
-    probe = np.linspace(-np.pi / grid1.delta, np.pi / grid1.delta, 13)
-    split = _separable_split(h, probe)
-
     pm = grid1.momentum().axis()
-    dft = np.exp(1j * np.outer(pm, xs)) / np.sqrt(n)
-
-    a_bar = None
+    split = _separable_split(h, np.linspace(-np.pi / grid1.delta, np.pi / grid1.delta, 13))
     if split is not None:
         f_varying, base = split
-        kin_diag = f_varying(pm, varying)
-        t_kin = (dft.conj().T * kin_diag) @ dft  # exact 1D Fourier multiplier
-        fiber_pot = lambda k: f_varying(a_vals - k, invariant_axis) - base + v_vals
+        dft = np.exp(1j * np.outer(pm, xs)) / np.sqrt(n)
+        t_kin = (dft.conj().T * f_varying(pm, varying)) @ dft
     else:
-        # no additive split: evaluate the symbol on every pair of fiber
-        # momentum and shifted dual momentum, with segment-averaged gauge
         a_prim = np.concatenate(
             [[0.0], np.cumsum(0.5 * (a_vals[1:] + a_vals[:-1]) * np.diff(xs))]
         )
@@ -618,34 +584,61 @@ def fibered_spectrum(
         a_bar[np.arange(n), np.arange(n)] = a_vals
         wave = np.exp(1j * np.outer(pm, xs))
 
-    if ks is None:
-        pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
-        k_lo = float(np.min(a_vals)) - pad
-        k_hi = float(np.max(a_vals)) + pad
-        ks = np.linspace(k_lo, k_hi, n + 1)
-    ks = np.asarray(ks, dtype=float)
-
-    if collar is None:
-        collar = grid1.half_length / 8.0
-    interior = grid1.interior_mask(collar)
-
-    def solve(k):
+    def fiber(k: float) -> np.ndarray:
         if split is not None:
-            mat = t_kin + np.diag(fiber_pot(k))
+            kin, diag = t_kin, f_varying(a_vals - k, invariant_axis) - base
         else:
             pts = np.empty((len(pm), n, n, 2))
             pts[..., varying] = pm[:, None, None]
             pts[..., invariant_axis] = (a_bar - k)[None, :, :]
             hv = np.asarray(h(pts), dtype=float)
-            mat = np.einsum("mij,mj,mi->ij", hv, wave, wave.conj()) / n
-        vals, vecs = np.linalg.eigh(mat)
-        mass = (np.abs(vecs[interior, :]) ** 2).sum(axis=0)
-        keep = mass >= theta_bulk
-        return vals, keep
+            kin, diag = np.einsum("mij,mj,mi->ij", hv, wave, wave.conj()) / n, 0.0
+        return kin + np.diag(diag + v_vals)
 
-    results = _map_tasks(solve, list(ks), threads)
-    fiber_values = np.stack([vals for vals, _ in results])
-    fiber_kept = np.stack([keep for _, keep in results])
+    return fiber, a_vals, v_vals
+
+
+def fibered_spectrum(
+    profile: Callable,
+    h,
+    grid: BoxGrid,
+    *,
+    invariant_axis: int = 1,
+    potential=None,
+    window: Optional[tuple] = None,
+) -> SpectrumResult:
+    """Band spectrum of a field depending on one coordinate only.
+
+    ``profile`` is the field B_01 as a function of the varying coordinate
+    and ``potential`` (none, a number or a function of that coordinate) is
+    V on the same axis.  In the gauge with a single component along the
+    invariant direction the operator commutes with translations there; a
+    partial Fourier transform leaves a family of one-dimensional operators
+    H_k = h(p, A - k) + V indexed by the dual momentum k, each
+    diagonalized on the varying coordinate of the two-dimensional
+    ``grid``.  Fiber states hugging the box edge (well centers pushed
+    outside) are discarded by the bulk threshold before the bands are
+    unioned.
+    """
+    if grid.dim != 2:
+        raise ValueError("fibered analysis needs a two-dimensional grid")
+    if invariant_axis not in (0, 1):
+        raise ValueError("invariant axis must be 0 or 1")
+    grid1 = BoxGrid(dim=1, half_length=grid.half_length, n=grid.n)
+    fiber, a_vals, v_vals = _fiber_family(profile, h, grid1, invariant_axis, potential)
+
+    lo, hi = (-np.inf, np.inf) if window is None else (float(window[0]), float(window[1]))
+    pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
+    ks = np.linspace(float(np.min(a_vals)) - pad, float(np.max(a_vals)) + pad, grid1.n + 1)
+    interior = grid1.interior_mask(grid1.half_length * _COLLAR_FRAC)
+
+    fiber_values, fiber_kept = [], []
+    for k in ks:
+        vals, vecs = np.linalg.eigh(fiber(k))
+        fiber_values.append(vals)
+        fiber_kept.append((np.abs(vecs[interior, :]) ** 2).sum(axis=0) >= _BULK_THETA)
+    fiber_values = np.stack(fiber_values)
+    fiber_kept = np.stack(fiber_kept)
     flat = fiber_values[fiber_kept]
     flat = flat[(flat >= lo) & (flat <= hi)]
     return SpectrumResult(
@@ -658,7 +651,6 @@ def fibered_spectrum(
             "fiber_values": fiber_values,
             "fiber_kept": fiber_kept,
             "invariant_axis": invariant_axis,
-            "theta_bulk": theta_bulk,
         },
     )
 
@@ -669,10 +661,7 @@ def asymptotic_spectra(
     grid: BoxGrid,
     window: tuple = (0.0, 10.0),
     *,
-    eps_merge: float = 1e-6,
-    band_step: Optional[float] = None,
     threads: int = 1,
-    fiber_ks: Optional[np.ndarray] = None,
 ) -> UnionSpectrum:
     """Union of the spectra of all limit operators of a descriptor.
 
@@ -681,34 +670,26 @@ def asymptotic_spectra(
     else is assembled and diagonalized on the supplied grid.
     """
     lo, hi = float(window[0]), float(window[1])
-    if band_step is None:
-        band_step = (hi - lo) / 2000.0
+    band_step = (hi - lo) / _BAND_STEPS
     pairs = asymptotic_pairs(descriptor)
     free = _is_free_kinetic(h, grid.dim)
 
     def solve(pair):
-        if pair.kind == "constant":
-            scalar_v = not callable(pair.potential)
-            b = float(pair.field.constant[0, 1]) if pair.field.is_constant else None
-            if free and scalar_v and b is not None:
-                v = float(pair.potential)
-                if b == 0.0:
-                    return pair.label, _band_spectrum(h, grid, v, window, band_step)
-                return pair.label, landau_oracle(b, v, window)
-            spec = SchrodingerSpec(
-                h=h, field=pair.field, potential=pair.potential, grid=grid
-            )
-            return pair.label, eig(assemble(spec), window)
         if pair.kind == "one_variable":
             return pair.label, fibered_spectrum(
                 pair.profile_b,
                 h,
                 grid,
-                fiber_ks,
                 invariant_axis=pair.invariant_axis,
                 potential=pair.profile_v,
                 window=window,
             )
+        if pair.kind == "constant" and free and pair.field.is_constant and not callable(pair.potential):
+            b = float(pair.field.constant[0, 1])
+            v = float(pair.potential)
+            if b == 0.0:
+                return pair.label, _band_spectrum(h, grid, v, window, band_step)
+            return pair.label, landau_oracle(b, v, window)
         spec = SchrodingerSpec(
             h=h, field=pair.field, potential=pair.potential, grid=grid
         )
@@ -719,10 +700,10 @@ def asymptotic_spectra(
         np.concatenate([res.values for _, res in components])
         if components
         else np.empty(0),
-        eps_merge,
+        _EPS_MERGE,
     )
     return UnionSpectrum(
-        components=components, merged=merged, eps_merge=eps_merge, window=(lo, hi)
+        components=components, merged=merged, eps_merge=_EPS_MERGE, window=(lo, hi)
     )
 
 
@@ -757,9 +738,9 @@ class EssentialEstimate:
         return "\n".join(lines)
 
 
-def _cluster_records(res: SpectrumResult, delta: float, theta: float, collar: float):
+def _cluster_records(res: SpectrumResult, delta: float):
     # cluster on indices so values stay aligned with bulk scores
-    scores = res.bulk_scores(collar)
+    scores = res.bulk_scores()
     records = []
     vals = res.values
     if len(vals) == 0:
@@ -768,7 +749,7 @@ def _cluster_records(res: SpectrumResult, delta: float, theta: float, collar: fl
     for seg in np.split(np.arange(len(vals)), cuts):
         v = vals[seg]
         s = scores[seg]
-        bulk = s >= theta
+        bulk = s >= _BULK_THETA
         if np.any(bulk):
             center = float(np.average(v[bulk], weights=s[bulk]))
         else:
@@ -808,57 +789,43 @@ def essential_estimate(
     boxes: Sequence[float],
     window: tuple,
     *,
-    delta_persist: Optional[float] = None,
-    theta_bulk: float = 0.6,
-    collar_frac: float = 0.125,
     density: Optional[float] = None,
     threads: int = 1,
 ) -> EssentialEstimate:
     """Numerical stand-in for the essential spectrum via growing boxes.
 
-    Window eigenvalues of each truncation are clustered at the persistence
-    scale; a cluster survives when a matching cluster exists in every box,
-    its member count never shrinks and grows overall, and the final box
-    contributes bulk-localized members.  Isolated eigenvalues keep constant
-    multiplicity along the ladder and are rejected; pure edge states fail
-    either persistence or the bulk threshold.  Diagnostics retain every
-    rejected cluster with its reason.
+    Each rung is a box of the spec grid's dimension and boundary condition
+    with half-length from ``boxes`` and ``density`` nodes per unit length
+    (by default the spec grid's).  Window eigenvalues of each truncation
+    are clustered at the persistence scale; a cluster survives when a
+    matching cluster exists in every box, its member count never shrinks
+    and grows overall, and the final box contributes bulk-localized
+    members.  Isolated eigenvalues keep constant multiplicity along the
+    ladder and are rejected; pure edge states fail either persistence or
+    the bulk threshold.  Diagnostics retain every rejected cluster with
+    its reason.
     """
     boxes = tuple(float(b) for b in boxes)
     if len(boxes) < 2:
         raise ValueError("box ladder needs at least two boxes")
     if any(b2 <= b1 for b1, b2 in zip(boxes, boxes[1:])):
         raise ValueError("box ladder must be strictly increasing")
+    grid = spec.grid
+    if grid is None:
+        raise ValueError("box ladder needs a grid on the spec")
     lo, hi = float(window[0]), float(window[1])
-    if delta_persist is None:
-        delta_persist = 5e-3 * (hi - lo)
+    delta_persist = _PERSIST_FRAC * (hi - lo)
     if density is None:
-        if spec.grid is None:
-            raise ValueError("either a spec grid or an explicit density is needed")
-        density = spec.grid.n / (2.0 * spec.grid.half_length)
-    bc = spec.grid.bc if spec.grid is not None else "truncated"
-    if spec.field is not None:
-        dim = spec.field.dim
-    elif spec.grid is not None:
-        dim = spec.grid.dim
-    else:
-        dim = 2
+        density = grid.n / (2.0 * grid.half_length)
 
     def solve(box_l):
         n = int(round(2.0 * box_l * density))
         n += n % 2
         n = max(n, 8)
-        grid_i = BoxGrid(dim=dim, half_length=box_l, n=n, bc=bc)
-        op = assemble(spec.with_grid(grid_i))
-        res = eig(op, (lo, hi), vectors=True)
-        del op
-        return res
+        grid_i = BoxGrid(dim=grid.dim, half_length=box_l, n=n, bc=grid.bc)
+        return eig(assemble(spec.with_grid(grid_i)), (lo, hi), vectors=True)
 
-    results = _map_tasks(solve, boxes, threads)
-    ladders = [
-        _cluster_records(res, delta_persist, theta_bulk, box_l * collar_frac)
-        for res, box_l in zip(results, boxes)
-    ]
+    ladders = [_cluster_records(res, delta_persist) for res in _map_tasks(solve, boxes, threads)]
 
     # chain clusters from the largest box back through the ladder
     links = [
@@ -912,8 +879,6 @@ def essential_estimate(
         window=(lo, hi),
         params={
             "delta_persist": delta_persist,
-            "theta_bulk": theta_bulk,
-            "collar_frac": collar_frac,
             "density": density,
         },
     )

@@ -21,15 +21,11 @@ from magweyl.crossed import (
     kernel_from_func,
     kernel_lincomb,
     l1_norm,
-    load_matrix_bin,
-    load_matrix_csv,
     multiplier_kernel,
     op_norm,
     op_weyl,
     rep,
     rep_banded,
-    save_matrix_bin,
-    save_matrix_csv,
     twisted_involution,
     twisted_product,
     twisted_product_reference,
@@ -654,17 +650,6 @@ def test_op_norm_matches_svd():
     phi, _ = pair_on(g, 5)
     band = rep_banded(transversal_gauge(variable_field()), phi)
     assert abs(op_norm(band, tol=1e-8) - np.linalg.norm(band.to_dense(), 2)) < 1e-4
-
-
-def test_matrix_export_roundtrip(tmp_path):
-    rng = np.random.default_rng(42)
-    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    pb = tmp_path / "m.bin"
-    pc = tmp_path / "m.csv"
-    save_matrix_bin(pb, m)
-    save_matrix_csv(pc, m)
-    assert np.array_equal(load_matrix_bin(pb), m)
-    assert np.array_equal(load_matrix_csv(pc), m)
 
 
 # ---------------------------------------------------------------------------

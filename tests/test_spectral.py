@@ -1,18 +1,31 @@
-"""Dense assembly: every gauge reproduces the representation ``rep``."""
+"""Spectral layer: dense assembly, fibered and asymptotic spectra, the box
+ladder and the point-set helpers."""
 
 import numpy as np
 import pytest
 
 from magweyl.crossed import rep, rep_banded, twisted_product, kernel_from_func
 from magweyl.fields import (
+    Cartesian2D,
     ConstPlusDecay,
     GaugeFunction,
     MagneticField,
+    VanishingOscillation,
     gauge_shift,
     transversal_gauge,
 )
 from magweyl.grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
-from magweyl.spectral import SchrodingerSpec, assemble, eig
+from magweyl.spectral import (
+    SchrodingerSpec,
+    assemble,
+    asymptotic_spectra,
+    eig,
+    essential_estimate,
+    fibered_spectrum,
+    hausdorff,
+    landau_oracle,
+    merge_points,
+)
 
 
 def free_kinetic(p):
@@ -144,3 +157,120 @@ def test_eig_refuses_non_hermitian():
     mat = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         eig(mat)
+
+
+def test_essential_estimate_ladder_guards():
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    spec = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0), grid=grid)
+    with pytest.raises(ValueError, match="at least two boxes"):
+        essential_estimate(spec, (3.0,), (0.0, 8.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        essential_estimate(spec, (3.0, 3.0), (0.0, 8.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        essential_estimate(spec, (4.0, 3.0), (0.0, 8.0))
+    gridless = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0))
+    with pytest.raises(ValueError, match="needs a grid"):
+        essential_estimate(gridless, (3.0, 4.0), (0.0, 8.0), density=2.0)
+
+
+# ---------------------------------------------------------------------------
+# (e) fibered spectra
+# ---------------------------------------------------------------------------
+
+
+def tanh_profile(t):
+    return 1.0 + 0.5 * np.tanh(t)
+
+
+def nonseparable_kinetic(p):
+    p = np.asarray(p, dtype=float)
+    return np.sum(p**2, axis=-1) + 0.05 * p[..., 0] ** 2 * p[..., 1] ** 2
+
+
+@pytest.mark.parametrize("h", [free_kinetic, nonseparable_kinetic], ids=["separable", "nonseparable"])
+def test_fibered_constant_potential_shifts_every_value(h):
+    grid = BoxGrid(dim=2, half_length=5.0, n=24)
+    plain = fibered_spectrum(tanh_profile, h, grid)
+    shifted = fibered_spectrum(tanh_profile, h, grid, potential=2.0)
+    assert len(plain) > 0 and len(shifted) == len(plain)
+    assert np.abs(shifted.values - (plain.values + 2.0)).max() <= 1e-9
+
+
+def test_fibered_matches_dense_bulk_spectrum():
+    # B = 1 + 0.5 tanh(x0) does not depend on x1: the dense box operator's
+    # bulk eigenvalues must lie on the fibered bands
+    grid = BoxGrid(dim=2, half_length=6.0, n=48)
+    window = (0.0, 4.0)
+    spec = SchrodingerSpec(h=free_kinetic, field=tanh_field(0), grid=grid, profile_axis=0)
+    dense = eig(assemble(spec), window, vectors=True)
+    bulk = dense.values[dense.bulk_scores(grid.half_length / 4.0) >= 0.6]
+    fibered = fibered_spectrum(tanh_profile, free_kinetic, grid, invariant_axis=1, window=window)
+    assert len(bulk) > 0 and len(fibered) > 0
+    gaps = np.abs(bulk[:, None] - fibered.values[None, :]).min(axis=1)
+    assert gaps.max() <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# (f) limit operators and their union
+# ---------------------------------------------------------------------------
+
+
+def test_landau_oracle_levels_and_zero_field_refusal():
+    res = landau_oracle(-1.5, 0.25, (1.0, 12.0))
+    assert np.array_equal(res.values, [1.75, 4.75, 7.75, 10.75])
+    assert np.all(np.isinf(res.multiplicity))
+    with pytest.raises(ValueError, match="b != 0"):
+        landau_oracle(0.0, 0.25, (0.0, 5.0))
+
+
+def test_asymptotic_spectra_const_plus_decay_is_landau():
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=bump)
+    union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=6.0, n=48), (0.0, 8.0))
+    assert len(union.merged) == 4
+    assert np.abs(union.merged - np.array([1.0, 3.0, 5.0, 7.0])).max() <= 1e-12
+
+
+def test_asymptotic_spectra_vanishing_oscillation_one_component_per_probe():
+    desc = VanishingOscillation(
+        dim=2, b_profile=lambda p: 1.0 + 0.5 * np.sin(np.sqrt(1.0 + np.linalg.norm(p, axis=-1)))
+    )
+    pairs = desc.pairs()
+    union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=12), (0.0, 8.0))
+    assert [label for label, _ in union.components] == [p.label for p in pairs]
+    for pair, (_, res) in zip(pairs, union.components):
+        b = pair.field.constant[0, 1]
+        assert res.meta["source"] == "landau_oracle"
+        assert np.array_equal(res.values, landau_oracle(b, 0.0, (0.0, 8.0)).values)
+
+
+def test_asymptotic_spectra_cartesian_components_are_fibered():
+    desc = Cartesian2D(
+        b1=tanh_profile,
+        b2=lambda t: 1.0 + 0.2 * np.tanh(t),
+        b1_limits=(0.5, 1.5),
+        b2_limits=(0.8, 1.2),
+    )
+    union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=4.0, n=16), (0.0, 6.0))
+    assert len(union.components) == 4
+    assert all(res.meta["source"] == "fibered" for _, res in union.components)
+    assert len(union.merged) > 0
+
+
+# ---------------------------------------------------------------------------
+# (g) point-set helpers
+# ---------------------------------------------------------------------------
+
+
+def test_hausdorff_empty_set_conventions():
+    window = (0.0, 8.0)
+    assert hausdorff([], [], window) == 0.0
+    assert hausdorff([9.0], [-1.0], window) == 0.0  # both empty after clipping
+    assert hausdorff([1.0], [], window) == 8.0
+    assert hausdorff([], [1.0, 3.0], window) == 8.0
+    assert hausdorff([1.0, 3.0], [1.5], window) == 1.5
+
+
+def test_merge_points_drops_close_duplicates():
+    assert np.array_equal(merge_points([3.0, 1.0, 1.0 + 1e-8, 2.0], 1e-6), [1.0, 2.0, 3.0])
+    assert np.array_equal(merge_points([0.0, 0.6, 1.2], 1.0), [0.0, 1.2])
+    assert len(merge_points([], 1e-6)) == 0
