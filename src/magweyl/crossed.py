@@ -23,15 +23,23 @@ For a constant field and two base-point independent kernels the 2-cocycle
 ω^B(y,w) = exp(-i/2 yᵀBw) depends on the displacements only, and the
 product is a twisted convolution computed by batched 1-D FFTs
 (``_twisted_convolution``, O(d^(2N-1) log d) for d nodes per axis).  Every
-other product runs ``_accumulate``, a loop over the left factor's nodes;
-for a non-zero field the cocycle enters through the factorization
+other product is one banded matrix product (``_tiled_product``): with S =
+r + y the base point of the right factor and T = r + x the output column,
+
+    (φ ⋄ ψ)~(r;x) = Δ^N Σ_S A[r,S] B[S,T],  A[r,S] = φ~(r;S-r),  B[S,T] = ψ~(S;T-S)
+
+up to the cocycle, run as GEMMs over tiles of leading-axis rows that skip
+the tiles outside the factors' bands.  The cocycle factorizes as
 ω^B(r;y,w) = Λ(r;y) Λ(r+y;w) conj(Λ(r;y+w)) with Λ = λ^{A₀} for an
 internal transversal-gauge potential A₀ of B; this is an exact identity
 (verified against direct flux quadrature by ``twisted_product_reference``),
-so the phases are absorbed into the factors and the loop is a plain
-shifted convolution.  Mass falling outside the kept output window is
-recorded as the sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N}
-over the dropped nodes x, an upper bound on the exact clipped L¹ mass.
+so the phases are absorbed into A, B and the output.  For a constant field
+Λ(r;u) = exp(-i/2 rᵀBu) in closed form: a row phase on the tiles of A, a
+column phase on those of B and one on the output, with no quadrature; a
+variable field dresses the factors with tables of Λ from line quadrature.
+Mass falling outside the kept output window is recorded as the
+sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
+nodes x, an upper bound on the exact clipped L¹ mass.
 
 Sampled values at off-lattice base points come from the kernel's exact
 callable when present, else from symmetric interpolation (linear by
@@ -97,6 +105,13 @@ _PAIR_BLOCK = 8192
 # complex entries (1 MB) per batch temporary of the constant-field product's
 # FFTs; bounds its memory whatever the window
 _FFT_BLOCK = 1 << 16
+
+# matrix rows of the general product's GEMM per tile of A (base points r)
+# and of B (rows S of the right factor), each rounded to whole rows of the
+# leading axis: 2 and 4 of them at n=32 in two dimensions, where the
+# product's tiles peak near 7 MB
+_GEMM_ROWS = 64
+_GEMM_DEPTH = 128
 
 
 # ---------------------------------------------------------------------------
@@ -304,46 +319,140 @@ def _lambda_factors(
     return out
 
 
-def _accumulate(a, b, out_count, pad, grid):
-    """The shifted convolution of the general product:
+def _band_tile(arr, rows, cols, shift, width):
+    """Banded matrix tile M[i, j] = arr[i; j - i + shift], zero where the
+    displacement index leaves [0, width).
 
-        out[r; y+w+off] += a[r;y] b[r+y+pad; w]
-
-    one vectorized update per displacement node y of the left factor, with
-    off centring the natural window on the kept one and ``b`` carrying
-    ``pad`` extra base points per face.  A factor without base axes
-    broadcasts over r, and such a left factor skips its zero nodes; at
-    least one factor has base axes, and so has the output.  The cocycle is
-    not applied here: the caller dresses the factors with circulation phases.
+    ``rows`` and ``cols`` hold the node indices per axis; the tile has one
+    axis per row axis, then one per column axis.  A factor without base
+    axes is read at every row alike.
     """
-    dim = grid.dim
-    n = grid.n
+    dim = len(rows)
+    base = arr.ndim > dim
+    base_idx, disp_idx, inside = [], [], True
+    for e, (r, c) in enumerate(zip(rows, cols)):
+        j = c[None, :] - r[:, None] + shift
+        shape = [1] * (2 * dim)
+        shape[e], shape[dim + e] = len(r), len(c)
+        disp_idx.append(np.clip(j, 0, width - 1).reshape(shape))
+        inside = inside & ((j >= 0) & (j < width)).reshape(shape)
+        if base:
+            base_idx.append(r.reshape(shape[:e + 1] + [1] * (2 * dim - e - 1)))
+    tile = arr[tuple(base_idx + disp_idx)]
+    tile *= inside
+    return tile
+
+
+def _phase(arr, rows, cols, bmat, sign):
+    """arr[i; j] *= exp(sign·i/2 ρᵀBκ) in place, ρ = (rows[e][i_e])_e and
+    κ = (cols[e][j_e])_e the node positions; one broadcast factor per
+    non-zero entry of B, so no temporary of the array's size is made."""
+    dim = len(rows)
+    for e, f in zip(*np.nonzero(bmat)):
+        shape = [1] * (2 * dim)
+        shape[e], shape[dim + f] = len(rows[e]), len(cols[f])
+        angle = np.multiply.outer(rows[e], cols[f]) * (0.5 * sign * bmat[e, f])
+        arr *= np.exp(1j * angle).reshape(shape)
+
+
+def _tiled_product(a, b, out_count, pad, grid, bmat=None):
+    """The shifted convolution out[r; y+w+off] = Σ a[r;y] b[r+y+pad; w] of
+    the general product as one banded matrix product (GEMM).
+
+    Per axis, with S = r + y - ka + pad the row of b and T = r + X the
+    column of the kept output node X, A[r,S] = a[r; S-r+ka-pad] and
+    B[S,T] = b[S; T-S-off-ka+pad] (zero outside each window) give
+    out[r; T-r] = Σ_S A[r,S] B[S,T], with the multi-indices r, S, T over
+    all axes flattened.  The product runs in tiles of whole leading-axis
+    rows, m of r (``_GEMM_ROWS`` matrix rows) and k of S
+    (``_GEMM_DEPTH``): the outer loop gathers each tile of B once, the
+    inner one multiplies it by the tiles of A whose band meets it, and
+    tiles outside a band are skipped.  Each product is cut to the kept
+    columns and added to the output along the diagonals T = r + X.  With
+    da and db nodes per axis in the windows of a and b, nb = n + 2·pad
+    rows and nt = n + out_count - 1 columns per axis, that is about
+    n (da + m)(db + k) (n·nb·nt)^(N-1) multiply-adds at the speed of BLAS,
+    against n^N da^N db^N for a loop over the nodes: the leading axis pays
+    for its bands only, the trailing ones run dense.
+    A factor without base axes is read at every base point alike; ``b``
+    carries ``pad`` extra base points per face.
+
+    With ``bmat`` (a constant field) the transversal-gauge dressing has the
+    closed form Λ(r;u) = exp(-i/2 rᵀBu), applied as a row phase
+    exp(-i/2 rᵀBs) to the tiles of A, a column phase exp(-i/2 sᵀBt) to
+    those of B and exp(+i/2 rᵀBx) to the output, with r, s, t = r + x the
+    node positions; no quadrature runs.  Otherwise the caller dresses the
+    factors.
+    """
+    dim, n = grid.dim, grid.n
     da, db = a.shape[-1], b.shape[-1]
     ka = da // 2
     off = out_count // 2 - ka - db // 2
-    a_base, b_base = a.ndim > dim, b.ndim > dim
+    c = off + ka - pad
+    nb, nt = n + 2 * pad, n + out_count - 1
+    rest = dim - 1
+    m = max(1, _GEMM_ROWS // n**rest)
+    k = max(1, _GEMM_DEPTH // nb**rest)
+    r_all, s_all, t_all = np.arange(n), np.arange(nb), np.arange(nt)
+    # node positions of the base points r, the rows S and the columns T
+    pos_r = grid.axis()
+    pos_s = pos_r[0] + (s_all - pad) * grid.delta
+    pos_t = pos_r[0] + (t_all - out_count // 2) * grid.delta
     out = np.zeros((n,) * dim + (out_count,) * dim, dtype=complex)
-    rsl = bsl = ()
-    if a_base and not b_base:
-        rsl = (slice(None),) * dim
-    for j in np.ndindex(*(da,) * dim):
-        if not a_base and a[j] == 0:
+    for s0 in range(0, nb, k):
+        srows = s_all[s0:s0 + k]
+        # columns met by b's band on these rows
+        t_lo, t_hi = max(0, s0 + c), min(nt, srows[-1] + c + db)
+        # base points r whose band on a meets these rows
+        r_lo, r_hi = max(0, s0 + ka - pad - da + 1), min(n, srows[-1] + ka - pad + 1)
+        if t_hi <= t_lo or r_hi <= r_lo:
             continue
-        # nodes w with y + w + off inside the kept window
-        wsl = tuple(slice(max(0, -off - i), min(db, out_count - off - i)) for i in j)
-        if any(sl.stop <= sl.start for sl in wsl):
-            continue
-        if b_base:
-            # base points r whose shifted point r + y + pad indexes b
-            s = [i - ka for i in j]
-            rsl = tuple(slice(max(0, -si - pad), min(n, b.shape[0] - si - pad)) for si in s)
-            if any(sl.stop <= sl.start for sl in rsl):
+        tcols = t_all[t_lo:t_hi]
+        btile = _band_tile(b, [srows] + [s_all] * rest, [tcols] + [t_all] * rest, -c, db)
+        if bmat is not None:
+            _phase(btile, [pos_s[srows]] + [pos_s] * rest, [pos_t[tcols]] + [pos_t] * rest,
+                   bmat, -1)
+        btile = btile.reshape(len(srows) * nb**rest, len(tcols) * nt**rest)
+        for r0 in range(r_lo - r_lo % m, r_hi, m):
+            rrows = r_all[r0:r0 + m]
+            # kept columns T = r + X of these base points
+            lo, hi = max(t_lo, r0), min(t_hi, rrows[-1] + out_count)
+            if hi <= lo:
                 continue
-            bsl = tuple(slice(sl.start + si + pad, sl.stop + si + pad) for sl, si in zip(rsl, s))
-        osl = tuple(slice(i + sl.start + off, i + sl.stop + off) for i, sl in zip(j, wsl))
-        left = a[rsl + j][(Ellipsis,) + (None,) * dim] if a_base else a[j]
-        out[rsl + osl] += left * b[bsl + wsl]
+            atile = _band_tile(a, [rrows] + [r_all] * rest, [srows] + [s_all] * rest, ka - pad, da)
+            if bmat is not None:
+                _phase(atile, [pos_r[rrows]] + [pos_r] * rest, [pos_s[srows]] + [pos_s] * rest,
+                       bmat, -1)
+            cols = slice((lo - t_lo) * nt**rest, (hi - t_lo) * nt**rest)
+            prod = atile.reshape(len(rrows) * n**rest, -1) @ btile[:, cols]
+            prod = prod.reshape((len(rrows),) + (n,) * rest + (hi - lo,) + (nt,) * rest)
+            for i, r in enumerate(rrows):
+                _add_diagonals(out[r], prod[i], lo - r, out_count)
+            # drop each tile before the next is made, so one of each is alive
+            del prod
+        del btile
+    if bmat is not None:
+        _phase(out, [pos_r] * dim, [grid.disp_axis(out_count)] * dim, bmat, 1)
     return out
+
+
+def _add_diagonals(out, prod, first, out_count):
+    """out[r'; X] += prod[r'; X₀ - first, r' + X'] for one base point, over
+    its trailing axes r' and the kept output nodes X = (X₀, X'): the
+    product's columns T = r + X read along the trailing axes' diagonals."""
+    rest = out.ndim // 2
+    lo, hi = max(0, first), min(out_count, prod.shape[rest] + first)
+    if hi <= lo:
+        return
+    src = prod[(slice(None),) * rest + (slice(lo - first, None),)]
+    st = src.strides
+    view = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(out.shape[0],) * rest + (hi - lo,) + (out_count,) * rest,
+        strides=tuple(st[e] + st[rest + 1 + e] for e in range(rest)) + st[rest:],
+        writeable=False,
+    )
+    out[(slice(None),) * rest + (slice(lo, hi),)] += view
 
 
 def _twisted_convolution(a, b, out_count, grid, bmat):
@@ -355,9 +464,11 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     phase since B is antisymmetric).  With the leading N-1 axes x', y' fixed
     the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row in
     y_N and one of the output row in x_N, so the sum over y_N is a 1-D
-    convolution.  All (x', y') pairs run as batched FFTs, a block of output
-    rows x' at a time so that each temporary holds about ``_FFT_BLOCK``
-    entries: O(d^(2N-1) log d) work for d nodes per axis.
+    convolution.  Only the (x', y') pairs whose row x' - y' lies in b's
+    window are transformed, as batched FFTs over a block of output rows x'
+    at a time, so that each temporary holds about ``_FFT_BLOCK`` entries:
+    O(d^(2N-1) log d) work for d nodes per axis, and a factor with a small
+    window pays for its band only.
     """
     p = grid.dim - 1
     da, db = a.shape[-1], b.shape[-1]
@@ -369,22 +480,28 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     rows_o = np.array(list(np.ndindex(*(out_count,) * p)), dtype=int).reshape(out_count**p, p)
     ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
     y_pre, x_pre = ya[rows_a], xo[rows_o]
+    a_rows = a.reshape(-1, da)
     brows = sp_fft.fft(b.reshape(-1, db), size)
     out_mod = np.exp(-0.5j * np.outer(y_pre @ bmat[:p, p], xo[lo:hi]))
+    in_mod = np.exp(-0.5j * np.outer(x_pre @ bmat[p, :p], ya))
     strides = db ** np.arange(p - 1, -1, -1)
     out = np.zeros((len(rows_o), out_count), dtype=complex)
-    step = max(1, _FFT_BLOCK // (len(rows_a) * size))
+    # at most min(da, db)^(N-1) rows y' meet b for one output row x'
+    step = max(1, _FFT_BLOCK // (min(da, db) ** p * size))
     for start in range(0, len(rows_o), step):
-        blk = slice(start, start + step)
-        # row x' - y' of b, and whether it lies in b's window
-        k = rows_o[blk, None, :] - off - rows_a[None, :, :]
-        inside = np.all((k >= 0) & (k < db), axis=-1)
-        cross = np.where(inside, np.exp(-0.5j * (x_pre[blk] @ bmat[:p, :p].T @ y_pre.T)), 0.0)
-        left = np.exp(-0.5j * np.outer(x_pre[blk] @ bmat[p, :p], ya))
-        spec = sp_fft.fft(cross[:, :, None] * left[:, None, :] * a.reshape(-1, da), size)
-        spec *= brows[np.clip(k, 0, db - 1) @ strides]
-        conv = sp_fft.ifft(spec, overwrite_x=True)[..., lo - off:hi - off]
-        out[blk, lo:hi] = np.einsum("rpx,px->rx", conv, out_mod)
+        # the pairs (x', y') of this block whose row x' - y' of b is in b
+        k = rows_o[start:start + step, None, :] - off - rows_a[None, :, :]
+        xi, yi = np.nonzero(np.all((k >= 0) & (k < db), axis=-1))
+        if not len(xi):
+            continue
+        xs = xi + start
+        cross = np.exp(-0.5j * np.sum((x_pre[xs] @ bmat[:p, :p].T) * y_pre[yi], axis=-1))
+        spec = sp_fft.fft(cross[:, None] * in_mod[xs] * a_rows[yi], size)
+        spec *= brows[k[xi, yi] @ strides]
+        conv = sp_fft.ifft(spec, overwrite_x=True)[:, lo - off:hi - off] * out_mod[yi]
+        # sum the pairs of each output row; xi is sorted
+        first = np.flatnonzero(np.diff(xi, prepend=-1))
+        out[xs[first], lo:hi] = np.add.reduceat(conv, first, axis=0)
     return out.reshape((out_count,) * grid.dim) * grid.cell_volume
 
 
@@ -454,9 +571,12 @@ def twisted_product(
     displacements: the product is a twisted convolution by batched FFTs,
     O(d^(2N-1) log d) for d nodes per axis (:func:`_twisted_convolution`),
     and base-point independent.  Every other product is the shifted
-    convolution of the sheared values (:func:`_accumulate`); for a non-zero
-    field the factors are dressed with circulation phases of the
-    transversal gauge and the result is undressed.
+    convolution of the sheared values, computed as one banded matrix
+    product in tiles (:func:`_tiled_product`).  The cocycle enters as the
+    transversal gauge's circulation phases: in closed form for a constant
+    field (a row phase on the left factor, a column phase on the right one
+    and an output phase), as dressing tables from line quadrature of
+    order ``order`` for a variable one.
 
     The output displacement window defaults to the largest representable
     one.  Mass pushed past it is recorded in ``tail_mass`` as the
@@ -509,17 +629,17 @@ def twisted_product(
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
         a = _tilde_values(phi, scheme)
         b = _tilde_values(psi, scheme, pad=pad)
-        dressed = not field.is_zero
-        if dressed:
+        if field.is_constant:
+            vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
+        else:
             # gauge dressing turns the twisted sum into a plain shifted convolution
             pot = transversal_gauge(field, order=order)
             a = _lambda_factors(pot, grid, phi.disp_count, order=order) * a
             b = _lambda_factors(pot, grid, psi.disp_count, pad=pad, order=order) * b
-        vals = _accumulate(a, b, out_count, pad, grid)
-        vals *= grid.cell_volume
-        if dressed:
+            vals = _tiled_product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
             vals *= np.conj(_lambda_factors(pot, grid, out_count, order=order))
+        vals *= grid.cell_volume
         if not tilde:
             vals = _shear(vals, grid, -1, scheme)
         clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)

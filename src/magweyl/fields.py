@@ -481,7 +481,7 @@ class VanishingOscillation:
                     field=MagneticField.constant_2d(float(b_vals[i])),
                     potential=float(v_vals[i]),
                     kind="constant",
-                    label=f"probe angle {np.degrees(angles[i]):.0f} deg",
+                    label=f"probe r={radii[i]:.1f} angle {round(np.degrees(angles[i])) % 360} deg",
                 )
             )
         return out

@@ -29,6 +29,7 @@ from magweyl.crossed import (
     twisted_involution,
     twisted_product,
     twisted_product_reference,
+    _shear,
 )
 
 
@@ -88,15 +89,33 @@ def test_b_zero_qindep_is_plain_convolution():
     assert np.abs(prod.values - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
+def assert_general_matches_reference(phi, psi, fld, out=None, order=8):
+    """The general route on both sheets against the reference's tilde
+    values: the centered output is the tilde output recentred by the shear
+    the routes share, so both must agree to rounding."""
+    r = twisted_product_reference(phi, psi, fld, sheet="tilde", out_disp_count=out, order=order)
+    scale = np.abs(r.values).max()
+    assert scale > 0
+    for sheet in ("tilde", "centered"):
+        p = twisted_product(phi, psi, fld, sheet=sheet, out_disp_count=out, order=order,
+                            tail_warn=np.inf)
+        want = r.values if sheet == "tilde" else _shear(r.values, phi.grid, -1, "linear")
+        assert p.sheet == sheet and not p.q_independent
+        assert p.values.shape == want.shape
+        assert np.abs(p.values - want).max() < 1e-12 * scale
+
+
 @pytest.mark.parametrize("attach", [True, False])
 def test_tilde_route_agreement_all_fields(attach):
+    # attached callables extend the right factor past the box (padded rows
+    # of b); plain arrays zero-extend; the natural window 13 is clipped to
+    # the grid's 11, and further to 7
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     phi, psi = pair_on(g, 7, attach=attach)
     fields = [MagneticField.zero(2), MagneticField.constant_2d(0.9), variable_field()]
     for fld in fields:
-        p = twisted_product(phi, psi, fld, sheet="tilde")
-        r = twisted_product_reference(phi, psi, fld, sheet="tilde")
-        assert np.abs(p.values - r.values).max() < 1e-12
+        for out in (None, 7):
+            assert_general_matches_reference(phi, psi, fld, out=out)
 
 
 def test_tilde_route_agreement_mixed_inputs():
@@ -111,21 +130,28 @@ def test_tilde_route_agreement_mixed_inputs():
 
 @pytest.mark.parametrize("qindep_left", [True, False])
 @pytest.mark.parametrize(
-    "fld", [MagneticField.zero(2), MagneticField.constant_2d(0.9)], ids=["zero", "constant"]
+    "fld",
+    [MagneticField.zero(2), MagneticField.constant_2d(0.9), variable_field()],
+    ids=["zero", "constant", "variable"],
 )
 def test_tilde_route_agreement_qindep_times_qdep(fld, qindep_left):
-    # one base-point independent factor without dressing (zero field) or
-    # with it (constant field), on either side
+    # one base-point independent factor without dressing (zero field), with
+    # closed-form phases (constant field) or dressed tables (variable
+    # field), on either side; on the right it is read on padded rows.  3x3
+    # is the momentum kernel's window in the resolvent products.
+    # Random kernels weight the largest displacement triangles fully, so a
+    # variable field runs both phase quadratures at order 16.
     rng = np.random.default_rng(30)
     g = BoxGrid(dim=2, half_length=3.0, n=12)
-    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    qi = KernelSample(grid=g, values=a, q_independent=True)
+    order = 8 if fld.is_constant else 16
     _, qd = pair_on(g, 7, attach=False)
-    phi, psi = (qi, qd) if qindep_left else (qd, qi)
-    p = twisted_product(phi, psi, fld, sheet="tilde")
-    r = twisted_product_reference(phi, psi, fld, sheet="tilde")
-    assert p.sheet == r.sheet == "tilde"
-    assert np.abs(p.values - r.values).max() < 1e-12
+    for count in (3, 5):
+        a = rng.normal(size=(count, count)) + 1j * rng.normal(size=(count, count))
+        qi = KernelSample(grid=g, values=a, q_independent=True)
+        phi, psi = (qi, qd) if qindep_left else (qd, qi)
+        assert_general_matches_reference(phi, psi, fld, order=order)
+    # a clipped window
+    assert_general_matches_reference(phi, psi, fld, out=5, order=order)
 
 
 def test_tilde_route_agreement_qindep_against_variable_field():
@@ -144,6 +170,58 @@ def test_tilde_route_agreement_qindep_against_variable_field():
     r = twisted_product_reference(phi, psi, fld, sheet="tilde", order=16)
     assert not p.q_independent
     assert np.abs(p.values - r.values).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid, fld, counts",
+    [
+        (BoxGrid(dim=1, half_length=4.0, n=16), MagneticField.zero(1), (7, 5)),
+        (
+            BoxGrid(dim=3, half_length=3.0, n=6),
+            MagneticField(
+                dim=3, constant=np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
+            ),
+            (3, 3),
+        ),
+    ],
+    ids=["dim1", "dim3"],
+)
+def test_general_route_other_dimensions(grid, fld, counts):
+    # one axis leaves the tiled product no trailing axes, three leave it
+    # two; three axes also exercise every pair of entries of B in the
+    # closed-form phases
+    rng = np.random.default_rng(46)
+    da, db = counts
+    shape = (grid.n,) * grid.dim
+    qd_a = KernelSample(grid=grid, values=rng.normal(size=shape + (da,) * grid.dim) + 0.5j)
+    qd_b = KernelSample(grid=grid, values=rng.normal(size=shape + (db,) * grid.dim) - 0.3j)
+    qi_b = KernelSample(
+        grid=grid, values=rng.normal(size=(db,) * grid.dim) + 0j, q_independent=True
+    )
+    assert_general_matches_reference(qd_a, qd_b, fld)
+    assert_general_matches_reference(qd_a, qi_b, fld)
+    assert_general_matches_reference(qd_a, qd_b, fld, out=3)
+
+
+def test_general_route_memory_is_tiled():
+    # one product at the n=32 resolvent's window, a base-point independent
+    # factor times a dependent one on the tilde sheet: the sheared right
+    # factor and the output take 15.7 MB each and the GEMM tiles about
+    # 7 MB; dressing whole factors with Λ tables needs about 79 MB, and one
+    # untiled GEMM would hold two 63 MB matrices
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(47)
+    phi = KernelSample(grid=g, values=rng.normal(size=(31, 31)) + 0j, q_independent=True)
+    psi = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j)
+    fld = MagneticField.constant_2d(0.5)
+    twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
+    tracemalloc.start()
+    try:
+        twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_qindep_const_fast_path_matches_reference():

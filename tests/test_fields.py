@@ -1,5 +1,7 @@
 """Circulation, flux and phase-factor identities on randomized geometry."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,25 @@ def test_vanishing_oscillation_range():
     assert all(p.kind == "constant" for p in pairs)
     vals = [p.field.constant[0, 1] for p in pairs]
     assert min(vals) >= lo - 1e-9 and max(vals) <= hi + 1e-9
+
+
+def test_vanishing_oscillation_labels_name_radius_and_reduced_angle():
+    # profiles that read back each probe's radius and polar angle (degrees)
+    radius = VanishingOscillation(dim=2, b_profile=lambda p: np.linalg.norm(p, axis=-1))
+    angle = VanishingOscillation(
+        dim=2, b_profile=lambda p: np.degrees(np.arctan2(p[..., 1], p[..., 0])) % 360.0
+    )
+    labels = [p.label for p in radius.pairs()]
+    # the labels key UnionSpectrum.component
+    assert len(set(labels)) == len(labels) > 1
+    for label, pr, pa in zip(labels, radius.pairs(), angle.pairs()):
+        m = re.fullmatch(r"probe r=(\d+\.\d) angle (\d+) deg", label)
+        assert m, label
+        r, deg = float(m.group(1)), int(m.group(2))
+        assert 0 <= deg < 360
+        assert abs(r - pr.field.constant[0, 1]) <= 0.05 + 1e-9
+        gap = abs(deg - pa.field.constant[0, 1])
+        assert min(gap, 360.0 - gap) <= 0.5 + 1e-9
 
 
 def test_cartesian_pairs():
