@@ -11,7 +11,6 @@ from .fields import (
     MagneticField,
     VectorPotential,
     GaugeFunction,
-    circulation,
     lambda_a,
     flux_triangle,
     omega_b,

@@ -49,6 +49,24 @@ Base points beyond the box: kernels are zero there in truncated mode (the
 operator acts on the box), so shifted factors zero-extend; base-point
 independent kernels describe translation-covariant operators and their
 values extend unchanged.
+
+The layer runs one fixed configuration:
+
+* Interpolation is linear and line quadrature has order 8 (``_SCHEME``,
+  ``_ORDER``): the defaults of ``twisted_product``,
+  ``twisted_product_reference`` and ``rep``, and the fixed choice of
+  ``rep_banded`` and ``op_weyl``.
+* A product attaches a warning when its discarded tail exceeds 1e-2 of
+  ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
+* ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
+* Block sizes, which bound the temporaries whatever the window: 8192
+  node pairs or matrix entries per block when a dense matrix is filled or
+  scanned (``_PAIR_BLOCK``), 2^16 complex entries (1 MB) per batch
+  temporary of the constant-field product's FFTs (``_FFT_BLOCK``), and 64
+  and 128 matrix rows per GEMM tile of A (base points r) and of B (rows S
+  of the right factor), each rounded to whole rows of the leading axis
+  (``_GEMM_ROWS``, ``_GEMM_DEPTH``): 2 and 4 of them at n=32 in two
+  dimensions, where the product's tiles peak near 7 MB.
 """
 
 from __future__ import annotations
@@ -95,21 +113,12 @@ __all__ = [
     "op_norm",
 ]
 
-# tail fraction of ||phi||1*||psi||1 above which a product attaches a warning
 TAIL_WARN_FRACTION = 1e-2
-
-# node pairs (or matrix entries) handled per block when a dense matrix is
-# filled or scanned; keeps the circulation quadrature's temporaries small
+_SCHEME = "linear"
+_ORDER = 8
+_NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
-
-# complex entries (1 MB) per batch temporary of the constant-field product's
-# FFTs; bounds its memory whatever the window
 _FFT_BLOCK = 1 << 16
-
-# matrix rows of the general product's GEMM per tile of A (base points r)
-# and of B (rows S of the right factor), each rounded to whole rows of the
-# leading axis: 2 and 4 of them at n=32 in two dimensions, where the
-# product's tiles peak near 7 MB
 _GEMM_ROWS = 64
 _GEMM_DEPTH = 128
 
@@ -305,7 +314,7 @@ def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
 
 
 def _lambda_factors(
-    pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0, order: int = 8
+    pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0, order: int = _ORDER
 ) -> np.ndarray:
     """Table Λ[r; u] = λ^{A}(r; u) over (extended) base mesh and window."""
     dim = grid.dim
@@ -506,14 +515,27 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
-    """L1 mass of the product falling outside the kept output window."""
+    """L1 mass of the product falling outside the kept output window; a
+    window wider than the product's own keeps all of it."""
     full = fftconvolve(sup_a, sup_b)
     total = full.sum()
     kfull = (full.shape[0] - 1) // 2
-    kk = keep_count // 2
+    kk = min(keep_count // 2, kfull)
     sl = tuple(slice(kfull - kk, kfull + kk + 1) for _ in range(full.ndim))
     kept = full[sl].sum()
     return float(max(total - kept, 0.0)) * cell * cell
+
+
+def _fit_window(vals, count, dim):
+    """Cut the trailing ``dim`` displacement axes centrally to ``count``
+    nodes, or zero-pad them to it."""
+    d = vals.shape[-1]
+    k = abs(count - d) // 2
+    if count < d:
+        return vals[(Ellipsis,) + (slice(k, d - k),) * dim].copy()
+    if count > d:
+        return np.pad(vals, [(0, 0)] * (vals.ndim - dim) + [(k, k)] * dim)
+    return vals
 
 
 def _multiply(v, other, h, scheme, tilde):
@@ -551,13 +573,32 @@ def _multiply(v, other, h, scheme, tilde):
 # ---------------------------------------------------------------------------
 
 
+def _check_operands(phi, psi, field, sheet, out_disp_count, what) -> int:
+    """Check the operands of a product and return its output count: the
+    kept window, by default the natural one, at most the largest one the
+    box represents."""
+    if phi.grid != psi.grid:
+        raise ValueError("kernels live on different grids")
+    if field.dim != phi.grid.dim:
+        raise ValueError("field dimension does not match the grid")
+    if sheet not in ("centered", "tilde"):
+        raise ValueError("sheet must be 'centered' or 'tilde'")
+    _require_centered(phi, what)
+    _require_centered(psi, what)
+    if out_disp_count is None:
+        out_disp_count = phi.disp_count + psi.disp_count - 1
+    elif out_disp_count % 2 != 1:
+        raise ValueError("output displacement count must be odd")
+    return min(out_disp_count, phi.grid.max_disp_count())
+
+
 def twisted_product(
     phi: KernelSample,
     psi: KernelSample,
     field: MagneticField,
     *,
-    scheme: str = "linear",
-    order: int = 8,
+    scheme: str = _SCHEME,
+    order: int = _ORDER,
     out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
@@ -565,25 +606,26 @@ def twisted_product(
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
 
     A factor with a single displacement node is a multiplier: the other
-    factor's values are multiplied by it at shifted base points, and the
-    window is the other factor's.  For two base-point independent kernels
-    and a constant (or zero) field the cocycle depends only on the
-    displacements: the product is a twisted convolution by batched FFTs,
-    O(d^(2N-1) log d) for d nodes per axis (:func:`_twisted_convolution`),
-    and base-point independent.  Every other product is the shifted
-    convolution of the sheared values, computed as one banded matrix
-    product in tiles (:func:`_tiled_product`).  The cocycle enters as the
-    transversal gauge's circulation phases: in closed form for a constant
-    field (a row phase on the left factor, a column phase on the right one
-    and an output phase), as dressing tables from line quadrature of
-    order ``order`` for a variable one.
+    factor's values are multiplied by it at shifted base points.  For two
+    base-point independent kernels and a constant (or zero) field the
+    cocycle depends only on the displacements: the product is a twisted
+    convolution by batched FFTs, O(d^(2N-1) log d) for d nodes per axis
+    (:func:`_twisted_convolution`), and base-point independent.  Every
+    other product is the shifted convolution of the sheared values,
+    computed as one banded matrix product in tiles
+    (:func:`_tiled_product`).  The cocycle enters as the transversal
+    gauge's circulation phases: in closed form for a constant field (a row
+    phase on the left factor, a column phase on the right one and an
+    output phase), as dressing tables from line quadrature of order
+    ``order`` for a variable one.
 
-    The output displacement window defaults to the largest representable
-    one.  Mass pushed past it is recorded in ``tail_mass`` as the
-    sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|) over the dropped nodes,
-    which is at least the exact clipped L¹ mass, plus the inputs'
-    inherited tails; a warning is attached when the total exceeds
-    ``tail_warn`` relative to ‖φ‖₁‖ψ‖₁.
+    Every path returns the output displacement window asked for, by
+    default the natural one of d_φ + d_ψ - 1 nodes per axis, capped at the
+    largest representable one.  Mass pushed past it is recorded in
+    ``tail_mass`` as the sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)
+    over the dropped nodes, which is at least the exact clipped L¹ mass,
+    plus the inputs' inherited tails; a warning is attached when the total
+    exceeds ``tail_warn`` relative to ‖φ‖₁‖ψ‖₁.
 
     ``sheet="tilde"`` returns the raw sheared-sheet values
     out~(r;x) = out(r + x/2; x), tagged ``sheet="tilde"``, instead of
@@ -593,23 +635,9 @@ def twisted_product(
     is the right object for cross-route validation and for ``rep``.
     Base-point dependent inputs must be centered.
     """
-    if phi.grid != psi.grid:
-        raise ValueError("kernels live on different grids")
+    out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product")
     grid = phi.grid
-    if field.dim != grid.dim:
-        raise ValueError("field dimension does not match the grid")
-    if sheet not in ("centered", "tilde"):
-        raise ValueError("sheet must be 'centered' or 'tilde'")
-    _require_centered(phi, "twisted_product")
-    _require_centered(psi, "twisted_product")
     tilde = sheet == "tilde"
-    natural = phi.disp_count + psi.disp_count - 1
-    if out_disp_count is None:
-        out_count = min(natural, grid.max_disp_count())
-    else:
-        if out_disp_count % 2 != 1:
-            raise ValueError("output displacement count must be odd")
-        out_count = min(out_disp_count, grid.max_disp_count())
 
     q_independent = phi.q_independent and psi.q_independent
     sup_phi, sup_psi = phi.sup_over_q(), psi.sup_over_q()
@@ -617,11 +645,9 @@ def twisted_product(
         left = phi.disp_count == 1
         v, other = (phi, psi) if left else (psi, phi)
         h = (0 if left else 2) if tilde else (-1 if left else 1)
-        vals = _multiply(v, other, h, scheme, tilde)
-        clipped = 0.0
+        vals = _fit_window(_multiply(v, other, h, scheme, tilde), out_count, grid.dim)
     elif q_independent and field.is_constant:
         vals = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
-        clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
     else:
         q_independent = False
         # the right factor is read at shifted base points r + y; callables
@@ -642,8 +668,8 @@ def twisted_product(
         vals *= grid.cell_volume
         if not tilde:
             vals = _shear(vals, grid, -1, scheme)
-        clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
 
+    clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
     norm_phi, norm_psi = (float(sup.sum()) * grid.cell_volume for sup in (sup_phi, sup_psi))
     tail = clipped + phi.tail_mass * norm_psi + norm_phi * psi.tail_mass
     out = KernelSample(
@@ -669,8 +695,8 @@ def twisted_product_reference(
     psi: KernelSample,
     field: MagneticField,
     *,
-    scheme: str = "linear",
-    order: int = 8,
+    scheme: str = _SCHEME,
+    order: int = _ORDER,
     out_disp_count: Optional[int] = None,
     sheet: str = "centered",
 ) -> KernelSample:
@@ -683,17 +709,10 @@ def twisted_product_reference(
     sheet every factor sits at an on-lattice base point, so the two routes
     must agree there to quadrature accuracy.
     """
-    if phi.grid != psi.grid:
-        raise ValueError("kernels live on different grids")
-    if sheet not in ("centered", "tilde"):
-        raise ValueError("sheet must be 'centered' or 'tilde'")
-    _require_centered(phi, "twisted_product_reference")
-    _require_centered(psi, "twisted_product_reference")
+    out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product_reference")
     grid = phi.grid
     dim = grid.dim
     da, db = phi.disp_count, psi.disp_count
-    natural = da + db - 1
-    out_count = min(natural if out_disp_count is None else out_disp_count, grid.max_disp_count())
     kout = out_count // 2
     axa = grid.disp_axis(da)
     axb = grid.disp_axis(db)
@@ -890,32 +909,14 @@ def _hermitian_residual(mat: np.ndarray) -> float:
     return worst / scale if scale > 0 else 0.0
 
 
-def rep_banded(
-    pot: VectorPotential,
-    kernel: KernelSample,
-    *,
-    scheme: str = "linear",
-    order: int = 8,
-) -> BandedOperator:
+def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
 
-    The matrix-free form of :func:`rep`, for ``matvec``/``rmatvec`` users.
+    The matrix-free form of :func:`rep` at its default scheme and order,
+    for ``matvec``/``rmatvec`` users.
     """
     grid = kernel.grid
-    dim = grid.dim
-    d = kernel.disp_count
-    tilde = _tilde_values(kernel, scheme)
-    if kernel.q_independent:
-        tilde = np.broadcast_to(
-            tilde.reshape((1,) * dim + tilde.shape), (grid.n,) * dim + tilde.shape
-        )
-    mesh = grid.mesh()
-    dax = grid.disp_axis(d)
-    coeffs = np.empty((grid.n,) * dim + (d,) * dim, dtype=complex)
-    for j in np.ndindex(*(d,) * dim):
-        u = np.array([dax[i] for i in j])
-        lam = np.exp(-1j * pot.circulation(mesh, u, order=order))
-        coeffs[(Ellipsis,) + j] = lam * tilde[(Ellipsis,) + j]
+    coeffs = _lambda_factors(pot, grid, kernel.disp_count) * _tilde_values(kernel, _SCHEME)
     coeffs *= grid.cell_volume
     return BandedOperator(grid=grid, coeffs=coeffs, periodic=grid.bc == "periodic")
 
@@ -924,8 +925,8 @@ def rep(
     pot: VectorPotential,
     kernel: KernelSample,
     *,
-    scheme: str = "linear",
-    order: int = 8,
+    scheme: str = _SCHEME,
+    order: int = _ORDER,
 ) -> OperatorMatrix:
     """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
 
@@ -975,8 +976,6 @@ def op_weyl(
     *,
     r_disp: Optional[float] = None,
     q_independent: bool = True,
-    scheme: str = "linear",
-    order: int = 8,
 ) -> OperatorMatrix:
     """Quantization of a phase-space symbol: rep of its partial Fourier kernel."""
     if not isinstance(f, PhaseGridFunction):
@@ -984,10 +983,10 @@ def op_weyl(
             raise ValueError("grid required when the symbol is a callable")
         f = PhaseGridFunction.sample(f, grid, q_independent=q_independent)
     kernel = partial_fourier_inv(f, r_disp=r_disp)
-    return rep(pot, kernel, scheme=scheme, order=order)
+    return rep(pot, kernel)
 
 
-def op_norm(op, *, tol: float = 1e-4, maxiter: int = 500, seed: int = 0) -> float:
+def op_norm(op, *, tol: float = 1e-4, seed: int = 0) -> float:
     """Operator (spectral) norm; exact for small dense, power iteration else.
 
     Accepts OperatorMatrix, ndarray, BandedOperator, or any object with
@@ -1009,7 +1008,7 @@ def op_norm(op, *, tol: float = 1e-4, maxiter: int = 500, seed: int = 0) -> floa
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(maxiter):
+    for _ in range(_NORM_MAXITER):
         w = mv(v)
         nw = np.linalg.norm(w)
         if nw == 0:

@@ -16,6 +16,12 @@ covariance holds to rounding on the lattice.
 All evaluation functions are vectorized: point arguments may carry arbitrary
 leading batch dimensions, with the coordinate dimension last.
 
+Line and triangle quadratures default to order 8 (``DEFAULT_LINE_ORDER``,
+``DEFAULT_TRIANGLE_ORDER``); ``gamma_b`` always runs at the triangle
+default.  ``MagneticField.check_closed`` takes central differences of step
+1e-4 (``_CLOSED_STEP``) and refuses a cyclic residual above 1e-6
+(``_CLOSED_TOL``).
+
 The anisotropy descriptors probe their profiles at fixed places:
 
 * ``ConstPlusDecay`` checks that the decaying terms are below 1e-2
@@ -48,7 +54,6 @@ __all__ = [
     "VanishingOscillation",
     "MixedVOAP",
     "Cartesian2D",
-    "circulation",
     "lambda_a",
     "flux_triangle",
     "omega_b",
@@ -61,6 +66,8 @@ __all__ = [
 DEFAULT_LINE_ORDER = 8
 DEFAULT_TRIANGLE_ORDER = 8
 
+_CLOSED_STEP = 1e-4
+_CLOSED_TOL = 1e-6
 _LIMIT_TOL = 1e-2
 _DECAY_RADIUS = 50.0
 _LIMIT_DISTANCE = 60.0
@@ -156,16 +163,17 @@ class MagneticField:
             return np.zeros(pts.shape[:-1])
         return sign * np.asarray(func(pts), dtype=float)
 
-    def check_closed(self, points: np.ndarray, h: float = 1e-4, tol: float = 1e-6) -> float:
+    def check_closed(self, points: np.ndarray) -> float:
         """Verify dB = 0 by central differences at the given sample points.
 
         Only meaningful for dim = 3 (lower dimensions are closed trivially).
         Returns the largest residual of the cyclic identity
-        d_i B_jk + d_j B_ki + d_k B_ij and raises if it exceeds ``tol``.
+        d_i B_jk + d_j B_ki + d_k B_ij and raises if it exceeds 1e-6.
         """
         if self.dim < 3:
             return 0.0
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        h = _CLOSED_STEP
 
         def deriv(i, j, k, pts):
             e = np.zeros(self.dim)
@@ -174,8 +182,10 @@ class MagneticField:
 
         res = deriv(0, 1, 2, points) + deriv(1, 2, 0, points) + deriv(2, 0, 1, points)
         worst = float(np.max(np.abs(res)))
-        if worst > tol:
-            raise ValueError(f"field is not closed: max cyclic residual {worst:.3e} exceeds {tol:.1e}")
+        if worst > _CLOSED_TOL:
+            raise ValueError(
+                f"field is not closed: max cyclic residual {worst:.3e} exceeds {_CLOSED_TOL:.1e}"
+            )
         return worst
 
 
@@ -217,11 +227,6 @@ class VectorPotential:
         vals = self(pts)  # (..., order, dim)
         integrand = np.einsum("...od,...d->...o", vals, x)
         return np.einsum("o,...o->...", weights, integrand)
-
-
-def circulation(A: VectorPotential, q, x, order: Optional[int] = None) -> np.ndarray:
-    """Circulation of the potential along [q, q + x]; see VectorPotential."""
-    return A.circulation(q, x, order=order)
 
 
 def lambda_a(A: VectorPotential, q, x, order: Optional[int] = None) -> np.ndarray:
@@ -278,7 +283,7 @@ def omega_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> n
     return np.exp(-1j * flux_triangle(B, q, x, y, order=order))
 
 
-def gamma_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> np.ndarray:
+def gamma_b(B: MagneticField, q, x, y) -> np.ndarray:
     """Midpoint-reparametrized cocycle phase used by the composition kernel.
 
     gamma_b(q; x, y) = exp{-i sum_{j,k} x_j y_k
@@ -292,7 +297,7 @@ def gamma_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> n
     q = np.asarray(q, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return omega_b(B, q - 0.5 * x - 0.5 * y, x, y - x, order=order)
+    return omega_b(B, q - 0.5 * x - 0.5 * y, x, y - x)
 
 
 # ---------------------------------------------------------------------------

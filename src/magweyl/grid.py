@@ -21,6 +21,10 @@ Kernels of phase-space symbols are stored as ``KernelSample``: values over
 (base point, displacement) with the displacement window truncated to
 |x|_inf <= R_disp and the discarded mass recorded.  Base-point independent
 kernels drop the q axes entirely; several hot paths dispatch on that flag.
+
+Array layouts are fixed: base-point axes lead and the displacement or
+momentum axes trail, each ``dim`` of them.  The transforms act on the
+trailing axes and ``shift_q`` on the leading ones.
 """
 
 from __future__ import annotations
@@ -166,15 +170,15 @@ def _axis_phase(values: np.ndarray, axes: tuple, n: int) -> np.ndarray:
     return out
 
 
-def symbol_from_kernel_full(values: np.ndarray, grid: BoxGrid, axes: Optional[tuple] = None) -> np.ndarray:
-    """Forward transform over full displacement axes (length n each).
+def symbol_from_kernel_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Forward transform over the trailing, full displacement axes (length
+    n each).
 
     f[m] = sum_j exp(i p_m y_j) phi[j] delta  per axis; the symmetric node
     offsets contribute alternating sign vectors around a plain FFT.
     """
     n = grid.n
-    if axes is None:
-        axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
     c = (-1.0) ** (n // 2)
     work = _axis_phase(values.astype(complex, copy=False), axes, n)
     work = np.fft.ifftn(work, axes=axes)
@@ -183,11 +187,11 @@ def symbol_from_kernel_full(values: np.ndarray, grid: BoxGrid, axes: Optional[tu
     return work * scale
 
 
-def kernel_from_symbol_full(values: np.ndarray, grid: BoxGrid, axes: Optional[tuple] = None) -> np.ndarray:
-    """Inverse transform over momentum axes, returning full displacement axes."""
+def kernel_from_symbol_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Inverse transform over the trailing momentum axes, returning full
+    displacement axes."""
     n = grid.n
-    if axes is None:
-        axes = tuple(range(values.ndim - grid.dim, values.ndim))
+    axes = tuple(range(values.ndim - grid.dim, values.ndim))
     c = (-1.0) ** (n // 2)
     work = _axis_phase(values.astype(complex, copy=False), axes, n)
     work = np.fft.fftn(work, axes=axes)
@@ -207,7 +211,8 @@ class PhaseGridFunction:
 
     Base-point independent symbols store only the momentum axes and set
     ``q_independent``; the layout is then (n,)*dim.  Otherwise the layout is
-    (n,)*dim + (n,)*dim with base-point axes first.
+    (n,)*dim + (n,)*dim with base-point axes first.  An axis along which
+    the values do not vary may have length 1.
     """
 
     grid: BoxGrid
@@ -218,6 +223,8 @@ class PhaseGridFunction:
         want = self.grid.dim if self.q_independent else 2 * self.grid.dim
         if self.values.ndim != want:
             raise ValueError(f"expected {want} value axes, got {self.values.ndim}")
+        if any(count not in (self.grid.n, 1) for count in self.values.shape):
+            raise ValueError(f"symbol axes {self.values.shape} must each have length {self.grid.n} or 1")
 
     @classmethod
     def sample(cls, func: Callable, grid: BoxGrid, q_independent: bool = True) -> "PhaseGridFunction":
@@ -239,7 +246,8 @@ class KernelSample:
     """Sampled integral kernel over (base point, displacement).
 
     ``values`` has the displacement axes last, each of odd length
-    2K+1 <= n-1, symmetric around displacement 0.  Base-point independent
+    2K+1 <= n-1, symmetric around displacement 0, after base-point axes
+    of length n.  Base-point independent
     kernels drop the q axes and set ``q_independent``.  ``func``, when
     present, evaluates the kernel exactly at arbitrary off-lattice base
     points (used to avoid interpolation for analytically known inputs).
@@ -265,6 +273,9 @@ class KernelSample:
         want = dim if self.q_independent else 2 * dim
         if self.values.ndim != want:
             raise ValueError(f"expected {want} value axes, got {self.values.ndim}")
+        base = self.values.shape[:-dim]
+        if any(count != self.grid.n for count in base):
+            raise ValueError(f"base-point axes {base} must each have length {self.grid.n}")
         for ax in range(dim):
             count = self.values.shape[-dim + ax]
             if count % 2 != 1:
@@ -297,7 +308,8 @@ class KernelSample:
 
     def copy(self) -> "KernelSample":
         return KernelSample(
-            self.grid, self.values.copy(), self.q_independent, self.func, self.tail_mass, self.sheet
+            self.grid, self.values.copy(), self.q_independent, self.func, self.tail_mass,
+            self.sheet, dict(self.meta),
         )
 
     def sup_over_q(self) -> np.ndarray:
@@ -338,16 +350,13 @@ def partial_fourier(kernel: KernelSample) -> PhaseGridFunction:
     grid = kernel.grid
     dim = grid.dim
     full = _pad_disp_to_full(kernel.values, grid, dim)
-    symbol = symbol_from_kernel_full(full, grid, axes=tuple(range(full.ndim - dim, full.ndim)))
+    symbol = symbol_from_kernel_full(full, grid)
     return PhaseGridFunction(grid=grid, values=symbol, q_independent=kernel.q_independent)
 
 
-def partial_fourier_inv(
-    symbol: PhaseGridFunction,
-    r_disp: Optional[float] = None,
-    disp_count: Optional[int] = None,
-) -> KernelSample:
-    """Transform a symbol to its kernel, truncating the displacement window.
+def partial_fourier_inv(symbol: PhaseGridFunction, r_disp: Optional[float] = None) -> KernelSample:
+    """Transform a symbol to its kernel, truncating the displacement window
+    to radius ``r_disp``.
 
     The default window is the largest symmetric one (radius L - delta).
     The L1 mass dropped by the truncation is recorded in ``tail_mass``; the
@@ -355,14 +364,11 @@ def partial_fourier_inv(
     """
     grid = symbol.grid
     dim = grid.dim
-    full = kernel_from_symbol_full(
-        symbol.values, grid, axes=tuple(range(symbol.values.ndim - dim, symbol.values.ndim))
-    )
-    if disp_count is None:
-        if r_disp is None:
-            disp_count = grid.max_disp_count()
-        else:
-            disp_count = grid.disp_count_for_radius(r_disp)
+    full = kernel_from_symbol_full(symbol.values, grid)
+    if r_disp is None:
+        disp_count = grid.max_disp_count()
+    else:
+        disp_count = grid.disp_count_for_radius(r_disp)
     k = disp_count // 2
     n = grid.n
     sl = [slice(None)] * (full.ndim - dim) + [slice(n // 2 - k, n // 2 + k + 1)] * dim
@@ -430,15 +436,10 @@ def _half_step_axis(values: np.ndarray, ax: int, scheme: str, periodic: bool) ->
     return out
 
 
-def shift_q(
-    values: np.ndarray,
-    grid: BoxGrid,
-    half_steps,
-    scheme: str = "cubic",
-    q_axes: Optional[tuple] = None,
-) -> np.ndarray:
+def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear") -> np.ndarray:
     """Evaluate a q-grid array at base points shifted by a half-lattice vector.
 
+    The leading ``dim`` axes of ``values`` are the base points;
     ``half_steps`` gives the shift per axis in units of delta/2 (integers).
     Even entries are exact lattice translations; odd entries additionally
     interpolate to the half-offset lattice with the chosen symmetric stencil
@@ -448,10 +449,8 @@ def shift_q(
     if scheme not in _HALF_STENCILS:
         raise ValueError("scheme must be 'linear' or 'cubic'")
     periodic = grid.bc == "periodic"
-    if q_axes is None:
-        q_axes = tuple(range(grid.dim))
     out = values
-    for ax, h in zip(q_axes, half_steps):
+    for ax, h in zip(range(grid.dim), half_steps):
         h = int(h)
         if h % 2 == 0:
             out = _shift_axis_int(out, ax, h // 2, periodic)

@@ -21,6 +21,19 @@ both claims are spot-checked on momentum samples rather than proven.
 Cutoffs are radial plateaus (identically 1 inside the unit ball, 0 outside
 radius 2, quintic ramp between) scaled by n, matching the regularization
 χ_n(ξ) = χ(ξ/n).
+
+The layer runs one fixed configuration:
+
+* Missing symbol derivatives are nested central differences of step 1e-3
+  (``_FD_STEP``).
+* ``Symbol.spot_check`` and ``Symbol.validate`` sample the origin and 48
+  points (``_N_SAMPLE``) on log-spaced shells out to radius 40
+  (``_SAMPLE_RADIUS``); ``validate`` rejects a derivative whose envelope
+  ratio on the outer shells exceeds twice (``_GROWTH_SLACK``) that on the
+  inner ones.
+* ``moyal`` transports both factors over the largest displacement window
+  and keeps the product's natural window; interpolation and quadrature
+  order are those of :mod:`magweyl.crossed`.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .crossed import twisted_product
+from .crossed import _SCHEME, twisted_product
 from .fields import MagneticField, omega_b
 from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier, partial_fourier_inv
 
@@ -44,6 +57,11 @@ __all__ = [
     "regularize",
     "trim_kernel",
 ]
+
+_FD_STEP = 1e-3
+_SAMPLE_RADIUS = 40.0
+_N_SAMPLE = 48
+_GROWTH_SLACK = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +100,6 @@ class Symbol:
     order: float
     elliptic: Optional[Tuple[float, float]] = None
     derivs: Optional[Dict[Tuple[int, ...], Callable]] = None
-    fd_step: float = 1e-3
 
     def __call__(self, p) -> np.ndarray:
         return np.asarray(self.func(np.asarray(p, dtype=float)))
@@ -97,10 +114,10 @@ class Symbol:
         for ax in range(self.dim):
             if alpha[ax] > 0:
                 step = np.zeros(self.dim)
-                step[ax] = self.fd_step
+                step[ax] = _FD_STEP
                 lower = tuple(a - 1 if i == ax else a for i, a in enumerate(alpha))
                 return (self.deriv(lower, p + step) - self.deriv(lower, p - step)) / (
-                    2.0 * self.fd_step
+                    2.0 * _FD_STEP
                 )
         return np.asarray(self.func(p))
 
@@ -112,26 +129,26 @@ class Symbol:
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         return np.vstack([np.zeros((1, self.dim)), radii[:, None] * dirs])
 
-    def spot_check(self, radius: float = 40.0, n_sample: int = 48) -> Dict[Tuple[int, ...], float]:
+    def spot_check(self) -> Dict[Tuple[int, ...], float]:
         """Measured sup of |∂^α h| / ⟨p⟩^(s-|α|) per multi-index, |α| ≤ 2."""
-        pts = self._sample_points(radius, n_sample)
+        pts = self._sample_points(_SAMPLE_RADIUS, _N_SAMPLE)
         out = {}
         for alpha in _multi_indices(self.dim, 2):
             vals = np.abs(self.deriv(alpha, pts))
             out[alpha] = float(np.max(vals / _weight(pts, self.order - sum(alpha))))
         return out
 
-    def validate(self, radius: float = 40.0, n_sample: int = 48, growth_slack: float = 2.0) -> None:
+    def validate(self) -> None:
         """Spot-check the declared order and the ellipticity claim.
 
         The growth check compares the envelope ratio on an outer shell with
         the ratio on an inner shell; a declared order that is too small
         makes the ratio grow with |p| and trips the slack factor.
         """
-        pts = self._sample_points(radius, n_sample)
+        pts = self._sample_points(_SAMPLE_RADIUS, _N_SAMPLE)
         r = np.linalg.norm(pts, axis=-1)
-        inner = (r > 0) & (r <= np.sqrt(0.5 * radius))
-        outer = r > np.sqrt(0.5 * radius)
+        inner = (r > 0) & (r <= np.sqrt(0.5 * _SAMPLE_RADIUS))
+        outer = r > np.sqrt(0.5 * _SAMPLE_RADIUS)
         scale0 = float(np.max(np.abs(self(pts)) / _weight(pts, self.order)))
         floor = 1e-6 * max(scale0, 1.0)  # finite-difference noise on vanishing derivatives
         for alpha in _multi_indices(self.dim, 2):
@@ -139,7 +156,7 @@ class Symbol:
             if not np.all(np.isfinite(ratio)):
                 raise ValueError(f"derivative {alpha} produced non-finite values")
             hi, lo = np.max(ratio[outer]), np.max(ratio[inner])
-            if hi > floor and lo > 0 and hi > growth_slack * lo:
+            if hi > floor and lo > 0 and hi > _GROWTH_SLACK * lo:
                 raise ValueError(
                     f"growth of derivative {alpha} exceeds declared order "
                     f"{self.order}: envelope ratio {lo:.3e} -> {hi:.3e}"
@@ -187,17 +204,14 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def plateau_profile(r) -> np.ndarray:
-    """1 for r ≤ 1, 0 for r ≥ 2, quintic ramp between (C² at the joints)."""
-    r = np.asarray(r, dtype=float)
-    return 1.0 - _smoothstep(r - 1.0)
-
-
-@dataclass
 class CutoffFamily:
     """Family χ_n(ξ) = χ(ξ/n) of radial plateau cutoffs, χ(0) = 1."""
 
-    profile: Callable = plateau_profile
+    @staticmethod
+    def profile(r) -> np.ndarray:
+        """1 for r ≤ 1, 0 for r ≥ 2, quintic ramp between (C² at the joints)."""
+        r = np.asarray(r, dtype=float)
+        return 1.0 - _smoothstep(r - 1.0)
 
     def value(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -215,14 +229,13 @@ class CutoffFamily:
         return wrapped
 
 
-def regularize(f: PhaseGridFunction, n: float, cutoffs: Optional[CutoffFamily] = None) -> PhaseGridFunction:
+def regularize(f: PhaseGridFunction, n: float) -> PhaseGridFunction:
     """Multiply a sampled symbol by χ_n.
 
     Base-point independent symbols are cut in momentum only; otherwise the
     cutoff sees the full phase-space vector (q, p).
     """
-    if cutoffs is None:
-        cutoffs = CutoffFamily()
+    cutoffs = CutoffFamily()
     grid = f.grid
     dim = grid.dim
     pmesh = grid.momentum().mesh()
@@ -281,24 +294,21 @@ def moyal(
     g: PhaseGridFunction,
     field: MagneticField,
     *,
-    r_disp: Optional[float] = None,
-    scheme: str = "linear",
-    order: int = 8,
-    out_disp_count: Optional[int] = None,
+    scheme: str = _SCHEME,
     trim_tol: float = 1e-14,
 ) -> PhaseGridFunction:
     """Magnetic composition product of two sampled symbols.
 
-    Both factors are transported to kernels (displacement window of radius
-    ``r_disp``, full by default), multiplied in the twisted algebra and
-    transported back.  Rows of relative size below ``trim_tol`` are dropped
-    from the factor kernels first; set 0 to keep every row.
+    Both factors are transported to kernels over the full displacement
+    window, multiplied in the twisted algebra and transported back.  Rows
+    of relative size below ``trim_tol`` are dropped from the factor kernels
+    first; set 0 to keep every row.
     """
     if f.grid != g.grid:
         raise ValueError("symbols live on different grids")
-    kf = trim_kernel(partial_fourier_inv(f, r_disp=r_disp), trim_tol)
-    kg = trim_kernel(partial_fourier_inv(g, r_disp=r_disp), trim_tol)
-    prod = twisted_product(kf, kg, field, scheme=scheme, order=order, out_disp_count=out_disp_count)
+    kf = trim_kernel(partial_fourier_inv(f), trim_tol)
+    kg = trim_kernel(partial_fourier_inv(g), trim_tol)
+    prod = twisted_product(kf, kg, field, scheme=scheme)
     out = partial_fourier(prod)
     if not np.all(np.isfinite(out.values.view(float))):
         raise FloatingPointError("composition product produced non-finite values")

@@ -204,7 +204,7 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
     def inv(p):
         return 1.0 / (np.asarray(hf(p)) + a)
 
-    return Symbol(dim=h.dim, func=inv, order=-h.order, fd_step=h.fd_step)
+    return Symbol(dim=h.dim, func=inv, order=-h.order)
 
 
 # ---------------------------------------------------------------------------

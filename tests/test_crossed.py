@@ -1,6 +1,7 @@
 """Twisted kernel algebra: product routes, involution, representation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,50 @@ def test_multiplier_closed_form_matches_reference():
     rref = twisted_product_reference(psi, v, fld)
     assert np.abs(left.values - lref.values).max() < 1e-12
     assert np.abs(right.values - rref.values).max() < 1e-12
+
+
+@pytest.mark.parametrize("out", [7, 9])
+@pytest.mark.parametrize("path", ["fft", "general"])
+def test_window_wider_than_natural_clips_nothing(path, out):
+    # 3x3 factors have a natural window of 5 nodes: a wider kept window
+    # drops no mass, so nothing is recorded and no warning fires
+    rng = np.random.default_rng(44)
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = MagneticField.constant_2d(0.9)
+    base = () if path == "fft" else (12, 12)
+    a = rng.normal(size=base + (3, 3)) + 1j * rng.normal(size=base + (3, 3))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    phi = KernelSample(grid=g, values=a, q_independent=path == "fft")
+    psi = KernelSample(grid=g, values=b, q_independent=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = twisted_product(phi, psi, fld, out_disp_count=out, sheet="tilde")
+    r = twisted_product_reference(phi, psi, fld, out_disp_count=out, sheet="tilde")
+    assert p.disp_count == r.disp_count == out
+    assert p.tail_mass == 0.0
+    assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
+
+
+@pytest.mark.parametrize("out", [3, 9])
+@pytest.mark.parametrize("left", [True, False], ids=["v_left", "v_right"])
+def test_multiplier_product_keeps_requested_window(left, out):
+    # the multiplier path returns the window asked for, like the other
+    # paths: cut centrally with the clipped mass bounded, or zero-padded
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = variable_field()
+    _, psi = pair_on(g, 7)
+    v = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g)
+    pair = (v, psi) if left else (psi, v)
+    p = twisted_product(*pair, fld, out_disp_count=out, tail_warn=np.inf)
+    r = twisted_product_reference(*pair, fld, out_disp_count=out)
+    assert p.disp_count == r.disp_count == out
+    assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
+    full = twisted_product_reference(*pair, fld)
+    sup = np.abs(full.values).max(axis=(0, 1))
+    k = (7 - min(out, 7)) // 2
+    exact = (sup.sum() - sup[k:7 - k, k:7 - k].sum()) * g.cell_volume
+    assert p.tail_mass >= exact
+    assert (exact > 0) == (out < 7)
 
 
 def test_tail_mass_recorded_and_warns():

@@ -135,6 +135,37 @@ def test_kernel_sample_validation():
     assert ks.as_q_dependent().shape == (8, 7)
 
 
+def test_malformed_axes_are_refused():
+    # kernels store every base point; symbols may keep length 1 along an
+    # axis where their values are constant
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    for base in [(10, 10), (1, 1)]:
+        with pytest.raises(ValueError, match="base-point axes"):
+            KernelSample(grid=g, values=np.zeros(base + (3, 3), dtype=complex))
+    with pytest.raises(ValueError, match="symbol axes"):
+        PhaseGridFunction(grid=g, values=np.zeros((10, 10), dtype=complex))
+    with pytest.raises(ValueError, match="symbol axes"):
+        PhaseGridFunction(grid=g, values=np.zeros((12, 12, 12, 10)), q_independent=False)
+    # a momentum-independent symbol samples with length-1 momentum axes and
+    # transforms exactly like its broadcast full array
+    f = PhaseGridFunction.sample(lambda q, p: np.exp(-np.sum(q * q, axis=-1)), g, q_independent=False)
+    assert f.values.shape == (12, 12, 1, 1)
+    full = PhaseGridFunction(
+        grid=g, values=np.broadcast_to(f.values, (12,) * 4).copy(), q_independent=False
+    )
+    assert partial_fourier_inv(f).values.tobytes() == partial_fourier_inv(full).values.tobytes()
+
+
+def test_kernel_copy_keeps_meta():
+    g = BoxGrid(dim=1, half_length=2.0, n=8)
+    ks = KernelSample(grid=g, values=np.ones(3, dtype=complex), q_independent=True,
+                      meta={"tail_warning": True, "neumann": {"terms": 4}})
+    dup = ks.copy()
+    assert dup.meta == ks.meta
+    dup.meta["tail_warning"] = False
+    assert ks.meta["tail_warning"] is True
+
+
 def test_involution_axis_helpers():
     g = BoxGrid(dim=2, half_length=2.0, n=8)
     ks = KernelSample(
