@@ -66,5 +66,15 @@ from .resolvent import (
     estimate_audit,
     report_text,
 )
+from .spectral import (
+    SchrodingerSpec,
+    assemble,
+    eig,
+    essential_estimate,
+    asymptotic_spectra,
+    fibered_spectrum,
+    landau_oracle,
+    hausdorff,
+)
 
 __version__ = "0.1.0"

@@ -36,7 +36,8 @@ internal transversal-gauge potential A₀ of B; this is an exact identity
 so the phases are absorbed into A, B and the output.  For a constant field
 Λ(r;u) = exp(-i/2 rᵀBu) in closed form: a row phase on the tiles of A, a
 column phase on those of B and one on the output, with no quadrature; a
-variable field dresses the factors with tables of Λ from line quadrature.
+variable field dresses the factors with tables of Λ, whose transversal
+circulations are triangle fluxes computed by quadrature.
 Mass falling outside the kept output window is recorded as the
 sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
 nodes x, an upper bound on the exact clipped L¹ mass.
@@ -616,8 +617,8 @@ def twisted_product(
     (:func:`_tiled_product`).  The cocycle enters as the transversal
     gauge's circulation phases: in closed form for a constant field (a row
     phase on the left factor, a column phase on the right one and an
-    output phase), as dressing tables from line quadrature of order
-    ``order`` for a variable one.
+    output phase), as dressing tables of triangle-flux quadratures of
+    order ``order`` for a variable one.
 
     Every path returns the output displacement window asked for, by
     default the natural one of d_φ + d_ψ - 1 nodes per axis, capped at the

@@ -9,17 +9,26 @@ resolvent construction) consumes fields only through three scalar quantities:
   (triangle), together with the midpoint-reparametrized phase ``gamma_b``.
 
 Fluxes and circulations are evaluated with tensorized Gauss-Legendre rules
-on the unit square / unit interval.  Constant fields short-circuit to closed
-forms, and gauge terms carry an exact telescoping circulation so that gauge
-covariance holds to rounding on the lattice.
+on the unit square.  The transversal gauge has x·A(x) = 0, so its
+circulation along [q, q + x] is the flux of B through the triangle
+(0, q, q + x); no values of A are needed.  One private helper,
+``_flux_quadrature``, evaluates that circulation and ``flux_triangle``
+alike.  It lays the sample points out as (coordinate, s, t, pair), with
+the pairs innermost, and hands each component callable a (s, t, pair, dim)
+view of them, so a reduction over the coordinates adds whole contiguous
+slabs.  Constant fields short-circuit to closed forms, and gauge terms
+carry an exact telescoping circulation so that gauge covariance holds to
+rounding on the lattice.
 
 All evaluation functions are vectorized: point arguments may carry arbitrary
 leading batch dimensions, with the coordinate dimension last.
 
 Line and triangle quadratures default to order 8 (``DEFAULT_LINE_ORDER``,
 ``DEFAULT_TRIANGLE_ORDER``); ``gamma_b`` always runs at the triangle
-default.  ``MagneticField.check_closed`` takes central differences of step
-1e-4 (``_CLOSED_STEP``) and refuses a cyclic residual above 1e-6
+default.  A transversal circulation takes its radial order from the
+gauge's ``order`` and its line order from the call's.
+``MagneticField.check_closed`` takes central differences of step 1e-4
+(``_CLOSED_STEP``) and refuses a cyclic residual above 1e-6
 (``_CLOSED_TOL``).
 
 The anisotropy descriptors probe their profiles at fixed places:
@@ -104,6 +113,8 @@ class MagneticField:
     Components are stored for index pairs ``j < k`` only; the remaining ones
     follow by antisymmetry.  Component callables must be vectorized, mapping
     an array of points of shape ``(..., dim)`` to values of shape ``(...)``.
+    The arrays they receive need not be C-contiguous: the quadratures pass
+    strided views whose coordinate axis is outermost in memory.
 
     ``constant`` holds the full antisymmetric matrix when the field does not
     depend on the base point; several hot paths dispatch on it.
@@ -199,34 +210,44 @@ class GaugeFunction:
 
 @dataclass
 class VectorPotential:
-    """Vector potential A with optional exact circulation.
+    """Vector potential A with its circulation along straight segments.
 
     ``func`` maps points of shape (..., dim) to vectors of shape (..., dim).
-    When ``circulation_exact`` is set it is used instead of quadrature; this
+    The circulation comes from ``circulation_exact`` when it is set; this
     is how constant-field closed forms and telescoping gauge terms keep the
-    lattice identities exact.
+    lattice identities exact.  A transversal gauge of a variable field
+    (built by :func:`transversal_gauge`) computes it as a triangle flux
+    instead, and a potential with neither has no circulation.
     """
 
     dim: int
     func: Callable
     circulation_exact: Optional[Callable] = None
+    # (field, radial order) of a variable-field transversal gauge
+    _transversal: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(pts, dtype=float)), dtype=float)
 
     def circulation(self, q: np.ndarray, x: np.ndarray, order: Optional[int] = None) -> np.ndarray:
-        """Line integral of A along the straight segment from q to q + x."""
+        """Line integral of A along the straight segment from q to q + x.
+
+        In the transversal gauge x·A(x) = 0 this is the flux of B through
+        the triangle (0, q, q + x); ``order`` is its line order along the
+        segment, the radial order being the gauge's.
+        """
         q = np.asarray(q, dtype=float)
         x = np.asarray(x, dtype=float)
         q, x = np.broadcast_arrays(q, x)
         if self.circulation_exact is not None:
             return np.asarray(self.circulation_exact(q, x), dtype=float)
-        nodes, weights = unit_gauss_legendre(order or DEFAULT_LINE_ORDER)
-        # points of shape (..., order, dim)
-        pts = q[..., None, :] + nodes[:, None] * x[..., None, :]
-        vals = self(pts)  # (..., order, dim)
-        integrand = np.einsum("...od,...d->...o", vals, x)
-        return np.einsum("o,...o->...", weights, integrand)
+        if self._transversal is None:
+            raise ValueError(
+                "vector potential has no circulation: set circulation_exact or build it "
+                "with transversal_gauge"
+            )
+        field, radial = self._transversal
+        return _flux_quadrature(field, None, q, x, radial, order or DEFAULT_LINE_ORDER)
 
 
 def lambda_a(A: VectorPotential, q, x, order: Optional[int] = None) -> np.ndarray:
@@ -248,7 +269,7 @@ def flux_triangle(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER
 
     Uses the parametrized form
 
-        sum_{j,k} x_j y_k int_0^1 ds int_0^1 dt  s * B_jk(q + s x + s t y),
+        sum_{j<k} (x_j y_k - x_k y_j) int_0^1 ds int_0^1 dt  s * B_jk(q + s x + s t y),
 
     which reduces the surface integral to a tensor Gauss-Legendre rule on
     the unit square.  For constant fields the closed form
@@ -261,21 +282,43 @@ def flux_triangle(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER
     if B.is_constant:
         bx = np.einsum("jk,...k->...j", B.constant, y)
         return 0.5 * np.einsum("...j,...j->...", x, bx)
-    s, ws = unit_gauss_legendre(order)
-    t, wt = unit_gauss_legendre(order)
-    # sample points of shape (..., order_s, order_t, dim)
-    pts = (
-        q[..., None, None, :]
-        + s[:, None, None] * x[..., None, None, :]
-        + (s[:, None] * t[None, :])[..., None] * y[..., None, None, :]
-    )
-    total = np.zeros(q.shape[:-1])
-    w2 = (ws * s)[:, None] * wt[None, :]
-    for (j, k) in sorted(B.components):
-        vals = B.component(j, k, pts)  # (..., s, t)
-        weight = x[..., j] * y[..., k] - x[..., k] * y[..., j]
-        total = total + weight * np.einsum("st,...st->...", w2, vals)
-    return total
+    return _flux_quadrature(B, q, x, y, order, order)
+
+
+def _flux_quadrature(B: MagneticField, q, x, y, s_order: int, t_order: int) -> np.ndarray:
+    """Triangle flux of a variable field by a tensor Gauss-Legendre rule.
+
+    Evaluates sum_{j<k} (x_j y_k - x_k y_j) sum_{a,b} ws_a s_a wt_b
+    B_jk(q + s_a (x + t_b y)) for arguments of one shape (..., dim), with
+    ``s_order`` nodes s_a and ``t_order`` nodes t_b; ``q = None`` is the
+    origin.  The points are laid out as (coordinate, s, t, pair) and reach
+    the component callables as a (s, t, pair, dim) view.  The nodes are
+    summed in a fixed order per pair, t within s, so a pair's value does
+    not depend on the batch it comes in.
+    """
+    batch, dim = x.shape[:-1], x.shape[-1]
+    xs = x.reshape(-1, dim).T
+    ys = y.reshape(-1, dim).T
+    s, ws = unit_gauss_legendre(s_order)
+    t, wt = unit_gauss_legendre(t_order)
+    line = xs[:, None, :] + t[:, None] * ys[:, None, :]
+    pts = np.empty((dim, s_order, t_order, xs.shape[1]))
+    np.multiply(s[:, None, None], line[:, None], out=pts)
+    if q is not None:
+        pts += q.reshape(-1, dim).T[:, None, None, :]
+    view = np.moveaxis(pts, 0, -1)
+    radial = ws * s
+    total = np.zeros(xs.shape[1])
+    for (j, k), func in sorted(B.components.items()):
+        vals = np.asarray(func(view), dtype=float)
+        inner = wt[0] * vals[:, 0]
+        for b in range(1, t_order):
+            inner += wt[b] * vals[:, b]
+        integral = radial[0] * inner[0]
+        for a in range(1, s_order):
+            integral += radial[a] * inner[a]
+        total += (xs[j] * ys[k] - xs[k] * ys[j]) * integral
+    return total.reshape(batch)
 
 
 def omega_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> np.ndarray:
@@ -311,6 +354,9 @@ def transversal_gauge(B: MagneticField, order: int = DEFAULT_LINE_ORDER) -> Vect
     Satisfies x . A(x) = 0 and curl A = B for closed fields.  Constant
     fields produce the linear gauge A(x) = -(1/2) B x with an exact
     circulation (the line integrand is affine, a midpoint rule is exact).
+    For a variable field ``func`` integrates radially with ``order`` nodes,
+    and the circulation along [q, q + x] is the flux through the triangle
+    (0, q, q + x) with ``order`` radial nodes and the call's line order.
     """
     if B.is_constant:
         bmat = B.constant
@@ -337,7 +383,9 @@ def transversal_gauge(B: MagneticField, order: int = DEFAULT_LINE_ORDER) -> Vect
             out[..., k] += pts[..., j] * integral
         return out
 
-    return VectorPotential(dim=B.dim, func=func)
+    pot = VectorPotential(dim=B.dim, func=func)
+    pot._transversal = (B, order)
+    return pot
 
 
 def gauge_shift(A: VectorPotential, rho: GaugeFunction) -> VectorPotential:

@@ -31,6 +31,9 @@ The layer runs one fixed configuration:
   (``_SAMPLE_RADIUS``); ``validate`` rejects a derivative whose envelope
   ratio on the outer shells exceeds twice (``_GROWTH_SLACK``) that on the
   inner ones.
+* Without a grid, ``resolvent.pointwise_inverse`` takes the infimum of a
+  symbol over the origin and 128 points (``_N_INFIMUM_SAMPLE``) on
+  log-spaced shells out to the same radius.
 * ``moyal`` transports both factors over the largest displacement window
   and keeps the product's natural window; interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
@@ -61,6 +64,7 @@ __all__ = [
 _FD_STEP = 1e-3
 _SAMPLE_RADIUS = 40.0
 _N_SAMPLE = 48
+_N_INFIMUM_SAMPLE = 128
 _GROWTH_SLACK = 2.0
 
 

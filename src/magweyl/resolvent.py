@@ -70,6 +70,8 @@ from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
 from .moyal import (
     CutoffFamily,
     Symbol,
+    _N_INFIMUM_SAMPLE,
+    _SAMPLE_RADIUS,
     _check_elliptic_declaration,
     _real_symbol_values,
     trim_kernel,
@@ -190,14 +192,16 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
     The precondition a ≥ -inf h + 1 guarantees h + a ≥ 1, so the inverse
     is bounded by 1 and inherits type -s envelopes from an elliptic h of
     type s.  The infimum is taken over the grid momentum mesh when a grid
-    is supplied, over a radial reference sample otherwise; either way the
-    sampled values must be real.
+    is supplied, otherwise over the radial reference sample whose radius
+    and size are listed in :mod:`magweyl.moyal`; either way the sampled
+    values must be real.
     """
     _check_elliptic_declaration(h)
     if grid is not None:
         lo = _grid_infimum(h.func, grid)
     else:
-        lo = _infimum(h.func, np.concatenate([np.zeros((1, h.dim)), h._sample_points(40.0, 128)]))
+        sample = h._sample_points(_SAMPLE_RADIUS, _N_INFIMUM_SAMPLE)
+        lo = _infimum(h.func, np.concatenate([np.zeros((1, h.dim)), sample]))
     _check_shift(a, lo)
     hf = h.func
 

@@ -8,9 +8,10 @@ Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
 plus the diagonal potential.  Only the gauge depends on the spec: an
 explicit ``vector_potential``, else an exact axial gauge built from
 tabulated antiderivatives when a one-variable profile is declared, else
-the transversal gauge (closed circulation for constant fields, quadrature
-otherwise).  Periodic boxes, which admit only a vanishing field, use the
-exact Fourier multiplier instead.
+the transversal gauge (closed circulation for constant fields, else the
+flux through the triangle (0, x, y) by one tensor quadrature).  Periodic
+boxes, which admit only a vanishing field, use the exact Fourier
+multiplier instead.
 
 The layer runs one fixed configuration:
 

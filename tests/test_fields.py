@@ -344,3 +344,77 @@ def test_mixed_pairs_keep_position_dependence():
     pts = np.array([[0.0, 0.0], [np.pi, 0.0]])
     spread = [abs(np.ptp(p.field.component(0, 1, pts))) for p in pairs]
     assert max(spread) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# transversal circulation as a triangle flux
+# ---------------------------------------------------------------------------
+
+
+def closed_field_3d():
+    # B = dA0 for A0 = (0.3 sin(x1 + x2), 0.2 cos(x0) x2, 0.4 exp(-x0^2 - x1^2))
+    def gauss(p):
+        return np.exp(-p[..., 0] ** 2 - p[..., 1] ** 2)
+
+    return MagneticField(
+        dim=3,
+        components={
+            (0, 1): lambda p: -0.2 * np.sin(p[..., 0]) * p[..., 2] - 0.3 * np.cos(p[..., 1] + p[..., 2]),
+            (0, 2): lambda p: -0.8 * p[..., 0] * gauss(p) - 0.3 * np.cos(p[..., 1] + p[..., 2]),
+            (1, 2): lambda p: -0.8 * p[..., 1] * gauss(p) - 0.2 * np.cos(p[..., 0]),
+        },
+    )
+
+
+VARIABLE_FIELDS = {"2d": bump_field, "3d": closed_field_3d}
+
+
+def segments(dim, m=40, seed=110):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.5, 2.5, (m, dim)), rng.uniform(-1.5, 1.5, (m, dim))
+
+
+@pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
+def test_transversal_circulation_matches_line_integral(case):
+    # the triangle flux equals the line integral of the potential's values,
+    # taken by an independent Gauss-Legendre rule of the same order
+    B = VARIABLE_FIELDS[case]()
+    B.check_closed(segments(B.dim)[0])
+    A = transversal_gauge(B, order=24)
+    q, x = segments(B.dim)
+    got = A.circulation(q, x, order=24)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    t, wt = 0.5 * (nodes + 1.0), 0.5 * weights
+    want = sum(w * np.sum(A(q + ti * x) * x, axis=-1) for ti, w in zip(t, wt))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
+def test_transversal_circulation_reverses_with_the_segment(case):
+    B = VARIABLE_FIELDS[case]()
+    A = transversal_gauge(B)
+    q, x = segments(B.dim)
+    forward = A.circulation(q, x)
+    backward = A.circulation(q + x, -x)
+    assert np.abs(forward + backward).max() <= 1e-15 * np.abs(forward).max()
+
+
+@pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
+def test_transversal_circulation_does_not_depend_on_the_batch(case):
+    # rep and rep_banded evaluate the same pair in different batches; their
+    # bit-for-bit agreement rests on this
+    B = VARIABLE_FIELDS[case]()
+    A = transversal_gauge(B)
+    q, x = segments(B.dim)
+    block = A.circulation(q, x)
+    grid_shaped = A.circulation(q.reshape(4, 10, B.dim), x.reshape(4, 10, B.dim))
+    assert np.array_equal(grid_shaped.ravel(), block)
+    for i in (0, 17, 39):
+        assert A.circulation(q[i], x[i]) == block[i]
+        assert np.array_equal(A.circulation(q[i:i + 1], x[i:i + 1]), block[i:i + 1])
+
+
+def test_potential_without_circulation_is_refused():
+    A = VectorPotential(dim=2, func=lambda p: np.zeros(np.shape(p)))
+    with pytest.raises(ValueError, match="no circulation"):
+        A.circulation(np.zeros(2), np.ones(2))

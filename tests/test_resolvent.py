@@ -101,6 +101,26 @@ def test_pointwise_inverse_values_exact():
     assert np.abs(inv2.func(pts) - want).max() < 1e-14
 
 
+def test_pointwise_inverse_sample_radius_is_the_symbol_radius(monkeypatch):
+    # without a grid the infimum sample uses the radius the symbol checks
+    # use, read from the one definition in moyal
+    calls = []
+    orig = Symbol._sample_points
+
+    def record(self, radius, n_sample):
+        calls.append((radius, n_sample))
+        return orig(self, radius, n_sample)
+
+    monkeypatch.setattr(Symbol, "_sample_points", record)
+    h = Symbol(dim=2, func=lambda p: 1.0 + np.sum(p * p, axis=-1), order=2.0,
+               elliptic=(0.5, 3.0))
+    pointwise_inverse(h, 2.0)
+    moyal_module = importlib.import_module("magweyl.moyal")
+    assert calls == [(moyal_module._SAMPLE_RADIUS, moyal_module._N_INFIMUM_SAMPLE)]
+    h.spot_check()
+    assert calls[-1][0] == calls[0][0]
+
+
 def test_pointwise_inverse_shift_guard():
     h = Symbol(dim=2, func=lambda p: 1.0 + np.sum(p * p, axis=-1), order=2.0,
                elliptic=(0.5, 3.0))
