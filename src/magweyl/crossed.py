@@ -61,8 +61,8 @@ The layer runs one fixed configuration:
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
 * Block sizes, which bound the temporaries whatever the window: 8192
-  node pairs or matrix entries per block when a dense matrix is filled or
-  scanned (``_PAIR_BLOCK``), 2^16 complex entries (1 MB) per batch
+  node pairs per block when ``rep`` fills a dense matrix
+  (``_PAIR_BLOCK``), 2^16 complex entries (1 MB) per batch
   temporary of the constant-field product's FFTs (``_FFT_BLOCK``), and 64
   and 128 matrix rows per GEMM tile of A (base points r) and of B (rows S
   of the right factor), each rounded to whole rows of the leading axis
@@ -799,7 +799,6 @@ class OperatorMatrix:
 
     mat: np.ndarray
     grid: BoxGrid
-    hermitian: bool = False
 
     def __post_init__(self):
         if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
@@ -897,19 +896,6 @@ class BandedOperator:
         return mat
 
 
-def _hermitian_residual(mat: np.ndarray) -> float:
-    """max|M - M*| / max|M| (0 for M = 0), scanned over row blocks so no
-    full-size temporary is made."""
-    size = mat.shape[0]
-    step = max(1, _PAIR_BLOCK // size)
-    scale = worst = 0.0
-    for start in range(0, size, step):
-        rows = mat[start:start + step]
-        scale = max(scale, float(np.abs(rows).max()))
-        worst = max(worst, float(np.abs(rows - mat[:, start:start + step].conj().T).max()))
-    return worst / scale if scale > 0 else 0.0
-
-
 def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
 
@@ -967,7 +953,7 @@ def rep(
         coef = np.take(tilde[0], j) if kernel.q_independent else tilde[r, j]
         circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
         mat[r, col] = np.exp(-1j * circ) * coef * grid.cell_volume
-    return OperatorMatrix(mat=mat, grid=grid, hermitian=_hermitian_residual(mat) <= 1e-12)
+    return OperatorMatrix(mat=mat, grid=grid)
 
 
 def op_weyl(

@@ -4,6 +4,12 @@ Dense assembly of Op^A(h) + V(Q), windowed Hermitian eigensolves, limit
 operators attached to anisotropy descriptors, and a box-ladder detector
 for the essential spectrum, together with Hausdorff comparison helpers.
 
+A magnetic field makes the matrix complex, but where conjugation composed
+with the reflection x_k -> -x_k of one grid axis commutes with it (in two
+dimensions: a field and a potential even in x_k), ``eig`` solves an
+equivalent real symmetric matrix, about a quarter of the complex solve's
+arithmetic; every other complex matrix takes the complex solve.
+
 Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
 plus the diagonal potential.  Only the gauge depends on the spec: an
 explicit ``vector_potential``, else an exact axial gauge built from
@@ -16,7 +22,11 @@ multiplier instead.
 The layer runs one fixed configuration:
 
 * ``eig`` refuses a relative Hermiticity residual above 1e-12
-  (``_HERM_TOL``) and dimensions above 12000 (``EIG_CAP``).
+  (``_HERM_TOL``) and dimensions above 12000 (``EIG_CAP``).  It takes the
+  reflection route of the first grid axis whose residual
+  max|M - conj(P M P)| / max|M| stays within the same 1e-12, and scans
+  and transforms the matrix in row blocks of about 2^18 entries
+  (``_SCAN_BLOCK``).
 * A state counts as bulk when at least 0.6 of its mass (``_BULK_THETA``)
   lies outside a boundary collar one eighth of the box half-length wide
   (``_COLLAR_FRAC``).  ``SpectrumResult.bulk_scores``, the fiber filter of
@@ -44,7 +54,7 @@ import scipy.linalg as sla
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .crossed import OperatorMatrix, _hermitian_residual, rep
+from .crossed import OperatorMatrix, rep
 from .fields import (
     MagneticField,
     VectorPotential,
@@ -58,6 +68,7 @@ from .moyal import Symbol, _check_elliptic_declaration, _real_symbol_values
 # storage stop being desk scale
 EIG_CAP = 12000
 _HERM_TOL = 1e-12
+_SCAN_BLOCK = 1 << 18
 _BULK_THETA = 0.6
 _COLLAR_FRAC = 0.125
 _EPS_MERGE = 1e-6
@@ -367,7 +378,7 @@ def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
     if grid.bc == "periodic":
         mat = _assemble_periodic(spec, hvals)
         mat[np.diag_indices_from(mat)] += vvals
-        return OperatorMatrix(mat=mat, grid=grid, hermitian=True)
+        return OperatorMatrix(mat=mat, grid=grid)
 
     kernel = partial_fourier_inv(
         PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True)
@@ -385,7 +396,7 @@ def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
         # no phase: keep the real matrix so eig takes the real solver
         mat = np.ascontiguousarray(mat.real)
     mat[np.diag_indices_from(mat)] += vvals
-    return OperatorMatrix(mat=mat, grid=grid, hermitian=op.hermitian)
+    return OperatorMatrix(mat=mat, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +404,119 @@ def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _axis_split(grid: BoxGrid, axis: int) -> tuple:
+    """Node-array shape (before, along, after) that isolates one grid axis."""
+    return grid.n**axis, grid.n, grid.n ** (grid.dim - 1 - axis)
+
+
+def _symmetry_scan(mat: np.ndarray, grid: Optional[BoxGrid]):
+    """One pass over row blocks: Hermiticity, realness and a reflection axis.
+
+    Returns the residual max|M - M*| / max|M|, whether M is real, and the
+    first axis k of ``grid`` with its residual max|M - conj(P M P)| / max|M|
+    for the node reflection P: x_k -> -x_k, or (None, None).  Only complex
+    matrices on a grid have candidate axes.  A candidate drops out at the
+    first block whose residual exceeds ``_HERM_TOL`` against the largest
+    entry scanned so far, so an accepted axis meets it against max|M|.
+    """
+    size = mat.shape[0]
+    complex_input = np.iscomplexobj(mat)
+    worst = {}
+    if complex_input and grid is not None:
+        nodes = np.arange(size).reshape((grid.n,) * grid.dim)
+        mirrors = {ax: np.flip(nodes, ax).ravel() for ax in range(grid.dim)}
+        worst = dict.fromkeys(mirrors, 0.0)
+    step = max(1, _SCAN_BLOCK // size)
+    scale = herm = imag = 0.0
+    for start in range(0, size, step):
+        stop = min(start + step, size)
+        rows = mat[start:stop]
+        scale = max(scale, float(np.abs(rows).max()))
+        # |M_ij - conj M_ji| is symmetric in (i, j), so the columns j < stop
+        # suffice
+        herm = max(herm, float(np.abs(rows[:, :stop] - mat[:stop, start:stop].conj().T).max()))
+        if complex_input:
+            imag = max(imag, float(np.abs(rows.imag).max()))
+        for ax in list(worst):
+            # likewise the rows whose mirror comes later (x_k < 0) suffice;
+            # columns are reflected by a reversed view
+            mirror = mirrors[ax][start:stop]
+            pick = np.flatnonzero(mirror > np.arange(start, stop))
+            if len(pick) == 0:
+                continue
+            shape = (len(pick),) + _axis_split(grid, ax)
+            partner = mat[mirror[pick]].reshape(shape)[:, :, ::-1]
+            dev = float(np.abs(rows[pick].reshape(shape) - partner.conj()).max())
+            worst[ax] = max(worst[ax], dev)
+            if worst[ax] > _HERM_TOL * scale:
+                del worst[ax]
+    axis = min(worst, default=None)
+    scale = scale or 1.0  # a zero matrix has zero residuals
+    return herm / scale, imag == 0.0, axis, None if axis is None else worst[axis] / scale
+
+
+def _reflection_form(mat: np.ndarray, grid: BoxGrid, axis: int) -> np.ndarray:
+    """Real matrix R of M in the basis u_a = (e_a + e_b)/sqrt 2,
+    w_a = i(e_a - e_b)/sqrt 2, given conj(M[P, P]) = M for the reflection P
+    of ``axis``.
+
+    a runs over the nodes with x_axis < 0 in C order and b = P a.  Only
+    the a-rows are read, since the symmetry makes the b-rows their
+    conjugate mirror:
+
+        R = [[Re(M_aa + M_ab), Im(M_ab - M_aa)],
+             [Im(M_aa + M_ab), Re(M_aa - M_ab)]],
+
+    symmetric when M is Hermitian.  R is returned in C order, so its
+    transpose is the Fortran-ordered array LAPACK reads without a copy.
+    """
+    size = mat.shape[0]
+    pre, n, post = _axis_split(grid, axis)
+    half, h = size // 2, n // 2
+    a_rows = np.arange(size).reshape(pre, n, post)[:, :h].ravel()
+    out = np.empty((size, size))
+    blocks = out.reshape(2, half, 2, pre, h, post)
+    step = max(1, _SCAN_BLOCK // size)
+    for start in range(0, half, step):
+        stop = min(start + step, half)
+        rows = mat[a_rows[start:stop]].reshape(stop - start, pre, n, post)
+        m_aa, m_ab = rows[:, :, :h], rows[:, :, ::-1][:, :, :h]
+        tmp = m_aa + m_ab
+        blocks[0, start:stop, 0] = tmp.real
+        blocks[1, start:stop, 0] = tmp.imag
+        np.subtract(m_aa, m_ab, out=tmp)
+        blocks[1, start:stop, 1] = tmp.real
+        np.negative(tmp.imag, out=blocks[0, start:stop, 1])
+    return out
+
+
+def _from_reflection_form(y: np.ndarray, grid: BoxGrid, axis: int) -> np.ndarray:
+    """Node vectors v_a = (y_u + i y_w)/sqrt 2, v_b = (y_u - i y_w)/sqrt 2."""
+    pre, n, post = _axis_split(grid, axis)
+    h, half, count = n // 2, y.shape[0] // 2, y.shape[1]
+    v = np.empty(y.shape, dtype=complex)
+    nodes = v.reshape(pre, n, post, count)
+    part = (y[:half] + 1j * y[half:]).reshape(pre, h, post, count) / np.sqrt(2.0)
+    nodes[:, :h] = part
+    nodes[:, ::-1][:, :h] = part.conj()
+    return v
+
+
 def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> SpectrumResult:
     """Windowed Hermitian eigendecomposition of a dense operator.
+
+    One blockwise scan of the matrix measures its Hermiticity residual and
+    picks the route, recorded as ``meta["real_form"]``:
+
+    * ``"real"``: a real matrix is solved as it is;
+    * ``"reflection <k>"``: for an ``OperatorMatrix`` that commutes with
+      conjugation composed with the reflection x_k -> -x_k of its grid
+      (first such axis), the real symmetric matrix of the operator in
+      the basis (e_a + e_b)/sqrt 2, i(e_a - e_b)/sqrt 2 of mirror node
+      pairs b = P a is solved and the vectors are mapped back; the
+      accepted residual is ``meta["reflection_residual"]``;
+    * ``"complex"``: every other matrix, a bare array included, takes the
+      complex Hermitian solve.
 
     Dimensions above ``EIG_CAP`` are refused rather than silently thrashing.
     """
@@ -412,24 +534,37 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
             f"dense eigensolve refused at dimension {size} > {EIG_CAP}; run a "
             "windowed iterative mode (shift-invert or Lanczos) or coarsen the grid"
         )
-    residual = _hermitian_residual(mat)
+    residual, real_input, axis, reflection = _symmetry_scan(mat, grid)
     if residual > _HERM_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative residual {residual:.3e} "
             f"exceeds {_HERM_TOL:.1e}"
         )
 
-    real_input = not np.iscomplexobj(mat) or np.max(np.abs(mat.imag)) == 0.0
+    # every work array is handed to LAPACK in Fortran order, so the driver
+    # overwrites it instead of copying it
+    meta = {"source": "eig", "hermiticity_residual": residual, "size": size}
+    lower = True
     if real_input:
-        work = np.ascontiguousarray(mat.real).astype(np.float64, copy=True)
+        axis = None
+        meta["real_form"] = "real"
+        work = np.array(mat.real, dtype=np.float64, order="F")
+    elif axis is not None:
+        meta["real_form"] = f"reflection {axis}"
+        meta["reflection_residual"] = reflection
+        # the transpose of the C-ordered form holds its lower triangle in
+        # LAPACK's upper one
+        work, lower = _reflection_form(mat, grid, axis).T, False
     else:
-        work = mat.astype(np.complex128, copy=True)
+        meta["real_form"] = "complex"
+        work = np.array(mat, dtype=np.complex128, order="F")
 
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         pad = 1e-9 * max(1.0, abs(lo))
         out = sla.eigh(
             work,
+            lower=lower,
             subset_by_value=(lo - pad, hi),
             driver="evr",
             eigvals_only=not vectors,
@@ -437,7 +572,7 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
         )
     else:
         lo, hi = -np.inf, np.inf
-        out = sla.eigh(work, eigvals_only=not vectors, overwrite_a=True)
+        out = sla.eigh(work, lower=lower, eigvals_only=not vectors, overwrite_a=True)
     if vectors:
         vals, vecs = out
     else:
@@ -447,17 +582,9 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
     vals = vals[keep]
     if vecs is not None:
         vecs = vecs[:, keep]
-    return SpectrumResult(
-        values=vals,
-        window=(lo, hi),
-        vectors=vecs,
-        grid=grid,
-        meta={
-            "source": "eig",
-            "hermiticity_residual": residual,
-            "size": size,
-        },
-    )
+        if axis is not None:
+            vecs = _from_reflection_form(vecs, grid, axis)
+    return SpectrumResult(values=vals, window=(lo, hi), vectors=vecs, grid=grid, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -732,7 +732,6 @@ def test_real_symbol_gives_hermitian_matrix():
         return np.sum(p * p, axis=-1) + 0.1 * np.exp(-np.sum(q * q, axis=-1))
 
     out = op_weyl(pot, symbol, g, q_independent=False, r_disp=1.5)
-    assert out.hermitian
     assert np.abs(out.mat - out.mat.conj().T).max() <= 1e-12 * np.abs(out.mat).max()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import magweyl
-from magweyl.crossed import rep, rep_banded, twisted_product, kernel_from_func
+from magweyl.crossed import OperatorMatrix, rep, rep_banded, twisted_product, kernel_from_func
 from magweyl.fields import (
     Cartesian2D,
     ConstPlusDecay,
@@ -316,3 +316,113 @@ def test_merge_points_drops_close_duplicates():
     assert np.array_equal(merge_points([3.0, 1.0, 1.0 + 1e-8, 2.0], 1e-6), [1.0, 2.0, 3.0])
     assert np.array_equal(merge_points([0.0, 0.6, 1.2], 1.0), [0.0, 1.2])
     assert len(merge_points([], 1e-6)) == 0
+
+
+# ---------------------------------------------------------------------------
+# (h) eig's real forms; a bare array has no grid, so eig(op.mat) is the
+# independent complex route
+# ---------------------------------------------------------------------------
+
+
+def const_plus_decay_op(n, half_length):
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=lambda x: 0.5 * np.exp(-np.sum(x * x, axis=-1)))
+    grid = BoxGrid(dim=2, half_length=half_length, n=n)
+    return assemble(
+        SchrodingerSpec(h=free_kinetic, field=desc.field(), potential=desc.potential(), grid=grid)
+    )
+
+
+def route_case(case):
+    grid = BoxGrid(dim=2, half_length=3.0, n=16)
+    if case == "const_plus_decay":
+        return const_plus_decay_op(16, 3.0)
+    if case == "constant_3d":
+        # B_01 and B_12 both change sign under x_1 -> -x_1, as conjugation does
+        b = np.zeros((3, 3))
+        b[0, 1], b[1, 2] = 0.8, 0.5
+        field = MagneticField(dim=3, constant=b - b.T)
+        grid = BoxGrid(dim=3, half_length=2.0, n=8)
+    elif case == "tanh_x0":
+        field = tanh_field(0)
+    elif case == "odd_product":
+        field = MagneticField.from_scalar_2d(lambda x: 1.0 + 0.3 * x[..., 0] * x[..., 1])
+    else:
+        field = MagneticField.zero(2)
+    return assemble(SchrodingerSpec(h=free_kinetic, field=field, potential=bump, grid=grid))
+
+
+@pytest.mark.parametrize(
+    "case, route",
+    [
+        ("const_plus_decay", "reflection 0"),
+        ("constant_3d", "reflection 1"),
+        ("tanh_x0", "reflection 1"),
+        ("odd_product", "complex"),
+        ("zero", "real"),
+    ],
+)
+def test_eig_route_follows_symmetry(case, route):
+    op = route_case(case)
+    got = eig(op, (0.0, 6.0))
+    want = eig(op.mat, (0.0, 6.0))
+    assert got.meta["real_form"] == route
+    assert got.meta["size"] == op.dim
+    assert ("reflection_residual" in got.meta) == route.startswith("reflection")
+    assert len(got) == len(want) > 0
+    if route.startswith("reflection"):
+        assert got.meta["reflection_residual"] <= 1e-12
+        assert np.abs(got.values - want.values).max() <= 1e-12 * max(1.0, np.abs(want.values).max())
+    else:
+        # the same solve as before: the values agree bit for bit
+        assert np.array_equal(got.values, want.values)
+
+
+def test_reflection_form_vectors_match_complex_route():
+    op = const_plus_decay_op(24, 3.0)
+    window = (0.0, 6.6)
+    # nearly degenerate levels make single vectors ill-defined, so compare
+    # the window's spectral projector, with both window edges in gaps
+    every = eig(op.mat).values
+    assert np.abs(every - window[0]).min() >= 0.1 and np.abs(every - window[1]).min() >= 0.1
+    got = eig(op, window, vectors=True)
+    want = eig(op.mat, window, vectors=True)
+    assert got.meta["real_form"] == "reflection 0"
+    assert want.meta["real_form"] == "complex"
+    assert np.abs(got.values - want.values).max() <= 1e-12
+    mat, v = op.mat, got.vectors
+    assert np.abs(mat @ v - v * got.values).max() <= 1e-10 * np.abs(mat).max()
+    assert np.abs(v.conj().T @ v - np.eye(len(got))).max() <= 1e-12
+    proj = v @ v.conj().T
+    assert np.abs(proj - want.vectors @ want.vectors.conj().T).max() <= 1e-8
+
+
+def test_broken_reflection_falls_back_to_complex_route():
+    op = const_plus_decay_op(12, 3.0)
+    mat = op.mat.copy()
+    # a Hermitian change on one pair of neighbours that no reflection maps
+    # onto itself: nodes (2, 3) and (2, 4)
+    i, j = 2 * 12 + 3, 2 * 12 + 4
+    mat[i, j] += 1e-6
+    mat[j, i] += 1e-6
+    got = eig(OperatorMatrix(mat, op.grid), (0.0, 6.0))
+    assert eig(op, (0.0, 6.0)).meta["real_form"] == "reflection 0"
+    assert got.meta["real_form"] == "complex"
+    assert "reflection_residual" not in got.meta
+    assert np.array_equal(got.values, eig(mat, (0.0, 6.0)).values)
+
+
+def test_eig_memory_peak():
+    # the complex route peaked at 51.1 MB here: the 8.4 MB |Im M| scan, a
+    # 16.8 MB complex work copy, its 16.8 MB Fortran-order copy inside the
+    # driver and the 16.8 MB eigenvector array.  The bound is half of that,
+    # so one complex work copy (16.8 MB) on top of the real form's 18.9 MB
+    # breaks it.  The assembled matrix is allocated before tracing.
+    op = const_plus_decay_op(32, 4.0)
+    tracemalloc.start()
+    try:
+        res = eig(op, (0.0, 8.0), vectors=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.meta["real_form"] == "reflection 0"
+    assert peak <= 25.5e6
