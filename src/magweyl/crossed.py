@@ -49,7 +49,8 @@ default; linear never overshoots, which keeps ‖rep(φ)‖ ≤ ‖φ‖₁ exac
 Base points beyond the box: kernels are zero there in truncated mode (the
 operator acts on the box), so shifted factors zero-extend; base-point
 independent kernels describe translation-covariant operators and their
-values extend unchanged.
+values extend unchanged.  Products refuse periodic boxes, where the shear
+would wrap base points that the product zero-extends; ``rep`` wraps them.
 
 The layer runs one fixed configuration:
 
@@ -582,6 +583,13 @@ def _check_operands(phi, psi, field, sheet, out_disp_count, what) -> int:
         raise ValueError("kernels live on different grids")
     if field.dim != phi.grid.dim:
         raise ValueError("field dimension does not match the grid")
+    if phi.grid.bc == "periodic":
+        # the shear wraps base points around the torus while the product
+        # zero-extends its factors past the box
+        raise ValueError(
+            "twisted products are defined on truncated boxes only; the "
+            "product does not wrap base points around a periodic box"
+        )
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
     _require_centered(phi, what)
@@ -809,11 +817,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.mat @ other.mat, self.grid)
-        return self.mat @ other
 
 
 @dataclass

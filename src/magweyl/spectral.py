@@ -12,12 +12,11 @@ arithmetic; every other complex matrix takes the complex solve.
 
 Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
 plus the diagonal potential.  Only the gauge depends on the spec: an
-explicit ``vector_potential``, else an exact axial gauge built from
-tabulated antiderivatives when a one-variable profile is declared, else
-the transversal gauge (closed circulation for constant fields, else the
-flux through the triangle (0, x, y) by one tensor quadrature).  Periodic
-boxes, which admit only a vanishing field, use the exact Fourier
-multiplier instead.
+explicit ``vector_potential``, else the transversal gauge (closed
+circulation for constant fields, else the flux through the triangle
+(0, x, y) by one tensor quadrature).  The operator is gauge covariant,
+so one gauge per field suffices.  Periodic boxes, which admit only a
+vanishing field, use the exact Fourier multiplier instead.
 
 The layer runs one fixed configuration:
 
@@ -141,12 +140,6 @@ class UnionSpectrum:
     eps_merge: float
     window: tuple
 
-    def component(self, label: str) -> SpectrumResult:
-        for name, res in self.components:
-            if name == label:
-                return res
-        raise KeyError(f"no component labelled {label!r}")
-
 
 def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
     """Sorted representatives of a point set, eps-close duplicates dropped."""
@@ -204,9 +197,7 @@ class SchrodingerSpec:
 
     ``h`` is a real momentum symbol (callable or declared Symbol); the
     gauge defaults to the transversal one of ``field`` unless an explicit
-    ``vector_potential`` is supplied.  ``profile_axis`` may assert that the
-    field component B_01 depends on that coordinate only, unlocking an
-    exact one-variable gauge; the claim is spot-checked at assembly time.
+    ``vector_potential`` is supplied.
     """
 
     h: Union[Symbol, Callable]
@@ -214,7 +205,6 @@ class SchrodingerSpec:
     potential: Union[None, float, Callable] = None
     grid: Optional[BoxGrid] = None
     vector_potential: Optional[VectorPotential] = None
-    profile_axis: Optional[int] = None
 
     def field_or_zero(self) -> MagneticField:
         if self.field is None:
@@ -269,73 +259,15 @@ def _check_elliptic(h, hvals: np.ndarray) -> None:
         )
 
 
-def _check_profile_hint(field: MagneticField, axis: int, grid: BoxGrid) -> Callable:
-    """Validate B_01(x) = beta(x[axis]) and return the scalar profile."""
-    if grid.dim != 2:
-        raise ValueError("one-variable gauge is implemented for two dimensions")
-    if axis not in (0, 1):
-        raise ValueError("profile axis must be 0 or 1")
-
-    def beta(t):
-        t = np.asarray(t, dtype=float)
-        pts = np.zeros(t.shape + (2,))
-        pts[..., axis] = t
-        return field.component(0, 1, pts)
-
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-grid.half_length, grid.half_length, size=(24, 2))
-    direct = field.component(0, 1, pts)
-    claimed = beta(pts[:, axis])
-    if np.max(np.abs(direct - claimed)) > 1e-10 * (1.0 + np.max(np.abs(direct))):
-        raise ValueError("profile_axis hint contradicts the sampled field")
-    return beta
-
-
-def _antiderivative_pair(beta: Callable, half_length: float, oversample: int = 16):
-    """Cumulative splines P = int beta and Q = int P over [-L, L]."""
+def _antiderivative(beta: Callable, half_length: float, oversample: int = 16) -> CubicSpline:
+    """Cumulative spline P = int beta over [-L, L] with P(0) = 0."""
     m = 2 * oversample * max(64, int(8 * half_length)) + 1
     t = np.linspace(-half_length, half_length, m)
     vals = np.asarray(beta(t), dtype=float)
     if vals.shape != t.shape:
         vals = np.broadcast_to(vals, t.shape).copy()
     prim = cumulative_simpson(vals, x=t, initial=0.0)
-    p_spline = CubicSpline(t, prim)
-    prim = prim - p_spline(0.0)  # P(0) = 0
-    p_spline = CubicSpline(t, prim)
-    second = cumulative_simpson(prim, x=t, initial=0.0)
-    q_spline = CubicSpline(t, second - CubicSpline(t, second)(0.0))
-    return p_spline, q_spline
-
-
-def _axial_gauge(field: MagneticField, axis: int, grid: BoxGrid) -> VectorPotential:
-    """Exact gauge of a field whose B_01 depends on x[axis] only.
-
-    The potential has the single component A_inv = sgn * P(x_axis), with P
-    the antiderivative of the profile; its line integral reduces to
-    second-antiderivative differences, exact for arbitrarily long straight
-    segments.
-    """
-    beta = _check_profile_hint(field, axis, grid)
-    # the component lives on the other coordinate; curl fixes its sign
-    # relative to the profile
-    sgn = 1.0 if axis == 0 else -1.0
-    inv = 1 - axis
-    reach = np.sqrt(grid.dim) * grid.half_length + grid.delta
-    p_spline, q_spline = _antiderivative_pair(beta, reach)
-
-    def func(pts):
-        out = np.zeros(pts.shape)
-        out[..., inv] = sgn * p_spline(pts[..., axis])
-        return out
-
-    def circ(q, x):
-        start, step = q[..., axis], x[..., axis]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            avg = (q_spline(start + step) - q_spline(start)) / step
-        avg = np.where(step == 0.0, p_spline(start), avg)
-        return sgn * x[..., inv] * avg
-
-    return VectorPotential(dim=grid.dim, func=func, circulation_exact=circ)
+    return CubicSpline(t, prim - CubicSpline(t, prim)(0.0))
 
 
 def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
@@ -355,15 +287,15 @@ def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
     return (u.conj().T * hvals.ravel()) @ u
 
 
-def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
+def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
-    Every truncated box goes through ``rep(gauge, kernel)``.  The gauge is
-    ``spec.vector_potential`` when set; else, for a non-constant field
-    with a validated ``profile_axis`` hint, the exact axial gauge; else
-    the transversal gauge of the field.  Without field and explicit gauge
-    a real kernel gives a real (float64) matrix.  Periodic boxes use the
-    exact Fourier multiplier.
+    Every truncated box goes through ``rep(gauge, kernel)`` at the
+    algebra layer's quadrature order 8.  The gauge is
+    ``spec.vector_potential`` when set, else the transversal gauge of the
+    field; the operator is gauge covariant, so either gives the same
+    spectrum.  Without field and explicit gauge a real kernel gives a real
+    (float64) matrix.  Periodic boxes use the exact Fourier multiplier.
     """
     grid = spec.grid
     if grid is None:
@@ -383,14 +315,10 @@ def assemble(spec: SchrodingerSpec, *, order: int = 8) -> OperatorMatrix:
     kernel = partial_fourier_inv(
         PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True)
     )
-    if spec.vector_potential is not None:
-        pot = spec.vector_potential
-    elif spec.profile_axis is not None and not field.is_constant:
-        pot = _axial_gauge(field, spec.profile_axis, grid)
-    else:
-        pot = transversal_gauge(field, order=order)
-    op = rep(pot, kernel, order=order)
-    mat = op.mat
+    pot = spec.vector_potential
+    if pot is None:
+        pot = transversal_gauge(field)
+    mat = rep(pot, kernel).mat
     real_kernel = np.max(np.abs(kernel.values.imag)) <= 1e-13 * np.max(np.abs(kernel.values.real))
     if spec.vector_potential is None and field.is_zero and real_kernel:
         # no phase: keep the real matrix so eig takes the real solver
@@ -687,7 +615,7 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
     varying = 1 - invariant_axis
     n = grid1.n
     xs = grid1.axis()
-    p_spline, _ = _antiderivative_pair(profile, grid1.half_length + grid1.delta)
+    p_spline = _antiderivative(profile, grid1.half_length + grid1.delta)
     a_vals = p_spline(xs)
     if potential is None:
         v_vals = np.zeros(n)

@@ -434,6 +434,18 @@ def test_product_submultiplicative_l1():
         assert l1_norm(prod) <= l1_norm(phi) * l1_norm(psi) + prod.tail_mass + 1e-10
 
 
+def test_products_refuse_periodic_boxes():
+    # the shear wraps base points around a periodic box, but the product
+    # zero-extends its factors past the box: both routes must refuse
+    rng = np.random.default_rng(36)
+    g = BoxGrid(dim=1, half_length=4.0, n=16, bc="periodic")
+    phi = KernelSample(grid=g, values=rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5)))
+    psi = KernelSample(grid=g, values=rng.normal(size=(16, 5)) + 1j * rng.normal(size=(16, 5)))
+    for route in (twisted_product, twisted_product_reference):
+        with pytest.raises(ValueError, match="periodic box"):
+            route(phi, psi, MagneticField.zero(1), sheet="tilde")
+
+
 # ---------------------------------------------------------------------------
 # sheet tag
 # ---------------------------------------------------------------------------

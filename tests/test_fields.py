@@ -279,7 +279,7 @@ def test_vanishing_oscillation_labels_name_radius_and_reduced_angle():
         dim=2, b_profile=lambda p: np.degrees(np.arctan2(p[..., 1], p[..., 0])) % 360.0
     )
     labels = [p.label for p in radius.pairs()]
-    # the labels key UnionSpectrum.component
+    # the labels key UnionSpectrum.components
     assert len(set(labels)) == len(labels) > 1
     for label, pr, pa in zip(labels, radius.pairs(), angle.pairs()):
         m = re.fullmatch(r"probe r=(\d+\.\d) angle (\d+) deg", label)
@@ -344,6 +344,53 @@ def test_mixed_pairs_keep_position_dependence():
     pts = np.array([[0.0, 0.0], [np.pi, 0.0]])
     spread = [abs(np.ptp(p.field.component(0, 1, pts))) for p in pairs]
     assert max(spread) > 0.1
+
+
+def test_descriptor_field_and_potential_match_profiles():
+    pts = np.random.default_rng(8).uniform(-4.0, 4.0, (32, 2))
+
+    def b_vo(p):
+        return 1.0 + 0.5 * np.sin(np.sqrt(1.0 + np.linalg.norm(p, axis=-1)))
+
+    def v_vo(p):
+        return np.cos(0.3 * np.linalg.norm(p, axis=-1))
+
+    vo = VanishingOscillation(dim=2, b_profile=b_vo, v_profile=v_vo)
+    assert np.array_equal(vo.field().component(0, 1, pts), b_vo(pts))
+    assert np.array_equal(vo.field().component(1, 0, pts), -b_vo(pts))
+    assert np.array_equal(vo.potential()(pts), v_vo(pts))
+    assert VanishingOscillation(dim=2, b_profile=b_vo).potential() == 0.0
+    with pytest.raises(ValueError, match="two dimensional"):
+        VanishingOscillation(dim=3, b_profile=b_vo).field()
+
+    def ap(p):
+        return 2.0 + np.cos(p[..., 0])
+
+    for mode, want in (("product", b_vo(pts) * ap(pts)), ("sum", b_vo(pts) + ap(pts))):
+        mixed = MixedVOAP(dim=2, vo_factor=b_vo, ap_factor=ap, mode=mode)
+        assert np.array_equal(mixed.field().component(0, 1, pts), want)
+
+    def b1(t):
+        return 2.0 + np.tanh(t)
+
+    def b2(t):
+        return 1.0 + 0.2 * np.tanh(t)
+
+    def v1(t):
+        return np.exp(-t * t)
+
+    def bump(p):
+        return 0.3 * np.exp(-np.sum(p * p, axis=-1))
+
+    x0, x1 = pts[:, 0], pts[:, 1]
+    cart = Cartesian2D(b1=b1, b2=b2, b1_limits=(1.0, 3.0), b2_limits=(0.8, 1.2),
+                       v1=v1, v1_limits=(0.0, 0.0), b0=bump, v0=bump)
+    assert np.array_equal(cart.field().component(0, 1, pts), b1(x0) * b2(x1) + bump(pts))
+    # a missing factor counts as one
+    assert np.array_equal(cart.potential()(pts), v1(x0) + bump(pts))
+    bare = Cartesian2D(b1=b1, b2=b2, b1_limits=(1.0, 3.0), b2_limits=(0.8, 1.2))
+    assert np.array_equal(bare.field().component(0, 1, pts), b1(x0) * b2(x1))
+    assert bare.potential() == 0.0
 
 
 # ---------------------------------------------------------------------------

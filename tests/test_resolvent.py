@@ -355,6 +355,26 @@ def test_resolvent_step_limit(monkeypatch):
         resolvent(trig_kinetic(g), FIELD, g, -1.0 + 4.0j, a0=0.0)
 
 
+def test_resolvent_step_errors_propagate(monkeypatch):
+    # every step's Neumann radius is 1/2, so a failing step is a real error
+    # and must surface instead of being retried at a smaller step
+    module = importlib.import_module("magweyl.resolvent")
+    g = box(16, 4.0)
+    h = trig_kinetic(g)
+    anchor = moyal_inverse(h, 1.0, FIELD, g)
+    monkeypatch.setattr(module, "moyal_inverse", lambda *args: anchor)
+    calls = []
+
+    def boom(g, field):
+        calls.append(l1_norm(g))
+        raise ValueError("boom")
+
+    monkeypatch.setattr(module, "_inv_one_plus", boom)
+    with pytest.raises(ValueError, match="boom"):
+        resolvent(h, FIELD, g, -1.0 + 4.0j, a0=0.0)
+    assert len(calls) == 1 and abs(calls[0] - 0.5) < 1e-12
+
+
 def test_resolvent_rejects_bad_real_z():
     g = box(32)
     with pytest.raises(ValueError, match="non-real or lie left"):

@@ -14,7 +14,9 @@ from magweyl.fields import (
     ConstPlusDecay,
     GaugeFunction,
     MagneticField,
+    MixedVOAP,
     VanishingOscillation,
+    asymptotic_pairs,
     gauge_shift,
     transversal_gauge,
 )
@@ -99,23 +101,7 @@ def test_assemble_equals_rep_plus_potential(case):
 
 
 # ---------------------------------------------------------------------------
-# (b) the axial gauge of a profile hint is a change of gauge
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_profile_hint_preserves_spectrum(axis):
-    grid = BoxGrid(dim=2, half_length=3.0, n=24)
-    field = tanh_field(axis)
-    plain = SchrodingerSpec(h=free_kinetic, field=field, grid=grid)
-    hinted = SchrodingerSpec(h=free_kinetic, field=field, grid=grid, profile_axis=axis)
-    ev_plain = eig(assemble(plain, order=16)).values
-    ev_hinted = eig(assemble(hinted, order=16)).values
-    assert np.abs(ev_plain - ev_hinted).max() <= 1e-9
-
-
-# ---------------------------------------------------------------------------
-# (c) the dense route and the banded route agree bit for bit
+# (b) the dense route and the banded route agree bit for bit
 # ---------------------------------------------------------------------------
 
 
@@ -184,15 +170,8 @@ def test_public_spectral_names_are_the_module_objects():
 
 
 # ---------------------------------------------------------------------------
-# (d) guards
+# (c) guards
 # ---------------------------------------------------------------------------
-
-
-def test_contradicting_profile_hint_raises():
-    grid = BoxGrid(dim=2, half_length=3.0, n=8)
-    spec = SchrodingerSpec(h=free_kinetic, field=variable_field(), grid=grid, profile_axis=0)
-    with pytest.raises(ValueError, match="contradicts"):
-        assemble(spec)
 
 
 def test_eig_refuses_non_hermitian():
@@ -216,7 +195,7 @@ def test_essential_estimate_ladder_guards():
 
 
 # ---------------------------------------------------------------------------
-# (e) fibered spectra
+# (d) fibered spectra
 # ---------------------------------------------------------------------------
 
 
@@ -243,7 +222,7 @@ def test_fibered_matches_dense_bulk_spectrum():
     # bulk eigenvalues must lie on the fibered bands
     grid = BoxGrid(dim=2, half_length=6.0, n=48)
     window = (0.0, 4.0)
-    spec = SchrodingerSpec(h=free_kinetic, field=tanh_field(0), grid=grid, profile_axis=0)
+    spec = SchrodingerSpec(h=free_kinetic, field=tanh_field(0), grid=grid)
     dense = eig(assemble(spec), window, vectors=True)
     bulk = dense.values[dense.bulk_scores(grid.half_length / 4.0) >= 0.6]
     fibered = fibered_spectrum(tanh_profile, free_kinetic, grid, invariant_axis=1, window=window)
@@ -253,7 +232,7 @@ def test_fibered_matches_dense_bulk_spectrum():
 
 
 # ---------------------------------------------------------------------------
-# (f) limit operators and their union
+# (e) limit operators and their union
 # ---------------------------------------------------------------------------
 
 
@@ -298,8 +277,30 @@ def test_asymptotic_spectra_cartesian_components_are_fibered():
     assert len(union.merged) > 0
 
 
+def test_asymptotic_spectra_mixed_components_are_dense_eigensolves():
+    # position-dependent limits take the dense fallback: each component is
+    # the windowed spectrum of its assembled pair on the supplied grid
+    desc = MixedVOAP(
+        dim=2,
+        vo_factor=lambda p: 1.0 + 0.4 * p[..., 0] / np.sqrt(1.0 + np.sum(p * p, axis=-1)),
+        ap_factor=lambda p: 1.0 + 0.3 * np.cos(p[..., 0]),
+    )
+    grid = BoxGrid(dim=2, half_length=3.0, n=10)
+    window = (0.0, 8.0)
+    pairs = asymptotic_pairs(desc)
+    union = asymptotic_spectra(desc, free_kinetic, grid, window)
+    assert len(union.components) == len(pairs) == 9
+    assert [label for label, _ in union.components] == [p.label for p in pairs]
+    for pair, (_, res) in zip(pairs, union.components):
+        assert res.meta["source"] == "eig"
+        spec = SchrodingerSpec(h=free_kinetic, field=pair.field, potential=pair.potential, grid=grid)
+        assert np.array_equal(res.values, eig(assemble(spec), window).values)
+    every = np.concatenate([res.values for _, res in union.components])
+    assert np.array_equal(union.merged, merge_points(every, 1e-6))
+
+
 # ---------------------------------------------------------------------------
-# (g) point-set helpers
+# (f) point-set helpers
 # ---------------------------------------------------------------------------
 
 
@@ -319,7 +320,7 @@ def test_merge_points_drops_close_duplicates():
 
 
 # ---------------------------------------------------------------------------
-# (h) eig's real forms; a bare array has no grid, so eig(op.mat) is the
+# (g) eig's real forms; a bare array has no grid, so eig(op.mat) is the
 # independent complex route
 # ---------------------------------------------------------------------------
 
@@ -426,3 +427,37 @@ def test_eig_memory_peak():
         tracemalloc.stop()
     assert res.meta["real_form"] == "reflection 0"
     assert peak <= 25.5e6
+
+
+# ---------------------------------------------------------------------------
+# (h) the box ladder's acceptance rules
+# ---------------------------------------------------------------------------
+
+LADDER_REASONS = {
+    "not persistent across the ladder",
+    "multiplicity does not grow along the ladder",
+    "no bulk-localized member",
+}
+
+
+def test_essential_estimate_acceptance_rules():
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=lambda q: 0.5 * np.exp(-np.sum(q * q, axis=-1)))
+    grid = BoxGrid(dim=2, half_length=3.0, n=12)
+    spec = SchrodingerSpec(h=free_kinetic, field=desc.field(), potential=desc.potential(), grid=grid)
+    est = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert len(est.clusters) > 0 and len(est.rejected) > 0
+    for rec in est.clusters:
+        counts = rec["counts"]
+        assert len(counts) == 3
+        assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:])) and counts[-1] > counts[0]
+        assert rec["bulk_count"] > 0 and len(rec["bulk_values"]) == rec["bulk_count"]
+    bulk = np.concatenate([rec["bulk_values"] for rec in est.clusters])
+    assert np.array_equal(est.points, np.sort(bulk))
+    reasons = {rec["reason"] for rec in est.rejected}
+    assert reasons <= LADDER_REASONS
+    # single bulk eigenvalues persist along the ladder without growing
+    assert "multiplicity does not grow along the ladder" in reasons
+    lines = est.summary().splitlines()
+    assert f"{len(est.points)} persistent bulk values" in lines[0]
+    assert f"{len(est.rejected)} rejected clusters" in lines[0]
+    assert len(lines) == 1 + len(est.rejected)
