@@ -40,7 +40,8 @@ variable field dresses the factors with tables of Λ, whose transversal
 circulations are triangle fluxes computed by quadrature.
 Mass falling outside the kept output window is recorded as the
 sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
-nodes x, an upper bound on the exact clipped L¹ mass.
+nodes x, an upper bound on the exact clipped L¹ mass; the convolution of
+the sup arrays is a real-FFT convolution through ``scipy.fft``.
 
 Sampled values at off-lattice base points come from the kernel's exact
 callable when present, else from symmetric interpolation (linear by
@@ -79,7 +80,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .fields import (
     MagneticField,
@@ -516,10 +516,25 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     return out.reshape((out_count,) * grid.dim) * grid.cell_volume
 
 
+def _full_convolution(a, b):
+    """Full linear convolution of two real arrays of equal rank: a
+    single-node factor scales the other, else real FFTs at the fast length
+    of the full shape d_a + d_b - 1 per axis.  These are the steps of
+    SciPy's FFT convolution for real input, and the result is the same bit
+    for bit."""
+    if a.size == 1 or b.size == 1:
+        return a * b
+    shape = [da + db - 1 for da, db in zip(a.shape, b.shape)]
+    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
+    full = sp_fft.irfftn(sp_fft.rfftn(a, fshape) * sp_fft.rfftn(b, fshape), fshape)
+    # a contiguous copy: numpy sums it in another order than a strided view
+    return full[tuple(slice(s) for s in shape)].copy()
+
+
 def _clip_mass(sup_a, sup_b, keep_count, cell):
     """L1 mass of the product falling outside the kept output window; a
     window wider than the product's own keeps all of it."""
-    full = fftconvolve(sup_a, sup_b)
+    full = _full_convolution(sup_a, sup_b)
     total = full.sum()
     kfull = (full.shape[0] - 1) // 2
     kk = min(keep_count // 2, kfull)

@@ -560,6 +560,8 @@ class MixedVOAP:
             raise ValueError("mode must be 'product' or 'sum'")
 
     def field(self) -> MagneticField:
+        if self.dim != 2:
+            raise ValueError("scalar-profile descriptor is two dimensional")
         vo, ap = self.vo_factor, self.ap_factor
         if self.mode == "product":
             return MagneticField.from_scalar_2d(
@@ -568,6 +570,9 @@ class MixedVOAP:
         return MagneticField.from_scalar_2d(
             lambda pts: np.asarray(vo(pts), dtype=float) + np.asarray(ap(pts), dtype=float)
         )
+
+    def potential(self):
+        return 0.0
 
     def pairs(self) -> list[AsymptoticPair]:
         angles = np.linspace(0.0, 2.0 * np.pi, _N_PROBES, endpoint=False)

@@ -34,7 +34,10 @@ The layer runs one fixed configuration:
   and samples band ranges at the step (hi - lo)/2000 (``_BAND_STEPS``).
 * ``fibered_spectrum`` takes n + 1 dual momenta spanning the range of the
   gauge potential, padded by sqrt(max(hi - min V, 1)) for a finite window
-  end hi and by pi/delta otherwise.
+  end hi and by pi/delta otherwise.  Its gauge is a cubic spline of the
+  profile's antiderivative, so the fibered route loads
+  ``scipy.interpolate`` and ``scipy.integrate`` on its first call; no
+  other route imports them.
 * ``essential_estimate`` clusters and chains eigenvalues at the
   persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
 
@@ -50,8 +53,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .crossed import OperatorMatrix, rep
 from .fields import (
@@ -259,8 +260,12 @@ def _check_elliptic(h, hvals: np.ndarray) -> None:
         )
 
 
-def _antiderivative(beta: Callable, half_length: float, oversample: int = 16) -> CubicSpline:
+def _antiderivative(beta: Callable, half_length: float, oversample: int = 16) -> Callable:
     """Cumulative spline P = int beta over [-L, L] with P(0) = 0."""
+    # imported here, so that only the fibered route pays for loading them
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
+
     m = 2 * oversample * max(64, int(8 * half_length)) + 1
     t = np.linspace(-half_length, half_length, m)
     vals = np.asarray(beta(t), dtype=float)

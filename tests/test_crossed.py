@@ -1,5 +1,8 @@
 """Twisted kernel algebra: product routes, involution, representation."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +33,7 @@ from magweyl.crossed import (
     twisted_involution,
     twisted_product,
     twisted_product_reference,
+    _full_convolution,
     _shear,
 )
 
@@ -258,6 +262,36 @@ def test_clipped_qindep_const_product_keeps_window_and_bounds_tail():
     exact = (np.abs(full.values).sum() - np.abs(kept).sum()) * g.cell_volume
     assert exact > 0
     assert p.tail_mass >= exact
+
+
+# sup arrays of d nodes per axis: unequal windows, a single node, all zero
+CONVOLUTION_CASES = [(5, 3, False), (3, 5, False), (7, 7, False), (1, 5, False),
+                     (5, 1, False), (1, 1, False), (5, 3, True)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("da,db,zero", CONVOLUTION_CASES)
+def test_clip_convolution_matches_fftconvolve(dim, da, db, zero):
+    rng = np.random.default_rng(100 * dim + 10 * da + db)
+    a = rng.random((da,) * dim)
+    b = np.zeros((db,) * dim) if zero else rng.random((db,) * dim)
+    full = _full_convolution(a, b)
+    # _clip_mass sums it, and a strided view would sum in another order
+    assert full.flags.c_contiguous
+    assert np.array_equal(full, fftconvolve(a, b))
+    direct = np.zeros((da + db - 1,) * dim)
+    for y in np.ndindex(a.shape):
+        for w in np.ndindex(b.shape):
+            direct[tuple(i + j for i, j in zip(y, w))] += a[y] * b[w]
+    assert np.abs(full - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+def test_import_loads_no_signal_or_spline_modules():
+    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.integrate"]
+    code = f"import sys, magweyl; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
 
 
 def qindep_pair(g, da, db, seed):

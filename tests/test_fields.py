@@ -393,6 +393,25 @@ def test_descriptor_field_and_potential_match_profiles():
     assert bare.potential() == 0.0
 
 
+def _mixed(dim):
+    return MixedVOAP(
+        dim=dim,
+        vo_factor=lambda p: np.sin(np.sqrt(1.0 + np.linalg.norm(p, axis=-1))),
+        ap_factor=lambda p: 2.0 + np.cos(p[..., 0]),
+    )
+
+
+def test_mixed_potential_is_the_one_its_pairs_carry():
+    d = _mixed(2)
+    assert d.potential() == 0.0
+    assert all(p.potential == d.potential() for p in d.pairs())
+
+
+def test_mixed_field_refuses_other_dimensions():
+    with pytest.raises(ValueError, match="two dimensional"):
+        _mixed(3).field()
+
+
 # ---------------------------------------------------------------------------
 # transversal circulation as a triangle flux
 # ---------------------------------------------------------------------------

@@ -277,6 +277,29 @@ def test_asymptotic_spectra_cartesian_components_are_fibered():
     assert len(union.merged) > 0
 
 
+@pytest.mark.parametrize("end", ["x2 -> +inf", "x1 -> -inf"], ids=["x2_plus", "x1_minus"])
+def test_cartesian_fibered_end_matches_dense_bulk_spectrum(end):
+    # one end per invariant axis: the bulk eigenvalues of the end's dense box
+    # operator lie on the bands of its fibered union component
+    desc = Cartesian2D(
+        b1=tanh_profile,
+        b2=lambda t: 1.0 + 0.2 * np.tanh(t),
+        b1_limits=(0.5, 1.5),
+        b2_limits=(0.8, 1.2),
+    )
+    grid = BoxGrid(dim=2, half_length=6.0, n=48)
+    window = (0.0, 4.0)
+    pair = next(p for p in asymptotic_pairs(desc) if p.label == end)
+    fibered = dict(asymptotic_spectra(desc, free_kinetic, grid, window).components)[end]
+    assert fibered.meta["invariant_axis"] == pair.invariant_axis
+    spec = SchrodingerSpec(h=free_kinetic, field=pair.field, potential=pair.potential, grid=grid)
+    dense = eig(assemble(spec), window, vectors=True)
+    bulk = dense.values[dense.bulk_scores(grid.half_length / 4.0) >= 0.6]
+    assert len(bulk) > 0 and len(fibered) > 0
+    gaps = np.abs(bulk[:, None] - fibered.values[None, :]).min(axis=1)
+    assert gaps.max() <= 0.1
+
+
 def test_asymptotic_spectra_mixed_components_are_dense_eigensolves():
     # position-dependent limits take the dense fallback: each component is
     # the windowed spectrum of its assembled pair on the supplied grid
