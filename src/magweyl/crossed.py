@@ -15,7 +15,15 @@ Internally products and representations work on the sheared sheet
 
 with all base points on the lattice.  ``KernelSample.sheet`` says which
 form a kernel stores; products return centered values unless asked for
-the tilde sheet, and ``rep`` reads either.
+the tilde sheet, and ``rep`` reads either.  The shear between the sheets
+(``_shear``) runs one pass per grid axis e over the slabs of e's
+displacement index, each moved along base axis e by ``grid``'s one-axis
+shifts, so it equals a ``shift_q`` per displacement node bit for bit; it
+holds at most two full-size buffers, its input and its output, and a
+product rewrites its own output in place.  A caller that multiplies many
+kernels by one fixed right factor shears that factor once: the Neumann
+series of ``resolvent`` passes its tilde values to every product of the
+series, and a square shears its factor once.
 
 ``twisted_product`` has three branches.  A factor with one displacement
 node is a multiplier and scales the other factor at shifted base points.
@@ -63,8 +71,10 @@ The layer runs one fixed configuration:
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
 * Block sizes, which bound the temporaries whatever the window: 8192
-  node pairs per block when ``rep`` fills a dense matrix
-  (``_PAIR_BLOCK``), 2^16 complex entries (1 MB) per batch
+  node pairs per block when ``rep`` fills a dense matrix or callable
+  tilde values are tabled (``_PAIR_BLOCK``), about 2^16 flux quadrature
+  nodes per block of a table of circulation phases Λ (``_QUAD_BLOCK``,
+  1024 pairs at order 8), 2^16 complex entries (1 MB) per batch
   temporary of the constant-field product's FFTs (``_FFT_BLOCK``), and 64
   and 128 matrix rows per GEMM tile of A (base points r) and of B (rows S
   of the right factor), each rounded to whole rows of the leading axis
@@ -93,7 +103,9 @@ from .grid import (
     PhaseGridFunction,
     partial_fourier_inv,
     shift_q,
+    _check_scheme,
     _require_centered,
+    _shift_axis_half,
     _shift_axis_int,
 )
 
@@ -120,6 +132,7 @@ _SCHEME = "linear"
 _ORDER = 8
 _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
+_QUAD_BLOCK = 1 << 16
 _FFT_BLOCK = 1 << 16
 _GEMM_ROWS = 64
 _GEMM_DEPTH = 128
@@ -266,21 +279,60 @@ def kernel_lincomb(terms) -> KernelSample:
 # ---------------------------------------------------------------------------
 
 
-def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str) -> np.ndarray:
+def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool = False) -> np.ndarray:
     """Move every displacement row to base points h·u/2 away:
     out[..., j] = shift_q(values[..., j], h·(j - k)).
 
     h = +1 takes centered values φ(q;u) to the tilde sheet φ~(r;u) =
     φ(r + u/2; u), h = -1 takes them back; even h are exact lattice
-    translations.
+    translations.  One pass per grid axis e, as ``shift_q`` takes the axes:
+    the slab of displacement index j_e moves along base axis e by
+    h·(j_e - k) half steps.  The first pass writes the C-contiguous output
+    and the later ones rewrite it slab by slab, so besides the input one
+    full-size buffer and a few slab temporaries are alive.  ``inplace``
+    rewrites ``values`` itself, a complex C-contiguous array the caller
+    owns, and makes no full-size buffer.
     """
+    _check_scheme(scheme)
     dim = grid.dim
     d = values.shape[-1]
     kk = d // 2
-    out = np.empty(values.shape, dtype=complex)
-    for j in np.ndindex(*(d,) * dim):
-        steps = [h * (i - kk) for i in j]
-        out[(Ellipsis,) + j] = shift_q(values[(Ellipsis,) + j], grid, steps, scheme=scheme)
+    periodic = grid.bc == "periodic"
+    out = values if inplace else np.empty(values.shape, dtype=complex)
+    src = values
+    for ax in range(dim):
+        for j in range(d):
+            steps = h * (j - kk)
+            if src is out and steps == 0:
+                continue
+            sl = (Ellipsis, j) + (slice(None),) * (dim - 1 - ax)
+            out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, periodic)
+        src = out
+    return out
+
+
+def _disp_nodes(grid: BoxGrid, count: int) -> np.ndarray:
+    """Displacement vectors of a window of ``count`` nodes per axis, in C
+    order, shape (count^N, N)."""
+    idx = np.unravel_index(np.arange(count**grid.dim), (count,) * grid.dim)
+    return grid.disp_axis(count)[np.stack(idx, axis=-1)]
+
+
+def _over_pairs(
+    fill: Callable, mesh: np.ndarray, grid: BoxGrid, disp_count: int, block: int = _PAIR_BLOCK
+) -> np.ndarray:
+    """Table out[r; u] = fill(r, u) over the base points r of ``mesh`` and
+    the displacement nodes u of the window, evaluated ``block`` pairs at a
+    time with r and u as (pairs, N) arrays."""
+    dim = grid.dim
+    pts = mesh.reshape(-1, dim)
+    disp = _disp_nodes(grid, disp_count)
+    out = np.empty(mesh.shape[:-1] + (disp_count,) * dim, dtype=complex)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, block):
+        stop = min(start + block, flat.size)
+        pair = np.arange(start, stop)
+        flat[start:stop] = fill(pts[pair // len(disp)], disp[pair % len(disp)])
     return out
 
 
@@ -298,15 +350,8 @@ def _tilde_values(k: KernelSample, scheme: str, pad: int = 0) -> np.ndarray:
     grid = k.grid
     if k.func is None:
         return _shear(k.values, grid, 1, scheme)
-    dim = grid.dim
-    d = k.disp_count
     mesh = _ext_mesh(grid, pad) if pad else grid.mesh()
-    dax = grid.disp_axis(d)
-    out = np.empty(mesh.shape[:-1] + (d,) * dim, dtype=complex)
-    for j in np.ndindex(*(d,) * dim):
-        u = np.array([dax[i] for i in j])
-        out[(Ellipsis,) + j] = k.func(mesh + 0.5 * u, u)
-    return out
+    return _over_pairs(lambda r, u: k.func(r + 0.5 * u, u), mesh, grid, k.disp_count)
 
 
 def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
@@ -318,16 +363,16 @@ def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
 def _lambda_factors(
     pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0, order: int = _ORDER
 ) -> np.ndarray:
-    """Table Λ[r; u] = λ^{A}(r; u) over (extended) base mesh and window."""
-    dim = grid.dim
-    mesh = _ext_mesh(grid, pad)
-    dax = grid.disp_axis(disp_count)
-    shape = mesh.shape[:-1] + (disp_count,) * dim
-    out = np.empty(shape, dtype=complex)
-    for j in np.ndindex(*(disp_count,) * dim):
-        u = np.array([dax[i] for i in j])
-        out[(Ellipsis,) + j] = np.exp(-1j * pot.circulation(mesh, u, order=order))
-    return out
+    """Table Λ[r; u] = λ^{A}(r; u) over (extended) base mesh and window.
+
+    A variable field's circulation is a triangle flux with about order²
+    quadrature nodes per pair, so a block holds ``_QUAD_BLOCK // order²``
+    pairs.
+    """
+    return _over_pairs(
+        lambda r, u: np.exp(-1j * pot.circulation(r, u, order=order)),
+        _ext_mesh(grid, pad), grid, disp_count, block=max(1, _QUAD_BLOCK // order**2),
+    )
 
 
 def _band_tile(arr, rows, cols, shift, width):
@@ -563,7 +608,8 @@ def _multiply(v, other, h, scheme, tilde):
     (φ ⋄ v)(q;x) = φ(q;x) v(q + x/2) (h = +1).  On the tilde sheet the
     left shift drops out, (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) (h = 0), and
     (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  v comes from its callable
-    when it has one and h ≠ 0, else from its shifted samples.
+    when it has one and h ≠ 0, called once per leading displacement index,
+    else from its shifted samples.
     """
     grid = v.grid
     dim = grid.dim
@@ -573,12 +619,13 @@ def _multiply(v, other, h, scheme, tilde):
     d = other.disp_count
     shape = (grid.n,) * dim + (d,) * dim
     if h and v.func is not None:
-        mesh = grid.mesh()
-        dax = grid.disp_axis(d)
+        mesh = grid.mesh().reshape((grid.n,) * dim + (1,) * (dim - 1) + (dim,))
+        disp = _disp_nodes(grid, d).reshape((d,) * dim + (dim,))
         vv = np.empty(shape, dtype=complex)
-        for j in np.ndindex(*(d,) * dim):
-            u = np.array([dax[i] for i in j])
-            vv[(Ellipsis,) + j] = v.func(mesh + 0.5 * h * u, np.zeros(dim)) * grid.cell_volume
+        for j in range(d):
+            vv[(Ellipsis,) + (j,) + (slice(None),) * (dim - 1)] = (
+                v.func(mesh + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
+            )
     else:
         vq = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
         vv = _shear(np.broadcast_to(vq[(Ellipsis,) + (None,) * dim], shape), grid, h, scheme)
@@ -626,6 +673,7 @@ def twisted_product(
     out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
+    _psi_tilde: Optional[np.ndarray] = None,
 ) -> KernelSample:
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
 
@@ -658,8 +706,15 @@ def twisted_product(
     interpolation the centered output needs on odd displacement rows; it
     is the right object for cross-route validation and for ``rep``.
     Base-point dependent inputs must be centered.
+
+    ``_psi_tilde`` is private to the package: the tilde values
+    ``_tilde_values(psi, scheme)`` of a right factor without a callable,
+    for a caller that multiplies many left factors by the same ``psi`` and
+    shears it once.
     """
     out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product")
+    if _psi_tilde is not None and psi.func is not None:
+        raise ValueError("tilde values are passed only for a right factor without a callable")
     grid = phi.grid
     tilde = sheet == "tilde"
 
@@ -677,8 +732,9 @@ def twisted_product(
         # the right factor is read at shifted base points r + y; callables
         # and base-point independent kernels extend past the box, arrays do not
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
-        a = _tilde_values(phi, scheme)
-        b = _tilde_values(psi, scheme, pad=pad)
+        b = _tilde_values(psi, scheme, pad=pad) if _psi_tilde is None else _psi_tilde
+        # a square shears its factor once
+        a = b if phi is psi and not pad else _tilde_values(phi, scheme)
         if field.is_constant:
             vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:
@@ -691,7 +747,7 @@ def twisted_product(
             vals *= np.conj(_lambda_factors(pot, grid, out_count, order=order))
         vals *= grid.cell_volume
         if not tilde:
-            vals = _shear(vals, grid, -1, scheme)
+            vals = _shear(vals, grid, -1, scheme, inplace=True)
 
     clipped = _clip_mass(sup_phi, sup_psi, out_count, grid.cell_volume)
     norm_phi, norm_psi = (float(sup.sum()) * grid.cell_volume for sup in (sup_phi, sup_psi))
@@ -947,7 +1003,7 @@ def rep(
     d = kernel.disp_count
     count = d**dim
     tilde = _tilde_values(kernel, scheme).reshape(-1, count)
-    disp = grid.disp_axis(d)[np.stack(np.unravel_index(np.arange(count), (d,) * dim), axis=-1)]
+    disp = _disp_nodes(grid, d)
     # per axis: the node reached from node i by the j-th step, and whether
     # it lies in the box
     target = np.arange(n)[:, None] + np.arange(d)[None, :] - d // 2

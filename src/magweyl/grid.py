@@ -436,6 +436,19 @@ def _half_step_axis(values: np.ndarray, ax: int, scheme: str, periodic: bool) ->
     return out
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in _HALF_STENCILS:
+        raise ValueError("scheme must be 'linear' or 'cubic'")
+
+
+def _shift_axis_half(values: np.ndarray, ax: int, h: int, scheme: str, periodic: bool) -> np.ndarray:
+    """Shift by ``h`` half steps along one axis: even h exactly, odd h as
+    floor(h/2) whole steps after one half step up."""
+    if h % 2 == 0:
+        return _shift_axis_int(values, ax, h // 2, periodic)
+    return _shift_axis_int(_half_step_axis(values, ax, scheme, periodic), ax, (h - 1) // 2, periodic)
+
+
 def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear") -> np.ndarray:
     """Evaluate a q-grid array at base points shifted by a half-lattice vector.
 
@@ -446,17 +459,9 @@ def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear
     ('linear' is 2nd order and never overshoots, 'cubic' is 4th order).
     Truncated grids zero-extend past the boundary, periodic grids wrap.
     """
-    if scheme not in _HALF_STENCILS:
-        raise ValueError("scheme must be 'linear' or 'cubic'")
+    _check_scheme(scheme)
     periodic = grid.bc == "periodic"
     out = values
     for ax, h in zip(range(grid.dim), half_steps):
-        h = int(h)
-        if h % 2 == 0:
-            out = _shift_axis_int(out, ax, h // 2, periodic)
-        else:
-            # floor(h/2) whole steps plus one half step up
-            out = _half_step_axis(out, ax, scheme, periodic)
-            whole = (h - 1) // 2
-            out = _shift_axis_int(out, ax, whole, periodic)
+        out = _shift_axis_half(out, ax, int(h), scheme, periodic)
     return out

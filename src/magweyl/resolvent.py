@@ -63,6 +63,8 @@ from .crossed import (
     l1_norm,
     multiplier_kernel,
     twisted_product,
+    _SCHEME,
+    _tilde_values,
 )
 from .fields import MagneticField, gamma_b
 from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
@@ -167,9 +169,11 @@ def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
     return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
 
 
-def _product(a: KernelSample, b: KernelSample, field: MagneticField) -> KernelSample:
+def _product(
+    a: KernelSample, b: KernelSample, field: MagneticField, b_tilde: Optional[np.ndarray] = None
+) -> KernelSample:
     # per-product tail warnings are off; _surface_tail reports the sum once
-    return twisted_product(a, b, field, tail_warn=np.inf)
+    return twisted_product(a, b, field, tail_warn=np.inf, _psi_tilde=b_tilde)
 
 
 def _minus_unit(products: List[KernelSample]) -> KernelSample:
@@ -319,12 +323,14 @@ def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, 
 
     Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
     shrink their window as the series progresses instead of paying
-    full-window convolutions throughout.
+    full-window convolutions throughout.  The fixed right factor -g is
+    sheared once and its tilde values serve every product of the series.
     """
     gn = l1_norm(g)
     if gn >= 1.0:
         raise ValueError(f"Neumann radius exceeded: ‖g‖₁ = {gn:.6f} ≥ 1")
     neg = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
+    neg_tilde = _tilde_values(neg, _SCHEME)
     term = neg
     acc = neg
     terms = 1
@@ -335,7 +341,7 @@ def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, 
                 f"Neumann series stalled after {_MAX_TERMS} terms "
                 f"(last term {term_norm:.3e}, radius {gn:.3f})"
             )
-        term = trim_kernel(_product(term, neg, field), _SERIES_TRIM)
+        term = trim_kernel(_product(term, neg, field, neg_tilde), _SERIES_TRIM)
         acc = kernel_lincomb([(1.0, acc), (1.0, term)])
         terms += 1
         term_norm = l1_norm(term)

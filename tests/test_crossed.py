@@ -16,7 +16,15 @@ from magweyl.fields import (
     gauge_shift,
     transversal_gauge,
 )
-from magweyl.grid import BoxGrid, KernelSample, MomentumGrid, PhaseGridFunction, partial_fourier
+from magweyl import crossed
+from magweyl.grid import (
+    BoxGrid,
+    KernelSample,
+    MomentumGrid,
+    PhaseGridFunction,
+    partial_fourier,
+    shift_q,
+)
 from magweyl.moyal import trim_kernel
 from magweyl.crossed import (
     BandedOperator,
@@ -34,7 +42,10 @@ from magweyl.crossed import (
     twisted_product,
     twisted_product_reference,
     _full_convolution,
+    _lambda_factors,
+    _multiply,
     _shear,
+    _tilde_values,
 )
 
 
@@ -227,6 +238,157 @@ def test_general_route_memory_is_tiled():
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+
+
+# ---------------------------------------------------------------------------
+# sheared-sheet machinery against per-node loops
+# ---------------------------------------------------------------------------
+
+
+def shear_per_node(values, grid, h, scheme):
+    """One ``shift_q`` per displacement node, the shear's definition."""
+    dim = grid.dim
+    d = values.shape[-1]
+    out = np.empty(values.shape, dtype=complex)
+    for j in np.ndindex(*(d,) * dim):
+        steps = [h * (i - d // 2) for i in j]
+        out[(Ellipsis,) + j] = shift_q(values[(Ellipsis,) + j], grid, steps, scheme=scheme)
+    return out
+
+
+def over_nodes(fill, mesh, grid, disp_count):
+    """out[r; u] = fill(mesh, u), one call per displacement node u."""
+    dax = grid.disp_axis(disp_count)
+    out = np.empty(mesh.shape[:-1] + (disp_count,) * grid.dim, dtype=complex)
+    for j in np.ndindex(*(disp_count,) * grid.dim):
+        out[(Ellipsis,) + j] = fill(mesh, np.array([dax[i] for i in j]))
+    return out
+
+
+def lambda_per_node(pot, grid, disp_count, pad=0, order=8):
+    return over_nodes(
+        lambda r, u: np.exp(-1j * pot.circulation(r, u, order=order)),
+        crossed._ext_mesh(grid, pad), grid, disp_count,
+    )
+
+
+def tilde_per_node(k, scheme, pad=0):
+    if k.q_independent or k.func is None:
+        return _tilde_values(k, scheme, pad)
+    mesh = crossed._ext_mesh(k.grid, pad)
+    return over_nodes(lambda r, u: k.func(r + 0.5 * u, u), mesh, k.grid, k.disp_count)
+
+
+def multiply_per_node(v, other, h, scheme, tilde):
+    """The multiplier product with one call of v's callable per node."""
+    if v.q_independent or not (h and v.func is not None):
+        return _multiply(v, other, h, scheme, tilde)
+    grid = v.grid
+    vv = over_nodes(
+        lambda r, u: v.func(r + 0.5 * h * u, np.zeros(grid.dim)) * grid.cell_volume,
+        grid.mesh(), grid, other.disp_count,
+    )
+    return vv * (_tilde_values(other, scheme) if tilde else other.values)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["linear", "cubic"])
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shear_matches_per_node_shift(dim, bc, scheme):
+    # one pass per axis over slabs gives the per-node shift bit for bit, as
+    # a fresh C-contiguous array or rewritten in place
+    g = BoxGrid(dim=dim, half_length=2.0, n=8, bc=bc)
+    rng = np.random.default_rng(60 + dim)
+    for d in (1, 3, 7):
+        shape = (8,) * dim + (d,) * dim
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for h in (-2, -1, 1, 2):
+            want = shear_per_node(values, g, h, scheme)
+            got = _shear(values, g, h, scheme)
+            assert got.flags.c_contiguous and same_bits(got, want), (d, h)
+            work = values.copy()
+            assert _shear(work, g, h, scheme, inplace=True) is work
+            assert same_bits(work, want), (d, h)
+
+
+def test_shear_holds_one_buffer_besides_its_input():
+    # n=32 with a 31-node window, the resolvent products' size: the input
+    # and the output are the two full-size buffers (15.7 MB each) and the
+    # slabs add a few 0.5 MB temporaries; in place only the slabs remain
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(61)
+    values = rng.normal(size=(32, 32, 31, 31)) + 1j * rng.normal(size=(32, 32, 31, 31))
+    full, slab = values.nbytes, values.nbytes / 31
+    for inplace, bound in ((False, full + 4 * slab), (True, 4 * slab)):
+        tracemalloc.start()
+        try:
+            _shear(values, g, 1, "linear", inplace=inplace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (inplace, peak)
+
+
+def test_shear_rejects_unknown_scheme():
+    g = BoxGrid(dim=1, half_length=2.0, n=8)
+    with pytest.raises(ValueError, match="scheme"):
+        _shear(np.ones((8, 3), dtype=complex), g, 2, "quintic")
+
+
+def test_pair_tables_match_per_node_loops():
+    # Λ tables and callable tilde values come in blocks of node pairs; each
+    # pair's triangle flux sums its quadrature nodes in a fixed order, so
+    # the tables equal one call per displacement node bit for bit
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    pot = transversal_gauge(variable_field())
+    phi, _ = pair_on(g, 7)
+    for count, pad in ((7, 0), (11, 3), (1, 2)):
+        assert same_bits(_lambda_factors(pot, g, count, pad=pad), lambda_per_node(pot, g, count, pad))
+    for pad in (0, 3):
+        assert same_bits(_tilde_values(phi, "linear", pad), tilde_per_node(phi, "linear", pad))
+
+
+def test_products_and_bands_match_per_node_loops(monkeypatch):
+    # the variable-field product (dressing tables, a callable left factor
+    # and a padded callable right one), the multiplier products and
+    # rep_banded against the same routes with every per-node loop put back
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = variable_field()
+    pot = transversal_gauge(fld)
+    phi, psi = pair_on(g, 5)
+    v = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g)
+    cases = [(phi, psi), (v, psi), (psi, v)]
+
+    def run():
+        prods = [
+            twisted_product(a, b, fld, sheet=sheet, tail_warn=np.inf)
+            for a, b in cases for sheet in ("centered", "tilde")
+        ]
+        return [p.values for p in prods] + [rep_banded(pot, phi).coeffs]
+
+    blocked = run()
+    monkeypatch.setattr(crossed, "_lambda_factors", lambda_per_node)
+    monkeypatch.setattr(crossed, "_tilde_values", tilde_per_node)
+    monkeypatch.setattr(crossed, "_multiply", multiply_per_node)
+    for got, want in zip(blocked, run()):
+        assert same_bits(got, want)
+
+
+def test_shared_right_tilde_values_give_the_same_product():
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = MagneticField.constant_2d(0.9)
+    phi, psi = pair_on(g, 5, attach=False)
+    tilde = _tilde_values(psi, "linear")
+    p = twisted_product(phi, psi, fld, tail_warn=np.inf)
+    q = twisted_product(phi, psi, fld, tail_warn=np.inf, _psi_tilde=tilde)
+    assert same_bits(p.values, q.values) and p.tail_mass == q.tail_mass
+    phi_f, psi_f = pair_on(g, 5)
+    with pytest.raises(ValueError, match="callable"):
+        twisted_product(phi_f, psi_f, fld, _psi_tilde=tilde)
 
 
 def test_qindep_const_fast_path_matches_reference():
