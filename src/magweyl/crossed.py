@@ -20,10 +20,11 @@ the tilde sheet, and ``rep`` reads either.  The shear between the sheets
 displacement index, each moved along base axis e by ``grid``'s one-axis
 shifts, so it equals a ``shift_q`` per displacement node bit for bit; it
 holds at most two full-size buffers, its input and its output, and a
-product rewrites its own output in place.  A caller that multiplies many
-kernels by one fixed right factor shears that factor once: the Neumann
-series of ``resolvent`` passes its tilde values to every product of the
-series, and a square shears its factor once.
+product rewrites its own output in place.  A caller that multiplies by
+one factor several times shears it once: the Neumann series of
+``resolvent`` passes the tilde values of its fixed factor to every
+product of the series, and the residual check of a perturbed resolvent
+passes those of its correction to a left and a right product.
 
 ``twisted_product`` has three branches.  A factor with one displacement
 node is a multiplier and scales the other factor at shifted base points.
@@ -673,6 +674,7 @@ def twisted_product(
     out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
+    _phi_tilde: Optional[np.ndarray] = None,
     _psi_tilde: Optional[np.ndarray] = None,
 ) -> KernelSample:
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
@@ -707,14 +709,15 @@ def twisted_product(
     is the right object for cross-route validation and for ``rep``.
     Base-point dependent inputs must be centered.
 
-    ``_psi_tilde`` is private to the package: the tilde values
-    ``_tilde_values(psi, scheme)`` of a right factor without a callable,
-    for a caller that multiplies many left factors by the same ``psi`` and
-    shears it once.
+    ``_phi_tilde`` and ``_psi_tilde`` are private to the package: the
+    tilde values ``_tilde_values(k, scheme)`` of a factor without a
+    callable, for a caller that multiplies by the same factor several
+    times and shears it once.
     """
     out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product")
-    if _psi_tilde is not None and psi.func is not None:
-        raise ValueError("tilde values are passed only for a right factor without a callable")
+    for k, k_tilde in ((phi, _phi_tilde), (psi, _psi_tilde)):
+        if k_tilde is not None and k.func is not None:
+            raise ValueError("tilde values are passed only for a factor without a callable")
     grid = phi.grid
     tilde = sheet == "tilde"
 
@@ -732,9 +735,8 @@ def twisted_product(
         # the right factor is read at shifted base points r + y; callables
         # and base-point independent kernels extend past the box, arrays do not
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
+        a = _tilde_values(phi, scheme) if _phi_tilde is None else _phi_tilde
         b = _tilde_values(psi, scheme, pad=pad) if _psi_tilde is None else _psi_tilde
-        # a square shears its factor once
-        a = b if phi is psi and not pad else _tilde_values(phi, scheme)
         if field.is_constant:
             vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:

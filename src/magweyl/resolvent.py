@@ -170,10 +170,15 @@ def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
 
 
 def _product(
-    a: KernelSample, b: KernelSample, field: MagneticField, b_tilde: Optional[np.ndarray] = None
+    a: KernelSample,
+    b: KernelSample,
+    field: MagneticField,
+    a_tilde: Optional[np.ndarray] = None,
+    b_tilde: Optional[np.ndarray] = None,
 ) -> KernelSample:
-    # per-product tail warnings are off; _surface_tail reports the sum once
-    return twisted_product(a, b, field, tail_warn=np.inf, _psi_tilde=b_tilde)
+    # per-product tail warnings are off; _surface_tail reports the sum once;
+    # a factor's tilde values, when given, spare its shear
+    return twisted_product(a, b, field, tail_warn=np.inf, _phi_tilde=a_tilde, _psi_tilde=b_tilde)
 
 
 def _minus_unit(products: List[KernelSample]) -> KernelSample:
@@ -324,14 +329,15 @@ def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, 
     Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
     shrink their window as the series progresses instead of paying
     full-window convolutions throughout.  The fixed right factor -g is
-    sheared once and its tilde values serve every product of the series.
+    sheared once and its tilde values serve every product of the series,
+    the first one, (-g) ⋄ (-g), on both sides.
     """
     gn = l1_norm(g)
     if gn >= 1.0:
         raise ValueError(f"Neumann radius exceeded: ‖g‖₁ = {gn:.6f} ≥ 1")
     neg = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
     neg_tilde = _tilde_values(neg, _SCHEME)
-    term = neg
+    term, term_tilde = neg, neg_tilde
     acc = neg
     terms = 1
     term_norm = l1_norm(term)
@@ -341,7 +347,8 @@ def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, 
                 f"Neumann series stalled after {_MAX_TERMS} terms "
                 f"(last term {term_norm:.3e}, radius {gn:.3f})"
             )
-        term = trim_kernel(_product(term, neg, field, neg_tilde), _SERIES_TRIM)
+        term = trim_kernel(_product(term, neg, field, term_tilde, neg_tilde), _SERIES_TRIM)
+        term_tilde = None
         acc = kernel_lincomb([(1.0, acc), (1.0, term)])
         terms += 1
         term_norm = l1_norm(term)
@@ -556,13 +563,18 @@ def resolvent_with_potential(
     # the box edge, so folding it into one base-dependent array would make
     # the stiff momentum factor read zeros past the boundary; split apart,
     # every factor pair extends validly (corr and V-products decay in the
-    # base point, the rest is base-independent or has an attached callable)
-    res_r = l1_norm(_minus_unit([
-        _product(khz, phi, field), _product(khz, corr, field), g, _product(kv, corr, field),
-    ]))
+    # base point, the rest is base-independent or has an attached callable).
+    # corr is a factor on both sides and is sheared once for both; its
+    # tilde values and each side's products are dropped as soon as they are
+    # used, so the check holds no more at once than with a shear per product
+    corr_tilde = _tilde_values(corr, _SCHEME)
+    khz_corr = _product(khz, corr, field, b_tilde=corr_tilde)
+    corr_khz = _product(corr, khz, field, a_tilde=corr_tilde)
+    del corr_tilde
+    res_r = l1_norm(_minus_unit([_product(khz, phi, field), khz_corr, g, _product(kv, corr, field)]))
+    del khz_corr
     res_l = l1_norm(_minus_unit([
-        _product(phi, khz, field), _product(corr, khz, field),
-        _product(phi, kv, field), _product(corr, kv, field),
+        _product(phi, khz, field), corr_khz, _product(phi, kv, field), _product(corr, kv, field),
     ]))
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {

@@ -378,17 +378,19 @@ def test_products_and_bands_match_per_node_loops(monkeypatch):
         assert same_bits(got, want)
 
 
-def test_shared_right_tilde_values_give_the_same_product():
+def test_shared_tilde_values_give_the_same_product():
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     fld = MagneticField.constant_2d(0.9)
     phi, psi = pair_on(g, 5, attach=False)
-    tilde = _tilde_values(psi, "linear")
+    phi_t, psi_t = _tilde_values(phi, "linear"), _tilde_values(psi, "linear")
     p = twisted_product(phi, psi, fld, tail_warn=np.inf)
-    q = twisted_product(phi, psi, fld, tail_warn=np.inf, _psi_tilde=tilde)
-    assert same_bits(p.values, q.values) and p.tail_mass == q.tail_mass
+    for kw in ({"_psi_tilde": psi_t}, {"_phi_tilde": phi_t}, {"_phi_tilde": phi_t, "_psi_tilde": psi_t}):
+        q = twisted_product(phi, psi, fld, tail_warn=np.inf, **kw)
+        assert same_bits(p.values, q.values) and p.tail_mass == q.tail_mass
     phi_f, psi_f = pair_on(g, 5)
-    with pytest.raises(ValueError, match="callable"):
-        twisted_product(phi_f, psi_f, fld, _psi_tilde=tilde)
+    for kw in ({"_psi_tilde": psi_t}, {"_phi_tilde": phi_t}):
+        with pytest.raises(ValueError, match="callable"):
+            twisted_product(phi_f, psi_f, fld, **kw)
 
 
 def test_qindep_const_fast_path_matches_reference():

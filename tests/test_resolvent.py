@@ -431,36 +431,25 @@ def test_potential_rep_matches_matrix_inverse():
     assert op_norm(gap[np.ix_(bulk, bulk)]) < 5e-3
 
 
-def test_potential_series_shears_its_fixed_factor_once(monkeypatch):
+def test_potential_shears_each_factor_once(monkeypatch):
     # every product of the Neumann series multiplies by the same fixed
-    # factor -g, which is sheared once for the whole series; so within the
-    # series no array is sheared twice with the same h.  (The residual
-    # check after it reads the corrected kernel in a left and a right
-    # product, which shear it once each.)
+    # factor -g, and the residual check reads the correction in a left and
+    # a right product; each is sheared once, so during the whole run no
+    # array is sheared twice with the same h
     crossed = importlib.import_module("magweyl.crossed")
-    res = importlib.import_module("magweyl.resolvent")
     g = BoxGrid(dim=2, half_length=4.0, n=16)
     ht = trig_kinetic(g)
     r = resolvent(ht, FIELD, g, Z1, a0=0.0)
-    shear, series = crossed._shear, res._inv_one_plus
-    sheared, alive, in_series = [], [], [False]
+    shear = crossed._shear
+    sheared, alive = [], []
 
     def spy(values, grid, h, scheme, **kw):
-        if in_series[0]:
-            # holding the inputs keeps their ids unique
-            alive.append(values)
-            sheared.append((id(values), h))
+        # holding the inputs keeps their ids unique
+        alive.append(values)
+        sheared.append((id(values), h))
         return shear(values, grid, h, scheme, **kw)
 
-    def traced_series(*args):
-        in_series[0] = True
-        try:
-            return series(*args)
-        finally:
-            in_series[0] = False
-
     monkeypatch.setattr(crossed, "_shear", spy)
-    monkeypatch.setattr(res, "_inv_one_plus", traced_series)
     rv = resolvent_with_potential(ht, bump_potential, FIELD, g, Z1, base=r)
     assert rv.meta["neumann"]["terms"] >= 3 and sheared
     assert len(sheared) == len(set(sheared))
