@@ -62,6 +62,14 @@ independent kernels describe translation-covariant operators and their
 values extend unchanged.  Products refuse periodic boxes, where the shear
 would wrap base points that the product zero-extends; ``rep`` wraps them.
 
+On a truncated box ``rep`` integrates each unordered node pair once:
+reversing the segment [x, y] negates its circulation, so the phase of a
+lexicographically positive displacement u (the upper triangle in flat node
+order) also dresses the reverse entry, which reads its own kernel value
+φ~(y;-u); ``rep_banded`` takes its phases by the same rule.  Periodic boxes
+integrate every pair, since a wrapped column's reverse segment is not the
+negated one.
+
 The layer runs one fixed configuration:
 
 * Interpolation is linear and line quadrature has order 8 (``_SCHEME``,
@@ -72,13 +80,16 @@ The layer runs one fixed configuration:
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
 * Block sizes, which bound the temporaries whatever the window: 8192
-  node pairs per block when ``rep`` fills a dense matrix or callable
-  tilde values are tabled (``_PAIR_BLOCK``), about 2^16 flux quadrature
-  nodes per block of a table of circulation phases Λ (``_QUAD_BLOCK``,
-  1024 pairs at order 8), 2^16 complex entries (1 MB) per batch
-  temporary of the constant-field product's FFTs (``_FFT_BLOCK``), and 64
-  and 128 matrix rows per GEMM tile of A (base points r) and of B (rows S
-  of the right factor), each rounded to whole rows of the leading axis
+  node pairs per block when callable tilde values are tabled
+  (``_PAIR_BLOCK``); as many integrated pairs per block of rows when
+  ``rep`` fills a dense matrix at order 8, and (8/order)² times as many
+  at another order, since a gauge built at that order integrates a
+  pair's flux on order² nodes; about 2^16 flux quadrature nodes per
+  block of a table of circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs
+  at order 8); 2^16 complex entries (1 MB) per batch temporary of the
+  constant-field product's FFTs (``_FFT_BLOCK``); and 64 and 128 matrix
+  rows per GEMM tile of A (base points r) and of B (rows S of the right
+  factor), each rounded to whole rows of the leading axis
   (``_GEMM_ROWS``, ``_GEMM_DEPTH``): 2 and 4 of them at n=32 in two
   dimensions, where the product's tiles peak near 7 MB.
 """
@@ -976,12 +987,33 @@ def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
 
     The matrix-free form of :func:`rep` at its default scheme and order,
-    for ``matvec``/``rmatvec`` users.
+    for ``matvec``/``rmatvec`` users.  On a truncated box the phase of a
+    lexicographically negative u whose target x + u lies in the box is
+    taken from the reverse segment, λ^A(x;u) = conj(λ^A(x+u;-u)), as
+    ``rep`` takes it, so ``to_dense()`` equals ``rep`` bit for bit; the
+    table itself still integrates every (x, u).
     """
     grid = kernel.grid
-    coeffs = _lambda_factors(pot, grid, kernel.disp_count) * _tilde_values(kernel, _SCHEME)
+    lam = _lambda_factors(pot, grid, kernel.disp_count)
+    if grid.bc != "periodic":
+        _mirror_phases(lam, grid)
+    coeffs = lam * _tilde_values(kernel, _SCHEME)
     coeffs *= grid.cell_volume
     return BandedOperator(grid=grid, coeffs=coeffs, periodic=grid.bc == "periodic")
+
+
+def _mirror_phases(lam: np.ndarray, grid: BoxGrid) -> None:
+    """Set Λ[x;u] = conj(Λ[x+u;-u]) in place for every lexicographically
+    negative u of the window and every x with x + u in the box."""
+    dim, n = grid.dim, grid.n
+    d = lam.shape[-1]
+    flat = lam.reshape((n,) * dim + (-1,))
+    count = flat.shape[-1]
+    for j in range(count // 2):
+        shift = np.array(np.unravel_index(j, (d,) * dim)) - d // 2
+        src = tuple(slice(max(0, -s), n - max(0, s)) for s in shift)
+        dst = tuple(slice(max(0, s), n - max(0, -s)) for s in shift)
+        flat[src + (j,)] = np.conj(flat[dst + (count - 1 - j,)])
 
 
 def rep(
@@ -994,11 +1026,19 @@ def rep(
     """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
 
     Filled directly over the node pairs whose difference u = y - x lies in
-    the kernel window, a fixed number of pairs per block of rows: the entry
-    is Δ^N exp(-i circulation(x, u)) φ~(x;u) with the sheared value
-    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet kernels.
-    Periodic boxes wrap the column index.  Entries equal those of
-    ``rep_banded(...).to_dense()`` bit for bit.
+    the kernel window: the entry is Δ^N exp(-i circulation(x, u)) φ~(x;u)
+    with the sheared value φ~(x;u) = φ(x + u/2; u), taken as stored for
+    tilde-sheet kernels.  On a truncated box each unordered pair is
+    integrated once: the circulation c of a lexicographically positive u
+    (and of u = 0) also gives the reverse entry Δ^N exp(+i c) φ~(y;-u),
+    since reversing the segment negates its line integral.  Only the phase
+    is shared, so a non-Hermitian kernel gives a non-Hermitian matrix.
+    Periodic boxes wrap the column index and integrate every pair: a
+    wrapped column's reverse segment is not the negated one.  A block of
+    rows holds about ``_PAIR_BLOCK`` integrated pairs at order 8 and
+    (8/order)² times as many at another ``order``, as a gauge built at
+    that order integrates a pair's flux on order² nodes.  Entries equal
+    those of ``rep_banded(...).to_dense()`` bit for bit.
     """
     grid = kernel.grid
     dim, n, size = grid.dim, grid.n, grid.size
@@ -1006,16 +1046,21 @@ def rep(
     count = d**dim
     tilde = _tilde_values(kernel, scheme).reshape(-1, count)
     disp = _disp_nodes(grid, d)
+    periodic = grid.bc == "periodic"
+    # displacement nodes are in lexicographic order, so u = 0 is the middle
+    # node and the lexicographically positive ones follow it
+    first = 0 if periodic else count // 2
     # per axis: the node reached from node i by the j-th step, and whether
     # it lies in the box
     target = np.arange(n)[:, None] + np.arange(d)[None, :] - d // 2
     inside = (target >= 0) & (target < n)
-    if grid.bc == "periodic":
+    if periodic:
         target %= n
         inside[:] = True
     pts = grid.points()
     mat = np.zeros((size, size), dtype=complex)
-    rows_per_block = max(1, _PAIR_BLOCK // count)
+    pairs_per_block = _PAIR_BLOCK * _ORDER**2 // order**2
+    rows_per_block = max(1, pairs_per_block // (count - first))
     for start in range(0, size, rows_per_block):
         rows = np.arange(start, min(start + rows_per_block, size))
         col, ok = 0, True
@@ -1023,12 +1068,20 @@ def rep(
             shape = (len(rows),) + (1,) * ax + (d,) + (1,) * (dim - 1 - ax)
             col = col * n + target[node].reshape(shape)
             ok = ok & inside[node].reshape(shape)
-        r, j = np.nonzero(ok.reshape(len(rows), count))
-        col = col.reshape(len(rows), count)[r, j]
+        r, j = np.nonzero(ok.reshape(len(rows), count)[:, first:])
+        col = col.reshape(len(rows), count)[:, first:][r, j]
         r += start
+        j += first
         coef = np.take(tilde[0], j) if kernel.q_independent else tilde[r, j]
         circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
-        mat[r, col] = np.exp(-1j * circ) * coef * grid.cell_volume
+        phase = np.exp(-1j * circ)
+        mat[r, col] = phase * coef * grid.cell_volume
+        if periodic:
+            continue
+        rev = j > first
+        r, col, j = r[rev], col[rev], count - 1 - j[rev]
+        coef = np.take(tilde[0], j) if kernel.q_independent else tilde[col, j]
+        mat[col, r] = np.conj(phase[rev]) * coef * grid.cell_volume
     return OperatorMatrix(mat=mat, grid=grid)
 
 

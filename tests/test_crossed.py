@@ -23,11 +23,14 @@ from magweyl.grid import (
     MomentumGrid,
     PhaseGridFunction,
     partial_fourier,
+    partial_fourier_inv,
     shift_q,
 )
 from magweyl.moyal import trim_kernel
+from magweyl.spectral import eig
 from magweyl.crossed import (
     BandedOperator,
+    OperatorMatrix,
     UnitizedKernel,
     delta_kernel,
     kernel_from_func,
@@ -896,6 +899,127 @@ def test_gauge_covariance_of_rep():
     M2 = rep(pot2, phi).mat
     u = np.exp(1j * rho.func(g.points()))
     assert np.abs(u[:, None] * M1 * np.conj(u)[None, :] - M2).max() < 1e-10
+
+
+def rep_pairs(g, d):
+    """Every (row, displacement index, column) of the window whose column
+    lies in the box, wrapped on a periodic box, and the steps u/δ."""
+    count = d**g.dim
+    x = np.repeat(np.arange(g.size), count)
+    j = np.tile(np.arange(count), g.size)
+    steps = np.stack(np.unravel_index(j, (d,) * g.dim), axis=-1) - d // 2
+    node = np.stack(np.unravel_index(x, (g.n,) * g.dim), axis=-1) + steps
+    inside = np.all((node >= 0) & (node < g.n), axis=-1) | (g.bc == "periodic")
+    y = np.ravel_multi_index(tuple((node[inside] % g.n).T), (g.n,) * g.dim)
+    return x[inside], j[inside], y, steps[inside]
+
+
+def rep_per_pair(pot, k):
+    """The representation with every pair integrated along its own segment,
+    M[x, x+u] = Δ^N exp(-i circulation(x, u)) φ~(x;u)."""
+    g = k.grid
+    x, j, y, steps = rep_pairs(g, k.disp_count)
+    tilde = _tilde_values(k, "linear").reshape(-1, k.disp_count**g.dim)
+    coef = tilde[0, j] if k.q_independent else tilde[x, j]
+    circ = pot.circulation(g.points()[x], steps * g.delta)
+    mat = np.zeros((g.size, g.size), dtype=complex)
+    mat[x, y] = np.exp(-1j * circ) * coef * g.cell_volume
+    return mat
+
+
+def spy_pairs(monkeypatch):
+    """Count the segments every VectorPotential.circulation call integrates."""
+    seen = []
+    circulation = crossed.VectorPotential.circulation
+
+    def spy(self, q, x, order=None):
+        seen.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
+        return circulation(self, q, x, order=order)
+
+    monkeypatch.setattr(crossed.VectorPotential, "circulation", spy)
+    return seen
+
+
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+def test_rep_integrates_each_unordered_pair_once(monkeypatch, bc):
+    # a truncated box takes the reverse of each segment by negation, so the
+    # in-box pairs off the diagonal are integrated once per unordered pair;
+    # a wrapped column's reverse segment is not the negated one, so a
+    # periodic box integrates every pair
+    g = BoxGrid(dim=2, half_length=3.0, n=12, bc=bc)
+    phi, _ = pair_on(g, 7)
+    seen = spy_pairs(monkeypatch)
+    rep(transversal_gauge(variable_field()), phi)
+    pairs = len(rep_pairs(g, 7)[0])
+    want = pairs if bc == "periodic" else (pairs + g.size) // 2
+    assert sum(seen) == want
+
+
+def shifted_gauge():
+    rho = GaugeFunction(
+        func=lambda q: np.sin(q[..., 0]) * q[..., 1],
+        grad=lambda q: np.stack([np.cos(q[..., 0]) * q[..., 1], np.sin(q[..., 0])], axis=-1),
+    )
+    return gauge_shift(transversal_gauge(variable_field()), rho)
+
+
+REP_GAUGES = {
+    "variable": lambda: transversal_gauge(variable_field()),
+    "constant": lambda: transversal_gauge(MagneticField.constant_2d(0.9)),
+    "gauge_shift": shifted_gauge,
+}
+
+
+@pytest.mark.parametrize("gauge", sorted(REP_GAUGES))
+def test_rep_matches_per_pair_reference(gauge):
+    # the integrated pairs (upper triangle and diagonal) are the reference's
+    # bit for bit; a reverse entry differs from it only by the rounding of
+    # the reverse segment's circulation
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    phi, _ = pair_on(g, 7)
+    pot = REP_GAUGES[gauge]()
+    got, want = rep(pot, phi).mat, rep_per_pair(pot, phi)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    upper = np.triu_indices(g.size)
+    assert same_bits(got[upper], want[upper])
+
+
+@pytest.mark.parametrize("imag", ["constant", "odd"])
+def test_rep_keeps_a_non_hermitian_kernel_non_hermitian(imag):
+    # only the phase is shared between an entry and its reverse, so M - M^†
+    # is the reference's; the constant 0.5i sits on the diagonal, the odd
+    # 0.5i sin p_1 off it, where conjugating whole entries would erase it
+    def symbol(p):
+        extra = 0.5j * np.sin(p[..., 0]) if imag == "odd" else 0.0
+        return np.sum(p * p, axis=-1) + 0.5j + extra
+
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    kernel = partial_fourier_inv(PhaseGridFunction.sample(symbol, g, q_independent=True))
+    pot = transversal_gauge(variable_field())
+    got, want = rep(pot, kernel).mat, rep_per_pair(pot, kernel)
+    scale = np.abs(want).max()
+    skew_got, skew_want = got - got.conj().T, want - want.conj().T
+    assert np.abs(skew_got - skew_want).max() <= 1e-14 * scale
+    assert np.abs(skew_got).max() == pytest.approx(np.abs(skew_want).max(), rel=1e-12)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig(OperatorMatrix(mat=got, grid=g))
+
+
+def test_rep_memory_does_not_grow_with_order():
+    # a block holds about as many flux quadrature nodes at order 16 (a
+    # gauge and a line rule of 16 nodes each, 256 per pair) as at order 8:
+    # 25.5 MB against 26.9 MB at order 8 for a 5.3 MB matrix, where blocks
+    # of 8192 pairs at every order peaked at 85.1 MB
+    g = BoxGrid(dim=2, half_length=3.0, n=24)
+    phi, _ = pair_on(g, 9, attach=False)
+    pot = transversal_gauge(variable_field(), order=16)
+    tracemalloc.start()
+    try:
+        rep(pot, phi, order=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6, peak
 
 
 # ---------------------------------------------------------------------------
