@@ -15,16 +15,16 @@ Internally products and representations work on the sheared sheet
 
 with all base points on the lattice.  ``KernelSample.sheet`` says which
 form a kernel stores; products return centered values unless asked for
-the tilde sheet, and ``rep`` reads either.  The shear between the sheets
-(``_shear``) runs one pass per grid axis e over the slabs of e's
-displacement index, each moved along base axis e by ``grid``'s one-axis
-shifts, so it equals a ``shift_q`` per displacement node bit for bit; it
-holds at most two full-size buffers, its input and its output, and a
-product rewrites its own output in place.  A caller that multiplies by
-one factor several times shears it once: the Neumann series of
-``resolvent`` passes the tilde values of its fixed factor to every
-product of the series, and the residual check of a perturbed resolvent
-passes those of its correction to a left and a right product.
+the tilde sheet, and ``rep`` and ``twisted_product`` read either.  The
+shear between the sheets (``_shear``) runs one pass per grid axis e over
+the slabs of e's displacement index, each moved along base axis e by
+``grid``'s one-axis shifts, so it equals a ``shift_q`` per displacement
+node bit for bit; it holds at most two full-size buffers, its input and
+its output, and a product rewrites its own output in place.  A product
+reads a tilde-tagged factor as stored, so a caller that multiplies by one
+factor several times tags it once (``_to_tilde``), as the Neumann series
+of ``resolvent`` does with its fixed factor; a perturbed resolvent keeps
+its correction on the tilde sheet throughout.
 
 ``twisted_product`` has three branches.  A factor with one displacement
 node is a multiplier and scales the other factor at shifted base points.
@@ -351,19 +351,25 @@ def _over_pairs(
 def _tilde_values(k: KernelSample, scheme: str, pad: int = 0) -> np.ndarray:
     """φ~(r;x) = φ(r + x/2; x) for every displacement node.
 
-    Tilde-sheet kernels return their values as stored and base-point
-    independent kernels are unaffected by the shear.  Otherwise exact via
-    the kernel's callable when present, interpolated by :func:`_shear`
-    else.  With ``pad`` the callable is evaluated on the base mesh extended
-    by that many lattice steps per face.
+    Base-point independent kernels are unaffected by the shear.  Otherwise
+    the kernel's callable wins on either sheet, evaluated on the base mesh
+    extended by ``pad`` lattice steps per face; without one, tilde-sheet
+    values are returned as stored and centered ones are sheared by
+    :func:`_shear`.
     """
-    if k.q_independent or k.sheet == "tilde":
+    if k.q_independent or (k.sheet == "tilde" and k.func is None):
         return k.values.astype(complex, copy=False)
     grid = k.grid
     if k.func is None:
         return _shear(k.values, grid, 1, scheme)
     mesh = _ext_mesh(grid, pad) if pad else grid.mesh()
     return _over_pairs(lambda r, u: k.func(r + 0.5 * u, u), mesh, grid, k.disp_count)
+
+
+def _to_tilde(k: KernelSample) -> KernelSample:
+    """The kernel sheared once and stored tilde-tagged, without its callable."""
+    values = _tilde_values(k, _SCHEME)
+    return KernelSample(k.grid, values, k.q_independent, tail_mass=k.tail_mass, sheet="tilde")
 
 
 def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
@@ -621,7 +627,8 @@ def _multiply(v, other, h, scheme, tilde):
     left shift drops out, (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) (h = 0), and
     (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  v comes from its callable
     when it has one and h ≠ 0, called once per leading displacement index,
-    else from its shifted samples.
+    else from its samples: broadcast over the displacements for h = 0,
+    shifted for h ≠ 0.
     """
     grid = v.grid
     dim = grid.dim
@@ -639,8 +646,9 @@ def _multiply(v, other, h, scheme, tilde):
                 v.func(mesh + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
             )
     else:
-        vq = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
-        vv = _shear(np.broadcast_to(vq[(Ellipsis,) + (None,) * dim], shape), grid, h, scheme)
+        vv = (v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume)[(Ellipsis,) + (None,) * dim]
+        if h:
+            vv = _shear(np.broadcast_to(vv, shape), grid, h, scheme)
     return vv * vals
 
 
@@ -649,7 +657,7 @@ def _multiply(v, other, h, scheme, tilde):
 # ---------------------------------------------------------------------------
 
 
-def _check_operands(phi, psi, field, sheet, out_disp_count, what) -> int:
+def _check_operands(phi, psi, field, sheet, out_disp_count) -> int:
     """Check the operands of a product and return its output count: the
     kept window, by default the natural one, at most the largest one the
     box represents."""
@@ -666,8 +674,6 @@ def _check_operands(phi, psi, field, sheet, out_disp_count, what) -> int:
         )
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
-    _require_centered(phi, what)
-    _require_centered(psi, what)
     if out_disp_count is None:
         out_disp_count = phi.disp_count + psi.disp_count - 1
     elif out_disp_count % 2 != 1:
@@ -685,8 +691,6 @@ def twisted_product(
     out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
-    _phi_tilde: Optional[np.ndarray] = None,
-    _psi_tilde: Optional[np.ndarray] = None,
 ) -> KernelSample:
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
 
@@ -718,17 +722,15 @@ def twisted_product(
     node lattice there, so that form is free of the half-step
     interpolation the centered output needs on odd displacement rows; it
     is the right object for cross-route validation and for ``rep``.
-    Base-point dependent inputs must be centered.
 
-    ``_phi_tilde`` and ``_psi_tilde`` are private to the package: the
-    tilde values ``_tilde_values(k, scheme)`` of a factor without a
-    callable, for a caller that multiplies by the same factor several
-    times and shears it once.
+    A base-point dependent factor is read on the sheet its tag names, and
+    its callable, when it has one, wins on either sheet.  The general
+    branch reads every factor sheared, so a tilde-tagged factor spares a
+    shear and gives the product of its centered source bit for bit.  The
+    multiplier branch works on the other factor's sheet and shears its
+    output back when the other sheet is asked for.
     """
-    out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product")
-    for k, k_tilde in ((phi, _phi_tilde), (psi, _psi_tilde)):
-        if k_tilde is not None and k.func is not None:
-            raise ValueError("tilde values are passed only for a factor without a callable")
+    out_count = _check_operands(phi, psi, field, sheet, out_disp_count)
     grid = phi.grid
     tilde = sheet == "tilde"
 
@@ -737,8 +739,11 @@ def twisted_product(
     if phi.disp_count == 1 or psi.disp_count == 1:
         left = phi.disp_count == 1
         v, other = (phi, psi) if left else (psi, phi)
-        h = (0 if left else 2) if tilde else (-1 if left else 1)
-        vals = _fit_window(_multiply(v, other, h, scheme, tilde), out_count, grid.dim)
+        on_tilde = tilde or (other.sheet == "tilde" and not other.q_independent)
+        h = (0 if left else 2) if on_tilde else (-1 if left else 1)
+        vals = _fit_window(_multiply(v, other, h, scheme, on_tilde), out_count, grid.dim)
+        if on_tilde and not tilde:
+            vals = _shear(vals, grid, -1, scheme, inplace=True)
     elif q_independent and field.is_constant:
         vals = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
     else:
@@ -746,8 +751,8 @@ def twisted_product(
         # the right factor is read at shifted base points r + y; callables
         # and base-point independent kernels extend past the box, arrays do not
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
-        a = _tilde_values(phi, scheme) if _phi_tilde is None else _phi_tilde
-        b = _tilde_values(psi, scheme, pad=pad) if _psi_tilde is None else _psi_tilde
+        a = _tilde_values(phi, scheme)
+        b = _tilde_values(psi, scheme, pad=pad)
         if field.is_constant:
             vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:
@@ -802,7 +807,10 @@ def twisted_product_reference(
     sheet every factor sits at an on-lattice base point, so the two routes
     must agree there to quadrature accuracy.
     """
-    out_count = _check_operands(phi, psi, field, sheet, out_disp_count, "twisted_product_reference")
+    out_count = _check_operands(phi, psi, field, sheet, out_disp_count)
+    # the oracle reads stored values as centered, independently of the fast route
+    _require_centered(phi, "twisted_product_reference")
+    _require_centered(psi, "twisted_product_reference")
     grid = phi.grid
     dim = grid.dim
     da, db = phi.disp_count, psi.disp_count

@@ -254,8 +254,9 @@ class KernelSample:
     ``tail_mass`` records the L1 mass discarded by displacement truncation.
     ``sheet`` says how the base point is read: "centered" values are
     φ(q;x), "tilde" values are φ~(r;x) = φ(r + x/2; x), the sheared form
-    products and representations work on.  Base-point independent values
-    are the same on both sheets.
+    products and representations work on; the involution, the partial
+    Fourier transform and the reference product refuse it.  Base-point
+    independent values are the same on both sheets.
     """
 
     grid: BoxGrid
@@ -325,7 +326,7 @@ def _require_centered(k: KernelSample, what: str) -> None:
     if k.sheet == "tilde" and not k.q_independent:
         raise ValueError(
             f"{what} needs centered values; this base-point dependent kernel "
-            "is stored on the tilde sheet (rep and rep_banded accept it)"
+            "is stored on the tilde sheet (twisted_product, rep and rep_banded accept it)"
         )
 
 

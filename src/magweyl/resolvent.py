@@ -63,8 +63,7 @@ from .crossed import (
     l1_norm,
     multiplier_kernel,
     twisted_product,
-    _SCHEME,
-    _tilde_values,
+    _to_tilde,
 )
 from .fields import MagneticField, gamma_b
 from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
@@ -169,16 +168,9 @@ def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
     return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
 
 
-def _product(
-    a: KernelSample,
-    b: KernelSample,
-    field: MagneticField,
-    a_tilde: Optional[np.ndarray] = None,
-    b_tilde: Optional[np.ndarray] = None,
-) -> KernelSample:
-    # per-product tail warnings are off; _surface_tail reports the sum once;
-    # a factor's tilde values, when given, spare its shear
-    return twisted_product(a, b, field, tail_warn=np.inf, _phi_tilde=a_tilde, _psi_tilde=b_tilde)
+def _product(a: KernelSample, b: KernelSample, field: MagneticField, sheet: str = "centered") -> KernelSample:
+    # per-product tail warnings are off; _surface_tail reports the sum once
+    return twisted_product(a, b, field, tail_warn=np.inf, sheet=sheet)
 
 
 def _minus_unit(products: List[KernelSample]) -> KernelSample:
@@ -329,26 +321,23 @@ def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, 
     Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
     shrink their window as the series progresses instead of paying
     full-window convolutions throughout.  The fixed right factor -g is
-    sheared once and its tilde values serve every product of the series,
+    sheared once and passed tilde-tagged to every product of the series,
     the first one, (-g) ⋄ (-g), on both sides.
     """
     gn = l1_norm(g)
     if gn >= 1.0:
         raise ValueError(f"Neumann radius exceeded: ‖g‖₁ = {gn:.6f} ≥ 1")
-    neg = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
-    neg_tilde = _tilde_values(neg, _SCHEME)
-    term, term_tilde = neg, neg_tilde
-    acc = neg
+    acc = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
+    neg = term = _to_tilde(acc)
     terms = 1
-    term_norm = l1_norm(term)
+    term_norm = l1_norm(acc)
     while term_norm >= _TOL:
         if terms >= _MAX_TERMS:
             raise RuntimeError(
                 f"Neumann series stalled after {_MAX_TERMS} terms "
                 f"(last term {term_norm:.3e}, radius {gn:.3f})"
             )
-        term = trim_kernel(_product(term, neg, field, term_tilde, neg_tilde), _SERIES_TRIM)
-        term_tilde = None
+        term = trim_kernel(_product(term, neg, field), _SERIES_TRIM)
         acc = kernel_lincomb([(1.0, acc), (1.0, term)])
         terms += 1
         term_norm = l1_norm(term)
@@ -538,6 +527,13 @@ def resolvent_with_potential(
     perturbation norm ‖V ⋄ Φ‖₁ < 1; the error message suggests moving z
     away from the real axis when it is not.  A precomputed base resolvent
     at the same z may be passed to skip the continuation.
+
+    The kernel comes back tagged ``sheet="tilde"``: the correction Φ ⋄ w
+    and the residual check run on that sheet, where every base point of the
+    product lies on the lattice and the algebra is exact, so the residual
+    describes the kernel returned.  ``twisted_involution``,
+    ``partial_fourier`` and the reference product refuse that sheet;
+    ``twisted_product(kernel, delta_kernel(grid), field)`` recenters it.
     """
     z = complex(z)
     if base is None:
@@ -554,28 +550,23 @@ def resolvent_with_potential(
             "increase |Im z| or shrink the potential"
         )
     w, info = _inv_one_plus(g, field)
-    corr = trim_kernel(_product(phi, w, field), _SERIES_TRIM)
+    phi = _to_tilde(phi)
+    corr = trim_kernel(_product(phi, w, field, "tilde"), _SERIES_TRIM)
     phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), _SERIES_TRIM)
 
     hf = _h_func(h)
     khz = _momentum_kernel(lambda p: np.asarray(hf(p)) - z, grid)
+
+    def check(pairs):
+        return l1_norm(_minus_unit([_product(a, b, field, "tilde") for a, b in pairs]))
+
     # (h - z + V) ⋄ (Φ + corr) - 1 assembled piecewise: Φ does not decay at
     # the box edge, so folding it into one base-dependent array would make
     # the stiff momentum factor read zeros past the boundary; split apart,
     # every factor pair extends validly (corr and V-products decay in the
-    # base point, the rest is base-independent or has an attached callable).
-    # corr is a factor on both sides and is sheared once for both; its
-    # tilde values and each side's products are dropped as soon as they are
-    # used, so the check holds no more at once than with a shear per product
-    corr_tilde = _tilde_values(corr, _SCHEME)
-    khz_corr = _product(khz, corr, field, b_tilde=corr_tilde)
-    corr_khz = _product(corr, khz, field, a_tilde=corr_tilde)
-    del corr_tilde
-    res_r = l1_norm(_minus_unit([_product(khz, phi, field), khz_corr, g, _product(kv, corr, field)]))
-    del khz_corr
-    res_l = l1_norm(_minus_unit([
-        _product(phi, khz, field), corr_khz, _product(phi, kv, field), _product(corr, kv, field),
-    ]))
+    # base point, the rest is base-independent or has an attached callable)
+    res_r = check([(khz, phi), (khz, corr), (kv, phi), (kv, corr)])
+    res_l = check([(phi, khz), (corr, khz), (phi, kv), (corr, kv)])
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {
         "perturbation_norm": gn,

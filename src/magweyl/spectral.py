@@ -464,8 +464,8 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
     size = mat.shape[0]
     if size > EIG_CAP:
         raise ValueError(
-            f"dense eigensolve refused at dimension {size} > {EIG_CAP}; run a "
-            "windowed iterative mode (shift-invert or Lanczos) or coarsen the grid"
+            f"dense eigensolve refused at dimension {size} > {EIG_CAP}; coarsen "
+            "the grid or shrink the box"
         )
     residual, real_input, axis, reflection = _symmetry_scan(mat, grid)
     if residual > _HERM_TOL:
@@ -529,24 +529,22 @@ def landau_oracle(b: float, v: float, window: tuple) -> SpectrumResult:
     """Spectrum {(2k+1)|b| + v} of the constant-field free Hamiltonian.
 
     Each point is infinitely degenerate; ``b = 0`` is refused because the
-    zero-field limit has the continuous band [v, inf) instead.
+    zero-field limit has the continuous band [v, inf) instead.  A
+    non-finite b, v or window end is refused as well.
     """
+    lo, hi = float(window[0]), float(window[1])
+    if not np.all(np.isfinite([b, v, lo, hi])):
+        raise ValueError(f"landau_oracle needs finite b, v and window, got {b}, {v}, {window}")
     if b == 0:
         raise ValueError(
             "constant-field oracle needs b != 0; a vanishing field gives the "
             "continuous band [v, inf), use the band branch"
         )
-    lo, hi = float(window[0]), float(window[1])
-    vals = []
-    k = 0
-    while True:
-        level = (2 * k + 1) * abs(b) + v
-        if level > hi:
-            break
-        if level >= lo:
-            vals.append(level)
-        k += 1
-    vals = np.asarray(vals, dtype=float)
+    first = max(0, int(np.floor(((lo - v) / abs(b) - 1) / 2)) - 1)
+    last = int(np.ceil(((hi - v) / abs(b) - 1) / 2)) + 1
+    # candidate k padded by one each side against rounding; the comparisons decide
+    levels = (2 * np.arange(first, last + 1) + 1) * abs(b) + v
+    vals = levels[(levels >= lo) & (levels <= hi)]
     return SpectrumResult(
         values=vals,
         window=(lo, hi),

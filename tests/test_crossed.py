@@ -49,6 +49,7 @@ from magweyl.crossed import (
     _multiply,
     _shear,
     _tilde_values,
+    _to_tilde,
 )
 
 
@@ -381,19 +382,77 @@ def test_products_and_bands_match_per_node_loops(monkeypatch):
         assert same_bits(got, want)
 
 
-def test_shared_tilde_values_give_the_same_product():
+def test_tilde_tagged_factor_gives_the_same_product():
+    # a factor handed over on the tilde sheet is read as stored: the general
+    # route reads every factor sheared, so the product equals that of the
+    # centered source bit for bit, on both output sheets and either side
     g = BoxGrid(dim=2, half_length=3.0, n=12)
-    fld = MagneticField.constant_2d(0.9)
     phi, psi = pair_on(g, 5, attach=False)
-    phi_t, psi_t = _tilde_values(phi, "linear"), _tilde_values(psi, "linear")
-    p = twisted_product(phi, psi, fld, tail_warn=np.inf)
-    for kw in ({"_psi_tilde": psi_t}, {"_phi_tilde": phi_t}, {"_phi_tilde": phi_t, "_psi_tilde": psi_t}):
-        q = twisted_product(phi, psi, fld, tail_warn=np.inf, **kw)
-        assert same_bits(p.values, q.values) and p.tail_mass == q.tail_mass
-    phi_f, psi_f = pair_on(g, 5)
-    for kw in ({"_psi_tilde": psi_t}, {"_phi_tilde": phi_t}):
-        with pytest.raises(ValueError, match="callable"):
-            twisted_product(phi_f, psi_f, fld, **kw)
+    phi_t, psi_t = _to_tilde(phi), _to_tilde(psi)
+    assert phi_t.sheet == "tilde" and phi_t.func is None
+    for fld in (MagneticField.constant_2d(0.9), variable_field()):
+        for sheet in ("centered", "tilde"):
+            want = twisted_product(phi, psi, fld, sheet=sheet, tail_warn=np.inf).values
+            for a, b in ((phi_t, psi), (phi, psi_t), (phi_t, psi_t)):
+                got = twisted_product(a, b, fld, sheet=sheet, tail_warn=np.inf)
+                assert got.sheet == sheet and same_bits(got.values, want)
+    # the multiplier route: a tagged multiplier (a one-node window shears to
+    # itself) on both output sheets, and a tagged other factor with tilde
+    # output, on the left and on the right
+    fld = MagneticField.constant_2d(0.9)
+    bump = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g)
+    v = KernelSample(grid=g, values=bump.values)
+    v_t = _to_tilde(v)
+    assert same_bits(v_t.values, v.values)
+    for sheet in ("centered", "tilde"):
+        for a, b, a_t, b_t in ((v, psi, v_t, psi), (psi, v, psi, v_t)):
+            want = twisted_product(a, b, fld, sheet=sheet).values
+            assert same_bits(twisted_product(a_t, b_t, fld, sheet=sheet).values, want)
+    for a, b, a_t, b_t in ((bump, psi, bump, psi_t), (psi, bump, psi_t, bump)):
+        want = twisted_product(a, b, fld, sheet="tilde").values
+        assert same_bits(twisted_product(a_t, b_t, fld, sheet="tilde").values, want)
+        # centered output from a tagged other factor: the tilde output sheared back
+        got = twisted_product(a_t, b_t, fld).values
+        assert same_bits(got, _shear(want, g, -1, "linear"))
+
+
+def test_tilde_tagged_factor_with_callable():
+    # the callable wins on either sheet, so a tagged factor that keeps one
+    # reads it (padded when it is the right factor) like its centered source
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    phi, psi = pair_on(g, 5)
+    tagged = [KernelSample(grid=g, values=_tilde_values(k, "linear"), func=k.func, sheet="tilde")
+              for k in (phi, psi)]
+    bump = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g)
+    for fld in (MagneticField.constant_2d(0.9), variable_field()):
+        for sheet in ("centered", "tilde"):
+            want = twisted_product(phi, psi, fld, sheet=sheet, tail_warn=np.inf).values
+            for a, b in ((tagged[0], psi), (phi, tagged[1]), tagged):
+                got = twisted_product(a, b, fld, sheet=sheet, tail_warn=np.inf).values
+                assert same_bits(got, want)
+    fld = MagneticField.constant_2d(0.9)
+    for a, b, a_t, b_t in ((bump, psi, bump, tagged[1]), (psi, bump, tagged[1], bump)):
+        want = twisted_product(a, b, fld, sheet="tilde").values
+        assert same_bits(twisted_product(a_t, b_t, fld, sheet="tilde").values, want)
+
+
+def test_multiplier_with_h0_broadcasts_its_samples(monkeypatch):
+    # (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) reads v's samples unshifted: the same
+    # bits as a shear by 0 per displacement node, with no shear at all
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    _, psi = pair_on(g, 5)
+    hs = []
+    monkeypatch.setattr(crossed, "_shear", lambda values, grid, h, *a, **kw: (
+        hs.append(h) or _shear(values, grid, h, *a, **kw)))
+    for v in (multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g),
+              KernelSample(grid=g, values=np.random.default_rng(48).normal(size=(12, 12, 1, 1)) + 0.2j)):
+        vq = v.values[..., 0, 0] * g.cell_volume
+        vv = shear_per_node(np.broadcast_to(vq[..., None, None], (12, 12, 5, 5)), g, 0, "linear")
+        want = vv * _tilde_values(psi, "linear")
+        assert same_bits(_multiply(v, psi, 0, "linear", True), want)
+        prod = twisted_product(v, psi, MagneticField.constant_2d(0.9), sheet="tilde")
+        assert same_bits(prod.values, want)
+    assert hs == []
 
 
 def test_qindep_const_fast_path_matches_reference():
@@ -680,8 +739,8 @@ def test_sheet_tag_refusals():
     fld = variable_field()
     centered, _ = pair_on(prod.grid, 5)
     for call in (
-        lambda: twisted_product(prod, centered, fld),
-        lambda: twisted_product(centered, prod, fld, sheet="tilde"),
+        lambda: twisted_product_reference(prod, centered, fld),
+        lambda: twisted_product_reference(centered, prod, fld, sheet="tilde"),
         lambda: twisted_involution(prod),
         lambda: partial_fourier(prod),
     ):

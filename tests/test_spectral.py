@@ -244,6 +244,47 @@ def test_landau_oracle_levels_and_zero_field_refusal():
         landau_oracle(0.0, 0.25, (0.0, 5.0))
 
 
+def test_landau_oracle_refuses_non_finite_input():
+    # a non-finite hi and a NaN b or v used to loop forever looking for a
+    # level above hi; lo = -inf and b = inf used to return a result, and
+    # are refused with the rest
+    for b, v, window in (
+        (1.0, 0.0, (0.0, np.inf)),
+        (1.0, 0.0, (-np.inf, 5.0)),
+        (np.nan, 0.0, (0.0, 5.0)),
+        (1.0, np.nan, (0.0, 5.0)),
+        (np.inf, 0.0, (0.0, 5.0)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            landau_oracle(b, v, window)
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=bump)
+    with pytest.raises(ValueError, match="finite"):
+        asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=8), (0.0, np.inf))
+
+
+def test_landau_oracle_matches_the_level_loop():
+    # the closed-form range of k keeps the loop's comparisons, so finite
+    # windows give the same levels bit for bit, ends on a level included
+    def loop(b, v, lo, hi):
+        vals, k = [], 0
+        while (2 * k + 1) * abs(b) + v <= hi:
+            if (2 * k + 1) * abs(b) + v >= lo:
+                vals.append((2 * k + 1) * abs(b) + v)
+            k += 1
+        return np.asarray(vals, dtype=float)
+
+    rng = np.random.default_rng(83)
+    for i in range(400):
+        b, v = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 3.0), rng.uniform(-5.0, 5.0)
+        lo, hi = rng.uniform(-10.0, 30.0), rng.uniform(-10.0, 60.0)
+        if i % 2:
+            k1, k2 = rng.integers(0, 10, size=2)
+            lo, hi = (2 * k1 + 1) * abs(b) + v, (2 * (k1 + k2) + 1) * abs(b) + v
+        got = landau_oracle(b, v, (lo, hi)).values
+        want = loop(b, v, lo, hi)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (b, v, lo, hi)
+
+
 def test_asymptotic_spectra_const_plus_decay_is_landau():
     desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=bump)
     union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=6.0, n=48), (0.0, 8.0))
