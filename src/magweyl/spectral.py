@@ -8,7 +8,11 @@ A magnetic field makes the matrix complex, but where conjugation composed
 with the reflection x_k -> -x_k of one grid axis commutes with it (in two
 dimensions: a field and a potential even in x_k), ``eig`` solves an
 equivalent real symmetric matrix, about a quarter of the complex solve's
-arithmetic; every other complex matrix takes the complex solve.
+arithmetic.  Where two axes j < k pass (a field and a potential even
+under x -> -x), the point inversion P_j P_k splits the operator into two
+blocks of half the dimension, each solved in its real form, about a
+sixteenth of the complex solve's arithmetic; every other complex matrix
+takes the complex solve.
 
 Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
 plus the diagonal potential.  Only the gauge depends on the spec: an
@@ -22,7 +26,7 @@ The layer runs one fixed configuration:
 
 * ``eig`` refuses a relative Hermiticity residual above 1e-12
   (``_HERM_TOL``) and dimensions above 12000 (``EIG_CAP``).  It takes the
-  reflection route of the first grid axis whose residual
+  reflection route of the first one or two grid axes whose residual
   max|M - conj(P M P)| / max|M| stays within the same 1e-12, and scans
   and transforms the matrix in row blocks of about 2^18 entries
   (``_SCAN_BLOCK``).
@@ -337,20 +341,16 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _axis_split(grid: BoxGrid, axis: int) -> tuple:
-    """Node-array shape (before, along, after) that isolates one grid axis."""
-    return grid.n**axis, grid.n, grid.n ** (grid.dim - 1 - axis)
-
-
 def _symmetry_scan(mat: np.ndarray, grid: Optional[BoxGrid]):
-    """One pass over row blocks: Hermiticity, realness and a reflection axis.
+    """One pass over row blocks: Hermiticity, realness and reflection axes.
 
-    Returns the residual max|M - M*| / max|M|, whether M is real, and the
-    first axis k of ``grid`` with its residual max|M - conj(P M P)| / max|M|
-    for the node reflection P: x_k -> -x_k, or (None, None).  Only complex
-    matrices on a grid have candidate axes.  A candidate drops out at the
-    first block whose residual exceeds ``_HERM_TOL`` against the largest
-    entry scanned so far, so an accepted axis meets it against max|M|.
+    Returns the residual max|M - M*| / max|M|, whether M is real, and a
+    dict, in axis order, from every axis k of ``grid`` that passes to its
+    residual max|M - conj(P M P)| / max|M| for the node reflection
+    P: x_k -> -x_k.  Only complex matrices on a grid have candidate axes.
+    A candidate drops out at the first block whose residual exceeds
+    ``_HERM_TOL`` against the largest entry scanned so far, so an accepted
+    axis meets it against max|M|.
     """
     size = mat.shape[0]
     complex_input = np.iscomplexobj(mat)
@@ -377,43 +377,64 @@ def _symmetry_scan(mat: np.ndarray, grid: Optional[BoxGrid]):
             pick = np.flatnonzero(mirror > np.arange(start, stop))
             if len(pick) == 0:
                 continue
-            shape = (len(pick),) + _axis_split(grid, ax)
-            partner = mat[mirror[pick]].reshape(shape)[:, :, ::-1]
-            dev = float(np.abs(rows[pick].reshape(shape) - partner.conj()).max())
+            shape = (len(pick),) + (grid.n,) * grid.dim
+            partner = np.flip(mat[mirror[pick]].reshape(shape), 1 + ax)
+            # the partner rows are a fresh copy, so they are worked in
+            # place: a block holds two complex temporaries, not four
+            np.conjugate(partner, out=partner)
+            partner -= rows[pick].reshape(shape)
+            dev = float(np.abs(partner).max())
             worst[ax] = max(worst[ax], dev)
             if worst[ax] > _HERM_TOL * scale:
                 del worst[ax]
-    axis = min(worst, default=None)
     scale = scale or 1.0  # a zero matrix has zero residuals
-    return herm / scale, imag == 0.0, axis, None if axis is None else worst[axis] / scale
+    return herm / scale, imag == 0.0, {ax: dev / scale for ax, dev in worst.items()}
 
 
-def _reflection_form(mat: np.ndarray, grid: BoxGrid, axis: int) -> np.ndarray:
-    """Real matrix R of M in the basis u_a = (e_a + e_b)/sqrt 2,
-    w_a = i(e_a - e_b)/sqrt 2, given conj(M[P, P]) = M for the reflection P
-    of ``axis``.
+def _negative_half(grid: BoxGrid, axes: tuple) -> tuple:
+    """Index of the node array that keeps the nodes with x_a < 0 for a in ``axes``."""
+    return tuple(slice(0, grid.n // 2) if a in axes else slice(None) for a in range(grid.dim))
 
-    a runs over the nodes with x_axis < 0 in C order and b = P a.  Only
-    the a-rows are read, since the symmetry makes the b-rows their
-    conjugate mirror:
+
+def _real_form(mat: np.ndarray, grid: BoxGrid, axes: tuple, sign: float) -> np.ndarray:
+    """Real symmetric block of M under the reflection-conjugations of ``axes``.
+
+    With one axis k, conj(M[P, P]) = M for its reflection P.  a runs over
+    the nodes with x_k < 0 in C order and b = P a, and
 
         R = [[Re(M_aa + M_ab), Im(M_ab - M_aa)],
-             [Im(M_aa + M_ab), Re(M_aa - M_ab)]],
+             [Im(M_aa + M_ab), Re(M_aa - M_ab)]]
 
-    symmetric when M is Hermitian.  R is returned in C order, so its
-    transpose is the Fortran-ordered array LAPACK reads without a copy.
+    is M in the basis u_a = (e_a + e_b)/sqrt 2, w_a = i(e_a - e_b)/sqrt 2;
+    only the a-rows are read, since the symmetry makes the b-rows their
+    conjugate mirror.
+
+    With two axes j < k the product U = P_j P_k of the two reflections is
+    a unitary symmetry.  The block of ``sign`` s = +-1 is M on the vectors
+    with v[U a] = s v[a], in the basis (e_a + s e_Ua)/sqrt 2 of the half
+    x_j < 0:  M^s[a, a'] = M[a, a'] + s M[a, U a'].  P_k maps that half
+    onto itself and conj(M^s[P_k, P_k]) = M^s, so R is the formula above
+    for M^s, and only the quarter rows x_j < 0, x_k < 0 of M are read.
+
+    R is returned in C order, so its transpose is the Fortran-ordered array
+    LAPACK reads without a copy; it is symmetric when M is Hermitian.
     """
-    size = mat.shape[0]
-    pre, n, post = _axis_split(grid, axis)
-    half, h = size // 2, n // 2
-    a_rows = np.arange(size).reshape(pre, n, post)[:, :h].ravel()
-    out = np.empty((size, size))
-    blocks = out.reshape(2, half, 2, pre, h, post)
+    size, k, lead = mat.shape[0], axes[-1], axes[:-1]
+    a_rows = np.arange(size).reshape((grid.n,) * grid.dim)[_negative_half(grid, axes)]
+    count = a_rows.size
+    out = np.empty((2 * count, 2 * count))
+    blocks = out.reshape((2, count, 2) + a_rows.shape)
+    # the index tuples below lead with the row axis of a block
+    lead_half = (slice(None),) + _negative_half(grid, lead)
+    k_half = (slice(None),) + _negative_half(grid, (k,))
+    a_rows = a_rows.ravel()
     step = max(1, _SCAN_BLOCK // size)
-    for start in range(0, half, step):
-        stop = min(start + step, half)
-        rows = mat[a_rows[start:stop]].reshape(stop - start, pre, n, post)
-        m_aa, m_ab = rows[:, :, :h], rows[:, :, ::-1][:, :, :h]
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        rows = mat[a_rows[start:stop]].reshape((stop - start,) + (grid.n,) * grid.dim)
+        if lead:
+            rows = rows[lead_half] + sign * np.flip(rows, [1 + a for a in axes])[lead_half]
+        m_aa, m_ab = rows[k_half], np.flip(rows, 1 + k)[k_half]
         tmp = m_aa + m_ab
         blocks[0, start:stop, 0] = tmp.real
         blocks[1, start:stop, 0] = tmp.imag
@@ -423,16 +444,50 @@ def _reflection_form(mat: np.ndarray, grid: BoxGrid, axis: int) -> np.ndarray:
     return out
 
 
-def _from_reflection_form(y: np.ndarray, grid: BoxGrid, axis: int) -> np.ndarray:
-    """Node vectors v_a = (y_u + i y_w)/sqrt 2, v_b = (y_u - i y_w)/sqrt 2."""
-    pre, n, post = _axis_split(grid, axis)
-    h, half, count = n // 2, y.shape[0] // 2, y.shape[1]
-    v = np.empty(y.shape, dtype=complex)
-    nodes = v.reshape(pre, n, post, count)
-    part = (y[:half] + 1j * y[half:]).reshape(pre, h, post, count) / np.sqrt(2.0)
-    nodes[:, :h] = part
-    nodes[:, ::-1][:, :h] = part.conj()
-    return v
+def _from_real_form(y: np.ndarray, grid: BoxGrid, axes: tuple, sign: float) -> np.ndarray:
+    """Node vectors of the eigenvectors y of ``_real_form(.., axes, sign)``.
+
+    c = (y_u + i y_w)/sqrt 2 on the a-nodes and conj(c) on their mirrors
+    P_k a; with two axes v[a] = c/sqrt 2 on the half x_j < 0 and
+    v[U a] = s c/sqrt 2 on the other half.
+    """
+    count, k, lead = y.shape[1], axes[-1], axes[:-1]
+    v = np.empty((grid.n,) * grid.dim + (count,), dtype=complex)
+    a_nodes = _negative_half(grid, axes)
+    half = y.shape[0] // 2
+    part = (y[:half] + 1j * y[half:]).reshape(v[a_nodes].shape) / np.sqrt(2.0 ** len(axes))
+    v[a_nodes] = part
+    np.flip(v, k)[a_nodes] = part.conj()
+    if lead:
+        np.flip(v, axes)[a_nodes] = sign * part
+        # P_j a = U P_k a
+        np.flip(v, lead)[a_nodes] = sign * part.conj()
+    return v.reshape(-1, count)
+
+
+def _solve(work: np.ndarray, lower: bool, window: Optional[tuple], vectors: bool):
+    """Values (and vectors) of one Hermitian block in ``window``, overwriting it."""
+    subset = None
+    if window is not None:
+        lo, hi = window
+        subset = (lo - 1e-9 * max(1.0, abs(lo)), hi)
+    out = sla.eigh(
+        work,
+        lower=lower,
+        subset_by_value=subset,
+        driver="evr",
+        eigvals_only=not vectors,
+        overwrite_a=True,
+    )
+    vals, vecs = out if vectors else (out, None)
+    vals = np.asarray(vals, dtype=float)
+    if window is not None:
+        keep = (vals >= lo) & (vals <= hi)
+        vals = vals[keep]
+        if vecs is not None:
+            # a copy, so the driver's N x N eigenvector buffer is dropped
+            vecs = vecs[:, keep]
+    return vals, vecs
 
 
 def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> SpectrumResult:
@@ -442,15 +497,24 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
     picks the route, recorded as ``meta["real_form"]``:
 
     * ``"real"``: a real matrix is solved as it is;
-    * ``"reflection <k>"``: for an ``OperatorMatrix`` that commutes with
-      conjugation composed with the reflection x_k -> -x_k of its grid
-      (first such axis), the real symmetric matrix of the operator in
-      the basis (e_a + e_b)/sqrt 2, i(e_a - e_b)/sqrt 2 of mirror node
-      pairs b = P a is solved and the vectors are mapped back; the
-      accepted residual is ``meta["reflection_residual"]``;
+    * ``"reflections <j> <k>"``: for an ``OperatorMatrix`` that commutes
+      with conjugation composed with the reflections P_j, P_k of two grid
+      axes j < k (the first two such axes), the unitary U = P_j P_k splits
+      the operator into its U-even and U-odd blocks
+      M^s[a, a'] = M[a, a'] + s M[a, U a'] (s = +-1, a in the half
+      x_j < 0).  Each keeps P_k composed with conjugation and is solved as
+      a real symmetric matrix of dimension N/2 (see ``_real_form``); the
+      vectors map back as v[a] = c/sqrt 2, v[U a] = s c/sqrt 2 and the
+      values of the two blocks are merged by a stable sort;
+    * ``"reflection <k>"``: where only one axis k passes, the same route
+      with one block, the real symmetric matrix of dimension N of the
+      operator in the basis (e_a + e_b)/sqrt 2, i(e_a - e_b)/sqrt 2 of
+      mirror node pairs b = P_k a;
     * ``"complex"``: every other matrix, a bare array included, takes the
       complex Hermitian solve.
 
+    The reflection routes record the larger accepted residual as
+    ``meta["reflection_residual"]``; ``meta["size"]`` is N on every route.
     Dimensions above ``EIG_CAP`` are refused rather than silently thrashing.
     """
     grid = None
@@ -467,57 +531,52 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
             f"dense eigensolve refused at dimension {size} > {EIG_CAP}; coarsen "
             "the grid or shrink the box"
         )
-    residual, real_input, axis, reflection = _symmetry_scan(mat, grid)
+    residual, real_input, reflections = _symmetry_scan(mat, grid)
     if residual > _HERM_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative residual {residual:.3e} "
             f"exceeds {_HERM_TOL:.1e}"
         )
+    if window is not None:
+        window = float(window[0]), float(window[1])
 
     # every work array is handed to LAPACK in Fortran order, so the driver
     # overwrites it instead of copying it
     meta = {"source": "eig", "hermiticity_residual": residual, "size": size}
-    lower = True
     if real_input:
-        axis = None
         meta["real_form"] = "real"
-        work = np.array(mat.real, dtype=np.float64, order="F")
-    elif axis is not None:
-        meta["real_form"] = f"reflection {axis}"
-        meta["reflection_residual"] = reflection
-        # the transpose of the C-ordered form holds its lower triangle in
-        # LAPACK's upper one
-        work, lower = _reflection_form(mat, grid, axis).T, False
+        parts = [_solve(np.array(mat.real, dtype=np.float64, order="F"), True, window, vectors)]
+    elif reflections:
+        axes = tuple(reflections)[:2]
+        label = "reflection" if len(axes) == 1 else "reflections"
+        meta["real_form"] = " ".join([label, *map(str, axes)])
+        meta["reflection_residual"] = max(reflections[a] for a in axes)
+        parts = []
+        # one block per sign of U; a single axis has one block
+        for sign in (1.0, -1.0)[: len(axes)]:
+            # the transpose of the C-ordered form holds its lower triangle
+            # in LAPACK's upper one
+            vals, y = _solve(_real_form(mat, grid, axes, sign).T, False, window, vectors)
+            parts.append((vals, None if y is None else _from_real_form(y, grid, axes, sign)))
     else:
         meta["real_form"] = "complex"
-        work = np.array(mat, dtype=np.complex128, order="F")
+        parts = [_solve(np.array(mat, dtype=np.complex128, order="F"), True, window, vectors)]
 
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        pad = 1e-9 * max(1.0, abs(lo))
-        out = sla.eigh(
-            work,
-            lower=lower,
-            subset_by_value=(lo - pad, hi),
-            driver="evr",
-            eigvals_only=not vectors,
-            overwrite_a=True,
-        )
-    else:
-        lo, hi = -np.inf, np.inf
-        out = sla.eigh(work, lower=lower, eigvals_only=not vectors, overwrite_a=True)
-    if vectors:
-        vals, vecs = out
-    else:
-        vals, vecs = out, None
-    vals = np.asarray(vals, dtype=float)
-    keep = (vals >= lo) & (vals <= hi)
-    vals = vals[keep]
-    if vecs is not None:
-        vecs = vecs[:, keep]
-        if axis is not None:
-            vecs = _from_reflection_form(vecs, grid, axis)
-    return SpectrumResult(values=vals, window=(lo, hi), vectors=vecs, grid=grid, meta=meta)
+    vals, vecs = parts[0]
+    if len(parts) > 1:
+        # the values of the two blocks interleave; a stable sort merges them
+        vals = np.concatenate([p[0] for p in parts])
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        if vectors:
+            vecs = np.concatenate([p[1] for p in parts], axis=1)[:, order]
+    return SpectrumResult(
+        values=vals,
+        window=(-np.inf, np.inf) if window is None else window,
+        vectors=vecs,
+        grid=grid,
+        meta=meta,
+    )
 
 
 # ---------------------------------------------------------------------------

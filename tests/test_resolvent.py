@@ -377,6 +377,30 @@ def test_resolvent_step_errors_propagate(monkeypatch):
     assert len(calls) == 1 and abs(calls[0] - 0.5) < 1e-12
 
 
+def test_variable_field_resolvent_interior_gap():
+    # B = 0.5 + 0.5 exp(-|x|^2) against the constant 0.5 on the same grid:
+    # the gap to the dense inverse of rep(h - z) away from the box edge
+    # (collar 1.5) measured 1.28e-3 and 1.51e-3.  The residual of the
+    # variable field reads 2.41 here, since it measures the box edge.
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    ht = trig_kinetic(g)
+    khz = momentum_kernel(lambda p: np.asarray(ht(p)) - Z1, g)
+    bulk = g.interior_mask(1.5).ravel()
+
+    def interior_gap(field):
+        pot = transversal_gauge(field)
+        phi = resolvent(ht, field, g, Z1, a0=0.0).kernel
+        gap = rep(pot, phi).mat - np.linalg.inv(rep(pot, khz).mat)
+        return op_norm(gap[np.ix_(bulk, bulk)])
+
+    variable = MagneticField.from_scalar_2d(
+        lambda p: 0.5 + 0.5 * np.exp(-np.sum(np.asarray(p) ** 2, axis=-1))
+    )
+    gap = interior_gap(variable)
+    assert gap < 3e-3
+    assert gap <= 2.0 * interior_gap(FIELD)
+
+
 def test_resolvent_rejects_bad_real_z():
     g = box(32)
     with pytest.raises(ValueError, match="non-real or lie left"):

@@ -401,10 +401,14 @@ def route_case(case):
     grid = BoxGrid(dim=2, half_length=3.0, n=16)
     if case == "const_plus_decay":
         return const_plus_decay_op(16, 3.0)
-    if case == "constant_3d":
-        # B_01 and B_12 both change sign under x_1 -> -x_1, as conjugation does
+    if case.startswith("constant_3d"):
+        # B_01 and B_12 both change sign under x_1 -> -x_1, as conjugation
+        # does; B_02 alone changes sign under x_0 and x_2 -> -x_2
         b = np.zeros((3, 3))
-        b[0, 1], b[1, 2] = 0.8, 0.5
+        if case == "constant_3d":
+            b[0, 1], b[1, 2] = 0.8, 0.5
+        else:
+            b[0, 2] = 0.8
         field = MagneticField(dim=3, constant=b - b.T)
         grid = BoxGrid(dim=3, half_length=2.0, n=8)
     elif case == "tanh_x0":
@@ -419,8 +423,9 @@ def route_case(case):
 @pytest.mark.parametrize(
     "case, route",
     [
-        ("const_plus_decay", "reflection 0"),
+        ("const_plus_decay", "reflections 0 1"),
         ("constant_3d", "reflection 1"),
+        ("constant_3d_b02", "reflections 0 2"),
         ("tanh_x0", "reflection 1"),
         ("odd_product", "complex"),
         ("zero", "real"),
@@ -442,16 +447,14 @@ def test_eig_route_follows_symmetry(case, route):
         assert np.array_equal(got.values, want.values)
 
 
-def test_reflection_form_vectors_match_complex_route():
-    op = const_plus_decay_op(24, 3.0)
-    window = (0.0, 6.6)
+def check_vectors_against_complex_route(op, window, route):
     # nearly degenerate levels make single vectors ill-defined, so compare
     # the window's spectral projector, with both window edges in gaps
     every = eig(op.mat).values
     assert np.abs(every - window[0]).min() >= 0.1 and np.abs(every - window[1]).min() >= 0.1
     got = eig(op, window, vectors=True)
     want = eig(op.mat, window, vectors=True)
-    assert got.meta["real_form"] == "reflection 0"
+    assert got.meta["real_form"] == route
     assert want.meta["real_form"] == "complex"
     assert np.abs(got.values - want.values).max() <= 1e-12
     mat, v = op.mat, got.vectors
@@ -459,6 +462,16 @@ def test_reflection_form_vectors_match_complex_route():
     assert np.abs(v.conj().T @ v - np.eye(len(got))).max() <= 1e-12
     proj = v @ v.conj().T
     assert np.abs(proj - want.vectors @ want.vectors.conj().T).max() <= 1e-8
+
+
+def test_reflection_form_vectors_match_complex_route():
+    # both reflections hold: the U-even and U-odd blocks are solved apart
+    check_vectors_against_complex_route(const_plus_decay_op(24, 3.0), (0.0, 6.6), "reflections 0 1")
+
+
+def test_single_reflection_vectors_match_complex_route():
+    # only x_1 -> -x_1 holds: one real block of the full dimension
+    check_vectors_against_complex_route(route_case("tanh_x0"), (0.0, 5.5), "reflection 1")
 
 
 def test_broken_reflection_falls_back_to_complex_route():
@@ -470,10 +483,26 @@ def test_broken_reflection_falls_back_to_complex_route():
     mat[i, j] += 1e-6
     mat[j, i] += 1e-6
     got = eig(OperatorMatrix(mat, op.grid), (0.0, 6.0))
-    assert eig(op, (0.0, 6.0)).meta["real_form"] == "reflection 0"
+    assert eig(op, (0.0, 6.0)).meta["real_form"] == "reflections 0 1"
     assert got.meta["real_form"] == "complex"
     assert "reflection_residual" not in got.meta
     assert np.array_equal(got.values, eig(mat, (0.0, 6.0)).values)
+
+
+def test_broken_second_reflection_falls_back_to_one_reflection():
+    op = const_plus_decay_op(12, 3.0)
+    mat = op.mat.copy()
+    # a Hermitian change on the pair of nodes (2, 3) and (9, 3), which
+    # x_0 -> -x_0 maps onto itself and x_1 -> -x_1 does not
+    i, j = 2 * 12 + 3, 9 * 12 + 3
+    mat[i, j] += 1e-6
+    mat[j, i] += 1e-6
+    got = eig(OperatorMatrix(mat, op.grid), (0.0, 6.0))
+    want = eig(mat, (0.0, 6.0))
+    assert got.meta["real_form"] == "reflection 0"
+    assert got.meta["reflection_residual"] <= 1e-12
+    assert len(got) == len(want) > 0
+    assert np.abs(got.values - want.values).max() <= 1e-12 * max(1.0, np.abs(want.values).max())
 
 
 def test_eig_memory_peak():
@@ -482,6 +511,10 @@ def test_eig_memory_peak():
     # driver and the 16.8 MB eigenvector array.  The bound is half of that,
     # so one complex work copy (16.8 MB) on top of the real form's 18.9 MB
     # breaks it.  The assembled matrix is allocated before tracing.
+    # The split route peaks at 10.6 MB, in the symmetry scan's row blocks;
+    # each N/2 form (2.1 MB) and its driver buffer (2.1 MB) stay below.
+    # The second bound is 1.5 times that peak, so the single-reflection
+    # route's N x N form and buffer (18.9 MB) break it.
     op = const_plus_decay_op(32, 4.0)
     tracemalloc.start()
     try:
@@ -489,8 +522,9 @@ def test_eig_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.meta["real_form"] == "reflection 0"
+    assert res.meta["real_form"] == "reflections 0 1"
     assert peak <= 25.5e6
+    assert peak <= 16.0e6
 
 
 # ---------------------------------------------------------------------------
