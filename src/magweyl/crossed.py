@@ -68,7 +68,9 @@ lexicographically positive displacement u (the upper triangle in flat node
 order) also dresses the reverse entry, which reads its own kernel value
 φ~(y;-u); ``rep_banded`` takes its phases by the same rule.  Periodic boxes
 integrate every pair, since a wrapped column's reverse segment is not the
-negated one.
+negated one.  ``rep`` walks its pairs through ``_pair_blocks``, and so does
+``_circulation_table``, which integrates them once for a ladder of nested
+boxes on one lattice and returns a gauge that reads them back.
 
 The layer runs one fixed configuration:
 
@@ -1024,36 +1026,19 @@ def _mirror_phases(lam: np.ndarray, grid: BoxGrid) -> None:
         flat[src + (j,)] = np.conj(flat[dst + (count - 1 - j,)])
 
 
-def rep(
-    pot: VectorPotential,
-    kernel: KernelSample,
-    *,
-    scheme: str = _SCHEME,
-    order: int = _ORDER,
-) -> OperatorMatrix:
-    """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
+def _pair_blocks(grid: BoxGrid, d: int, order: int = _ORDER):
+    """``rep``'s walk over the node pairs of a window of ``d`` nodes per axis.
 
-    Filled directly over the node pairs whose difference u = y - x lies in
-    the kernel window: the entry is Δ^N exp(-i circulation(x, u)) φ~(x;u)
-    with the sheared value φ~(x;u) = φ(x + u/2; u), taken as stored for
-    tilde-sheet kernels.  On a truncated box each unordered pair is
-    integrated once: the circulation c of a lexicographically positive u
-    (and of u = 0) also gives the reverse entry Δ^N exp(+i c) φ~(y;-u),
-    since reversing the segment negates its line integral.  Only the phase
-    is shared, so a non-Hermitian kernel gives a non-Hermitian matrix.
-    Periodic boxes wrap the column index and integrate every pair: a
-    wrapped column's reverse segment is not the negated one.  A block of
-    rows holds about ``_PAIR_BLOCK`` integrated pairs at order 8 and
-    (8/order)² times as many at another ``order``, as a gauge built at
-    that order integrates a pair's flux on order² nodes.  Entries equal
-    those of ``rep_banded(...).to_dense()`` bit for bit.
+    Yields, per block of rows, the row r, window index j and column of
+    every pair whose column r + u lies in the box, in row-major order; a
+    periodic box wraps the column and keeps every j, a truncated one keeps
+    u = 0 and the lexicographically positive u.  A block holds about
+    ``_PAIR_BLOCK`` pairs at order 8 and (8/order)² times as many at
+    another ``order``, as a gauge built at that order integrates a pair's
+    flux on order² nodes.
     """
-    grid = kernel.grid
     dim, n, size = grid.dim, grid.n, grid.size
-    d = kernel.disp_count
     count = d**dim
-    tilde = _tilde_values(kernel, scheme).reshape(-1, count)
-    disp = _disp_nodes(grid, d)
     periodic = grid.bc == "periodic"
     # displacement nodes are in lexicographic order, so u = 0 is the middle
     # node and the lexicographically positive ones follow it
@@ -1065,8 +1050,6 @@ def rep(
     if periodic:
         target %= n
         inside[:] = True
-    pts = grid.points()
-    mat = np.zeros((size, size), dtype=complex)
     pairs_per_block = _PAIR_BLOCK * _ORDER**2 // order**2
     rows_per_block = max(1, pairs_per_block // (count - first))
     for start in range(0, size, rows_per_block):
@@ -1078,15 +1061,122 @@ def rep(
             ok = ok & inside[node].reshape(shape)
         r, j = np.nonzero(ok.reshape(len(rows), count)[:, first:])
         col = col.reshape(len(rows), count)[:, first:][r, j]
-        r += start
-        j += first
+        yield r + start, j + first, col
+
+
+def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int, order: int = _ORDER) -> VectorPotential:
+    """The gauge ``pot`` with the circulations of ``rep``'s pairs tabulated.
+
+    Integrates circulation(x, u) at ``order`` once for every pair that
+    ``rep`` walks on the truncated box ``grid`` with a window of ``d``
+    nodes per axis, and returns a potential whose ``circulation_exact``
+    reads the table.  A box whose nodes and window are a subset of these,
+    bit for bit, reads its own pairs from it: a segment's circulation
+    depends on its end points only, and the quadrature on neither the box
+    nor the batch, so ``rep`` through the table equals ``rep`` through
+    ``pot`` bit for bit.  The table holds the in-box pairs only, one block
+    of the row sub-box per lexicographically non-negative u, and its
+    values stay at ``order`` whatever order a caller asks for.  A query
+    that is not an exact node and window displacement of ``grid``, or
+    whose pair is not in the table, raises ``ValueError``.
+    """
+    if grid.bc == "periodic":
+        raise ValueError("circulation tables cover truncated boxes only")
+    dim, n, k = grid.dim, grid.n, d // 2
+    half = d**dim // 2
+    # the block of u = steps[j - half] holds the rows x with x + u in the
+    # box, in C order: position base[j - half] + Σ_e x_e stride[e][j - half]
+    steps = np.stack(np.unravel_index(np.arange(half, d**dim), (d,) * dim)) - k
+    extent = np.maximum(n - np.abs(steps), 0)
+    stride = np.ones_like(extent)
+    for ax in range(dim - 2, -1, -1):
+        stride[ax] = stride[ax + 1] * extent[ax + 1]
+    sizes = np.prod(extent, axis=0)
+    base = np.cumsum(sizes) - sizes - np.sum(np.maximum(-steps, 0) * stride, axis=0)
+
+    def position(nodes, j):
+        j = j - half
+        pos = base[j] + nodes[-1]
+        for ax in range(dim - 1):
+            pos += nodes[ax] * stride[ax, j]
+        return pos
+
+    table = np.empty(int(sizes.sum()))
+    pts = grid.points()
+    disp = _disp_nodes(grid, d)
+    for r, j, _ in _pair_blocks(grid, d, order):
+        circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
+        table[position(np.stack(np.unravel_index(r, (n,) * dim)), j)] = circ
+
+    axis, disp_axis = grid.axis(), grid.disp_axis(d)
+    scale = 1.0 / grid.delta
+
+    def circulation(q, x):
+        shape = q.shape[:-1]
+        q, x = q.reshape(-1, dim), x.reshape(-1, dim)
+        # the nearest node and window index per axis, clipped into range
+        # (a NaN casts to some integer), then checked for exact equality
+        with np.errstate(invalid="ignore"):
+            nodes = (q * scale + ((n - 1) / 2 + 0.5)).astype(np.intp)
+            step = (x * scale + (k + 0.5)).astype(np.intp)
+        np.clip(nodes, 0, n - 1, out=nodes)
+        np.clip(step, 0, d - 1, out=step)
+        target = nodes + step - k
+        j = step[:, 0]
+        for ax in range(1, dim):
+            j = j * d + step[:, ax]
+        if not (
+            (axis[nodes] == q).all() and (disp_axis[step] == x).all()
+            and (target >= 0).all() and (target < n).all() and (j >= half).all()
+        ):
+            raise ValueError(
+                "circulation table holds the pairs of its box's nodes and lexicographically "
+                "non-negative window displacements only"
+            )
+        return table[position(nodes.T, j)].reshape(shape)
+
+    return VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=circulation)
+
+
+def rep(
+    pot: VectorPotential,
+    kernel: KernelSample,
+    *,
+    scheme: str = _SCHEME,
+    order: int = _ORDER,
+) -> OperatorMatrix:
+    """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
+
+    Filled directly over the node pairs whose difference u = y - x lies in
+    the kernel window (``_pair_blocks``): the entry is
+    Δ^N exp(-i circulation(x, u)) φ~(x;u) with the sheared value
+    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet kernels.  On
+    a truncated box each unordered pair is integrated once: the
+    circulation c of a lexicographically positive u (and of u = 0) also
+    gives the reverse entry Δ^N exp(+i c) φ~(y;-u), since reversing the
+    segment negates its line integral.  Only the phase is shared, so a
+    non-Hermitian kernel gives a non-Hermitian matrix.  Periodic boxes
+    wrap the column index and integrate every pair: a wrapped column's
+    reverse segment is not the negated one.  A gauge from
+    ``_circulation_table`` reads the same pairs from a table built once
+    for a box ladder.  Entries equal those of
+    ``rep_banded(...).to_dense()`` bit for bit.
+    """
+    grid = kernel.grid
+    d = kernel.disp_count
+    count = d**grid.dim
+    tilde = _tilde_values(kernel, scheme).reshape(-1, count)
+    disp = _disp_nodes(grid, d)
+    pts = grid.points()
+    mat = np.zeros((grid.size, grid.size), dtype=complex)
+    for r, j, col in _pair_blocks(grid, d, order):
         coef = np.take(tilde[0], j) if kernel.q_independent else tilde[r, j]
         circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
         phase = np.exp(-1j * circ)
         mat[r, col] = phase * coef * grid.cell_volume
-        if periodic:
+        if grid.bc == "periodic":
             continue
-        rev = j > first
+        rev = j > count // 2
         r, col, j = r[rev], col[rev], count - 1 - j[rev]
         coef = np.take(tilde[0], j) if kernel.q_independent else tilde[col, j]
         mat[col, r] = np.conj(phase[rev]) * coef * grid.cell_volume

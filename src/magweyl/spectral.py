@@ -19,8 +19,12 @@ plus the diagonal potential.  Only the gauge depends on the spec: an
 explicit ``vector_potential``, else the transversal gauge (closed
 circulation for constant fields, else the flux through the triangle
 (0, x, y) by one tensor quadrature).  The operator is gauge covariant,
-so one gauge per field suffices.  Periodic boxes, which admit only a
-vanishing field, use the exact Fourier multiplier instead.
+so one gauge per field suffices.  A box ladder whose gauge needs that
+quadrature tabulates it once per lattice group: rungs with one spacing
+and nested node axes read their circulations from one table of the
+largest rung's pairs, dropped once the group is assembled.
+Periodic boxes, which admit only a vanishing field, use the exact
+Fourier multiplier instead.
 
 The layer runs one fixed configuration:
 
@@ -58,7 +62,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import scipy.linalg as sla
 
-from .crossed import OperatorMatrix, rep
+from .crossed import OperatorMatrix, _circulation_table, rep
 from .fields import (
     MagneticField,
     VectorPotential,
@@ -161,12 +165,18 @@ def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
 def hausdorff(s1, s2, window: tuple) -> float:
     """Symmetric Hausdorff distance of point sets clipped to a window.
 
-    If exactly one clipped set is empty the distance is the window length;
-    two empty sets are at distance zero.
+    Points outside the window are dropped before the comparison.  If
+    exactly one clipped set is empty the distance is the window length;
+    two empty sets are at distance zero.  A window that is not finite with
+    lo < hi, or a NaN point, raises ``ValueError``.
     """
     lo, hi = float(window[0]), float(window[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError("Hausdorff window needs finite bounds lo < hi")
     a = np.sort(np.asarray(s1, dtype=float).ravel())
     b = np.sort(np.asarray(s2, dtype=float).ravel())
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("Hausdorff point sets must not contain NaN")
     a = a[(a >= lo) & (a <= hi)]
     b = b[(b >= lo) & (b <= hi)]
     if len(a) == 0 and len(b) == 0:
@@ -296,6 +306,16 @@ def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
     return (u.conj().T * hvals.ravel()) @ u
 
 
+def _checked_values(spec: SchrodingerSpec) -> tuple:
+    """Symbol values on the momentum mesh and potential values on the nodes
+    of ``spec.grid``, after the checks ``assemble`` makes of a spec."""
+    if spec.field_or_zero().dim != spec.grid.dim:
+        raise ValueError("field dimension does not match the grid")
+    hvals = _symbol_values(spec.h, spec.grid)
+    _check_elliptic(spec.h, hvals)
+    return hvals, spec.potential_values(spec.grid)
+
+
 def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
@@ -309,12 +329,8 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     grid = spec.grid
     if grid is None:
         raise ValueError("assembly needs a grid on the spec")
+    hvals, vvals = _checked_values(spec)
     field = spec.field_or_zero()
-    if field.dim != grid.dim:
-        raise ValueError("field dimension does not match the grid")
-    hvals = _symbol_values(spec.h, grid)
-    _check_elliptic(spec.h, hvals)
-    vvals = spec.potential_values(grid)
 
     if grid.bc == "periodic":
         mat = _assemble_periodic(spec, hvals)
@@ -922,6 +938,14 @@ def essential_estimate(
     ladder and are rejected; pure edge states fail either persistence or
     the bulk threshold.  Diagnostics retain every rejected cluster with
     its reason.
+
+    Rungs are assembled and solved one after the other (in a pool with
+    ``threads`` > 1).  Where the gauge needs quadrature, rungs on one
+    lattice read their circulations from one table (``_rung_specs``),
+    which is released once the group's last rung is assembled.  A density
+    that is not positive and finite, node counts that do not strictly
+    increase, or a largest rung above ``EIG_CAP`` nodes raise
+    ``ValueError`` before anything is assembled.
     """
     boxes = tuple(float(b) for b in boxes)
     if len(boxes) < 2:
@@ -935,15 +959,32 @@ def essential_estimate(
     delta_persist = _PERSIST_FRAC * (hi - lo)
     if density is None:
         density = grid.n / (2.0 * grid.half_length)
-
-    def solve(box_l):
+    density = float(density)
+    if not (np.isfinite(density) and density > 0):
+        raise ValueError("box ladder density must be positive and finite")
+    rungs = []
+    for box_l in boxes:
         n = int(round(2.0 * box_l * density))
         n += n % 2
-        n = max(n, 8)
-        grid_i = BoxGrid(dim=grid.dim, half_length=box_l, n=n, bc=grid.bc)
-        return eig(assemble(spec.with_grid(grid_i)), (lo, hi), vectors=True)
+        rungs.append(BoxGrid(dim=grid.dim, half_length=box_l, n=max(n, 8), bc=grid.bc))
+    if any(g2.n <= g1.n for g1, g2 in zip(rungs, rungs[1:])):
+        raise ValueError(
+            f"box ladder node counts {[g.n for g in rungs]} must strictly increase; raise the density"
+        )
+    if rungs[-1].size > EIG_CAP:
+        raise ValueError(f"largest rung has {rungs[-1].size} nodes, above EIG_CAP = {EIG_CAP}")
+    specs = _rung_specs(spec, rungs)
 
-    ladders = [_cluster_records(res, delta_persist) for res in _map_tasks(solve, boxes, threads)]
+    def solve(i):
+        op = assemble(specs[i])
+        # the last holder of a lattice group's table lets it go here
+        specs[i] = None
+        return eig(op, (lo, hi), vectors=True)
+
+    ladders = [
+        _cluster_records(res, delta_persist)
+        for res in _map_tasks(solve, range(len(rungs)), threads)
+    ]
 
     # chain clusters from the largest box back through the ladder
     links = [
@@ -1000,6 +1041,42 @@ def essential_estimate(
             "density": density,
         },
     )
+
+
+def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
+    """One spec per rung; rungs on one lattice share a tabulated gauge.
+
+    On truncated boxes whose gauge has no closed circulation (an explicit
+    ``vector_potential`` or the transversal gauge of a variable field),
+    rungs with a bit-identical spacing form a group: each one's node axis
+    is a slice of the largest one's.  A group of two or more rungs gets
+    one circulation table of the largest rung's pairs at ``rep``'s kernel
+    window, so each pair is integrated once for the whole ladder and every
+    rung's matrix equals its own assembly bit for bit; a lone rung
+    integrates its own pairs, as a table read once saves nothing.  The
+    table is reachable through the rung specs only.
+    """
+    specs = [spec.with_grid(g) for g in rungs]
+    pot = spec.vector_potential
+    if pot is None:
+        pot = transversal_gauge(spec.field_or_zero())
+    if rungs[0].bc == "periodic" or pot.circulation_exact is not None:
+        return specs
+    # node counts are even, so the axes (i - (n-1)/2)·δ of rungs with one
+    # spacing are slices of each other bit for bit; the table checks every
+    # node it is asked for
+    groups = {}
+    for i, g in enumerate(rungs):
+        groups.setdefault(g.delta, []).append(i)
+    for members in groups.values():
+        if len(members) > 1:
+            top = rungs[members[-1]]
+            # refuse what assemble refuses before paying for the quadrature
+            _checked_values(specs[members[-1]])
+            tabulated = _circulation_table(pot, top, top.max_disp_count())
+            for i in members:
+                specs[i] = replace(specs[i], vector_potential=tabulated)
+    return specs
 
 
 def _public(rec: dict) -> dict:

@@ -3,6 +3,7 @@ ladder and the point-set helpers."""
 
 import importlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from magweyl.spectral import (
 )
 
 spectral_module = importlib.import_module("magweyl.spectral")
+crossed_module = importlib.import_module("magweyl.crossed")
 
 
 def free_kinetic(p):
@@ -192,6 +194,15 @@ def test_essential_estimate_ladder_guards():
     gridless = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0))
     with pytest.raises(ValueError, match="needs a grid"):
         essential_estimate(gridless, (3.0, 4.0), (0.0, 8.0), density=2.0)
+    for density in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            essential_estimate(spec, (3.0, 4.0), (0.0, 8.0), density=density)
+    # density 0.5 makes both rungs n = 8
+    with pytest.raises(ValueError, match=r"node counts \[8, 8\] must strictly increase"):
+        essential_estimate(spec, (3.0, 4.0), (0.0, 8.0), density=0.5)
+    # refused before the smaller rung is assembled
+    with pytest.raises(ValueError, match="above EIG_CAP"):
+        essential_estimate(spec, (3.0, 20.0), (0.0, 8.0), density=4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +388,17 @@ def test_hausdorff_empty_set_conventions():
     assert hausdorff([1.0, 3.0], [1.5], window) == 1.5
 
 
+def test_hausdorff_refuses_bad_windows_and_nan_points():
+    for window in ((3.0, 0.0), (1.0, 1.0), (0.0, np.inf), (np.nan, 3.0)):
+        with pytest.raises(ValueError, match="finite bounds"):
+            hausdorff([1.0, 2.0], [1.5], window)
+    for a, b in (([1.0, np.nan], [1.5]), ([1.0], [np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            hausdorff(a, b, (0.0, 3.0))
+    # finite points outside the window are still clipped, infinite ones too
+    assert hausdorff([1.0, 9.0, np.inf], [1.5, -np.inf], (0.0, 3.0)) == 0.5
+
+
 def test_merge_points_drops_close_duplicates():
     assert np.array_equal(merge_points([3.0, 1.0, 1.0 + 1e-8, 2.0], 1e-6), [1.0, 2.0, 3.0])
     assert np.array_equal(merge_points([0.0, 0.6, 1.2], 1.0), [0.0, 1.2])
@@ -559,3 +581,135 @@ def test_essential_estimate_acceptance_rules():
     assert f"{len(est.points)} persistent bulk values" in lines[0]
     assert f"{len(est.rejected)} rejected clusters" in lines[0]
     assert len(lines) == 1 + len(est.rejected)
+
+
+# ---------------------------------------------------------------------------
+# (i) the ladder reads one circulation table per lattice group
+# ---------------------------------------------------------------------------
+
+
+def decay_spec(half_length, n):
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=lambda q: 0.5 * np.exp(-np.sum(q * q, axis=-1)))
+    grid = BoxGrid(dim=2, half_length=half_length, n=n)
+    return SchrodingerSpec(h=free_kinetic, field=desc.field(), potential=desc.potential(), grid=grid)
+
+
+def record_assembly(monkeypatch):
+    """Every rung's spec and matrix as essential_estimate assembles them."""
+    seen = []
+    plain = spectral_module.assemble
+
+    def spy(spec):
+        op = plain(spec)
+        seen.append((spec.grid, spec.vector_potential, op.mat))
+        return op
+
+    monkeypatch.setattr(spectral_module, "assemble", spy)
+    return seen
+
+
+def unordered_pairs(grid):
+    # in-box node pairs of the kernel window (|u_e| <= n/2 - 1), the
+    # diagonal once and each other unordered pair once
+    per_axis = sum(grid.n - abs(s) for s in range(-(grid.n // 2 - 1), grid.n // 2))
+    return (per_axis**grid.dim + grid.size) // 2
+
+
+def test_ladder_rungs_read_one_table_bit_for_bit(monkeypatch):
+    spec = decay_spec(3.0, 12)
+    seen = record_assembly(monkeypatch)
+    est = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert [g.n for g, _, _ in seen] == [12, 16, 20]
+    # one tabulated gauge, shared by the three rungs
+    assert seen[0][1] is not None and all(pot is seen[0][1] for _, pot, _ in seen)
+    for g, _, mat in seen:
+        assert np.array_equal(mat, assemble(spec.with_grid(g)).mat)
+    monkeypatch.setattr(spectral_module, "_rung_specs", lambda s, rungs: [s.with_grid(g) for g in rungs])
+    plain = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert len(est.points) and np.array_equal(est.points, plain.points)
+    assert [rec["counts"] for rec in est.clusters] == [rec["counts"] for rec in plain.clusters]
+
+
+def test_ladder_integrates_the_largest_rungs_pairs_once(monkeypatch):
+    integrated = []
+    circulation = spectral_module.VectorPotential.circulation
+
+    def spy(self, q, x, order=None):
+        # quadrature only: the table's lookups have a closed circulation
+        if self.circulation_exact is None:
+            integrated.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
+        return circulation(self, q, x, order=order)
+
+    monkeypatch.setattr(spectral_module.VectorPotential, "circulation", spy)
+    essential_estimate(decay_spec(3.0, 12), (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert sum(integrated) == unordered_pairs(BoxGrid(dim=2, half_length=5.0, n=20)) == 42250
+
+
+@pytest.mark.parametrize("boxes, tabled", [((3.0, 4.1), [False, False]),
+                                           ((3.0, 4.0, 4.6), [True, True, False])])
+def test_ladder_groups_rungs_by_lattice(monkeypatch, boxes, tabled):
+    # density 2 gives spacings 0.5 and 0.5125 (4.1) or 0.5111 (4.6): a rung
+    # off the others' lattice integrates its own pairs, as a table read by
+    # one rung saves nothing
+    spec = decay_spec(3.0, 12)
+    seen = record_assembly(monkeypatch)
+    essential_estimate(spec, boxes, (0.0, 8.0), density=2.0)
+    assert [pot is not None for _, pot, _ in seen] == tabled
+    for g, _, mat in seen:
+        assert np.array_equal(mat, assemble(spec.with_grid(g)).mat)
+
+
+def test_circulation_table_refuses_pairs_it_does_not_hold():
+    grid = BoxGrid(dim=2, half_length=3.0, n=12)
+    pot = transversal_gauge(variable_field())
+    table = crossed_module._circulation_table(pot, grid, 11)
+    node, step = grid.axis(), grid.delta
+    q = np.array([[node[2], node[5]], [node[0], node[11]], [node[4], node[4]]])
+    x = np.array([[0.0, 0.0], [5 * step, -5 * step], [step, -3 * step]])
+    assert np.array_equal(table.circulation(q, x), pot.circulation(q, x))
+    bad = [
+        ([node[2] + 0.1, node[5]], [step, 0.0]),  # base point off the nodes
+        ([node[2], node[5]], [0.3, 0.0]),  # displacement off the lattice
+        ([np.nan, node[5]], [step, 0.0]),
+        ([node[2], node[5]], [np.inf, 0.0]),
+        ([node[2], node[5]], [-step, 0.0]),  # lexicographically negative
+        ([node[2], node[5]], [0.0, -step]),
+        ([node[11], node[5]], [step, 0.0]),  # target outside the box
+        ([node[11] + step, node[5]], [0.0, 0.0]),  # base point outside the box
+        ([node[2], node[5]], [6 * step, 0.0]),  # beyond the window
+    ]
+    for bq, bx in bad:
+        with pytest.raises(ValueError, match="circulation table holds"):
+            table.circulation(np.array(bq), np.array(bx))
+    with pytest.raises(ValueError, match="truncated boxes"):
+        crossed_module._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12, bc="periodic"), 11)
+
+
+def test_ladder_table_is_released_before_the_largest_eig(monkeypatch):
+    tables, alive = [], []
+    build, solve = spectral_module._circulation_table, spectral_module.eig
+
+    def build_spy(*args):
+        pot = build(*args)
+        tables.append(weakref.ref(pot))
+        return pot
+
+    def eig_spy(op, *args, **kw):
+        alive.append(tables[0]() is not None)
+        return solve(op, *args, **kw)
+
+    monkeypatch.setattr(spectral_module, "_circulation_table", build_spy)
+    monkeypatch.setattr(spectral_module, "eig", eig_spy)
+    essential_estimate(decay_spec(3.0, 12), (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert len(tables) == 1 and alive == [True, True, False]
+
+
+def test_ladder_refuses_a_bad_spec_before_tabulating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("tabulated a spec that assemble refuses")
+
+    monkeypatch.setattr(spectral_module, "_circulation_table", no_table)
+    spec = decay_spec(3.0, 12)
+    concave = SchrodingerSpec(h=lambda p: -free_kinetic(p), field=spec.field, grid=spec.grid)
+    with pytest.raises(ValueError, match="non-elliptic"):
+        essential_estimate(concave, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
