@@ -66,29 +66,30 @@ On a truncated box ``rep`` integrates each unordered node pair once:
 reversing the segment [x, y] negates its circulation, so the phase of a
 lexicographically positive displacement u (the upper triangle in flat node
 order) also dresses the reverse entry, which reads its own kernel value
-φ~(y;-u); ``rep_banded`` takes its phases by the same rule.  Periodic boxes
-integrate every pair, since a wrapped column's reverse segment is not the
-negated one.  ``rep`` walks its pairs through ``_pair_blocks``, and so does
-``_circulation_table``, which integrates them once for a ladder of nested
+φ~(y;-u).  Periodic boxes integrate every pair, since a wrapped column's
+reverse segment is not the negated one.  ``rep`` and ``rep_banded`` fill
+from one walk over these entries (``_rep_entries`` on ``_pair_blocks``);
+``_circulation_table`` integrates the pairs once for a ladder of nested
 boxes on one lattice and returns a gauge that reads them back.
 
 The layer runs one fixed configuration:
 
-* Interpolation is linear and line quadrature has order 8 (``_SCHEME``,
-  ``_ORDER``): the defaults of ``twisted_product``,
-  ``twisted_product_reference`` and ``rep``, and the fixed choice of
-  ``rep_banded`` and ``op_weyl``.
+* Interpolation is linear (``_SCHEME``), the default of ``twisted_product``,
+  ``twisted_product_reference`` and ``rep`` and the fixed choice of
+  ``rep_banded`` and ``op_weyl``.  The products integrate the cocycle at
+  order 8 by default (``_ORDER``); circulations run at their gauge's
+  ``order``.
 * A product attaches a warning when its discarded tail exceeds 1e-2 of
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
 * Block sizes, which bound the temporaries whatever the window: 8192
   node pairs per block when callable tilde values are tabled
   (``_PAIR_BLOCK``); as many integrated pairs per block of rows when
-  ``rep`` fills a dense matrix at order 8, and (8/order)² times as many
-  at another order, since a gauge built at that order integrates a
-  pair's flux on order² nodes; about 2^16 flux quadrature nodes per
-  block of a table of circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs
-  at order 8); 2^16 complex entries (1 MB) per batch temporary of the
+  ``rep`` walks a gauge of order 8, and (8/order)² times as many for a
+  gauge of another order, which integrates a pair's flux on order²
+  nodes; about 2^16 flux quadrature nodes per block of a table of
+  circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs for a gauge of
+  order 8); 2^16 complex entries (1 MB) per batch temporary of the
   constant-field product's FFTs (``_FFT_BLOCK``); and 64 and 128 matrix
   rows per GEMM tile of A (base points r) and of B (rows S of the right
   factor), each rounded to whole rows of the leading axis
@@ -380,18 +381,16 @@ def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
     return np.stack(np.meshgrid(*([ax] * grid.dim), indexing="ij"), axis=-1)
 
 
-def _lambda_factors(
-    pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0, order: int = _ORDER
-) -> np.ndarray:
+def _lambda_factors(pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0) -> np.ndarray:
     """Table Λ[r; u] = λ^{A}(r; u) over (extended) base mesh and window.
 
     A variable field's circulation is a triangle flux with about order²
-    quadrature nodes per pair, so a block holds ``_QUAD_BLOCK // order²``
-    pairs.
+    quadrature nodes per pair at the gauge's order, so a block holds
+    ``_QUAD_BLOCK // order²`` pairs.
     """
     return _over_pairs(
-        lambda r, u: np.exp(-1j * pot.circulation(r, u, order=order)),
-        _ext_mesh(grid, pad), grid, disp_count, block=max(1, _QUAD_BLOCK // order**2),
+        lambda r, u: np.exp(-1j * pot.circulation(r, u)),
+        _ext_mesh(grid, pad), grid, disp_count, block=max(1, _QUAD_BLOCK // pot.order**2),
     )
 
 
@@ -707,8 +706,8 @@ def twisted_product(
     (:func:`_tiled_product`).  The cocycle enters as the transversal
     gauge's circulation phases: in closed form for a constant field (a row
     phase on the left factor, a column phase on the right one and an
-    output phase), as dressing tables of triangle-flux quadratures of
-    order ``order`` for a variable one.
+    output phase), as dressing tables of the triangle-flux quadratures of
+    a transversal gauge of order ``order`` for a variable one.
 
     Every path returns the output displacement window asked for, by
     default the natural one of d_φ + d_ψ - 1 nodes per axis, capped at the
@@ -760,11 +759,11 @@ def twisted_product(
         else:
             # gauge dressing turns the twisted sum into a plain shifted convolution
             pot = transversal_gauge(field, order=order)
-            a = _lambda_factors(pot, grid, phi.disp_count, order=order) * a
-            b = _lambda_factors(pot, grid, psi.disp_count, pad=pad, order=order) * b
+            a = _lambda_factors(pot, grid, phi.disp_count) * a
+            b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) * b
             vals = _tiled_product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
-            vals *= np.conj(_lambda_factors(pot, grid, out_count, order=order))
+            vals *= np.conj(_lambda_factors(pot, grid, out_count))
         vals *= grid.cell_volume
         if not tilde:
             vals = _shear(vals, grid, -1, scheme, inplace=True)
@@ -996,46 +995,29 @@ class BandedOperator:
 def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
 
-    The matrix-free form of :func:`rep` at its default scheme and order,
-    for ``matvec``/``rmatvec`` users.  On a truncated box the phase of a
-    lexicographically negative u whose target x + u lies in the box is
-    taken from the reverse segment, λ^A(x;u) = conj(λ^A(x+u;-u)), as
-    ``rep`` takes it, so ``to_dense()`` equals ``rep`` bit for bit; the
-    table itself still integrates every (x, u).
+    The matrix-free form of :func:`rep` at its default scheme, for
+    ``matvec``/``rmatvec`` users.  The bands hold ``rep``'s entries from
+    its own walk over the pairs, so ``to_dense()`` equals ``rep`` bit for
+    bit; on a truncated box c(x;u) is zero where x + u leaves the box.
     """
     grid = kernel.grid
-    lam = _lambda_factors(pot, grid, kernel.disp_count)
-    if grid.bc != "periodic":
-        _mirror_phases(lam, grid)
-    coeffs = lam * _tilde_values(kernel, _SCHEME)
-    coeffs *= grid.cell_volume
+    coeffs = np.zeros((grid.n,) * grid.dim + (kernel.disp_count,) * grid.dim, dtype=complex)
+    flat = coeffs.reshape(grid.size, -1)
+    for row, _, j, value in _rep_entries(pot, kernel, _SCHEME):
+        flat[row, j] = value
     return BandedOperator(grid=grid, coeffs=coeffs, periodic=grid.bc == "periodic")
 
 
-def _mirror_phases(lam: np.ndarray, grid: BoxGrid) -> None:
-    """Set Λ[x;u] = conj(Λ[x+u;-u]) in place for every lexicographically
-    negative u of the window and every x with x + u in the box."""
-    dim, n = grid.dim, grid.n
-    d = lam.shape[-1]
-    flat = lam.reshape((n,) * dim + (-1,))
-    count = flat.shape[-1]
-    for j in range(count // 2):
-        shift = np.array(np.unravel_index(j, (d,) * dim)) - d // 2
-        src = tuple(slice(max(0, -s), n - max(0, s)) for s in shift)
-        dst = tuple(slice(max(0, s), n - max(0, -s)) for s in shift)
-        flat[src + (j,)] = np.conj(flat[dst + (count - 1 - j,)])
-
-
-def _pair_blocks(grid: BoxGrid, d: int, order: int = _ORDER):
+def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):
     """``rep``'s walk over the node pairs of a window of ``d`` nodes per axis.
 
-    Yields, per block of rows, the row r, window index j and column of
-    every pair whose column r + u lies in the box, in row-major order; a
-    periodic box wraps the column and keeps every j, a truncated one keeps
-    u = 0 and the lexicographically positive u.  A block holds about
-    ``_PAIR_BLOCK`` pairs at order 8 and (8/order)² times as many at
-    another ``order``, as a gauge built at that order integrates a pair's
-    flux on order² nodes.
+    Yields, per block of rows, the row r, window index j, column and
+    circulation of ``pot`` along [r, r + u] of every pair whose column
+    r + u lies in the box, in row-major order; a periodic box wraps the
+    column and keeps every j, a truncated one keeps u = 0 and the
+    lexicographically positive u.  A block holds about ``_PAIR_BLOCK``
+    pairs for a gauge of order 8 and (8/order)² times as many for
+    another, as it integrates a pair on order² nodes.
     """
     dim, n, size = grid.dim, grid.n, grid.size
     count = d**dim
@@ -1050,8 +1032,9 @@ def _pair_blocks(grid: BoxGrid, d: int, order: int = _ORDER):
     if periodic:
         target %= n
         inside[:] = True
-    pairs_per_block = _PAIR_BLOCK * _ORDER**2 // order**2
+    pairs_per_block = _PAIR_BLOCK * _ORDER**2 // pot.order**2
     rows_per_block = max(1, pairs_per_block // (count - first))
+    pts, disp = grid.points(), _disp_nodes(grid, d)
     for start in range(0, size, rows_per_block):
         rows = np.arange(start, min(start + rows_per_block, size))
         col, ok = 0, True
@@ -1061,24 +1044,43 @@ def _pair_blocks(grid: BoxGrid, d: int, order: int = _ORDER):
             ok = ok & inside[node].reshape(shape)
         r, j = np.nonzero(ok.reshape(len(rows), count)[:, first:])
         col = col.reshape(len(rows), count)[:, first:][r, j]
-        yield r + start, j + first, col
+        r, j = r + start, j + first
+        yield r, j, col, pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0))
 
 
-def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int, order: int = _ORDER) -> VectorPotential:
+def _rep_entries(pot: VectorPotential, kernel: KernelSample, scheme: str):
+    """``rep``'s entries as blocks of (row, column, window index, value):
+    per block of ``_pair_blocks`` the integrated pairs, then on a truncated
+    box their reverse entries, which share the phase."""
+    grid = kernel.grid
+    count = kernel.disp_count**grid.dim
+    # a base-point independent kernel reads its one row at every row
+    tilde = np.broadcast_to(_tilde_values(kernel, scheme).reshape(-1, count), (grid.size, count))
+    for r, j, col, circ in _pair_blocks(pot, grid, kernel.disp_count):
+        phase = np.exp(-1j * circ)
+        yield r, col, j, phase * tilde[r, j] * grid.cell_volume
+        if grid.bc == "periodic":
+            continue
+        rev = j > count // 2
+        r, col, j = r[rev], col[rev], count - 1 - j[rev]
+        yield col, r, j, np.conj(phase[rev]) * tilde[col, j] * grid.cell_volume
+
+
+def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int) -> VectorPotential:
     """The gauge ``pot`` with the circulations of ``rep``'s pairs tabulated.
 
-    Integrates circulation(x, u) at ``order`` once for every pair that
-    ``rep`` walks on the truncated box ``grid`` with a window of ``d``
-    nodes per axis, and returns a potential whose ``circulation_exact``
-    reads the table.  A box whose nodes and window are a subset of these,
-    bit for bit, reads its own pairs from it: a segment's circulation
-    depends on its end points only, and the quadrature on neither the box
-    nor the batch, so ``rep`` through the table equals ``rep`` through
-    ``pot`` bit for bit.  The table holds the in-box pairs only, one block
-    of the row sub-box per lexicographically non-negative u, and its
-    values stay at ``order`` whatever order a caller asks for.  A query
-    that is not an exact node and window displacement of ``grid``, or
-    whose pair is not in the table, raises ``ValueError``.
+    Integrates circulation(x, u) once for every pair that ``rep`` walks on
+    the truncated box ``grid`` with a window of ``d`` nodes per axis, and
+    returns a potential whose ``circulation_exact`` reads the table.  A box
+    whose nodes and window are a subset of these, bit for bit, reads its
+    own pairs from it: a segment's circulation depends on its end points
+    only, and the quadrature on neither the box nor the batch, so ``rep``
+    through the table equals ``rep`` through ``pot`` bit for bit.  The
+    table holds the in-box pairs only, one block of the row sub-box per
+    lexicographically non-negative u; its values are at ``pot``'s order,
+    which the returned gauge keeps.  A query that is not an exact node and
+    window displacement of ``grid``, or whose pair is not in the table,
+    raises ``ValueError``.
     """
     if grid.bc == "periodic":
         raise ValueError("circulation tables cover truncated boxes only")
@@ -1102,10 +1104,7 @@ def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int, order: int =
         return pos
 
     table = np.empty(int(sizes.sum()))
-    pts = grid.points()
-    disp = _disp_nodes(grid, d)
-    for r, j, _ in _pair_blocks(grid, d, order):
-        circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
+    for r, j, _, circ in _pair_blocks(pot, grid, d):
         table[position(np.stack(np.unravel_index(r, (n,) * dim)), j)] = circ
 
     axis, disp_axis = grid.axis(), grid.disp_axis(d)
@@ -1135,51 +1134,32 @@ def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int, order: int =
             )
         return table[position(nodes.T, j)].reshape(shape)
 
-    return VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=circulation)
+    tabulated = VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=circulation)
+    tabulated._order = pot.order
+    return tabulated
 
 
-def rep(
-    pot: VectorPotential,
-    kernel: KernelSample,
-    *,
-    scheme: str = _SCHEME,
-    order: int = _ORDER,
-) -> OperatorMatrix:
+def rep(pot: VectorPotential, kernel: KernelSample, *, scheme: str = _SCHEME) -> OperatorMatrix:
     """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
 
     Filled directly over the node pairs whose difference u = y - x lies in
-    the kernel window (``_pair_blocks``): the entry is
-    Δ^N exp(-i circulation(x, u)) φ~(x;u) with the sheared value
-    φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet kernels.  On
-    a truncated box each unordered pair is integrated once: the
-    circulation c of a lexicographically positive u (and of u = 0) also
-    gives the reverse entry Δ^N exp(+i c) φ~(y;-u), since reversing the
-    segment negates its line integral.  Only the phase is shared, so a
-    non-Hermitian kernel gives a non-Hermitian matrix.  Periodic boxes
-    wrap the column index and integrate every pair: a wrapped column's
-    reverse segment is not the negated one.  A gauge from
-    ``_circulation_table`` reads the same pairs from a table built once
-    for a box ladder.  Entries equal those of
-    ``rep_banded(...).to_dense()`` bit for bit.
+    the kernel window (``_rep_entries``): the entry is
+    Δ^N exp(-i circulation(x, u)) φ~(x;u), at the gauge's order, with the
+    sheared value φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet
+    kernels.  On a truncated box each unordered pair is integrated once:
+    the circulation c of a lexicographically positive u (and of u = 0)
+    also gives the reverse entry Δ^N exp(+i c) φ~(y;-u), since reversing
+    the segment negates its line integral.  Only the phase is shared, so a
+    non-Hermitian kernel gives a non-Hermitian matrix.  Periodic boxes wrap
+    the column index and integrate every pair: a wrapped column's reverse
+    segment is not the negated one.  A gauge from ``_circulation_table``
+    reads the same pairs from a table built once for a box ladder.
+    Entries equal those of ``rep_banded(...).to_dense()`` bit for bit.
     """
     grid = kernel.grid
-    d = kernel.disp_count
-    count = d**grid.dim
-    tilde = _tilde_values(kernel, scheme).reshape(-1, count)
-    disp = _disp_nodes(grid, d)
-    pts = grid.points()
     mat = np.zeros((grid.size, grid.size), dtype=complex)
-    for r, j, col in _pair_blocks(grid, d, order):
-        coef = np.take(tilde[0], j) if kernel.q_independent else tilde[r, j]
-        circ = pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0), order=order)
-        phase = np.exp(-1j * circ)
-        mat[r, col] = phase * coef * grid.cell_volume
-        if grid.bc == "periodic":
-            continue
-        rev = j > count // 2
-        r, col, j = r[rev], col[rev], count - 1 - j[rev]
-        coef = np.take(tilde[0], j) if kernel.q_independent else tilde[col, j]
-        mat[col, r] = np.conj(phase[rev]) * coef * grid.cell_volume
+    for row, col, _, value in _rep_entries(pot, kernel, scheme):
+        mat[row, col] = value
     return OperatorMatrix(mat=mat, grid=grid)
 
 

@@ -25,8 +25,8 @@ leading batch dimensions, with the coordinate dimension last.
 
 Line and triangle quadratures default to order 8 (``DEFAULT_LINE_ORDER``,
 ``DEFAULT_TRIANGLE_ORDER``); ``gamma_b`` always runs at the triangle
-default.  A transversal circulation takes its radial order from the
-gauge's ``order`` and its line order from the call's.
+default.  A potential's ``order`` decides the order of its circulation:
+a transversal one integrates on order × order nodes.
 ``MagneticField.check_closed`` takes central differences of step 1e-4
 (``_CLOSED_STEP``) and refuses a cyclic residual above 1e-6
 (``_CLOSED_TOL``).
@@ -217,24 +217,31 @@ class VectorPotential:
     is how constant-field closed forms and telescoping gauge terms keep the
     lattice identities exact.  A transversal gauge of a variable field
     (built by :func:`transversal_gauge`) computes it as a triangle flux
-    instead, and a potential with neither has no circulation.
+    instead, and a potential with neither has no circulation.  Its
+    read-only quadrature ``order`` is 8 unless set by
+    :func:`transversal_gauge` or kept by :func:`gauge_shift`.
     """
 
     dim: int
     func: Callable
     circulation_exact: Optional[Callable] = None
-    # (field, radial order) of a variable-field transversal gauge
-    _transversal: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
+    # the field of a variable-field transversal gauge
+    _transversal: Optional[MagneticField] = dc_field(default=None, init=False, repr=False, compare=False)
+    _order: int = dc_field(default=DEFAULT_LINE_ORDER, init=False, repr=False, compare=False)
+
+    @property
+    def order(self) -> int:
+        return self._order
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.func(np.asarray(pts, dtype=float)), dtype=float)
 
-    def circulation(self, q: np.ndarray, x: np.ndarray, order: Optional[int] = None) -> np.ndarray:
+    def circulation(self, q: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Line integral of A along the straight segment from q to q + x.
 
         In the transversal gauge x·A(x) = 0 this is the flux of B through
-        the triangle (0, q, q + x); ``order`` is its line order along the
-        segment, the radial order being the gauge's.
+        the triangle (0, q, q + x), integrated on ``order`` × ``order``
+        nodes.
         """
         q = np.asarray(q, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -246,17 +253,16 @@ class VectorPotential:
                 "vector potential has no circulation: set circulation_exact or build it "
                 "with transversal_gauge"
             )
-        field, radial = self._transversal
-        return _flux_quadrature(field, None, q, x, radial, order or DEFAULT_LINE_ORDER)
+        return _flux_quadrature(self._transversal, None, q, x, self._order, self._order)
 
 
-def lambda_a(A: VectorPotential, q, x, order: Optional[int] = None) -> np.ndarray:
+def lambda_a(A: VectorPotential, q, x) -> np.ndarray:
     """Unimodular phase attached to the straight segment [q, q + x].
 
     This is exp(-i * circulation); it twists point translations into
     magnetic translations.
     """
-    return np.exp(-1j * A.circulation(q, x, order=order))
+    return np.exp(-1j * A.circulation(q, x))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +362,7 @@ def transversal_gauge(B: MagneticField, order: int = DEFAULT_LINE_ORDER) -> Vect
     circulation (the line integrand is affine, a midpoint rule is exact).
     For a variable field ``func`` integrates radially with ``order`` nodes,
     and the circulation along [q, q + x] is the flux through the triangle
-    (0, q, q + x) with ``order`` radial nodes and the call's line order.
+    (0, q, q + x) on order × order nodes.  Either gauge has this ``order``.
     """
     if B.is_constant:
         bmat = B.constant
@@ -368,23 +374,24 @@ def transversal_gauge(B: MagneticField, order: int = DEFAULT_LINE_ORDER) -> Vect
             mid = q + 0.5 * x
             return np.einsum("...j,...j->...", func(mid), x)
 
-        return VectorPotential(dim=B.dim, func=func, circulation_exact=circ)
+        pot = VectorPotential(dim=B.dim, func=func, circulation_exact=circ)
+    else:
+        nodes, weights = unit_gauss_legendre(order)
 
-    nodes, weights = unit_gauss_legendre(order)
+        def func(pts):
+            pts = np.asarray(pts, dtype=float)
+            scaled = nodes[(...,) + (None,) * pts.ndim] * pts[None, ...]  # (order, ..., dim)
+            out = np.zeros(pts.shape)
+            for (j, k) in sorted(B.components):
+                vals = B.component(j, k, scaled)  # (order, ...)
+                integral = np.einsum("o,o...->...", weights * nodes, vals)
+                out[..., j] += -pts[..., k] * integral
+                out[..., k] += pts[..., j] * integral
+            return out
 
-    def func(pts):
-        pts = np.asarray(pts, dtype=float)
-        scaled = nodes[(...,) + (None,) * pts.ndim] * pts[None, ...]  # (order, ..., dim)
-        out = np.zeros(pts.shape)
-        for (j, k) in sorted(B.components):
-            vals = B.component(j, k, scaled)  # (order, ...)
-            integral = np.einsum("o,o...->...", weights * nodes, vals)
-            out[..., j] += -pts[..., k] * integral
-            out[..., k] += pts[..., j] * integral
-        return out
-
-    pot = VectorPotential(dim=B.dim, func=func)
-    pot._transversal = (B, order)
+        pot = VectorPotential(dim=B.dim, func=func)
+        pot._transversal = B
+    pot._order = order
     return pot
 
 
@@ -402,7 +409,9 @@ def gauge_shift(A: VectorPotential, rho: GaugeFunction) -> VectorPotential:
     def circ(q, x):
         return A.circulation(q, x) + np.asarray(rho.func(q + x)) - np.asarray(rho.func(q))
 
-    return VectorPotential(dim=A.dim, func=func, circulation_exact=circ)
+    pot = VectorPotential(dim=A.dim, func=func, circulation_exact=circ)
+    pot._order = A.order
+    return pot
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class BoxGrid:
             raise ValueError("dimension must be 1, 2 or 3")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError("node count per axis must be even and at least 4")
-        if self.half_length <= 0:
-            raise ValueError("half length must be positive")
+        if not (np.isfinite(self.half_length) and self.half_length > 0):
+            raise ValueError(f"half length must be positive and finite, got {self.half_length}")
         if self.bc not in ("truncated", "periodic"):
             raise ValueError("boundary condition must be 'truncated' or 'periodic'")
 

@@ -170,9 +170,7 @@ def hausdorff(s1, s2, window: tuple) -> float:
     two empty sets are at distance zero.  A window that is not finite with
     lo < hi, or a NaN point, raises ``ValueError``.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError("Hausdorff window needs finite bounds lo < hi")
+    lo, hi = _finite_window(window)
     a = np.sort(np.asarray(s1, dtype=float).ravel())
     b = np.sort(np.asarray(s2, dtype=float).ravel())
     if np.isnan(a).any() or np.isnan(b).any():
@@ -184,6 +182,14 @@ def hausdorff(s1, s2, window: tuple) -> float:
     if len(a) == 0 or len(b) == 0:
         return hi - lo
     return max(_directed_sup(a, b), _directed_sup(b, a))
+
+
+def _finite_window(window: tuple) -> tuple:
+    """(lo, hi) as floats, refused unless finite with lo < hi."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"window needs finite bounds lo < hi, got {window}")
+    return lo, hi
 
 
 def _directed_sup(a: np.ndarray, b: np.ndarray) -> float:
@@ -319,12 +325,12 @@ def _checked_values(spec: SchrodingerSpec) -> tuple:
 def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
-    Every truncated box goes through ``rep(gauge, kernel)`` at the
-    algebra layer's quadrature order 8.  The gauge is
-    ``spec.vector_potential`` when set, else the transversal gauge of the
-    field; the operator is gauge covariant, so either gives the same
-    spectrum.  Without field and explicit gauge a real kernel gives a real
-    (float64) matrix.  Periodic boxes use the exact Fourier multiplier.
+    Every truncated box goes through ``rep(gauge, kernel)`` at the gauge's
+    quadrature order.  The gauge is ``spec.vector_potential`` when set,
+    else the transversal gauge of the field at order 8; the operator is
+    gauge covariant, so either gives the same spectrum.  Without field and
+    explicit gauge a real kernel gives a real (float64) matrix.  Periodic
+    boxes use the exact Fourier multiplier.
     """
     grid = spec.grid
     if grid is None:
@@ -801,9 +807,10 @@ def asymptotic_spectra(
 
     Constant pairs with the free kinetic symbol use the analytic oracle
     (or the band range at b = 0); one-variable pairs are fibered; anything
-    else is assembled and diagonalized on the supplied grid.
+    else is assembled and diagonalized on the supplied grid.  A window
+    that is not finite with lo < hi raises ``ValueError``.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _finite_window(window)
     band_step = (hi - lo) / _BAND_STEPS
     pairs = asymptotic_pairs(descriptor)
     free = _is_free_kinetic(h, grid.dim)
@@ -942,11 +949,12 @@ def essential_estimate(
     Rungs are assembled and solved one after the other (in a pool with
     ``threads`` > 1).  Where the gauge needs quadrature, rungs on one
     lattice read their circulations from one table (``_rung_specs``),
-    which is released once the group's last rung is assembled.  A density
-    that is not positive and finite, node counts that do not strictly
-    increase, or a largest rung above ``EIG_CAP`` nodes raise
-    ``ValueError`` before anything is assembled.
+    which is released once the group's last rung is assembled.  A window
+    that is not finite with lo < hi, a density that is not positive and
+    finite, node counts that do not strictly increase, or a largest rung
+    above ``EIG_CAP`` nodes raise ``ValueError`` before any assembly.
     """
+    lo, hi = _finite_window(window)
     boxes = tuple(float(b) for b in boxes)
     if len(boxes) < 2:
         raise ValueError("box ladder needs at least two boxes")
@@ -955,7 +963,6 @@ def essential_estimate(
     grid = spec.grid
     if grid is None:
         raise ValueError("box ladder needs a grid on the spec")
-    lo, hi = float(window[0]), float(window[1])
     delta_persist = _PERSIST_FRAC * (hi - lo)
     if density is None:
         density = grid.n / (2.0 * grid.half_length)

@@ -15,6 +15,7 @@ from magweyl.fields import (
     MagneticField,
     gauge_shift,
     transversal_gauge,
+    _flux_quadrature,
 )
 from magweyl import crossed
 from magweyl.grid import (
@@ -269,9 +270,9 @@ def over_nodes(fill, mesh, grid, disp_count):
     return out
 
 
-def lambda_per_node(pot, grid, disp_count, pad=0, order=8):
+def lambda_per_node(pot, grid, disp_count, pad=0):
     return over_nodes(
-        lambda r, u: np.exp(-1j * pot.circulation(r, u, order=order)),
+        lambda r, u: np.exp(-1j * pot.circulation(r, u)),
         crossed._ext_mesh(grid, pad), grid, disp_count,
     )
 
@@ -991,9 +992,9 @@ def spy_pairs(monkeypatch):
     seen = []
     circulation = crossed.VectorPotential.circulation
 
-    def spy(self, q, x, order=None):
+    def spy(self, q, x):
         seen.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
-        return circulation(self, q, x, order=order)
+        return circulation(self, q, x)
 
     monkeypatch.setattr(crossed.VectorPotential, "circulation", spy)
     return seen
@@ -1004,14 +1005,18 @@ def test_rep_integrates_each_unordered_pair_once(monkeypatch, bc):
     # a truncated box takes the reverse of each segment by negation, so the
     # in-box pairs off the diagonal are integrated once per unordered pair;
     # a wrapped column's reverse segment is not the negated one, so a
-    # periodic box integrates every pair
+    # periodic box integrates every pair; the banded form walks the same
+    # pairs, where a table of every (x, u) took 7056 on the truncated box
     g = BoxGrid(dim=2, half_length=3.0, n=12, bc=bc)
     phi, _ = pair_on(g, 7)
-    seen = spy_pairs(monkeypatch)
-    rep(transversal_gauge(variable_field()), phi)
     pairs = len(rep_pairs(g, 7)[0])
     want = pairs if bc == "periodic" else (pairs + g.size) // 2
-    assert sum(seen) == want
+    assert want == (7056 if bc == "periodic" else 2664)
+    seen = spy_pairs(monkeypatch)
+    for route in (rep, rep_banded):
+        seen.clear()
+        route(transversal_gauge(variable_field()), phi)
+        assert sum(seen) == want, route
 
 
 def shifted_gauge():
@@ -1065,20 +1070,36 @@ def test_rep_keeps_a_non_hermitian_kernel_non_hermitian(imag):
 
 
 def test_rep_memory_does_not_grow_with_order():
-    # a block holds about as many flux quadrature nodes at order 16 (a
-    # gauge and a line rule of 16 nodes each, 256 per pair) as at order 8:
-    # 25.5 MB against 26.9 MB at order 8 for a 5.3 MB matrix, where blocks
-    # of 8192 pairs at every order peaked at 85.1 MB
+    # a block holds about as many flux quadrature nodes for a gauge of
+    # order 16 (16 × 16 nodes per pair) as for one of order 8: 25.5 MB
+    # against 26.9 MB at order 8 for a 5.3 MB matrix, where blocks of 8192
+    # pairs at every order peaked at 85.1 MB; a shifted gauge keeps the
+    # order its blocks are sized by
     g = BoxGrid(dim=2, half_length=3.0, n=24)
     phi, _ = pair_on(g, 9, attach=False)
     pot = transversal_gauge(variable_field(), order=16)
-    tracemalloc.start()
-    try:
-        rep(pot, phi, order=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32e6, peak
+    rho = GaugeFunction(func=lambda q: q[..., 0] * q[..., 1], grad=lambda q: q[..., ::-1])
+    for gauge in (pot, gauge_shift(pot, rho)):
+        tracemalloc.start()
+        try:
+            rep(gauge, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
+
+
+def test_circulation_table_keeps_the_gauge_order():
+    # the table integrates at the gauge's order (4 × 4 nodes here, not 4
+    # radial and 8 line nodes) and hands that order on
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    fld = variable_field()
+    table = crossed._circulation_table(transversal_gauge(fld, order=4), g, 5)
+    x, j, _, steps = rep_pairs(g, 5)
+    keep = j >= 25 // 2
+    q, u = g.points()[x[keep]], steps[keep] * g.delta
+    assert table.order == 4
+    assert same_bits(table.circulation(q, u), _flux_quadrature(fld, None, q, u, 4, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from magweyl.fields import (
     transversal_gauge,
     gauge_shift,
     unit_gauss_legendre,
+    _flux_quadrature,
     ConstPlusDecay,
     VanishingOscillation,
     MixedVOAP,
@@ -81,8 +82,8 @@ def test_pseudo_trivialization():
     B = bump_field()
     A = transversal_gauge(B, order=24)
     q, x, y, _ = draws(rng)
-    lhs = lambda_a(A, q, x, order=24) * lambda_a(A, q + x, y, order=24)
-    rhs = omega_b(B, q, x, y, order=24) * lambda_a(A, q, x + y, order=24)
+    lhs = lambda_a(A, q, x) * lambda_a(A, q + x, y)
+    rhs = omega_b(B, q, x, y, order=24) * lambda_a(A, q, x + y)
     assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -448,11 +449,27 @@ def test_transversal_circulation_matches_line_integral(case):
     B.check_closed(segments(B.dim)[0])
     A = transversal_gauge(B, order=24)
     q, x = segments(B.dim)
-    got = A.circulation(q, x, order=24)
+    got = A.circulation(q, x)
     nodes, weights = np.polynomial.legendre.leggauss(24)
     t, wt = 0.5 * (nodes + 1.0), 0.5 * weights
     want = sum(w * np.sum(A(q + ti * x) * x, axis=-1) for ti, w in zip(t, wt))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
+def test_gauge_decides_the_circulation_order(case):
+    # a gauge of order 4 integrates on 4 × 4 nodes, not on 4 radial and 8
+    # line nodes, and a shifted gauge adds its telescoped terms to the same
+    # flux
+    B = VARIABLE_FIELDS[case]()
+    A = transversal_gauge(B, order=4)
+    q, x = segments(B.dim)
+    want = _flux_quadrature(B, None, q, x, 4, 4)
+    assert A.order == 4 and np.array_equal(A.circulation(q, x), want)
+    rho = GaugeFunction(func=lambda p: np.sum(np.sin(p), axis=-1), grad=np.cos)
+    shifted = gauge_shift(A, rho)
+    assert shifted.order == 4
+    assert np.array_equal(shifted.circulation(q, x), want + rho.func(q + x) - rho.func(q))
 
 
 @pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
@@ -467,8 +484,9 @@ def test_transversal_circulation_reverses_with_the_segment(case):
 
 @pytest.mark.parametrize("case", sorted(VARIABLE_FIELDS))
 def test_transversal_circulation_does_not_depend_on_the_batch(case):
-    # rep and rep_banded evaluate the same pair in different batches; their
-    # bit-for-bit agreement rests on this
+    # rep, the box ladder's circulation table and the product's Λ tables
+    # evaluate a pair in other batches than the per-pair and per-node
+    # routes of the tests; their bit-for-bit agreement rests on this
     B = VARIABLE_FIELDS[case]()
     A = transversal_gauge(B)
     q, x = segments(B.dim)

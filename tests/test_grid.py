@@ -43,6 +43,13 @@ def test_grid_validation():
         BoxGrid(dim=2, half_length=1.0, n=8, bc="absorbing")
 
 
+@pytest.mark.parametrize("half_length", [np.nan, np.inf, 0.0])
+def test_grid_refuses_a_non_finite_half_length(half_length):
+    # a NaN passed the positivity check and gave a NaN spacing
+    with pytest.raises(ValueError, match="positive and finite"):
+        BoxGrid(dim=2, half_length=half_length, n=8)
+
+
 def test_transform_round_trip_2d():
     rng = np.random.default_rng(201)
     g = BoxGrid(dim=2, half_length=2.0, n=16)

@@ -114,11 +114,11 @@ def gauss(q, x):
 
 
 def kernel_case(case):
-    if case == "periodic":
+    if case.startswith("periodic"):
         grid = BoxGrid(dim=2, half_length=3.0, n=10, bc="periodic")
     else:
         grid = BoxGrid(dim=2, half_length=3.0, n=10)
-    if case == "q_independent":
+    if case in ("q_independent", "periodic_q_independent"):
         return kernel_from_func(gauss, grid, disp_count=7, q_independent=True)
     if case == "tilde":
         phi = kernel_from_func(gauss, grid, disp_count=5)
@@ -128,7 +128,7 @@ def kernel_case(case):
     return kernel_from_func(gauss, grid, disp_count=7, attach_func=(case != "q_dependent"))
 
 
-@pytest.mark.parametrize("case", ["q_independent", "q_dependent", "periodic", "tilde"])
+@pytest.mark.parametrize("case", ["q_independent", "q_dependent", "periodic", "periodic_q_independent", "tilde"])
 def test_rep_matches_banded_exactly(case):
     k = kernel_case(case)
     pot = transversal_gauge(variable_field())
@@ -203,6 +203,23 @@ def test_essential_estimate_ladder_guards():
     # refused before the smaller rung is assembled
     with pytest.raises(ValueError, match="above EIG_CAP"):
         essential_estimate(spec, (3.0, 20.0), (0.0, 8.0), density=4.0)
+
+
+@pytest.mark.parametrize("window", [(0.0, np.inf), (8.0, 0.0), (np.nan, 8.0)])
+def test_ladder_and_union_refuse_a_window_without_finite_bounds(monkeypatch, window):
+    # both scale by hi - lo: an infinite window made every eigenvalue of the
+    # largest box persistent and collapsed the band [0.5, inf) to 0.5, and
+    # an empty or NaN one reached the eigensolver's refusal only after the
+    # rungs were built
+    def no_assembly(spec):
+        raise AssertionError("assembled a rung for a window it refuses")
+
+    monkeypatch.setattr(spectral_module, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="finite bounds"):
+        essential_estimate(decay_spec(3.0, 12), (2.0, 3.0), window, density=2.0)
+    desc = ConstPlusDecay(dim=2, b_inf=0.0, v_inf=0.5)
+    with pytest.raises(ValueError, match="finite bounds"):
+        asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=12), window)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +651,11 @@ def test_ladder_integrates_the_largest_rungs_pairs_once(monkeypatch):
     integrated = []
     circulation = spectral_module.VectorPotential.circulation
 
-    def spy(self, q, x, order=None):
+    def spy(self, q, x):
         # quadrature only: the table's lookups have a closed circulation
         if self.circulation_exact is None:
             integrated.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
-        return circulation(self, q, x, order=order)
+        return circulation(self, q, x)
 
     monkeypatch.setattr(spectral_module.VectorPotential, "circulation", spy)
     essential_estimate(decay_spec(3.0, 12), (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
