@@ -49,8 +49,10 @@ variable field dresses the factors with tables of Λ, whose transversal
 circulations are triangle fluxes computed by quadrature.
 Mass falling outside the kept output window is recorded as the
 sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
-nodes x, an upper bound on the exact clipped L¹ mass; the convolution of
-the sup arrays is a real-FFT convolution through ``scipy.fft``.
+nodes x, an upper bound on the exact clipped L¹ mass; it is the total
+(Σ sup_q|φ|)(Σ sup_q|ψ|) less the kept part, which is read from box sums
+of sup_q|ψ| without forming the convolution (``_clip_mass``).  The layer
+needs numpy only: its FFTs are ``numpy.fft``'s.
 
 Sampled values at off-lattice base points come from the kernel's exact
 callable when present, else from symmetric interpolation (linear by
@@ -104,7 +106,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .fields import (
     MagneticField,
@@ -543,12 +544,13 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     window are transformed, as batched FFTs over a block of output rows x'
     at a time, so that each temporary holds about ``_FFT_BLOCK`` entries:
     O(d^(2N-1) log d) work for d nodes per axis, and a factor with a small
-    window pays for its band only.
+    window pays for its band only.  The transforms are ``numpy.fft``'s
+    complex ones at the fast length ``_next_fast_len(d_a + d_b - 1)``.
     """
     p = grid.dim - 1
     da, db = a.shape[-1], b.shape[-1]
     off = out_count // 2 - da // 2 - db // 2
-    size = sp_fft.next_fast_len(da + db - 1)
+    size = _next_fast_len(da + db - 1)
     # kept nodes of the last output axis
     lo, hi = max(0, off), min(out_count, da + db - 1 + off)
     rows_a = np.array(list(np.ndindex(*(da,) * p)), dtype=int).reshape(da**p, p)
@@ -556,7 +558,7 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
     y_pre, x_pre = ya[rows_a], xo[rows_o]
     a_rows = a.reshape(-1, da)
-    brows = sp_fft.fft(b.reshape(-1, db), size)
+    brows = np.fft.fft(b.reshape(-1, db), size)
     out_mod = np.exp(-0.5j * np.outer(y_pre @ bmat[:p, p], xo[lo:hi]))
     in_mod = np.exp(-0.5j * np.outer(x_pre @ bmat[p, :p], ya))
     strides = db ** np.arange(p - 1, -1, -1)
@@ -571,39 +573,49 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
             continue
         xs = xi + start
         cross = np.exp(-0.5j * np.sum((x_pre[xs] @ bmat[:p, :p].T) * y_pre[yi], axis=-1))
-        spec = sp_fft.fft(cross[:, None] * in_mod[xs] * a_rows[yi], size)
+        spec = np.fft.fft(cross[:, None] * in_mod[xs] * a_rows[yi], size)
         spec *= brows[k[xi, yi] @ strides]
-        conv = sp_fft.ifft(spec, overwrite_x=True)[:, lo - off:hi - off] * out_mod[yi]
+        conv = np.fft.ifft(spec)[:, lo - off:hi - off] * out_mod[yi]
         # sum the pairs of each output row; xi is sorted
         first = np.flatnonzero(np.diff(xi, prepend=-1))
         out[xs[first], lo:hi] = np.add.reduceat(conv, first, axis=0)
     return out.reshape((out_count,) * grid.dim) * grid.cell_volume
 
 
-def _full_convolution(a, b):
-    """Full linear convolution of two real arrays of equal rank: a
-    single-node factor scales the other, else real FFTs at the fast length
-    of the full shape d_a + d_b - 1 per axis.  These are the steps of
-    SciPy's FFT convolution for real input, and the result is the same bit
-    for bit."""
-    if a.size == 1 or b.size == 1:
-        return a * b
-    shape = [da + db - 1 for da, db in zip(a.shape, b.shape)]
-    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
-    full = sp_fft.irfftn(sp_fft.rfftn(a, fshape) * sp_fft.rfftn(b, fshape), fshape)
-    # a contiguous copy: numpy sums it in another order than a strided view
-    return full[tuple(slice(s) for s in shape)].copy()
+def _next_fast_len(n):
+    """The smallest 2^a 3^b 5^c 7^d 11^e ≥ n, the lengths whose complex FFTs
+    pocketfft runs fastest (``scipy.fft.next_fast_len`` for complex input)."""
+    # m is such a number exactly when it divides 2·3·5·7·11 = 2310 to a
+    # power of at least log2(m)
+    m = max(n, 1)
+    while pow(2310, m.bit_length(), m):
+        m += 1
+    return m
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
-    """L1 mass of the product falling outside the kept output window; a
-    window wider than the product's own keeps all of it."""
-    full = _full_convolution(sup_a, sup_b)
-    total = full.sum()
-    kfull = (full.shape[0] - 1) // 2
+    """L1 mass of the sup-convolution sup_a * sup_b outside the kept output
+    window, exactly 0.0 when the window covers the product's own.  The total
+    is (Σ sup_a)(Σ sup_b); the kept part sums sup_a(y) times the box sum of
+    sup_b over the kept window shifted by -y, read from one prefix-sum table
+    of sup_b one axis at a time."""
+    da, db = sup_a.shape[0], sup_b.shape[0]
+    kfull = (da + db - 2) // 2
     kk = min(keep_count // 2, kfull)
-    sl = tuple(slice(kfull - kk, kfull + kk + 1) for _ in range(full.ndim))
-    kept = full[sl].sum()
+    if kk == kfull:
+        return 0.0
+    # the kept nodes kfull - kk .. kfull + kk of the convolution meet sup_b at
+    # lo - y .. hi - y - 1 from node y of sup_a
+    y = np.arange(da)
+    lo = np.clip(kfull - kk - y, 0, db)
+    hi = np.clip(kfull + kk + 1 - y, 0, db)
+    box = np.pad(sup_b, [(1, 0)] * sup_b.ndim)
+    for ax in range(sup_b.ndim):
+        box = np.cumsum(box, axis=ax)
+    for ax in range(sup_b.ndim):
+        box = np.take(box, hi, axis=ax) - np.take(box, lo, axis=ax)
+    total = sup_a.sum() * sup_b.sum()
+    kept = np.sum(sup_a * box)
     return float(max(total - kept, 0.0)) * cell * cell
 
 

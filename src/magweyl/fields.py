@@ -225,7 +225,8 @@ class VectorPotential:
     dim: int
     func: Callable
     circulation_exact: Optional[Callable] = None
-    # the field of a variable-field transversal gauge
+    # the field whose triangle flux the circulation integrates: a
+    # variable-field transversal gauge's, or that of the gauge it shifts
     _transversal: Optional[MagneticField] = dc_field(default=None, init=False, repr=False, compare=False)
     _order: int = dc_field(default=DEFAULT_LINE_ORDER, init=False, repr=False, compare=False)
 
@@ -411,6 +412,7 @@ def gauge_shift(A: VectorPotential, rho: GaugeFunction) -> VectorPotential:
 
     pot = VectorPotential(dim=A.dim, func=func, circulation_exact=circ)
     pot._order = A.order
+    pot._transversal = A._transversal
     return pot
 
 

@@ -20,9 +20,10 @@ explicit ``vector_potential``, else the transversal gauge (closed
 circulation for constant fields, else the flux through the triangle
 (0, x, y) by one tensor quadrature).  The operator is gauge covariant,
 so one gauge per field suffices.  A box ladder whose gauge needs that
-quadrature tabulates it once per lattice group: rungs with one spacing
-and nested node axes read their circulations from one table of the
-largest rung's pairs, dropped once the group is assembled.
+quadrature, directly or under ``gauge_shift``, tabulates it once per
+lattice group: rungs with one spacing and nested node axes read their
+circulations from one table of the largest rung's pairs, dropped once
+the group is assembled.
 Periodic boxes, which admit only a vanishing field, use the exact
 Fourier multiplier instead.
 
@@ -46,6 +47,8 @@ The layer runs one fixed configuration:
   profile's antiderivative, so the fibered route loads
   ``scipy.interpolate`` and ``scipy.integrate`` on its first call; no
   other route imports them.
+* Importing the package loads no SciPy module: ``scipy.linalg`` loads on
+  the first eigensolve, ``concurrent.futures`` for ``threads`` > 1.
 * ``essential_estimate`` clusters and chains eigenvalues at the
   persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
 
@@ -55,12 +58,10 @@ in :mod:`magweyl.fields`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg as sla
 
 from .crossed import OperatorMatrix, _circulation_table, rep
 from .fields import (
@@ -202,6 +203,8 @@ def _directed_sup(a: np.ndarray, b: np.ndarray) -> float:
 
 def _map_tasks(fn, items, threads: int):
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -489,6 +492,9 @@ def _from_real_form(y: np.ndarray, grid: BoxGrid, axes: tuple, sign: float) -> n
 
 def _solve(work: np.ndarray, lower: bool, window: Optional[tuple], vectors: bool):
     """Values (and vectors) of one Hermitian block in ``window``, overwriting it."""
+    # imported here, so that importing the package loads no scipy module
+    import scipy.linalg as sla
+
     subset = None
     if window is not None:
         lo, hi = window
@@ -1053,10 +1059,10 @@ def essential_estimate(
 def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     """One spec per rung; rungs on one lattice share a tabulated gauge.
 
-    On truncated boxes whose gauge has no closed circulation (an explicit
-    ``vector_potential`` or the transversal gauge of a variable field),
-    rungs with a bit-identical spacing form a group: each one's node axis
-    is a slice of the largest one's.  A group of two or more rungs gets
+    On truncated boxes whose gauge's circulation runs a flux quadrature
+    (the transversal gauge of a variable field or a ``gauge_shift`` of
+    one), rungs with a bit-identical spacing form a group: each one's node
+    axis is a slice of the largest one's.  A group of two or more rungs gets
     one circulation table of the largest rung's pairs at ``rep``'s kernel
     window, so each pair is integrated once for the whole ladder and every
     rung's matrix equals its own assembly bit for bit; a lone rung
@@ -1067,7 +1073,7 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     pot = spec.vector_potential
     if pot is None:
         pot = transversal_gauge(spec.field_or_zero())
-    if rungs[0].bc == "periodic" or pot.circulation_exact is not None:
+    if rungs[0].bc == "periodic" or pot._transversal is None:
         return specs
     # node counts are even, so the axes (i - (n-1)/2)·δ of rungs with one
     # spacing are slices of each other bit for bit; the table checks every

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from magweyl.fields import (
@@ -45,9 +46,10 @@ from magweyl.crossed import (
     twisted_involution,
     twisted_product,
     twisted_product_reference,
-    _full_convolution,
+    _clip_mass,
     _lambda_factors,
     _multiply,
+    _next_fast_len,
     _shear,
     _tilde_values,
     _to_tilde,
@@ -499,26 +501,71 @@ CONVOLUTION_CASES = [(5, 3, False), (3, 5, False), (7, 7, False), (1, 5, False),
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("da,db,zero", CONVOLUTION_CASES)
 def test_clip_convolution_matches_fftconvolve(dim, da, db, zero):
+    # _clip_mass reads the clipped mass from box sums; the direct
+    # O(d^(2N)) sup-convolution and SciPy's FFT one give it as well
     rng = np.random.default_rng(100 * dim + 10 * da + db)
     a = rng.random((da,) * dim)
     b = np.zeros((db,) * dim) if zero else rng.random((db,) * dim)
-    full = _full_convolution(a, b)
-    # _clip_mass sums it, and a strided view would sum in another order
-    assert full.flags.c_contiguous
-    assert np.array_equal(full, fftconvolve(a, b))
     direct = np.zeros((da + db - 1,) * dim)
     for y in np.ndindex(a.shape):
         for w in np.ndindex(b.shape):
             direct[tuple(i + j for i, j in zip(y, w))] += a[y] * b[w]
-    assert np.abs(full - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+    total = direct.sum()
+    mid = (da + db - 2) // 2
+    for keep in range(1, da + db + 2, 2):
+        got = _clip_mass(a, b, keep, 0.5)
+        if keep >= da + db - 1:
+            assert got == 0.0
+        kk = min(keep // 2, mid)
+        sl = (slice(mid - kk, mid + kk + 1),) * dim
+        for full in (direct, fftconvolve(a, b)):
+            want = max(full.sum() - full[sl].sum(), 0.0) * 0.25
+            assert abs(got - want) <= 1e-12 * max(1.0, total)
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(n) for n in range(1, 4097)] == [next_fast_len(n) for n in range(1, 4097)]
+
+
+def run_fresh(code):
+    """Standard output of ``code`` in a fresh interpreter on this sys.path."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    return out.stdout.split()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_loads_no_signal_or_spline_modules():
-    heavy = ["scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.integrate"]
-    code = f"import sys, magweyl; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "[]"
+    # nor any other scipy module
+    assert run_fresh(f"import sys, magweyl; print({SCIPY_MODULES})") == ["[]"]
+
+
+def test_products_load_no_scipy_and_eig_loads_linalg():
+    code = f"""
+import sys, warnings
+import numpy as np
+import magweyl as mw
+warnings.simplefilter("ignore")
+g = mw.BoxGrid(dim=2, half_length=3.0, n=12)
+fld = mw.MagneticField.constant_2d(0.5)
+h = lambda p: 1.0 + np.sum(2.0 * (1.0 - np.cos(p * g.delta)), axis=-1) / g.delta**2
+mw.resolvent(h, fld, g, -1.0 + 1.0j, a0=0.0)
+rng = np.random.default_rng(0)
+a, b = (mw.KernelSample(grid=g, values=rng.normal(size=(d, d)) + 0j, q_independent=True)
+        for d in (7, 5))
+assert mw.twisted_product(a, b, fld, out_disp_count=7).tail_mass > 0
+f = lambda q, x: np.exp(-np.sum(q * q, axis=-1) / 4 - np.sum(x * x, axis=-1))
+k = mw.kernel_from_func(f, g, disp_count=5)
+mw.twisted_product(k, k, mw.MagneticField.from_scalar_2d(lambda p: 1.0 + np.exp(-np.sum(p * p, axis=-1))))
+print({SCIPY_MODULES})
+res = mw.eig(mw.assemble(mw.SchrodingerSpec(h=h, field=fld, grid=g)), (0.0, 4.0))
+print("scipy.linalg" in sys.modules, len(res.values))
+"""
+    before, linalg, count = run_fresh(code)
+    assert before == "[]"
+    assert linalg == "True" and int(count) > 0
 
 
 def qindep_pair(g, da, db, seed):

@@ -4,6 +4,7 @@ ladder and the point-set helpers."""
 import importlib
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from magweyl.spectral import (
 
 spectral_module = importlib.import_module("magweyl.spectral")
 crossed_module = importlib.import_module("magweyl.crossed")
+fields_module = importlib.import_module("magweyl.fields")
 
 
 def free_kinetic(p):
@@ -660,6 +662,42 @@ def test_ladder_integrates_the_largest_rungs_pairs_once(monkeypatch):
     monkeypatch.setattr(spectral_module.VectorPotential, "circulation", spy)
     essential_estimate(decay_spec(3.0, 12), (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
     assert sum(integrated) == unordered_pairs(BoxGrid(dim=2, half_length=5.0, n=20)) == 42250
+
+
+def shifted_spec(spec):
+    """``spec`` with the transversal gauge of its field shifted by RHO."""
+    return replace(spec, vector_potential=gauge_shift(transversal_gauge(spec.field), RHO))
+
+
+def test_ladder_tabulates_a_shifted_quadrature_gauge(monkeypatch):
+    # the shifted gauge's circulation runs the flux quadrature of the gauge
+    # it wraps, so the ladder tabulates it as it does the plain gauge
+    integrated = []
+    quadrature = fields_module._flux_quadrature
+
+    def spy(B, q, x, y, s_order, t_order):
+        integrated.append(np.asarray(y).size // B.dim)
+        return quadrature(B, q, x, y, s_order, t_order)
+
+    monkeypatch.setattr(fields_module, "_flux_quadrature", spy)
+    spec = shifted_spec(decay_spec(3.0, 12))
+    est = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert sum(integrated) == 42250
+    monkeypatch.setattr(spectral_module, "_rung_specs", lambda s, rungs: [s.with_grid(g) for g in rungs])
+    plain = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert len(est.points) and np.array_equal(est.points, plain.points)
+
+
+def test_ladder_builds_no_table_for_a_shifted_closed_gauge(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a closed circulation needs no table")
+
+    monkeypatch.setattr(spectral_module, "_circulation_table", no_table)
+    spec = shifted_spec(SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0),
+                                        grid=BoxGrid(dim=2, half_length=3.0, n=12)))
+    seen = record_assembly(monkeypatch)
+    essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    assert len(seen) == 3 and all(pot is spec.vector_potential for _, pot, _ in seen)
 
 
 @pytest.mark.parametrize("boxes, tabled", [((3.0, 4.1), [False, False]),
