@@ -46,7 +46,9 @@ so the phases are absorbed into A, B and the output.  For a constant field
 Λ(r;u) = exp(-i/2 rᵀBu) in closed form: a row phase on the tiles of A, a
 column phase on those of B and one on the output, with no quadrature; a
 variable field dresses the factors with tables of Λ, whose transversal
-circulations are triangle fluxes computed by quadrature.
+circulations are triangle fluxes computed by quadrature: one table on the
+box at the widest window it serves, cut for the left factor, the output
+and an unpadded right factor, and one more for a padded right factor.
 Mass falling outside the kept output window is recorded as the
 sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
 nodes x, an upper bound on the exact clipped L¹ mass; it is the total
@@ -176,9 +178,12 @@ def delta_kernel(grid: BoxGrid) -> KernelSample:
 
 
 def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:
-    """Kernel of the multiplication operator u ↦ v(Q)u."""
+    """Kernel of the multiplication operator u ↦ v(Q)u; samples of v that
+    are not finite are refused."""
     dim = grid.dim
     vals = np.atleast_1d(np.asarray(v(grid.mesh()), dtype=complex)) / grid.cell_volume
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("multiplier samples must be finite on the box")
 
     def func(q, x):
         q = np.asarray(q, dtype=float)
@@ -769,13 +774,17 @@ def twisted_product(
         if field.is_constant:
             vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:
-            # gauge dressing turns the twisted sum into a plain shifted convolution
+            # gauge dressing turns the twisted sum into a plain shifted
+            # convolution; one table on the box serves the left factor, the
+            # output and an unpadded right factor, cut to their windows
             pot = transversal_gauge(field, order=order)
-            a = _lambda_factors(pot, grid, phi.disp_count) * a
-            b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) * b
+            lam = _lambda_factors(pot, grid, max(phi.disp_count, out_count, 1 if pad else psi.disp_count))
+            lam_b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) if pad else lam
+            a = _fit_window(lam, phi.disp_count, grid.dim) * a
+            b = _fit_window(lam_b, psi.disp_count, grid.dim) * b
             vals = _tiled_product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
-            vals *= np.conj(_lambda_factors(pot, grid, out_count))
+            vals *= np.conj(_fit_window(lam, out_count, grid.dim))
         vals *= grid.cell_volume
         if not tilde:
             vals = _shear(vals, grid, -1, scheme, inplace=True)

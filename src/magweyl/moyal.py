@@ -31,9 +31,11 @@ The layer runs one fixed configuration:
   (``_SAMPLE_RADIUS``); ``validate`` rejects a derivative whose envelope
   ratio on the outer shells exceeds twice (``_GROWTH_SLACK``) that on the
   inner ones.
-* Without a grid, ``resolvent.pointwise_inverse`` takes the infimum of a
-  symbol over the origin and 128 points (``_N_INFIMUM_SAMPLE``) on
-  log-spaced shells out to the same radius.
+* ``resolvent`` and ``spectral`` read every kinetic symbol through
+  ``_symbol_samples``, on a grid's momentum mesh or else on the origin and
+  128 points (``_N_INFIMUM_SAMPLE``) on log-spaced shells out to the same
+  radius.  It refuses an unbounded ``Symbol`` without ellipticity
+  constants and samples that are not one real finite scalar per point.
 * ``moyal`` transports both factors over the largest displacement window
   and keeps the product's natural window; interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
@@ -178,24 +180,37 @@ class Symbol:
                     )
 
 
-def _real_symbol_values(vals: np.ndarray, message: str) -> np.ndarray:
-    """Real part of sampled symbol values, refusing imaginary parts above
-    1e-12 relative to max(1, max|h|)."""
-    if np.iscomplexobj(vals):
-        scale = max(float(np.abs(vals).max()), 1.0)
-        if float(np.abs(vals.imag).max()) > 1e-12 * scale:
-            raise ValueError(message)
-        vals = vals.real
-    return vals
-
-
 def _check_elliptic_declaration(h) -> None:
     # unbounded symbols must declare their ellipticity constants; plain
-    # callables are admitted on the strength of the grid infimum alone
+    # callables are admitted on the strength of their samples alone
     if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
         raise ValueError(
             "symbol of positive order must declare ellipticity constants"
         )
+
+
+def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
+    """Real float samples of a kinetic symbol h, a callable or a ``Symbol``,
+    on the momentum mesh of ``grid`` or else on the ``Symbol``'s radial
+    reference sample.  Refuses an unbounded ``Symbol`` without ellipticity
+    constants, a wrong shape, non-finite samples (either part) and
+    imaginary parts above 1e-12·max(1, max|h|)."""
+    _check_elliptic_declaration(h)
+    if grid is not None:
+        pts = grid.momentum().mesh()
+    else:
+        pts = h._sample_points(_SAMPLE_RADIUS, _N_INFIMUM_SAMPLE)
+    vals = np.asarray(h(pts))
+    if vals.shape != pts.shape[:-1]:
+        raise ValueError("kinetic symbol must map momentum points to scalars")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("kinetic symbol produced non-finite values")
+    if np.iscomplexobj(vals):
+        scale = max(float(np.abs(vals).max()), 1.0)
+        if float(np.abs(vals.imag).max()) > 1e-12 * scale:
+            raise ValueError("kinetic symbol must be real-valued")
+        vals = vals.real
+    return vals.astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ The construction runs one fixed configuration:
   the seminorm check (``_AUDIT_WIDTHS``, ``_AUDIT_T``), random seed 7
   for the γ^B samples (``_AUDIT_SEED``).
 
+Each input has one guard, run before the first product: the symbol's is
+``moyal._symbol_samples``, z's ``_finite_z`` (non-finite z) and V's
+``multiplier_kernel`` (non-finite samples); every Neumann series runs
+through ``_inv_one_plus``, which refuses a radius not below 1, NaN
+included, with its caller's remedy.
+
 Interpolation and quadrature options live on the algebra layer
 (``twisted_product``, ``rep``, ``moyal``); every product here takes its
 defaults.  Intermediate products suppress the per-call clipped-tail
@@ -67,15 +73,7 @@ from .crossed import (
 )
 from .fields import MagneticField, gamma_b
 from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
-from .moyal import (
-    CutoffFamily,
-    Symbol,
-    _N_INFIMUM_SAMPLE,
-    _SAMPLE_RADIUS,
-    _check_elliptic_declaration,
-    _real_symbol_values,
-    trim_kernel,
-)
+from .moyal import CutoffFamily, Symbol, _symbol_samples, trim_kernel
 
 __all__ = [
     "DefectReport",
@@ -142,25 +140,20 @@ class ResolventElement:
 # ---------------------------------------------------------------------------
 
 
-def _h_func(h) -> Callable:
-    return h.func if isinstance(h, Symbol) else h
-
-
-def _infimum(hf: Callable, pts: np.ndarray) -> float:
-    vals = np.asarray(hf(pts))
-    return float(_real_symbol_values(vals, "symbol must be real-valued below the shift").min())
-
-
-def _grid_infimum(hf: Callable, grid: BoxGrid) -> float:
-    return _infimum(hf, grid.momentum().mesh())
-
-
-def _check_shift(a: float, lo: float) -> None:
-    """The shift must lift h to h + a >= 1, given lo = inf h."""
+def _check_shift(h, a: float, grid: Optional[BoxGrid]) -> None:
+    """The shift must lift h to h + a >= 1 on the samples of h."""
+    lo = float(_symbol_samples(h, grid).min())
     if a < -lo + 1.0 - 1e-12:
         raise ValueError(
             f"shift too small: a = {a:.6g} < -inf h + 1 = {-lo + 1.0:.6g}"
         )
+
+
+def _finite_z(z) -> complex:
+    z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"z = {z} must be finite")
+    return z
 
 
 def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
@@ -193,15 +186,9 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
     type s.  The infimum is taken over the grid momentum mesh when a grid
     is supplied, otherwise over the radial reference sample whose radius
     and size are listed in :mod:`magweyl.moyal`; either way the sampled
-    values must be real.
+    values must be real and finite.
     """
-    _check_elliptic_declaration(h)
-    if grid is not None:
-        lo = _grid_infimum(h.func, grid)
-    else:
-        sample = h._sample_points(_SAMPLE_RADIUS, _N_INFIMUM_SAMPLE)
-        lo = _infimum(h.func, np.concatenate([np.zeros((1, h.dim)), sample]))
-    _check_shift(a, lo)
+    _check_shift(h, a, grid)
     hf = h.func
 
     def inv(p):
@@ -216,11 +203,11 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
 
 
 def _defect_kernel(
-    hf: Callable, a: float, field: MagneticField, grid: BoxGrid
+    h: Callable, a: float, field: MagneticField, grid: BoxGrid
 ) -> Tuple[KernelSample, KernelSample, KernelSample]:
     """(kernel of h_a, kernel of 1/h_a, right defect h_a ⋄ h_a^{-1} - 1)."""
-    kha = _momentum_kernel(lambda p: np.asarray(hf(p)) + a, grid)
-    kinv = _momentum_kernel(lambda p: 1.0 / (np.asarray(hf(p)) + a), grid)
+    kha = _momentum_kernel(lambda p: np.asarray(h(p)) + a, grid)
+    kinv = _momentum_kernel(lambda p: 1.0 / (np.asarray(h(p)) + a), grid)
     return kha, kinv, _minus_unit([_product(kha, kinv, field)])
 
 
@@ -245,10 +232,8 @@ def defect(
     reaches the corners of the square momentum zone, so a structural
     offset remains even for well-resolved symbols.
     """
-    hf = _h_func(h)
-    _check_elliptic_declaration(h)
-    _check_shift(a, _grid_infimum(hf, grid))
-    _, kinv, f = _defect_kernel(hf, a, field, grid)
+    _check_shift(h, a, grid)
+    _, kinv, f = _defect_kernel(h, a, field, grid)
     norm = l1_norm(f)
     report = DefectReport(a=float(a), kernel=f, norm=norm)
 
@@ -260,7 +245,7 @@ def defect(
     scales = np.asarray(scales, dtype=float)
     norms = []
     for s in scales:
-        ha_cut = cutoffs.compose(lambda p: np.asarray(hf(p)) + a, s)
+        ha_cut = cutoffs.compose(lambda p: np.asarray(h(p)) + a, s)
         kcut = _momentum_kernel(ha_cut, grid)
         base = _momentum_kernel(lambda p, s=s: cutoffs.scaled(p, s), grid)
         norms.append(l1_norm(kernel_lincomb([(1.0, _product(kcut, kinv, field)), (-1.0, base)])))
@@ -289,19 +274,23 @@ def find_a0(
     """Smallest admissible shift on the doubling ladder a_k = a_min + 2^k - 1.
 
     a_min = -inf h + 1 is the positivity floor; the ladder stops at the
-    first rung whose defect norm is below 0.9.  Field-free symbols
-    return the floor immediately (the defect vanishes identically).  The
-    search is deterministic: same inputs, same rung, bit for bit.
+    first rung whose defect norm is below 0.9 and refuses a norm that is
+    not finite.  Field-free symbols return the floor immediately (the
+    defect vanishes identically).  The search is deterministic: same
+    inputs, same rung, bit for bit.
     """
-    hf = _h_func(h)
-    _check_elliptic_declaration(h)
-    a_min = -_grid_infimum(hf, grid) + 1.0
+    a_min = -float(_symbol_samples(h, grid).min()) + 1.0
     trace = []
     for k in range(budget):
         a = a_min + (2.0 ** k - 1.0)
-        _, _, f = _defect_kernel(hf, a, field, grid)
+        _, _, f = _defect_kernel(h, a, field, grid)
         norm = l1_norm(f)
         trace.append((a, norm))
+        if not np.isfinite(norm):
+            raise ValueError(
+                f"defect norm is {norm} at a = {a:.6g}; the field or the symbol "
+                "is not finite on the grid"
+            )
         if norm < 1.0 - _A0_MARGIN:
             return (a, trace) if return_trace else a
     raise RuntimeError(
@@ -315,18 +304,21 @@ def find_a0(
 # ---------------------------------------------------------------------------
 
 
-def _inv_one_plus(g: KernelSample, field: MagneticField) -> Tuple[KernelSample, Dict]:
+def _inv_one_plus(
+    g: KernelSample, field: MagneticField, remedy: str = "shrink the kernel part against the unit"
+) -> Tuple[KernelSample, Dict]:
     """Kernel part w of (1 + g)^(-1) = 1 + w, by the alternating series.
 
-    Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
+    A Neumann radius ‖g‖₁ not below 1, NaN included, is refused with the
+    caller's ``remedy``.  Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
     shrink their window as the series progresses instead of paying
     full-window convolutions throughout.  The fixed right factor -g is
     sheared once and passed tilde-tagged to every product of the series,
     the first one, (-g) ⋄ (-g), on both sides.
     """
     gn = l1_norm(g)
-    if gn >= 1.0:
-        raise ValueError(f"Neumann radius exceeded: ‖g‖₁ = {gn:.6f} ≥ 1")
+    if not gn < 1.0:
+        raise ValueError(f"Neumann radius ‖g‖₁ = {gn:.6f} is not below 1; {remedy}")
     acc = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
     neg = term = _to_tilde(acc)
     terms = 1
@@ -400,19 +392,12 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     the right route with both one-sided residuals computed against the
     kernel of h_a.
     """
-    hf = _h_func(h)
-    _check_elliptic_declaration(h)
-    _check_shift(a, _grid_infimum(hf, grid))
-    kha, kinv, f_right = _defect_kernel(hf, a, field, grid)
-    dn = l1_norm(f_right)
-    if dn >= 1.0:
-        raise ValueError(
-            f"defect norm {dn:.3f} ≥ 1 at a = {a:.6g}; raise the shift (see find_a0)"
-        )
+    _check_shift(h, a, grid)
+    kha, kinv, f_right = _defect_kernel(h, a, field, grid)
+    remedy = f"raise the shift a = {a:.6g} (see find_a0)"
+    w_r, info_r = _inv_one_plus(f_right, field, remedy)
     f_left = _minus_unit([_product(kinv, kha, field)])
-
-    w_r, info_r = _inv_one_plus(f_right, field)
-    w_l, info_l = _inv_one_plus(f_left, field)
+    w_l, info_l = _inv_one_plus(f_left, field, remedy)
     phi = kernel_lincomb([(1.0, kinv), (1.0, _product(kinv, w_r, field))])
     phi_left = kernel_lincomb([(1.0, kinv), (1.0, _product(w_l, kinv, field))])
     phi = trim_kernel(phi, _SERIES_TRIM)
@@ -423,8 +408,8 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     res_l = l1_norm(_minus_unit([_product(phi, kha, field)]))
     _surface_tail(phi, "inverse kernel")
     meta = {
-        "defect_norm": dn,
-        "defect_norm_left": l1_norm(f_left),
+        "defect_norm": info_r["radius"],
+        "defect_norm_left": info_l["radius"],
         "neumann_right": info_r,
         "neumann_left": info_l,
         "discrepancy": discrepancy,
@@ -463,8 +448,7 @@ def resolvent(
     residual reads 2.41, while rep(Φ) is within 1.3e-3 of the dense
     inverse of rep(h - z) at distance 1.5 from the edge.
     """
-    z = complex(z)
-    hf = _h_func(h)
+    z = _finite_z(z)
     if a0 is None:
         a0 = find_a0(h, field, grid)
     if z.imag == 0.0 and z.real >= -a0:
@@ -494,7 +478,7 @@ def resolvent(
         nrm = l1_norm(phi)
         path.append((z_cur, nrm))
 
-    khz = _momentum_kernel(lambda p: np.asarray(hf(p)) - z, grid)
+    khz = _momentum_kernel(lambda p: np.asarray(h(p)) - z, grid)
     res_r = l1_norm(_minus_unit([_product(khz, phi, field)]))
     res_l = l1_norm(_minus_unit([_product(phi, khz, field)]))
     # resolvent identity against the anchor: Φ_z - Φ_x0 = (z - x0) Φ_z ⋄ Φ_x0
@@ -533,7 +517,8 @@ def resolvent_with_potential(
     Φ_{h+V}(r_z) = Φ_h(r_z) ⋄ (1 + V ⋄ Φ_h(r_z))^(-1) requires the
     perturbation norm ‖V ⋄ Φ‖₁ < 1; the error message suggests moving z
     away from the real axis when it is not.  A precomputed base resolvent
-    at the same z may be passed to skip the continuation.
+    at the same z may be passed to skip the continuation.  z, the symbol
+    and the samples of V are checked before the first product.
 
     The kernel comes back tagged ``sheet="tilde"``: the correction Φ ⋄ w
     and the residual check run on that sheet, where every base point of the
@@ -542,27 +527,22 @@ def resolvent_with_potential(
     ``partial_fourier`` and the reference product refuse that sheet;
     ``twisted_product(kernel, delta_kernel(grid), field)`` recenters it.
     """
-    z = complex(z)
+    z = _finite_z(z)
+    _symbol_samples(h, grid)
+    kv = multiplier_kernel(v, grid)
     if base is None:
         base = resolvent(h, field, grid, z)
     elif base.z != z:
         raise ValueError("base resolvent was computed at a different z")
     phi = base.kernel
-    kv = multiplier_kernel(v, grid)
-    g = _product(kv, phi, field)
-    gn = l1_norm(g)
-    if gn >= 1.0:
-        raise ValueError(
-            f"perturbation norm ‖V⋄Φ‖₁ = {gn:.3f} ≥ 1; "
-            "increase |Im z| or shrink the potential"
-        )
-    w, info = _inv_one_plus(g, field)
+    w, info = _inv_one_plus(
+        _product(kv, phi, field), field, "increase |Im z| or shrink the potential"
+    )
     phi = _to_tilde(phi)
     corr = trim_kernel(_product(phi, w, field, "tilde"), _SERIES_TRIM)
     phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), _SERIES_TRIM)
 
-    hf = _h_func(h)
-    khz = _momentum_kernel(lambda p: np.asarray(hf(p)) - z, grid)
+    khz = _momentum_kernel(lambda p: np.asarray(h(p)) - z, grid)
 
     def check(pairs):
         return l1_norm(_minus_unit([_product(a, b, field, "tilde") for a, b in pairs]))
@@ -576,7 +556,7 @@ def resolvent_with_potential(
     res_l = check([(phi, khz), (corr, khz), (phi, kv), (corr, kv)])
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {
-        "perturbation_norm": gn,
+        "perturbation_norm": info["radius"],
         "neumann": info,
         "residual_right": res_r,
         "residual_left": res_l,
@@ -635,10 +615,10 @@ def _gamma_growth(field: MagneticField, dim: int, fd_step: float = 1e-3):
     return out
 
 
-def _defect_scaling(hf, field, grid, ladder, mu):
+def _defect_scaling(h, field, grid, ladder, mu):
     norms = []
     for a in ladder:
-        _, _, f = _defect_kernel(hf, a, field, grid)
+        _, _, f = _defect_kernel(h, a, field, grid)
         norms.append(l1_norm(f))
     la = np.log(np.asarray(ladder, dtype=float))
     ln = np.log(np.maximum(norms, 1e-300))
@@ -711,7 +691,7 @@ def estimate_audit(h, field: MagneticField, config: Optional[Dict] = None) -> Di
 
     return {
         "gamma_growth": _gamma_growth(field, dim),
-        "defect_scaling": _defect_scaling(_h_func(h), field, grid, ladder, mu),
+        "defect_scaling": _defect_scaling(h, field, grid, ladder, mu),
         "seminorm_domination": _seminorm_domination(dim, grids),
     }
 

@@ -43,14 +43,19 @@ The layer runs one fixed configuration:
   and samples band ranges at the step (hi - lo)/2000 (``_BAND_STEPS``).
 * ``fibered_spectrum`` takes n + 1 dual momenta spanning the range of the
   gauge potential, padded by sqrt(max(hi - min V, 1)) for a finite window
-  end hi and by pi/delta otherwise.  Its gauge is a cubic spline of the
-  profile's antiderivative, so the fibered route loads
-  ``scipy.interpolate`` and ``scipy.integrate`` on its first call; no
-  other route imports them.
+  end hi and by pi/delta otherwise.  Its gauge is the profile's
+  antiderivative at the nodes, by a 16-node Gauss-Legendre rule on each
+  node interval (``_GAUGE_ORDER``).
 * Importing the package loads no SciPy module: ``scipy.linalg`` loads on
-  the first eigensolve, ``concurrent.futures`` for ``threads`` > 1.
+  the first eigensolve, ``concurrent.futures`` for ``threads`` > 1, and
+  the fibered route loads none.
 * ``essential_estimate`` clusters and chains eigenvalues at the
   persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
+
+Each input has one guard: the symbol ``moyal._symbol_samples`` and, for a
+plain callable, ``_check_shell`` (a minimum on the outer momentum shell);
+V ``_potential_samples`` (a wrong count or non-finite samples); a window
+``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end).
 
 The probe radii and tolerances of the anisotropy descriptors are listed
 in :mod:`magweyl.fields`.
@@ -69,9 +74,10 @@ from .fields import (
     VectorPotential,
     asymptotic_pairs,
     transversal_gauge,
+    unit_gauss_legendre,
 )
 from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
-from .moyal import Symbol, _check_elliptic_declaration, _real_symbol_values
+from .moyal import Symbol, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
 # storage stop being desk scale
@@ -83,6 +89,7 @@ _COLLAR_FRAC = 0.125
 _EPS_MERGE = 1e-6
 _BAND_STEPS = 2000
 _PERSIST_FRAC = 5e-3
+_GAUGE_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +178,7 @@ def hausdorff(s1, s2, window: tuple) -> float:
     two empty sets are at distance zero.  A window that is not finite with
     lo < hi, or a NaN point, raises ``ValueError``.
     """
-    lo, hi = _finite_window(window)
+    lo, hi = _window(window, finite=True)
     a = np.sort(np.asarray(s1, dtype=float).ravel())
     b = np.sort(np.asarray(s2, dtype=float).ravel())
     if np.isnan(a).any() or np.isnan(b).any():
@@ -185,11 +192,13 @@ def hausdorff(s1, s2, window: tuple) -> float:
     return max(_directed_sup(a, b), _directed_sup(b, a))
 
 
-def _finite_window(window: tuple) -> tuple:
-    """(lo, hi) as floats, refused unless finite with lo < hi."""
+def _window(window: tuple, finite: bool = False) -> tuple:
+    """(lo, hi) as floats, refused unless lo < hi, which no NaN end passes,
+    and with ``finite`` unless both ends are finite too."""
     lo, hi = float(window[0]), float(window[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"window needs finite bounds lo < hi, got {window}")
+    if not (lo < hi and (np.isfinite(hi - lo) or not finite)):
+        kind = "finite bounds" if finite else "bounds"
+        raise ValueError(f"window needs {kind} lo < hi, got {window}")
     return lo, hi
 
 
@@ -236,45 +245,35 @@ class SchrodingerSpec:
         return self.field
 
     def potential_values(self, grid: BoxGrid) -> np.ndarray:
-        if self.potential is None:
-            return np.zeros(grid.size)
-        if callable(self.potential):
-            vals = np.asarray(self.potential(grid.points()), dtype=float).ravel()
-            if vals.shape != (grid.size,):
-                raise ValueError("potential callable must return one value per node")
-        else:
-            vals = np.full(grid.size, float(self.potential))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("potential must stay bounded on the box")
-        return vals
+        return _potential_samples(self.potential, grid.points())
 
     def with_grid(self, grid: BoxGrid) -> "SchrodingerSpec":
         return replace(self, grid=grid)
 
 
-def _symbol_values(h, grid: BoxGrid) -> np.ndarray:
-    vals = np.asarray(h(grid.momentum().mesh()))
-    if vals.shape != (grid.n,) * grid.dim:
-        raise ValueError("kinetic symbol must map momentum points to scalars")
-    vals = _real_symbol_values(vals, "kinetic symbol must be real-valued")
+def _potential_samples(potential, points: np.ndarray) -> np.ndarray:
+    """V at each of ``points``, nodes stacked along the first axis: zero for
+    None, constant for a number, else the callable's values, refused
+    unless finite and one per node."""
+    count = len(points)
+    if potential is None:
+        return np.zeros(count)
+    if callable(potential):
+        vals = np.asarray(potential(points), dtype=float).ravel()
+        if vals.shape != (count,):
+            raise ValueError("potential callable must return one value per node")
+    else:
+        vals = np.full(count, float(potential))
     if not np.all(np.isfinite(vals)):
-        raise ValueError("kinetic symbol produced non-finite values")
-    return vals.astype(float)
+        raise ValueError("potential must be finite on the box")
+    return vals
 
 
-def _check_elliptic(h, hvals: np.ndarray) -> None:
-    _check_elliptic_declaration(h)
-    if isinstance(h, Symbol):
-        return
-    # sampled heuristic: an elliptic symbol grows outward, so its minimum
-    # must sit strictly inside the momentum box
-    shell = np.zeros(hvals.shape, dtype=bool)
-    for ax in range(hvals.ndim):
-        sl = [slice(None)] * hvals.ndim
-        sl[ax] = 0
-        shell[tuple(sl)] = True
-        sl[ax] = hvals.shape[ax] - 1
-        shell[tuple(sl)] = True
+def _check_shell(hvals: np.ndarray) -> None:
+    """Sampled heuristic for callables: an elliptic symbol grows outward,
+    so its minimum must sit strictly inside the momentum box."""
+    shell = np.ones(hvals.shape, dtype=bool)
+    shell[(slice(1, -1),) * hvals.ndim] = False
     scale = float(np.max(np.abs(hvals))) or 1.0
     if np.min(hvals[shell]) <= np.min(hvals) + 1e-12 * scale:
         raise ValueError(
@@ -283,19 +282,17 @@ def _check_elliptic(h, hvals: np.ndarray) -> None:
         )
 
 
-def _antiderivative(beta: Callable, half_length: float, oversample: int = 16) -> Callable:
-    """Cumulative spline P = int beta over [-L, L] with P(0) = 0."""
-    # imported here, so that only the fibered route pays for loading them
-    from scipy.integrate import cumulative_simpson
-    from scipy.interpolate import CubicSpline
-
-    m = 2 * oversample * max(64, int(8 * half_length)) + 1
-    t = np.linspace(-half_length, half_length, m)
-    vals = np.asarray(beta(t), dtype=float)
-    if vals.shape != t.shape:
-        vals = np.broadcast_to(vals, t.shape).copy()
-    prim = cumulative_simpson(vals, x=t, initial=0.0)
-    return CubicSpline(t, prim - CubicSpline(t, prim)(0.0))
+def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
+    """P(x) = int_0^x beta at the increasing nodes ``xs``, by a
+    Gauss-Legendre rule of order ``_GAUGE_ORDER`` on each interval between
+    consecutive points of ``xs`` and 0."""
+    t = np.union1d(xs, 0.0)
+    u, w = unit_gauss_legendre(_GAUGE_ORDER)
+    width = np.diff(t)
+    nodes = (t[:-1, None] + width[:, None] * u).ravel()
+    vals = np.broadcast_to(np.asarray(beta(nodes), dtype=float), nodes.shape)
+    prim = np.concatenate([[0.0], np.cumsum(vals.reshape(-1, len(u)) @ w * width)])
+    return (prim - prim[np.searchsorted(t, 0.0)])[np.searchsorted(t, xs)]
 
 
 def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
@@ -320,8 +317,9 @@ def _checked_values(spec: SchrodingerSpec) -> tuple:
     of ``spec.grid``, after the checks ``assemble`` makes of a spec."""
     if spec.field_or_zero().dim != spec.grid.dim:
         raise ValueError("field dimension does not match the grid")
-    hvals = _symbol_values(spec.h, spec.grid)
-    _check_elliptic(spec.h, hvals)
+    hvals = _symbol_samples(spec.h, spec.grid)
+    if not isinstance(spec.h, Symbol):
+        _check_shell(hvals)
     return hvals, spec.potential_values(spec.grid)
 
 
@@ -545,6 +543,8 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
     ``meta["reflection_residual"]``; ``meta["size"]`` is N on every route.
     Dimensions above ``EIG_CAP`` are refused rather than silently thrashing.
     """
+    if window is not None:
+        window = _window(window)
     grid = None
     if isinstance(op, OperatorMatrix):
         grid = op.grid
@@ -565,8 +565,6 @@ def eig(op, window: Optional[tuple] = None, *, vectors: bool = False) -> Spectru
             f"operator is not Hermitian: relative residual {residual:.3e} "
             f"exceeds {_HERM_TOL:.1e}"
         )
-    if window is not None:
-        window = float(window[0]), float(window[1])
 
     # every work array is handed to LAPACK in Fortran order, so the driver
     # overwrites it instead of copying it
@@ -617,11 +615,12 @@ def landau_oracle(b: float, v: float, window: tuple) -> SpectrumResult:
 
     Each point is infinitely degenerate; ``b = 0`` is refused because the
     zero-field limit has the continuous band [v, inf) instead.  A
-    non-finite b, v or window end is refused as well.
+    non-finite b or v and a window that is not finite with lo < hi are
+    refused as well.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not np.all(np.isfinite([b, v, lo, hi])):
-        raise ValueError(f"landau_oracle needs finite b, v and window, got {b}, {v}, {window}")
+    lo, hi = _window(window, finite=True)
+    if not np.all(np.isfinite([b, v])):
+        raise ValueError(f"landau_oracle needs finite b and v, got {b}, {v}")
     if b == 0:
         raise ValueError(
             "constant-field oracle needs b != 0; a vanishing field gives the "
@@ -642,7 +641,7 @@ def landau_oracle(b: float, v: float, window: tuple) -> SpectrumResult:
 
 def _band_spectrum(h, grid: BoxGrid, v: float, window: tuple, step: float) -> SpectrumResult:
     """Range of h + v over a refined momentum sampling, as a point set."""
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = window
     pmax = np.pi / grid.delta
     axes = [np.linspace(-pmax, pmax, 4 * grid.n + 1)] * grid.dim
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -705,14 +704,8 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
     varying = 1 - invariant_axis
     n = grid1.n
     xs = grid1.axis()
-    p_spline = _antiderivative(profile, grid1.half_length + grid1.delta)
-    a_vals = p_spline(xs)
-    if potential is None:
-        v_vals = np.zeros(n)
-    elif callable(potential):
-        v_vals = np.asarray(potential(xs), dtype=float)
-    else:
-        v_vals = np.full(n, float(potential))
+    a_vals = _antiderivative(profile, xs)
+    v_vals = _potential_samples(potential, xs)
 
     pm = grid1.momentum().axis()
     split = _separable_split(h, np.linspace(-np.pi / grid1.delta, np.pi / grid1.delta, 13))
@@ -770,10 +763,10 @@ def fibered_spectrum(
         raise ValueError("fibered analysis needs a two-dimensional grid")
     if invariant_axis not in (0, 1):
         raise ValueError("invariant axis must be 0 or 1")
+    lo, hi = (-np.inf, np.inf) if window is None else _window(window)
     grid1 = BoxGrid(dim=1, half_length=grid.half_length, n=grid.n)
     fiber, a_vals, v_vals = _fiber_family(profile, h, grid1, invariant_axis, potential)
 
-    lo, hi = (-np.inf, np.inf) if window is None else (float(window[0]), float(window[1]))
     pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
     ks = np.linspace(float(np.min(a_vals)) - pad, float(np.max(a_vals)) + pad, grid1.n + 1)
     interior = grid1.interior_mask(grid1.half_length * _COLLAR_FRAC)
@@ -816,7 +809,7 @@ def asymptotic_spectra(
     else is assembled and diagonalized on the supplied grid.  A window
     that is not finite with lo < hi raises ``ValueError``.
     """
-    lo, hi = _finite_window(window)
+    lo, hi = _window(window, finite=True)
     band_step = (hi - lo) / _BAND_STEPS
     pairs = asymptotic_pairs(descriptor)
     free = _is_free_kinetic(h, grid.dim)
@@ -835,7 +828,7 @@ def asymptotic_spectra(
             b = float(pair.field.constant[0, 1])
             v = float(pair.potential)
             if b == 0.0:
-                return pair.label, _band_spectrum(h, grid, v, window, band_step)
+                return pair.label, _band_spectrum(h, grid, v, (lo, hi), band_step)
             return pair.label, landau_oracle(b, v, window)
         spec = SchrodingerSpec(
             h=h, field=pair.field, potential=pair.potential, grid=grid
@@ -960,7 +953,7 @@ def essential_estimate(
     finite, node counts that do not strictly increase, or a largest rung
     above ``EIG_CAP`` nodes raise ``ValueError`` before any assembly.
     """
-    lo, hi = _finite_window(window)
+    lo, hi = _window(window, finite=True)
     boxes = tuple(float(b) for b in boxes)
     if len(boxes) < 2:
         raise ValueError("box ladder needs at least two boxes")

@@ -385,6 +385,35 @@ def test_products_and_bands_match_per_node_loops(monkeypatch):
         assert same_bits(got, want)
 
 
+def test_variable_field_product_builds_one_table_per_window(monkeypatch):
+    # one Λ table at the widest window serves the left factor, the output
+    # and an unpadded right factor, cut centrally; a padded right factor
+    # (here one with a callable) adds a table of its own
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = variable_field()
+    pot = transversal_gauge(fld)
+    tables = []
+
+    def spy(pot, grid, count, pad=0):
+        tables.append((count, pad))
+        return _lambda_factors(pot, grid, count, pad)
+
+    monkeypatch.setattr(crossed, "_lambda_factors", spy)
+    arrays, callables = pair_on(g, 5, attach=False), pair_on(g, 5)
+    for (phi, psi), kw, want in (
+        (arrays, {}, [(9, 0)]),
+        (arrays, {"out_disp_count": 3}, [(5, 0)]),
+        (callables, {}, [(9, 0), (5, 2)]),
+    ):
+        tables.clear()
+        twisted_product(phi, psi, fld, tail_warn=np.inf, **kw)
+        assert tables == want
+    # the cut equals the table of the narrower window bit for bit
+    wide = _lambda_factors(pot, g, 9)
+    for count in (3, 5, 7):
+        assert same_bits(crossed._fit_window(wide, count, 2), _lambda_factors(pot, g, count))
+
+
 def test_tilde_tagged_factor_gives_the_same_product():
     # a factor handed over on the tilde sheet is read as stored: the general
     # route reads every factor sheared, so the product equals that of the

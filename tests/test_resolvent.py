@@ -567,6 +567,107 @@ def test_potential_base_z_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+
+def nan_at_origin(h, nan=np.nan):
+    # one non-finite sample: the origin is a node of every momentum mesh
+    # and of the radial reference sample
+    def f(p):
+        p = np.asarray(p, dtype=float)
+        return h(p) + np.where(np.all(p == 0.0, axis=-1), nan, 0.0)
+
+    return f
+
+
+def nan_on_the_right(q):
+    # the node column x0 = 2.75 of the n=12 box
+    q = np.asarray(q, dtype=float)
+    return np.where(q[..., 0] > 2.5, np.nan, bump_potential(q))
+
+
+@pytest.fixture
+def no_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a twisted product ran on refused input")
+
+    monkeypatch.setattr(importlib.import_module("magweyl.resolvent"), "twisted_product", refuse)
+
+
+@pytest.fixture(scope="module")
+def small_base():
+    g = box(12, 3.0)
+    return g, resolvent(trig_kinetic(g), FIELD, g, Z1, a0=0.0)
+
+
+@pytest.mark.parametrize("nan", [np.nan, complex(0.0, np.nan)], ids=["real", "imaginary"])
+def test_non_finite_symbol_is_refused_before_any_product(small_base, no_products, nan):
+    g, base = small_base
+    h = nan_at_origin(trig_kinetic(g), nan)
+    sym = Symbol(dim=2, func=h, order=0.0)
+    calls = [
+        lambda: pointwise_inverse(sym, 2.0),
+        lambda: pointwise_inverse(sym, 2.0, grid=g),
+        lambda: defect(h, 2.0, FIELD, g),
+        lambda: find_a0(h, FIELD, g),
+        lambda: moyal_inverse(h, 2.0, FIELD, g),
+        lambda: resolvent(h, FIELD, g, Z1, a0=0.0),
+        lambda: resolvent(h, FIELD, g, Z1),
+        lambda: resolvent_with_potential(h, bump_potential, FIELD, g, Z1),
+        lambda: resolvent_with_potential(h, bump_potential, FIELD, g, Z1, base=base),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_non_finite_potential_is_refused_before_any_product(small_base, no_products):
+    g, base = small_base
+    for b in (base, None):
+        with pytest.raises(ValueError, match="finite"):
+            resolvent_with_potential(trig_kinetic(g), nan_on_the_right, FIELD, g, Z1, base=b)
+
+
+def test_non_finite_z_is_refused_before_any_product(small_base, no_products):
+    g, base = small_base
+    h = trig_kinetic(g)
+    for z in (complex(np.nan, 1.0), complex(-1.0, np.inf), complex(-np.inf, 0.0)):
+        for a0 in (0.0, None):
+            with pytest.raises(ValueError, match="must be finite"):
+                resolvent(h, FIELD, g, z, a0=a0)
+        with pytest.raises(ValueError, match="must be finite"):
+            resolvent_with_potential(h, bump_potential, FIELD, g, z, base=base)
+
+
+def test_neumann_radius_guard_refuses_nan():
+    g = box(12, 3.0)
+    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(np.nan, delta_kernel(g))]))
+    with pytest.raises(ValueError, match="Neumann radius"):
+        neumann_inverse(u, FIELD)
+
+
+def test_find_a0_stops_at_a_non_finite_defect_norm(monkeypatch):
+    # a field that is NaN for |x0| > 2 made the ladder run all 14 rungs up
+    # to a = 8191 before advising a larger grid
+    module = importlib.import_module("magweyl.resolvent")
+    products = []
+
+    def count(*args, **kwargs):
+        products.append(1)
+        return twisted_product(*args, **kwargs)
+
+    monkeypatch.setattr(module, "twisted_product", count)
+    field = MagneticField.from_scalar_2d(
+        lambda x: np.where(np.abs(np.asarray(x)[..., 0]) > 2.0, np.nan, 0.5)
+    )
+    g = box(8, 3.0)
+    with pytest.raises(ValueError, match=r"defect norm is nan at a = 0;"):
+        find_a0(trig_kinetic(g), field, g)
+    assert len(products) == 1
+
+
+# ---------------------------------------------------------------------------
 # estimate audit
 # ---------------------------------------------------------------------------
 

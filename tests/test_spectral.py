@@ -2,6 +2,9 @@
 ladder and the point-set helpers."""
 
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -102,6 +105,45 @@ def test_assemble_equals_rep_plus_potential(case):
         assert np.abs(want.imag).max() <= 1e-13 * np.abs(want.real).max()
         want = want.real
     assert rel_gap(got, want) <= 1e-13
+
+
+def stencil_kinetic(grid):
+    d = grid.delta
+    return lambda p: 1.0 + np.sum(2.0 * (1.0 - np.cos(np.asarray(p) * d)), axis=-1) / d**2
+
+
+def test_periodic_assemble_is_the_fourier_multiplier():
+    # without a field the eigenvalues are h + V over the momentum mesh
+    grid = BoxGrid(dim=2, half_length=3.0, n=8, bc="periodic")
+    res = eig(assemble(SchrodingerSpec(h=free_kinetic, field=None, potential=0.7, grid=grid)))
+    want = np.sort(free_kinetic(grid.momentum().mesh()).ravel() + 0.7)
+    assert np.abs(res.values - want).max() <= 1e-12 * want.max()
+
+
+def test_periodic_assemble_matches_rep_of_the_stencil():
+    # the stencil's kernel has three nodes per axis, which rep wraps
+    # around the torus as the Fourier multiplier does (measured 2.3e-14)
+    grid = BoxGrid(dim=2, half_length=3.0, n=8, bc="periodic")
+    h = stencil_kinetic(grid)
+    mat = assemble(SchrodingerSpec(h=h, field=None, grid=grid)).mat
+    kernel = partial_fourier_inv(PhaseGridFunction.sample(h, grid, q_independent=True))
+    want = rep(transversal_gauge(MagneticField.zero(2)), kernel).mat
+    assert np.abs(mat - want).max() <= 1e-12
+
+
+def test_assemble_refuses_a_non_finite_imaginary_part():
+    # the real part is finite everywhere; the realness check alone passed it
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    h = lambda p: free_kinetic(p) + np.where(np.all(p == 0.0, axis=-1), complex(0.0, np.nan), 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble(SchrodingerSpec(h=h, field=None, grid=grid))
+
+
+def test_periodic_assemble_refuses_a_field():
+    grid = BoxGrid(dim=2, half_length=3.0, n=8, bc="periodic")
+    spec = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(0.5), grid=grid)
+    with pytest.raises(ValueError, match="vanishing magnetic field"):
+        assemble(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +266,30 @@ def test_ladder_and_union_refuse_a_window_without_finite_bounds(monkeypatch, win
         asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=12), window)
 
 
+@pytest.mark.parametrize("window", [(8.0, 0.0), (np.nan, 5.0)])
+def test_eig_fibered_and_landau_refuse_an_empty_or_nan_window(monkeypatch, window):
+    # each of them returned an empty spectrum for these windows
+    def no_solve(*args):
+        raise AssertionError("solved for a window that eig refuses")
+
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    op = assemble(SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(0.5), grid=grid))
+    monkeypatch.setattr(spectral_module, "_solve", no_solve)
+    with pytest.raises(ValueError, match="bounds lo < hi"):
+        eig(op, window)
+    with pytest.raises(ValueError, match="bounds lo < hi"):
+        fibered_spectrum(tanh_profile, free_kinetic, grid, window=window)
+    with pytest.raises(ValueError, match="finite bounds lo < hi"):
+        landau_oracle(1.0, 0.0, window)
+
+
+def test_fibered_refuses_a_non_finite_potential():
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="finite"):
+        fibered_spectrum(tanh_profile, free_kinetic, grid,
+                         potential=lambda x: np.where(np.asarray(x) > 2.0, np.nan, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # (d) fibered spectra
 # ---------------------------------------------------------------------------
@@ -259,6 +325,28 @@ def test_fibered_matches_dense_bulk_spectrum():
     assert len(bulk) > 0 and len(fibered) > 0
     gaps = np.abs(bulk[:, None] - fibered.values[None, :]).min(axis=1)
     assert gaps.max() <= 0.1
+
+
+def test_fiber_gauge_is_the_profile_antiderivative():
+    # B = 1 + 0.5 tanh(x/0.7) integrates to x + 0.35 log cosh(x/0.7)
+    for grid in (BoxGrid(dim=1, half_length=5.0, n=24), BoxGrid(dim=1, half_length=6.0, n=12)):
+        xs = grid.axis()
+        got = spectral_module._antiderivative(lambda t: 1.0 + 0.5 * np.tanh(t / 0.7), xs)
+        assert np.abs(got - (xs + 0.35 * np.log(np.cosh(xs / 0.7)))).max() <= 1e-12
+
+
+def test_fibered_route_loads_no_scipy():
+    code = """
+import sys
+import numpy as np
+import magweyl as mw
+g = mw.BoxGrid(dim=2, half_length=3.0, n=12)
+mw.fibered_spectrum(lambda t: 1.0 + 0.5 * np.tanh(t), lambda p: np.sum(p**2, axis=-1), g)
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["[]"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +398,11 @@ def test_landau_oracle_matches_the_level_loop():
         if i % 2:
             k1, k2 = rng.integers(0, 10, size=2)
             lo, hi = (2 * k1 + 1) * abs(b) + v, (2 * (k1 + k2) + 1) * abs(b) + v
+        if not lo < hi:
+            # an empty or reversed window is refused, not answered with no levels
+            with pytest.raises(ValueError, match="finite bounds"):
+                landau_oracle(b, v, (lo, hi))
+            continue
         got = landau_oracle(b, v, (lo, hi)).values
         want = loop(b, v, lo, hi)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), (b, v, lo, hi)
