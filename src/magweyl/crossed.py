@@ -81,8 +81,8 @@ The layer runs one fixed configuration:
 * Interpolation is linear (``_SCHEME``), the default of ``twisted_product``,
   ``twisted_product_reference`` and ``rep`` and the fixed choice of
   ``rep_banded`` and ``op_weyl``.  The products integrate the cocycle at
-  order 8 by default (``_ORDER``); circulations run at their gauge's
-  ``order``.
+  order 8 by default (``fields.DEFAULT_ORDER``); circulations run at
+  their gauge's ``order``.
 * A product attaches a warning when its discarded tail exceeds 1e-2 of
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
@@ -110,6 +110,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .fields import (
+    DEFAULT_ORDER,
     MagneticField,
     VectorPotential,
     omega_b,
@@ -147,7 +148,6 @@ __all__ = [
 
 TAIL_WARN_FRACTION = 1e-2
 _SCHEME = "linear"
-_ORDER = 8
 _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
@@ -705,7 +705,7 @@ def twisted_product(
     field: MagneticField,
     *,
     scheme: str = _SCHEME,
-    order: int = _ORDER,
+    order: int = DEFAULT_ORDER,
     out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
@@ -816,7 +816,7 @@ def twisted_product_reference(
     field: MagneticField,
     *,
     scheme: str = _SCHEME,
-    order: int = _ORDER,
+    order: int = DEFAULT_ORDER,
     out_disp_count: Optional[int] = None,
     sheet: str = "centered",
 ) -> KernelSample:
@@ -1053,7 +1053,7 @@ def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):
     if periodic:
         target %= n
         inside[:] = True
-    pairs_per_block = _PAIR_BLOCK * _ORDER**2 // pot.order**2
+    pairs_per_block = _PAIR_BLOCK * DEFAULT_ORDER**2 // pot.order**2
     rows_per_block = max(1, pairs_per_block // (count - first))
     pts, disp = grid.points(), _disp_nodes(grid, d)
     for start in range(0, size, rows_per_block):

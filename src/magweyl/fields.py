@@ -23,13 +23,21 @@ rounding on the lattice.
 All evaluation functions are vectorized: point arguments may carry arbitrary
 leading batch dimensions, with the coordinate dimension last.
 
-Line and triangle quadratures default to order 8 (``DEFAULT_LINE_ORDER``,
-``DEFAULT_TRIANGLE_ORDER``); ``gamma_b`` always runs at the triangle
-default.  A potential's ``order`` decides the order of its circulation:
-a transversal one integrates on order × order nodes.
+Line and triangle quadratures default to order 8 (``DEFAULT_ORDER``, also
+the cocycle order of the products in :mod:`magweyl.crossed`); ``gamma_b``
+always runs at that default.  A potential's ``order`` decides the order
+of its circulation: a transversal one integrates on order × order nodes.
 ``MagneticField.check_closed`` takes central differences of step 1e-4
 (``_CLOSED_STEP``) and refuses a cyclic residual above 1e-6
 (``_CLOSED_TOL``).
+
+A field that is not finite is refused where it enters: a constant matrix
+when the field is built, a callable by ``_flux_quadrature`` when a
+pair's flux comes out NaN or infinite.  Every transversal-gauge
+circulation and variable-field triangle flux runs through that helper,
+so ``rep``, ``assemble``, the products' phase tables, the box ladder's
+circulation table and ``flux_triangle`` raise the same ``ValueError``
+before a non-finite phase reaches a matrix.
 
 The anisotropy descriptors probe their profiles at fixed places:
 
@@ -72,8 +80,7 @@ __all__ = [
     "asymptotic_pairs",
 ]
 
-DEFAULT_LINE_ORDER = 8
-DEFAULT_TRIANGLE_ORDER = 8
+DEFAULT_ORDER = 8
 
 _CLOSED_STEP = 1e-4
 _CLOSED_TOL = 1e-6
@@ -131,6 +138,8 @@ class MagneticField:
             self.constant = np.asarray(self.constant, dtype=float)
             if self.constant.shape != (self.dim, self.dim):
                 raise ValueError("constant field matrix has wrong shape")
+            if not np.isfinite(self.constant).all():
+                raise ValueError("magnetic field is not finite: the constant matrix holds NaN or inf")
             if not np.allclose(self.constant, -self.constant.T, atol=1e-14):
                 raise ValueError("constant field matrix must be antisymmetric")
         for (j, k) in self.components:
@@ -228,7 +237,7 @@ class VectorPotential:
     # the field whose triangle flux the circulation integrates: a
     # variable-field transversal gauge's, or that of the gauge it shifts
     _transversal: Optional[MagneticField] = dc_field(default=None, init=False, repr=False, compare=False)
-    _order: int = dc_field(default=DEFAULT_LINE_ORDER, init=False, repr=False, compare=False)
+    _order: int = dc_field(default=DEFAULT_ORDER, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -271,7 +280,7 @@ def lambda_a(A: VectorPotential, q, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def flux_triangle(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> np.ndarray:
+def flux_triangle(B: MagneticField, q, x, y, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Flux of B through the oriented triangle with vertices q, q+x, q+x+y.
 
     Uses the parametrized form
@@ -301,7 +310,8 @@ def _flux_quadrature(B: MagneticField, q, x, y, s_order: int, t_order: int) -> n
     origin.  The points are laid out as (coordinate, s, t, pair) and reach
     the component callables as a (s, t, pair, dim) view.  The nodes are
     summed in a fixed order per pair, t within s, so a pair's value does
-    not depend on the batch it comes in.
+    not depend on the batch it comes in.  A flux that is not finite means
+    the field is not, and raises ``ValueError``.
     """
     batch, dim = x.shape[:-1], x.shape[-1]
     xs = x.reshape(-1, dim).T
@@ -325,10 +335,15 @@ def _flux_quadrature(B: MagneticField, q, x, y, s_order: int, t_order: int) -> n
         for a in range(1, s_order):
             integral += radial[a] * inner[a]
         total += (xs[j] * ys[k] - xs[k] * ys[j]) * integral
+    bad = np.count_nonzero(~np.isfinite(total))
+    if bad:
+        raise ValueError(
+            f"magnetic field is not finite: the flux of {bad} of {total.size} pairs is NaN or inf"
+        )
     return total.reshape(batch)
 
 
-def omega_b(B: MagneticField, q, x, y, order: int = DEFAULT_TRIANGLE_ORDER) -> np.ndarray:
+def omega_b(B: MagneticField, q, x, y, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Two-cocycle phase exp(-i * flux through the triangle <q, q+x, q+x+y>)."""
     return np.exp(-1j * flux_triangle(B, q, x, y, order=order))
 
@@ -355,7 +370,7 @@ def gamma_b(B: MagneticField, q, x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transversal_gauge(B: MagneticField, order: int = DEFAULT_LINE_ORDER) -> VectorPotential:
+def transversal_gauge(B: MagneticField, order: int = DEFAULT_ORDER) -> VectorPotential:
     """Vector potential in the transversal gauge, A_j(x) = -sum_k x_k int_0^1 s B_jk(s x) ds.
 
     Satisfies x . A(x) = 0 and curl A = B for closed fields.  Constant

@@ -55,7 +55,9 @@ The layer runs one fixed configuration:
 Each input has one guard: the symbol ``moyal._symbol_samples`` and, for a
 plain callable, ``_check_shell`` (a minimum on the outer momentum shell);
 V ``_potential_samples`` (a wrong count or non-finite samples); a window
-``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end).
+``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end);
+a fibered field profile ``_antiderivative`` (non-finite samples).  A
+field on the grid is checked in :mod:`magweyl.fields`.
 
 The probe radii and tolerances of the anisotropy descriptors are listed
 in :mod:`magweyl.fields`.
@@ -285,12 +287,15 @@ def _check_shell(hvals: np.ndarray) -> None:
 def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
     """P(x) = int_0^x beta at the increasing nodes ``xs``, by a
     Gauss-Legendre rule of order ``_GAUGE_ORDER`` on each interval between
-    consecutive points of ``xs`` and 0."""
+    consecutive points of ``xs`` and 0.  A sample that is not finite
+    raises ``ValueError``."""
     t = np.union1d(xs, 0.0)
     u, w = unit_gauss_legendre(_GAUGE_ORDER)
     width = np.diff(t)
     nodes = (t[:-1, None] + width[:, None] * u).ravel()
     vals = np.broadcast_to(np.asarray(beta(nodes), dtype=float), nodes.shape)
+    if not np.isfinite(vals).all():
+        raise ValueError("field profile is not finite on the gauge quadrature nodes")
     prim = np.concatenate([[0.0], np.cumsum(vals.reshape(-1, len(u)) @ w * width)])
     return (prim - prim[np.searchsorted(t, 0.0)])[np.searchsorted(t, xs)]
 

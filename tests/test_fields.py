@@ -191,6 +191,14 @@ def test_field_validation():
         MagneticField(dim=2, components={}, constant=const)
 
 
+@pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan])
+def test_constant_field_must_be_finite(b):
+    # an infinite strength used to be accepted, and NaN was refused as
+    # "not antisymmetric"
+    with pytest.raises(ValueError, match="magnetic field is not finite"):
+        MagneticField.constant_2d(b)
+
+
 def test_component_antisymmetry():
     B = bump_field()
     pts = np.array([[0.5, 0.5], [-1.0, 2.0]])

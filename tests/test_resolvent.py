@@ -662,7 +662,7 @@ def test_find_a0_stops_at_a_non_finite_defect_norm(monkeypatch):
         lambda x: np.where(np.abs(np.asarray(x)[..., 0]) > 2.0, np.nan, 0.5)
     )
     g = box(8, 3.0)
-    with pytest.raises(ValueError, match=r"defect norm is nan at a = 0;"):
+    with pytest.raises(ValueError, match=r"magnetic field is not finite"):
         find_a0(trig_kinetic(g), field, g)
     assert len(products) == 1
 
@@ -676,29 +676,52 @@ def continuum_kinetic(p):
     return 1.0 + np.sum(np.asarray(p) ** 2, axis=-1)
 
 
-def test_audit_zero_field_gamma_flat():
-    audit = estimate_audit(continuum_kinetic, MagneticField.zero(2),
-                           config={"grid": box(24), "grids": [box(24), box(32)],
-                                   "a_ladder": (8.0, 32.0, 128.0)})
-    gg = audit["gamma_growth"]
-    assert gg["degree_x"] == 0.0 and gg["degree_y"] == 0.0
-    assert gg["constant_x"] == 0.0 and gg["constant_y"] == 0.0
+TIER1_AUDIT = {"grid": box(24), "grids": [box(24), box(32)], "a_ladder": (8.0, 32.0, 128.0)}
+
+
+def assert_defect_within_envelope(ds, rungs):
+    assert ds["a"] == list(rungs)
+    assert ds["mu"] == pytest.approx(2.1)
+    assert ds["within_envelope"]
+    assert ds["envelope"][0] == ds["norm"][0]
+    assert all(n <= e for n, e in zip(ds["norm"], ds["envelope"]))
+
+
+def test_audit_zero_field_within_envelope():
+    audit = estimate_audit(continuum_kinetic, MagneticField.zero(2), config=TIER1_AUDIT)
+    assert_defect_within_envelope(audit["defect_scaling"], TIER1_AUDIT["a_ladder"])
 
 
 def test_audit_sections_and_scaling():
     if "audit" not in _cache:
-        _cache["audit"] = estimate_audit(
-            continuum_kinetic, FIELD,
-            config={"grid": box(24), "grids": [box(24), box(32)],
-                    "a_ladder": (8.0, 32.0, 128.0)})
+        _cache["audit"] = estimate_audit(continuum_kinetic, FIELD, config=TIER1_AUDIT)
     audit = _cache["audit"]
-    assert set(audit) == {"gamma_growth", "defect_scaling", "seminorm_domination"}
+    assert set(audit) == {"defect_scaling", "seminorm_domination"}
     ds = audit["defect_scaling"]
     assert all(n2 < n1 for n1, n2 in zip(ds["norm"], ds["norm"][1:]))
-    assert ds["exponent"] < 0.0
+    assert_defect_within_envelope(ds, TIER1_AUDIT["a_ladder"])
     sd = audit["seminorm_domination"]
     assert all(gr["constant"] > 0 for gr in sd["per_grid"])
-    assert 0.0 <= sd["spread"] < 1.0
+    assert 0.0 <= sd["spread"] < 1e-6
+
+
+def test_audit_default_config_within_envelope():
+    # the default ladder a = 16..256 on n=48 over [-6, 6]^2, seminorm grids
+    # n = 48 and 96
+    audit = estimate_audit(continuum_kinetic, FIELD)
+    assert_defect_within_envelope(audit["defect_scaling"], (16.0, 32.0, 64.0, 128.0, 256.0))
+    sd = audit["seminorm_domination"]
+    assert [gr["n"] for gr in sd["per_grid"]] == [48, 96]
+    assert 0.0 <= sd["spread"] < 1e-6
+
+
+def test_audit_variable_field_within_envelope():
+    field = MagneticField.from_scalar_2d(
+        lambda x: 0.5 + 0.5 * np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))
+    )
+    audit = estimate_audit(continuum_kinetic, field,
+                           config={"grid": box(16, 4.0), "a_ladder": (8.0, 32.0, 128.0)})
+    assert_defect_within_envelope(audit["defect_scaling"], (8.0, 32.0, 128.0))
 
 
 def test_audit_rejects_unknown_config_key():
@@ -731,8 +754,8 @@ def test_report_text_audit():
         test_audit_sections_and_scaling()
     text = report_text(_cache["audit"])
     assert text.startswith("kind: audit\n")
-    assert "gamma_degree_x: " in text
-    assert "\ndefect_ladder:\na,norm\n" in text
+    assert "\ndefect_within_envelope: true\n" in text
+    assert "\ndefect_ladder:\na,norm,envelope\n" in text
 
 
 def test_report_text_rejects_unknown():

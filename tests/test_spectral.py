@@ -290,6 +290,42 @@ def test_fibered_refuses_a_non_finite_potential():
                          potential=lambda x: np.where(np.asarray(x) > 2.0, np.nan, 0.0))
 
 
+def test_fibered_refuses_a_non_finite_field_profile(monkeypatch):
+    # the NaN gauge used to reach numpy.linalg.eigh, which failed with
+    # "Eigenvalues did not converge"; unset, it would raise TypeError
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="field profile is not finite"):
+        fibered_spectrum(lambda t: np.where(np.asarray(t) > 2.0, np.nan, 1.0), free_kinetic, grid,
+                         window=(0.0, 8.0))
+
+
+def nan_field():
+    return MagneticField.from_scalar_2d(
+        lambda x: np.where(np.abs(np.asarray(x)[..., 0]) > 2.0, np.nan, 0.5)
+    )
+
+
+def test_assemble_refuses_a_non_finite_field(monkeypatch):
+    # the NaN entries used to reach scipy.linalg, which refused the matrix;
+    # with the solver unset, reaching it raises TypeError instead
+    monkeypatch.setattr(spectral_module, "_solve", None)
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="magnetic field is not finite"):
+        eig(assemble(SchrodingerSpec(h=free_kinetic, field=nan_field(), grid=grid)), (0.0, 8.0))
+
+
+def test_products_and_ladder_refuse_a_non_finite_field(monkeypatch):
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    k = symbol_kernel(grid)
+    with pytest.raises(ValueError, match="magnetic field is not finite"):
+        twisted_product(k, k, nan_field())
+    monkeypatch.setattr(spectral_module, "_solve", None)
+    spec = SchrodingerSpec(h=free_kinetic, field=nan_field(), grid=grid)
+    with pytest.raises(ValueError, match="magnetic field is not finite"):
+        essential_estimate(spec, (3.0, 4.0), (0.0, 8.0), density=2.0)
+
+
 # ---------------------------------------------------------------------------
 # (d) fibered spectra
 # ---------------------------------------------------------------------------
