@@ -162,19 +162,9 @@ _GEMM_DEPTH = 128
 
 
 def delta_kernel(grid: BoxGrid) -> KernelSample:
-    """Unit of the algebra: point mass at displacement 0, height 1/Δ^N."""
-    dim = grid.dim
-    values = np.zeros((1,) * dim, dtype=complex)
-    values[(0,) * dim] = 1.0 / grid.cell_volume
-
-    def func(q, x):
-        q = np.asarray(q, dtype=float)
-        x = np.asarray(x, dtype=float)
-        on = np.all(np.abs(x) < grid.delta / 4, axis=-1)
-        shape = np.broadcast_shapes(q.shape[:-1], x.shape[:-1])
-        return np.where(on, 1.0 / grid.cell_volume, 0.0) * np.ones(shape)
-
-    return KernelSample(grid=grid, values=values, q_independent=True, func=func)
+    """Unit of the algebra, the multiplier kernel of the constant 1: a
+    base-point independent point mass at displacement 0, height 1/Δ^N."""
+    return multiplier_kernel(lambda q: np.ones(np.shape(q)[:-1]), grid)
 
 
 def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:

@@ -39,14 +39,24 @@ so ``rep``, ``assemble``, the products' phase tables, the box ladder's
 circulation table and ``flux_triangle`` raise the same ``ValueError``
 before a non-finite phase reaches a matrix.
 
-The anisotropy descriptors probe their profiles at fixed places:
+The anisotropy descriptors are planar: each refuses ``dim != 2`` when it
+is built.  Their limiting pairs (``AsymptoticPair``) drop the terms that
+vanish at infinity, B0 and V0 (or ``b_decay`` and ``v_decay``), and a
+one-variable pair holds only its profiles and invariant axis, from which
+its planar field and potential follow.  ``Cartesian2D`` keeps one
+(profile, limits) list per axis for B and one for V: a missing V factor
+is the constant 1 with limits (1, 1) while the other is given, and with
+neither factor V = V0.  The descriptors probe their profiles at fixed
+places:
 
 * ``ConstPlusDecay`` checks that the decaying terms are below 1e-2
   (``_LIMIT_TOL``) at eight points of the circle of radius 50
   (``_DECAY_RADIUS``).
 * ``Cartesian2D`` checks that each one-variable factor is within 1e-2
   (``_LIMIT_TOL``) of its declared limits at -60 and 60
-  (``_LIMIT_DISTANCE``).
+  (``_LIMIT_DISTANCE``), and that B0 and V0 are below 1e-2 on each end,
+  at 9 points (``_N_PROBES``) with the frozen coordinate at -60 or 60
+  and the other spread over [-60, 60].
 * ``VanishingOscillation`` takes 9 probes (``_N_PROBES``) on a golden-angle
   spiral over the annulus of radii 40 to 250 (``_VO_RADII``), and
   ``asymptotic_range`` samples that annulus on 25 circles of 720 points
@@ -436,29 +446,54 @@ def gauge_shift(A: VectorPotential, rho: GaugeFunction) -> VectorPotential:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AsymptoticPair:
     """One limiting field / potential pair extracted from a descriptor.
 
-    ``kind`` is 'constant' for pairs that are constant in space and
-    'one_variable' for pairs depending on a single coordinate; in the latter
-    case ``invariant_axis`` is the coordinate the pair does NOT depend on
-    and ``profile_b`` / ``profile_v`` are the scalar profiles of the varying
-    coordinate.
+    A pair is the descriptor's limit at one end or probe: the terms that
+    vanish at infinity (B0 and V0 of ``Cartesian2D``, the decaying terms
+    of ``ConstPlusDecay``) are dropped, and a missing ``Cartesian2D`` V
+    factor enters as the constant 1.  A planar pair is given by its
+    ``field`` and ``potential`` (a number or a vectorized callable on
+    points).  A one-variable pair is given only by the scalar profiles
+    ``profile_b`` / ``profile_v`` of its varying coordinate and by
+    ``invariant_axis``, the coordinate it does NOT depend on; its planar
+    ``field`` and ``potential`` (0 without ``profile_v``) are derived
+    from them on each access.  ``kind`` reads the data: 'one_variable'
+    for a profile pair, 'constant' for a constant field with a numeric
+    potential, else 'general'.
     """
 
-    field: MagneticField
-    potential: object  # float or vectorized callable on points
-    kind: str = "constant"
-    invariant_axis: Optional[int] = None
-    profile_b: Optional[Callable] = None
-    profile_v: Optional[Callable] = None
-    label: str = ""
+    def __init__(self, field=None, potential=0.0, *, invariant_axis=None, profile_b=None,
+                 profile_v=None, label=""):
+        if (field is None) == (profile_b is None) or (profile_b is None) != (invariant_axis is None):
+            raise ValueError("a pair takes a planar field, or a field profile with its invariant axis")
+        self._field, self._potential = field, potential
+        self.invariant_axis, self.profile_b, self.profile_v = invariant_axis, profile_b, profile_v
+        self.label = label
+
+    @property
+    def field(self) -> MagneticField:
+        if self.profile_b is None:
+            return self._field
+        return MagneticField.from_scalar_2d(_on_axis(self.profile_b, 1 - self.invariant_axis))
+
+    @property
+    def potential(self):
+        if self.profile_b is None:
+            return self._potential
+        return 0.0 if self.profile_v is None else _on_axis(self.profile_v, 1 - self.invariant_axis)
+
+    @property
+    def kind(self) -> str:
+        if self.profile_b is not None:
+            return "one_variable"
+        return "constant" if self._field.is_constant and not callable(self._potential) else "general"
 
 
 @dataclass
 class ConstPlusDecay:
-    """Field and potential that are constants plus terms vanishing at infinity."""
+    """Field and potential that are constants plus terms vanishing at
+    infinity; the one limiting pair drops those terms."""
 
     dim: int
     b_inf: float
@@ -466,9 +501,10 @@ class ConstPlusDecay:
     b_decay: Optional[Callable] = None
     v_decay: Optional[Callable] = None
 
+    def __post_init__(self):
+        _check_planar(self.dim)
+
     def field(self) -> MagneticField:
-        if self.dim != 2:
-            raise ValueError("scalar-profile descriptor is two dimensional")
         if self.b_decay is None:
             return MagneticField.constant_2d(self.b_inf)
         b_inf, extra = self.b_inf, self.b_decay
@@ -495,9 +531,8 @@ class ConstPlusDecay:
         self.validate()
         return [
             AsymptoticPair(
-                field=MagneticField.constant_2d(self.b_inf),
-                potential=self.v_inf,
-                kind="constant",
+                MagneticField.constant_2d(self.b_inf),
+                self.v_inf,
                 label=f"b={self.b_inf:g}, v={self.v_inf:g}",
             )
         ]
@@ -517,9 +552,10 @@ class VanishingOscillation:
     b_profile: Callable
     v_profile: Optional[Callable] = None
 
+    def __post_init__(self):
+        _check_planar(self.dim)
+
     def field(self) -> MagneticField:
-        if self.dim != 2:
-            raise ValueError("scalar-profile descriptor is two dimensional")
         return MagneticField.from_scalar_2d(self.b_profile)
 
     def potential(self):
@@ -534,10 +570,7 @@ class VanishingOscillation:
         else:
             raise ValueError("which must be 'b' or 'v'")
         radii = np.linspace(*_VO_RADII, 25)
-        angles = np.linspace(0.0, 2.0 * np.pi, _RANGE_ANGLES, endpoint=False)
-        pts = radii[:, None, None] * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=-1
-        )[None, :, :]
+        pts = radii[:, None, None] * _unit_circle_probes(_RANGE_ANGLES)[None, :, :]
         vals = np.asarray(profile(pts), dtype=float)
         return float(np.min(vals)), float(np.max(vals))
 
@@ -545,25 +578,18 @@ class VanishingOscillation:
         # spiral probes: spread over radius and angle so radial and angular
         # oscillations both contribute joint (field, potential) samples
         radii = np.linspace(*_VO_RADII, _N_PROBES)
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        angles = golden * np.arange(_N_PROBES)
+        angles = np.pi * (3.0 - np.sqrt(5.0)) * np.arange(_N_PROBES)
         probes = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         b_vals = np.asarray(self.b_profile(probes), dtype=float)
-        if self.v_profile is None:
-            v_vals = np.zeros_like(b_vals)
-        else:
-            v_vals = np.asarray(self.v_profile(probes), dtype=float)
-        out = []
-        for i in range(_N_PROBES):
-            out.append(
-                AsymptoticPair(
-                    field=MagneticField.constant_2d(float(b_vals[i])),
-                    potential=float(v_vals[i]),
-                    kind="constant",
-                    label=f"probe r={radii[i]:.1f} angle {round(np.degrees(angles[i])) % 360} deg",
-                )
+        v_vals = np.zeros_like(b_vals) if self.v_profile is None else np.asarray(self.v_profile(probes), dtype=float)
+        return [
+            AsymptoticPair(
+                MagneticField.constant_2d(float(b)),
+                float(v),
+                label=f"probe r={r:.1f} angle {round(np.degrees(a)) % 360} deg",
             )
-        return out
+            for r, a, b, v in zip(radii, angles, b_vals, v_vals)
+        ]
 
 
 @dataclass
@@ -582,56 +608,48 @@ class MixedVOAP:
     mode: str = "product"  # 'product' or 'sum'
 
     def __post_init__(self):
+        _check_planar(self.dim)
         if self.mode not in ("product", "sum"):
             raise ValueError("mode must be 'product' or 'sum'")
 
+    def _combined(self, slow) -> MagneticField:
+        """The field slow·ap or slow + ap by ``mode``, for the slow factor
+        or one of its frozen values."""
+        ap, op = self.ap_factor, (np.multiply if self.mode == "product" else np.add)
+
+        def profile(pts):
+            s = slow(pts) if callable(slow) else slow
+            return op(np.asarray(s, dtype=float), np.asarray(ap(pts), dtype=float))
+
+        return MagneticField.from_scalar_2d(profile)
+
     def field(self) -> MagneticField:
-        if self.dim != 2:
-            raise ValueError("scalar-profile descriptor is two dimensional")
-        vo, ap = self.vo_factor, self.ap_factor
-        if self.mode == "product":
-            return MagneticField.from_scalar_2d(
-                lambda pts: np.asarray(vo(pts), dtype=float) * np.asarray(ap(pts), dtype=float)
-            )
-        return MagneticField.from_scalar_2d(
-            lambda pts: np.asarray(vo(pts), dtype=float) + np.asarray(ap(pts), dtype=float)
-        )
+        return self._combined(self.vo_factor)
 
     def potential(self):
         return 0.0
 
     def pairs(self) -> list[AsymptoticPair]:
-        angles = np.linspace(0.0, 2.0 * np.pi, _N_PROBES, endpoint=False)
-        probes = _MIXED_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        c_vals = np.asarray(self.vo_factor(probes), dtype=float)
-        ap, mode = self.ap_factor, self.mode
-        out = []
-        for i in range(_N_PROBES):
-            c = float(c_vals[i])
-            if mode == "product":
-                frozen = (lambda cc: lambda pts: cc * np.asarray(ap(pts), dtype=float))(c)
-            else:
-                frozen = (lambda cc: lambda pts: cc + np.asarray(ap(pts), dtype=float))(c)
-            out.append(
-                AsymptoticPair(
-                    field=MagneticField.from_scalar_2d(frozen),
-                    potential=0.0,
-                    kind="general",
-                    label=f"frozen slow factor {c:+.4f}",
-                )
-            )
-        return out
+        probes = _MIXED_RADIUS * _unit_circle_probes(_N_PROBES)
+        return [
+            AsymptoticPair(self._combined(float(c)), 0.0, label=f"frozen slow factor {c:+.4f}")
+            for c in np.asarray(self.vo_factor(probes), dtype=float)
+        ]
 
 
 @dataclass
 class Cartesian2D:
     """Planar anisotropy of the form B = B1(x1) B2(x2) + B0, V = V1(x1) V2(x2) + V0.
 
-    The one-variable factors admit limits b_j^-, b_j^+ (resp. v_j^-, v_j^+)
-    at -inf and +inf; B0 and V0 vanish at infinity.  Each half-plane end
-    contributes one limiting pair: freezing x2 at its lower or upper end
-    yields the one-variable fields b2^-+- * B1(x1), and freezing x1 yields
-    b1^-+- * B2(x2).
+    Each one-variable factor comes with its limits (f^-, f^+) at -inf and
+    +inf, given exactly when the factor is (else ``ValueError``); B1 and
+    B2 are required.  A missing V factor is the constant 1 with limits
+    (1, 1) while the other is given, and with neither factor V = V0.  B0
+    and V0 vanish at infinity, so the limits drop them.  Each half-plane
+    end contributes one one-variable pair: freezing x2 at its lower or
+    upper end yields the field b2^-+ B1(x1) with potential v2^-+ V1(x1),
+    and freezing x1 yields b1^-+ B2(x2) with v1^-+ V2(x2); with neither V
+    factor the pairs carry no potential.
     """
 
     b1: Callable
@@ -640,96 +658,111 @@ class Cartesian2D:
     b2_limits: tuple
     v1: Optional[Callable] = None
     v2: Optional[Callable] = None
-    v1_limits: tuple = (0.0, 0.0)
-    v2_limits: tuple = (0.0, 0.0)
+    v1_limits: Optional[tuple] = None
+    v2_limits: Optional[tuple] = None
     b0: Optional[Callable] = None
     v0: Optional[Callable] = None
 
+    def __post_init__(self):
+        for name in ("b1", "b2", "v1", "v2"):
+            if (getattr(self, name) is None) != (getattr(self, name + "_limits") is None):
+                raise ValueError(f"{name}_limits must be given exactly when {name} is")
+
+    def _factors(self) -> tuple:
+        """The (profile, limits) list over the axes for B, and for V (None
+        when neither V factor is given)."""
+        b = [(self.b1, self.b1_limits), (self.b2, self.b2_limits)]
+        if self.v1 is None and self.v2 is None:
+            return b, None
+        given = ((self.v1, self.v1_limits), (self.v2, self.v2_limits))
+        return b, [(f, lim) if f is not None else (_one, (1.0, 1.0)) for f, lim in given]
+
     def validate(self) -> None:
         d = _LIMIT_DISTANCE
-        for prof, limits, name in (
-            (self.b1, self.b1_limits, "b1"),
-            (self.b2, self.b2_limits, "b2"),
-            (self.v1, self.v1_limits, "v1"),
-            (self.v2, self.v2_limits, "v2"),
-        ):
-            if prof is None:
-                continue
-            lo = float(np.asarray(prof(np.array([-d]))).reshape(-1)[0])
-            hi = float(np.asarray(prof(np.array([d]))).reshape(-1)[0])
-            if abs(lo - limits[0]) > _LIMIT_TOL or abs(hi - limits[1]) > _LIMIT_TOL:
-                raise ValueError(
-                    f"profile {name} does not reach its declared limits: "
-                    f"({lo:.4f}, {hi:.4f}) vs declared {limits}"
-                )
+        for sym, factors in zip("bv", self._factors()):
+            for axis, (prof, limits) in enumerate(factors or ()):
+                lo, hi = np.broadcast_to(np.asarray(prof(np.array([-d, d])), dtype=float), (2,))
+                if abs(lo - limits[0]) > _LIMIT_TOL or abs(hi - limits[1]) > _LIMIT_TOL:
+                    raise ValueError(
+                        f"profile {sym}{axis + 1} does not reach its declared limits: "
+                        f"({lo:.4f}, {hi:.4f}) vs declared {limits}"
+                    )
+        for frozen, side in _ENDS:
+            pts = np.empty((_N_PROBES, 2))
+            pts[:, frozen], pts[:, 1 - frozen] = (2 * side - 1) * d, np.linspace(-d, d, _N_PROBES)
+            for name, extra in (("b0", self.b0), ("v0", self.v0)):
+                worst = 0.0 if extra is None else float(np.max(np.abs(np.asarray(extra(pts), dtype=float))))
+                if worst > _LIMIT_TOL:
+                    raise ValueError(
+                        f"{name} does not vanish at the end {_end_label(frozen, side)}: "
+                        f"max magnitude {worst:.3e} at distance {d:g}"
+                    )
 
     def field(self) -> MagneticField:
-        b1, b2, b0 = self.b1, self.b2, self.b0
-
-        def profile(pts):
-            pts = np.asarray(pts, dtype=float)
-            vals = np.asarray(b1(pts[..., 0]), dtype=float) * np.asarray(b2(pts[..., 1]), dtype=float)
-            if b0 is not None:
-                vals = vals + np.asarray(b0(pts), dtype=float)
-            return vals
-
-        return MagneticField.from_scalar_2d(profile)
+        return MagneticField.from_scalar_2d(_cartesian(self._factors()[0], self.b0))
 
     def potential(self):
-        if self.v1 is None and self.v2 is None and self.v0 is None:
+        factors = self._factors()[1]
+        if factors is None and self.v0 is None:
             return 0.0
-        v1 = self.v1 if self.v1 is not None else (lambda u: np.ones_like(np.asarray(u, dtype=float)))
-        v2 = self.v2 if self.v2 is not None else (lambda u: np.ones_like(np.asarray(u, dtype=float)))
-        v0 = self.v0
-
-        def profile(pts):
-            pts = np.asarray(pts, dtype=float)
-            vals = np.asarray(v1(pts[..., 0]), dtype=float) * np.asarray(v2(pts[..., 1]), dtype=float)
-            if v0 is not None:
-                vals = vals + np.asarray(v0(pts), dtype=float)
-            return vals
-
-        return profile
+        return _cartesian(factors, self.v0)
 
     def pairs(self) -> list[AsymptoticPair]:
         self.validate()
-        out = []
-        ends = [
-            ("x2 -> -inf", 1, self.b2_limits[0], self.v2_limits[0], self.b1, self.v1, 0),
-            ("x2 -> +inf", 1, self.b2_limits[1], self.v2_limits[1], self.b1, self.v1, 0),
-            ("x1 -> -inf", 0, self.b1_limits[0], self.v1_limits[0], self.b2, self.v2, 1),
-            ("x1 -> +inf", 0, self.b1_limits[1], self.v1_limits[1], self.b2, self.v2, 1),
+        b, v = self._factors()
+        return [
+            AsymptoticPair(
+                invariant_axis=frozen,
+                profile_b=_scaled(b[frozen][1][side], b[1 - frozen][0]),
+                profile_v=None if v is None else _scaled(v[frozen][1][side], v[1 - frozen][0]),
+                label=_end_label(frozen, side),
+            )
+            for frozen, side in _ENDS
         ]
-        for label, frozen_axis, b_const, v_const, b_prof, v_prof, varying_axis in ends:
-            scaled_b = (lambda c, f: lambda u: c * np.asarray(f(np.asarray(u, dtype=float)), dtype=float))(
-                b_const, b_prof
-            )
-            if v_prof is not None:
-                scaled_v = (lambda c, f: lambda u: c * np.asarray(f(np.asarray(u, dtype=float)), dtype=float))(
-                    v_const, v_prof
-                )
-            else:
-                scaled_v = None
-            ax = varying_axis
-            field = MagneticField.from_scalar_2d(
-                (lambda g, a: lambda pts: g(np.asarray(pts, dtype=float)[..., a]))(scaled_b, ax)
-            )
-            if scaled_v is None:
-                pot = 0.0
-            else:
-                pot = (lambda g, a: lambda pts: g(np.asarray(pts, dtype=float)[..., a]))(scaled_v, ax)
-            out.append(
-                AsymptoticPair(
-                    field=field,
-                    potential=pot,
-                    kind="one_variable",
-                    invariant_axis=frozen_axis,
-                    profile_b=scaled_b,
-                    profile_v=scaled_v,
-                    label=label,
-                )
-            )
-        return out
+
+
+# the four ends of a Cartesian2D as (frozen axis, side), side 0 at -inf
+_ENDS = ((1, 0), (1, 1), (0, 0), (0, 1))
+
+
+def _end_label(frozen: int, side: int) -> str:
+    return f"x{frozen + 1} -> {'-+'[side]}inf"
+
+
+def _one(u):
+    return np.ones_like(np.asarray(u, dtype=float))
+
+
+def _scaled(c: float, f: Callable) -> Callable:
+    """The one-variable profile u ↦ c f(u)."""
+    return lambda u: c * np.asarray(f(np.asarray(u, dtype=float)), dtype=float)
+
+
+def _on_axis(profile: Callable, axis: int) -> Callable:
+    """The planar function x ↦ profile(x_axis)."""
+    return lambda pts: profile(np.asarray(pts, dtype=float)[..., axis])
+
+
+def _cartesian(factors, extra) -> Callable:
+    """The planar function x ↦ f1(x1) f2(x2) + extra(x) of the (profile,
+    limits) list ``factors``; None drops the product or the extra term."""
+
+    def profile(pts):
+        pts = np.asarray(pts, dtype=float)
+        vals = 0.0
+        if factors is not None:
+            (f1, _), (f2, _) = factors
+            vals = np.asarray(f1(pts[..., 0]), dtype=float) * np.asarray(f2(pts[..., 1]), dtype=float)
+        if extra is not None:
+            vals = vals + np.asarray(extra(pts), dtype=float)
+        return vals
+
+    return profile
+
+
+def _check_planar(dim: int) -> None:
+    if dim != 2:
+        raise ValueError(f"scalar-profile descriptor is two dimensional, got dim={dim}")
 
 
 def asymptotic_pairs(descriptor) -> list[AsymptoticPair]:

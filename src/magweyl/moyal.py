@@ -35,7 +35,9 @@ The layer runs one fixed configuration:
   ``_symbol_samples``, on a grid's momentum mesh or else on the origin and
   128 points (``_N_INFIMUM_SAMPLE``) on log-spaced shells out to the same
   radius.  It refuses an unbounded ``Symbol`` without ellipticity
-  constants and samples that are not one real finite scalar per point.
+  constants, samples that are not one real finite scalar per point and,
+  for a plain callable, samples whose minimum lies on the outer shell of
+  the momentum mesh (not elliptic).
 * ``moyal`` transports both factors over the largest displacement window
   and keeps the product's natural window; interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
@@ -193,8 +195,11 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
     """Real float samples of a kinetic symbol h, a callable or a ``Symbol``,
     on the momentum mesh of ``grid`` or else on the ``Symbol``'s radial
     reference sample.  Refuses an unbounded ``Symbol`` without ellipticity
-    constants, a wrong shape, non-finite samples (either part) and
-    imaginary parts above 1e-12·max(1, max|h|)."""
+    constants, a wrong shape, non-finite samples (either part),
+    imaginary parts above 1e-12·max(1, max|h|) and, for a plain callable,
+    samples whose minimum sits on the outer shell of the momentum mesh:
+    an elliptic symbol grows outward, so its minimum lies strictly
+    inside."""
     _check_elliptic_declaration(h)
     if grid is not None:
         pts = grid.momentum().mesh()
@@ -210,6 +215,15 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
         if float(np.abs(vals.imag).max()) > 1e-12 * scale:
             raise ValueError("kinetic symbol must be real-valued")
         vals = vals.real
+    if not isinstance(h, Symbol):
+        shell = np.ones(vals.shape, dtype=bool)
+        shell[(slice(1, -1),) * vals.ndim] = False
+        scale = float(np.max(np.abs(vals))) or 1.0
+        if np.min(vals[shell]) <= np.min(vals) + 1e-12 * scale:
+            raise ValueError(
+                "kinetic symbol looks non-elliptic: its minimum over the momentum "
+                "box sits on the outer shell"
+            )
     return vals.astype(float)
 
 

@@ -52,8 +52,8 @@ The layer runs one fixed configuration:
 * ``essential_estimate`` clusters and chains eigenvalues at the
   persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
 
-Each input has one guard: the symbol ``moyal._symbol_samples`` and, for a
-plain callable, ``_check_shell`` (a minimum on the outer momentum shell);
+Each input has one guard: the symbol ``moyal._symbol_samples`` (for a
+plain callable on a grid, also a minimum on the outer momentum shell);
 V ``_potential_samples`` (a wrong count or non-finite samples); a window
 ``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end);
 a fibered field profile ``_antiderivative`` (non-finite samples).  A
@@ -271,19 +271,6 @@ def _potential_samples(potential, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _check_shell(hvals: np.ndarray) -> None:
-    """Sampled heuristic for callables: an elliptic symbol grows outward,
-    so its minimum must sit strictly inside the momentum box."""
-    shell = np.ones(hvals.shape, dtype=bool)
-    shell[(slice(1, -1),) * hvals.ndim] = False
-    scale = float(np.max(np.abs(hvals))) or 1.0
-    if np.min(hvals[shell]) <= np.min(hvals) + 1e-12 * scale:
-        raise ValueError(
-            "kinetic symbol looks non-elliptic: its minimum over the momentum "
-            "box sits on the outer shell"
-        )
-
-
 def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
     """P(x) = int_0^x beta at the increasing nodes ``xs``, by a
     Gauss-Legendre rule of order ``_GAUGE_ORDER`` on each interval between
@@ -322,10 +309,7 @@ def _checked_values(spec: SchrodingerSpec) -> tuple:
     of ``spec.grid``, after the checks ``assemble`` makes of a spec."""
     if spec.field_or_zero().dim != spec.grid.dim:
         raise ValueError("field dimension does not match the grid")
-    hvals = _symbol_samples(spec.h, spec.grid)
-    if not isinstance(spec.h, Symbol):
-        _check_shell(hvals)
-    return hvals, spec.potential_values(spec.grid)
+    return _symbol_samples(spec.h, spec.grid), spec.potential_values(spec.grid)
 
 
 def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
@@ -809,14 +793,23 @@ def asymptotic_spectra(
 ) -> UnionSpectrum:
     """Union of the spectra of all limit operators of a descriptor.
 
-    Constant pairs with the free kinetic symbol use the analytic oracle
-    (or the band range at b = 0); one-variable pairs are fibered; anything
-    else is assembled and diagonalized on the supplied grid.  A window
-    that is not finite with lo < hi raises ``ValueError``.
+    Each pair is solved by its ``kind``: a 'one_variable' pair is fibered
+    from its profiles; a 'constant' pair with the free kinetic symbol uses
+    the analytic oracle (or the band range at b = 0); any other pair,
+    'general' or constant under another symbol, is assembled and
+    diagonalized on the supplied grid.  A window that is not finite with
+    lo < hi, or a grid whose dimension differs from the pairs' field
+    dimension, raises ``ValueError`` before any solve.
     """
     lo, hi = _window(window, finite=True)
     band_step = (hi - lo) / _BAND_STEPS
     pairs = asymptotic_pairs(descriptor)
+    for pair in pairs:
+        if pair.field.dim != grid.dim:
+            raise ValueError(
+                f"grid dimension {grid.dim} does not match the field dimension "
+                f"{pair.field.dim} of the pair {pair.label!r}"
+            )
     free = _is_free_kinetic(h, grid.dim)
 
     def solve(pair):
@@ -829,7 +822,7 @@ def asymptotic_spectra(
                 potential=pair.profile_v,
                 window=window,
             )
-        if pair.kind == "constant" and free and pair.field.is_constant and not callable(pair.potential):
+        if pair.kind == "constant" and free:
             b = float(pair.field.constant[0, 1])
             v = float(pair.potential)
             if b == 0.0:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -683,6 +684,28 @@ def test_delta_is_two_sided_unit():
         right = twisted_product(k, dl, fld)
         assert np.abs(left.values - k.values).max() == 0.0
         assert np.abs(right.values - k.values).max() == 0.0
+
+
+def test_delta_is_the_multiplier_of_one_and_no_product_reads_its_callable():
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    dl = delta_kernel(g)
+    one = multiplier_kernel(lambda q: np.ones(np.shape(q)[:-1]), g)
+    assert dl.q_independent and dl.values.shape == (1, 1)
+    assert dl.values[0, 0] == 1.0 / g.cell_volume
+    assert np.array_equal(dl.values, one.values)
+
+    def boom(q, x):
+        raise AssertionError("a product read a base-point independent factor's callable")
+
+    silent = replace(dl, func=boom)
+    fld = variable_field()
+    phi, _ = pair_on(g, 7)
+    for sheet in ("centered", "tilde"):
+        for k in (phi, phi_as_array(phi)):
+            assert np.array_equal(twisted_product(silent, k, fld, sheet=sheet).values,
+                                  twisted_product(dl, k, fld, sheet=sheet).values)
+            assert np.array_equal(twisted_product(k, silent, fld, sheet=sheet).values,
+                                  twisted_product(k, dl, fld, sheet=sheet).values)
 
 
 def phi_as_array(k):

@@ -21,7 +21,9 @@ from magweyl.fields import (
     VanishingOscillation,
     MixedVOAP,
     Cartesian2D,
+    AsymptoticPair,
     asymptotic_pairs,
+    _LIMIT_TOL,
 )
 
 
@@ -419,6 +421,128 @@ def test_mixed_potential_is_the_one_its_pairs_carry():
 def test_mixed_field_refuses_other_dimensions():
     with pytest.raises(ValueError, match="two dimensional"):
         _mixed(3).field()
+
+
+def _sampled(f, pts):
+    # a potential is a number or a callable on points
+    return np.broadcast_to(np.asarray(f(pts) if callable(f) else f, dtype=float), pts.shape[:-1])
+
+
+def _cartesian(v_case, with_b0):
+    def gauss(scale):
+        return lambda p: scale * np.exp(-np.sum(p * p, axis=-1) / 4.0)
+
+    v = {
+        "both": dict(v1=lambda t: 0.5 + 0.4 * np.tanh(t), v1_limits=(0.1, 0.9),
+                     v2=lambda t: 0.3 - 0.2 * np.tanh(t), v2_limits=(0.5, 0.1), v0=gauss(0.6)),
+        "v1": dict(v1=lambda t: 0.5 + 0.4 * np.tanh(t), v1_limits=(0.1, 0.9)),
+        "v2": dict(v2=lambda t: 0.3 - 0.2 * np.tanh(t), v2_limits=(0.5, 0.1)),
+        "v0": dict(v0=gauss(0.6)),
+        "none": {},
+    }[v_case]
+    return Cartesian2D(b1=lambda t: 1.0 + 0.5 * np.tanh(t), b2=lambda t: 1.0 + 0.2 * np.tanh(t),
+                       b1_limits=(0.5, 1.5), b2_limits=(0.8, 1.2),
+                       b0=gauss(0.4) if with_b0 else None, **v)
+
+
+@pytest.mark.parametrize("with_b0", [False, True], ids=["no_b0", "b0"])
+@pytest.mark.parametrize("v_case", ["both", "v1", "v2", "v0", "none"])
+def test_cartesian_pairs_match_the_descriptor_at_their_ends(v_case, with_b0):
+    # each pair is the descriptor seen from its end: field and potential
+    # agree at the frozen coordinate ±60 for several values of the other
+    d = _cartesian(v_case, with_b0)
+    field, potential = d.field(), d.potential()
+    pairs = d.pairs()
+    assert [p.label for p in pairs] == ["x2 -> -inf", "x2 -> +inf", "x1 -> -inf", "x1 -> +inf"]
+    varying = np.linspace(-5.0, 5.0, 11)
+    for pair in pairs:
+        assert pair.kind == "one_variable"
+        pts = np.empty((len(varying), 2))
+        pts[:, pair.invariant_axis] = -60.0 if "-inf" in pair.label else 60.0
+        pts[:, 1 - pair.invariant_axis] = varying
+        b_gap = np.abs(pair.field.component(0, 1, pts) - field.component(0, 1, pts)).max()
+        v_gap = np.abs(_sampled(pair.potential, pts) - _sampled(potential, pts)).max()
+        assert b_gap <= _LIMIT_TOL and v_gap <= _LIMIT_TOL, (pair.label, b_gap, v_gap)
+
+
+def test_const_plus_decay_pair_matches_the_descriptor_far_out():
+    d = ConstPlusDecay(
+        dim=2,
+        b_inf=1.0,
+        v_inf=0.5,
+        b_decay=lambda p: 0.5 * np.exp(-np.sum(p * p, axis=-1) / 100.0),
+        v_decay=lambda p: 3.0 / (1.0 + np.sum(p * p, axis=-1)),
+    )
+    (pair,) = d.pairs()
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    pts = 50.0 * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    assert np.abs(pair.field.component(0, 1, pts) - d.field().component(0, 1, pts)).max() <= _LIMIT_TOL
+    assert np.abs(_sampled(pair.potential, pts) - _sampled(d.potential(), pts)).max() <= _LIMIT_TOL
+
+
+def test_cartesian_missing_v_factor_is_one():
+    # with one V factor the other is 1, and with none V = V0 (no 1 added)
+    pts = np.random.default_rng(9).uniform(-4.0, 4.0, (16, 2))
+    v1_only = _cartesian("v1", False)
+    assert np.array_equal(v1_only.potential()(pts), v1_only.v1(pts[:, 0]))
+    v0_only = _cartesian("v0", False)
+    assert np.array_equal(v0_only.potential()(pts), v0_only.v0(pts))
+    far = np.array([[0.5, 60.0], [0.5, -60.0], [-60.0, 0.0], [60.0, 0.0]])
+    assert np.allclose(v1_only.potential()(far), [0.5 + 0.4 * np.tanh(0.5)] * 2 + [0.1, 0.9])
+    ends = {p.label: p for p in v1_only.pairs()}
+    assert np.array_equal(ends["x1 -> +inf"].profile_v(far[:, 1]), np.full(4, 0.9))
+    assert np.array_equal(ends["x2 -> -inf"].profile_v(far[:, 0]), v1_only.v1(far[:, 0]))
+
+
+def test_cartesian_limits_are_given_exactly_with_their_factor():
+    b = dict(b1=np.tanh, b2=np.cos, b1_limits=(-1.0, 1.0), b2_limits=(1.0, 1.0))
+    with pytest.raises(ValueError, match="v1_limits"):
+        Cartesian2D(v1=np.tanh, **b)
+    with pytest.raises(ValueError, match="v2_limits"):
+        Cartesian2D(v2_limits=(0.0, 0.0), **b)
+    with pytest.raises(ValueError, match="b2_limits"):
+        Cartesian2D(b1=np.tanh, b2=None, b1_limits=(-1.0, 1.0), b2_limits=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("term", ["b0", "v0"])
+def test_cartesian_refuses_terms_that_do_not_vanish_at_the_ends(term):
+    # a wave in x1 that does not decay in x2 stays O(1) on the ends x2 = ±60
+    d = _cartesian("v1", False)
+    setattr(d, term, lambda p: 0.5 * np.cos(p[..., 0]) * np.exp(-np.abs(p[..., 1]) / 1e3))
+    with pytest.raises(ValueError, match=f"{term} does not vanish"):
+        d.pairs()
+
+
+@pytest.mark.parametrize("make", [
+    lambda dim: ConstPlusDecay(dim=dim, b_inf=1.0),
+    lambda dim: VanishingOscillation(dim=dim, b_profile=lambda p: np.ones(p.shape[:-1])),
+    lambda dim: MixedVOAP(dim=dim, vo_factor=np.tanh, ap_factor=np.cos),
+], ids=["const_plus_decay", "vanishing_oscillation", "mixed"])
+def test_descriptors_refuse_other_dimensions_when_built(make):
+    # each returned planar pairs for dim = 3
+    for dim in (1, 3):
+        with pytest.raises(ValueError, match="two dimensional"):
+            make(dim)
+    assert make(2).dim == 2
+
+
+def test_pair_kind_reads_its_data():
+    const = AsymptoticPair(MagneticField.constant_2d(1.0), 0.5)
+    assert const.kind == "constant"
+    assert AsymptoticPair(MagneticField.constant_2d(1.0), lambda p: p[..., 0]).kind == "general"
+    assert AsymptoticPair(bump_field(), 0.0).kind == "general"
+    one = AsymptoticPair(invariant_axis=0, profile_b=lambda u: 2.0 + np.tanh(u), label="end")
+    assert one.kind == "one_variable" and one.potential == 0.0
+    pts = np.array([[7.0, -0.4], [-3.0, 1.1]])
+    assert np.array_equal(one.field.component(0, 1, pts), 2.0 + np.tanh(pts[:, 1]))
+    with pytest.raises(AttributeError):
+        const.kind = "general"
+    with pytest.raises(TypeError):
+        AsymptoticPair(MagneticField.constant_2d(1.0), 0.5, kind="constant")
+    for bad in (dict(), dict(field=bump_field(), invariant_axis=0, profile_b=np.tanh),
+                dict(profile_b=np.tanh), dict(field=bump_field(), invariant_axis=1)):
+        with pytest.raises(ValueError, match="a pair takes"):
+            AsymptoticPair(**bad)
 
 
 # ---------------------------------------------------------------------------

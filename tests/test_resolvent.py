@@ -622,6 +622,28 @@ def test_non_finite_symbol_is_refused_before_any_product(small_base, no_products
             call()
 
 
+def test_non_elliptic_symbol_is_refused_before_any_product(small_base, no_products):
+    # -|p|^2 peaks at the origin; resolvent returned a kernel with residual
+    # 1.12 (a0 = 39.1) without complaint, while assemble refused it
+    def h(p):
+        return -np.sum(np.asarray(p) ** 2, axis=-1)
+
+    g, base = small_base
+    calls = [
+        lambda: resolvent(h, MagneticField.zero(2), BoxGrid(dim=2, half_length=3.0, n=8), -1.0 + 1.0j),
+        lambda: defect(h, 2.0, FIELD, g),
+        lambda: find_a0(h, FIELD, g),
+        lambda: moyal_inverse(h, 2.0, FIELD, g),
+        lambda: resolvent(h, FIELD, g, Z1, a0=0.0),
+        lambda: resolvent(h, FIELD, g, Z1),
+        lambda: resolvent_with_potential(h, bump_potential, FIELD, g, Z1),
+        lambda: resolvent_with_potential(h, bump_potential, FIELD, g, Z1, base=base),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-elliptic"):
+            call()
+
+
 def test_non_finite_potential_is_refused_before_any_product(small_base, no_products):
     g, base = small_base
     for b in (base, None):

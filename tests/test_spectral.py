@@ -464,6 +464,70 @@ def test_asymptotic_spectra_vanishing_oscillation_one_component_per_probe():
         assert np.array_equal(res.values, landau_oracle(b, 0.0, (0.0, 8.0)).values)
 
 
+def test_asymptotic_spectra_vanishing_oscillation_carries_each_probes_potential():
+    # each probe's component is the Landau spectrum shifted by that probe's
+    # own v, both read from the profiles at the probe points; a dropped or
+    # shared potential would fail here
+    probes = []
+
+    def b_profile(p):
+        probes.append(p)
+        return 1.0 + 0.5 * np.sin(np.sqrt(1.0 + np.linalg.norm(p, axis=-1)))
+
+    def v_profile(p):
+        return 0.8 * np.cos(0.05 * np.linalg.norm(p, axis=-1) + p[..., 0] / 40.0)
+
+    desc = VanishingOscillation(dim=2, b_profile=b_profile, v_profile=v_profile)
+    window = (0.0, 8.0)
+    union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=12), window)
+    (points,) = probes
+    b_vals, v_vals = b_profile(points), v_profile(points)
+    assert len(union.components) == len(points) and np.ptp(v_vals) > 0.5
+    for b, v, (_, res) in zip(b_vals, v_vals, union.components):
+        assert np.array_equal(res.values, landau_oracle(b, v, window).values)
+
+
+def test_asymptotic_spectra_refuses_a_grid_of_another_dimension(monkeypatch):
+    # a planar descriptor on a 3-d grid returned [1, 3, 5, 7]
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a pair on a grid of another dimension")
+
+    for name in ("landau_oracle", "_band_spectrum", "fibered_spectrum", "assemble", "eig"):
+        monkeypatch.setattr(spectral_module, name, no_solve)
+    desc = VanishingOscillation(dim=2, b_profile=lambda p: np.ones(p.shape[:-1]))
+    with pytest.raises(ValueError, match="grid dimension 3 does not match"):
+        asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=3, half_length=2.0, n=4), (0.0, 8.0))
+
+
+def test_asymptotic_spectra_cartesian_v1_only_components_are_their_ends():
+    # with V = V1(x1) the missing V2 is 1: the x2 ends carry V1 itself and
+    # the x1 ends the constant limits of V1
+    def b1(t):
+        return 1.0 + 0.5 * np.tanh(t)
+
+    def b2(t):
+        return 1.0 + 0.2 * np.tanh(t)
+
+    def v1(t):
+        return 0.5 + 0.4 * np.tanh(t)
+
+    desc = Cartesian2D(b1=b1, b2=b2, b1_limits=(0.5, 1.5), b2_limits=(0.8, 1.2),
+                       v1=v1, v1_limits=(0.1, 0.9))
+    grid = BoxGrid(dim=2, half_length=4.0, n=16)
+    window = (0.0, 6.0)
+    union = dict(asymptotic_spectra(desc, free_kinetic, grid, window).components)
+    ends = {
+        "x2 -> -inf": (lambda u: 0.8 * b1(u), 1, v1),
+        "x2 -> +inf": (lambda u: 1.2 * b1(u), 1, v1),
+        "x1 -> -inf": (lambda u: 0.5 * b2(u), 0, 0.1),
+        "x1 -> +inf": (lambda u: 1.5 * b2(u), 0, 0.9),
+    }
+    assert sorted(union) == sorted(ends)
+    for label, (profile, axis, v) in ends.items():
+        want = fibered_spectrum(profile, free_kinetic, grid, invariant_axis=axis, potential=v, window=window)
+        assert len(want) > 0 and np.array_equal(union[label].values, want.values), label
+
+
 def test_asymptotic_spectra_cartesian_components_are_fibered():
     desc = Cartesian2D(
         b1=tanh_profile,
