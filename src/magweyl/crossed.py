@@ -123,6 +123,7 @@ from .grid import (
     partial_fourier_inv,
     shift_q,
     _check_scheme,
+    _node_values,
     _require_centered,
     _shift_axis_half,
     _shift_axis_int,
@@ -168,12 +169,11 @@ def delta_kernel(grid: BoxGrid) -> KernelSample:
 
 
 def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:
-    """Kernel of the multiplication operator u ↦ v(Q)u; samples of v that
-    are not finite are refused."""
+    """Kernel of the multiplication operator u ↦ v(Q)u.  The samples of v
+    on the nodes pass the one potential guard ``grid._node_values``
+    (complex values allowed)."""
     dim = grid.dim
-    vals = np.atleast_1d(np.asarray(v(grid.mesh()), dtype=complex)) / grid.cell_volume
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("multiplier samples must be finite on the box")
+    vals = _node_values(v, grid.points(), real=False).astype(complex) / grid.cell_volume
 
     def func(q, x):
         q = np.asarray(q, dtype=float)
@@ -182,12 +182,12 @@ def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:
         base = np.asarray(v(q), dtype=complex) / grid.cell_volume
         return np.where(on, base, 0.0)
 
-    if np.all(vals == vals.flat[0]):
+    if np.all(vals == vals[0]):
         # constant samples have no base-point dependence; storing the single
         # height keeps downstream products on the exact q-independent paths
-        values = np.full((1,) * dim, vals.flat[0])
+        values = np.full((1,) * dim, vals[0])
         return KernelSample(grid=grid, values=values, q_independent=True, func=func)
-    values = vals.reshape(vals.shape + (1,) * dim)
+    values = vals.reshape((grid.n,) * dim + (1,) * dim)
     return KernelSample(grid=grid, values=values, q_independent=False, func=func)
 
 

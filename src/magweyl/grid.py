@@ -55,6 +55,8 @@ class BoxGrid:
     bc: str = "truncated"
 
     def __post_init__(self):
+        if not all(isinstance(k, (int, np.integer)) for k in (self.dim, self.n)):
+            raise ValueError(f"dimension and node count must be integers, got {self.dim!r} and {self.n!r}")
         if not 1 <= self.dim <= 3:
             raise ValueError("dimension must be 1, 2 or 3")
         if self.n < 4 or self.n % 2 != 0:
@@ -146,6 +148,28 @@ class MomentumGrid:
     def mesh(self) -> np.ndarray:
         axes = [self.axis()] * self.box.dim
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _node_values(v, points: np.ndarray, real: bool = True) -> np.ndarray:
+    """The one reading of a potential or multiplier v at ``points``, nodes
+    stacked along the first axis: zero for None, a number or a 0-d value
+    as a constant, else the callable's values, one per node.  Refused
+    unless finite and, with ``real``, unless the imaginary part stays
+    within 1e-12·max(1, max|v|); the real part comes back as floats."""
+    count = len(points)
+    vals = np.asarray(0.0 if v is None else v(points) if callable(v) else v)
+    vals = np.full(count, vals) if vals.ndim == 0 else vals.ravel()
+    if vals.shape != (count,):
+        raise ValueError(f"potential must give one value per node: {vals.size} for {count} nodes")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("potential samples must be finite on the box")
+    if not real:
+        return vals
+    if np.iscomplexobj(vals):
+        if float(np.abs(vals.imag).max()) > 1e-12 * max(float(np.abs(vals).max()), 1.0):
+            raise ValueError("potential must be real-valued")
+        vals = vals.real
+    return vals.astype(float)
 
 
 # ---------------------------------------------------------------------------

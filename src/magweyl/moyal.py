@@ -34,10 +34,12 @@ The layer runs one fixed configuration:
 * ``resolvent`` and ``spectral`` read every kinetic symbol through
   ``_symbol_samples``, on a grid's momentum mesh or else on the origin and
   128 points (``_N_INFIMUM_SAMPLE``) on log-spaced shells out to the same
-  radius.  It refuses an unbounded ``Symbol`` without ellipticity
-  constants, samples that are not one real finite scalar per point and,
-  for a plain callable, samples whose minimum lies on the outer shell of
-  the momentum mesh (not elliptic).
+  radius.  Each public entry of those layers samples h once and builds
+  every momentum kernel from the real float array returned.  It refuses
+  an unbounded ``Symbol`` without ellipticity constants, samples that are
+  not one real finite scalar per point and, for a plain callable, samples
+  whose minimum lies on the outer shell of the momentum mesh (not
+  elliptic).
 * ``moyal`` transports both factors over the largest displacement window
   and keeps the product's natural window; interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
@@ -182,15 +184,6 @@ class Symbol:
                     )
 
 
-def _check_elliptic_declaration(h) -> None:
-    # unbounded symbols must declare their ellipticity constants; plain
-    # callables are admitted on the strength of their samples alone
-    if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
-        raise ValueError(
-            "symbol of positive order must declare ellipticity constants"
-        )
-
-
 def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
     """Real float samples of a kinetic symbol h, a callable or a ``Symbol``,
     on the momentum mesh of ``grid`` or else on the ``Symbol``'s radial
@@ -200,7 +193,9 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
     samples whose minimum sits on the outer shell of the momentum mesh:
     an elliptic symbol grows outward, so its minimum lies strictly
     inside."""
-    _check_elliptic_declaration(h)
+    # plain callables are admitted on the strength of their samples alone
+    if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
+        raise ValueError("symbol of positive order must declare ellipticity constants")
     if grid is not None:
         pts = grid.momentum().mesh()
     else:
@@ -238,7 +233,8 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
 
 
 class CutoffFamily:
-    """Family χ_n(ξ) = χ(ξ/n) of radial plateau cutoffs, χ(0) = 1."""
+    """Family χ_n(ξ) = χ(ξ/n) of radial plateau cutoffs, χ(0) = 1; a
+    symbol is cut off by multiplying its samples by ``scaled``."""
 
     @staticmethod
     def profile(r) -> np.ndarray:
@@ -252,14 +248,6 @@ class CutoffFamily:
 
     def scaled(self, xi, n: float) -> np.ndarray:
         return self.value(np.asarray(xi, dtype=float) / float(n))
-
-    def compose(self, func: Callable, n: float) -> Callable:
-        """Callable p ↦ χ_n(p)·func(p), for quadrature-side regularization."""
-
-        def wrapped(p):
-            return np.asarray(func(p)) * self.scaled(p, n)
-
-        return wrapped
 
 
 def regularize(f: PhaseGridFunction, n: float) -> PhaseGridFunction:

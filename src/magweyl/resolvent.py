@@ -41,11 +41,14 @@ The construction runs one fixed configuration:
 * Audit: Gaussian widths 0.6, 1.0, 1.6 and weight exponent t = -1 for
   the seminorm check (``_AUDIT_WIDTHS``, ``_AUDIT_T``).
 
-Each input has one guard, run before the first product: the symbol's is
-``moyal._symbol_samples``, z's ``_finite_z`` (non-finite z) and V's
-``multiplier_kernel`` (non-finite samples); every Neumann series runs
-through ``_inv_one_plus``, which refuses a radius not below 1, NaN
-included, with its caller's remedy.
+Each input has one guard, run before the first product.  Every public
+entry samples the symbol once through ``moyal._symbol_samples``, and each
+momentum kernel is built from those samples hv (hv + a, 1/(hv + a),
+hv - z).  ``_defect_kernel``, shared by every defect, runs the shift guard
+``_check_shift`` (a shift not finite or below -inf h + 1).  z's guard is
+``_finite_z``, V's ``grid._node_values`` through ``multiplier_kernel``;
+every Neumann series runs through ``_inv_one_plus``, which refuses a
+radius not below 1, NaN included, with its caller's remedy.
 
 Interpolation and quadrature options live on the algebra layer
 (``twisted_product``, ``rep``, ``moyal``); every product here takes its
@@ -139,13 +142,13 @@ class ResolventElement:
 # ---------------------------------------------------------------------------
 
 
-def _check_shift(h, a: float, grid: Optional[BoxGrid]) -> None:
-    """The shift must lift h to h + a >= 1 on the samples of h."""
-    lo = float(_symbol_samples(h, grid).min())
-    if a < -lo + 1.0 - 1e-12:
-        raise ValueError(
-            f"shift too small: a = {a:.6g} < -inf h + 1 = {-lo + 1.0:.6g}"
-        )
+def _check_shift(hv: np.ndarray, a: float) -> None:
+    """The shift must be finite and lift h to h + a >= 1 on its samples hv."""
+    floor = 1.0 - float(hv.min())
+    if not np.isfinite(a):
+        raise ValueError(f"shift a = {a} must be finite")
+    if a < floor - 1e-12:
+        raise ValueError(f"shift too small: a = {a:.6g} < -inf h + 1 = {floor:.6g}")
 
 
 def _finite_z(z) -> complex:
@@ -155,8 +158,9 @@ def _finite_z(z) -> complex:
     return z
 
 
-def _momentum_kernel(func: Callable, grid: BoxGrid) -> KernelSample:
-    f = PhaseGridFunction.sample(func, grid, q_independent=True)
+def _momentum_kernel(values: np.ndarray, grid: BoxGrid) -> KernelSample:
+    """Trimmed kernel of a base-point independent symbol from its momentum samples."""
+    f = PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex))
     return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
 
 
@@ -185,9 +189,11 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
     type s.  The infimum is taken over the grid momentum mesh when a grid
     is supplied, otherwise over the radial reference sample whose radius
     and size are listed in :mod:`magweyl.moyal`; either way the sampled
-    values must be real and finite.
+    values must be real and finite.  A plain callable (no order) is refused.
     """
-    _check_shift(h, a, grid)
+    if not isinstance(h, Symbol):
+        raise ValueError("pointwise_inverse needs a Symbol: its inverse declares the order -s")
+    _check_shift(_symbol_samples(h, grid), a)
     hf = h.func
 
     def inv(p):
@@ -202,11 +208,12 @@ def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Sy
 
 
 def _defect_kernel(
-    h: Callable, a: float, field: MagneticField, grid: BoxGrid
+    hv: np.ndarray, a: float, field: MagneticField, grid: BoxGrid
 ) -> Tuple[KernelSample, KernelSample, KernelSample]:
-    """(kernel of h_a, kernel of 1/h_a, right defect h_a ⋄ h_a^{-1} - 1)."""
-    kha = _momentum_kernel(lambda p: np.asarray(h(p)) + a, grid)
-    kinv = _momentum_kernel(lambda p: 1.0 / (np.asarray(h(p)) + a), grid)
+    """(kernel of h_a, kernel of 1/h_a, right defect h_a ⋄ h_a^{-1} - 1) from samples hv."""
+    _check_shift(hv, a)
+    kha = _momentum_kernel(hv + a, grid)
+    kinv = _momentum_kernel(1.0 / (hv + a), grid)
     return kha, kinv, _minus_unit([_product(kha, kinv, field)])
 
 
@@ -231,8 +238,8 @@ def defect(
     reaches the corners of the square momentum zone, so a structural
     offset remains even for well-resolved symbols.
     """
-    _check_shift(h, a, grid)
-    _, kinv, f = _defect_kernel(h, a, field, grid)
+    hv = _symbol_samples(h, grid)
+    _, kinv, f = _defect_kernel(hv, a, field, grid)
     norm = l1_norm(f)
     report = DefectReport(a=float(a), kernel=f, norm=norm)
 
@@ -242,11 +249,12 @@ def defect(
         top = 0.5 * grid.momentum().p_max
         scales = top * np.array([0.4, 0.55, 0.75, 1.0])
     scales = np.asarray(scales, dtype=float)
+    pmesh = grid.momentum().mesh()
     norms = []
     for s in scales:
-        ha_cut = cutoffs.compose(lambda p: np.asarray(h(p)) + a, s)
-        kcut = _momentum_kernel(ha_cut, grid)
-        base = _momentum_kernel(lambda p, s=s: cutoffs.scaled(p, s), grid)
+        chi = cutoffs.scaled(pmesh, s)
+        kcut = _momentum_kernel((hv + a) * chi, grid)
+        base = _momentum_kernel(chi, grid)
         norms.append(l1_norm(kernel_lincomb([(1.0, _product(kcut, kinv, field)), (-1.0, base)])))
     report.sweep = {
         "scale": [float(s) for s in scales],
@@ -278,11 +286,12 @@ def find_a0(
     defect vanishes identically).  The search is deterministic: same
     inputs, same rung, bit for bit.
     """
-    a_min = -float(_symbol_samples(h, grid).min()) + 1.0
+    hv = _symbol_samples(h, grid)
+    a_min = -float(hv.min()) + 1.0
     trace = []
     for k in range(budget):
         a = a_min + (2.0 ** k - 1.0)
-        _, _, f = _defect_kernel(h, a, field, grid)
+        _, _, f = _defect_kernel(hv, a, field, grid)
         norm = l1_norm(f)
         trace.append((a, norm))
         if not np.isfinite(norm):
@@ -391,8 +400,7 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     the right route with both one-sided residuals computed against the
     kernel of h_a.
     """
-    _check_shift(h, a, grid)
-    kha, kinv, f_right = _defect_kernel(h, a, field, grid)
+    kha, kinv, f_right = _defect_kernel(_symbol_samples(h, grid), a, field, grid)
     remedy = f"raise the shift a = {a:.6g} (see find_a0)"
     w_r, info_r = _inv_one_plus(f_right, field, remedy)
     f_left = _minus_unit([_product(kinv, kha, field)])
@@ -448,6 +456,7 @@ def resolvent(
     inverse of rep(h - z) at distance 1.5 from the edge.
     """
     z = _finite_z(z)
+    hv = _symbol_samples(h, grid)
     if a0 is None:
         a0 = find_a0(h, field, grid)
     if z.imag == 0.0 and z.real >= -a0:
@@ -477,7 +486,7 @@ def resolvent(
         nrm = l1_norm(phi)
         path.append((z_cur, nrm))
 
-    khz = _momentum_kernel(lambda p: np.asarray(h(p)) - z, grid)
+    khz = _momentum_kernel(hv - z, grid)
     res_r = l1_norm(_minus_unit([_product(khz, phi, field)]))
     res_l = l1_norm(_minus_unit([_product(phi, khz, field)]))
     # resolvent identity against the anchor: Φ_z - Φ_x0 = (z - x0) Φ_z ⋄ Φ_x0
@@ -527,7 +536,7 @@ def resolvent_with_potential(
     ``twisted_product(kernel, delta_kernel(grid), field)`` recenters it.
     """
     z = _finite_z(z)
-    _symbol_samples(h, grid)
+    hv = _symbol_samples(h, grid)
     kv = multiplier_kernel(v, grid)
     if base is None:
         base = resolvent(h, field, grid, z)
@@ -541,7 +550,7 @@ def resolvent_with_potential(
     corr = trim_kernel(_product(phi, w, field, "tilde"), _SERIES_TRIM)
     phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), _SERIES_TRIM)
 
-    khz = _momentum_kernel(lambda p: np.asarray(h(p)) - z, grid)
+    khz = _momentum_kernel(hv - z, grid)
 
     def check(pairs):
         return l1_norm(_minus_unit([_product(a, b, field, "tilde") for a, b in pairs]))
@@ -569,11 +578,11 @@ def resolvent_with_potential(
 # ---------------------------------------------------------------------------
 
 
-def _defect_scaling(h, field, grid, ladder, mu):
-    """Defect norms along the shift ladder and their envelope
-    norm(a₀)·(a/a₀)^(-1/μ) from the first rung a₀."""
+def _defect_scaling(hv, field, grid, ladder, mu):
+    """Defect norms along the shift ladder, from the samples hv of h, and
+    their envelope norm(a₀)·(a/a₀)^(-1/μ) from the first rung a₀."""
     a = np.asarray(ladder, dtype=float)
-    norms = np.array([l1_norm(_defect_kernel(h, s, field, grid)[2]) for s in a])
+    norms = np.array([l1_norm(_defect_kernel(hv, s, field, grid)[2]) for s in a])
     envelope = norms[0] * (a / a[0]) ** (-1.0 / mu)
     return {
         "a": a.tolist(),
@@ -596,7 +605,8 @@ def _seminorm_domination(dim, grids):
     sems = [max(Symbol(dim=dim, func=f, order=_AUDIT_T).spot_check().values()) for f in gaussians]
     per_grid = []
     for g in grids:
-        const = max(l1_norm(_momentum_kernel(f, g)) / s for f, s in zip(gaussians, sems))
+        pmesh = g.momentum().mesh()
+        const = max(l1_norm(_momentum_kernel(f(pmesh), g)) / s for f, s in zip(gaussians, sems))
         per_grid.append({"n": g.n, "half_length": g.half_length, "constant": const})
     consts = [g["constant"] for g in per_grid]
     spread = (max(consts) - min(consts)) / max(consts) if consts else 0.0
@@ -636,7 +646,7 @@ def estimate_audit(h, field: MagneticField, config: Optional[Dict] = None) -> Di
         grids = [grid, BoxGrid(dim=dim, half_length=grid.half_length, n=2 * grid.n)]
 
     return {
-        "defect_scaling": _defect_scaling(h, field, grid, ladder, mu),
+        "defect_scaling": _defect_scaling(_symbol_samples(h, grid), field, grid, ladder, mu),
         "seminorm_domination": _seminorm_domination(dim, grids),
     }
 

@@ -53,8 +53,10 @@ The layer runs one fixed configuration:
   persistence scale 5e-3·(hi - lo) (``_PERSIST_FRAC``).
 
 Each input has one guard: the symbol ``moyal._symbol_samples`` (for a
-plain callable on a grid, also a minimum on the outer momentum shell);
-V ``_potential_samples`` (a wrong count or non-finite samples); a window
+plain callable on a grid, also a minimum on the outer momentum shell),
+whose samples are the only reading of h in assembly; V
+``grid._node_values``, shared with ``crossed.multiplier_kernel`` (a wrong
+count, non-finite samples or an imaginary part); a window
 ``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end);
 a fibered field profile ``_antiderivative`` (non-finite samples).  A
 field on the grid is checked in :mod:`magweyl.fields`.
@@ -78,7 +80,7 @@ from .fields import (
     transversal_gauge,
     unit_gauss_legendre,
 )
-from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
+from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv, _node_values
 from .moyal import Symbol, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
@@ -161,8 +163,11 @@ class UnionSpectrum:
 
 
 def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
-    """Sorted representatives of a point set, eps-close duplicates dropped."""
+    """Sorted representatives of a point set, eps-close duplicates dropped.
+    A NaN point raises ``ValueError``."""
     values = np.sort(np.asarray(values, dtype=float).ravel())
+    if np.isnan(values).any():
+        raise ValueError("merged point sets must not contain NaN")
     if len(values) == 0:
         return values
     keep = [values[0]]
@@ -247,28 +252,10 @@ class SchrodingerSpec:
         return self.field
 
     def potential_values(self, grid: BoxGrid) -> np.ndarray:
-        return _potential_samples(self.potential, grid.points())
+        return _node_values(self.potential, grid.points())
 
     def with_grid(self, grid: BoxGrid) -> "SchrodingerSpec":
         return replace(self, grid=grid)
-
-
-def _potential_samples(potential, points: np.ndarray) -> np.ndarray:
-    """V at each of ``points``, nodes stacked along the first axis: zero for
-    None, constant for a number, else the callable's values, refused
-    unless finite and one per node."""
-    count = len(points)
-    if potential is None:
-        return np.zeros(count)
-    if callable(potential):
-        vals = np.asarray(potential(points), dtype=float).ravel()
-        if vals.shape != (count,):
-            raise ValueError("potential callable must return one value per node")
-    else:
-        vals = np.full(count, float(potential))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("potential must be finite on the box")
-    return vals
 
 
 def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
@@ -333,9 +320,7 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
         mat[np.diag_indices_from(mat)] += vvals
         return OperatorMatrix(mat=mat, grid=grid)
 
-    kernel = partial_fourier_inv(
-        PhaseGridFunction.sample(lambda p: hvals, grid, q_independent=True)
-    )
+    kernel = partial_fourier_inv(PhaseGridFunction(grid=grid, values=hvals.astype(complex)))
     pot = spec.vector_potential
     if pot is None:
         pot = transversal_gauge(field)
@@ -694,7 +679,7 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
     n = grid1.n
     xs = grid1.axis()
     a_vals = _antiderivative(profile, xs)
-    v_vals = _potential_samples(potential, xs)
+    v_vals = _node_values(potential, xs)
 
     pm = grid1.momentum().axis()
     split = _separable_split(h, np.linspace(-np.pi / grid1.delta, np.pi / grid1.delta, 13))
@@ -947,12 +932,15 @@ def essential_estimate(
     ``threads`` > 1).  Where the gauge needs quadrature, rungs on one
     lattice read their circulations from one table (``_rung_specs``),
     which is released once the group's last rung is assembled.  A window
-    that is not finite with lo < hi, a density that is not positive and
-    finite, node counts that do not strictly increase, or a largest rung
-    above ``EIG_CAP`` nodes raise ``ValueError`` before any assembly.
+    that is not finite with lo < hi, a box half-length that is not finite,
+    a density that is not positive and finite, node counts that do not
+    strictly increase, or a largest rung above ``EIG_CAP`` nodes raise
+    ``ValueError`` before any assembly.
     """
     lo, hi = _window(window, finite=True)
     boxes = tuple(float(b) for b in boxes)
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError(f"box half-lengths must be finite, got {boxes}")
     if len(boxes) < 2:
         raise ValueError("box ladder needs at least two boxes")
     if any(b2 <= b1 for b1, b2 in zip(boxes, boxes[1:])):

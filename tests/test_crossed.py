@@ -968,6 +968,19 @@ def test_rep_multiplier_is_diagonal():
     assert np.abs(M - np.diag(a(pts))).max() < 1e-13
 
 
+def test_multiplier_reads_one_value_per_node():
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    # 8 equal samples for 64 nodes were read as a constant
+    with pytest.raises(ValueError, match="one value per node"):
+        multiplier_kernel(lambda q: 0.1 * np.ones(8), g)
+    # a 0-d value is the constant multiplier
+    k = multiplier_kernel(lambda q: 0.1, g)
+    assert k.q_independent and np.array_equal(k.values, np.full((1, 1), 0.1 / g.cell_volume))
+    # complex multipliers stay complex; only the assembled routes need V real
+    a = lambda q: np.exp(1j * q[..., 0])
+    assert np.array_equal(multiplier_kernel(a, g).values[..., 0, 0], a(g.mesh()) / g.cell_volume)
+
+
 def test_rep_fourier_diagonalization_periodic():
     # A=0, base-point independent kernel on the periodic box: eigenvalues
     # are the transform samples at the momentum nodes

@@ -43,6 +43,17 @@ def test_grid_validation():
         BoxGrid(dim=2, half_length=1.0, n=8, bc="absorbing")
 
 
+@pytest.mark.parametrize("dim, n", [(2, 8.0), (2.0, 8), (2, "8")])
+def test_grid_refuses_sizes_that_are_not_integers(dim, n):
+    # n = 8.0 was accepted with size 64.0, and assembly then failed
+    with pytest.raises(ValueError, match="must be integers"):
+        BoxGrid(dim=dim, half_length=3.0, n=n)
+
+
+def test_grid_takes_numpy_integer_sizes():
+    assert BoxGrid(dim=np.int64(2), half_length=3.0, n=np.int64(8)) == BoxGrid(dim=2, half_length=3.0, n=8)
+
+
 @pytest.mark.parametrize("half_length", [np.nan, np.inf, 0.0])
 def test_grid_refuses_a_non_finite_half_length(half_length):
     # a NaN passed the positivity check and gave a NaN spacing

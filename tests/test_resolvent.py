@@ -689,6 +689,82 @@ def test_find_a0_stops_at_a_non_finite_defect_norm(monkeypatch):
     assert len(products) == 1
 
 
+def counted(h):
+    # h with a call counter; every kernel is to be built from one sampling
+    calls = []
+
+    def f(p):
+        calls.append(1)
+        return h(p)
+
+    return f, calls
+
+
+def test_each_entry_samples_the_symbol_once(small_base):
+    # h used to be called 3 times in moyal_inverse, 7 in defect with its
+    # sweep, 1 + 2 per rung in find_a0, 2 in resolvent_with_potential with
+    # a base, 2 per rung in estimate_audit and 4 in resolvent with a0
+    g, base = small_base
+    g32 = box(32)
+    g16 = box(16, 3.0)
+    entries = [
+        (1, lambda h: moyal_inverse(h, 2.0, FIELD, g), trig_kinetic(g)),
+        (1, lambda h: defect(h, 2.0, FIELD, g32), trig_kinetic(g32)),
+        # two rungs: a = 0 and a = 1
+        (1, lambda h: find_a0(h, FIELD, g16), continuum_kinetic),
+        (1, lambda h: resolvent_with_potential(h, bump_potential, FIELD, g, Z1, base=base),
+         trig_kinetic(g)),
+        (1, lambda h: estimate_audit(h, FIELD, {"grid": g16, "grids": [g16],
+                                                "a_ladder": (16.0, 32.0, 64.0)}),
+         continuum_kinetic),
+        # the continuation's check, and the anchor's moyal_inverse
+        (2, lambda h: resolvent(h, FIELD, g, Z1, a0=0.0), trig_kinetic(g)),
+    ]
+    assert find_a0(continuum_kinetic, FIELD, g16, return_trace=True)[0] == 1.0
+    for want, call, h in entries:
+        f, calls = counted(h)
+        call(f)
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_defect_refuses_a_non_finite_shift(no_products, a):
+    # both returned norm NaN
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="must be finite"):
+        defect(continuum_kinetic, a, FIELD, g)
+
+
+def test_audit_ladder_passes_the_shift_guard():
+    # (16, nan) gave NaN norms and within_envelope False; (-5, 16) reported
+    # norm 10.84 at a shift below the floor -inf h + 1 = 0
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="must be finite"):
+        estimate_audit(continuum_kinetic, FIELD, {"grid": g, "grids": [g], "a_ladder": (16.0, np.nan)})
+    with pytest.raises(ValueError, match="shift too small"):
+        estimate_audit(continuum_kinetic, FIELD, {"grid": g, "grids": [g], "a_ladder": (-5.0, 16.0)})
+
+
+def test_resolvent_refuses_a_non_finite_a0_by_its_shift(no_products):
+    # it used to fail on the Neumann radius ‖g‖₁ = nan
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    with pytest.raises(ValueError, match="shift a = nan must be finite"):
+        resolvent(continuum_kinetic, FIELD, g, Z1, a0=np.nan)
+
+
+def test_pointwise_inverse_refuses_a_plain_callable():
+    # the guard passed it and h.func raised AttributeError
+    with pytest.raises(ValueError, match="Symbol"):
+        pointwise_inverse(continuum_kinetic, 2.0, grid=box(16))
+
+
+def test_potential_with_a_wrong_count_is_refused_before_any_product(small_base, no_products):
+    # 12 equal samples for 144 nodes ran as the constant V = 0.1
+    g, base = small_base
+    with pytest.raises(ValueError, match="one value per node"):
+        resolvent_with_potential(trig_kinetic(g), lambda q: 0.1 * np.ones(12), FIELD, g, Z1, base=base)
+
+
 # ---------------------------------------------------------------------------
 # estimate audit
 # ---------------------------------------------------------------------------

@@ -249,6 +249,17 @@ def test_essential_estimate_ladder_guards():
         essential_estimate(spec, (3.0, 20.0), (0.0, 8.0), density=4.0)
 
 
+@pytest.mark.parametrize("boxes", [(3.0, np.nan), (3.0, np.inf), (np.nan, 4.0)])
+def test_ladder_refuses_non_finite_half_lengths_before_any_assembly(monkeypatch, boxes):
+    # they failed with "cannot convert float NaN to integer" or OverflowError
+    def no_assembly(spec):
+        raise AssertionError("assembled a rung for a ladder it refuses")
+
+    monkeypatch.setattr(spectral_module, "assemble", no_assembly)
+    with pytest.raises(ValueError, match="half-lengths must be finite"):
+        essential_estimate(decay_spec(3.0, 12), boxes, (0.0, 8.0), density=2.0)
+
+
 @pytest.mark.parametrize("window", [(0.0, np.inf), (8.0, 0.0), (np.nan, 8.0)])
 def test_ladder_and_union_refuse_a_window_without_finite_bounds(monkeypatch, window):
     # both scale by hi - lo: an infinite window made every eigenvalue of the
@@ -288,6 +299,35 @@ def test_fibered_refuses_a_non_finite_potential():
     with pytest.raises(ValueError, match="finite"):
         fibered_spectrum(tanh_profile, free_kinetic, grid,
                          potential=lambda x: np.where(np.asarray(x) > 2.0, np.nan, 0.0))
+
+
+def complex_bump(imag):
+    def v(q):
+        return bump(q) + 1j * imag * np.exp(-np.sum(np.asarray(q) ** 2, axis=-1))
+
+    return v
+
+
+def test_assembled_and_fibered_routes_refuse_an_imaginary_potential(monkeypatch):
+    # assemble kept the real part behind a ComplexWarning
+    monkeypatch.setattr(spectral_module, "_solve", None)
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    field = MagneticField.constant_2d(0.5)
+    with pytest.raises(ValueError, match="real-valued"):
+        assemble(SchrodingerSpec(h=free_kinetic, field=field, potential=complex_bump(0.1), grid=grid))
+    with pytest.raises(ValueError, match="real-valued"):
+        fibered_spectrum(tanh_profile, free_kinetic, grid, potential=complex_bump(0.1), window=(0.0, 8.0))
+    # an imaginary part within 1e-12 of the scale is rounding, and dropped
+    quiet = assemble(SchrodingerSpec(h=free_kinetic, field=field, potential=complex_bump(1e-14), grid=grid))
+    real = assemble(SchrodingerSpec(h=free_kinetic, field=field, potential=bump, grid=grid))
+    assert np.array_equal(quiet.mat, real.mat)
+
+
+def test_assembly_refuses_a_potential_with_a_wrong_count():
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    spec = SchrodingerSpec(h=free_kinetic, field=None, potential=lambda q: np.ones(8), grid=grid)
+    with pytest.raises(ValueError, match="one value per node"):
+        assemble(spec)
 
 
 def test_fibered_refuses_a_non_finite_field_profile(monkeypatch):
@@ -615,6 +655,12 @@ def test_merge_points_drops_close_duplicates():
     assert np.array_equal(merge_points([3.0, 1.0, 1.0 + 1e-8, 2.0], 1e-6), [1.0, 2.0, 3.0])
     assert np.array_equal(merge_points([0.0, 0.6, 1.2], 1.0), [0.0, 1.2])
     assert len(merge_points([], 1e-6)) == 0
+
+
+def test_merge_points_refuses_nan():
+    # [1, nan, 2] came back as [1, 2]
+    with pytest.raises(ValueError, match="NaN"):
+        merge_points([1.0, np.nan, 2.0], 1e-6)
 
 
 # ---------------------------------------------------------------------------
