@@ -34,12 +34,16 @@ The layer runs one fixed configuration:
 * ``resolvent`` and ``spectral`` read every kinetic symbol through
   ``_symbol_samples``, on a grid's momentum mesh or else on the origin and
   128 points (``_N_INFIMUM_SAMPLE``) on log-spaced shells out to the same
-  radius.  Each public entry of those layers samples h once and builds
-  every momentum kernel from the real float array returned.  It refuses
-  an unbounded ``Symbol`` without ellipticity constants, samples that are
-  not one real finite scalar per point and, for a plain callable, samples
-  whose minimum lies on the outer shell of the momentum mesh (not
-  elliptic).
+  radius.  Each public entry of those layers samples h once and works
+  from the real float array returned; only the fibered route evaluates h
+  again, at its fiber points.  The guard refuses an unbounded ``Symbol``
+  without ellipticity constants, samples that are not one real finite
+  scalar per point and, for a plain callable, samples whose minimum lies
+  on the outer shell of the momentum mesh (not elliptic).
+* Every momentum kernel of those layers comes from such samples through
+  ``_momentum_kernel``, which drops displacement rows relatively below
+  1e-15 (``_KERNEL_TRIM``); on the benchmark grids the |p|² kernel keeps
+  every row.
 * ``moyal`` transports both factors over the largest displacement window
   and keeps the product's natural window; interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
@@ -72,6 +76,7 @@ _SAMPLE_RADIUS = 40.0
 _N_SAMPLE = 48
 _N_INFIMUM_SAMPLE = 128
 _GROWTH_SLACK = 2.0
+_KERNEL_TRIM = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,12 @@ def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
         sheet=k.sheet,
         meta=dict(k.meta),
     )
+
+
+def _momentum_kernel(values: np.ndarray, grid: BoxGrid) -> KernelSample:
+    """Trimmed kernel of a base-point independent symbol from its momentum samples."""
+    f = PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex))
+    return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
 
 
 def moyal(

@@ -31,8 +31,7 @@ The construction runs one fixed configuration:
 * Neumann series: stop once a term's L¹ norm drops below 1e-10
   (``_TOL``), give up after 200 terms (``_MAX_TERMS``), and drop
   displacement rows relatively below 1e-13 from every running term and
-  assembled inverse (``_SERIES_TRIM``).  Sampled momentum kernels drop
-  rows below 1e-15 (``_KERNEL_TRIM``).
+  assembled inverse (``_SERIES_TRIM``).
 * Continuation: at most 400 steps (``_MAX_STEPS``).
 * Shift search and defect sweep: ``find_a0`` stops at the first rung
   whose defect norm is below 1 - 0.1 (``_A0_MARGIN``); the last two
@@ -44,7 +43,7 @@ The construction runs one fixed configuration:
 Each input has one guard, run before the first product.  Every public
 entry samples the symbol once through ``moyal._symbol_samples``, and each
 momentum kernel is built from those samples hv (hv + a, 1/(hv + a),
-hv - z).  ``_defect_kernel``, shared by every defect, runs the shift guard
+hv - z) by ``moyal._momentum_kernel``.  ``_defect_kernel``, shared by every defect, runs the shift guard
 ``_check_shift`` (a shift not finite or below -inf h + 1).  z's guard is
 ``_finite_z``, V's ``grid._node_values`` through ``multiplier_kernel``;
 every Neumann series runs through ``_inv_one_plus``, which refuses a
@@ -75,8 +74,8 @@ from .crossed import (
     _to_tilde,
 )
 from .fields import MagneticField
-from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier_inv
-from .moyal import CutoffFamily, Symbol, _symbol_samples, trim_kernel
+from .grid import BoxGrid, KernelSample
+from .moyal import CutoffFamily, Symbol, _momentum_kernel, _symbol_samples, trim_kernel
 
 __all__ = [
     "DefectReport",
@@ -95,7 +94,6 @@ __all__ = [
 _TOL = 1e-10
 _MAX_TERMS = 200
 _SERIES_TRIM = 1e-13
-_KERNEL_TRIM = 1e-15
 _MAX_STEPS = 400
 _A0_MARGIN = 0.1
 _SWEEP_RTOL = 5e-2
@@ -156,12 +154,6 @@ def _finite_z(z) -> complex:
     if not np.isfinite(z):
         raise ValueError(f"z = {z} must be finite")
     return z
-
-
-def _momentum_kernel(values: np.ndarray, grid: BoxGrid) -> KernelSample:
-    """Trimmed kernel of a base-point independent symbol from its momentum samples."""
-    f = PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex))
-    return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
 
 
 def _product(a: KernelSample, b: KernelSample, field: MagneticField, sheet: str = "centered") -> KernelSample:

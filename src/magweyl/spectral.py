@@ -14,16 +14,18 @@ blocks of half the dimension, each solved in its real form, about a
 sixteenth of the complex solve's arithmetic; every other complex matrix
 takes the complex solve.
 
-Assembly has one route: ``rep(gauge, kernel)`` of the symbol's kernel
-plus the diagonal potential.  Only the gauge depends on the spec: an
+Assembly has one route: ``rep(gauge, kernel)`` of the symbol's trimmed
+kernel (``moyal._momentum_kernel``, which drops displacement rows below
+1e-15 of the largest, so a stencil symbol keeps its stencil width) plus
+the diagonal potential.  Only the gauge depends on the spec: an
 explicit ``vector_potential``, else the transversal gauge (closed
 circulation for constant fields, else the flux through the triangle
 (0, x, y) by one tensor quadrature).  The operator is gauge covariant,
 so one gauge per field suffices.  A box ladder whose gauge needs that
 quadrature, directly or under ``gauge_shift``, tabulates it once per
 lattice group: rungs with one spacing and nested node axes read their
-circulations from one table of the largest rung's pairs, dropped once
-the group is assembled.
+circulations from one table of the largest rung's pairs at the widest
+kernel window of the group, dropped once the group is assembled.
 Periodic boxes, which admit only a vanishing field, use the exact
 Fourier multiplier instead.
 
@@ -40,7 +42,8 @@ The layer runs one fixed configuration:
   (``_COLLAR_FRAC``).  ``SpectrumResult.bulk_scores``, the fiber filter of
   ``fibered_spectrum`` and the box-ladder detector all read these two.
 * ``asymptotic_spectra`` merges points closer than 1e-6 (``_EPS_MERGE``)
-  and samples band ranges at the step (hi - lo)/2000 (``_BAND_STEPS``).
+  and gives a free band as its points at the step (hi - lo)/2000
+  (``_BAND_STEPS``).
 * ``fibered_spectrum`` takes n + 1 dual momenta spanning the range of the
   gauge potential, padded by sqrt(max(hi - min V, 1)) for a finite window
   end hi and by pi/delta otherwise.  Its gauge is the profile's
@@ -54,7 +57,12 @@ The layer runs one fixed configuration:
 
 Each input has one guard: the symbol ``moyal._symbol_samples`` (for a
 plain callable on a grid, also a minimum on the outer momentum shell),
-whose samples are the only reading of h in assembly; V
+run once by each of ``assemble``, ``fibered_spectrum`` and
+``asymptotic_spectra`` before any solve.  Its samples on the momentum
+mesh are the only reading of h there: assembly transforms them, the
+union tests them for |p|², and the fibered route tests them for
+separability and reads a separable fiber's kinetic row from them.  h is
+evaluated otherwise only at the fiber points (p, A(x) - k).  V
 ``grid._node_values``, shared with ``crossed.multiplier_kernel`` (a wrong
 count, non-finite samples or an imaginary part); a window
 ``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end);
@@ -80,8 +88,8 @@ from .fields import (
     transversal_gauge,
     unit_gauss_legendre,
 )
-from .grid import BoxGrid, PhaseGridFunction, partial_fourier_inv, _node_values
-from .moyal import Symbol, _symbol_samples
+from .grid import BoxGrid, _node_values
+from .moyal import Symbol, _momentum_kernel, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
 # storage stop being desk scale
@@ -303,9 +311,10 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     """Dense matrix of Op^A(h) + V(Q) on the box nodes.
 
     Every truncated box goes through ``rep(gauge, kernel)`` at the gauge's
-    quadrature order.  The gauge is ``spec.vector_potential`` when set,
-    else the transversal gauge of the field at order 8; the operator is
-    gauge covariant, so either gives the same spectrum.  Without field and
+    quadrature order, with the trimmed kernel of the symbol's samples.
+    The gauge is ``spec.vector_potential`` when set, else the transversal
+    gauge of the field at order 8; the operator is gauge covariant, so
+    either gives the same spectrum.  Without field and
     explicit gauge a real kernel gives a real (float64) matrix.  Periodic
     boxes use the exact Fourier multiplier.
     """
@@ -320,7 +329,7 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
         mat[np.diag_indices_from(mat)] += vvals
         return OperatorMatrix(mat=mat, grid=grid)
 
-    kernel = partial_fourier_inv(PhaseGridFunction(grid=grid, values=hvals.astype(complex)))
+    kernel = _momentum_kernel(hvals, grid)
     pot = spec.vector_potential
     if pot is None:
         pot = transversal_gauge(field)
@@ -613,15 +622,18 @@ def landau_oracle(b: float, v: float, window: tuple) -> SpectrumResult:
     )
 
 
-def _band_spectrum(h, grid: BoxGrid, v: float, window: tuple, step: float) -> SpectrumResult:
-    """Range of h + v over a refined momentum sampling, as a point set."""
+def _band_spectrum(v: float, window: tuple, step: float) -> SpectrumResult:
+    """The free band [v, inf) of |p|² + v in ``window``: the points of the
+    closed band [max(lo, v), hi] at a spacing of at most ``step``, both
+    ends included, each infinitely degenerate.  A non-finite v is refused."""
     lo, hi = window
-    pmax = np.pi / grid.delta
-    axes = [np.linspace(-pmax, pmax, 4 * grid.n + 1)] * grid.dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = np.asarray(h(mesh), dtype=float).ravel() + v
-    vals = vals[(vals >= lo) & (vals <= hi)]
-    vals = merge_points(vals, step)
+    if not np.isfinite(v):
+        raise ValueError(f"band spectrum needs a finite v, got {v}")
+    start = max(lo, v)
+    vals = np.empty(0)
+    if start <= hi:
+        # the ratio may land a rounding above an integer
+        vals = np.linspace(start, hi, int(np.ceil((hi - start) / step - 1e-9)) + 1)
     return SpectrumResult(
         values=vals,
         window=(lo, hi),
@@ -630,39 +642,26 @@ def _band_spectrum(h, grid: BoxGrid, v: float, window: tuple, step: float) -> Sp
     )
 
 
-def _is_free_kinetic(h, dim: int) -> bool:
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(-6.0, 6.0, size=(32, dim))
-    vals = np.asarray(h(pts), dtype=float)
-    ref = np.sum(pts * pts, axis=-1)
-    return bool(np.max(np.abs(vals - ref)) <= 1e-12 * np.max(1.0 + ref))
+def _is_free_kinetic(hv: np.ndarray, grid: BoxGrid) -> bool:
+    """Whether the samples hv of h on the momentum mesh of ``grid`` are |p|²."""
+    ref = np.sum(grid.momentum().mesh() ** 2, axis=-1)
+    return bool(np.max(np.abs(hv - ref)) <= 1e-12 * np.max(1.0 + ref))
 
 
-def _separable_split(h, probe: np.ndarray):
-    """Split h(p1,p2) = f1(p1) + f2(p2) if the sampled mixed part vanishes."""
-    pp, qq = np.meshgrid(probe, probe, indexing="ij")
-    pts = np.stack([pp, qq], axis=-1)
-    vals = np.asarray(h(pts), dtype=float)
-    left = np.asarray(h(np.stack([probe, np.zeros_like(probe)], axis=-1)), dtype=float)
-    right = np.asarray(h(np.stack([np.zeros_like(probe), probe], axis=-1)), dtype=float)
-    base = float(
-        np.asarray(h(np.zeros((1, 2)))).ravel()[0]
-    )
-    recon = left[:, None] + right[None, :] - base
-    scale = float(np.max(np.abs(vals))) or 1.0
-    if np.max(np.abs(vals - recon)) > 1e-11 * scale:
+def _separable_split(hv: np.ndarray, invariant_axis: int):
+    """Split the samples hv of h(p0, p1) on a planar momentum mesh as
+    f(p_var) + g(p_inv) if their mixed part vanishes.  Returns the row
+    h(p_var, 0) along the varying axis and h(0, 0), or None."""
+    zero = hv.shape[0] // 2  # the node p = 0 of each axis
+    base = float(hv[zero, zero])
+    recon = hv[:, zero, None] + hv[None, zero, :] - base
+    scale = float(np.max(np.abs(hv))) or 1.0
+    if np.max(np.abs(hv - recon)) > 1e-11 * scale:
         return None
-
-    def f_varying(t, axis):
-        t = np.asarray(t, dtype=float)
-        pts = np.zeros(t.shape + (2,))
-        pts[..., axis] = t
-        return np.asarray(h(pts), dtype=float)
-
-    return f_varying, base
+    return np.take(hv, zero, axis=invariant_axis), base
 
 
-def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, potential):
+def _fiber_family(profile: Callable, h, hv: np.ndarray, grid1: BoxGrid, invariant_axis: int, potential):
     """Fiber operators of a field depending on one coordinate only.
 
     In the gauge A_inv = P(x), P the antiderivative of ``profile`` on the
@@ -673,7 +672,10 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
     g(p_inv) is exact: f is a Fourier multiplier and g(A - k) - g(0) a
     multiplication, O(n^2) per fiber.  Any other symbol is evaluated on
     every pair of fiber momentum and segment-averaged gauge, O(n^3) per
-    fiber.  V is added on the diagonal either way.
+    fiber.  V is added on the diagonal either way.  ``hv`` holds the
+    checked samples of h on the planar momentum mesh of ``grid1``'s
+    spacing: the separability test and a separable fiber's kinetic row
+    read them, and h itself is evaluated at fiber points only.
     """
     varying = 1 - invariant_axis
     n = grid1.n
@@ -682,11 +684,11 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
     v_vals = _node_values(potential, xs)
 
     pm = grid1.momentum().axis()
-    split = _separable_split(h, np.linspace(-np.pi / grid1.delta, np.pi / grid1.delta, 13))
+    split = _separable_split(hv, invariant_axis)
     if split is not None:
-        f_varying, base = split
+        row, base = split
         dft = np.exp(1j * np.outer(pm, xs)) / np.sqrt(n)
-        t_kin = (dft.conj().T * f_varying(pm, varying)) @ dft
+        t_kin = (dft.conj().T * row) @ dft
     else:
         a_prim = np.concatenate(
             [[0.0], np.cumsum(0.5 * (a_vals[1:] + a_vals[:-1]) * np.diff(xs))]
@@ -699,7 +701,9 @@ def _fiber_family(profile: Callable, h, grid1: BoxGrid, invariant_axis: int, pot
 
     def fiber(k: float) -> np.ndarray:
         if split is not None:
-            kin, diag = t_kin, f_varying(a_vals - k, invariant_axis) - base
+            pts = np.zeros((n, 2))
+            pts[:, invariant_axis] = a_vals - k
+            kin, diag = t_kin, np.asarray(h(pts), dtype=float) - base
         else:
             pts = np.empty((len(pm), n, n, 2))
             pts[..., varying] = pm[:, None, None]
@@ -732,14 +736,20 @@ def fibered_spectrum(
     ``grid``.  Fiber states hugging the box edge (well centers pushed
     outside) are discarded by the bulk threshold before the bands are
     unioned.
+
+    h is sampled once through ``moyal._symbol_samples`` on the momentum
+    mesh of ``grid`` before any fiber is solved, so the fibered route
+    refuses what ``assemble`` refuses (a complex, non-finite or, for a
+    plain callable, non-elliptic symbol).
     """
     if grid.dim != 2:
         raise ValueError("fibered analysis needs a two-dimensional grid")
     if invariant_axis not in (0, 1):
         raise ValueError("invariant axis must be 0 or 1")
     lo, hi = (-np.inf, np.inf) if window is None else _window(window)
+    hv = _symbol_samples(h, grid)
     grid1 = BoxGrid(dim=1, half_length=grid.half_length, n=grid.n)
-    fiber, a_vals, v_vals = _fiber_family(profile, h, grid1, invariant_axis, potential)
+    fiber, a_vals, v_vals = _fiber_family(profile, h, hv, grid1, invariant_axis, potential)
 
     pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
     ks = np.linspace(float(np.min(a_vals)) - pad, float(np.max(a_vals)) + pad, grid1.n + 1)
@@ -778,13 +788,17 @@ def asymptotic_spectra(
 ) -> UnionSpectrum:
     """Union of the spectra of all limit operators of a descriptor.
 
-    Each pair is solved by its ``kind``: a 'one_variable' pair is fibered
-    from its profiles; a 'constant' pair with the free kinetic symbol uses
-    the analytic oracle (or the band range at b = 0); any other pair,
-    'general' or constant under another symbol, is assembled and
-    diagonalized on the supplied grid.  A window that is not finite with
-    lo < hi, or a grid whose dimension differs from the pairs' field
-    dimension, raises ``ValueError`` before any solve.
+    h is sampled once through ``moyal._symbol_samples`` on the momentum
+    mesh of ``grid``, and those samples decide whether h is the free
+    kinetic symbol |p|².  Each pair is solved by its ``kind``: a
+    'one_variable' pair is fibered from its profiles; a 'constant' pair
+    with the free kinetic symbol uses the analytic oracle (or, at b = 0,
+    the closed band [max(lo, v), hi] at the step (hi - lo)/2000); any
+    other pair, 'general' or constant under another symbol, is assembled
+    and diagonalized on the supplied grid.  A window that is not finite
+    with lo < hi, a grid whose dimension differs from the pairs' field
+    dimension, or a symbol the guard refuses raises ``ValueError`` before
+    any solve.
     """
     lo, hi = _window(window, finite=True)
     band_step = (hi - lo) / _BAND_STEPS
@@ -795,7 +809,7 @@ def asymptotic_spectra(
                 f"grid dimension {grid.dim} does not match the field dimension "
                 f"{pair.field.dim} of the pair {pair.label!r}"
             )
-    free = _is_free_kinetic(h, grid.dim)
+    free = _is_free_kinetic(_symbol_samples(h, grid), grid)
 
     def solve(pair):
         if pair.kind == "one_variable":
@@ -811,7 +825,7 @@ def asymptotic_spectra(
             b = float(pair.field.constant[0, 1])
             v = float(pair.potential)
             if b == 0.0:
-                return pair.label, _band_spectrum(h, grid, v, (lo, hi), band_step)
+                return pair.label, _band_spectrum(v, (lo, hi), band_step)
             return pair.label, landau_oracle(b, v, window)
         spec = SchrodingerSpec(
             h=h, field=pair.field, potential=pair.potential, grid=grid
@@ -997,18 +1011,18 @@ def essential_estimate(
                 break
             chain.append((level, idx))
         if not ok:
-            rejected.append({**_public(rec), "reason": "not persistent across the ladder"})
+            rejected.append({**rec, "reason": "not persistent across the ladder"})
             continue
         counts = [ladders[level][ci]["count"] for level, ci in reversed(chain)]
         if any(c2 < c1 for c1, c2 in zip(counts, counts[1:])) or counts[-1] <= counts[0]:
             rejected.append(
-                {**_public(rec), "reason": "multiplicity does not grow along the ladder"}
+                {**rec, "reason": "multiplicity does not grow along the ladder"}
             )
             continue
         if rec["bulk_count"] == 0:
-            rejected.append({**_public(rec), "reason": "no bulk-localized member"})
+            rejected.append({**rec, "reason": "no bulk-localized member"})
             continue
-        accepted.append({**_public(rec), "counts": counts})
+        accepted.append({**rec, "counts": counts})
         for level, ci in chain:
             per_box_accept[level].append(ladders[level][ci])
 
@@ -1042,11 +1056,11 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     (the transversal gauge of a variable field or a ``gauge_shift`` of
     one), rungs with a bit-identical spacing form a group: each one's node
     axis is a slice of the largest one's.  A group of two or more rungs gets
-    one circulation table of the largest rung's pairs at ``rep``'s kernel
-    window, so each pair is integrated once for the whole ladder and every
-    rung's matrix equals its own assembly bit for bit; a lone rung
-    integrates its own pairs, as a table read once saves nothing.  The
-    table is reachable through the rung specs only.
+    one circulation table of the largest rung's pairs at the widest of the
+    rungs' kernel windows, so each pair is integrated once for the whole
+    ladder and every rung's matrix equals its own assembly bit for bit; a
+    lone rung integrates its own pairs, as a table read once saves
+    nothing.  The table is reachable through the rung specs only.
     """
     specs = [spec.with_grid(g) for g in rungs]
     pot = spec.vector_potential
@@ -1062,16 +1076,13 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
         groups.setdefault(g.delta, []).append(i)
     for members in groups.values():
         if len(members) > 1:
-            top = rungs[members[-1]]
-            # refuse what assemble refuses before paying for the quadrature
-            _checked_values(specs[members[-1]])
-            tabulated = _circulation_table(pot, top, top.max_disp_count())
+            # refuse what assemble refuses before paying for the quadrature;
+            # the table spans the widest kernel window of the group
+            width = max(
+                _momentum_kernel(_checked_values(specs[i])[0], rungs[i]).disp_count for i in members
+            )
+            tabulated = _circulation_table(pot, rungs[members[-1]], width)
             for i in members:
                 specs[i] = replace(specs[i], vector_potential=tabulated)
     return specs
 
-
-def _public(rec: dict) -> dict:
-    out = {k: rec[k] for k in ("lo", "hi", "center", "count", "bulk_count")}
-    out["bulk_values"] = rec["bulk_values"]
-    return out

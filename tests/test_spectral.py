@@ -2,6 +2,7 @@
 ladder and the point-set helpers."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -144,6 +145,26 @@ def test_periodic_assemble_refuses_a_field():
     spec = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(0.5), grid=grid)
     with pytest.raises(ValueError, match="vanishing magnetic field"):
         assemble(spec)
+
+
+def untrimmed_kernel(values, grid):
+    """The symbol's kernel over the full window, every row kept."""
+    return partial_fourier_inv(PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex)))
+
+
+def test_stencil_assembly_keeps_the_stencil_width():
+    # the untrimmed kernel gave 553,760 non-zero entries, almost all of them
+    # rounding residue, each integrated by the flux quadrature
+    grid = BoxGrid(dim=2, half_length=6.0, n=32)
+    field = MagneticField.from_scalar_2d(lambda x: 0.5 + 0.5 * np.exp(-np.sum(x * x, axis=-1)))
+    h = stencil_kinetic(grid)
+    mat = assemble(SchrodingerSpec(h=h, field=field, grid=grid)).mat
+    assert np.count_nonzero(mat, axis=1).max() <= 9
+    full = rep(transversal_gauge(field), untrimmed_kernel(h(grid.momentum().mesh()), grid)).mat
+    window = (0.0, 8.0)
+    got, want = eig(mat, window).values, eig(full, window).values
+    assert len(want) > 0 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +432,36 @@ def test_fiber_gauge_is_the_profile_antiderivative():
         assert np.abs(got - (xs + 0.35 * np.log(np.cosh(xs / 0.7)))).max() <= 1e-12
 
 
+def concave_kinetic(p):
+    return -free_kinetic(p)
+
+
+def complex_kinetic(p):
+    return free_kinetic(p) + 0.5j
+
+
+@pytest.mark.parametrize("h, match", [(concave_kinetic, "non-elliptic"), (complex_kinetic, "real-valued")],
+                         ids=["concave", "complex"])
+def test_fibered_and_union_refuse_what_assemble_refuses(monkeypatch, h, match):
+    # -|p|^2 gave 471 union points and 229 fibered values in (-50, 0); a
+    # complex symbol lost its imaginary part behind a ComplexWarning
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a fiber for a symbol assemble refuses")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(spectral_module, "_solve", no_solve)
+    grid = BoxGrid(dim=2, half_length=4.0, n=16)
+    window = (-50.0, 0.0)
+    desc = Cartesian2D(b1=tanh_profile, b2=lambda t: np.ones_like(t), b1_limits=(0.5, 1.5),
+                       b2_limits=(1.0, 1.0))
+    with pytest.raises(ValueError, match=match):
+        assemble(SchrodingerSpec(h=h, field=tanh_field(0), grid=grid))
+    with pytest.raises(ValueError, match=match):
+        fibered_spectrum(tanh_profile, h, grid, window=window)
+    with pytest.raises(ValueError, match=match):
+        asymptotic_spectra(desc, h, grid, window)
+
+
 def test_fibered_route_loads_no_scipy():
     code = """
 import sys
@@ -624,6 +675,71 @@ def test_asymptotic_spectra_mixed_components_are_dense_eigensolves():
         assert np.array_equal(res.values, eig(assemble(spec), window).values)
     every = np.concatenate([res.values for _, res in union.components])
     assert np.array_equal(union.merged, merge_points(every, 1e-6))
+
+
+def test_asymptotic_spectra_zero_field_is_the_free_band():
+    # b = 0 with |p|^2 leaves the band [v, inf): the window's part of it, at
+    # the step (hi - lo)/2000, both ends included
+    desc = ConstPlusDecay(dim=2, b_inf=0.0, v_inf=0.5)
+    union = asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=2, half_length=3.0, n=12), (0.0, 8.0))
+    ((_, res),) = union.components
+    assert res.meta["source"] == "band_range"
+    assert res.values[0] == 0.5 and res.values[-1] == 8.0 and len(res.values) == 1876
+    assert np.abs(np.diff(res.values) - 0.004).max() <= 1e-12
+    assert np.all(np.isinf(res.multiplicity))
+    assert np.array_equal(union.merged, res.values)
+
+
+def test_spectral_reads_h_on_a_mesh_only_through_the_guard(monkeypatch):
+    # the union drew 32 random points and a (4n+1)^2 band mesh of its own,
+    # and the fibered route called h 4 times on 13-point probes
+    entries, guarded, readers = [], [], []
+    for name in ("asymptotic_spectra", "fibered_spectrum", "assemble"):
+        def entry(*args, _plain=getattr(spectral_module, name), **kwargs):
+            entries.append(_plain)
+            return _plain(*args, **kwargs)
+
+        monkeypatch.setattr(spectral_module, name, entry)
+    guard = spectral_module._symbol_samples
+
+    def guard_spy(h, grid=None):
+        guarded.append(grid)
+        return guard(h, grid)
+
+    monkeypatch.setattr(spectral_module, "_symbol_samples", guard_spy)
+
+    def counted(h):
+        def f(p):
+            readers.append((sys._getframe(1).f_code.co_name, np.array(p)))
+            return h(p)
+
+        return f
+
+    cartesian = Cartesian2D(b1=tanh_profile, b2=lambda t: 1.0 + 0.2 * np.tanh(t),
+                            b1_limits=(0.5, 1.5), b2_limits=(0.8, 1.2))
+    mixed = MixedVOAP(dim=2, vo_factor=lambda p: 1.0 + 0.4 * np.tanh(p[..., 0]),
+                      ap_factor=lambda p: 1.0 + 0.3 * np.cos(p[..., 0]))
+    cases = [
+        (cartesian, free_kinetic, 1 + 4),
+        (cartesian, nonseparable_kinetic, 1 + 4),
+        (ConstPlusDecay(dim=2, b_inf=0.0, v_inf=0.5), free_kinetic, 1),
+        (ConstPlusDecay(dim=2, b_inf=1.0, b_decay=bump), free_kinetic, 1),
+        (mixed, free_kinetic, 1 + 9),
+    ]
+    grid = BoxGrid(dim=2, half_length=3.0, n=10)
+    for desc, h, want in cases:
+        for log in (entries, guarded, readers):
+            log.clear()
+        spectral_module.asymptotic_spectra(desc, counted(h), grid, (0.0, 6.0))
+        assert len(entries) == want and guarded == [grid] * want
+        on_mesh = [p for who, p in readers if who == "_symbol_samples"]
+        assert len(on_mesh) == want
+        assert all(np.array_equal(p, grid.momentum().mesh()) for p in on_mesh)
+        assert {who for who, _ in readers} <= {"_symbol_samples", "fiber"}
+    for helper, params in ((spectral_module._is_free_kinetic, ["hv", "grid"]),
+                           (spectral_module._separable_split, ["hv", "invariant_axis"]),
+                           (spectral_module._band_spectrum, ["v", "window", "step"])):
+        assert list(inspect.signature(helper).parameters) == params
 
 
 # ---------------------------------------------------------------------------
@@ -1007,3 +1123,31 @@ def test_ladder_refuses_a_bad_spec_before_tabulating(monkeypatch):
     concave = SchrodingerSpec(h=lambda p: -free_kinetic(p), field=spec.field, grid=spec.grid)
     with pytest.raises(ValueError, match="non-elliptic"):
         essential_estimate(concave, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+
+
+def test_stencil_ladder_tabulates_at_the_kernel_window(monkeypatch):
+    # the table used to span every rung's full window, 1,452,960 pairs,
+    # where the stencil's kernels are three nodes wide
+    integrated = []
+    quadrature = fields_module._flux_quadrature
+
+    def spy(B, q, x, y, s_order, t_order):
+        integrated.append(np.asarray(y).size // B.dim)
+        return quadrature(B, q, x, y, s_order, t_order)
+
+    field = MagneticField.from_scalar_2d(lambda x: 1.0 + 0.5 * np.exp(-np.sum(x * x, axis=-1)))
+    grid = BoxGrid(dim=2, half_length=6.0, n=48)
+    spec = SchrodingerSpec(h=stencil_kinetic(grid), field=field, grid=grid)
+    boxes, window = (4.0, 5.0, 6.0), (0.0, 8.0)
+    monkeypatch.setattr(fields_module, "_flux_quadrature", spy)
+    seen = record_assembly(monkeypatch)
+    est = essential_estimate(spec, boxes, window, density=4.0)
+    assert sum(integrated) <= 20000
+    assert [g.n for g, _, _ in seen] == [32, 40, 48]
+    for g, _, mat in seen:
+        assert np.array_equal(mat, assemble(spec.with_grid(g)).mat)
+    # the same ladder on the untrimmed kernels
+    monkeypatch.setattr(spectral_module, "_momentum_kernel", untrimmed_kernel)
+    full = essential_estimate(spec, boxes, window, density=4.0)
+    assert len(est.points) > 0 and est.points.shape == full.points.shape
+    assert np.abs(est.points - full.points).max() <= 1e-12
