@@ -23,11 +23,25 @@ node bit for bit; it holds at most two full-size buffers, its input and
 its output, and a product rewrites its own output in place.  A product
 reads a tilde-tagged factor as stored, so a caller that multiplies by one
 factor several times tags it once (``_to_tilde``), as the Neumann series
-of ``resolvent`` does with its fixed factor; a perturbed resolvent keeps
+of ``resolvent`` does with its fixed factor; a caller that owns a centered
+array moves it to the tilde sheet in place (``_to_tilde(k, inplace=True)``),
+as that series does with each running term; a perturbed resolvent keeps
 its correction on the tilde sheet throughout.
 
+``kernel_lincomb`` adds its terms in order into one zeroed output, each on
+the central part of its window: a ±1 coefficient adds or subtracts the
+values as stored, a base-point independent term broadcasts, and another
+coefficient scales a base-point dependent term one base row at a time, so
+the output is the only full-size array it makes.  ``_add_into`` adds a
+term into a sum the caller owns with the same roundings, which is how the
+Neumann series and the residual checks of ``resolvent`` accumulate.
+
 ``twisted_product`` has three branches.  A factor with one displacement
-node is a multiplier and scales the other factor at shifted base points.
+node is a multiplier and scales the other factor at shifted base points,
+one slab of the leading displacement index at a time (``_multiply``): the
+multiplier's samples are shifted in ``_shear``'s axis order, or its
+callable is read on blocks of a slab, so no full-size sheared copy of the
+multiplier is made and the values equal those of one bit for bit.
 For a constant field and two base-point independent kernels the 2-cocycle
 ω^B(y,w) = exp(-i/2 yᵀBw) depends on the displacements only, and the
 product is a twisted convolution computed by batched 1-D FFTs
@@ -87,11 +101,11 @@ The layer runs one fixed configuration:
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
 * Block sizes, which bound the temporaries whatever the window: 8192
-  node pairs per block when callable tilde values are tabled
-  (``_PAIR_BLOCK``); as many integrated pairs per block of rows when
-  ``rep`` walks a gauge of order 8, and (8/order)² times as many for a
-  gauge of another order, which integrates a pair's flux on order²
-  nodes; about 2^16 flux quadrature nodes per block of a table of
+  node pairs per block when callable tilde values are tabled, and about
+  as many points per call of a multiplier's callable (``_PAIR_BLOCK``);
+  as many integrated pairs per block of rows when ``rep`` walks a gauge
+  of order 8, and (8/order)² times as many for a gauge of another order,
+  which integrates a pair's flux on order² nodes; about 2^16 flux quadrature nodes per block of a table of
   circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs for a gauge of
   order 8); 2^16 complex entries (1 MB) per batch temporary of the
   constant-field product's FFTs (``_FFT_BLOCK``); and 64 and 128 matrix
@@ -253,7 +267,9 @@ def kernel_lincomb(terms) -> KernelSample:
     Mixed base-point dependence broadcasts the independent factors, which
     read the same on both sheets.  The base-point dependent terms must share
     one sheet, which the sum keeps.  The exact callables are dropped (the
-    sum is a new object).
+    sum is a new object).  The terms are added in order into one zeroed
+    array, each on the central part of its window (``_add_scaled``), so the
+    output is the only full-size array made.
     """
     terms = [(complex(c), k) for c, k in terms]
     if not terms:
@@ -268,20 +284,54 @@ def kernel_lincomb(terms) -> KernelSample:
     sheet = sheets.pop() if sheets else terms[0][1].sheet
     q_independent = all(k.q_independent for _, k in terms)
     count = max(k.disp_count for _, k in terms)
-    kmax = count // 2
     shape = ((grid.n,) * dim if not q_independent else ()) + (count,) * dim
     out = np.zeros(shape, dtype=complex)
     tail = 0.0
     for c, k in terms:
-        kk = k.disp_count // 2
-        sl = (slice(None),) * (len(shape) - dim) + (slice(kmax - kk, kmax + kk + 1),) * dim
-        if q_independent or not k.q_independent:
-            out[sl] += c * k.values
-        else:
-            out[sl] += c * k.as_q_dependent()
+        _add_scaled(out, c, k.values, dim)
         tail += abs(c) * k.tail_mass
     return KernelSample(
         grid=grid, values=out, q_independent=q_independent, tail_mass=tail, sheet=sheet
+    )
+
+
+def _add_scaled(out: np.ndarray, c: complex, values: np.ndarray, dim: int) -> None:
+    """out += c·values in place, on the central part of out's window.
+
+    A ±1 coefficient adds or subtracts the values as stored, base-point
+    independent values broadcast over out's base axes, and any other
+    coefficient scales base-point dependent values one leading base row at
+    a time, so no temporary of out's size is made.  Each entry rounds as in
+    out + c·values.
+    """
+    kk, kmax = values.shape[-1] // 2, out.shape[-1] // 2
+    dst = out[(Ellipsis,) + (slice(kmax - kk, kmax + kk + 1),) * dim]
+    if c == 1:
+        dst += values
+    elif c == -1:
+        dst -= values
+    elif values.ndim == dim:
+        dst += c * values
+    else:
+        for row, vals in zip(dst, values):
+            row += c * vals
+
+
+def _add_into(acc: KernelSample, term: KernelSample) -> KernelSample:
+    """acc + term, the sum ``kernel_lincomb([(1, acc), (1, term)])`` makes
+    up to the sign of a zero, written into acc's values when their window
+    and base axes hold term's; acc's values must be the caller's to
+    overwrite.  Otherwise the sum is a new array."""
+    if (
+        term.disp_count > acc.disp_count
+        or (acc.q_independent and not term.q_independent)
+        or (not term.q_independent and term.sheet != acc.sheet)
+    ):
+        return kernel_lincomb([(1.0, acc), (1.0, term)])
+    _add_scaled(acc.values, 1.0, term.values, acc.grid.dim)
+    return KernelSample(
+        acc.grid, acc.values, acc.q_independent,
+        tail_mass=acc.tail_mass + term.tail_mass, sheet=acc.sheet,
     )
 
 
@@ -347,27 +397,31 @@ def _over_pairs(
     return out
 
 
-def _tilde_values(k: KernelSample, scheme: str, pad: int = 0) -> np.ndarray:
+def _tilde_values(k: KernelSample, scheme: str, pad: int = 0, inplace: bool = False) -> np.ndarray:
     """φ~(r;x) = φ(r + x/2; x) for every displacement node.
 
     Base-point independent kernels are unaffected by the shear.  Otherwise
     the kernel's callable wins on either sheet, evaluated on the base mesh
     extended by ``pad`` lattice steps per face; without one, tilde-sheet
     values are returned as stored and centered ones are sheared by
-    :func:`_shear`.
+    :func:`_shear`, in place with ``inplace``.
     """
     if k.q_independent or (k.sheet == "tilde" and k.func is None):
         return k.values.astype(complex, copy=False)
     grid = k.grid
     if k.func is None:
-        return _shear(k.values, grid, 1, scheme)
+        return _shear(k.values, grid, 1, scheme, inplace=inplace)
     mesh = _ext_mesh(grid, pad) if pad else grid.mesh()
     return _over_pairs(lambda r, u: k.func(r + 0.5 * u, u), mesh, grid, k.disp_count)
 
 
-def _to_tilde(k: KernelSample) -> KernelSample:
-    """The kernel sheared once and stored tilde-tagged, without its callable."""
-    values = _tilde_values(k, _SCHEME)
+def _to_tilde(k: KernelSample, inplace: bool = False) -> KernelSample:
+    """The kernel sheared once and stored tilde-tagged, without its callable.
+
+    ``inplace`` shears centered values without a callable in place: they
+    must be complex, C-contiguous and the caller's to overwrite.
+    """
+    values = _tilde_values(k, _SCHEME, inplace=inplace)
     return KernelSample(k.grid, values, k.q_independent, tail_mass=k.tail_mass, sheet="tilde")
 
 
@@ -633,31 +687,56 @@ def _multiply(v, other, h, scheme, tilde):
     Centered, (v ⋄ ψ)(q;x) = v(q - x/2) ψ(q;x) (h = -1) and
     (φ ⋄ v)(q;x) = φ(q;x) v(q + x/2) (h = +1).  On the tilde sheet the
     left shift drops out, (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) (h = 0), and
-    (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  v comes from its callable
-    when it has one and h ≠ 0, called once per leading displacement index,
-    else from its samples: broadcast over the displacements for h = 0,
-    shifted for h ≠ 0.
+    (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  The output is filled one
+    slab of the leading displacement index j at a time.  v comes from its
+    callable when it has one and h ≠ 0, called on about ``_PAIR_BLOCK``
+    points of a slab at a time, else from its samples: broadcast over the
+    displacements for h = 0, shifted for h ≠ 0 as ``_shear`` moves them,
+    along base axis 0 by h·(j - k) half steps and then along each later
+    axis e by h·(j_e - k), so a slab equals that of the sheared broadcast
+    bit for bit.  Besides the output and the other factor's values only
+    temporaries of one slab are alive.
     """
     grid = v.grid
     dim = grid.dim
     vals = _tilde_values(other, scheme) if tilde else other.values
     if v.q_independent:
-        return (v.values[(0,) * dim] * grid.cell_volume * vals).astype(complex)
-    d = other.disp_count
-    shape = (grid.n,) * dim + (d,) * dim
+        return (v.values[(0,) * dim] * grid.cell_volume * vals).astype(complex, copy=False)
+    n, d = grid.n, other.disp_count
+    kk = d // 2
+    out = np.empty((n,) * dim + (d,) * dim, dtype=complex)
+    # a base-point independent factor reads alike at every base point
+    vals = np.broadcast_to(vals, out.shape)
     if h and v.func is not None:
-        mesh = grid.mesh().reshape((grid.n,) * dim + (1,) * (dim - 1) + (dim,))
+        mesh = grid.mesh().reshape((n,) * dim + (1,) * (dim - 1) + (dim,))
         disp = _disp_nodes(grid, d).reshape((d,) * dim + (dim,))
-        vv = np.empty(shape, dtype=complex)
+        rows = max(1, _PAIR_BLOCK // (n * d) ** (dim - 1))
         for j in range(d):
-            vv[(Ellipsis,) + (j,) + (slice(None),) * (dim - 1)] = (
-                v.func(mesh + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
-            )
+            sl = (Ellipsis, j) + (slice(None),) * (dim - 1)
+            for r in range(0, n, rows):
+                block = slice(r, r + rows)
+                vv = v.func(mesh[block] + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
+                np.multiply(vv, vals[block][sl], out=out[block][sl])
+        return out
+    samples = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
+    if h:
+        _check_scheme(scheme)
+        periodic = grid.bc == "periodic"
+        vv = np.empty((n,) * dim + (d,) * (dim - 1), dtype=complex)
     else:
-        vv = (v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume)[(Ellipsis,) + (None,) * dim]
+        vv = samples[(Ellipsis,) + (None,) * (dim - 1)]
+    for j in range(d):
+        sl = (Ellipsis, j) + (slice(None),) * (dim - 1)
         if h:
-            vv = _shear(np.broadcast_to(vv, shape), grid, h, scheme)
-    return vv * vals
+            vv[...] = _shift_axis_half(samples, 0, h * (j - kk), scheme, periodic)[
+                (Ellipsis,) + (None,) * (dim - 1)]
+            for ax in range(1, dim):
+                for i in range(d):
+                    if i != kk:
+                        s = (Ellipsis, i) + (slice(None),) * (dim - 1 - ax)
+                        vv[s] = _shift_axis_half(vv[s], ax, h * (i - kk), scheme, periodic)
+        np.multiply(vv, vals[sl], out=out[sl])
+    return out
 
 
 # ---------------------------------------------------------------------------

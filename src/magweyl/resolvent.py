@@ -53,6 +53,19 @@ Interpolation and quadrature options live on the algebra layer
 (``twisted_product``, ``rep``, ``moyal``); every product here takes its
 defaults.  Intermediate products suppress the per-call clipped-tail
 warning and the accumulated tail is surfaced once on the final kernel.
+
+A base-point dependent kernel holds n^N d^N complex values (15.7 MB at
+n=32 in two dimensions), so each kernel-size array has one owner and one
+live copy per role.  ``_inv_one_plus`` owns its input g and negates it in
+place into the fixed factor -g; it adds each term into the running sum in
+place and, once the term's norm is read, moves the term to the tilde sheet
+in place, so the next product reads it without a sheared copy.  A series
+thus holds four kernel-size arrays: the sum, -g, the left factor and the
+product, besides the product's GEMM tiles.  A residual check
+(``_minus_unit``) adds each product into one running sum as it is made.
+Every in-place step makes the additions of the copying route in the same
+order, so kernels and residuals are the same bit for bit; only the sign of
+an exact zero inside the series may differ.
 """
 
 from __future__ import annotations
@@ -71,6 +84,7 @@ from .crossed import (
     l1_norm,
     multiplier_kernel,
     twisted_product,
+    _add_into,
     _to_tilde,
 )
 from .fields import MagneticField
@@ -161,16 +175,24 @@ def _product(a: KernelSample, b: KernelSample, field: MagneticField, sheet: str 
     return twisted_product(a, b, field, tail_warn=np.inf, sheet=sheet)
 
 
-def _minus_unit(products: List[KernelSample]) -> KernelSample:
-    """p₁ - 1 + p₂ + ... for the expanded products p_i of op ⋄ Φ (or
-    Φ ⋄ op): the defect of an inverse, whose L¹ norm is the residual.
+def _minus_unit(
+    pairs: List[Tuple[KernelSample, KernelSample]], field: MagneticField, sheet: str = "centered"
+) -> KernelSample:
+    """p₁ - 1 + p₂ + ... for the products p_i = a_i ⋄ b_i of the factor
+    pairs of op ⋄ Φ (or Φ ⋄ op) expanded: the defect of an inverse, whose
+    L¹ norm is the residual.
 
-    The unit enters second, which fixes the order the sum rounds in.
+    Each product is added into one running sum as soon as it is made, so
+    one product is alive at a time.  The unit enters second, which fixes
+    the order the sum rounds in.
     """
-    first, *rest = products
-    return kernel_lincomb(
-        [(1.0, first), (-1.0, delta_kernel(first.grid))] + [(1.0, p) for p in rest]
-    )
+    (a, b), *rest = pairs
+    first = _product(a, b, field, sheet)
+    acc = kernel_lincomb([(1.0, first), (-1.0, delta_kernel(first.grid))])
+    del first
+    for a, b in rest:
+        acc = _add_into(acc, _product(a, b, field, sheet))
+    return acc
 
 
 def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Symbol:
@@ -206,7 +228,7 @@ def _defect_kernel(
     _check_shift(hv, a)
     kha = _momentum_kernel(hv + a, grid)
     kinv = _momentum_kernel(1.0 / (hv + a), grid)
-    return kha, kinv, _minus_unit([_product(kha, kinv, field)])
+    return kha, kinv, _minus_unit([(kha, kinv)], field)
 
 
 def defect(
@@ -229,6 +251,13 @@ def defect(
     full-window norm is recorded but not gated: the radial cutoff never
     reaches the corners of the square momentum zone, so a structural
     offset remains even for well-resolved symbols.
+
+    The sweep gate is meaningful for constant fields.  Under a variable
+    field the sweep products χ_n·h_a ⋄ (1/h_a) depend on the base point
+    and carry box-edge mass that the full-window defect does not (ROADMAP
+    item 1): with B = 0.5 + 0.5 exp(-|x|^2) on ``BoxGrid(2, 4.0, 24)`` at
+    a = 4 the sweep reads 2.17, 2.12, 1.93, 1.84, and the RuntimeError says
+    so.
     """
     hv = _symbol_samples(h, grid)
     _, kinv, f = _defect_kernel(hv, a, field, grid)
@@ -255,10 +284,16 @@ def defect(
     }
     gap = abs(norms[-1] - norms[-2])
     if gap > max(_SWEEP_RTOL * abs(norms[-1]), _SWEEP_ATOL):
-        raise RuntimeError(
-            "cutoff sweep did not stabilize: "
-            + ", ".join(f"{s:.3g}->{n:.6e}" for s, n in zip(report.sweep["scale"], norms))
+        msg = "cutoff sweep did not stabilize: " + ", ".join(
+            f"{s:.3g}->{n:.6e}" for s, n in zip(report.sweep["scale"], norms)
         )
+        if not field.is_constant:
+            msg += (
+                "; under a variable field the sweep products carry box-edge mass that "
+                "the full-window defect does not (ROADMAP item 1, clamping the box edge), "
+                "so the sweep gate is meaningful for constant fields only"
+            )
+        raise RuntimeError(msg)
     return report
 
 
@@ -304,23 +339,50 @@ def find_a0(
 # ---------------------------------------------------------------------------
 
 
+def _moved_to_tilde(k: KernelSample) -> KernelSample:
+    """k sheared to the tilde sheet in place, copied first when its values
+    are a view, a window cut by ``trim_kernel``, which frees the array
+    they view."""
+    return _to_tilde(k.copy() if k.values.base is not None else k, inplace=True)
+
+
 def _inv_one_plus(
     g: KernelSample, field: MagneticField, remedy: str = "shrink the kernel part against the unit"
 ) -> Tuple[KernelSample, Dict]:
     """Kernel part w of (1 + g)^(-1) = 1 + w, by the alternating series.
 
     A Neumann radius ‖g‖₁ not below 1, NaN included, is refused with the
-    caller's ``remedy``.  Each running term is trimmed by ``_SERIES_TRIM``; decaying kernels then
-    shrink their window as the series progresses instead of paying
-    full-window convolutions throughout.  The fixed right factor -g is
-    sheared once and passed tilde-tagged to every product of the series,
-    the first one, (-g) ⋄ (-g), on both sides.
+    caller's ``remedy``.  The series owns g: its complex values are negated
+    in place and become the fixed factor -g, so the caller passes an array
+    it does not read again.  Each running term is trimmed by ``_SERIES_TRIM``;
+    decaying kernels then shrink their window as the series progresses
+    instead of paying full-window convolutions throughout.  The fixed right
+    factor -g is sheared once and passed tilde-tagged to every product of
+    the series, the first one, (-g) ⋄ (-g), on both sides; the running sum
+    starts from a copy.  Each later term is added into the sum in place
+    (``_add_into``); once its norm is read on the centered sheet it moves
+    to the tilde sheet in place (``_moved_to_tilde``) and is the next
+    product's left factor without a sheared copy.  A product then bounds
+    its clipped tail by the left factor's sup over the tilde sheet, as it
+    does for -g: a bound as valid and no larger (the benchmark's perturbed
+    kernel at n=32 records 0.025566262 where a centered left factor gave
+    0.025567258), while values and residuals stay the same bit for bit.
+    A base-point dependent series holds four kernel-size arrays, the sum,
+    -g, the left factor and the product, besides the product's tiles; five
+    when the trim cuts g's window, as -g is then a copy and the caller's
+    argument stays alive.
     """
     gn = l1_norm(g)
     if not gn < 1.0:
         raise ValueError(f"Neumann radius ‖g‖₁ = {gn:.6f} is not below 1; {remedy}")
-    acc = trim_kernel(kernel_lincomb([(-1.0, g)]), _SERIES_TRIM)
-    neg = term = _to_tilde(acc)
+    np.negative(g.values, out=g.values)
+    # without g's callable, which the negation leaves stale
+    first = trim_kernel(
+        KernelSample(g.grid, g.values, g.q_independent, tail_mass=g.tail_mass, sheet=g.sheet),
+        _SERIES_TRIM,
+    )
+    acc = first.copy()
+    neg = term = _moved_to_tilde(first)
     terms = 1
     term_norm = l1_norm(acc)
     while term_norm >= _TOL:
@@ -330,9 +392,11 @@ def _inv_one_plus(
                 f"(last term {term_norm:.3e}, radius {gn:.3f})"
             )
         term = trim_kernel(_product(term, neg, field), _SERIES_TRIM)
-        acc = kernel_lincomb([(1.0, acc), (1.0, term)])
+        acc = _add_into(acc, term)
         terms += 1
         term_norm = l1_norm(term)
+        if term_norm >= _TOL:
+            term = _moved_to_tilde(term)
     info = {
         "terms": terms,
         "radius": gn,
@@ -395,7 +459,7 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     kha, kinv, f_right = _defect_kernel(_symbol_samples(h, grid), a, field, grid)
     remedy = f"raise the shift a = {a:.6g} (see find_a0)"
     w_r, info_r = _inv_one_plus(f_right, field, remedy)
-    f_left = _minus_unit([_product(kinv, kha, field)])
+    f_left = _minus_unit([(kinv, kha)], field)
     w_l, info_l = _inv_one_plus(f_left, field, remedy)
     phi = kernel_lincomb([(1.0, kinv), (1.0, _product(kinv, w_r, field))])
     phi_left = kernel_lincomb([(1.0, kinv), (1.0, _product(w_l, kinv, field))])
@@ -403,8 +467,8 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     phi_left = trim_kernel(phi_left, _SERIES_TRIM)
     discrepancy = l1_norm(kernel_lincomb([(1.0, phi), (-1.0, phi_left)]))
 
-    res_r = l1_norm(_minus_unit([_product(kha, phi, field)]))
-    res_l = l1_norm(_minus_unit([_product(phi, kha, field)]))
+    res_r = l1_norm(_minus_unit([(kha, phi)], field))
+    res_l = l1_norm(_minus_unit([(phi, kha)], field))
     _surface_tail(phi, "inverse kernel")
     meta = {
         "defect_norm": info_r["radius"],
@@ -479,8 +543,8 @@ def resolvent(
         path.append((z_cur, nrm))
 
     khz = _momentum_kernel(hv - z, grid)
-    res_r = l1_norm(_minus_unit([_product(khz, phi, field)]))
-    res_l = l1_norm(_minus_unit([_product(phi, khz, field)]))
+    res_r = l1_norm(_minus_unit([(khz, phi)], field))
+    res_l = l1_norm(_minus_unit([(phi, khz)], field))
     # resolvent identity against the anchor: Φ_z - Φ_x0 = (z - x0) Φ_z ⋄ Φ_x0
     ident = l1_norm(kernel_lincomb([
         (1.0, phi),
@@ -526,6 +590,16 @@ def resolvent_with_potential(
     describes the kernel returned.  ``twisted_involution``,
     ``partial_fourier`` and the reference product refuse that sheet;
     ``twisted_product(kernel, delta_kernel(grid), field)`` recenters it.
+
+    The call holds four kernel-size arrays at a time, besides a product's
+    GEMM tiles and the base kernel: the series' sum, -V ⋄ Φ, left factor
+    and product (V ⋄ Φ is handed to the series, which negates it in
+    place), then in the residual checks the correction, the kernel, the
+    running sum and one product; V multiplies one displacement slab at a
+    time.  w is released once the correction exists, and base.kernel is
+    read, never written.  With the benchmark's symbol, field, V and z a
+    call on ``BoxGrid(2, 6.0, 24)`` peaks at 4.77 times the returned
+    kernel's size, and at 4.51 times at n=32.
     """
     z = _finite_z(z)
     hv = _symbol_samples(h, grid)
@@ -540,20 +614,17 @@ def resolvent_with_potential(
     )
     phi = _to_tilde(phi)
     corr = trim_kernel(_product(phi, w, field, "tilde"), _SERIES_TRIM)
+    del w
     phi_v = trim_kernel(kernel_lincomb([(1.0, phi), (1.0, corr)]), _SERIES_TRIM)
 
     khz = _momentum_kernel(hv - z, grid)
-
-    def check(pairs):
-        return l1_norm(_minus_unit([_product(a, b, field, "tilde") for a, b in pairs]))
-
     # (h - z + V) ⋄ (Φ + corr) - 1 assembled piecewise: Φ does not decay at
     # the box edge, so folding it into one base-dependent array would make
     # the stiff momentum factor read zeros past the boundary; split apart,
     # every factor pair extends validly (corr and V-products decay in the
     # base point, the rest is base-independent or has an attached callable)
-    res_r = check([(khz, phi), (khz, corr), (kv, phi), (kv, corr)])
-    res_l = check([(phi, khz), (corr, khz), (phi, kv), (corr, kv)])
+    res_r = l1_norm(_minus_unit([(khz, phi), (khz, corr), (kv, phi), (kv, corr)], field, "tilde"))
+    res_l = l1_norm(_minus_unit([(phi, khz), (corr, khz), (phi, kv), (corr, kv)], field, "tilde"))
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {
         "perturbation_norm": info["radius"],

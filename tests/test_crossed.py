@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -55,6 +54,8 @@ from magweyl.crossed import (
     _tilde_values,
     _to_tilde,
 )
+
+from conftest import traced_peak
 
 
 def gauss_kernel(cq, cx, sq=0.8, sx=0.5, amp=1.0):
@@ -239,12 +240,7 @@ def test_general_route_memory_is_tiled():
     psi = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j)
     fld = MagneticField.constant_2d(0.5)
     twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
-    tracemalloc.start()
-    try:
-        twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf))
     assert peak <= 40e6
 
 
@@ -332,12 +328,7 @@ def test_shear_holds_one_buffer_besides_its_input():
     values = rng.normal(size=(32, 32, 31, 31)) + 1j * rng.normal(size=(32, 32, 31, 31))
     full, slab = values.nbytes, values.nbytes / 31
     for inplace, bound in ((False, full + 4 * slab), (True, 4 * slab)):
-        tracemalloc.start()
-        try:
-            _shear(values, g, 1, "linear", inplace=inplace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: _shear(values, g, 1, "linear", inplace=inplace))
         assert peak <= bound, (inplace, peak)
 
 
@@ -487,6 +478,134 @@ def test_multiplier_with_h0_broadcasts_its_samples(monkeypatch):
         assert same_bits(prod.values, want)
     assert hs == []
 
+
+def multiply_sheared_broadcast(v, other, h, scheme, tilde):
+    """The multiplier product as one full-size array of v's shifted values:
+    v's callable at q + h·x/2 per leading displacement index, or its
+    samples broadcast over the displacements and sheared by h, times the
+    other factor's values."""
+    grid = v.grid
+    dim = grid.dim
+    vals = _tilde_values(other, scheme) if tilde else other.values
+    d = other.disp_count
+    shape = (grid.n,) * dim + (d,) * dim
+    if h and v.func is not None:
+        mesh = grid.mesh().reshape((grid.n,) * dim + (1,) * (dim - 1) + (dim,))
+        disp = crossed._disp_nodes(grid, d).reshape((d,) * dim + (dim,))
+        vv = np.empty(shape, dtype=complex)
+        for j in range(d):
+            vv[(Ellipsis, j) + (slice(None),) * (dim - 1)] = (
+                v.func(mesh + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
+            )
+    else:
+        vv = (v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume)[(Ellipsis,) + (None,) * dim]
+        if h:
+            vv = _shear(np.broadcast_to(vv, shape), grid, h, scheme)
+    return vv * vals
+
+
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multiplier_slabs_match_the_sheared_broadcast(dim, bc):
+    # the multiplier fills its output one displacement slab at a time and
+    # shifts v's samples in the shear's axis order, so every shift h, with
+    # and without a callable, gives the full sheared broadcast bit for bit
+    g = BoxGrid(dim=dim, half_length=2.0, n=8, bc=bc)
+    rng = np.random.default_rng(73 + dim)
+    bump = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)) + 0.1j * q[..., 0], g)
+    samples = KernelSample(grid=g, values=rng.normal(size=(8,) * dim + (1,) * dim) + 0.3j)
+    for d in (1, 3, 5):
+        dep = KernelSample(grid=g, values=rng.normal(size=(8,) * dim + (d,) * dim)
+                           + 1j * rng.normal(size=(8,) * dim + (d,) * dim))
+        indep = KernelSample(grid=g, values=rng.normal(size=(d,) * dim) + 0.5j, q_independent=True)
+        for v in (bump, samples):
+            for other in (dep, indep):
+                for h in (-1, 1, 0, 2):
+                    for scheme in ("linear", "cubic"):
+                        for tilde in (False, True):
+                            want = multiply_sheared_broadcast(v, other, h, scheme, tilde)
+                            got = _multiply(v, other, h, scheme, tilde)
+                            assert np.array_equal(got, want), (d, h, scheme, tilde)
+                            assert same_bits(got, want)
+
+
+def test_right_multiplier_on_the_tilde_sheet_fills_slabs():
+    # φ ⋄ V on the tilde sheet at the n=32 resolvent's window: the output
+    # (15.7 MB) and slab temporaries, with and without V's callable; the
+    # sheared broadcast of V was a second full-size array (2.0x)
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(74)
+    psi = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
+    bump = multiplier_kernel(lambda q: 0.3 * np.exp(-np.sum(q * q, axis=-1)), g)
+    fld = MagneticField.constant_2d(0.5)
+    for v in (bump, KernelSample(grid=g, values=bump.values)):
+        peak, out = traced_peak(lambda: twisted_product(psi, v, fld, sheet="tilde"))
+        assert peak <= 1.1 * out.values.nbytes, peak / out.values.nbytes
+
+
+def lincomb_by_hand(terms):
+    """Σ c_i φ_i written out: zeros on the widest window (with base axes
+    unless every term is base-point independent), then out = out + c·values
+    on each term's central part, the independent terms broadcast."""
+    grid = terms[0][1].grid
+    dim = grid.dim
+    q_independent = all(k.q_independent for _, k in terms)
+    count = max(k.disp_count for _, k in terms)
+    out = np.zeros(((grid.n,) * dim if not q_independent else ()) + (count,) * dim, dtype=complex)
+    for c, k in terms:
+        kk = (count - k.disp_count) // 2
+        sl = (Ellipsis,) + (slice(kk, count - kk),) * dim
+        out[sl] = out[sl] + complex(c) * (k.values if q_independent else k.as_q_dependent())
+    return out
+
+
+def test_kernel_lincomb_matches_explicit_sums():
+    # ±1 and complex coefficients over mixed windows, base-point independent
+    # terms broadcast into dependent sums, on either sheet: the values of the
+    # sum written out, the dependent terms' sheet and the weighted tails
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    rng = np.random.default_rng(75)
+
+    def dep(d, sheet):
+        shape = (12, 12, d, d)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return KernelSample(grid=g, values=values, sheet=sheet, tail_mass=rng.uniform())
+
+    def indep(d):
+        values = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return KernelSample(grid=g, values=values, q_independent=True, tail_mass=rng.uniform())
+
+    for sheet in ("centered", "tilde"):
+        a, b, c, e = dep(5, sheet), indep(7), dep(9, sheet), indep(3)
+        for terms in (
+            [(1.0, a), (-1.0, b), (0.3 - 1.7j, c), (2.5, e)],
+            [(1.0, a), (1.0, b)],
+            [(-1.0, e), (0.3 - 1.7j, c), (1.0, e)],
+            [(-1.0, b), (0.5j, e), (1.0, b)],
+        ):
+            got = kernel_lincomb(terms)
+            assert np.array_equal(got.values, lincomb_by_hand(terms))
+            assert got.q_independent == all(k.q_independent for _, k in terms)
+            if not got.q_independent:
+                assert got.sheet == sheet
+            tail = 0.0
+            for coeff, k in terms:
+                tail += abs(complex(coeff)) * k.tail_mass
+            assert got.tail_mass == tail
+
+
+def test_kernel_lincomb_makes_no_full_size_temporary():
+    # a base-point dependent sum at the n=32 resolvent's window: the output
+    # (15.7 MB) is the one full-size array, whether a base-point independent
+    # term is broadcast into it or a dependent one is scaled; scaling each
+    # term, by 1 included, and broadcasting it made one more (2.0x)
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(76)
+    dep = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j)
+    indep = KernelSample(grid=g, values=rng.normal(size=(31, 31)) + 0j, q_independent=True)
+    for terms in ([(1.0, dep), (1.0, indep)], [(-1.0, indep), (0.5j, dep), (-1.0, dep)]):
+        peak, out = traced_peak(lambda: kernel_lincomb(terms))
+        assert peak <= 1.1 * out.values.nbytes, peak / out.values.nbytes
 
 def test_qindep_const_fast_path_matches_reference():
     rng = np.random.default_rng(33)
@@ -651,12 +770,7 @@ def test_fft_route_memory_is_blocked():
     fld = MagneticField.constant_2d(0.5)
     assert k.disp_count == 47
     twisted_product(k, k, fld)
-    tracemalloc.start()
-    try:
-        twisted_product(k, k, fld)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: twisted_product(k, k, fld))
     assert peak <= 5e6
 
 
@@ -1192,12 +1306,7 @@ def test_rep_memory_does_not_grow_with_order():
     pot = transversal_gauge(variable_field(), order=16)
     rho = GaugeFunction(func=lambda q: q[..., 0] * q[..., 1], grad=lambda q: q[..., ::-1])
     for gauge in (pot, gauge_shift(pot, rho)):
-        tracemalloc.start()
-        try:
-            rep(gauge, phi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: rep(gauge, phi))
         assert peak <= 32e6, peak
 
 

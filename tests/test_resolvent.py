@@ -35,6 +35,8 @@ from magweyl.resolvent import (
     resolvent_with_potential,
 )
 
+from conftest import traced_peak
+
 # the small boxes used here clip visible kernel mass on purpose; the one
 # test that asserts the advisory captures it through pytest.warns anyway
 pytestmark = pytest.mark.filterwarnings("ignore:.*enlarge the box")
@@ -220,6 +222,21 @@ def test_defect_sweep_unstable_scales_raise():
     g = box(32)
     with pytest.raises(RuntimeError, match="did not stabilize"):
         defect(trig_kinetic(g), 2.0, FIELD, g, scales=(0.84, 1.68))
+
+
+def test_defect_sweep_failure_names_the_box_edge_under_a_variable_field():
+    # under a variable field the sweep products carry box-edge mass the
+    # full-window defect does not; two early rungs on a small box fail the
+    # gate (1.60 against 1.81), and the message names the cause, which a
+    # constant-field failure does not
+    g = box(12, 3.0)
+    top = 0.5 * g.momentum().p_max
+    with pytest.raises(RuntimeError, match="did not stabilize.*box-edge mass.*ROADMAP item 1"):
+        defect(trig_kinetic(g), 4.0, VARIABLE_FIELD, g, scales=top * np.array([0.4, 0.55]))
+    g = box(32)
+    with pytest.raises(RuntimeError, match="did not stabilize") as info:
+        defect(trig_kinetic(g), 2.0, FIELD, g, scales=(0.84, 1.68))
+    assert "box-edge" not in str(info.value)
 
 
 def test_defect_vanishes_without_field():
@@ -510,6 +527,25 @@ def test_potential_shears_each_factor_once(monkeypatch):
     assert terms >= 3
     assert sorted(h for _, h in sheared) == [-1] * (terms - 1) + [1] * terms
     assert len(sheared) == len(set(sheared))
+
+
+def test_potential_holds_five_kernel_arrays():
+    # the benchmark's symbol, field, V and z on a smaller box, the base
+    # resolvent made first: the series holds its sum, -g, the left factor
+    # and the product, the residual check its running sum, one product,
+    # the correction and the kernel; 4.77 kernels at the peak with the
+    # product's tiles (the eight-array route peaked at 8.05)
+    g = box(24)
+    ht = trig_kinetic(g)
+    base = resolvent(ht, FIELD, g, Z1, a0=0.0)
+    before = base.kernel.values.copy()
+    peak, rv = traced_peak(lambda: resolvent_with_potential(ht, bump_potential, FIELD, g, Z1, base=base))
+    assert peak <= 5.0 * rv.kernel.values.nbytes, peak / rv.kernel.values.nbytes
+    # nothing is written into a shared input: a second call repeats the first
+    again = resolvent_with_potential(ht, bump_potential, FIELD, g, Z1, base=base)
+    assert np.array_equal(again.kernel.values, rv.kernel.values)
+    assert again.residual == rv.residual
+    assert np.array_equal(base.kernel.values, before)
 
 
 def test_potential_residual_on_tilde_sheet():

@@ -6,7 +6,6 @@ import inspect
 import os
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -38,6 +37,8 @@ from magweyl.spectral import (
     landau_oracle,
     merge_points,
 )
+
+from conftest import traced_peak
 
 spectral_module = importlib.import_module("magweyl.spectral")
 crossed_module = importlib.import_module("magweyl.crossed")
@@ -221,12 +222,7 @@ def test_variable_field_rep_memory_peak():
     # per-block temporaries cannot grow unnoticed
     k = symbol_kernel(BoxGrid(dim=2, half_length=3.0, n=24))
     pot = transversal_gauge(variable_field())
-    tracemalloc.start()
-    try:
-        rep(pot, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: rep(pot, k))
     assert peak <= 25.0e6
 
 
@@ -912,12 +908,7 @@ def test_eig_memory_peak():
     # The second bound is 1.5 times that peak, so the single-reflection
     # route's N x N form and buffer (18.9 MB) break it.
     op = const_plus_decay_op(32, 4.0)
-    tracemalloc.start()
-    try:
-        res = eig(op, (0.0, 8.0), vectors=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, res = traced_peak(lambda: eig(op, (0.0, 8.0), vectors=True))
     assert res.meta["real_form"] == "reflections 0 1"
     assert peak <= 25.5e6
     assert peak <= 16.0e6
