@@ -16,11 +16,9 @@ Internally products and representations work on the sheared sheet
 with all base points on the lattice.  ``KernelSample.sheet`` says which
 form a kernel stores; products return centered values unless asked for
 the tilde sheet, and ``rep`` and ``twisted_product`` read either.  The
-shear between the sheets (``_shear``) runs one pass per grid axis e over
-the slabs of e's displacement index, each moved along base axis e by
-``grid``'s one-axis shifts, so it equals a ``shift_q`` per displacement
-node bit for bit; it holds at most two full-size buffers, its input and
-its output, and a product rewrites its own output in place.  A product
+shear between the sheets is ``grid._shear``: like the meshes and the
+Fourier convention, it is a lattice convention :mod:`magweyl.grid` owns.
+A product shears its own output back in place.  A product
 reads a tilde-tagged factor as stored, so a caller that multiplies by one
 factor several times tags it once (``_to_tilde``), as the Neumann series
 of ``resolvent`` does with its fixed factor; a caller that owns a centered
@@ -39,7 +37,7 @@ Neumann series and the residual checks of ``resolvent`` accumulate.
 ``twisted_product`` has three branches.  A factor with one displacement
 node is a multiplier and scales the other factor at shifted base points,
 one slab of the leading displacement index at a time (``_multiply``): the
-multiplier's samples are shifted in ``_shear``'s axis order, or its
+multiplier's samples are shifted by ``_shear``'s own passes, or its
 callable is read on blocks of a slab, so no full-size sheared copy of the
 multiplier is made and the values equal those of one bit for bit.
 For a constant field and two base-point independent kernels the 2-cocycle
@@ -139,8 +137,11 @@ from .grid import (
     _check_scheme,
     _node_values,
     _require_centered,
+    _shear,
+    _shear_pass,
     _shift_axis_half,
     _shift_axis_int,
+    _tensor_mesh,
 )
 
 __all__ = [
@@ -216,8 +217,7 @@ def kernel_from_func(
     if disp_count is None:
         disp_count = grid.max_disp_count()
     dim = grid.dim
-    dax = grid.disp_axis(disp_count)
-    dmesh = np.stack(np.meshgrid(*([dax] * dim), indexing="ij"), axis=-1)
+    dmesh = _tensor_mesh(grid.disp_axis(disp_count), dim)
     if q_independent:
         zero = np.zeros(dim)
         values = np.asarray(func(zero, dmesh), dtype=complex)
@@ -340,43 +340,10 @@ def _add_into(acc: KernelSample, term: KernelSample) -> KernelSample:
 # ---------------------------------------------------------------------------
 
 
-def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool = False) -> np.ndarray:
-    """Move every displacement row to base points h·u/2 away:
-    out[..., j] = shift_q(values[..., j], h·(j - k)).
-
-    h = +1 takes centered values φ(q;u) to the tilde sheet φ~(r;u) =
-    φ(r + u/2; u), h = -1 takes them back; even h are exact lattice
-    translations.  One pass per grid axis e, as ``shift_q`` takes the axes:
-    the slab of displacement index j_e moves along base axis e by
-    h·(j_e - k) half steps.  The first pass writes the C-contiguous output
-    and the later ones rewrite it slab by slab, so besides the input one
-    full-size buffer and a few slab temporaries are alive.  ``inplace``
-    rewrites ``values`` itself, a complex C-contiguous array the caller
-    owns, and makes no full-size buffer.
-    """
-    _check_scheme(scheme)
-    dim = grid.dim
-    d = values.shape[-1]
-    kk = d // 2
-    periodic = grid.bc == "periodic"
-    out = values if inplace else np.empty(values.shape, dtype=complex)
-    src = values
-    for ax in range(dim):
-        for j in range(d):
-            steps = h * (j - kk)
-            if src is out and steps == 0:
-                continue
-            sl = (Ellipsis, j) + (slice(None),) * (dim - 1 - ax)
-            out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, periodic)
-        src = out
-    return out
-
-
 def _disp_nodes(grid: BoxGrid, count: int) -> np.ndarray:
     """Displacement vectors of a window of ``count`` nodes per axis, in C
     order, shape (count^N, N)."""
-    idx = np.unravel_index(np.arange(count**grid.dim), (count,) * grid.dim)
-    return grid.disp_axis(count)[np.stack(idx, axis=-1)]
+    return _tensor_mesh(grid.disp_axis(count), grid.dim).reshape(-1, grid.dim)
 
 
 def _over_pairs(
@@ -428,7 +395,7 @@ def _to_tilde(k: KernelSample, inplace: bool = False) -> KernelSample:
 def _ext_mesh(grid: BoxGrid, pad: int) -> np.ndarray:
     """Node mesh extended by ``pad`` lattice steps beyond each face."""
     ax = (np.arange(grid.n + 2 * pad) - pad - (grid.n - 1) / 2.0) * grid.delta
-    return np.stack(np.meshgrid(*([ax] * grid.dim), indexing="ij"), axis=-1)
+    return _tensor_mesh(ax, grid.dim)
 
 
 def _lambda_factors(pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: int = 0) -> np.ndarray:
@@ -692,9 +659,9 @@ def _multiply(v, other, h, scheme, tilde):
     callable when it has one and h ≠ 0, called on about ``_PAIR_BLOCK``
     points of a slab at a time, else from its samples: broadcast over the
     displacements for h = 0, shifted for h ≠ 0 as ``_shear`` moves them,
-    along base axis 0 by h·(j - k) half steps and then along each later
-    axis e by h·(j_e - k), so a slab equals that of the sheared broadcast
-    bit for bit.  Besides the output and the other factor's values only
+    along base axis 0 by h·(j - k) half steps and then by ``_shear``'s
+    passes along the later axes, so a slab equals that of the sheared
+    broadcast bit for bit.  Besides the output and the other factor's values only
     temporaries of one slab are alive.
     """
     grid = v.grid
@@ -709,7 +676,7 @@ def _multiply(v, other, h, scheme, tilde):
     vals = np.broadcast_to(vals, out.shape)
     if h and v.func is not None:
         mesh = grid.mesh().reshape((n,) * dim + (1,) * (dim - 1) + (dim,))
-        disp = _disp_nodes(grid, d).reshape((d,) * dim + (dim,))
+        disp = _tensor_mesh(grid.disp_axis(d), dim)
         rows = max(1, _PAIR_BLOCK // (n * d) ** (dim - 1))
         for j in range(d):
             sl = (Ellipsis, j) + (slice(None),) * (dim - 1)
@@ -731,10 +698,7 @@ def _multiply(v, other, h, scheme, tilde):
             vv[...] = _shift_axis_half(samples, 0, h * (j - kk), scheme, periodic)[
                 (Ellipsis,) + (None,) * (dim - 1)]
             for ax in range(1, dim):
-                for i in range(d):
-                    if i != kk:
-                        s = (Ellipsis, i) + (slice(None),) * (dim - 1 - ax)
-                        vv[s] = _shift_axis_half(vv[s], ax, h * (i - kk), scheme, periodic)
+                _shear_pass(vv, vv, ax, grid, h, scheme)
         np.multiply(vv, vals[sl], out=out[sl])
     return out
 

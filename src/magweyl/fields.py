@@ -359,7 +359,12 @@ def omega_b(B: MagneticField, q, x, y, order: int = DEFAULT_ORDER) -> np.ndarray
 
 
 def gamma_b(B: MagneticField, q, x, y) -> np.ndarray:
-    """Midpoint-reparametrized cocycle phase used by the composition kernel.
+    """Cocycle phase of the magnetic Moyal composition in midpoint form: the
+    flux phase of the triangle <q - x/2 - y/2, q + x/2 - y/2, q - x/2 + y/2>.
+
+    A public helper for checking composition formulas by hand; no route of
+    the package calls it.  ``moyal.moyal_direct`` reads the same phase as
+    ``omega_b(q - x - y; 2x, 2(y - x))``, the identity below.
 
     gamma_b(q; x, y) = exp{-i sum_{j,k} x_j y_k
         int_0^1 dt int_0^1 ds  s * B_jk(q - x/2 - y/2 + s x + s t (y - x))}.

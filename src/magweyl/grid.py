@@ -1,6 +1,7 @@
 """Box discretization, dual momentum lattice and the partial Fourier pair.
 
-Geometry conventions, used consistently by every other module:
+This module owns the lattice conventions; every other module takes them
+from here instead of restating them:
 
 * configuration nodes per axis: x_j = (j - (n-1)/2) * delta, j = 0..n-1,
   with delta = 2 L / n.  The node set is symmetric under negation and
@@ -8,14 +9,25 @@ Geometry conventions, used consistently by every other module:
   displacement lattice which does contain 0.
 * momentum nodes per axis: p_m = (m - n/2) * pi / L, m = 0..n-1, covering
   [-pi/delta, pi/delta) with spacing pi / L.
+* meshes: every lattice mesh, of nodes, momenta or displacements, is the
+  tensor mesh of one axis built by ``_tensor_mesh``, shape
+  (count,)*dim + (dim,) in C order.
 * measures: configuration sums carry weight delta^N per node, momentum sums
   carry weight (2L)^-N per node.  With these weights the forward transform
   (displacement to momentum)
 
       f(p) = sum_y exp(+i p.y) phi(y) delta^N
 
-  and its inverse are mutually inverse and Parseval holds exactly on the
-  grid:  sum_y |phi|^2 delta^N = sum_p |f|^2 (2L)^-N.
+  and its inverse phi(y) = sum_p exp(-i p.y) f(p) (2L)^-N are mutually
+  inverse and Parseval holds exactly on the grid:
+  sum_y |phi|^2 delta^N = sum_p |f|^2 (2L)^-N.  Both directions run one
+  transform body (``_lattice_fourier``).  So the kernel of a symbol h(p) is
+  the inverse transform k, and the operator h(P) has the matrix
+  M[x, y] = delta^N k(y - x); on a periodic box k wraps with period n and
+  M is the circulant ``_periodic_multiplier``.
+* shear: base-point arrays move by half lattice steps through the one-axis
+  shifts behind ``shift_q``; ``_shear`` moves every displacement row of a
+  kernel to base points h·u/2 away, one pass per axis (``_shear_pass``).
 
 Kernels of phase-space symbols are stored as ``KernelSample``: values over
 (base point, displacement) with the displacement window truncated to
@@ -43,6 +55,12 @@ __all__ = [
     "partial_fourier_inv",
     "shift_q",
 ]
+
+
+def _tensor_mesh(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim``-fold tensor mesh of one axis, shape (len(axis),)*dim +
+    (dim,), its points in C order along the leading axes."""
+    return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -84,8 +102,7 @@ class BoxGrid:
 
     def mesh(self) -> np.ndarray:
         """All nodes as an array of shape (n, ..., n, dim)."""
-        axes = [self.axis()] * self.dim
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return _tensor_mesh(self.axis(), self.dim)
 
     def points(self) -> np.ndarray:
         """All nodes flattened in C order, shape (size, dim)."""
@@ -146,8 +163,7 @@ class MomentumGrid:
         return (np.arange(n) - n / 2) * self.spacing
 
     def mesh(self) -> np.ndarray:
-        axes = [self.axis()] * self.box.dim
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return _tensor_mesh(self.axis(), self.box.dim)
 
 
 def _node_values(v, points: np.ndarray, real: bool = True) -> np.ndarray:
@@ -177,16 +193,11 @@ def _node_values(v, points: np.ndarray, real: bool = True) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _alternating(n: int) -> np.ndarray:
-    s = np.ones(n)
-    s[1::2] = -1.0
-    return s
-
-
 def _axis_phase(values: np.ndarray, axes: tuple, n: int) -> np.ndarray:
     """Multiply by (-1)^index along each of the given axes."""
     out = values
-    s = _alternating(n)
+    s = np.ones(n)
+    s[1::2] = -1.0
     for ax in axes:
         shape = [1] * out.ndim
         shape[ax] = n
@@ -194,34 +205,59 @@ def _axis_phase(values: np.ndarray, axes: tuple, n: int) -> np.ndarray:
     return out
 
 
-def symbol_from_kernel_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Forward transform over the trailing, full displacement axes (length
-    n each).
+def _lattice_fourier(values: np.ndarray, grid: BoxGrid, forward: bool) -> np.ndarray:
+    """The transform pair over the trailing, full (length n) axes.
 
-    f[m] = sum_j exp(i p_m y_j) phi[j] delta  per axis; the symmetric node
-    offsets contribute alternating sign vectors around a plain FFT.
+    Forward (displacement to momentum) f[m] = sum_j exp(+i p_m y_j) phi[j]
+    delta per axis, inverse phi[j] = sum_m exp(-i p_m y_j) f[m] / (2L); the
+    symmetric node offsets contribute alternating sign vectors around a
+    plain FFT of the matching sign.
     """
     n = grid.n
     axes = tuple(range(values.ndim - grid.dim, values.ndim))
     c = (-1.0) ** (n // 2)
+    if forward:
+        transform, scale = np.fft.ifftn, grid.delta * c * n
+    else:
+        transform, scale = np.fft.fftn, c / (2.0 * grid.half_length)
     work = _axis_phase(values.astype(complex, copy=False), axes, n)
-    work = np.fft.ifftn(work, axes=axes)
-    work = _axis_phase(work, axes, n)
-    scale = (grid.delta * c * n) ** len(axes)
-    return work * scale
+    work = _axis_phase(transform(work, axes=axes), axes, n)
+    return work * scale ** len(axes)
+
+
+def symbol_from_kernel_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Forward transform over the trailing, full displacement axes (length
+    n each)."""
+    return _lattice_fourier(values, grid, forward=True)
 
 
 def kernel_from_symbol_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
     """Inverse transform over the trailing momentum axes, returning full
     displacement axes."""
-    n = grid.n
-    axes = tuple(range(values.ndim - grid.dim, values.ndim))
-    c = (-1.0) ** (n // 2)
-    work = _axis_phase(values.astype(complex, copy=False), axes, n)
-    work = np.fft.fftn(work, axes=axes)
-    work = _axis_phase(work, axes, n)
-    scale = (c / (2.0 * grid.half_length)) ** len(axes)
-    return work * scale
+    return _lattice_fourier(values, grid, forward=False)
+
+
+def _periodic_multiplier(hvals: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Dense matrix of the Fourier multiplier h(P) on the periodic box, from
+    the samples ``hvals`` of h on the momentum mesh; rows and columns in C
+    node order.
+
+    It is the circulant M[x, y] = delta^N k((y - x) mod n) of the kernel k
+    of ``kernel_from_symbol_full``, which wraps with period n: one FFT and
+    a gather, O(N^2) for N nodes.
+    """
+    n, dim = grid.n, grid.dim
+    kernel = kernel_from_symbol_full(hvals, grid) * grid.cell_volume
+    # per axis, the full displacement index of y - x mod n; displacement 0
+    # sits at index n/2
+    nodes = np.arange(n)
+    wrapped = (nodes[None, :] - nodes[:, None] + n // 2) % n
+    index = []
+    for e in range(dim):
+        shape = [1] * (2 * dim)
+        shape[e], shape[dim + e] = n, n
+        index.append(wrapped.reshape(shape))
+    return kernel[tuple(index)].reshape(grid.size, grid.size)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +356,7 @@ class KernelSample:
         return self.grid.disp_axis(self.disp_count)
 
     def disp_mesh(self) -> np.ndarray:
-        axes = [self.disp_axis()] * self.grid.dim
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return _tensor_mesh(self.disp_axis(), self.grid.dim)
 
     def as_q_dependent(self) -> np.ndarray:
         """Values broadcast over the q axes (view when possible)."""
@@ -354,27 +389,19 @@ def _require_centered(k: KernelSample, what: str) -> None:
         )
 
 
-def _pad_disp_to_full(values: np.ndarray, grid: BoxGrid, dim_disp_axes: int) -> np.ndarray:
-    """Embed truncated displacement axes into the full n-point lattice."""
-    n = grid.n
-    out_shape = list(values.shape)
-    pads = []
-    for ax in range(values.ndim - dim_disp_axes, values.ndim):
-        count = values.shape[ax]
-        k = count // 2
-        lo = n // 2 - k  # position of -k*delta in the full axis
-        pads.append((lo, n - lo - count))
-        out_shape[ax] = n
-    pad_spec = [(0, 0)] * (values.ndim - dim_disp_axes) + pads
-    return np.pad(values, pad_spec)
+def _pad_disp_to_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Embed the trailing, truncated displacement axes into the full n-point
+    lattice, where displacement 0 sits at index n/2."""
+    count = values.shape[-1]
+    lo = grid.n // 2 - count // 2  # position of -k*delta in the full axis
+    return np.pad(values, [(0, 0)] * (values.ndim - grid.dim) + [(lo, grid.n - lo - count)] * grid.dim)
 
 
 def partial_fourier(kernel: KernelSample) -> PhaseGridFunction:
     """Transform a sampled kernel to its phase-space symbol."""
     _require_centered(kernel, "partial_fourier")
     grid = kernel.grid
-    dim = grid.dim
-    full = _pad_disp_to_full(kernel.values, grid, dim)
+    full = _pad_disp_to_full(kernel.values, grid)
     symbol = symbol_from_kernel_full(full, grid)
     return PhaseGridFunction(grid=grid, values=symbol, q_independent=kernel.q_independent)
 
@@ -489,4 +516,44 @@ def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear
     out = values
     for ax, h in zip(range(grid.dim), half_steps):
         out = _shift_axis_half(out, ax, int(h), scheme, periodic)
+    return out
+
+
+def _shear_pass(src: np.ndarray, out: np.ndarray, ax: int, grid: BoxGrid, h: int, scheme: str) -> None:
+    """One pass of :func:`_shear` along grid axis ``ax``: the slab of
+    displacement index j_e (the axis ``grid.dim - ax`` places from the end)
+    moves along base axis e = ax by h·(j_e - k) half steps, written into
+    ``out``.  With ``out`` the same array as ``src`` the slab j_e = k, which
+    does not move, is skipped."""
+    periodic = grid.bc == "periodic"
+    d = out.shape[ax - grid.dim]
+    kk = d // 2
+    for j in range(d):
+        steps = h * (j - kk)
+        if src is out and steps == 0:
+            continue
+        sl = (Ellipsis, j) + (slice(None),) * (grid.dim - 1 - ax)
+        out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, periodic)
+
+
+def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool = False) -> np.ndarray:
+    """Move every displacement row to base points h·u/2 away:
+    out[..., j] = shift_q(values[..., j], h·(j - k)).
+
+    h = +1 takes centered values φ(q;u) to the tilde sheet φ~(r;u) =
+    φ(r + u/2; u), h = -1 takes them back; even h are exact lattice
+    translations.  One pass per grid axis e, as ``shift_q`` takes the axes
+    (``_shear_pass``): the slab of displacement index j_e moves along base
+    axis e by h·(j_e - k) half steps.  The first pass writes the
+    C-contiguous output and the later ones rewrite it slab by slab, so
+    besides the input one full-size buffer and a few slab temporaries are
+    alive.  ``inplace`` rewrites ``values`` itself, a complex C-contiguous
+    array the caller owns, and makes no full-size buffer.
+    """
+    _check_scheme(scheme)
+    out = values if inplace else np.empty(values.shape, dtype=complex)
+    src = values
+    for ax in range(grid.dim):
+        _shear_pass(src, out, ax, grid, h, scheme)
+        src = out
     return out

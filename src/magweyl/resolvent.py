@@ -254,10 +254,11 @@ def defect(
 
     The sweep gate is meaningful for constant fields.  Under a variable
     field the sweep products χ_n·h_a ⋄ (1/h_a) depend on the base point
-    and carry box-edge mass that the full-window defect does not (ROADMAP
-    item 1): with B = 0.5 + 0.5 exp(-|x|^2) on ``BoxGrid(2, 4.0, 24)`` at
-    a = 4 the sweep reads 2.17, 2.12, 1.93, 1.84, and the RuntimeError says
-    so.
+    and carry box-edge mass that the full-window defect does not, since
+    base-point dependent kernels are zero-extended past the box edge
+    instead of clamped: with B = 0.5 + 0.5 exp(-|x|^2) on
+    ``BoxGrid(2, 4.0, 24)`` at a = 4 the sweep reads 2.17, 2.12, 1.93,
+    1.84, and the RuntimeError says so.
     """
     hv = _symbol_samples(h, grid)
     _, kinv, f = _defect_kernel(hv, a, field, grid)
@@ -290,7 +291,8 @@ def defect(
         if not field.is_constant:
             msg += (
                 "; under a variable field the sweep products carry box-edge mass that "
-                "the full-window defect does not (ROADMAP item 1, clamping the box edge), "
+                "the full-window defect does not (base-point dependent kernels are "
+                "zero-extended past the box edge, not clamped), "
                 "so the sweep gate is meaningful for constant fields only"
             )
         raise RuntimeError(msg)

@@ -27,7 +27,9 @@ lattice group: rungs with one spacing and nested node axes read their
 circulations from one table of the largest rung's pairs at the widest
 kernel window of the group, dropped once the group is assembled.
 Periodic boxes, which admit only a vanishing field, use the exact
-Fourier multiplier instead.
+Fourier multiplier instead, ``grid._periodic_multiplier``, as do the
+kinetic rows of separable fibers; the meshes, the Fourier convention and
+that multiplier are the lattice conventions of :mod:`magweyl.grid`.
 
 The layer runs one fixed configuration:
 
@@ -88,7 +90,7 @@ from .fields import (
     transversal_gauge,
     unit_gauss_legendre,
 )
-from .grid import BoxGrid, _node_values
+from .grid import BoxGrid, _node_values, _periodic_multiplier
 from .moyal import Symbol, _momentum_kernel, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
@@ -282,23 +284,6 @@ def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
     return (prim - prim[np.searchsorted(t, 0.0)])[np.searchsorted(t, xs)]
 
 
-def _assemble_periodic(spec: SchrodingerSpec, hvals: np.ndarray) -> np.ndarray:
-    grid = spec.grid
-    if not spec.field_or_zero().is_zero:
-        raise ValueError(
-            "periodic boxes support only a vanishing magnetic field; the flux "
-            "through the torus is not quantized here"
-        )
-    n = grid.n
-    paxis = grid.momentum().axis()
-    xaxis = grid.axis()
-    u1 = np.exp(-1j * np.outer(paxis, xaxis)) / np.sqrt(n)
-    u = u1
-    for _ in range(grid.dim - 1):
-        u = np.kron(u, u1)
-    return (u.conj().T * hvals.ravel()) @ u
-
-
 def _checked_values(spec: SchrodingerSpec) -> tuple:
     """Symbol values on the momentum mesh and potential values on the nodes
     of ``spec.grid``, after the checks ``assemble`` makes of a spec."""
@@ -325,7 +310,12 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     field = spec.field_or_zero()
 
     if grid.bc == "periodic":
-        mat = _assemble_periodic(spec, hvals)
+        if not field.is_zero:
+            raise ValueError(
+                "periodic boxes support only a vanishing magnetic field; the flux "
+                "through the torus is not quantized here"
+            )
+        mat = _periodic_multiplier(hvals, grid)
         mat[np.diag_indices_from(mat)] += vvals
         return OperatorMatrix(mat=mat, grid=grid)
 
@@ -468,7 +458,7 @@ def _from_real_form(y: np.ndarray, grid: BoxGrid, axes: tuple, sign: float) -> n
         np.flip(v, axes)[a_nodes] = sign * part
         # P_j a = U P_k a
         np.flip(v, lead)[a_nodes] = sign * part.conj()
-    return v.reshape(-1, count)
+    return v.reshape(grid.size, count)
 
 
 def _solve(work: np.ndarray, lower: bool, window: Optional[tuple], vectors: bool):
@@ -669,13 +659,15 @@ def _fiber_family(profile: Callable, h, hv: np.ndarray, grid1: BoxGrid, invarian
     V(x) on the one-dimensional grid ``grid1``.  Returns ``(fiber, a_vals,
     v_vals)`` with ``fiber(k)`` the n x n matrix H_k and the gauge and
     potential sampled on the nodes.  A separable symbol h = f(p_var) +
-    g(p_inv) is exact: f is a Fourier multiplier and g(A - k) - g(0) a
-    multiplication, O(n^2) per fiber.  Any other symbol is evaluated on
-    every pair of fiber momentum and segment-averaged gauge, O(n^3) per
-    fiber.  V is added on the diagonal either way.  ``hv`` holds the
-    checked samples of h on the planar momentum mesh of ``grid1``'s
-    spacing: the separability test and a separable fiber's kinetic row
-    read them, and h itself is evaluated at fiber points only.
+    g(p_inv) is exact: f is ``grid``'s Fourier multiplier, built once, and
+    g(A - k) - g(0) a multiplication, O(n^2) per fiber.  Any other symbol
+    is evaluated on every pair of fiber momentum and segment-averaged
+    gauge, O(n^3) per fiber, and summed with ``grid``'s sign,
+    M[x, y] = (1/n) Σ_p h(p, ·) exp(-i p (y - x)).  V is added on the
+    diagonal either way.  ``hv`` holds the checked samples of h on the
+    planar momentum mesh of ``grid1``'s spacing: the separability test and
+    a separable fiber's kinetic row read them, and h itself is evaluated
+    at fiber points only.
     """
     varying = 1 - invariant_axis
     n = grid1.n
@@ -683,13 +675,12 @@ def _fiber_family(profile: Callable, h, hv: np.ndarray, grid1: BoxGrid, invarian
     a_vals = _antiderivative(profile, xs)
     v_vals = _node_values(potential, xs)
 
-    pm = grid1.momentum().axis()
     split = _separable_split(hv, invariant_axis)
     if split is not None:
         row, base = split
-        dft = np.exp(1j * np.outer(pm, xs)) / np.sqrt(n)
-        t_kin = (dft.conj().T * row) @ dft
+        t_kin = _periodic_multiplier(row, grid1)
     else:
+        pm = grid1.momentum().axis()
         a_prim = np.concatenate(
             [[0.0], np.cumsum(0.5 * (a_vals[1:] + a_vals[:-1]) * np.diff(xs))]
         )
@@ -697,7 +688,7 @@ def _fiber_family(profile: Callable, h, hv: np.ndarray, grid1: BoxGrid, invarian
         with np.errstate(divide="ignore", invalid="ignore"):
             a_bar = (a_prim[:, None] - a_prim[None, :]) / diff_x
         a_bar[np.arange(n), np.arange(n)] = a_vals
-        wave = np.exp(1j * np.outer(pm, xs))
+        wave = np.exp(-1j * np.outer(pm, xs))
 
     def fiber(k: float) -> np.ndarray:
         if split is not None:

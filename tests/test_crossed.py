@@ -788,6 +788,33 @@ def test_centered_route_agreement_refines():
     assert errs[1] < errs[0] / 2.5
 
 
+def test_reference_centered_branch_reads_stored_values_exactly_for_linear_kernels():
+    # linear half steps interpolate a kernel linear in q exactly, so on base
+    # points at least one window radius inside the box, where no shifted
+    # read leaves it, the reference's centered branch gives the same product
+    # from stored values (shift_q) as from the exact callables
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    fld = MagneticField.constant_2d(0.9)
+
+    def linear(c, slope, amp):
+        def f(q, x):
+            q, x = np.asarray(q, float), np.asarray(x, float)
+            return amp * (c + q @ np.asarray(slope)) * np.exp(-np.sum(x * x, axis=-1)) * (1.0 + 0.3j)
+
+        return f
+
+    funcs = (linear(1.0, [0.3, -0.2], 1.0), linear(0.5, [-0.1, 0.25], 0.7))
+    exact = [kernel_from_func(f, g, disp_count=5) for f in funcs]
+    stored = [kernel_from_func(f, g, disp_count=5, attach_func=False) for f in funcs]
+    want = twisted_product_reference(*exact, fld, out_disp_count=5).values
+    got = twisted_product_reference(*stored, fld, out_disp_count=5).values
+    inner = (slice(2, -2),) * 2
+    scale = np.abs(want[inner]).max()
+    assert np.abs(got[inner] - want[inner]).max() <= 1e-12 * scale
+    # at the edge the stored values zero-extend, so the check reads a difference
+    assert np.abs(got - want).max() > 1e-3 * scale
+
+
 def test_delta_is_two_sided_unit():
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     dl = delta_kernel(g)

@@ -231,7 +231,7 @@ def test_defect_sweep_failure_names_the_box_edge_under_a_variable_field():
     # constant-field failure does not
     g = box(12, 3.0)
     top = 0.5 * g.momentum().p_max
-    with pytest.raises(RuntimeError, match="did not stabilize.*box-edge mass.*ROADMAP item 1"):
+    with pytest.raises(RuntimeError, match="did not stabilize.*box-edge mass.*zero-extended past the box edge"):
         defect(trig_kinetic(g), 4.0, VARIABLE_FIELD, g, scales=top * np.array([0.4, 0.55]))
     g = box(32)
     with pytest.raises(RuntimeError, match="did not stabilize") as info:
@@ -338,6 +338,24 @@ def test_resolvent_at_anchor_skips_continuation():
     assert r.meta["steps"] == 0
     assert len(r.meta["path"]) == 1
     assert r.residual < 1e-2
+
+
+def test_resolvent_default_shift_is_find_a0():
+    # a symbol with inf h = -2 needs a0 = 3, so the default is not the
+    # zero shift; the call without a0 is the call with find_a0's, bit for bit
+    g = box(12, 3.0)
+    kinetic = trig_kinetic(g)
+
+    def h(p):
+        return kinetic(p) - 3.0
+
+    a0 = find_a0(h, FIELD, g)
+    assert a0 == 3.0
+    got = resolvent(h, FIELD, g, Z1)
+    want = resolvent(h, FIELD, g, Z1, a0=a0)
+    assert got.meta["a0"] == a0 and got.meta["steps"] == want.meta["steps"] > 0
+    assert np.array_equal(got.kernel.values, want.kernel.values)
+    assert got.residual == want.residual
 
 
 def test_resolvent_continuation_residuals():
@@ -462,6 +480,20 @@ def test_potential_zero_is_identity():
                                   FIELD, g, Z1, base=r)
     assert rv.meta["perturbation_norm"] == 0.0
     assert l1_norm(kernel_lincomb([(1.0, rv.kernel), (-1.0, r.kernel)])) < 1e-12
+
+
+def test_potential_default_base_is_the_resolvent():
+    g = box(12, 3.0)
+    h = trig_kinetic(g)
+
+    def v(q):
+        return 0.3 * np.exp(-np.sum(np.asarray(q) ** 2, axis=-1))
+
+    got = resolvent_with_potential(h, v, FIELD, g, Z1)
+    want = resolvent_with_potential(h, v, FIELD, g, Z1, base=resolvent(h, FIELD, g, Z1))
+    assert got.kernel.sheet == want.kernel.sheet == "tilde"
+    assert np.array_equal(got.kernel.values, want.kernel.values)
+    assert got.residual == want.residual and got.meta["base_residual"] == want.meta["base_residual"]
 
 
 def test_potential_constant_shifts_z():

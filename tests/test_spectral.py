@@ -133,6 +133,25 @@ def test_periodic_assemble_matches_rep_of_the_stencil():
     assert np.abs(mat - want).max() <= 1e-12
 
 
+def tilted_kinetic(p):
+    # |p|^2 + 0.7 p_0: the odd part tells the sign of the Fourier convention
+    return free_kinetic(p) + 0.7 * np.asarray(p, dtype=float)[..., 0]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 6)])
+def test_periodic_assemble_is_the_dense_fourier_conjugation(dim, n):
+    # the circulant equals U* diag(h) U for the unitary DFT U of the nodes,
+    # built here as a Kronecker power (measured 2e-15)
+    grid = BoxGrid(dim=dim, half_length=3.0, n=n, bc="periodic")
+    u1 = np.exp(-1j * np.outer(grid.momentum().axis(), grid.axis())) / np.sqrt(n)
+    u = u1
+    for _ in range(dim - 1):
+        u = np.kron(u, u1)
+    want = (u.conj().T * tilted_kinetic(grid.momentum().mesh()).ravel()) @ u
+    got = assemble(SchrodingerSpec(h=tilted_kinetic, field=None, grid=grid)).mat
+    assert rel_gap(got, want) <= 1e-12
+
+
 def test_assemble_refuses_a_non_finite_imaginary_part():
     # the real part is finite everywhere; the realness check alone passed it
     grid = BoxGrid(dim=2, half_length=3.0, n=8)
@@ -404,6 +423,25 @@ def test_fibered_constant_potential_shifts_every_value(h):
     shifted = fibered_spectrum(tanh_profile, h, grid, potential=2.0)
     assert len(plain) > 0 and len(shifted) == len(plain)
     assert np.abs(shifted.values - (plain.values + 2.0)).max() <= 1e-9
+
+
+def test_fiber_kinetic_rows_take_the_grid_convention(monkeypatch):
+    # a separable fiber's kinetic part is the periodic assembly of its row
+    # (measured 2e-16), and the fiber sum of the other route gives the same
+    # matrix, since the phases of its off-diagonal g-terms sum to zero
+    # (8e-16); with the opposite sign both were the transpose, 0.18 away
+    grid = BoxGrid(dim=2, half_length=5.0, n=24)
+    grid1 = BoxGrid(dim=1, half_length=5.0, n=24)
+    hv = spectral_module._symbol_samples(tilted_kinetic, grid)
+    fiber, a_vals, _ = spectral_module._fiber_family(tanh_profile, tilted_kinetic, hv, grid1, 1, None)
+    row = assemble(SchrodingerSpec(h=lambda p: tilted_kinetic(np.concatenate([p, 0 * p], axis=-1)),
+                                   field=None, grid=replace(grid1, bc="periodic"))).mat
+    monkeypatch.setattr(spectral_module, "_separable_split", lambda hv, invariant_axis: None)
+    summed, _, _ = spectral_module._fiber_family(tanh_profile, tilted_kinetic, hv, grid1, 1, None)
+    for k in (-1.3, 0.0, 2.1):
+        got = fiber(k)
+        assert rel_gap(got - np.diag((a_vals - k) ** 2), row) <= 1e-12
+        assert rel_gap(summed(k), got) <= 1e-12
 
 
 def test_fibered_matches_dense_bulk_spectrum():
@@ -866,6 +904,22 @@ def test_single_reflection_vectors_match_complex_route():
     check_vectors_against_complex_route(route_case("tanh_x0"), (0.0, 5.5), "reflection 1")
 
 
+def test_eig_vectors_of_a_window_empty_in_a_reflection_block():
+    # h = |p|^2, B = 1 takes the two-reflection route; a window holding no
+    # value, and one around a simple level, which leaves one block empty
+    grid = BoxGrid(dim=2, half_length=3.0, n=12)
+    op = assemble(SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0), grid=grid))
+    empty = eig(op, (-5.0, -4.0), vectors=True)
+    assert empty.meta["real_form"] == "reflections 0 1"
+    assert len(empty) == 0 and empty.vectors.shape == (144, 0)
+    level = 0.8690222
+    one = eig(op, (level - 1e-6, level + 1e-6), vectors=True)
+    assert len(one) == 1 and one.vectors.shape == (144, 1)
+    v = one.vectors[:, 0]
+    assert np.linalg.norm(op.mat @ v - one.values[0] * v) <= 1e-10 * np.abs(op.mat).max()
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
 def test_broken_reflection_falls_back_to_complex_route():
     op = const_plus_decay_op(12, 3.0)
     mat = op.mat.copy()
@@ -946,6 +1000,25 @@ def test_essential_estimate_acceptance_rules():
     assert f"{len(est.points)} persistent bulk values" in lines[0]
     assert f"{len(est.rejected)} rejected clusters" in lines[0]
     assert len(lines) == 1 + len(est.rejected)
+
+
+def test_ladder_and_union_in_a_pool_equal_the_serial_runs():
+    spec = decay_spec(3.0, 12)
+    serial = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
+    pooled = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0, threads=2)
+    assert len(serial.clusters) > 0
+    assert np.array_equal(pooled.points, serial.points)
+    assert all(np.array_equal(a, b) for a, b in zip(pooled.per_box, serial.per_box))
+    assert [r["counts"] for r in pooled.clusters] == [r["counts"] for r in serial.clusters]
+    assert [(r["lo"], r["reason"]) for r in pooled.rejected] == [(r["lo"], r["reason"]) for r in serial.rejected]
+    desc = MixedVOAP(dim=2, vo_factor=lambda p: 1.0 + 0.4 * np.tanh(p[..., 0]),
+                     ap_factor=lambda p: 1.0 + 0.3 * np.cos(p[..., 0]))
+    grid = BoxGrid(dim=2, half_length=3.0, n=10)
+    serial = asymptotic_spectra(desc, free_kinetic, grid, (0.0, 8.0))
+    pooled = asymptotic_spectra(desc, free_kinetic, grid, (0.0, 8.0), threads=2)
+    assert [label for label, _ in pooled.components] == [label for label, _ in serial.components]
+    assert all(np.array_equal(a.values, b.values) for (_, a), (_, b) in zip(pooled.components, serial.components))
+    assert np.array_equal(pooled.merged, serial.merged) and len(serial.merged) > 0
 
 
 # ---------------------------------------------------------------------------
