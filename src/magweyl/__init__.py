@@ -29,7 +29,6 @@ from .grid import (
 from .crossed import (
     OperatorMatrix,
     BandedOperator,
-    UnitizedKernel,
     delta_kernel,
     multiplier_kernel,
     kernel_from_func,

@@ -8,6 +8,10 @@ the involution φ^◇(q;x) = conj(φ(q;-x)) and the norm
 ‖φ‖₁ = Σ_x sup_q |φ(q;x)| Δ^N.  The representation attaches circulation
 phases:  M[x,y] = Δ^N λ^A(x; y-x) φ((x+y)/2; y-x).
 
+The box algebra is unital: ``delta_kernel(grid)`` is its two-sided unit,
+so the Neumann series and residuals of ``resolvent`` are written against
+it and no separate unitization is needed.
+
 Internally products and representations work on the sheared sheet
 φ~(r;x) := φ(r + x/2; x), where the product becomes a shifted convolution
 
@@ -23,8 +27,9 @@ reads a tilde-tagged factor as stored, so a caller that multiplies by one
 factor several times tags it once (``_to_tilde``), as the Neumann series
 of ``resolvent`` does with its fixed factor; a caller that owns a centered
 array moves it to the tilde sheet in place (``_to_tilde(k, inplace=True)``),
-as that series does with each running term; a perturbed resolvent keeps
-its correction on the tilde sheet throughout.
+as that series does with each running term, and values that view a larger
+array are copied first; a perturbed resolvent keeps its correction on the
+tilde sheet throughout.
 
 ``kernel_lincomb`` adds its terms in order into one zeroed output, each on
 the central part of its window: a ±1 coefficient adds or subtracts the
@@ -146,7 +151,6 @@ from .grid import (
 
 __all__ = [
     "OperatorMatrix",
-    "UnitizedKernel",
     "BandedOperator",
     "delta_kernel",
     "multiplier_kernel",
@@ -386,8 +390,12 @@ def _to_tilde(k: KernelSample, inplace: bool = False) -> KernelSample:
     """The kernel sheared once and stored tilde-tagged, without its callable.
 
     ``inplace`` shears centered values without a callable in place: they
-    must be complex, C-contiguous and the caller's to overwrite.
+    must be complex and the caller's to overwrite.  Values that are a view,
+    such as a window cut by ``trim_kernel``, are copied first, which frees
+    the array they view; other values must be C-contiguous.
     """
+    if inplace and k.values.base is not None:
+        k = k.copy()
     values = _tilde_values(k, _SCHEME, inplace=inplace)
     return KernelSample(k.grid, values, k.q_independent, tail_mass=k.tail_mass, sheet="tilde")
 
@@ -1269,40 +1277,3 @@ def op_norm(op, *, tol: float = 1e-4, seed: int = 0) -> float:
             return float(new_sigma)
         sigma = new_sigma
     return float(sigma)
-
-
-# ---------------------------------------------------------------------------
-# minimal unitization
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class UnitizedKernel:
-    """μ·1 + φ in the minimal unitization of the kernel algebra."""
-
-    scalar: complex
-    kernel: Optional[KernelSample] = None
-
-    def norm(self) -> float:
-        n = abs(self.scalar)
-        if self.kernel is not None:
-            n += l1_norm(self.kernel)
-        return float(n)
-
-    def product(self, other: "UnitizedKernel", field: MagneticField, **kw) -> "UnitizedKernel":
-        scalar = self.scalar * other.scalar
-        terms = []
-        if self.kernel is not None and abs(other.scalar) != 0:
-            terms.append((other.scalar, self.kernel))
-        if other.kernel is not None and abs(self.scalar) != 0:
-            terms.append((self.scalar, other.kernel))
-        prod = None
-        if self.kernel is not None and other.kernel is not None:
-            prod = twisted_product(self.kernel, other.kernel, field, **kw)
-            terms.append((1.0, prod))
-        kernel = kernel_lincomb(terms) if terms else None
-        return UnitizedKernel(scalar=scalar, kernel=kernel)
-
-    def involution(self) -> "UnitizedKernel":
-        k = twisted_involution(self.kernel) if self.kernel is not None else None
-        return UnitizedKernel(scalar=np.conj(self.scalar), kernel=k)

@@ -4,8 +4,9 @@ For an elliptic momentum symbol h bounded below, the shifted symbol
 h_a = h + a with a ≥ -inf h + 1 has the pointwise inverse 1/(h+a), a
 symbol of the opposite growth type.  Composing the two in the algebra
 does not give the unit; it gives 1 plus a defect kernel whose L¹ norm
-decays as a grows.  Once the defect is small the unitized element
-1 + defect inverts by a Neumann series, and
+decays as a grows.  The box algebra is unital, with ``delta_kernel`` its
+unit, so once the defect is small 1 + defect inverts by a Neumann series
+in the algebra itself, and
 
     h_a^(-1) = (1/(h+a)) ⋄ (1 + defect_right)^(-1)
              = (1 + defect_left)^(-1) ⋄ (1/(h+a))
@@ -43,11 +44,19 @@ The construction runs one fixed configuration:
 Each input has one guard, run before the first product.  Every public
 entry samples the symbol once through ``moyal._symbol_samples``, and each
 momentum kernel is built from those samples hv (hv + a, 1/(hv + a),
-hv - z) by ``moyal._momentum_kernel``.  ``_defect_kernel``, shared by every defect, runs the shift guard
-``_check_shift`` (a shift not finite or below -inf h + 1).  z's guard is
-``_finite_z``, V's ``grid._node_values`` through ``multiplier_kernel``;
-every Neumann series runs through ``_inv_one_plus``, which refuses a
-radius not below 1, NaN included, with its caller's remedy.
+hv - z) by ``moyal._momentum_kernel``.  ``_defect_kernel``, shared by
+every defect, runs the shift guard ``_check_shift`` (a shift not finite
+or below -inf h + 1).  z's guard is ``_finite_z``, V's
+``grid._node_values`` through ``multiplier_kernel``; every Neumann series
+runs through ``_inv_one_plus``, which refuses a radius not below 1, NaN
+included, with its caller's remedy.
+
+Each inverse has one route and one audit.  ``_times_inverse`` makes
+Φ ⋄ (1 + g)^(-1) = Φ + Φ ⋄ w (or its left mirror) from one series: both
+routes of ``moyal_inverse`` and every continuation step of ``resolvent``.
+``_residuals`` returns the right and left residuals ‖op ⋄ Φ - 1‖₁ and
+‖Φ ⋄ op - 1‖₁ of every inverse returned, with op and Φ given as sums of
+factors whose pairs are expanded op-major.
 
 Interpolation and quadrature options live on the algebra layer
 (``twisted_product``, ``rep``, ``moyal``); every product here takes its
@@ -78,7 +87,6 @@ import numpy as np
 
 from .crossed import (
     TAIL_WARN_FRACTION,
-    UnitizedKernel,
     delta_kernel,
     kernel_lincomb,
     l1_norm,
@@ -193,6 +201,16 @@ def _minus_unit(
     for a, b in rest:
         acc = _add_into(acc, _product(a, b, field, sheet))
     return acc
+
+
+def _residuals(
+    ops: List[KernelSample], phis: List[KernelSample], field: MagneticField, sheet: str = "centered"
+) -> Tuple[float, float]:
+    """Right and left residuals ‖op ⋄ Φ - 1‖₁ and ‖Φ ⋄ op - 1‖₁ of Φ = Σ phis
+    as an inverse of op = Σ ops, the factor pairs expanded op-major."""
+    right = l1_norm(_minus_unit([(o, p) for o in ops for p in phis], field, sheet))
+    left = l1_norm(_minus_unit([(p, o) for o in ops for p in phis], field, sheet))
+    return right, left
 
 
 def pointwise_inverse(h: Symbol, a: float, grid: Optional[BoxGrid] = None) -> Symbol:
@@ -337,20 +355,11 @@ def find_a0(
 
 
 # ---------------------------------------------------------------------------
-# Neumann inversion in the minimal unitization
+# Neumann inversion against the unit
 # ---------------------------------------------------------------------------
 
 
-def _moved_to_tilde(k: KernelSample) -> KernelSample:
-    """k sheared to the tilde sheet in place, copied first when its values
-    are a view, a window cut by ``trim_kernel``, which frees the array
-    they view."""
-    return _to_tilde(k.copy() if k.values.base is not None else k, inplace=True)
-
-
-def _inv_one_plus(
-    g: KernelSample, field: MagneticField, remedy: str = "shrink the kernel part against the unit"
-) -> Tuple[KernelSample, Dict]:
+def _inv_one_plus(g: KernelSample, field: MagneticField, remedy: str) -> Tuple[KernelSample, Dict]:
     """Kernel part w of (1 + g)^(-1) = 1 + w, by the alternating series.
 
     A Neumann radius ‖g‖₁ not below 1, NaN included, is refused with the
@@ -363,16 +372,16 @@ def _inv_one_plus(
     the series, the first one, (-g) ⋄ (-g), on both sides; the running sum
     starts from a copy.  Each later term is added into the sum in place
     (``_add_into``); once its norm is read on the centered sheet it moves
-    to the tilde sheet in place (``_moved_to_tilde``) and is the next
-    product's left factor without a sheared copy.  A product then bounds
-    its clipped tail by the left factor's sup over the tilde sheet, as it
-    does for -g: a bound as valid and no larger (the benchmark's perturbed
-    kernel at n=32 records 0.025566262 where a centered left factor gave
-    0.025567258), while values and residuals stay the same bit for bit.
-    A base-point dependent series holds four kernel-size arrays, the sum,
-    -g, the left factor and the product, besides the product's tiles; five
-    when the trim cuts g's window, as -g is then a copy and the caller's
-    argument stays alive.
+    to the tilde sheet in place (``_to_tilde(term, inplace=True)``) and is
+    the next product's left factor without a sheared copy.  A product then
+    bounds its clipped tail by the left factor's sup over the tilde sheet,
+    as it does for -g: a bound as valid and no larger (the benchmark's
+    perturbed kernel at n=32 records 0.025566262 where a centered left
+    factor gave 0.025567258), while values and residuals stay the same bit
+    for bit.  A base-point dependent series holds four kernel-size arrays,
+    the sum, -g, the left factor and the product, besides the product's
+    tiles; five when the trim cuts g's window, as -g is then a copy and the
+    caller's argument stays alive.
     """
     gn = l1_norm(g)
     if not gn < 1.0:
@@ -384,7 +393,7 @@ def _inv_one_plus(
         _SERIES_TRIM,
     )
     acc = first.copy()
-    neg = term = _moved_to_tilde(first)
+    neg = term = _to_tilde(first, inplace=True)
     terms = 1
     term_norm = l1_norm(acc)
     while term_norm >= _TOL:
@@ -398,7 +407,7 @@ def _inv_one_plus(
         terms += 1
         term_norm = l1_norm(term)
         if term_norm >= _TOL:
-            term = _moved_to_tilde(term)
+            term = _to_tilde(term, inplace=True)
     info = {
         "terms": terms,
         "radius": gn,
@@ -408,31 +417,32 @@ def _inv_one_plus(
     return acc, info
 
 
-def neumann_inverse(u: UnitizedKernel, field: MagneticField) -> UnitizedKernel:
-    """Inverse of u = μ + g in the unitized algebra, ‖g/μ‖₁ < 1 required.
+def _times_inverse(
+    phi: KernelSample, g: KernelSample, field: MagneticField, remedy: str, left: bool = False
+) -> Tuple[KernelSample, Dict]:
+    """φ ⋄ (1 + g)^(-1) = trim(φ + φ ⋄ w), or (1 + g)^(-1) ⋄ φ = trim(φ + w ⋄ φ)
+    with ``left``, where (1 + g)^(-1) = 1 + w; with the series info.  The
+    series owns g (see ``_inv_one_plus``); w is released on return."""
+    w, info = _inv_one_plus(g, field, remedy)
+    prod = _product(w, phi, field) if left else _product(phi, w, field)
+    return trim_kernel(kernel_lincomb([(1.0, phi), (1.0, prod)]), _SERIES_TRIM), info
 
-    The series for (1 + g/μ)^(-1) is truncated once the running term
-    drops below 1e-10; the exact truncation remainder is then bounded
-    by 1e-10/(1 - ‖g/μ‖₁).  The computed residual ‖u ⋄ result - 1‖
-    and the term count land in the result kernel's meta.
+
+def neumann_inverse(g: KernelSample, field: MagneticField) -> KernelSample:
+    """Kernel part w of (1 + g)^(-1) = 1 + w, the unit being ``delta_kernel``.
+
+    ‖g‖₁ < 1 is required; a caller inverting μ + g for a scalar μ ≠ 0
+    passes g/μ, and (μ + g)^(-1) = (1 + w)/μ.  The series runs on a copy,
+    so g is left unchanged.  It is truncated once the running term drops
+    below 1e-10; the exact truncation remainder is then bounded by
+    1e-10/(1 - ‖g‖₁).  The series info and the computed residual
+    ‖(1 + g) ⋄ (1 + w) - 1‖₁ = ‖g + w + g ⋄ w‖₁ land in
+    ``w.meta["neumann"]``.
     """
-    mu = complex(u.scalar)
-    if mu == 0:
-        raise ValueError("unit part vanishes; not invertible in the unitization")
-    if u.kernel is None:
-        return UnitizedKernel(scalar=1.0 / mu, kernel=None)
-    v = kernel_lincomb([(1.0 / mu, u.kernel)])
-    w, info = _inv_one_plus(v, field)
-    result = UnitizedKernel(scalar=1.0 / mu, kernel=kernel_lincomb([(1.0 / mu, w)]))
-    # u ⋄ result expanded in the unitization: μν + (ν g + μ k + g ⋄ k)
-    check = kernel_lincomb([
-        (result.scalar, u.kernel),
-        (u.scalar, result.kernel),
-        (1.0, _product(u.kernel, result.kernel, field)),
-    ])
-    residual = abs(u.scalar * result.scalar - 1.0) + l1_norm(check)
-    result.kernel.meta["neumann"] = dict(info, residual=float(residual))
-    return result
+    w, info = _inv_one_plus(kernel_lincomb([(1.0, g)]), field, "scale g down against the unit")
+    residual = l1_norm(kernel_lincomb([(1.0, g), (1.0, w), (1.0, _product(g, w, field))]))
+    w.meta["neumann"] = dict(info, residual=float(residual))
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +470,12 @@ def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> Resolvent
     """
     kha, kinv, f_right = _defect_kernel(_symbol_samples(h, grid), a, field, grid)
     remedy = f"raise the shift a = {a:.6g} (see find_a0)"
-    w_r, info_r = _inv_one_plus(f_right, field, remedy)
+    phi, info_r = _times_inverse(kinv, f_right, field, remedy)
     f_left = _minus_unit([(kinv, kha)], field)
-    w_l, info_l = _inv_one_plus(f_left, field, remedy)
-    phi = kernel_lincomb([(1.0, kinv), (1.0, _product(kinv, w_r, field))])
-    phi_left = kernel_lincomb([(1.0, kinv), (1.0, _product(w_l, kinv, field))])
-    phi = trim_kernel(phi, _SERIES_TRIM)
-    phi_left = trim_kernel(phi_left, _SERIES_TRIM)
+    phi_left, info_l = _times_inverse(kinv, f_left, field, remedy, left=True)
     discrepancy = l1_norm(kernel_lincomb([(1.0, phi), (-1.0, phi_left)]))
 
-    res_r = l1_norm(_minus_unit([(kha, phi)], field))
-    res_l = l1_norm(_minus_unit([(phi, kha)], field))
+    res_r, res_l = _residuals([kha], [phi], field)
     _surface_tail(phi, "inverse kernel")
     meta = {
         "defect_norm": info_r["radius"],
@@ -528,6 +533,8 @@ def resolvent(
     nrm = l1_norm(phi)
     path = [(z_cur, nrm)]
     steps = 0
+    # each step's radius is 1/2 by construction; only a non-finite kernel fails
+    remedy = "the continued kernel is not finite"
 
     while z_cur != z:
         if steps >= _MAX_STEPS:
@@ -535,18 +542,14 @@ def resolvent(
         step = 0.5 / nrm
         rest = z - z_cur
         target = z if abs(rest) <= step else z_cur + rest / abs(rest) * step
-        w, _ = _inv_one_plus(kernel_lincomb([(z_cur - target, phi)]), field)
-        phi = trim_kernel(
-            kernel_lincomb([(1.0, phi), (1.0, _product(phi, w, field))]), _SERIES_TRIM
-        )
+        phi, _ = _times_inverse(phi, kernel_lincomb([(z_cur - target, phi)]), field, remedy)
         z_cur = target
         steps += 1
         nrm = l1_norm(phi)
         path.append((z_cur, nrm))
 
     khz = _momentum_kernel(hv - z, grid)
-    res_r = l1_norm(_minus_unit([(khz, phi)], field))
-    res_l = l1_norm(_minus_unit([(phi, khz)], field))
+    res_r, res_l = _residuals([khz], [phi], field)
     # resolvent identity against the anchor: Φ_z - Φ_x0 = (z - x0) Φ_z ⋄ Φ_x0
     ident = l1_norm(kernel_lincomb([
         (1.0, phi),
@@ -625,8 +628,7 @@ def resolvent_with_potential(
     # the stiff momentum factor read zeros past the boundary; split apart,
     # every factor pair extends validly (corr and V-products decay in the
     # base point, the rest is base-independent or has an attached callable)
-    res_r = l1_norm(_minus_unit([(khz, phi), (khz, corr), (kv, phi), (kv, corr)], field, "tilde"))
-    res_l = l1_norm(_minus_unit([(phi, khz), (corr, khz), (phi, kv), (corr, kv)], field, "tilde"))
+    res_r, res_l = _residuals([khz, kv], [phi, corr], field, "tilde")
     _surface_tail(phi_v, "perturbed resolvent kernel")
     meta = {
         "perturbation_norm": info["radius"],

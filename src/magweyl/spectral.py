@@ -46,7 +46,8 @@ The layer runs one fixed configuration:
 * ``asymptotic_spectra`` merges points closer than 1e-6 (``_EPS_MERGE``)
   and gives a free band as its points at the step (hi - lo)/2000
   (``_BAND_STEPS``).
-* ``fibered_spectrum`` takes n + 1 dual momenta spanning the range of the
+* ``fibered_spectrum`` takes the dual momenta k_m = m·pi/(2L) of one
+  fixed lattice (L the box half-length) that lie in the range of the
   gauge potential, padded by sqrt(max(hi - min V, 1)) for a finite window
   end hi and by pi/delta otherwise.  Its gauge is the profile's
   antiderivative at the nodes, by a 16-node Gauss-Legendre rule on each
@@ -728,6 +729,11 @@ def fibered_spectrum(
     outside) are discarded by the bulk threshold before the bands are
     unioned.
 
+    The fibers sit on the lattice k_m = m·π/(2L), L the box half-length,
+    over the gauge range padded as the module docstring says.  A constant
+    V moves the padded range but not the lattice, so it only adds or drops
+    end fibers, and every value inside the window shifts by exactly V.
+
     h is sampled once through ``moyal._symbol_samples`` on the momentum
     mesh of ``grid`` before any fiber is solved, so the fibered route
     refuses what ``assemble`` refuses (a complex, non-finite or, for a
@@ -743,7 +749,8 @@ def fibered_spectrum(
     fiber, a_vals, v_vals = _fiber_family(profile, h, hv, grid1, invariant_axis, potential)
 
     pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
-    ks = np.linspace(float(np.min(a_vals)) - pad, float(np.max(a_vals)) + pad, grid1.n + 1)
+    dk = np.pi / (2.0 * grid1.half_length)
+    ks = dk * np.arange(np.ceil((np.min(a_vals) - pad) / dk), np.floor((np.max(a_vals) + pad) / dk) + 1)
     interior = grid1.interior_mask(grid1.half_length * _COLLAR_FRAC)
 
     fiber_values, fiber_kept = [], []

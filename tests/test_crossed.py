@@ -33,7 +33,6 @@ from magweyl.spectral import eig
 from magweyl.crossed import (
     BandedOperator,
     OperatorMatrix,
-    UnitizedKernel,
     delta_kernel,
     kernel_from_func,
     kernel_lincomb,
@@ -1434,47 +1433,3 @@ def test_op_norm_matches_svd():
     phi, _ = pair_on(g, 5)
     band = rep_banded(transversal_gauge(variable_field()), phi)
     assert abs(op_norm(band, tol=1e-8) - np.linalg.norm(band.to_dense(), 2)) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# unitization
-# ---------------------------------------------------------------------------
-
-
-def test_unitized_product_expands_distributively():
-    g = BoxGrid(dim=2, half_length=3.0, n=10)
-    phi, psi = pair_on(g, 5, attach=False)
-    fld = MagneticField.constant_2d(0.5)
-    a = UnitizedKernel(scalar=0.7 - 0.2j, kernel=phi)
-    b = UnitizedKernel(scalar=-0.3 + 0.1j, kernel=psi)
-    ab = a.product(b, fld)
-    manual = kernel_lincomb(
-        [
-            (a.scalar, psi),
-            (b.scalar, phi),
-            (1.0, twisted_product(phi, psi, fld)),
-        ]
-    )
-    assert abs(ab.scalar - a.scalar * b.scalar) < 1e-14
-    assert np.abs(ab.kernel.values - manual.values).max() < 1e-12
-    assert ab.norm() <= a.norm() * b.norm() + 1e-10
-
-
-def test_unitized_involution_and_norm():
-    g = BoxGrid(dim=2, half_length=3.0, n=8)
-    phi, _ = pair_on(g, 5, attach=False)
-    u = UnitizedKernel(scalar=0.4 + 0.9j, kernel=phi)
-    us = u.involution()
-    assert us.scalar == np.conj(u.scalar)
-    assert abs(us.norm() - u.norm()) < 1e-14
-    assert abs(u.norm() - (abs(u.scalar) + l1_norm(phi))) < 1e-14
-
-
-def test_unitized_scalar_unit_acts_trivially():
-    g = BoxGrid(dim=2, half_length=3.0, n=8)
-    phi, _ = pair_on(g, 5, attach=False)
-    one = UnitizedKernel(scalar=1.0)
-    u = UnitizedKernel(scalar=0.0, kernel=phi)
-    prod = one.product(u, MagneticField.constant_2d(0.5))
-    assert abs(prod.scalar) == 0.0
-    assert np.abs(prod.kernel.values - phi.values).max() < 1e-13

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from magweyl.crossed import (
-    UnitizedKernel,
     delta_kernel,
     kernel_lincomb,
     l1_norm,
@@ -152,49 +151,42 @@ def test_unbounded_symbol_must_declare_ellipticity():
 
 
 # ---------------------------------------------------------------------------
-# Neumann inversion in the unitization
+# Neumann inversion against the unit
 # ---------------------------------------------------------------------------
 
 
 def test_neumann_geometric_oracle():
-    # u = 1 + c*delta inverts to 1 - c/(1+c)*delta since delta is idempotent
+    # g = c*delta inverts to 1 - c/(1+c)*delta since delta is idempotent
     g = box(12, 3.0)
     c = 0.35
-    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(c, delta_kernel(g))]))
-    w = neumann_inverse(u, FIELD)
-    assert w.scalar == 1.0
+    w = neumann_inverse(kernel_lincomb([(c, delta_kernel(g))]), FIELD)
     want = kernel_lincomb([(-c / (1.0 + c), delta_kernel(g))])
-    assert l1_norm(kernel_lincomb([(1.0, w.kernel), (-1.0, want)])) < 1e-9
-    info = w.kernel.meta["neumann"]
+    assert l1_norm(kernel_lincomb([(1.0, w), (-1.0, want)])) < 1e-9
+    info = w.meta["neumann"]
     assert 15 <= info["terms"] <= 30
     assert info["residual"] < 1e-9
 
 
-def test_neumann_scalar_only():
-    w = neumann_inverse(UnitizedKernel(scalar=2.0, kernel=None), FIELD)
-    assert w.scalar == 0.5 and w.kernel is None
+def test_neumann_leaves_its_argument_unchanged():
+    # the series negates its input in place, so it runs on a copy
+    g = box(12, 3.0)
+    k = kernel_lincomb([(0.35, delta_kernel(g)), (0.1, multiplier_kernel(bump_potential, g))])
+    before = k.values.copy()
+    neumann_inverse(k, FIELD)
+    assert np.array_equal(k.values, before)
 
 
 def test_neumann_radius_guard():
     g = box(12, 3.0)
-    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(1.2, delta_kernel(g))]))
     with pytest.raises(ValueError, match="Neumann radius"):
-        neumann_inverse(u, FIELD)
+        neumann_inverse(kernel_lincomb([(1.2, delta_kernel(g))]), FIELD)
 
 
 def test_neumann_stall_guard():
     # radius 0.95 needs more terms than the series allows
     g = box(12, 3.0)
-    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(0.95, delta_kernel(g))]))
     with pytest.raises(RuntimeError, match="stalled after 200 terms"):
-        neumann_inverse(u, FIELD)
-
-
-def test_neumann_zero_unit_guard():
-    g = box(12, 3.0)
-    u = UnitizedKernel(scalar=0.0, kernel=delta_kernel(g))
-    with pytest.raises(ValueError, match="unit part"):
-        neumann_inverse(u, FIELD)
+        neumann_inverse(kernel_lincomb([(0.95, delta_kernel(g))]), FIELD)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +394,7 @@ def test_resolvent_step_errors_propagate(monkeypatch):
     monkeypatch.setattr(module, "moyal_inverse", lambda *args: anchor)
     calls = []
 
-    def boom(g, field):
+    def boom(g, field, remedy):
         calls.append(l1_norm(g))
         raise ValueError("boom")
 
@@ -732,9 +724,8 @@ def test_non_finite_z_is_refused_before_any_product(small_base, no_products):
 
 def test_neumann_radius_guard_refuses_nan():
     g = box(12, 3.0)
-    u = UnitizedKernel(scalar=1.0, kernel=kernel_lincomb([(np.nan, delta_kernel(g))]))
     with pytest.raises(ValueError, match="Neumann radius"):
-        neumann_inverse(u, FIELD)
+        neumann_inverse(kernel_lincomb([(np.nan, delta_kernel(g))]), FIELD)
 
 
 def test_find_a0_stops_at_a_non_finite_defect_norm(monkeypatch):

@@ -423,6 +423,17 @@ def test_fibered_constant_potential_shifts_every_value(h):
     shifted = fibered_spectrum(tanh_profile, h, grid, potential=2.0)
     assert len(plain) > 0 and len(shifted) == len(plain)
     assert np.abs(shifted.values - (plain.values + 2.0)).max() <= 1e-9
+    # a finite window pads the fiber range by sqrt(hi - min V), so V moves
+    # the range; the fibers stay on one lattice and every value in the
+    # window shifts exactly
+    grid = BoxGrid(dim=2, half_length=4.0, n=16)
+    profile = lambda t: 1.5 * (1.0 + 0.2 * np.tanh(t))
+    plain = fibered_spectrum(profile, h, grid, window=(0.0, 6.0))
+    shifted = fibered_spectrum(profile, h, grid, potential=0.9, window=(0.0, 6.0))
+    want = plain.values + 0.9
+    want = want[want <= 6.0]
+    assert len(want) > 0 and len(shifted) == len(want)
+    assert np.abs(shifted.values - want).max() <= 1e-12
 
 
 def test_fiber_kinetic_rows_take_the_grid_convention(monkeypatch):
