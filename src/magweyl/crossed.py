@@ -77,6 +77,14 @@ Sampled values at off-lattice base points come from the kernel's exact
 callable when present, else from symmetric interpolation (linear by
 default; linear never overshoots, which keeps ‖rep(φ)‖ ≤ ‖φ‖₁ exact).
 
+The operands of a product or a sum share one grid and the field has its
+dimension (``grid._common_grid``); windows are cut, padded and added on
+their central nodes (``grid._central``, ``grid._fit_window``).  A
+multiplier kernel reads its potential through ``grid._node_values`` on
+the nodes and, in its callable, at the half-lattice points a product
+reads, so a V that is not finite between the nodes is refused by the
+first product that reads it.
+
 Base points beyond the box: kernels are zero there in truncated mode (the
 operator acts on the box), so shifted factors zero-extend; base-point
 independent kernels describe translation-covariant operators and their
@@ -101,8 +109,11 @@ The layer runs one fixed configuration:
   order 8 by default (``fields.DEFAULT_ORDER``); circulations run at
   their gauge's ``order``.
 * A product attaches a warning when its discarded tail exceeds 1e-2 of
-  ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).
-* ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``).
+  ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).  That
+  comparison is made in one helper, ``_warn_dropped``, which the
+  resolvent layer calls for its accumulated tails as well.
+* ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``); on a
+  complex array it makes no temporary of the array's size.
 * Block sizes, which bound the temporaries whatever the window: 8192
   node pairs per block when callable tilde values are tabled, and about
   as many points per call of a multiplier's callable (``_PAIR_BLOCK``);
@@ -139,7 +150,10 @@ from .grid import (
     PhaseGridFunction,
     partial_fourier_inv,
     shift_q,
+    _central,
     _check_scheme,
+    _common_grid,
+    _fit_window,
     _node_values,
     _require_centered,
     _shear,
@@ -188,9 +202,10 @@ def delta_kernel(grid: BoxGrid) -> KernelSample:
 
 
 def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:
-    """Kernel of the multiplication operator u ↦ v(Q)u.  The samples of v
-    on the nodes pass the one potential guard ``grid._node_values``
-    (complex values allowed)."""
+    """Kernel of the multiplication operator u ↦ v(Q)u.  v is read through
+    the one potential guard ``grid._node_values`` (complex values allowed):
+    on the nodes here, and by the kernel's callable at the half-lattice
+    points q ± x/2 that products read it at."""
     dim = grid.dim
     vals = _node_values(v, grid.points(), real=False).astype(complex) / grid.cell_volume
 
@@ -198,8 +213,8 @@ def multiplier_kernel(v: Callable, grid: BoxGrid) -> KernelSample:
         q = np.asarray(q, dtype=float)
         x = np.asarray(x, dtype=float)
         on = np.all(np.abs(x) < grid.delta / 4, axis=-1)
-        base = np.asarray(v(q), dtype=complex) / grid.cell_volume
-        return np.where(on, base, 0.0)
+        base = _node_values(v, q.reshape(-1, dim), real=False, where="half-lattice point")
+        return np.where(on, base.reshape(q.shape[:-1]).astype(complex) / grid.cell_volume, 0.0)
 
     if np.all(vals == vals[0]):
         # constant samples have no base-point dependence; storing the single
@@ -278,10 +293,8 @@ def kernel_lincomb(terms) -> KernelSample:
     terms = [(complex(c), k) for c, k in terms]
     if not terms:
         raise ValueError("empty linear combination")
-    grid = terms[0][1].grid
+    grid = _common_grid(terms[0][1].grid, *(k for _, k in terms))
     dim = grid.dim
-    if any(k.grid != grid for _, k in terms):
-        raise ValueError("kernels live on different grids")
     sheets = {k.sheet for _, k in terms if not k.q_independent}
     if len(sheets) > 1:
         raise ValueError("base-point dependent terms live on different sheets")
@@ -308,8 +321,7 @@ def _add_scaled(out: np.ndarray, c: complex, values: np.ndarray, dim: int) -> No
     a time, so no temporary of out's size is made.  Each entry rounds as in
     out + c·values.
     """
-    kk, kmax = values.shape[-1] // 2, out.shape[-1] // 2
-    dst = out[(Ellipsis,) + (slice(kmax - kk, kmax + kk + 1),) * dim]
+    dst = out[_central(values.shape[-1], out.shape[-1], dim)]
     if c == 1:
         dst += values
     elif c == -1:
@@ -643,18 +655,6 @@ def _clip_mass(sup_a, sup_b, keep_count, cell):
     return float(max(total - kept, 0.0)) * cell * cell
 
 
-def _fit_window(vals, count, dim):
-    """Cut the trailing ``dim`` displacement axes centrally to ``count``
-    nodes, or zero-pad them to it."""
-    d = vals.shape[-1]
-    k = abs(count - d) // 2
-    if count < d:
-        return vals[(Ellipsis,) + (slice(k, d - k),) * dim].copy()
-    if count > d:
-        return np.pad(vals, [(0, 0)] * (vals.ndim - dim) + [(k, k)] * dim)
-    return vals
-
-
 def _multiply(v, other, h, scheme, tilde):
     """Product with a displacement-0 factor v: the other factor's values
     times v read at base point q + h·x/2.
@@ -720,10 +720,7 @@ def _check_operands(phi, psi, field, sheet, out_disp_count) -> int:
     """Check the operands of a product and return its output count: the
     kept window, by default the natural one, at most the largest one the
     box represents."""
-    if phi.grid != psi.grid:
-        raise ValueError("kernels live on different grids")
-    if field.dim != phi.grid.dim:
-        raise ValueError("field dimension does not match the grid")
+    _common_grid(phi.grid, psi, field=field)
     if phi.grid.bc == "periodic":
         # the shear wraps base points around the torus while the product
         # zero-extends its factors past the box
@@ -840,15 +837,26 @@ def twisted_product(
         tail_mass=tail,
         sheet=sheet,
     )
-    scale = norm_phi * norm_psi
-    if scale > 0 and tail > tail_warn * scale:
+    if _warn_dropped(
+        tail, norm_phi * norm_psi, "twisted product discarded", "enlarge the displacement window", tail_warn
+    ):
         out.meta["tail_warning"] = True
-        warnings.warn(
-            f"twisted product discarded {tail:.3e} of L1 mass "
-            f"(relative {tail / scale:.3e}); enlarge the displacement window",
-            stacklevel=2,
-        )
     return out
+
+
+def _warn_dropped(
+    tail: float, scale: float, what: str, remedy: str, threshold: float = TAIL_WARN_FRACTION, stacklevel=3
+) -> bool:
+    """The one rule for dropped L¹ mass: warn, and return True, when ``tail``
+    exceeds ``threshold`` relative to ``scale``.  The warning says ``what``
+    dropped the mass, with the ``remedy``, and points ``stacklevel`` frames
+    up, by default at the code that called the public entry calling this
+    helper."""
+    if not (scale > 0 and tail > threshold * scale):
+        return False
+    message = f"{what} {tail:.3e} of L1 mass (relative {tail / scale:.3e}); {remedy}"
+    warnings.warn(message, stacklevel=stacklevel)
+    return True
 
 
 def twisted_product_reference(
@@ -1246,7 +1254,9 @@ def op_norm(op, *, tol: float = 1e-4, seed: int = 0) -> float:
     """Operator (spectral) norm; exact for small dense, power iteration else.
 
     Accepts OperatorMatrix, ndarray, BandedOperator, or any object with
-    matvec/rmatvec, including scipy LinearOperator compositions.
+    matvec/rmatvec, including scipy LinearOperator compositions.  A
+    complex array iterates without a temporary of its size: the adjoint
+    product is conj(conj(v) @ M).
     """
     if isinstance(op, OperatorMatrix):
         op = op.mat
@@ -1254,12 +1264,12 @@ def op_norm(op, *, tol: float = 1e-4, seed: int = 0) -> float:
         if op.shape[0] <= 3000:
             return float(np.linalg.norm(op, 2))
         mv = lambda v: op @ v
-        rmv = lambda v: op.conj().T @ v
-        size = op.shape[0]
+        rmv = lambda v: (v.conj() @ op).conj()
     else:
         mv = op.matvec
         rmv = op.rmatvec
-        size = op.shape[0]
+    # the iterate lives in the domain, whose size is the column count
+    size = op.shape[1]
     rng = np.random.default_rng(seed)
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     v /= np.linalg.norm(v)

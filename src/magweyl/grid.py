@@ -28,6 +28,22 @@ from here instead of restating them:
 * shear: base-point arrays move by half lattice steps through the one-axis
   shifts behind ``shift_q``; ``_shear`` moves every displacement row of a
   kernel to base points h·u/2 away, one pass per axis (``_shear_pass``).
+* windows: a window of c displacement nodes sits centrally in one of d
+  nodes, displacement 0 at node c // 2 of the one and d // 2 of the other
+  (``_central``); the full n-node lattice is such a window, and
+  ``_fit_window`` cuts or zero-pads from one window to another.
+
+Three input rules live here as well, each in one helper every layer calls:
+
+* samples of a user callable (a kinetic symbol, a potential, a field
+  profile) have the expected shape, are finite and, where required, real
+  within 1e-12·max(1, max|v|) (``_checked_samples``);
+* a potential V is read through ``_node_values`` wherever it is read: on
+  the nodes by assembly and by ``crossed.multiplier_kernel``, and by the
+  multiplier kernel's callable at the half-lattice points q ± x/2 that
+  products read it at, so V is checked there too;
+* operands share one grid, and a field's dimension is the grid's
+  (``_common_grid``).
 
 Kernels of phase-space symbols are stored as ``KernelSample``: values over
 (base point, displacement) with the displacement window truncated to
@@ -166,26 +182,57 @@ class MomentumGrid:
         return _tensor_mesh(self.axis(), self.box.dim)
 
 
-def _node_values(v, points: np.ndarray, real: bool = True) -> np.ndarray:
-    """The one reading of a potential or multiplier v at ``points``, nodes
-    stacked along the first axis: zero for None, a number or a 0-d value
-    as a constant, else the callable's values, one per node.  Refused
-    unless finite and, with ``real``, unless the imaginary part stays
-    within 1e-12·max(1, max|v|); the real part comes back as floats."""
-    count = len(points)
-    vals = np.asarray(0.0 if v is None else v(points) if callable(v) else v)
-    vals = np.full(count, vals) if vals.ndim == 0 else vals.ravel()
-    if vals.shape != (count,):
-        raise ValueError(f"potential must give one value per node: {vals.size} for {count} nodes")
+def _checked_samples(
+    vals, shape: tuple, what: str, where: str, real: bool = True, constant: bool = False
+) -> np.ndarray:
+    """The one check of a user callable's samples: ``vals`` must have
+    ``shape``, one value per point, and be finite and, with ``real``, keep
+    its imaginary part within 1e-12·max(1, max|v|); the real part then
+    comes back as floats.  With ``constant``, a single value (0-d or one
+    entry) stands for every point.  A refusal names ``what`` was sampled
+    and ``where``, the kind of point."""
+    vals = np.asarray(vals)
+    if constant and vals.size == 1:
+        vals = np.full(shape, vals.reshape(()))
+    if vals.shape != shape:
+        raise ValueError(f"{what} must give one value per {where}: {vals.size} for {int(np.prod(shape))}")
     if not np.all(np.isfinite(vals)):
-        raise ValueError("potential samples must be finite on the box")
+        raise ValueError(f"{what} is not finite at every {where}: it produced non-finite values")
     if not real:
         return vals
     if np.iscomplexobj(vals):
         if float(np.abs(vals.imag).max()) > 1e-12 * max(float(np.abs(vals).max()), 1.0):
-            raise ValueError("potential must be real-valued")
+            raise ValueError(f"{what} must be real-valued")
         vals = vals.real
     return vals.astype(float)
+
+
+def _node_values(v, points: np.ndarray, real: bool = True, where: str = "node") -> np.ndarray:
+    """The one reading of a potential or multiplier v at ``points``, stacked
+    along the first axis: zero for None, a number or a single value as a
+    constant, else the callable's values, one per point, through
+    ``_checked_samples``."""
+    vals = np.ravel(0.0 if v is None else v(points) if callable(v) else v)
+    return _checked_samples(vals, (len(points),), "potential", where, real, constant=True)
+
+
+def _common_grid(grid: BoxGrid, *operands, field=None, of: str = "") -> BoxGrid:
+    """``grid``, refused unless every operand (a kernel or a symbol) lives
+    on it and ``field``, when given, has its dimension; ``of`` names the
+    field's owner in that refusal."""
+    if any(op.grid != grid for op in operands):
+        raise ValueError("operands live on different grids")
+    if field is not None and field.dim != grid.dim:
+        raise ValueError(f"grid dimension {grid.dim} does not match the field dimension {field.dim}{of}")
+    return grid
+
+
+def _central(count: int, width: int, dim: int) -> tuple:
+    """Index of the central ``count`` nodes of a ``width``-node window along
+    each of the trailing ``dim`` axes; displacement 0 sits at node
+    count // 2 of the one and width // 2 of the other."""
+    lo = width // 2 - count // 2
+    return (Ellipsis,) + (slice(lo, lo + count),) * dim
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +436,25 @@ def _require_centered(k: KernelSample, what: str) -> None:
         )
 
 
-def _pad_disp_to_full(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Embed the trailing, truncated displacement axes into the full n-point
-    lattice, where displacement 0 sits at index n/2."""
-    count = values.shape[-1]
-    lo = grid.n // 2 - count // 2  # position of -k*delta in the full axis
-    return np.pad(values, [(0, 0)] * (values.ndim - grid.dim) + [(lo, grid.n - lo - count)] * grid.dim)
+def _fit_window(vals: np.ndarray, count: int, dim: int) -> np.ndarray:
+    """The trailing ``dim`` displacement axes cut centrally to ``count``
+    nodes, or zero-padded to it, in a new array; ``vals`` itself when they
+    have ``count`` nodes.  The full n-node lattice is a window too, with
+    displacement 0 at node n/2."""
+    d = vals.shape[-1]
+    if count == d:
+        return vals
+    out = np.zeros(vals.shape[:-dim] + (count,) * dim, dtype=vals.dtype)
+    keep = min(count, d)
+    out[_central(keep, count, dim)] = vals[_central(keep, d, dim)]
+    return out
 
 
 def partial_fourier(kernel: KernelSample) -> PhaseGridFunction:
     """Transform a sampled kernel to its phase-space symbol."""
     _require_centered(kernel, "partial_fourier")
     grid = kernel.grid
-    full = _pad_disp_to_full(kernel.values, grid)
+    full = _fit_window(kernel.values, grid.n, grid.dim)
     symbol = symbol_from_kernel_full(full, grid)
     return PhaseGridFunction(grid=grid, values=symbol, q_independent=kernel.q_independent)
 
@@ -412,19 +465,18 @@ def partial_fourier_inv(symbol: PhaseGridFunction, r_disp: Optional[float] = Non
 
     The default window is the largest symmetric one (radius L - delta).
     The L1 mass dropped by the truncation is recorded in ``tail_mass``; the
-    unpaired displacement row at -L is always dropped.
+    unpaired displacement row at -L is always dropped.  Length-1 axes of
+    the symbol are broadcast to length n first, so the kernel is that of
+    the full array, bit for bit.
     """
     grid = symbol.grid
     dim = grid.dim
-    full = kernel_from_symbol_full(symbol.values, grid)
+    full = kernel_from_symbol_full(np.broadcast_to(symbol.values, (grid.n,) * symbol.values.ndim), grid)
     if r_disp is None:
         disp_count = grid.max_disp_count()
     else:
         disp_count = grid.disp_count_for_radius(r_disp)
-    k = disp_count // 2
-    n = grid.n
-    sl = [slice(None)] * (full.ndim - dim) + [slice(n // 2 - k, n // 2 + k + 1)] * dim
-    kept = full[tuple(sl)].copy()
+    kept = _fit_window(full, disp_count, dim)
     if symbol.q_independent:
         total = np.abs(full)
         kept_abs = np.abs(kept)

@@ -38,8 +38,9 @@ The layer runs one fixed configuration:
   from the real float array returned; only the fibered route evaluates h
   again, at its fiber points.  The guard refuses an unbounded ``Symbol``
   without ellipticity constants, samples that are not one real finite
-  scalar per point and, for a plain callable, samples whose minimum lies
-  on the outer shell of the momentum mesh (not elliptic).
+  scalar per point (``grid._checked_samples``) and, for a plain callable,
+  samples whose minimum lies on the outer shell of the momentum mesh (not
+  elliptic).
 * Every momentum kernel of those layers comes from such samples through
   ``_momentum_kernel``, which drops displacement rows relatively below
   1e-15 (``_KERNEL_TRIM``); on the benchmark grids the |p|² kernel keeps
@@ -58,7 +59,16 @@ import numpy as np
 
 from .crossed import _SCHEME, twisted_product
 from .fields import MagneticField, omega_b
-from .grid import BoxGrid, KernelSample, PhaseGridFunction, partial_fourier, partial_fourier_inv
+from .grid import (
+    BoxGrid,
+    KernelSample,
+    PhaseGridFunction,
+    partial_fourier,
+    partial_fourier_inv,
+    _central,
+    _checked_samples,
+    _common_grid,
+)
 
 __all__ = [
     "Symbol",
@@ -193,11 +203,11 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
     """Real float samples of a kinetic symbol h, a callable or a ``Symbol``,
     on the momentum mesh of ``grid`` or else on the ``Symbol``'s radial
     reference sample.  Refuses an unbounded ``Symbol`` without ellipticity
-    constants, a wrong shape, non-finite samples (either part),
-    imaginary parts above 1e-12·max(1, max|h|) and, for a plain callable,
-    samples whose minimum sits on the outer shell of the momentum mesh:
-    an elliptic symbol grows outward, so its minimum lies strictly
-    inside."""
+    constants, samples that ``grid._checked_samples`` refuses (a wrong
+    shape, non-finite samples in either part, imaginary parts above
+    1e-12·max(1, max|h|)) and, for a plain callable, samples whose minimum
+    sits on the outer shell of the momentum mesh: an elliptic symbol grows
+    outward, so its minimum lies strictly inside."""
     # plain callables are admitted on the strength of their samples alone
     if isinstance(h, Symbol) and h.order > 0 and h.elliptic is None:
         raise ValueError("symbol of positive order must declare ellipticity constants")
@@ -205,16 +215,7 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
         pts = grid.momentum().mesh()
     else:
         pts = h._sample_points(_SAMPLE_RADIUS, _N_INFIMUM_SAMPLE)
-    vals = np.asarray(h(pts))
-    if vals.shape != pts.shape[:-1]:
-        raise ValueError("kinetic symbol must map momentum points to scalars")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("kinetic symbol produced non-finite values")
-    if np.iscomplexobj(vals):
-        scale = max(float(np.abs(vals).max()), 1.0)
-        if float(np.abs(vals.imag).max()) > 1e-12 * scale:
-            raise ValueError("kinetic symbol must be real-valued")
-        vals = vals.real
+    vals = _checked_samples(h(pts), pts.shape[:-1], "kinetic symbol", "momentum point")
     if not isinstance(h, Symbol):
         shell = np.ones(vals.shape, dtype=bool)
         shell[(slice(1, -1),) * vals.ndim] = False
@@ -224,7 +225,7 @@ def _symbol_samples(h, grid: Optional[BoxGrid] = None) -> np.ndarray:
                 "kinetic symbol looks non-elliptic: its minimum over the momentum "
                 "box sits on the outer shell"
             )
-    return vals.astype(float)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +292,18 @@ def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
     if rel_tol <= 0.0 or d <= 1:
         return k
     dim = k.grid.dim
-    kk = d // 2
-    base_axes = () if k.q_independent else tuple(range(dim))
-    amax = np.max(np.abs(k.values), axis=base_axes) if base_axes else np.abs(k.values)
+    amax = k.sup_over_q()
     top = float(np.max(amax))
     if top == 0.0:
         keep = 0
     else:
-        idx = np.indices((d,) * dim)
-        cheb = np.max(np.abs(idx - kk), axis=0)
+        cheb = np.max(np.abs(np.indices((d,) * dim) - d // 2), axis=0)
         keep = int(np.max(cheb[amax > rel_tol * top], initial=0))
     if 2 * keep + 1 >= d:
         return k
-    sl = (Ellipsis,) + (slice(kk - keep, kk + keep + 1),) * dim
     return KernelSample(
         grid=k.grid,
-        values=k.values[sl],
+        values=k.values[_central(2 * keep + 1, d, dim)],
         q_independent=k.q_independent,
         func=k.func,
         tail_mass=k.tail_mass,
@@ -336,8 +333,7 @@ def moyal(
     of relative size below ``trim_tol`` are dropped from the factor kernels
     first; set 0 to keep every row.
     """
-    if f.grid != g.grid:
-        raise ValueError("symbols live on different grids")
+    _common_grid(f.grid, g, field=field)
     kf = trim_kernel(partial_fourier_inv(f), trim_tol)
     kg = trim_kernel(partial_fourier_inv(g), trim_tol)
     prod = twisted_product(kf, kg, field, scheme=scheme)

@@ -47,9 +47,14 @@ momentum kernel is built from those samples hv (hv + a, 1/(hv + a),
 hv - z) by ``moyal._momentum_kernel``.  ``_defect_kernel``, shared by
 every defect, runs the shift guard ``_check_shift`` (a shift not finite
 or below -inf h + 1).  z's guard is ``_finite_z``, V's
-``grid._node_values`` through ``multiplier_kernel``; every Neumann series
-runs through ``_inv_one_plus``, which refuses a radius not below 1, NaN
-included, with its caller's remedy.
+``grid._node_values`` through ``multiplier_kernel``, on the nodes and, in
+the first product, at the half-lattice points it reads V at; every
+Neumann series runs through ``_inv_one_plus``, which refuses a radius not
+below 1, NaN included, with its caller's remedy.  ``find_a0`` refuses a
+budget that is not a whole number of rungs, at least one, and
+``_defect_scaling`` a shift ladder that is not finite, non-empty,
+positive and strictly increasing, or whose first rung fails the shift
+guard.
 
 Each inverse has one route and one audit.  ``_times_inverse`` makes
 Φ ⋄ (1 + g)^(-1) = Φ + Φ ⋄ w (or its left mirror) from one series: both
@@ -61,7 +66,8 @@ factors whose pairs are expanded op-major.
 Interpolation and quadrature options live on the algebra layer
 (``twisted_product``, ``rep``, ``moyal``); every product here takes its
 defaults.  Intermediate products suppress the per-call clipped-tail
-warning and the accumulated tail is surfaced once on the final kernel.
+warning and the accumulated tail is surfaced once on the final kernel,
+through the product's own rule, ``crossed._warn_dropped``.
 
 A base-point dependent kernel holds n^N d^N complex values (15.7 MB at
 n=32 in two dimensions), so each kernel-size array has one owner and one
@@ -79,14 +85,12 @@ an exact zero inside the series may differ.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .crossed import (
-    TAIL_WARN_FRACTION,
     delta_kernel,
     kernel_lincomb,
     l1_norm,
@@ -94,6 +98,7 @@ from .crossed import (
     twisted_product,
     _add_into,
     _to_tilde,
+    _warn_dropped,
 )
 from .fields import MagneticField
 from .grid import BoxGrid, KernelSample
@@ -331,8 +336,11 @@ def find_a0(
     first rung whose defect norm is below 0.9 and refuses a norm that is
     not finite.  Field-free symbols return the floor immediately (the
     defect vanishes identically).  The search is deterministic: same
-    inputs, same rung, bit for bit.
+    inputs, same rung, bit for bit.  A ``budget`` that is not a whole
+    number of rungs, at least one, is refused before any product.
     """
+    if not (isinstance(budget, (int, np.integer)) and budget >= 1):
+        raise ValueError(f"budget = {budget} must be a whole number of rungs, at least one")
     hv = _symbol_samples(h, grid)
     a_min = -float(hv.min()) + 1.0
     trace = []
@@ -450,14 +458,11 @@ def neumann_inverse(g: KernelSample, field: MagneticField) -> KernelSample:
 # ---------------------------------------------------------------------------
 
 
-def _surface_tail(k: KernelSample, context: str) -> None:
-    scale = l1_norm(k)
-    if scale > 0 and k.tail_mass > TAIL_WARN_FRACTION * scale:
-        warnings.warn(
-            f"{context} carries {k.tail_mass:.3e} of clipped L1 mass "
-            f"(relative {k.tail_mass / scale:.3e}); enlarge the box",
-            stacklevel=3,
-        )
+def _surface_tail(k: KernelSample, name: str) -> None:
+    """Warn once, through the product's rule, when the products that built
+    ``k`` dropped too much L¹ mass relative to ‖k‖₁; the warning points at
+    the caller of the public entry."""
+    _warn_dropped(k.tail_mass, l1_norm(k), f"the {name}'s products dropped", "enlarge the box", stacklevel=4)
 
 
 def moyal_inverse(h, a: float, field: MagneticField, grid: BoxGrid) -> ResolventElement:
@@ -647,8 +652,18 @@ def resolvent_with_potential(
 
 def _defect_scaling(hv, field, grid, ladder, mu):
     """Defect norms along the shift ladder, from the samples hv of h, and
-    their envelope norm(a₀)·(a/a₀)^(-1/μ) from the first rung a₀."""
+    their envelope norm(a₀)·(a/a₀)^(-1/μ) from the first rung a₀.  The
+    ladder must be finite, non-empty, positive and strictly increasing,
+    0 < a₀ < a₁ < ..., the ladders the envelope is defined for, and a₀
+    must pass the shift guard, so every rung clears its floor."""
     a = np.asarray(ladder, dtype=float)
+    ok = a.ndim == 1 and a.size > 0 and bool(np.all(np.isfinite(a)))
+    if ok:
+        _check_shift(hv, a[0])
+    if not (ok and a[0] > 0 and np.all(np.diff(a) > 0)):
+        raise ValueError(
+            f"shift ladder must be finite, non-empty, positive and strictly increasing, got {ladder}"
+        )
     norms = np.array([l1_norm(_defect_kernel(hv, s, field, grid)[2]) for s in a])
     envelope = norms[0] * (a / a[0]) ** (-1.0 / mu)
     return {

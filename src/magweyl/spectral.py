@@ -17,7 +17,8 @@ takes the complex solve.
 Assembly has one route: ``rep(gauge, kernel)`` of the symbol's trimmed
 kernel (``moyal._momentum_kernel``, which drops displacement rows below
 1e-15 of the largest, so a stencil symbol keeps its stencil width) plus
-the diagonal potential.  Only the gauge depends on the spec: an
+the diagonal potential.  Only the gauge depends on the spec, and
+``_gauge`` picks it for ``assemble`` and the box ladder alike: an
 explicit ``vector_potential``, else the transversal gauge (closed
 circulation for constant fields, else the flux through the triangle
 (0, x, y) by one tensor quadrature).  The operator is gauge covariant,
@@ -42,7 +43,8 @@ The layer runs one fixed configuration:
 * A state counts as bulk when at least 0.6 of its mass (``_BULK_THETA``)
   lies outside a boundary collar one eighth of the box half-length wide
   (``_COLLAR_FRAC``).  ``SpectrumResult.bulk_scores``, the fiber filter of
-  ``fibered_spectrum`` and the box-ladder detector all read these two.
+  ``fibered_spectrum`` and the box-ladder detector all apply the rule
+  through one helper, ``_bulk_states``.
 * ``asymptotic_spectra`` merges points closer than 1e-6 (``_EPS_MERGE``)
   and gives a free band as its points at the step (hi - lo)/2000
   (``_BAND_STEPS``).
@@ -65,12 +67,14 @@ run once by each of ``assemble``, ``fibered_spectrum`` and
 mesh are the only reading of h there: assembly transforms them, the
 union tests them for |p|², and the fibered route tests them for
 separability and reads a separable fiber's kinetic row from them.  h is
-evaluated otherwise only at the fiber points (p, A(x) - k).  V
-``grid._node_values``, shared with ``crossed.multiplier_kernel`` (a wrong
-count, non-finite samples or an imaginary part); a window
+evaluated otherwise only at the fiber points (p, A(x) - k), whose
+samples pass ``grid._checked_samples``, the check behind every sample
+guard.  V ``grid._node_values``, shared with ``crossed.multiplier_kernel``
+(a wrong count, non-finite samples or an imaginary part); a window
 ``_window`` (a NaN end or lo >= hi, and with ``finite`` an infinite end);
-a fibered field profile ``_antiderivative`` (non-finite samples).  A
-field on the grid is checked in :mod:`magweyl.fields`.
+a fibered field profile ``_antiderivative`` (non-finite samples, through
+``grid._checked_samples``); the field's dimension ``grid._common_grid``.
+A field on the grid is checked in :mod:`magweyl.fields`.
 
 The probe radii and tolerances of the anisotropy descriptors are listed
 in :mod:`magweyl.fields`.
@@ -91,7 +95,7 @@ from .fields import (
     transversal_gauge,
     unit_gauss_legendre,
 )
-from .grid import BoxGrid, _node_values, _periodic_multiplier
+from .grid import BoxGrid, _checked_samples, _common_grid, _node_values, _periodic_multiplier
 from .moyal import Symbol, _momentum_kernel, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
@@ -153,14 +157,21 @@ class SpectrumResult:
         """
         if self.vectors is None or self.grid is None:
             raise ValueError("bulk scores need eigenvectors and a grid")
-        grid = self.grid
-        if collar is None:
-            collar = grid.half_length * _COLLAR_FRAC
-        mask = grid.interior_mask(collar).ravel()
-        dens = np.abs(self.vectors) ** 2
-        total = dens.sum(axis=0)
-        total[total == 0] = 1.0
-        return dens[mask, :].sum(axis=0) / total
+        return _bulk_states(self.vectors, self.grid, collar)[0]
+
+
+def _bulk_states(vectors: np.ndarray, grid: BoxGrid, collar: Optional[float] = None) -> tuple:
+    """The one bulk rule: each state's (column of ``vectors`` on the nodes of
+    ``grid``) share of its mass outside a boundary collar, one eighth of
+    the box half-length wide by default, and whether that share reaches
+    ``_BULK_THETA``."""
+    if collar is None:
+        collar = grid.half_length * _COLLAR_FRAC
+    dens = np.abs(vectors) ** 2
+    total = dens.sum(axis=0)
+    total[total == 0] = 1.0
+    scores = dens[grid.interior_mask(collar).ravel(), :].sum(axis=0) / total
+    return scores, scores >= _BULK_THETA
 
 
 @dataclass
@@ -272,24 +283,29 @@ class SchrodingerSpec:
 def _antiderivative(beta: Callable, xs: np.ndarray) -> np.ndarray:
     """P(x) = int_0^x beta at the increasing nodes ``xs``, by a
     Gauss-Legendre rule of order ``_GAUGE_ORDER`` on each interval between
-    consecutive points of ``xs`` and 0.  A sample that is not finite
-    raises ``ValueError``."""
+    consecutive points of ``xs`` and 0.  The samples of beta pass
+    ``grid._checked_samples`` (a single value stands for every node)."""
     t = np.union1d(xs, 0.0)
     u, w = unit_gauss_legendre(_GAUGE_ORDER)
     width = np.diff(t)
     nodes = (t[:-1, None] + width[:, None] * u).ravel()
-    vals = np.broadcast_to(np.asarray(beta(nodes), dtype=float), nodes.shape)
-    if not np.isfinite(vals).all():
-        raise ValueError("field profile is not finite on the gauge quadrature nodes")
+    vals = _checked_samples(beta(nodes), nodes.shape, "field profile", "gauge quadrature node", constant=True)
     prim = np.concatenate([[0.0], np.cumsum(vals.reshape(-1, len(u)) @ w * width)])
     return (prim - prim[np.searchsorted(t, 0.0)])[np.searchsorted(t, xs)]
+
+
+def _gauge(spec: SchrodingerSpec) -> VectorPotential:
+    """The gauge a spec is assembled in: its explicit ``vector_potential``,
+    else the transversal gauge of its field."""
+    if spec.vector_potential is not None:
+        return spec.vector_potential
+    return transversal_gauge(spec.field_or_zero())
 
 
 def _checked_values(spec: SchrodingerSpec) -> tuple:
     """Symbol values on the momentum mesh and potential values on the nodes
     of ``spec.grid``, after the checks ``assemble`` makes of a spec."""
-    if spec.field_or_zero().dim != spec.grid.dim:
-        raise ValueError("field dimension does not match the grid")
+    _common_grid(spec.grid, field=spec.field_or_zero())
     return _symbol_samples(spec.h, spec.grid), spec.potential_values(spec.grid)
 
 
@@ -321,10 +337,7 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
         return OperatorMatrix(mat=mat, grid=grid)
 
     kernel = _momentum_kernel(hvals, grid)
-    pot = spec.vector_potential
-    if pot is None:
-        pot = transversal_gauge(field)
-    mat = rep(pot, kernel).mat
+    mat = rep(_gauge(spec), kernel).mat
     real_kernel = np.max(np.abs(kernel.values.imag)) <= 1e-13 * np.max(np.abs(kernel.values.real))
     if spec.vector_potential is None and field.is_zero and real_kernel:
         # no phase: keep the real matrix so eig takes the real solver
@@ -695,12 +708,12 @@ def _fiber_family(profile: Callable, h, hv: np.ndarray, grid1: BoxGrid, invarian
         if split is not None:
             pts = np.zeros((n, 2))
             pts[:, invariant_axis] = a_vals - k
-            kin, diag = t_kin, np.asarray(h(pts), dtype=float) - base
+            kin, diag = t_kin, _checked_samples(h(pts), (n,), "kinetic symbol", "fiber point") - base
         else:
             pts = np.empty((len(pm), n, n, 2))
             pts[..., varying] = pm[:, None, None]
             pts[..., invariant_axis] = (a_bar - k)[None, :, :]
-            hv = np.asarray(h(pts), dtype=float)
+            hv = _checked_samples(h(pts), pts.shape[:-1], "kinetic symbol", "fiber point")
             kin, diag = np.einsum("mij,mj,mi->ij", hv, wave, wave.conj()) / n, 0.0
         return kin + np.diag(diag + v_vals)
 
@@ -751,13 +764,11 @@ def fibered_spectrum(
     pad = np.sqrt(max(hi - np.min(v_vals), 1.0)) if np.isfinite(hi) else np.pi / grid1.delta
     dk = np.pi / (2.0 * grid1.half_length)
     ks = dk * np.arange(np.ceil((np.min(a_vals) - pad) / dk), np.floor((np.max(a_vals) + pad) / dk) + 1)
-    interior = grid1.interior_mask(grid1.half_length * _COLLAR_FRAC)
-
     fiber_values, fiber_kept = [], []
     for k in ks:
         vals, vecs = np.linalg.eigh(fiber(k))
         fiber_values.append(vals)
-        fiber_kept.append((np.abs(vecs[interior, :]) ** 2).sum(axis=0) >= _BULK_THETA)
+        fiber_kept.append(_bulk_states(vecs, grid1)[1])
     fiber_values = np.stack(fiber_values)
     fiber_kept = np.stack(fiber_kept)
     flat = fiber_values[fiber_kept]
@@ -802,11 +813,7 @@ def asymptotic_spectra(
     band_step = (hi - lo) / _BAND_STEPS
     pairs = asymptotic_pairs(descriptor)
     for pair in pairs:
-        if pair.field.dim != grid.dim:
-            raise ValueError(
-                f"grid dimension {grid.dim} does not match the field dimension "
-                f"{pair.field.dim} of the pair {pair.label!r}"
-            )
+        _common_grid(grid, field=pair.field, of=f" of the pair {pair.label!r}")
     free = _is_free_kinetic(_symbol_samples(h, grid), grid)
 
     def solve(pair):
@@ -875,7 +882,7 @@ class EssentialEstimate:
 
 def _cluster_records(res: SpectrumResult, delta: float):
     # cluster on indices so values stay aligned with bulk scores
-    scores = res.bulk_scores()
+    scores, bulk_all = _bulk_states(res.vectors, res.grid)
     records = []
     vals = res.values
     if len(vals) == 0:
@@ -883,8 +890,7 @@ def _cluster_records(res: SpectrumResult, delta: float):
     cuts = np.flatnonzero(np.diff(vals) > delta) + 1
     for seg in np.split(np.arange(len(vals)), cuts):
         v = vals[seg]
-        s = scores[seg]
-        bulk = s >= _BULK_THETA
+        s, bulk = scores[seg], bulk_all[seg]
         if np.any(bulk):
             center = float(np.average(v[bulk], weights=s[bulk]))
         else:
@@ -1061,9 +1067,7 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     nothing.  The table is reachable through the rung specs only.
     """
     specs = [spec.with_grid(g) for g in rungs]
-    pot = spec.vector_potential
-    if pot is None:
-        pot = transversal_gauge(spec.field_or_zero())
+    pot = _gauge(spec)
     if rungs[0].bc == "periodic" or pot._transversal is None:
         return specs
     # node counts are even, so the axes (i - (n-1)/2)·δ of rungs with one

@@ -1425,6 +1425,20 @@ def test_banded_periodic_wraps():
     assert np.abs(out - np.roll(v, -1)).max() < 1e-13
 
 
+def test_op_norm_of_a_large_complex_array_makes_no_matrix_size_temporary():
+    # the adjoint op.conj().T @ v conjugated the whole matrix on every power
+    # iteration, and the iterate had the row count, so a tall array raised
+    # a shape mismatch in its first product
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=3001) + 1j * rng.normal(size=3001)
+    w = rng.normal(size=1000) + 1j * rng.normal(size=1000)
+    m = np.outer(u / np.linalg.norm(u), (w / np.linalg.norm(w)).conj())
+    m *= 2.5
+    peak, got = traced_peak(lambda: op_norm(m))
+    assert abs(got - 2.5) <= 1e-6 * 2.5
+    assert peak < 0.01 * m.nbytes
+
+
 def test_op_norm_matches_svd():
     rng = np.random.default_rng(41)
     m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))

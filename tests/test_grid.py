@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from magweyl.fields import MagneticField
 from magweyl.grid import (
     BoxGrid,
     PhaseGridFunction,
@@ -13,6 +14,7 @@ from magweyl.grid import (
     kernel_from_symbol_full,
     shift_q,
 )
+from magweyl.moyal import moyal
 
 
 def test_axis_symmetric_no_origin():
@@ -172,6 +174,19 @@ def test_malformed_axes_are_refused():
         grid=g, values=np.broadcast_to(f.values, (12,) * 4).copy(), q_independent=False
     )
     assert partial_fourier_inv(f).values.tobytes() == partial_fourier_inv(full).values.tobytes()
+
+
+def test_length_one_base_axes_transform():
+    # a base-point independent symbol sampled as a function of (q, p) keeps
+    # length-1 base axes; partial_fourier_inv refused it with "base-point
+    # axes (1,) must each have length 16", and so did moyal
+    g = BoxGrid(dim=1, half_length=4.0, n=16)
+    f = PhaseGridFunction.sample(lambda q, p: np.exp(-0.1 * np.sum(p * p, axis=-1)), g, q_independent=False)
+    assert f.values.shape == (1, 16)
+    full = PhaseGridFunction(grid=g, values=np.broadcast_to(f.values, (16, 16)).copy(), q_independent=False)
+    assert partial_fourier_inv(f).values.tobytes() == partial_fourier_inv(full).values.tobytes()
+    field = MagneticField.zero(1)
+    assert moyal(f, f, field).values.tobytes() == moyal(full, full, field).values.tobytes()
 
 
 def test_kernel_copy_keeps_meta():

@@ -824,6 +824,56 @@ def test_potential_with_a_wrong_count_is_refused_before_any_product(small_base, 
         resolvent_with_potential(trig_kinetic(g), lambda q: 0.1 * np.ones(12), FIELD, g, Z1, base=base)
 
 
+def test_potential_infinite_between_nodes_is_refused_by_the_first_product(small_base, monkeypatch):
+    # 0.05/|q| is finite at every node but not at the origin, a half-lattice
+    # point the first product reads v at; it failed later on with "Neumann
+    # radius ‖g‖₁ = nan is not below 1; increase |Im z| or shrink the potential"
+    g, base = small_base
+    module = importlib.import_module("magweyl.resolvent")
+    products = []
+
+    def counted(*args, **kwargs):
+        products.append(args)
+        return twisted_product(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Neumann series ran on a refused potential")
+
+    monkeypatch.setattr(module, "twisted_product", counted)
+    monkeypatch.setattr(module, "_inv_one_plus", refuse)
+
+    def v(q):
+        r = np.sqrt(np.sum(np.asarray(q) ** 2, axis=-1))
+        return np.where(r < 1e-9, np.inf, 0.05 / np.maximum(r, 1e-9))
+
+    with pytest.raises(ValueError, match="potential is not finite at every half-lattice point"):
+        resolvent_with_potential(trig_kinetic(g), v, FIELD, g, Z1, base=base)
+    assert len(products) == 1
+
+
+@pytest.mark.parametrize("budget", [0, 2.5])
+def test_find_a0_refuses_a_budget_below_one(no_products, budget):
+    # budget=0 read the last entry of an empty trace (IndexError), and 2.5
+    # reached range() (TypeError)
+    with pytest.raises(ValueError, match=f"budget = {budget} must be a whole number of rungs"):
+        find_a0(continuum_kinetic, FIELD, BoxGrid(dim=2, half_length=3.0, n=16), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    [(), (16.0, np.inf), (0.0, 16.0), (32.0, 16.0)],
+    ids=["empty", "infinite", "zero", "decreasing"],
+)
+def test_audit_refuses_a_ladder_outside_the_envelope_domain(no_products, ladder):
+    # the envelope norm(a0)·(a/a0)^(-1/mu) is defined for 0 < a0 < a1 < ...;
+    # () raised IndexError, a0 = 0 divided by zero and a decreasing ladder
+    # reported within_envelope False
+    g = BoxGrid(dim=2, half_length=3.0, n=16)
+    words = "shift ladder must be finite, non-empty, positive and strictly increasing"
+    with pytest.raises(ValueError, match=words):
+        estimate_audit(continuum_kinetic, FIELD, {"grid": g, "grids": [g], "a_ladder": ladder})
+
+
 # ---------------------------------------------------------------------------
 # estimate audit
 # ---------------------------------------------------------------------------

@@ -376,6 +376,34 @@ def test_fibered_refuses_a_non_finite_field_profile(monkeypatch):
                          window=(0.0, 8.0))
 
 
+def test_fibered_reads_a_single_profile_value_as_a_constant():
+    # a profile giving one value for all quadrature nodes is the constant
+    # field, as a 0-d value is; the profile's sample check must keep both
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    want = fibered_spectrum(lambda t: np.ones_like(t), free_kinetic, grid, window=(0.0, 8.0))
+    for profile in (lambda t: 1.0, lambda t: np.ones(1)):
+        got = fibered_spectrum(profile, free_kinetic, grid, window=(0.0, 8.0))
+        assert np.array_equal(got.values, want.values)
+
+
+def test_fibered_refuses_a_symbol_not_finite_at_the_fiber_points(monkeypatch):
+    # |p|² on the momentum mesh, NaN past 1.05 p_max along the invariant
+    # axis, which the fibers reach at A(x) - k: the NaN reached
+    # numpy.linalg.eigh, which failed with "Eigenvalues did not converge"
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    grid = BoxGrid(dim=2, half_length=3.0, n=12)
+    p_max = grid.momentum().p_max
+
+    def cut(h):
+        return lambda p: np.where(np.abs(np.asarray(p)[..., 1]) > 1.05 * p_max, np.nan, h(p))
+
+    # a separable symbol reads h on the fiber diagonal, another on every
+    # pair of fiber momentum and gauge value
+    for h in (free_kinetic, nonseparable_kinetic):
+        with pytest.raises(ValueError, match="kinetic symbol is not finite at every fiber point"):
+            fibered_spectrum(lambda x: 1 + 0.5 * np.tanh(x), cut(h), grid)
+
+
 def nan_field():
     return MagneticField.from_scalar_2d(
         lambda x: np.where(np.abs(np.asarray(x)[..., 0]) > 2.0, np.nan, 0.5)
@@ -632,6 +660,14 @@ def test_asymptotic_spectra_refuses_a_grid_of_another_dimension(monkeypatch):
         monkeypatch.setattr(spectral_module, name, no_solve)
     desc = VanishingOscillation(dim=2, b_profile=lambda p: np.ones(p.shape[:-1]))
     with pytest.raises(ValueError, match="grid dimension 3 does not match"):
+        asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=3, half_length=2.0, n=4), (0.0, 8.0))
+
+
+def test_asymptotic_spectra_dimension_refusal_names_the_pair():
+    # with several pairs the refusal must say which pair's field is wrong
+    desc = VanishingOscillation(dim=2, b_profile=lambda p: np.ones(p.shape[:-1]))
+    label = asymptotic_pairs(desc)[0].label
+    with pytest.raises(ValueError, match=f"field dimension 2 of the pair '{label}'"):
         asymptotic_spectra(desc, free_kinetic, BoxGrid(dim=3, half_length=2.0, n=4), (0.0, 8.0))
 
 
