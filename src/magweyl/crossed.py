@@ -90,6 +90,9 @@ operator acts on the box), so shifted factors zero-extend; base-point
 independent kernels describe translation-covariant operators and their
 values extend unchanged.  Products refuse periodic boxes, where the shear
 would wrap base points that the product zero-extends; ``rep`` wraps them.
+Which node a step reaches, and whether it is in the box, is the box-edge
+convention of :mod:`magweyl.grid`: the pair walk and ``BandedOperator``
+read it from ``grid._neighbours``, the shifts from the grid they are given.
 
 On a truncated box ``rep`` integrates each unordered node pair once:
 reversing the segment [x, y] negates its circulation, so the phase of a
@@ -154,12 +157,12 @@ from .grid import (
     _check_scheme,
     _common_grid,
     _fit_window,
+    _neighbours,
     _node_values,
     _require_centered,
     _shear,
     _shear_pass,
     _shift_axis_half,
-    _shift_axis_int,
     _tensor_mesh,
 )
 
@@ -696,14 +699,13 @@ def _multiply(v, other, h, scheme, tilde):
     samples = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
     if h:
         _check_scheme(scheme)
-        periodic = grid.bc == "periodic"
         vv = np.empty((n,) * dim + (d,) * (dim - 1), dtype=complex)
     else:
         vv = samples[(Ellipsis,) + (None,) * (dim - 1)]
     for j in range(d):
         sl = (Ellipsis, j) + (slice(None),) * (dim - 1)
         if h:
-            vv[...] = _shift_axis_half(samples, 0, h * (j - kk), scheme, periodic)[
+            vv[...] = _shift_axis_half(samples, 0, h * (j - kk), scheme, grid)[
                 (Ellipsis,) + (None,) * (dim - 1)]
             for ax in range(1, dim):
                 _shear_pass(vv, vv, ax, grid, h, scheme)
@@ -732,8 +734,8 @@ def _check_operands(phi, psi, field, sheet, out_disp_count) -> int:
         raise ValueError("sheet must be 'centered' or 'tilde'")
     if out_disp_count is None:
         out_disp_count = phi.disp_count + psi.disp_count - 1
-    elif out_disp_count % 2 != 1:
-        raise ValueError("output displacement count must be odd")
+    elif out_disp_count < 1 or out_disp_count % 2 != 1:
+        raise ValueError(f"output displacement count must be a positive odd number, got {out_disp_count}")
     return min(out_disp_count, phi.grid.max_disp_count())
 
 
@@ -984,11 +986,16 @@ class OperatorMatrix:
 
 @dataclass
 class BandedOperator:
-    """Matrix-free operator Σ_u c(x;u) shift_u, one band per displacement."""
+    """Matrix-free operator Σ_u c(x;u) shift_u, one band per displacement.
+
+    Row x, band u reaches the column x + u as the box edge rule of
+    ``grid._neighbours`` says (the "box edge" convention of
+    :mod:`magweyl.grid`): on a truncated box a band past the edge is not
+    read, on a periodic one it wraps.
+    """
 
     grid: BoxGrid
     coeffs: np.ndarray  # (n,)*dim + (d,)*dim
-    periodic: bool = False
 
     @property
     def disp_count(self) -> int:
@@ -1006,59 +1013,36 @@ class BandedOperator:
     def dtype(self):
         return self.coeffs.dtype
 
+    def _bands(self) -> tuple:
+        """The column of every (row, band), ``size`` where the band leaves
+        the box, and the bands as a (rows, bands) array."""
+        col, inside = _neighbours(self.grid, np.arange(self.size), self.disp_count)
+        return np.where(inside, col, self.size), self.coeffs.reshape(self.size, -1)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        dim = grid.dim
-        d = self.disp_count
-        kk = d // 2
-        arr = np.asarray(v).reshape((grid.n,) * dim)
-        out = np.zeros_like(arr, dtype=complex)
-        for j in np.ndindex(*(d,) * dim):
-            c = self.coeffs[(Ellipsis,) + j]
-            shifted = arr
-            for ax, i in enumerate(j):
-                shifted = _shift_axis_int(shifted, ax, i - kk, self.periodic)
-            out += c * shifted
+        col, c = self._bands()
+        # the slot past the last node reads zero, as past the box edge
+        x = np.append(np.asarray(v).reshape(-1), 0)
+        out = np.zeros(self.size, dtype=complex)
+        for j in range(c.shape[1]):
+            out += c[:, j] * x[col[:, j]]
         return out.reshape(v.shape)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        # adjoint: out(y) = Σ_u conj(c(y-u; u)) v(y-u)
-        grid = self.grid
-        dim = grid.dim
-        d = self.disp_count
-        kk = d // 2
-        arr = np.asarray(v).reshape((grid.n,) * dim)
-        out = np.zeros_like(arr, dtype=complex)
-        for j in np.ndindex(*(d,) * dim):
-            term = np.conj(self.coeffs[(Ellipsis,) + j]) * arr
-            for ax, i in enumerate(j):
-                term = _shift_axis_int(term, ax, -(i - kk), self.periodic)
-            out += term
-        return out.reshape(v.shape)
+        # adjoint: out(y) = Σ_u conj(c(y-u; u)) v(y-u); a band reaches each
+        # node at most once, and what leaves the box lands in the spare slot
+        col, c = self._bands()
+        x = np.asarray(v).reshape(-1)
+        out = np.zeros(self.size + 1, dtype=complex)
+        for j in range(c.shape[1]):
+            out[col[:, j]] += np.conj(c[:, j]) * x
+        return out[:-1].reshape(v.shape)
 
     def to_dense(self) -> np.ndarray:
-        grid = self.grid
-        dim = grid.dim
-        n = grid.n
-        d = self.disp_count
-        kk = d // 2
-        size = grid.size
-        mat = np.zeros((size, size), dtype=complex)
-        flat = np.arange(size).reshape((n,) * dim)
-        for j in np.ndindex(*(d,) * dim):
-            s = [i - kk for i in j]
-            if self.periodic:
-                rows = flat
-                cols = flat
-                for ax, si in enumerate(s):
-                    cols = np.roll(cols, -si, axis=ax)
-                mat[rows.ravel(), cols.ravel()] += self.coeffs[(Ellipsis,) + j].ravel()
-            else:
-                rsl = tuple(slice(max(0, -si), min(n, n - si)) for si in s)
-                csl = tuple(slice(max(0, si), min(n, n + si)) for si in s)
-                rows = flat[rsl].ravel()
-                cols = flat[csl].ravel()
-                mat[rows, cols] += self.coeffs[rsl + j].ravel()
+        col, c = self._bands()
+        mat = np.zeros(self.shape, dtype=complex)
+        r, j = np.nonzero(col < self.size)
+        mat[r, col[r, j]] = c[r, j]
         return mat
 
 
@@ -1075,7 +1059,7 @@ def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     flat = coeffs.reshape(grid.size, -1)
     for row, _, j, value in _rep_entries(pot, kernel, _SCHEME):
         flat[row, j] = value
-    return BandedOperator(grid=grid, coeffs=coeffs, periodic=grid.bc == "periodic")
+    return BandedOperator(grid=grid, coeffs=coeffs)
 
 
 def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):
@@ -1083,37 +1067,26 @@ def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):
 
     Yields, per block of rows, the row r, window index j, column and
     circulation of ``pot`` along [r, r + u] of every pair whose column
-    r + u lies in the box, in row-major order; a periodic box wraps the
-    column and keeps every j, a truncated one keeps u = 0 and the
+    r + u lies in the box (``grid._neighbours``), in row-major order; a
+    periodic box keeps every j, a truncated one keeps u = 0 and the
     lexicographically positive u.  A block holds about ``_PAIR_BLOCK``
     pairs for a gauge of order 8 and (8/order)² times as many for
-    another, as it integrates a pair on order² nodes.
+    another, as it integrates a pair on order² nodes.  A gauge of another
+    dimension than the grid's is refused.
     """
-    dim, n, size = grid.dim, grid.n, grid.size
-    count = d**dim
-    periodic = grid.bc == "periodic"
+    _common_grid(grid, field=pot, of=" of the vector potential")
+    count = d**grid.dim
     # displacement nodes are in lexicographic order, so u = 0 is the middle
     # node and the lexicographically positive ones follow it
-    first = 0 if periodic else count // 2
-    # per axis: the node reached from node i by the j-th step, and whether
-    # it lies in the box
-    target = np.arange(n)[:, None] + np.arange(d)[None, :] - d // 2
-    inside = (target >= 0) & (target < n)
-    if periodic:
-        target %= n
-        inside[:] = True
+    first = 0 if grid.bc == "periodic" else count // 2
     pairs_per_block = _PAIR_BLOCK * DEFAULT_ORDER**2 // pot.order**2
     rows_per_block = max(1, pairs_per_block // (count - first))
     pts, disp = grid.points(), _disp_nodes(grid, d)
-    for start in range(0, size, rows_per_block):
-        rows = np.arange(start, min(start + rows_per_block, size))
-        col, ok = 0, True
-        for ax, node in enumerate(np.unravel_index(rows, (n,) * dim)):
-            shape = (len(rows),) + (1,) * ax + (d,) + (1,) * (dim - 1 - ax)
-            col = col * n + target[node].reshape(shape)
-            ok = ok & inside[node].reshape(shape)
-        r, j = np.nonzero(ok.reshape(len(rows), count)[:, first:])
-        col = col.reshape(len(rows), count)[:, first:][r, j]
+    for start in range(0, grid.size, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, grid.size))
+        col, inside = _neighbours(grid, rows, d)
+        r, j = np.nonzero(inside[:, first:])
+        col = col[:, first:][r, j]
         r, j = r + start, j + first
         yield r, j, col, pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0))
 

@@ -32,6 +32,12 @@ from here instead of restating them:
   nodes, displacement 0 at node c // 2 of the one and d // 2 of the other
   (``_central``); the full n-node lattice is such a window, and
   ``_fit_window`` cuts or zero-pads from one window to another.
+* the box edge: a step from a node reaches a node in the box, or leaves
+  the box.  A truncated box ends at its edge, so past it values are zero;
+  a periodic box wraps every step, so every step stays in the box.  Every
+  walk over node pairs reads this from ``_neighbours``, and the base-point
+  shifts (``_shift_axis_int`` and the half steps built on it) read the
+  boundary from the grid they are given.
 
 Three input rules live here as well, each in one helper every layer calls:
 
@@ -233,6 +239,27 @@ def _central(count: int, width: int, dim: int) -> tuple:
     count // 2 of the one and width // 2 of the other."""
     lo = width // 2 - count // 2
     return (Ellipsis,) + (slice(lo, lo + count),) * dim
+
+
+def _neighbours(grid: BoxGrid, rows: np.ndarray, count: int) -> tuple:
+    """The box-edge rule for the flat node indices ``rows`` and a window of
+    ``count`` steps per axis, displacement 0 at step count // 2: the flat
+    column each step reaches and whether it lies in the box, both of shape
+    (len(rows), count^N) with the steps in C order.  A periodic box wraps
+    the step, so every column lies in it; on a truncated box a column
+    outside it is no node's index and must be masked."""
+    n, dim = grid.n, grid.dim
+    col, inside = 0, True
+    for ax, node in enumerate(np.unravel_index(rows, (n,) * dim)):
+        shape = (len(rows),) + (1,) * ax + (count,) + (1,) * (dim - 1 - ax)
+        target = (node[:, None] + np.arange(count) - count // 2).reshape(shape)
+        if grid.bc == "periodic":
+            target = target % n
+        else:
+            inside = inside & (target >= 0) & (target < n)
+        col = col * n + target
+    inside = np.broadcast_to(inside, col.shape)
+    return col.reshape(len(rows), count**dim), inside.reshape(len(rows), count**dim)
 
 
 # ---------------------------------------------------------------------------
@@ -502,41 +529,36 @@ _HALF_STENCILS = {
 }
 
 
-def _shift_axis_int(values: np.ndarray, ax: int, steps: int, periodic: bool) -> np.ndarray:
-    """Shift samples so that out[j] = in[j + steps] along one axis."""
+def _shift_axis_int(values: np.ndarray, ax: int, steps: int, grid: BoxGrid) -> np.ndarray:
+    """Shift samples so that out[j] = in[j + steps] along one base axis,
+    past the edge as ``grid.bc`` says: zero on a truncated box, wrapped on
+    a periodic one."""
     if steps == 0:
         return values
-    if periodic:
+    if grid.bc == "periodic":
         return np.roll(values, -steps, axis=ax)
     n = values.shape[ax]
     out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if steps > 0:
-        if steps < n:
-            src[ax] = slice(steps, n)
-            dst[ax] = slice(0, n - steps)
-            out[tuple(dst)] = values[tuple(src)]
-    else:
-        s = -steps
-        if s < n:
-            src[ax] = slice(0, n - s)
-            dst[ax] = slice(s, n)
-            out[tuple(dst)] = values[tuple(src)]
+    if abs(steps) < n:
+        src = [slice(None)] * values.ndim
+        dst = [slice(None)] * values.ndim
+        src[ax] = slice(max(steps, 0), n + min(steps, 0))
+        dst[ax] = slice(max(-steps, 0), n - max(steps, 0))
+        out[tuple(dst)] = values[tuple(src)]
     return out
 
 
-def _half_step_axis(values: np.ndarray, ax: int, scheme: str, periodic: bool) -> np.ndarray:
+def _half_step_axis(values: np.ndarray, ax: int, scheme: str, grid: BoxGrid) -> np.ndarray:
     """Interpolate to the +delta/2 offset lattice along one axis.
 
-    out[j] ~ in at position j + 1/2, using a symmetric stencil; outside
-    samples are zero in truncated mode and wrap in periodic mode.
+    out[j] ~ in at position j + 1/2, using a symmetric stencil; samples
+    past the edge are those of ``_shift_axis_int``.
     """
     st = _HALF_STENCILS[scheme]
     half = len(st) // 2
     out = np.zeros(values.shape, dtype=values.dtype)
     for i, c in enumerate(st):
-        out += c * _shift_axis_int(values, ax, i - half + 1, periodic)
+        out += c * _shift_axis_int(values, ax, i - half + 1, grid)
     return out
 
 
@@ -545,12 +567,12 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError("scheme must be 'linear' or 'cubic'")
 
 
-def _shift_axis_half(values: np.ndarray, ax: int, h: int, scheme: str, periodic: bool) -> np.ndarray:
+def _shift_axis_half(values: np.ndarray, ax: int, h: int, scheme: str, grid: BoxGrid) -> np.ndarray:
     """Shift by ``h`` half steps along one axis: even h exactly, odd h as
     floor(h/2) whole steps after one half step up."""
     if h % 2 == 0:
-        return _shift_axis_int(values, ax, h // 2, periodic)
-    return _shift_axis_int(_half_step_axis(values, ax, scheme, periodic), ax, (h - 1) // 2, periodic)
+        return _shift_axis_int(values, ax, h // 2, grid)
+    return _shift_axis_int(_half_step_axis(values, ax, scheme, grid), ax, (h - 1) // 2, grid)
 
 
 def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear") -> np.ndarray:
@@ -564,10 +586,9 @@ def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear
     Truncated grids zero-extend past the boundary, periodic grids wrap.
     """
     _check_scheme(scheme)
-    periodic = grid.bc == "periodic"
     out = values
     for ax, h in zip(range(grid.dim), half_steps):
-        out = _shift_axis_half(out, ax, int(h), scheme, periodic)
+        out = _shift_axis_half(out, ax, int(h), scheme, grid)
     return out
 
 
@@ -577,7 +598,6 @@ def _shear_pass(src: np.ndarray, out: np.ndarray, ax: int, grid: BoxGrid, h: int
     moves along base axis e = ax by h·(j_e - k) half steps, written into
     ``out``.  With ``out`` the same array as ``src`` the slab j_e = k, which
     does not move, is skipped."""
-    periodic = grid.bc == "periodic"
     d = out.shape[ax - grid.dim]
     kk = d // 2
     for j in range(d):
@@ -585,7 +605,7 @@ def _shear_pass(src: np.ndarray, out: np.ndarray, ax: int, grid: BoxGrid, h: int
         if src is out and steps == 0:
             continue
         sl = (Ellipsis, j) + (slice(None),) * (grid.dim - 1 - ax)
-        out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, periodic)
+        out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, grid)
 
 
 def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool = False) -> np.ndarray:

@@ -318,7 +318,8 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     gauge of the field at order 8; the operator is gauge covariant, so
     either gives the same spectrum.  Without field and
     explicit gauge a real kernel gives a real (float64) matrix.  Periodic
-    boxes use the exact Fourier multiplier.
+    boxes use the exact Fourier multiplier and refuse a field or an
+    explicit gauge.
     """
     grid = spec.grid
     if grid is None:
@@ -327,10 +328,10 @@ def assemble(spec: SchrodingerSpec) -> OperatorMatrix:
     field = spec.field_or_zero()
 
     if grid.bc == "periodic":
-        if not field.is_zero:
+        if not field.is_zero or spec.vector_potential is not None:
             raise ValueError(
-                "periodic boxes support only a vanishing magnetic field; the flux "
-                "through the torus is not quantized here"
+                "periodic boxes support only a vanishing magnetic field and no explicit "
+                "vector potential; the flux through the torus is not quantized here"
             )
         mat = _periodic_multiplier(hvals, grid)
         mat[np.diag_indices_from(mat)] += vvals
@@ -611,7 +612,8 @@ def landau_oracle(b: float, v: float, window: tuple) -> SpectrumResult:
     if b == 0:
         raise ValueError(
             "constant-field oracle needs b != 0; a vanishing field gives the "
-            "continuous band [v, inf), use the band branch"
+            "continuous band [v, inf), which asymptotic_spectra returns for a "
+            "constant pair with b = 0"
         )
     first = max(0, int(np.floor(((lo - v) / abs(b) - 1) / 2)) - 1)
     last = int(np.ceil(((hi - v) / abs(b) - 1) / 2)) + 1

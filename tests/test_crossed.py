@@ -946,6 +946,22 @@ def test_products_refuse_periodic_boxes():
             route(phi, psi, MagneticField.zero(1), sheet="tilde")
 
 
+@pytest.mark.parametrize("count", [-1, 0, 2])
+def test_products_refuse_a_window_that_is_not_a_positive_odd_count(count):
+    # -1 failed in numpy with "negative dimensions are not allowed"
+    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    k = KernelSample(grid=g, values=np.ones((5, 5), dtype=complex), q_independent=True)
+    for route in (twisted_product, twisted_product_reference):
+        with pytest.raises(ValueError, match="must be a positive odd number"):
+            route(k, k, MagneticField.constant_2d(0.5), out_disp_count=count)
+
+
+def test_product_refuses_an_unknown_sheet():
+    phi, psi = pair_on(BoxGrid(dim=2, half_length=3.0, n=8), 3)
+    with pytest.raises(ValueError, match="sheet must be 'centered' or 'tilde'"):
+        twisted_product(phi, psi, MagneticField.zero(2), sheet="sheared")
+
+
 # ---------------------------------------------------------------------------
 # sheet tag
 # ---------------------------------------------------------------------------
@@ -1423,6 +1439,34 @@ def test_banded_periodic_wraps():
     v = np.arange(8.0) + 0j
     out = band.matvec(v)
     assert np.abs(out - np.roll(v, -1)).max() < 1e-13
+
+
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("dim, n, d", [(1, 10, 7), (2, 8, 5), (3, 6, 3)])
+def test_banded_forms_agree_with_rep_on_every_box(dim, n, d, bc):
+    # to_dense is rep bit for bit, and matvec and rmatvec are the dense
+    # matrix and its adjoint, past the edge of a truncated box and across
+    # the wrap of a periodic one
+    rng = np.random.default_rng(42)
+    g = BoxGrid(dim=dim, half_length=3.0, n=n, bc=bc)
+    shape = (n,) * dim + (d,) * dim
+    k = KernelSample(grid=g, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    pot = transversal_gauge(MagneticField.zero(dim) if dim != 2 else variable_field())
+    band = rep_banded(pot, k)
+    dense = band.to_dense()
+    assert np.array_equal(dense, rep(pot, k).mat)
+    v = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+    assert np.abs(band.matvec(v) - dense @ v).max() < 1e-12
+    assert np.abs(band.rmatvec(v) - dense.conj().T @ v).max() < 1e-12
+
+
+def test_rep_refuses_a_gauge_of_another_dimension():
+    # it failed in numpy with "operands could not be broadcast together"
+    k = KernelSample(grid=BoxGrid(dim=2, half_length=3.0, n=8), values=np.ones((3, 3), dtype=complex),
+                     q_independent=True)
+    for route in (rep, rep_banded):
+        with pytest.raises(ValueError, match="does not match the field dimension"):
+            route(transversal_gauge(MagneticField.zero(3)), k)
 
 
 def test_op_norm_of_a_large_complex_array_makes_no_matrix_size_temporary():

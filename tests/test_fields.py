@@ -181,6 +181,13 @@ def test_gauge_shift_telescopes():
     assert np.abs(pt1 - pt2).max() < 1e-10
 
 
+def test_gauge_shift_potential_adds_the_gradient():
+    A = transversal_gauge(bump_field())
+    rho = GaugeFunction(func=lambda p: p[..., 0] * p[..., 1], grad=lambda p: p[..., ::-1])
+    pts = np.random.default_rng(110).uniform(-2, 2, (7, 2))
+    assert np.array_equal(gauge_shift(A, rho)(pts), A(pts) + pts[:, ::-1])
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         MagneticField(dim=2, components={(1, 0): lambda p: p[..., 0]})
@@ -281,6 +288,26 @@ def test_vanishing_oscillation_range():
     assert all(p.kind == "constant" for p in pairs)
     vals = [p.field.constant[0, 1] for p in pairs]
     assert min(vals) >= lo - 1e-9 and max(vals) <= hi + 1e-9
+
+
+def test_const_plus_decay_without_decay_is_the_constant_field():
+    fld = ConstPlusDecay(dim=2, b_inf=0.7).field()
+    assert fld.is_constant and np.array_equal(fld.constant, [[0.0, 0.7], [-0.7, 0.0]])
+
+
+def test_vanishing_oscillation_range_of_the_potential():
+    v = lambda p: 0.5 * np.cos(np.linalg.norm(p, axis=-1) ** 0.5)
+    d = VanishingOscillation(dim=2, b_profile=lambda p: np.ones(p.shape[:-1]), v_profile=v)
+    lo, hi = d.asymptotic_range("v")
+    assert -0.5 <= lo < hi <= 0.5 and hi - lo > 0.5
+    assert VanishingOscillation(dim=2, b_profile=d.b_profile).asymptotic_range("v") == (0.0, 0.0)
+    with pytest.raises(ValueError, match="which must be 'b' or 'v'"):
+        d.asymptotic_range("a")
+
+
+def test_mixed_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'product' or 'sum'"):
+        MixedVOAP(dim=2, vo_factor=np.tanh, ap_factor=np.cos, mode="max")
 
 
 def test_vanishing_oscillation_labels_name_radius_and_reduced_angle():

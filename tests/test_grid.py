@@ -13,6 +13,7 @@ from magweyl.grid import (
     symbol_from_kernel_full,
     kernel_from_symbol_full,
     shift_q,
+    _neighbours,
 )
 from magweyl.moyal import moyal
 
@@ -255,6 +256,35 @@ def test_periodic_shift_wraps():
     vals = rng.normal(size=8)
     got = shift_q(vals, g, [2])
     assert np.abs(got - np.roll(vals, -1)).max() == 0.0
+
+
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("dim, n, count", [(1, 8, 7), (2, 6, 5), (3, 4, 3)])
+def test_neighbours_is_the_box_edge_rule(dim, n, count, bc):
+    # every (row, step) against the node arithmetic done by hand: the step
+    # adds (j - count // 2) per axis, stays in the box on a periodic one by
+    # wrapping, and leaves a truncated one past its edge
+    g = BoxGrid(dim=dim, half_length=2.0, n=n, bc=bc)
+    rows = np.arange(1, g.size, 3)
+    col, inside = _neighbours(g, rows, count)
+    assert col.shape == inside.shape == (len(rows), count**dim)
+    steps = np.stack(np.unravel_index(np.arange(count**dim), (count,) * dim), axis=-1) - count // 2
+    node = np.stack(np.unravel_index(rows, (n,) * dim), axis=-1)[:, None, :] + steps[None]
+    want_inside = np.all((node >= 0) & (node < n), axis=-1) | (bc == "periodic")
+    assert np.array_equal(inside, want_inside)
+    want_col = np.ravel_multi_index(tuple(np.moveaxis(node % n, -1, 0)), (n,) * dim)
+    assert np.array_equal(col[inside], want_col[inside])
+
+
+def test_whole_shifts_past_the_box():
+    # a shift by the whole box or more leaves nothing on a truncated box
+    # and comes round to the start on a periodic one
+    rng = np.random.default_rng(207)
+    vals = rng.normal(size=(8, 3))
+    for steps in (8, 9, -8, -11):
+        assert not shift_q(vals, BoxGrid(dim=1, half_length=2.0, n=8), [2 * steps]).any()
+        periodic = shift_q(vals, BoxGrid(dim=1, half_length=2.0, n=8, bc="periodic"), [2 * steps])
+        assert np.array_equal(periodic, np.roll(vals, -steps, axis=0))
 
 
 def test_linear_half_shift_never_overshoots():

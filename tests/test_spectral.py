@@ -133,6 +133,30 @@ def test_periodic_assemble_matches_rep_of_the_stencil():
     assert np.abs(mat - want).max() <= 1e-12
 
 
+def test_periodic_assemble_refuses_an_explicit_gauge():
+    # the periodic branch never read the gauge: a constant-field gauge gave
+    # the zero-field multiplier, bit for bit
+    grid = BoxGrid(dim=2, half_length=3.0, n=8, bc="periodic")
+    for b in (1.0, 0.0):
+        spec = SchrodingerSpec(h=free_kinetic, field=None, grid=grid,
+                               vector_potential=transversal_gauge(MagneticField.constant_2d(b)))
+        with pytest.raises(ValueError, match="vanishing magnetic field"):
+            assemble(spec)
+
+
+def test_assemble_refuses_a_gauge_of_another_dimension():
+    # a planar variable-field gauge on a 3-D box gave a 216 x 216 matrix
+    # (max |Im| 3.31) with no error; a planar constant-field one failed in
+    # numpy with "operands could not be broadcast together"
+    grid = BoxGrid(dim=3, half_length=2.0, n=6)
+    fields = (MagneticField.from_scalar_2d(lambda x: 1.0 + np.exp(-np.sum(x**2, axis=-1))),
+              MagneticField.constant_2d(1.0))
+    for fld in fields:
+        spec = SchrodingerSpec(h=free_kinetic, field=None, grid=grid, vector_potential=transversal_gauge(fld))
+        with pytest.raises(ValueError, match="does not match the field dimension"):
+            assemble(spec)
+
+
 def tilted_kinetic(p):
     # |p|^2 + 0.7 p_0: the odd part tells the sign of the Fourier convention
     return free_kinetic(p) + 0.7 * np.asarray(p, dtype=float)[..., 0]
@@ -419,6 +443,21 @@ def test_assemble_refuses_a_non_finite_field(monkeypatch):
         eig(assemble(SchrodingerSpec(h=free_kinetic, field=nan_field(), grid=grid)), (0.0, 8.0))
 
 
+def test_ladder_density_defaults_to_the_spec_grids(monkeypatch):
+    # 8 nodes on [-3, 3] are 4/3 nodes per unit length, so the rungs have
+    # 8 and 12 nodes, as with that density given
+    spec = SchrodingerSpec(h=free_kinetic, field=MagneticField.constant_2d(1.0),
+                           grid=BoxGrid(dim=2, half_length=3.0, n=8))
+    seen = record_assembly(monkeypatch)
+    default = essential_estimate(spec, (3.0, 4.5), (0.0, 8.0))
+    explicit = essential_estimate(spec, (3.0, 4.5), (0.0, 8.0), density=8 / 6.0)
+    assert [g.n for g, _, _ in seen] == [8, 12, 8, 12]
+    for (g1, _, m1), (g2, _, m2) in zip(seen[:2], seen[2:]):
+        assert g1 == g2 and np.array_equal(m1, m2)
+    assert default.params == explicit.params
+    assert repr(default.rejected) == repr(explicit.rejected) and len(default.rejected) > 0
+
+
 def test_products_and_ladder_refuse_a_non_finite_field(monkeypatch):
     grid = BoxGrid(dim=2, half_length=3.0, n=8)
     k = symbol_kernel(grid)
@@ -559,6 +598,11 @@ def test_landau_oracle_levels_and_zero_field_refusal():
     assert np.array_equal(res.values, [1.75, 4.75, 7.75, 10.75])
     assert np.all(np.isinf(res.multiplicity))
     with pytest.raises(ValueError, match="b != 0"):
+        landau_oracle(0.0, 0.25, (0.0, 5.0))
+
+
+def test_landau_oracle_names_the_public_route_to_the_zero_field_band():
+    with pytest.raises(ValueError, match="asymptotic_spectra"):
         landau_oracle(0.0, 0.25, (0.0, 5.0))
 
 
