@@ -54,14 +54,18 @@ r + y the base point of the right factor and T = r + x the output column,
 
     (φ ⋄ ψ)~(r;x) = Δ^N Σ_S A[r,S] B[S,T],  A[r,S] = φ~(r;S-r),  B[S,T] = ψ~(S;T-S)
 
-up to the cocycle, run as GEMMs over tiles of leading-axis rows that skip
-the tiles outside the factors' bands.  The cocycle factorizes as
+up to the cocycle, run as GEMMs over tiles of rows on every axis.  Each
+tile sums only the rows S that its rows' band meets and keeps only their
+kept output columns, so a product pays for its bands and its kept window,
+and each tile is one strided copy out of a zero-padded window of its
+factor.  The cocycle factorizes as
 ω^B(r;y,w) = Λ(r;y) Λ(r+y;w) conj(Λ(r;y+w)) with Λ = λ^{A₀} for an
 internal transversal-gauge potential A₀ of B; this is an exact identity
 (verified against direct flux quadrature by ``twisted_product_reference``),
 so the phases are absorbed into A, B and the output.  For a constant field
 Λ(r;u) = exp(-i/2 rᵀBu) in closed form: a row phase on the tiles of A, a
-column phase on those of B and one on the output, with no quadrature; a
+column phase on those of B and one on the output, from tables formed once
+per product and sliced per tile, with no quadrature; a
 variable field dresses the factors with tables of Λ, whose transversal
 circulations are triangle fluxes computed by quadrature: one table on the
 box at the widest window it serves, cut for the left factor, the output
@@ -125,15 +129,21 @@ The layer runs one fixed configuration:
   which integrates a pair's flux on order² nodes; about 2^16 flux quadrature nodes per block of a table of
   circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs for a gauge of
   order 8); 2^16 complex entries (1 MB) per batch temporary of the
-  constant-field product's FFTs (``_FFT_BLOCK``); and 64 and 128 matrix
-  rows per GEMM tile of A (base points r) and of B (rows S of the right
-  factor), each rounded to whole rows of the leading axis
-  (``_GEMM_ROWS``, ``_GEMM_DEPTH``): 2 and 4 of them at n=32 in two
-  dimensions, where the product's tiles peak near 7 MB.
+  constant-field product's FFTs (``_FFT_BLOCK``); and for the GEMM
+  route, tiles of 4 rows on every trailing axis (``_GEMM_TRAIL``), 16
+  matrix rows per tile of A (base points r, ``_GEMM_ROWS``: 4 leading
+  rows in two dimensions), and 128 matrix rows per tile of the summed
+  rows S of the right factor, rounded to whole rows of the leading axis
+  (``_GEMM_DEPTH``: 4 of them at n=32 in two dimensions), which also fix
+  the order in which the output accumulates.  A product of two 31-node
+  windows at n=32 then runs 5.8e8 multiply-adds, and its windows and
+  tiles peak near 7.4 MB besides the output and the sheared factor.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -189,8 +199,9 @@ _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
 _FFT_BLOCK = 1 << 16
-_GEMM_ROWS = 64
+_GEMM_ROWS = 16
 _GEMM_DEPTH = 128
+_GEMM_TRAIL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -434,140 +445,208 @@ def _lambda_factors(pot: VectorPotential, grid: BoxGrid, disp_count: int, pad: i
     )
 
 
-def _band_tile(arr, rows, cols, shift, width):
-    """Banded matrix tile M[i, j] = arr[i; j - i + shift], zero where the
-    displacement index leaves [0, width).
-
-    ``rows`` and ``cols`` hold the node indices per axis; the tile has one
-    axis per row axis, then one per column axis.  A factor without base
-    axes is read at every row alike.
-    """
+def _skew(arr, rows, cols, sign, start):
+    """The view v[i; j] = arr[i; start + j + sign·i] per axis, over ``rows``
+    values of i and ``cols`` of j: a tile of a banded matrix read from its
+    diagonals (sign = -1), or a tile's diagonals read from its rows
+    (sign = +1).  arr is C-contiguous and holds a base axis per row axis,
+    or none (every row reads alike), then a column axis each; every column
+    the view reads must lie on its row of arr, as the view is made by
+    strides and numpy checks only that it stays inside arr."""
     dim = len(rows)
-    base = arr.ndim > dim
-    base_idx, disp_idx, inside = [], [], True
-    for e, (r, c) in enumerate(zip(rows, cols)):
-        j = c[None, :] - r[:, None] + shift
-        shape = [1] * (2 * dim)
-        shape[e], shape[dim + e] = len(r), len(c)
-        disp_idx.append(np.clip(j, 0, width - 1).reshape(shape))
-        inside = inside & ((j >= 0) & (j < width)).reshape(shape)
-        if base:
-            base_idx.append(r.reshape(shape[:e + 1] + [1] * (2 * dim - e - 1)))
-    tile = arr[tuple(base_idx + disp_idx)]
-    tile *= inside
-    return tile
+    col = arr.strides[-dim:]
+    row = arr.strides[:dim] if arr.ndim > dim else (0,) * dim
+    return np.ndarray(
+        tuple(rows) + tuple(cols), arr.dtype, arr, sum(s * j for s, j in zip(col, start)),
+        tuple(r + sign * s for r, s in zip(row, col)) + col,
+    )
 
 
-def _phase(arr, rows, cols, bmat, sign):
-    """arr[i; j] *= exp(sign·i/2 ρᵀBκ) in place, ρ = (rows[e][i_e])_e and
-    κ = (cols[e][j_e])_e the node positions; one broadcast factor per
-    non-zero entry of B, so no temporary of the array's size is made."""
-    dim = len(rows)
+def _band_tile(f, rows, cols, shift):
+    """Tile M[i, j] = f[i; j - i + shift] of a banded matrix over the row
+    and column index ranges ``rows`` and ``cols`` (a slice per axis), zero
+    where the displacement index leaves f's window [0, d): one strided
+    copy out of a zero-padded window of f that holds the tile's rows and
+    every displacement they read.  A factor without base axes is read at
+    every row alike.  The tile has one axis per row axis, then one per
+    column axis."""
+    d = f.shape[-1]
+    nr = [r.stop - r.start for r in rows]
+    src = list(rows) if f.ndim > len(rows) else []
+    dst = [slice(None)] * len(src)
+    win = list(nr) if src else []
+    for r, c in zip(rows, cols):
+        # the displacements lo..hi-1 the tile reads on this axis
+        lo, hi = c.start - r.stop + 1 + shift, c.stop - r.start + shift
+        start = min(max(lo, 0), d)
+        stop = max(min(hi, d), start)
+        src.append(slice(start, stop))
+        dst.append(slice(start - lo, stop - lo))
+        win.append(hi - lo)
+    window = np.zeros(win, dtype=complex)
+    window[tuple(dst)] = f[tuple(src)]
+    return _skew(window, nr, [c.stop - c.start for c in cols], -1, [r - 1 for r in nr]).copy()
+
+
+def _phase_tables(rows, cols, bmat, sign):
+    """exp(sign·i/2 ρ B_ef κ) over the positions ρ in ``rows`` and κ in
+    ``cols``, one table per non-zero entry B_ef of a constant field, shaped
+    to broadcast over the row axis e and the column axis f of a tile:
+    formed once per product and sliced per tile."""
+    dim = len(bmat)
+    tables = []
     for e, f in zip(*np.nonzero(bmat)):
         shape = [1] * (2 * dim)
-        shape[e], shape[dim + f] = len(rows[e]), len(cols[f])
-        angle = np.multiply.outer(rows[e], cols[f]) * (0.5 * sign * bmat[e, f])
-        arr *= np.exp(1j * angle).reshape(shape)
+        shape[e], shape[dim + f] = len(rows), len(cols)
+        angle = np.multiply.outer(rows, cols) * (0.5 * sign * bmat[e, f])
+        tables.append((e, f, np.exp(1j * angle).reshape(shape)))
+    return tables
+
+
+def _dress(arr, tables, rows, cols):
+    """arr[i; j] *= every table at (rows[e][i_e], cols[f][j_f]) in place,
+    with ``rows`` and ``cols`` a slice of the tables' rows and columns per
+    axis; one broadcast factor per table, so no temporary of arr's size is
+    made."""
+    dim = len(rows)
+    for e, f, table in tables:
+        index = [slice(None)] * (2 * dim)
+        index[e], index[dim + f] = rows[e], cols[f]
+        arr *= table[tuple(index)]
 
 
 def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     """The shifted convolution out[r; y+w+off] = Σ a[r;y] b[r+y+pad; w] of
-    the general product as one banded matrix product (GEMM).
+    the general product as one banded matrix product (GEMM); returns the
+    output and the multiply-adds its GEMMs ran.
 
     Per axis, with S = r + y - ka + pad the row of b and T = r + X the
     column of the kept output node X, A[r,S] = a[r; S-r+ka-pad] and
-    B[S,T] = b[S; T-S-off-ka+pad] (zero outside each window) give
-    out[r; T-r] = Σ_S A[r,S] B[S,T], with the multi-indices r, S, T over
-    all axes flattened.  The product runs in tiles of whole leading-axis
-    rows, m of r (``_GEMM_ROWS`` matrix rows) and k of S
-    (``_GEMM_DEPTH``): the outer loop gathers each tile of B once, the
-    inner one multiplies it by the tiles of A whose band meets it, and
-    tiles outside a band are skipped.  Each product is cut to the kept
-    columns and added to the output along the diagonals T = r + X.  With
-    da and db nodes per axis in the windows of a and b, nb = n + 2·pad
-    rows and nt = n + out_count - 1 columns per axis, that is about
-    n (da + m)(db + k) (n·nb·nt)^(N-1) multiply-adds at the speed of BLAS,
-    against n^N da^N db^N for a loop over the nodes: the leading axis pays
-    for its bands only, the trailing ones run dense.
-    A factor without base axes is read at every base point alike; ``b``
-    carries ``pad`` extra base points per face.
+    B[S,T] = b[S; T-S-c] (zero outside each window, c = out_count//2 -
+    db//2 - pad) give out[r; T-r] = Σ_S A[r,S] B[S,T], with the
+    multi-indices r, S, T over all axes flattened.  Every axis is tiled:
+
+    * on the leading axis, S is summed in tiles of k rows (``_GEMM_DEPTH``
+      matrix rows), which fix the order the output accumulates in, and r
+      is split into tiles of m rows (``_GEMM_ROWS`` matrix rows);
+    * on every trailing axis, r is split into tiles of ``_GEMM_TRAIL``
+      rows, and the whole band of S that a tile's rows meet is summed in
+      one GEMM;
+    * a tile keeps the columns T of its rows' kept output windows, and
+      sums the rows S where the bands of a and b meet them.
+
+    These cuts drop zero terms only, so the output equals that of dense
+    trailing axes bit for bit.  The outer loop writes the rows of b in a
+    tile of S along the diagonals T = S + c + w of one zeroed window, and
+    copies each trailing tile's B out of it; the inner loop copies each A
+    tile out of a zero-padded window of a (``_band_tile``), multiplies it
+    by the rows and columns of B it meets, and adds the product to the
+    output along the diagonals T = r + X in one strided add.  With da
+    and db nodes per axis in the windows of a and b, nb = n + 2·pad rows
+    of b and t = ``_GEMM_TRAIL``, the GEMMs run about
+
+        nb (da + k)(db + k) [n (t + da - 1)(t + out_count - 1)]^(N-1)
+
+    multiply-adds, fewer where the box edges cut the bands; dense trailing
+    axes put n·nb·(n + out_count - 1) in the bracket.  Two 31-node windows
+    at n=32 take 5.8e8 against 1.33e9.  A factor without base axes is
+    read at every base point alike; ``b`` carries ``pad`` extra base
+    points per face.
 
     With ``bmat`` (a constant field) the transversal-gauge dressing has the
     closed form Λ(r;u) = exp(-i/2 rᵀBu), applied as a row phase
     exp(-i/2 rᵀBs) to the tiles of A, a column phase exp(-i/2 sᵀBt) to
-    those of B and exp(+i/2 rᵀBx) to the output, with r, s, t = r + x the
-    node positions; no quadrature runs.  Otherwise the caller dresses the
-    factors.
+    the windows of B and exp(+i/2 rᵀBx) to the output, with r, s, t = r + x
+    the node positions, from tables formed once per product; no quadrature
+    runs.  Otherwise the caller dresses the factors.
     """
     dim, n = grid.dim, grid.n
     da, db = a.shape[-1], b.shape[-1]
-    ka = da // 2
-    off = out_count // 2 - ka - db // 2
-    c = off + ka - pad
+    oa = da // 2 - pad
+    c = out_count // 2 - db // 2 - pad
     nb, nt = n + 2 * pad, n + out_count - 1
     rest = dim - 1
-    m = max(1, _GEMM_ROWS // n**rest)
+    m = max(1, _GEMM_ROWS // _GEMM_TRAIL**rest)
     k = max(1, _GEMM_DEPTH // nb**rest)
-    r_all, s_all, t_all = np.arange(n), np.arange(nb), np.arange(nt)
-    # node positions of the base points r, the rows S and the columns T
-    pos_r = grid.axis()
-    pos_s = pos_r[0] + (s_all - pad) * grid.delta
-    pos_t = pos_r[0] + (t_all - out_count // 2) * grid.delta
+    # the columns of B's windows: every T a band reaches, every kept one
+    t0, t1 = min(0, c), max(nt, nb - 1 + c + db)
+    # per trailing axis, tiles of rows r with the band of S they meet and
+    # their kept columns T
+    trail = []
+    for r0 in range(0, n, _GEMM_TRAIL):
+        r1 = min(r0 + _GEMM_TRAIL, n)
+        trail.append((slice(r0, r1), slice(max(0, r0 - oa), min(nb, r1 - 1 - oa + da)),
+                      slice(r0, r1 - 1 + out_count)))
+    if bmat is not None:
+        # node positions of the base points r, the rows S and the columns T
+        pos_r = grid.axis()
+        pos_s = pos_r[0] + (np.arange(nb) - pad) * grid.delta
+        pos_t = pos_r[0] + (np.arange(t0, t1) - out_count // 2) * grid.delta
+        phase_a = _phase_tables(pos_r, pos_s, bmat, -1)
+        phase_b = _phase_tables(pos_s, pos_t, bmat, -1)
     out = np.zeros((n,) * dim + (out_count,) * dim, dtype=complex)
+    every = slice(None)
+    madds = 0
     for s0 in range(0, nb, k):
-        srows = s_all[s0:s0 + k]
+        s1 = min(s0 + k, nb)
         # columns met by b's band on these rows
-        t_lo, t_hi = max(0, s0 + c), min(nt, srows[-1] + c + db)
+        t_lo, t_hi = max(0, s0 + c), min(nt, s1 - 1 + c + db)
         # base points r whose band on a meets these rows
-        r_lo, r_hi = max(0, s0 + ka - pad - da + 1), min(n, srows[-1] + ka - pad + 1)
+        r_lo, r_hi = max(0, s0 + oa - da + 1), min(n, s1 + oa)
         if t_hi <= t_lo or r_hi <= r_lo:
             continue
-        tcols = t_all[t_lo:t_hi]
-        btile = _band_tile(b, [srows] + [s_all] * rest, [tcols] + [t_all] * rest, -c, db)
+        # B on these rows and every column their bands reach, written along
+        # the diagonals T = S + c + w of a zeroed window
+        brows = (s1 - s0,) + (nb,) * rest
+        wb = np.zeros(brows + (s1 - s0 + db - 1,) + (t1 - t0,) * rest, dtype=complex)
+        _skew(wb, brows, (db,) * dim, 1, (0,) + (c - t0,) * rest)[...] = b[s0:s1] if b.ndim > dim else b
         if bmat is not None:
-            _phase(btile, [pos_s[srows]] + [pos_s] * rest, [pos_t[tcols]] + [pos_t] * rest,
-                   bmat, -1)
-        btile = btile.reshape(len(srows) * nb**rest, len(tcols) * nt**rest)
-        for r0 in range(r_lo - r_lo % m, r_hi, m):
-            rrows = r_all[r0:r0 + m]
-            # kept columns T = r + X of these base points
-            lo, hi = max(t_lo, r0), min(t_hi, rrows[-1] + out_count)
-            if hi <= lo:
-                continue
-            atile = _band_tile(a, [rrows] + [r_all] * rest, [srows] + [s_all] * rest, ka - pad, da)
-            if bmat is not None:
-                _phase(atile, [pos_r[rrows]] + [pos_r] * rest, [pos_s[srows]] + [pos_s] * rest,
-                       bmat, -1)
-            cols = slice((lo - t_lo) * nt**rest, (hi - t_lo) * nt**rest)
-            prod = atile.reshape(len(rrows) * n**rest, -1) @ btile[:, cols]
-            prod = prod.reshape((len(rrows),) + (n,) * rest + (hi - lo,) + (nt,) * rest)
-            for i, r in enumerate(rrows):
-                _add_diagonals(out[r], prod[i], lo - r, out_count)
-            # drop each tile before the next is made, so one of each is alive
-            del prod
-        del btile
+            _dress(wb, phase_b, [slice(s0, s1)] + [every] * rest,
+                   [slice(s0 + c - t0, s1 - 1 + c + db - t0)] + [every] * rest)
+        for tiles in itertools.product(trail, repeat=rest):
+            trows = [r for r, _, _ in tiles]
+            srows = [s for _, s, _ in tiles]
+            tcols = [slice(t.start - t0, t.stop - t0) for _, _, t in tiles]
+            sc = math.prod(s.stop - s.start for s in srows)
+            widths = tuple(t.stop - t.start for t in tcols)
+            tc = math.prod(widths)
+            btile = wb[(every, *srows, slice(t_lo - s0 - c, t_hi - s0 - c), *tcols)]
+            btile = btile.reshape((s1 - s0) * sc, (t_hi - t_lo) * tc)
+            for r0 in range(r_lo - r_lo % m, r_hi, m):
+                r1 = min(r0 + m, n)
+                # kept columns T = r + X of these base points, and the rows
+                # S where both bands meet them
+                lo, hi = max(t_lo, r0), min(t_hi, r1 - 1 + out_count)
+                sa, sb = max(s0, r0 - oa, lo - c - db + 1), min(s1, r1 - 1 - oa + da, hi - c)
+                if hi <= lo or sb <= sa:
+                    continue
+                rows, cols = [slice(r0, r1)] + trows, [slice(sa, sb)] + srows
+                atile = _band_tile(a, rows, cols, oa)
+                if bmat is not None:
+                    _dress(atile, phase_a, rows, cols)
+                # the product lands in the columns lo..hi of a buffer that
+                # holds every kept column X_lo..X_hi of these rows, zero
+                # elsewhere, so one strided add reads its diagonals
+                x_lo, x_hi = max(0, lo - r1 + 1), min(out_count, hi - r0)
+                nr = atile.shape[:dim]
+                prod = np.empty(nr + (r1 - r0 + x_hi - x_lo - 1,) + widths, dtype=complex)
+                flat = prod.reshape(math.prod(nr), -1)
+                left, right = (lo - r0 - x_lo) * tc, (hi - r0 - x_lo) * tc
+                flat[:, :left] = 0
+                flat[:, right:] = 0
+                np.matmul(atile.reshape(len(flat), -1),
+                          btile[(sa - s0) * sc:(sb - s0) * sc, (lo - t_lo) * tc:(hi - t_lo) * tc],
+                          out=flat[:, left:right])
+                madds += len(flat) * (sb - sa) * sc * (hi - lo) * tc
+                out[tuple(rows) + (slice(x_lo, x_hi),)] += _skew(
+                    prod, nr, (x_hi - x_lo,) + (out_count,) * rest, 1, (0,) * dim)
+                # drop each tile before the next is made
+                del atile, prod, flat
+        del wb
     if bmat is not None:
-        _phase(out, [pos_r] * dim, [grid.disp_axis(out_count)] * dim, bmat, 1)
-    return out
-
-
-def _add_diagonals(out, prod, first, out_count):
-    """out[r'; X] += prod[r'; X₀ - first, r' + X'] for one base point, over
-    its trailing axes r' and the kept output nodes X = (X₀, X'): the
-    product's columns T = r + X read along the trailing axes' diagonals."""
-    rest = out.ndim // 2
-    lo, hi = max(0, first), min(out_count, prod.shape[rest] + first)
-    if hi <= lo:
-        return
-    src = prod[(slice(None),) * rest + (slice(lo - first, None),)]
-    st = src.strides
-    view = np.lib.stride_tricks.as_strided(
-        src,
-        shape=(out.shape[0],) * rest + (hi - lo,) + (out_count,) * rest,
-        strides=tuple(st[e] + st[rest + 1 + e] for e in range(rest)) + st[rest:],
-        writeable=False,
-    )
-    out[(slice(None),) * rest + (slice(lo, hi),)] += view
+        _dress(out, _phase_tables(pos_r, grid.disp_axis(out_count), bmat, 1), [every] * dim,
+               [every] * dim)
+    return out, madds
 
 
 def _twisted_convolution(a, b, out_count, grid, bmat):
@@ -698,7 +777,6 @@ def _multiply(v, other, h, scheme, tilde):
         return out
     samples = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
     if h:
-        _check_scheme(scheme)
         vv = np.empty((n,) * dim + (d,) * (dim - 1), dtype=complex)
     else:
         vv = samples[(Ellipsis,) + (None,) * (dim - 1)]
@@ -718,10 +796,10 @@ def _multiply(v, other, h, scheme, tilde):
 # ---------------------------------------------------------------------------
 
 
-def _check_operands(phi, psi, field, sheet, out_disp_count) -> int:
-    """Check the operands of a product and return its output count: the
-    kept window, by default the natural one, at most the largest one the
-    box represents."""
+def _check_operands(phi, psi, field, sheet, scheme, out_disp_count) -> int:
+    """Check the operands and the interpolation scheme of a product, on
+    every path, and return its output count: the kept window, by default
+    the natural one, at most the largest one the box represents."""
     _common_grid(phi.grid, psi, field=field)
     if phi.grid.bc == "periodic":
         # the shear wraps base points around the torus while the product
@@ -732,6 +810,7 @@ def _check_operands(phi, psi, field, sheet, out_disp_count) -> int:
         )
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
+    _check_scheme(scheme)
     if out_disp_count is None:
         out_disp_count = phi.disp_count + psi.disp_count - 1
     elif out_disp_count < 1 or out_disp_count % 2 != 1:
@@ -760,11 +839,13 @@ def twisted_product(
     (:func:`_twisted_convolution`), and base-point independent.  Every
     other product is the shifted convolution of the sheared values,
     computed as one banded matrix product in tiles
-    (:func:`_tiled_product`).  The cocycle enters as the transversal
-    gauge's circulation phases: in closed form for a constant field (a row
-    phase on the left factor, a column phase on the right one and an
-    output phase), as dressing tables of the triangle-flux quadratures of
-    a transversal gauge of order ``order`` for a variable one.
+    (:func:`_tiled_product`), which records the multiply-adds its GEMMs
+    ran in the output's ``meta["multiply_adds"]``.  The cocycle enters as
+    the transversal gauge's circulation phases: in closed form for a
+    constant field (a row phase on the left factor, a column phase on the
+    right one and an output phase), as dressing tables of the triangle-flux
+    quadratures of a transversal gauge of order ``order`` for a variable
+    one.
 
     Every path returns the output displacement window asked for, by
     default the natural one of d_φ + d_ψ - 1 nodes per axis, capped at the
@@ -788,12 +869,13 @@ def twisted_product(
     multiplier branch works on the other factor's sheet and shears its
     output back when the other sheet is asked for.
     """
-    out_count = _check_operands(phi, psi, field, sheet, out_disp_count)
+    out_count = _check_operands(phi, psi, field, sheet, scheme, out_disp_count)
     grid = phi.grid
     tilde = sheet == "tilde"
 
     q_independent = phi.q_independent and psi.q_independent
     sup_phi, sup_psi = phi.sup_over_q(), psi.sup_over_q()
+    madds = None
     if phi.disp_count == 1 or psi.disp_count == 1:
         left = phi.disp_count == 1
         v, other = (phi, psi) if left else (psi, phi)
@@ -812,7 +894,7 @@ def twisted_product(
         a = _tilde_values(phi, scheme)
         b = _tilde_values(psi, scheme, pad=pad)
         if field.is_constant:
-            vals = _tiled_product(a, b, out_count, pad, grid, field.constant)
+            vals, madds = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:
             # gauge dressing turns the twisted sum into a plain shifted
             # convolution; one table on the box serves the left factor, the
@@ -822,7 +904,7 @@ def twisted_product(
             lam_b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) if pad else lam
             a = _fit_window(lam, phi.disp_count, grid.dim) * a
             b = _fit_window(lam_b, psi.disp_count, grid.dim) * b
-            vals = _tiled_product(a, b, out_count, pad, grid)
+            vals, madds = _tiled_product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
             vals *= np.conj(_fit_window(lam, out_count, grid.dim))
         vals *= grid.cell_volume
@@ -843,6 +925,8 @@ def twisted_product(
         tail, norm_phi * norm_psi, "twisted product discarded", "enlarge the displacement window", tail_warn
     ):
         out.meta["tail_warning"] = True
+    if madds is not None:
+        out.meta["multiply_adds"] = madds
     return out
 
 
@@ -880,7 +964,7 @@ def twisted_product_reference(
     sheet every factor sits at an on-lattice base point, so the two routes
     must agree there to quadrature accuracy.
     """
-    out_count = _check_operands(phi, psi, field, sheet, out_disp_count)
+    out_count = _check_operands(phi, psi, field, sheet, scheme, out_disp_count)
     # the oracle reads stored values as centered, independently of the fast route
     _require_centered(phi, "twisted_product_reference")
     _require_centered(psi, "twisted_product_reference")

@@ -584,10 +584,16 @@ def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear
     interpolate to the half-offset lattice with the chosen symmetric stencil
     ('linear' is 2nd order and never overshoots, 'cubic' is 4th order).
     Truncated grids zero-extend past the boundary, periodic grids wrap.
+    A vector that does not hold one integer per grid axis is refused.
     """
     _check_scheme(scheme)
+    steps = np.asarray(half_steps, dtype=float)
+    if steps.shape != (grid.dim,) or not np.all(np.isfinite(steps) & (steps == np.round(steps))):
+        raise ValueError(
+            f"half_steps must hold {grid.dim} integers, one per grid axis; got {half_steps!r}"
+        )
     out = values
-    for ax, h in zip(range(grid.dim), half_steps):
+    for ax, h in enumerate(steps):
         out = _shift_axis_half(out, ax, int(h), scheme, grid)
     return out
 

@@ -230,8 +230,9 @@ def test_general_route_other_dimensions(grid, fld, counts):
 def test_general_route_memory_is_tiled():
     # one product at the n=32 resolvent's window, a base-point independent
     # factor times a dependent one on the tilde sheet: the sheared right
-    # factor and the output take 15.7 MB each and the GEMM tiles about
-    # 7 MB; dressing whole factors with Λ tables needs about 79 MB, and one
+    # factor and the output take 15.7 MB each, and one window of B (4.3 MB)
+    # with its tiles peaks near 7.4 MB besides them (38.9 MB in all);
+    # dressing whole factors with Λ tables needs about 79 MB, and one
     # untiled GEMM would hold two 63 MB matrices
     g = BoxGrid(dim=2, half_length=6.0, n=32)
     rng = np.random.default_rng(47)
@@ -241,6 +242,85 @@ def test_general_route_memory_is_tiled():
     twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
     peak, _ = traced_peak(lambda: twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf))
     assert peak <= 40e6
+
+
+def random_kernel(rng, grid, count, q_independent=False):
+    shape = (count,) * grid.dim if q_independent else (grid.n,) * grid.dim + (count,) * grid.dim
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return KernelSample(grid=grid, values=values, q_independent=q_independent)
+
+
+@pytest.mark.parametrize("n", [12, 14, 20])
+def test_general_route_tiles_every_axis(n):
+    # row tiles of 4 on every axis: n = 14 leaves a partial tile of 2 rows
+    # at the far edge of each, 12 and 20 fill theirs; factors of different
+    # windows, the residual products' 3x3 stencil on either side (on the
+    # right read on padded rows), base-point independent times dependent
+    # both ways, and a kept window of 3
+    rng = np.random.default_rng(48)
+    g = BoxGrid(dim=2, half_length=3.0, n=n)
+    fld = MagneticField.constant_2d(0.9)
+    wide, narrow = random_kernel(rng, g, 7), random_kernel(rng, g, 5)
+    stencil, qi = random_kernel(rng, g, 3, True), random_kernel(rng, g, 5, True)
+    assert_general_matches_reference(wide, narrow, fld)
+    assert_general_matches_reference(stencil, wide, fld)
+    assert_general_matches_reference(wide, stencil, fld)
+    assert_general_matches_reference(qi, narrow, fld)
+    assert_general_matches_reference(narrow, qi, fld)
+    assert_general_matches_reference(wide, narrow, fld, out=3)
+
+
+def test_general_route_tiles_a_padded_callable_under_a_variable_field():
+    # the right factor's callable extends it past the box, so it is read on
+    # padded rows, each dressed by the padded table of Λ
+    g = BoxGrid(dim=2, half_length=3.0, n=14)
+    phi, psi = pair_on(g, 5, attach=True)
+    wide = random_kernel(np.random.default_rng(49), g, 7)
+    fld = variable_field()
+    assert_general_matches_reference(wide, psi, fld, order=16)
+    assert_general_matches_reference(phi, psi, fld, out=3, order=16)
+
+
+@pytest.mark.parametrize(
+    "grid, fld",
+    [
+        (BoxGrid(dim=1, half_length=4.0, n=22), MagneticField.zero(1)),
+        (
+            BoxGrid(dim=3, half_length=3.0, n=6),
+            MagneticField(
+                dim=3, constant=np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
+            ),
+        ),
+    ],
+    ids=["dim1", "dim3"],
+)
+def test_general_route_tiles_other_dimensions(grid, fld):
+    # one axis has no trailing tiles and a partial leading one; three have
+    # two trailing axes with a partial tile each
+    rng = np.random.default_rng(50)
+    da, db = (9, 5) if grid.dim == 1 else (5, 3)
+    wide, narrow = random_kernel(rng, grid, da), random_kernel(rng, grid, db)
+    stencil = random_kernel(rng, grid, 3, True)
+    assert_general_matches_reference(wide, narrow, fld)
+    assert_general_matches_reference(stencil, wide, fld)
+    assert_general_matches_reference(wide, stencil, fld)
+    assert_general_matches_reference(wide, narrow, fld, out=3)
+
+
+def test_general_route_pays_for_its_band():
+    # the multiply-adds the GEMMs run at n=32, against an engine that ran
+    # every trailing axis dense: 1.33e9 for a 31-window times a 31-window
+    # kernel (the Neumann terms of the perturbed resolvent) and 4.73e8 for
+    # the 3x3 stencil times a 31-window kernel (its residual check)
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(51)
+    wide = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
+    stencil = KernelSample(grid=g, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
+    fld = MagneticField.constant_2d(0.5)
+    for (phi, psi), dense in (((wide, wide), 1.33e9), ((stencil, wide), 4.73e8)):
+        prod = twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
+        assert prod.disp_count == 31
+        assert 0 < prod.meta["multiply_adds"] <= 0.6 * dense
 
 
 # ---------------------------------------------------------------------------
@@ -960,6 +1040,19 @@ def test_product_refuses_an_unknown_sheet():
     phi, psi = pair_on(BoxGrid(dim=2, half_length=3.0, n=8), 3)
     with pytest.raises(ValueError, match="sheet must be 'centered' or 'tilde'"):
         twisted_product(phi, psi, MagneticField.zero(2), sheet="sheared")
+
+
+def test_every_product_path_refuses_an_unknown_scheme():
+    # the general path, the constant-field FFT path of two base-point
+    # independent kernels, and a centered product with a multiplier factor
+    rng = np.random.default_rng(52)
+    g = BoxGrid(dim=2, half_length=3.0, n=8)
+    qd, qi = random_kernel(rng, g, 3), random_kernel(rng, g, 3, True)
+    v = multiplier_kernel(lambda q: 1.0 + q[..., 0] ** 2, g)
+    for pair in ((qd, qd), (qi, qi), (v, qd), (qd, v)):
+        for route in (twisted_product, twisted_product_reference):
+            with pytest.raises(ValueError, match="scheme must be"):
+                route(*pair, MagneticField.constant_2d(0.5), scheme="bogus")
 
 
 # ---------------------------------------------------------------------------

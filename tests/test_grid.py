@@ -250,6 +250,17 @@ def test_whole_shifts_are_exact():
     assert np.abs(got - want).max() == 0.0
 
 
+def test_shift_refuses_a_vector_that_is_not_one_integer_per_axis():
+    # a short or long vector used to lose or drop axes and 1.7 to read as 1;
+    # integer-valued entries of any type are whole half steps
+    g = BoxGrid(dim=2, half_length=2.0, n=8)
+    vals = np.random.default_rng(208).normal(size=(8, 8))
+    for steps in ([2], [2, 0, 4], [1.7, 0]):
+        with pytest.raises(ValueError, match="must hold 2 integers"):
+            shift_q(vals, g, steps)
+    assert np.array_equal(shift_q(vals, g, [2.0, np.int64(-4)]), shift_q(vals, g, [2, -4]))
+
+
 def test_periodic_shift_wraps():
     rng = np.random.default_rng(205)
     g = BoxGrid(dim=1, half_length=2.0, n=8, bc="periodic")
