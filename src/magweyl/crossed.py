@@ -47,8 +47,9 @@ callable is read on blocks of a slab, so no full-size sheared copy of the
 multiplier is made and the values equal those of one bit for bit.
 For a constant field and two base-point independent kernels the 2-cocycle
 ω^B(y,w) = exp(-i/2 yᵀBw) depends on the displacements only, and the
-product is a twisted convolution computed by batched 1-D FFTs
-(``_twisted_convolution``, O(d^(2N-1) log d) for d nodes per axis).  Every
+product is a twisted convolution (``_twisted_convolution``): one GEMM per
+leading row of the right factor, with a Toeplitz matrix of that row, about
+d^(2N) multiply-adds in at most d^(N-1) GEMMs for d nodes per axis.  Every
 other product is one banded matrix product (``_tiled_product``): with S =
 r + y the base point of the right factor and T = r + x the output column,
 
@@ -75,7 +76,7 @@ sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
 nodes x, an upper bound on the exact clipped L¹ mass; it is the total
 (Σ sup_q|φ|)(Σ sup_q|ψ|) less the kept part, which is read from box sums
 of sup_q|ψ| without forming the convolution (``_clip_mass``).  The layer
-needs numpy only: its FFTs are ``numpy.fft``'s.
+needs numpy only: both GEMM routes run ``numpy.matmul``.
 
 Sampled values at off-lattice base points come from the kernel's exact
 callable when present, else from symmetric interpolation (linear by
@@ -128,11 +129,11 @@ The layer runs one fixed configuration:
   of order 8, and (8/order)² times as many for a gauge of another order,
   which integrates a pair's flux on order² nodes; about 2^16 flux quadrature nodes per block of a table of
   circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs for a gauge of
-  order 8); 2^16 complex entries (1 MB) per batch temporary of the
-  constant-field product's FFTs (``_FFT_BLOCK``); and for the GEMM
-  route, tiles of 4 rows on every trailing axis (``_GEMM_TRAIL``), 16
-  matrix rows per tile of A (base points r, ``_GEMM_ROWS``: 4 leading
-  rows in two dimensions), and 128 matrix rows per tile of the summed
+  order 8); one box of rows of the left factor per leading row of the
+  right factor in the constant-field twisted convolution; and for the
+  general GEMM route, tiles of 4 rows on every trailing axis
+  (``_GEMM_TRAIL``), 16 matrix rows per tile of A (base points r,
+  ``_GEMM_ROWS``: 4 leading rows in two dimensions), and 128 matrix rows per tile of the summed
   rows S of the right factor, rounded to whole rows of the leading axis
   (``_GEMM_DEPTH``: 4 of them at n=32 in two dimensions), which also fix
   the order in which the output accumulates.  A product of two 31-node
@@ -198,7 +199,6 @@ _SCHEME = "linear"
 _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
-_FFT_BLOCK = 1 << 16
 _GEMM_ROWS = 16
 _GEMM_DEPTH = 128
 _GEMM_TRAIL = 4
@@ -655,60 +655,65 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
         out[x] = Δ^N Σ_y a[y] b[x-y] exp(-i/2 yᵀBx),
 
     on the kept window (the cocycle exp(-i/2 yᵀBw), w = x - y, equals this
-    phase since B is antisymmetric).  With the leading N-1 axes x', y' fixed
-    the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row in
-    y_N and one of the output row in x_N, so the sum over y_N is a 1-D
-    convolution.  Only the (x', y') pairs whose row x' - y' lies in b's
-    window are transformed, as batched FFTs over a block of output rows x'
-    at a time, so that each temporary holds about ``_FFT_BLOCK`` entries:
-    O(d^(2N-1) log d) work for d nodes per axis, and a factor with a small
-    window pays for its band only.  The transforms are ``numpy.fft``'s
-    complex ones at the fast length ``_next_fast_len(d_a + d_b - 1)``.
+    phase since B is antisymmetric); returns the output and the
+    multiply-adds its GEMMs ran.  With the leading N-1 axes x', y' fixed
+    the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row
+    in y_N and one of the output row in x_N, so the sum over y_N is a
+    product with the Toeplitz matrix T_k'[y_N, x_N] = b[k'; x_N - off - y_N]
+    of b's leading row k' = x' - y' - off (zero outside b's window).  For
+    one k' the pairs (x', y') form a box of leading rows, so one GEMM
+    multiplies the box's modulated rows of a by T_k' and the modulated
+    result adds into the box of output rows x'.  The rows k' add in
+    ascending order, so the result does not depend on how the work is
+    blocked.  T_k' is a strided view of b's row padded by d_a - 1 zeros
+    per side, over the c kept columns x_N that the natural window reaches
+    (every kept one unless the kept window is wider): at most d_b^(N-1)
+    GEMMs of Σ pairs·d_a·c multiply-adds, d_a the nodes per axis of a's
+    window.
     """
     p = grid.dim - 1
     da, db = a.shape[-1], b.shape[-1]
     off = out_count // 2 - da // 2 - db // 2
-    size = _next_fast_len(da + db - 1)
     # kept nodes of the last output axis
     lo, hi = max(0, off), min(out_count, da + db - 1 + off)
-    rows_a = np.array(list(np.ndindex(*(da,) * p)), dtype=int).reshape(da**p, p)
-    rows_o = np.array(list(np.ndindex(*(out_count,) * p)), dtype=int).reshape(out_count**p, p)
     ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
-    y_pre, x_pre = ya[rows_a], xo[rows_o]
-    a_rows = a.reshape(-1, da)
-    brows = np.fft.fft(b.reshape(-1, db), size)
-    out_mod = np.exp(-0.5j * np.outer(y_pre @ bmat[:p, p], xo[lo:hi]))
-    in_mod = np.exp(-0.5j * np.outer(x_pre @ bmat[p, :p], ya))
-    strides = db ** np.arange(p - 1, -1, -1)
-    out = np.zeros((len(rows_o), out_count), dtype=complex)
-    # at most min(da, db)^(N-1) rows y' meet b for one output row x'
-    step = max(1, _FFT_BLOCK // (min(da, db) ** p * size))
-    for start in range(0, len(rows_o), step):
-        # the pairs (x', y') of this block whose row x' - y' of b is in b
-        k = rows_o[start:start + step, None, :] - off - rows_a[None, :, :]
-        xi, yi = np.nonzero(np.all((k >= 0) & (k < db), axis=-1))
-        if not len(xi):
+
+    def on_axis(pos, e):
+        # positions along leading axis e, shaped to broadcast over the others
+        return pos.reshape((-1,) + (1,) * (p - 1 - e))
+
+    def modulation(pos, coef, last):
+        # exp(-i/2 (Σ_e coef[e]·pos[i_e]) last[j]) over leading rows i and
+        # last-axis nodes j
+        lead = sum(c * on_axis(pos, e) for e, c in enumerate(coef))
+        return np.exp(-0.5j * np.multiply.outer(lead, last))
+
+    in_mod = modulation(xo, bmat[p, :p], ya)
+    out_mod = modulation(ya, bmat[:p, p], xo[lo:hi])
+    # b's rows with d_a - 1 zeros on either side; T_k'[i, j] reads node
+    # lo - off + j + (d_a - 1 - i) of row k', a window of d_a nodes reversed
+    bpad = np.zeros((db,) * p + (db + 2 * (da - 1),), dtype=complex)
+    bpad[..., da - 1:da - 1 + db] = b
+    toeplitz = np.lib.stride_tricks.sliding_window_view(bpad, da, axis=-1)
+    toeplitz = toeplitz[..., lo - off:hi - off, ::-1].swapaxes(-1, -2)
+    out = np.zeros((out_count,) * grid.dim, dtype=complex)
+    madds = 0
+    for k in np.ndindex(*(db,) * p):
+        ybox = tuple(slice(max(0, -j - off), min(da, out_count - j - off)) for j in k)
+        if any(s.stop <= s.start for s in ybox):
             continue
-        xs = xi + start
-        cross = np.exp(-0.5j * np.sum((x_pre[xs] @ bmat[:p, :p].T) * y_pre[yi], axis=-1))
-        spec = np.fft.fft(cross[:, None] * in_mod[xs] * a_rows[yi], size)
-        spec *= brows[k[xi, yi] @ strides]
-        conv = np.fft.ifft(spec)[:, lo - off:hi - off] * out_mod[yi]
-        # sum the pairs of each output row; xi is sorted
-        first = np.flatnonzero(np.diff(xi, prepend=-1))
-        out[xs[first], lo:hi] = np.add.reduceat(conv, first, axis=0)
-    return out.reshape((out_count,) * grid.dim) * grid.cell_volume
-
-
-def _next_fast_len(n):
-    """The smallest 2^a 3^b 5^c 7^d 11^e ≥ n, the lengths whose complex FFTs
-    pocketfft runs fastest (``scipy.fft.next_fast_len`` for complex input)."""
-    # m is such a number exactly when it divides 2·3·5·7·11 = 2310 to a
-    # power of at least log2(m)
-    m = max(n, 1)
-    while pow(2310, m.bit_length(), m):
-        m += 1
-    return m
+        xbox = tuple(slice(s.start + j + off, s.stop + j + off) for s, j in zip(ybox, k))
+        rows = a[ybox] * in_mod[xbox]
+        if p > 1:
+            # exp(-i/2 y'ᵀB'x') over the box
+            cross = sum(bmat[e, f] * on_axis(ya[ybox[e]], e) * on_axis(xo[xbox[f]], f)
+                        for e, f in zip(*np.nonzero(bmat[:p, :p])))
+            rows *= np.exp(-0.5j * cross)[..., None]
+        prod = rows.reshape(-1, da) @ toeplitz[k]
+        madds += prod.size * da
+        out[xbox + (slice(lo, hi),)] += prod.reshape(rows.shape[:-1] + (hi - lo,)) * out_mod[ybox]
+    out *= grid.cell_volume
+    return out, madds
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
@@ -835,11 +840,12 @@ def twisted_product(
     factor's values are multiplied by it at shifted base points.  For two
     base-point independent kernels and a constant (or zero) field the
     cocycle depends only on the displacements: the product is a twisted
-    convolution by batched FFTs, O(d^(2N-1) log d) for d nodes per axis
+    convolution, one GEMM with a Toeplitz matrix per leading row of ψ,
+    about d^(2N) multiply-adds for d nodes per axis
     (:func:`_twisted_convolution`), and base-point independent.  Every
     other product is the shifted convolution of the sheared values,
     computed as one banded matrix product in tiles
-    (:func:`_tiled_product`), which records the multiply-adds its GEMMs
+    (:func:`_tiled_product`).  Both record the multiply-adds their GEMMs
     ran in the output's ``meta["multiply_adds"]``.  The cocycle enters as
     the transversal gauge's circulation phases: in closed form for a
     constant field (a row phase on the left factor, a column phase on the
@@ -885,7 +891,7 @@ def twisted_product(
         if on_tilde and not tilde:
             vals = _shear(vals, grid, -1, scheme, inplace=True)
     elif q_independent and field.is_constant:
-        vals = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
+        vals, madds = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
     else:
         q_independent = False
         # the right factor is read at shifted base points r + y; callables

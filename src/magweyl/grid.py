@@ -36,8 +36,8 @@ from here instead of restating them:
   the box.  A truncated box ends at its edge, so past it values are zero;
   a periodic box wraps every step, so every step stays in the box.  Every
   walk over node pairs reads this from ``_neighbours``, and the base-point
-  shifts (``_shift_axis_int`` and the half steps built on it) read the
-  boundary from the grid they are given.
+  shifts (whole and half steps alike) from ``_axis_runs`` on the grid they
+  are given.
 
 Three input rules live here as well, each in one helper every layer calls:
 
@@ -529,36 +529,49 @@ _HALF_STENCILS = {
 }
 
 
+def _axis_runs(n: int, steps: int, grid: BoxGrid, within: int = 0) -> list:
+    """The runs (dst, src) of index ranges along an axis of n samples on
+    which out[j] reads in[j + steps], past the edge as ``grid.bc`` says: a
+    periodic box wraps, so the runs cover the axis; a truncated one keeps
+    the j with j + steps, and j + ``within`` too, in the box, and out is
+    zero at the other j."""
+    if grid.bc == "periodic":
+        s = steps % n
+        return [(slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s))]
+    lo, hi = max(0, -steps, -within), min(n, n - steps, n - within)
+    return [(slice(lo, hi), slice(lo + steps, hi + steps))] if lo < hi else []
+
+
 def _shift_axis_int(values: np.ndarray, ax: int, steps: int, grid: BoxGrid) -> np.ndarray:
     """Shift samples so that out[j] = in[j + steps] along one base axis,
     past the edge as ``grid.bc`` says: zero on a truncated box, wrapped on
     a periodic one."""
     if steps == 0:
         return values
-    if grid.bc == "periodic":
-        return np.roll(values, -steps, axis=ax)
-    n = values.shape[ax]
     out = np.zeros_like(values)
-    if abs(steps) < n:
-        src = [slice(None)] * values.ndim
-        dst = [slice(None)] * values.ndim
-        src[ax] = slice(max(steps, 0), n + min(steps, 0))
-        dst[ax] = slice(max(-steps, 0), n - max(steps, 0))
-        out[tuple(dst)] = values[tuple(src)]
+    lead = (slice(None),) * ax
+    for dst, src in _axis_runs(values.shape[ax], steps, grid):
+        out[lead + (dst,)] = values[lead + (src,)]
     return out
 
 
-def _half_step_axis(values: np.ndarray, ax: int, scheme: str, grid: BoxGrid) -> np.ndarray:
-    """Interpolate to the +delta/2 offset lattice along one axis.
+def _half_step_axis(values: np.ndarray, ax: int, scheme: str, grid: BoxGrid, steps: int = 0) -> np.ndarray:
+    """Interpolate to the +delta/2 offset lattice along one axis, then
+    shift by ``steps`` whole steps.
 
-    out[j] ~ in at position j + 1/2, using a symmetric stencil; samples
-    past the edge are those of ``_shift_axis_int``.
+    out[j] ~ in at position j + steps + 1/2, using a symmetric stencil;
+    samples past the edge are those of ``_shift_axis_int``, applied after
+    the half step.  Each tap adds its run of samples once into one zeroed
+    output, in stencil order, so the values equal those of the half step
+    followed by the whole-step shift.
     """
     st = _HALF_STENCILS[scheme]
     half = len(st) // 2
     out = np.zeros(values.shape, dtype=values.dtype)
+    lead = (slice(None),) * ax
     for i, c in enumerate(st):
-        out += c * _shift_axis_int(values, ax, i - half + 1, grid)
+        for dst, src in _axis_runs(values.shape[ax], steps + i - half + 1, grid, within=steps):
+            out[lead + (dst,)] += c * values[lead + (src,)]
     return out
 
 
@@ -572,7 +585,7 @@ def _shift_axis_half(values: np.ndarray, ax: int, h: int, scheme: str, grid: Box
     floor(h/2) whole steps after one half step up."""
     if h % 2 == 0:
         return _shift_axis_int(values, ax, h // 2, grid)
-    return _shift_axis_int(_half_step_axis(values, ax, scheme, grid), ax, (h - 1) // 2, grid)
+    return _half_step_axis(values, ax, scheme, grid, (h - 1) // 2)
 
 
 def shift_q(values: np.ndarray, grid: BoxGrid, half_steps, scheme: str = "linear") -> np.ndarray:

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from magweyl.fields import (
@@ -48,7 +47,6 @@ from magweyl.crossed import (
     _clip_mass,
     _lambda_factors,
     _multiply,
-    _next_fast_len,
     _shear,
     _tilde_values,
     _to_tilde,
@@ -751,10 +749,6 @@ def test_clip_convolution_matches_fftconvolve(dim, da, db, zero):
             assert abs(got - want) <= 1e-12 * max(1.0, total)
 
 
-def test_next_fast_len_matches_scipy():
-    assert [_next_fast_len(n) for n in range(1, 4097)] == [next_fast_len(n) for n in range(1, 4097)]
-
-
 def run_fresh(code):
     """Standard output of ``code`` in a fresh interpreter on this sys.path."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -812,26 +806,34 @@ def assert_matches_reference(phi, psi, fld, out=None):
     return p
 
 
-def test_fft_route_dim1_zero_field():
+# kept windows: natural, wider than natural (the Toeplitz matrices cover
+# only the columns b's window reaches), one node, and one node of a right
+# factor so wide that most of its rows meet no kept output row
+WINDOW_CASES = [(3, 5, 11), (5, 3, 9), (7, 5, 1), (3, 15, 1)]
+WINDOW_IDS = ["3x5-wider", "5x3-wider", "one-node", "3x15-one-node"]
+
+
+@pytest.mark.parametrize("da, db, out", [(7, 5, None)] + WINDOW_CASES, ids=["natural"] + WINDOW_IDS)
+def test_gemm_route_dim1_zero_field(da, db, out):
     # one axis: no leading axes, the product is a single 1-D convolution
     g = BoxGrid(dim=1, half_length=4.0, n=16)
-    phi, psi = qindep_pair(g, 7, 5, seed=50)
-    assert_matches_reference(phi, psi, MagneticField.zero(1))
+    phi, psi = qindep_pair(g, da, db, seed=50)
+    assert_matches_reference(phi, psi, MagneticField.zero(1), out)
 
 
 @pytest.mark.parametrize(
-    "da, db, out", [(7, 7, None), (3, 11, None), (11, 3, None), (11, 11, 7)],
-    ids=["equal", "3x11", "11x3", "clipped"],
+    "da, db, out", [(7, 7, None), (3, 11, None), (11, 3, None), (11, 11, 7)] + WINDOW_CASES,
+    ids=["equal", "3x11", "11x3", "clipped"] + WINDOW_IDS,
 )
-def test_fft_route_constant_field_2d(da, db, out):
+def test_gemm_route_constant_field_2d(da, db, out):
     g = BoxGrid(dim=2, half_length=3.0, n=22)
     phi, psi = qindep_pair(g, da, db, seed=51)
     p = assert_matches_reference(phi, psi, MagneticField.constant_2d(0.9), out)
     assert p.disp_count == (out or da + db - 1)
 
 
-@pytest.mark.parametrize("da, db", [(3, 5), (5, 5)], ids=["natural", "clipped"])
-def test_fft_route_constant_field_3d(da, db):
+@pytest.mark.parametrize("da, db", [(3, 5), (5, 5), (3, 7)], ids=["natural", "clipped", "3x7"])
+def test_gemm_route_constant_field_3d(da, db):
     # only three axes exercise the phase between the leading axes x', y'
     g = BoxGrid(dim=3, half_length=3.0, n=8)
     bmat = np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
@@ -840,10 +842,12 @@ def test_fft_route_constant_field_3d(da, db):
     assert p.disp_count == min(da + db - 1, g.max_disp_count())
 
 
-def test_fft_route_memory_is_blocked():
-    # the batched FFTs run a block of output rows at a time; one product at
-    # the n=48 resolvent's window peaks near 3.3 MB, where one batch over
-    # all rows would take about 7 MB
+def test_gemm_route_memory_is_blocked():
+    # one GEMM per leading row of the right factor: besides the output,
+    # the modulation tables and the padded rows of the right factor, only
+    # one row box of the left factor, its Toeplitz matrix and its product
+    # are alive; one product at the n=48 resolvent's window peaks near
+    # 0.4 MB
     g = BoxGrid(dim=2, half_length=6.0, n=48)
     k = kernel_from_func(lambda q, x: np.exp(-np.sum(x * x, axis=-1)), g, q_independent=True)
     fld = MagneticField.constant_2d(0.5)
@@ -851,6 +855,28 @@ def test_fft_route_memory_is_blocked():
     twisted_product(k, k, fld)
     peak, _ = traced_peak(lambda: twisted_product(k, k, fld))
     assert peak <= 5e6
+
+
+def test_gemm_route_zero_field_2d():
+    g = BoxGrid(dim=2, half_length=3.0, n=22)
+    phi, psi = qindep_pair(g, 7, 9, seed=55)
+    assert_matches_reference(phi, psi, MagneticField.zero(2))
+
+
+def test_gemm_route_counts_its_multiply_adds():
+    # the pairs of leading rows (x', y') whose row x' - y' - off lies in
+    # b's window, each a GEMM row of d_a by out multiply-adds: at most
+    # 47^4 for the resolvent's 47-node windows, the count if every pair met
+    # b's window
+    g = BoxGrid(dim=2, half_length=6.0, n=48)
+    phi, psi = qindep_pair(g, 47, 47, seed=57)
+    p = twisted_product(phi, psi, MagneticField.constant_2d(0.5), tail_warn=np.inf)
+    out = p.disp_count
+    off = out // 2 - 47 // 2 - 47 // 2
+    x, y = np.meshgrid(np.arange(out), np.arange(47), indexing="ij")
+    pairs = int(np.sum((x - y - off >= 0) & (x - y - off < 47)))
+    assert out == 47 and pairs == 1657
+    assert p.meta["multiply_adds"] == pairs * 47 * out <= 47**4
 
 
 def test_centered_route_agreement_refines():

@@ -14,6 +14,7 @@ from magweyl.grid import (
     kernel_from_symbol_full,
     shift_q,
     _neighbours,
+    _shift_axis_half,
 )
 from magweyl.moyal import moyal
 
@@ -305,3 +306,43 @@ def test_linear_half_shift_never_overshoots():
     vals = rng.uniform(0.0, 1.0, 16)
     got = shift_q(vals, g, [1], scheme="linear")
     assert got.min() >= -1e-15 and got.max() <= 1.0 + 1e-15
+
+
+def composed_half_shift(values, ax, h, scheme, bc):
+    """A shift by h half steps as a zeroed array plus one shifted copy per
+    stencil tap, then the whole-step shift of the sum, written out."""
+    def whole(v, steps):
+        if bc == "periodic":
+            return np.roll(v, -steps, axis=ax)
+        out = np.zeros_like(v)
+        n = v.shape[ax]
+        if abs(steps) < n:
+            src = [slice(None)] * v.ndim
+            dst = [slice(None)] * v.ndim
+            src[ax] = slice(max(steps, 0), n + min(steps, 0))
+            dst[ax] = slice(max(-steps, 0), n - max(steps, 0))
+            out[tuple(dst)] = v[tuple(src)]
+        return out
+
+    if h % 2 == 0:
+        return whole(values, h // 2)
+    st = {"linear": [0.5, 0.5], "cubic": [-1 / 16, 9 / 16, 9 / 16, -1 / 16]}[scheme]
+    half = np.zeros(values.shape, dtype=values.dtype)
+    for i, c in enumerate(st):
+        half += c * whole(values, i - len(st) // 2 + 1)
+    return whole(half, (h - 1) // 2)
+
+
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("scheme", ["linear", "cubic"])
+@pytest.mark.parametrize("dim, n", [(1, 10), (2, 6), (3, 4)])
+def test_half_shift_equals_the_composed_taps(dim, n, scheme, bc):
+    # each tap's run is added once into one output, in stencil order: the
+    # values are those of the tap-by-tap sum and the whole-step shift
+    g = BoxGrid(dim=dim, half_length=2.0, n=n, bc=bc)
+    rng = np.random.default_rng(209 + n)
+    vals = rng.normal(size=(n,) * dim + (3,)) + 1j * rng.normal(size=(n,) * dim + (3,))
+    for ax in range(dim):
+        for h in range(-2 * n, 2 * n + 1):
+            got = _shift_axis_half(vals, ax, h, scheme, g)
+            assert np.array_equal(got, composed_half_shift(vals, ax, h, scheme, bc)), (ax, h)
