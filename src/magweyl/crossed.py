@@ -96,8 +96,8 @@ independent kernels describe translation-covariant operators and their
 values extend unchanged.  Products refuse periodic boxes, where the shear
 would wrap base points that the product zero-extends; ``rep`` wraps them.
 Which node a step reaches, and whether it is in the box, is the box-edge
-convention of :mod:`magweyl.grid`: the pair walk and ``BandedOperator``
-read it from ``grid._neighbours``, the shifts from the grid they are given.
+convention of :mod:`magweyl.grid`: the pair walk reads it from
+``grid._neighbours``, the shifts from the grid they are given.
 
 On a truncated box ``rep`` integrates each unordered node pair once:
 reversing the segment [x, y] negates its circulation, so the phase of a
@@ -105,9 +105,11 @@ lexicographically positive displacement u (the upper triangle in flat node
 order) also dresses the reverse entry, which reads its own kernel value
 φ~(y;-u).  Periodic boxes integrate every pair, since a wrapped column's
 reverse segment is not the negated one.  ``rep`` and ``rep_banded`` fill
-from one walk over these entries (``_rep_entries`` on ``_pair_blocks``);
-``_circulation_table`` integrates the pairs once for a ladder of nested
-boxes on one lattice and returns a gauge that reads them back.
+from one walk over these entries (``_rep_entries`` on ``_pair_blocks``):
+``rep`` into a dense matrix, ``rep_banded`` into the CSR matrix of the same
+entries, its sparse form.  ``_circulation_table`` integrates the pairs once
+for a ladder of nested boxes on one lattice and returns a gauge that reads
+them back.
 
 The layer runs one fixed configuration:
 
@@ -818,7 +820,10 @@ def _check_operands(phi, psi, field, sheet, scheme, out_disp_count) -> int:
     _check_scheme(scheme)
     if out_disp_count is None:
         out_disp_count = phi.disp_count + psi.disp_count - 1
-    elif out_disp_count < 1 or out_disp_count % 2 != 1:
+    elif (
+        isinstance(out_disp_count, bool) or not isinstance(out_disp_count, (int, np.integer))
+        or out_disp_count < 1 or out_disp_count % 2 != 1
+    ):
         raise ValueError(f"output displacement count must be a positive odd number, got {out_disp_count}")
     return min(out_disp_count, phi.grid.max_disp_count())
 
@@ -1076,80 +1081,51 @@ class OperatorMatrix:
 
 @dataclass
 class BandedOperator:
-    """Matrix-free operator Σ_u c(x;u) shift_u, one band per displacement.
+    """``rep``'s matrix held sparse: the CSR matrix of the same entries.
 
-    Row x, band u reaches the column x + u as the box edge rule of
-    ``grid._neighbours`` says (the "box edge" convention of
-    :mod:`magweyl.grid`): on a truncated box a band past the edge is not
-    read, on a periodic one it wraps.
+    ``mat`` is a ``scipy.sparse`` CSR array; it holds every entry that
+    ``rep`` writes, so ``to_dense()`` equals ``rep`` bit for bit.  Vectors
+    are flat or of the grid's shape, in C order; ``rmatvec`` applies the
+    adjoint as conj(Mᵀ conj v), with no adjoint formed.
     """
 
     grid: BoxGrid
-    coeffs: np.ndarray  # (n,)*dim + (d,)*dim
-
-    @property
-    def disp_count(self) -> int:
-        return self.coeffs.shape[-1]
-
-    @property
-    def size(self) -> int:
-        return self.grid.size
+    mat: "scipy.sparse.csr_array"
 
     @property
     def shape(self):
-        return (self.size, self.size)
+        return self.mat.shape
 
     @property
     def dtype(self):
-        return self.coeffs.dtype
-
-    def _bands(self) -> tuple:
-        """The column of every (row, band), ``size`` where the band leaves
-        the box, and the bands as a (rows, bands) array."""
-        col, inside = _neighbours(self.grid, np.arange(self.size), self.disp_count)
-        return np.where(inside, col, self.size), self.coeffs.reshape(self.size, -1)
+        return self.mat.dtype
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        col, c = self._bands()
-        # the slot past the last node reads zero, as past the box edge
-        x = np.append(np.asarray(v).reshape(-1), 0)
-        out = np.zeros(self.size, dtype=complex)
-        for j in range(c.shape[1]):
-            out += c[:, j] * x[col[:, j]]
-        return out.reshape(v.shape)
+        return (self.mat @ np.ravel(v)).reshape(np.shape(v))
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        # adjoint: out(y) = Σ_u conj(c(y-u; u)) v(y-u); a band reaches each
-        # node at most once, and what leaves the box lands in the spare slot
-        col, c = self._bands()
-        x = np.asarray(v).reshape(-1)
-        out = np.zeros(self.size + 1, dtype=complex)
-        for j in range(c.shape[1]):
-            out[col[:, j]] += np.conj(c[:, j]) * x
-        return out[:-1].reshape(v.shape)
+        return np.conj(self.mat.T @ np.conj(np.ravel(v))).reshape(np.shape(v))
 
     def to_dense(self) -> np.ndarray:
-        col, c = self._bands()
-        mat = np.zeros(self.shape, dtype=complex)
-        r, j = np.nonzero(col < self.size)
-        mat[r, col[r, j]] = c[r, j]
-        return mat
+        return self.mat.toarray()
 
 
 def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
-    """Representation as a banded operator: c(x;u) = Δ^N λ^A(x;u) φ~(x;u).
+    """Representation as a sparse operator: ``rep``'s entries in a CSR matrix.
 
-    The matrix-free form of :func:`rep` at its default scheme, for
-    ``matvec``/``rmatvec`` users.  The bands hold ``rep``'s entries from
-    its own walk over the pairs, so ``to_dense()`` equals ``rep`` bit for
-    bit; on a truncated box c(x;u) is zero where x + u leaves the box.
+    The sparse form of :func:`rep` at its default scheme, for
+    ``matvec``/``rmatvec`` users.  The (row, column, value) blocks of
+    ``rep``'s own walk over the pairs (``_rep_entries``) go into one CSR
+    matrix with no entry-wise cut; ``rep`` writes each (row, column) once,
+    so no entry is summed and ``to_dense()`` equals ``rep`` bit for bit.
+    ``scipy.sparse`` is imported on the first call.
     """
+    from scipy import sparse
+
     grid = kernel.grid
-    coeffs = np.zeros((grid.n,) * grid.dim + (kernel.disp_count,) * grid.dim, dtype=complex)
-    flat = coeffs.reshape(grid.size, -1)
-    for row, _, j, value in _rep_entries(pot, kernel, _SCHEME):
-        flat[row, j] = value
-    return BandedOperator(grid=grid, coeffs=coeffs)
+    rows, cols, _, values = map(np.concatenate, zip(*_rep_entries(pot, kernel, _SCHEME)))
+    mat = sparse.csr_array((values, (rows, cols)), shape=(grid.size, grid.size))
+    return BandedOperator(grid=grid, mat=mat)
 
 
 def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):

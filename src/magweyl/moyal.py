@@ -287,7 +287,11 @@ def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
     Symbols that are trigonometric polynomials in p (multipliers included)
     produce exactly banded kernels whose outer rows are rounding residue;
     dropping them routes the product through the exact narrow-band paths.
+    A ``rel_tol`` of 0 or below keeps every row; one that is not finite
+    raises ``ValueError``.
     """
+    if not np.isfinite(rel_tol):
+        raise ValueError(f"rel_tol must be finite, got {rel_tol}")
     d = k.disp_count
     if rel_tol <= 0.0 or d <= 1:
         return k

@@ -186,7 +186,10 @@ class UnionSpectrum:
 
 def merge_points(values: np.ndarray, eps: float) -> np.ndarray:
     """Sorted representatives of a point set, eps-close duplicates dropped.
-    A NaN point raises ``ValueError``."""
+    A NaN point, or an ``eps`` that is not finite and non-negative, raises
+    ``ValueError``."""
+    if not (np.isfinite(eps) and eps >= 0):
+        raise ValueError(f"merge tolerance eps must be finite and non-negative, got {eps}")
     values = np.sort(np.asarray(values, dtype=float).ravel())
     if np.isnan(values).any():
         raise ValueError("merged point sets must not contain NaN")

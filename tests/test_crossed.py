@@ -444,7 +444,7 @@ def test_products_and_bands_match_per_node_loops(monkeypatch):
             twisted_product(a, b, fld, sheet=sheet, tail_warn=np.inf)
             for a, b in cases for sheet in ("centered", "tilde")
         ]
-        return [p.values for p in prods] + [rep_banded(pot, phi).coeffs]
+        return [p.values for p in prods] + [rep_banded(pot, phi).to_dense()]
 
     blocked = run()
     monkeypatch.setattr(crossed, "_lambda_factors", lambda_per_node)
@@ -760,8 +760,19 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_import_loads_no_signal_or_spline_modules():
-    # nor any other scipy module
-    assert run_fresh(f"import sys, magweyl; print({SCIPY_MODULES})") == ["[]"]
+    # nor any other scipy module; the sparse form of rep loads scipy.sparse
+    # on its first call, and not scipy.linalg
+    code = f"""
+import sys
+import numpy as np
+import magweyl as mw
+print({SCIPY_MODULES})
+g = mw.BoxGrid(dim=2, half_length=3.0, n=8)
+k = mw.KernelSample(grid=g, values=np.ones((3, 3), dtype=complex), q_independent=True)
+mw.rep_banded(mw.transversal_gauge(mw.MagneticField.constant_2d(0.5)), k)
+print("scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+    assert run_fresh(code) == ["[]", "True", "False"]
 
 
 def test_products_load_no_scipy_and_eig_loads_linalg():
@@ -1052,9 +1063,11 @@ def test_products_refuse_periodic_boxes():
             route(phi, psi, MagneticField.zero(1), sheet="tilde")
 
 
-@pytest.mark.parametrize("count", [-1, 0, 2])
+@pytest.mark.parametrize("count", [-1, 0, 2, 5.0, True])
 def test_products_refuse_a_window_that_is_not_a_positive_odd_count(count):
-    # -1 failed in numpy with "negative dimensions are not allowed"
+    # -1 failed in numpy with "negative dimensions are not allowed", 5.0
+    # with "slice indices must be integers", True with "an integer is
+    # required"
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     k = KernelSample(grid=g, values=np.ones((5, 5), dtype=complex), q_independent=True)
     for route in (twisted_product, twisted_product_reference):
@@ -1565,18 +1578,21 @@ def test_banded_periodic_wraps():
 def test_banded_forms_agree_with_rep_on_every_box(dim, n, d, bc):
     # to_dense is rep bit for bit, and matvec and rmatvec are the dense
     # matrix and its adjoint, past the edge of a truncated box and across
-    # the wrap of a periodic one
+    # the wrap of a periodic one, for base-point dependent, base-point
+    # independent and tilde-tagged kernels
     rng = np.random.default_rng(42)
     g = BoxGrid(dim=dim, half_length=3.0, n=n, bc=bc)
-    shape = (n,) * dim + (d,) * dim
-    k = KernelSample(grid=g, values=rng.normal(size=shape) + 1j * rng.normal(size=shape))
     pot = transversal_gauge(MagneticField.zero(dim) if dim != 2 else variable_field())
-    band = rep_banded(pot, k)
-    dense = band.to_dense()
-    assert np.array_equal(dense, rep(pot, k).mat)
-    v = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
-    assert np.abs(band.matvec(v) - dense @ v).max() < 1e-12
-    assert np.abs(band.rmatvec(v) - dense.conj().T @ v).max() < 1e-12
+    for q_independent, sheet in ((False, "centered"), (True, "centered"), (False, "tilde")):
+        shape = (d,) * dim if q_independent else (n,) * dim + (d,) * dim
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        k = KernelSample(grid=g, values=values, q_independent=q_independent, sheet=sheet)
+        band = rep_banded(pot, k)
+        dense = band.to_dense()
+        assert np.array_equal(dense, rep(pot, k).mat)
+        v = rng.normal(size=g.size) + 1j * rng.normal(size=g.size)
+        assert np.abs(band.matvec(v) - dense @ v).max() < 1e-12
+        assert np.abs(band.rmatvec(v) - dense.conj().T @ v).max() < 1e-12
 
 
 def test_rep_refuses_a_gauge_of_another_dimension():

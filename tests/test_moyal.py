@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magweyl.fields import MagneticField
-from magweyl.grid import BoxGrid, PhaseGridFunction
+from magweyl.grid import BoxGrid, KernelSample, PhaseGridFunction
 from magweyl.moyal import (
     CutoffFamily,
     Symbol,
@@ -11,6 +11,7 @@ from magweyl.moyal import (
     moyal_direct,
     moyal_nonmagnetic,
     regularize,
+    trim_kernel,
 )
 
 
@@ -282,6 +283,18 @@ def test_trim_keeps_product_unchanged():
     kept = moyal(f, g, field, trim_tol=0.0)
     trimmed = moyal(f, g, field)
     assert np.max(np.abs(kept.values - trimmed.values)) < 1e-10
+
+
+def test_trim_refuses_a_tolerance_that_is_not_finite():
+    # NaN and ±inf cut any kernel to its central node; 0 or below keeps
+    # every row
+    k = KernelSample(grid=BoxGrid(dim=2, half_length=3.0, n=12), values=np.ones((7, 7), dtype=complex),
+                     q_independent=True)
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            trim_kernel(k, tol)
+    for tol in (0.0, -1.0):
+        assert trim_kernel(k, tol).disp_count == 7
 
 
 # ---- route agreement against the direct quadrature ----

@@ -899,9 +899,14 @@ def test_merge_points_drops_close_duplicates():
 
 
 def test_merge_points_refuses_nan():
-    # [1, nan, 2] came back as [1, 2]
+    # [1, nan, 2] came back as [1, 2]; an eps of NaN returned [1, 2, 3] as
+    # [1], and a negative one kept exact duplicates
     with pytest.raises(ValueError, match="NaN"):
         merge_points([1.0, np.nan, 2.0], 1e-6)
+    for eps in (np.nan, np.inf, -np.inf, -1e-6):
+        with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+            merge_points([1.0, 2.0, 3.0], eps)
+    assert np.array_equal(merge_points([1.0, 1.0, 2.0], 0.0), [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
