@@ -96,20 +96,22 @@ independent kernels describe translation-covariant operators and their
 values extend unchanged.  Products refuse periodic boxes, where the shear
 would wrap base points that the product zero-extends; ``rep`` wraps them.
 Which node a step reaches, and whether it is in the box, is the box-edge
-convention of :mod:`magweyl.grid`: the pair walk reads it from
-``grid._neighbours``, the shifts from the grid they are given.
+convention of :mod:`magweyl.grid` (``grid._axis_runs``), which the pair
+walk and the shifts read on the grid they are given.
 
-On a truncated box ``rep`` integrates each unordered node pair once:
-reversing the segment [x, y] negates its circulation, so the phase of a
-lexicographically positive displacement u (the upper triangle in flat node
-order) also dresses the reverse entry, which reads its own kernel value
-φ~(y;-u).  Periodic boxes integrate every pair, since a wrapped column's
-reverse segment is not the negated one.  ``rep`` and ``rep_banded`` fill
-from one walk over these entries (``_rep_entries`` on ``_pair_blocks``):
-``rep`` into a dense matrix, ``rep_banded`` into the CSR matrix of the same
-entries, its sparse form.  ``_circulation_table`` integrates the pairs once
-for a ladder of nested boxes on one lattice and returns a gauge that reads
-them back.
+``rep`` walks the window one displacement u at a time (``_window_walk``):
+the rows x with x + u in the box form one sub-box per run of
+``grid._axis_runs`` on each axis, whose circulations are one
+``pot.circulation`` call and whose entries ``rep`` writes along M's
+u-diagonal through one strided view.  On a truncated box each unordered
+node pair is integrated once: reversing [x, y] negates its circulation, so
+the phase of a lexicographically positive u also dresses the reverse
+entry, which reads its own kernel value φ~(y;-u).  Periodic boxes
+integrate every pair, since a wrapped column's reverse segment is not the
+negated one.  ``rep`` and ``rep_banded`` fill from the same blocks
+(``_rep_blocks``), into a dense and a CSR matrix.  ``_circulation_table``
+integrates the pairs once for a ladder of nested boxes on one lattice into
+one array, which ``rep`` reads by strided slices.
 
 The layer runs one fixed configuration:
 
@@ -127,11 +129,12 @@ The layer runs one fixed configuration:
 * Block sizes, which bound the temporaries whatever the window: 8192
   node pairs per block when callable tilde values are tabled, and about
   as many points per call of a multiplier's callable (``_PAIR_BLOCK``);
-  as many integrated pairs per block of rows when ``rep`` walks a gauge
-  of order 8, and (8/order)² times as many for a gauge of another order,
-  which integrates a pair's flux on order² nodes; about 2^16 flux quadrature nodes per block of a table of
-  circulation phases Λ (``_QUAD_BLOCK``, 1024 pairs for a gauge of
-  order 8); one box of rows of the left factor per leading row of the
+  one sub-box of a displacement's rows per circulation call of ``rep``,
+  split above as many pairs at order 8 and (8/order)² times as many at
+  another order, which integrates a pair on order² nodes; about 2^16 flux
+  quadrature nodes per block of a table of circulation phases Λ
+  (``_QUAD_BLOCK``, 1024 pairs for a gauge of order 8); one box of rows of
+  the left factor per leading row of the
   right factor in the constant-field twisted convolution; and for the
   general GEMM route, tiles of 4 rows on every trailing axis
   (``_GEMM_TRAIL``), 16 matrix rows per tile of A (base points r,
@@ -166,11 +169,11 @@ from .grid import (
     PhaseGridFunction,
     partial_fourier_inv,
     shift_q,
+    _axis_runs,
     _central,
     _check_scheme,
     _common_grid,
     _fit_window,
-    _neighbours,
     _node_values,
     _require_centered,
     _shear,
@@ -1114,161 +1117,178 @@ def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     """Representation as a sparse operator: ``rep``'s entries in a CSR matrix.
 
     The sparse form of :func:`rep` at its default scheme, for
-    ``matvec``/``rmatvec`` users.  The (row, column, value) blocks of
-    ``rep``'s own walk over the pairs (``_rep_entries``) go into one CSR
-    matrix with no entry-wise cut; ``rep`` writes each (row, column) once,
-    so no entry is summed and ``to_dense()`` equals ``rep`` bit for bit.
-    ``scipy.sparse`` is imported on the first call.
+    ``matvec``/``rmatvec`` users.  ``rep``'s blocks of entries, one per
+    sub-box of its walk (``_rep_blocks``), go into one CSR matrix at the
+    flat node indices of their rows and columns, with no entry-wise cut;
+    ``rep`` writes each (row, column) once, so no entry is summed and
+    ``to_dense()`` equals ``rep`` bit for bit.  ``scipy.sparse`` is
+    imported on the first call.
     """
     from scipy import sparse
 
     grid = kernel.grid
-    rows, cols, _, values = map(np.concatenate, zip(*_rep_entries(pot, kernel, _SCHEME)))
+    index = np.arange(grid.size).reshape((grid.n,) * grid.dim)
+    blocks = [
+        (index[r].ravel(), index[c].ravel(), v.ravel()) for r, c, v in _rep_blocks(pot, kernel, _SCHEME)
+    ]
+    rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
     mat = sparse.csr_array((values, (rows, cols)), shape=(grid.size, grid.size))
     return BandedOperator(grid=grid, mat=mat)
 
 
-def _pair_blocks(pot: VectorPotential, grid: BoxGrid, d: int):
-    """``rep``'s walk over the node pairs of a window of ``d`` nodes per axis.
-
-    Yields, per block of rows, the row r, window index j, column and
-    circulation of ``pot`` along [r, r + u] of every pair whose column
-    r + u lies in the box (``grid._neighbours``), in row-major order; a
-    periodic box keeps every j, a truncated one keeps u = 0 and the
-    lexicographically positive u.  A block holds about ``_PAIR_BLOCK``
-    pairs for a gauge of order 8 and (8/order)² times as many for
-    another, as it integrates a pair on order² nodes.  A gauge of another
-    dimension than the grid's is refused.
-    """
-    _common_grid(grid, field=pot, of=" of the vector potential")
+def _window_walk(grid: BoxGrid, d: int):
+    """``rep``'s walk over the displacements u of a window of ``d`` nodes
+    per axis, in window order: every u on a periodic box, u = 0 and the
+    lexicographically positive u on a truncated one.  The rows x whose
+    column x + u lies in the box (wrapped on a periodic box) form one
+    sub-box per choice of a run of ``grid._axis_runs`` on every axis; yields
+    u's window index j and, per nonempty sub-box, the slices of its rows
+    and of their columns, one per axis."""
     count = d**grid.dim
     # displacement nodes are in lexicographic order, so u = 0 is the middle
     # node and the lexicographically positive ones follow it
-    first = 0 if grid.bc == "periodic" else count // 2
-    pairs_per_block = _PAIR_BLOCK * DEFAULT_ORDER**2 // pot.order**2
-    rows_per_block = max(1, pairs_per_block // (count - first))
-    pts, disp = grid.points(), _disp_nodes(grid, d)
-    for start in range(0, grid.size, rows_per_block):
-        rows = np.arange(start, min(start + rows_per_block, grid.size))
-        col, inside = _neighbours(grid, rows, d)
-        r, j = np.nonzero(inside[:, first:])
-        col = col[:, first:][r, j]
-        r, j = r + start, j + first
-        yield r, j, col, pot.circulation(np.take(pts, r, axis=0), np.take(disp, j, axis=0))
+    for j in range(0 if grid.bc == "periodic" else count // 2, count):
+        steps = np.unravel_index(j, (d,) * grid.dim)
+        for runs in itertools.product(*(_axis_runs(grid.n, int(s) - d // 2, grid) for s in steps)):
+            if all(dst.start < dst.stop for dst, _ in runs):
+                yield j, tuple(dst for dst, _ in runs), tuple(src for _, src in runs)
 
 
-def _rep_entries(pot: VectorPotential, kernel: KernelSample, scheme: str):
-    """``rep``'s entries as blocks of (row, column, window index, value):
-    per block of ``_pair_blocks`` the integrated pairs, then on a truncated
-    box their reverse entries, which share the phase."""
+def _walk_circulations(pot: VectorPotential, grid: BoxGrid, d: int):
+    """``_window_walk`` with the circulation of ``pot`` along [x, x + u] for
+    each sub-box's rows x, an array of the sub-box's shape.
+
+    Each sub-box is one ``pot.circulation`` call, split only above
+    ``_PAIR_BLOCK`` pairs for a gauge of order 8 and (8/order)² times as
+    many for another, as it integrates a pair on order² nodes.  A gauge
+    from ``_circulation_table`` reads each sub-box as a strided slice of
+    u's block of its table instead, and refuses a grid its table does not
+    cover.  A gauge of another dimension than the grid's is refused.
+    """
+    _common_grid(grid, field=pot, of=" of the vector potential")
+    if pot._table is not None:
+        yield from _table_circulations(pot._table, grid, d)
+        return
+    mesh, disp = grid.mesh(), _disp_nodes(grid, d)
+    per_call = max(1, _PAIR_BLOCK * DEFAULT_ORDER**2 // pot.order**2)
+    for j, rows, cols in _window_walk(grid, d):
+        sub = mesh[rows]
+        q = sub.reshape(-1, grid.dim)
+        circ = [pot.circulation(q[s:s + per_call], disp[j]) for s in range(0, len(q), per_call)]
+        yield j, rows, cols, np.concatenate(circ).reshape(sub.shape[:-1])
+
+
+def _table_circulations(table: tuple, grid: BoxGrid, d: int):
+    """``_walk_circulations`` read from a table of ``_circulation_table``.
+
+    The table covers a truncated box of its lattice (bit for bit the same
+    spacing) centred in its own, at a window no wider than its own: the
+    rows of u on such a box are a centred slice of u's block, whose rows
+    run over the table box's sub-box for u in C order."""
+    tgrid, td, values, starts = table
+    if not (grid.bc == "truncated" and grid.delta == tgrid.delta and grid.n <= tgrid.n and d <= td):
+        raise ValueError(
+            "circulation table covers truncated boxes of its lattice centred in its own, "
+            "at windows no wider than its own"
+        )
+    offset = (tgrid.n - grid.n) // 2
+    for j, rows, cols in _window_walk(grid, d):
+        steps = np.array(np.unravel_index(j, (d,) * grid.dim)) - d // 2
+        block = np.ravel_multi_index(tuple(steps + td // 2), (td,) * grid.dim) - td**grid.dim // 2
+        rows_of_u = values[starts[block]:starts[block + 1]].reshape(tgrid.n - np.abs(steps))
+        yield j, rows, cols, rows_of_u[tuple(slice(offset, offset + r.stop - r.start) for r in rows)]
+
+
+def _rep_blocks(pot: VectorPotential, kernel: KernelSample, scheme: str):
+    """``rep``'s entries, per sub-box of the walk: the slices of the rows x
+    and the columns y = x + u of the sub-box and the entries M[x, y], an
+    array of its shape, then on a truncated box for u ≠ 0 the reverse
+    entries M[y, x], which share the phase."""
     grid = kernel.grid
-    count = kernel.disp_count**grid.dim
+    d, dim = kernel.disp_count, grid.dim
     # a base-point independent kernel reads its one row at every row
-    tilde = np.broadcast_to(_tilde_values(kernel, scheme).reshape(-1, count), (grid.size, count))
-    for r, j, col, circ in _pair_blocks(pot, grid, kernel.disp_count):
+    tilde = np.broadcast_to(_tilde_values(kernel, scheme), (grid.n,) * dim + (d,) * dim)
+    for j, rows, cols, circ in _walk_circulations(pot, grid, d):
+        u = np.unravel_index(j, (d,) * dim)
         phase = np.exp(-1j * circ)
-        yield r, col, j, phase * tilde[r, j] * grid.cell_volume
-        if grid.bc == "periodic":
-            continue
-        rev = j > count // 2
-        r, col, j = r[rev], col[rev], count - 1 - j[rev]
-        yield col, r, j, np.conj(phase[rev]) * tilde[col, j] * grid.cell_volume
+        # the kernel values are views: numpy writes a product into a large
+        # temporary right operand with the operands swapped, which rounds
+        # differently, and an entry would then depend on its block's size
+        yield rows, cols, phase * tilde[rows + u] * grid.cell_volume
+        if grid.bc == "truncated" and j > d**dim // 2:
+            minus_u = tuple(d - 1 - i for i in u)
+            yield cols, rows, np.conj(phase) * tilde[cols + minus_u] * grid.cell_volume
 
 
 def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int) -> VectorPotential:
     """The gauge ``pot`` with the circulations of ``rep``'s pairs tabulated.
 
     Integrates circulation(x, u) once for every pair that ``rep`` walks on
-    the truncated box ``grid`` with a window of ``d`` nodes per axis, and
-    returns a potential whose ``circulation_exact`` reads the table.  A box
-    whose nodes and window are a subset of these, bit for bit, reads its
-    own pairs from it: a segment's circulation depends on its end points
-    only, and the quadrature on neither the box nor the batch, so ``rep``
-    through the table equals ``rep`` through ``pot`` bit for bit.  The
-    table holds the in-box pairs only, one block of the row sub-box per
-    lexicographically non-negative u; its values are at ``pot``'s order,
-    which the returned gauge keeps.  A query that is not an exact node and
-    window displacement of ``grid``, or whose pair is not in the table,
-    raises ``ValueError``.
+    the truncated box ``grid`` with a window of ``d`` nodes per axis, one
+    ``_walk_circulations`` sub-box per lexicographically non-negative u,
+    into one array: u's block holds its rows in C order.  Returns a copy
+    of ``pot`` with that array attached, at ``pot``'s order; ``rep`` on a
+    truncated box of the same spacing bit for bit, centred in ``grid``, at
+    a window no wider than ``d``, reads its pairs as strided slices of the
+    blocks and refuses any other grid.  A segment's circulation depends
+    on its end points only, and the quadrature on neither the box nor the
+    batch, so ``rep`` through the table equals ``rep`` through ``pot`` bit
+    for bit.  The copy's own ``circulation`` integrates as ``pot`` does.
     """
     if grid.bc == "periodic":
         raise ValueError("circulation tables cover truncated boxes only")
-    dim, n, k = grid.dim, grid.n, d // 2
-    half = d**dim // 2
-    # the block of u = steps[j - half] holds the rows x with x + u in the
-    # box, in C order: position base[j - half] + Σ_e x_e stride[e][j - half]
-    steps = np.stack(np.unravel_index(np.arange(half, d**dim), (d,) * dim)) - k
-    extent = np.maximum(n - np.abs(steps), 0)
-    stride = np.ones_like(extent)
-    for ax in range(dim - 2, -1, -1):
-        stride[ax] = stride[ax + 1] * extent[ax + 1]
-    sizes = np.prod(extent, axis=0)
-    base = np.cumsum(sizes) - sizes - np.sum(np.maximum(-steps, 0) * stride, axis=0)
-
-    def position(nodes, j):
-        j = j - half
-        pos = base[j] + nodes[-1]
-        for ax in range(dim - 1):
-            pos += nodes[ax] * stride[ax, j]
-        return pos
-
-    table = np.empty(int(sizes.sum()))
-    for r, j, _, circ in _pair_blocks(pot, grid, d):
-        table[position(np.stack(np.unravel_index(r, (n,) * dim)), j)] = circ
-
-    axis, disp_axis = grid.axis(), grid.disp_axis(d)
-    scale = 1.0 / grid.delta
-
-    def circulation(q, x):
-        shape = q.shape[:-1]
-        q, x = q.reshape(-1, dim), x.reshape(-1, dim)
-        # the nearest node and window index per axis, clipped into range
-        # (a NaN casts to some integer), then checked for exact equality
-        with np.errstate(invalid="ignore"):
-            nodes = (q * scale + ((n - 1) / 2 + 0.5)).astype(np.intp)
-            step = (x * scale + (k + 0.5)).astype(np.intp)
-        np.clip(nodes, 0, n - 1, out=nodes)
-        np.clip(step, 0, d - 1, out=step)
-        target = nodes + step - k
-        j = step[:, 0]
-        for ax in range(1, dim):
-            j = j * d + step[:, ax]
-        if not (
-            (axis[nodes] == q).all() and (disp_axis[step] == x).all()
-            and (target >= 0).all() and (target < n).all() and (j >= half).all()
-        ):
-            raise ValueError(
-                "circulation table holds the pairs of its box's nodes and lexicographically "
-                "non-negative window displacements only"
-            )
-        return table[position(nodes.T, j)].reshape(shape)
-
-    tabulated = VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=circulation)
-    tabulated._order = pot.order
+    half = d**grid.dim // 2
+    sizes = np.zeros(d**grid.dim - half + 1, dtype=np.intp)
+    for j, rows, _ in _window_walk(grid, d):
+        sizes[j - half + 1] = math.prod(r.stop - r.start for r in rows)
+    starts = np.cumsum(sizes)
+    values = np.empty(starts[-1])
+    for j, _, _, circ in _walk_circulations(pot, grid, d):
+        values[starts[j - half]:starts[j - half + 1]] = circ.ravel()
+    tabulated = VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=pot.circulation_exact)
+    tabulated._transversal, tabulated._order = pot._transversal, pot.order
+    tabulated._table = (grid, d, values, starts)
     return tabulated
+
+
+def _diagonal(mat: np.ndarray, grid: BoxGrid, rows: tuple, cols: tuple) -> np.ndarray:
+    """The entries M[x, x + u] of the sub-box of rows ``rows`` whose columns
+    are ``cols``, as a strided view of the dense matrix ``mat``: a step
+    along node axis e moves the flat row and column alike, by n^(N-1-e)."""
+    place = [grid.n ** (grid.dim - 1 - e) for e in range(grid.dim)]
+    start = sum(r.start * p for r, p in zip(rows, place)) * grid.size + sum(
+        c.start * p for c, p in zip(cols, place)
+    )
+    return np.ndarray(
+        tuple(r.stop - r.start for r in rows), mat.dtype, mat, start * mat.itemsize,
+        tuple(p * (grid.size + 1) * mat.itemsize for p in place),
+    )
 
 
 def rep(pot: VectorPotential, kernel: KernelSample, *, scheme: str = _SCHEME) -> OperatorMatrix:
     """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
 
     Filled directly over the node pairs whose difference u = y - x lies in
-    the kernel window (``_rep_entries``): the entry is
-    Δ^N exp(-i circulation(x, u)) φ~(x;u), at the gauge's order, with the
-    sheared value φ~(x;u) = φ(x + u/2; u), taken as stored for tilde-sheet
-    kernels.  On a truncated box each unordered pair is integrated once:
-    the circulation c of a lexicographically positive u (and of u = 0)
-    also gives the reverse entry Δ^N exp(+i c) φ~(y;-u), since reversing
-    the segment negates its line integral.  Only the phase is shared, so a
-    non-Hermitian kernel gives a non-Hermitian matrix.  Periodic boxes wrap
-    the column index and integrate every pair: a wrapped column's reverse
-    segment is not the negated one.  A gauge from ``_circulation_table``
-    reads the same pairs from a table built once for a box ladder.
-    Entries equal those of ``rep_banded(...).to_dense()`` bit for bit.
+    the kernel window, one displacement at a time (``_rep_blocks``): the
+    rows x with x + u in the box form sub-boxes, one ``pot.circulation``
+    call each, and their entries Δ^N exp(-i circulation(x, u)) φ~(x;u),
+    at the gauge's order, with the sheared value φ~(x;u) = φ(x + u/2; u),
+    taken as stored for tilde-sheet kernels, go along M's u-diagonal
+    through a strided view of the matrix.  On a truncated box each
+    unordered pair is integrated once: the circulation c of a
+    lexicographically positive u (and of u = 0) also gives the reverse
+    entry Δ^N exp(+i c) φ~(y;-u), since reversing the segment negates its
+    line integral.  Only the phase is shared, so a non-Hermitian kernel
+    gives a non-Hermitian matrix.  Periodic boxes wrap the column index and
+    integrate every pair: a wrapped column's reverse segment is not the
+    negated one.  A gauge from ``_circulation_table`` reads the same
+    circulations from a table built once for a box ladder.  Entries equal
+    those of ``rep_banded(...).to_dense()`` bit for bit.
     """
     grid = kernel.grid
     mat = np.zeros((grid.size, grid.size), dtype=complex)
-    for row, col, _, value in _rep_entries(pot, kernel, scheme):
-        mat[row, col] = value
+    for rows, cols, values in _rep_blocks(pot, kernel, scheme):
+        _diagonal(mat, grid, rows, cols)[...] = values
     return OperatorMatrix(mat=mat, grid=grid)
 
 

@@ -34,10 +34,14 @@ from here instead of restating them:
   ``_fit_window`` cuts or zero-pads from one window to another.
 * the box edge: a step from a node reaches a node in the box, or leaves
   the box.  A truncated box ends at its edge, so past it values are zero;
-  a periodic box wraps every step, so every step stays in the box.  Every
-  walk over node pairs reads this from ``_neighbours``, and the base-point
-  shifts (whole and half steps alike) from ``_axis_runs`` on the grid they
-  are given.
+  a periodic box wraps every step, so every step stays in the box.  One
+  rule says this, ``_axis_runs``: the runs of an axis whose nodes a step
+  of s nodes keeps in the box, one run on a truncated box (none past its
+  width) and two on a periodic one, the second being the wrap.  The
+  base-point shifts (whole and half steps alike) read it on the grid they
+  are given, and the pair walk of ``crossed.rep`` reads each
+  displacement's rows from it, one sub-box per choice of a run on every
+  axis.
 
 Three input rules live here as well, each in one helper every layer calls:
 
@@ -145,14 +149,18 @@ class BoxGrid:
         return self.n - 1
 
     def disp_count_for_radius(self, r_disp: float) -> int:
-        if r_disp <= 0:
-            raise ValueError("displacement radius must be positive")
+        if not (np.isfinite(r_disp) and r_disp > 0):
+            raise ValueError(f"displacement radius must be positive and finite, got {r_disp}")
         k = int(np.floor(r_disp / self.delta + 1e-9))
         k = min(k, self.n // 2 - 1)
         return 2 * k + 1
 
     def interior_mask(self, collar: float) -> np.ndarray:
-        """Boolean mask of nodes at distance > collar from the box boundary."""
+        """Boolean mask of nodes at distance > collar from the box boundary.
+        The collar must be finite and >= 0: NaN or inf would leave no node,
+        a negative collar every node."""
+        if not (np.isfinite(collar) and collar >= 0):
+            raise ValueError(f"collar must be finite and >= 0, got {collar}")
         ax = self.axis()
         inner = np.abs(ax) < self.half_length - collar
         mask = inner
@@ -239,27 +247,6 @@ def _central(count: int, width: int, dim: int) -> tuple:
     count // 2 of the one and width // 2 of the other."""
     lo = width // 2 - count // 2
     return (Ellipsis,) + (slice(lo, lo + count),) * dim
-
-
-def _neighbours(grid: BoxGrid, rows: np.ndarray, count: int) -> tuple:
-    """The box-edge rule for the flat node indices ``rows`` and a window of
-    ``count`` steps per axis, displacement 0 at step count // 2: the flat
-    column each step reaches and whether it lies in the box, both of shape
-    (len(rows), count^N) with the steps in C order.  A periodic box wraps
-    the step, so every column lies in it; on a truncated box a column
-    outside it is no node's index and must be masked."""
-    n, dim = grid.n, grid.dim
-    col, inside = 0, True
-    for ax, node in enumerate(np.unravel_index(rows, (n,) * dim)):
-        shape = (len(rows),) + (1,) * ax + (count,) + (1,) * (dim - 1 - ax)
-        target = (node[:, None] + np.arange(count) - count // 2).reshape(shape)
-        if grid.bc == "periodic":
-            target = target % n
-        else:
-            inside = inside & (target >= 0) & (target < n)
-        col = col * n + target
-    inside = np.broadcast_to(inside, col.shape)
-    return col.reshape(len(rows), count**dim), inside.reshape(len(rows), count**dim)
 
 
 # ---------------------------------------------------------------------------

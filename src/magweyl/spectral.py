@@ -953,12 +953,14 @@ def essential_estimate(
 
     Rungs are assembled and solved one after the other (in a pool with
     ``threads`` > 1).  Where the gauge needs quadrature, rungs on one
-    lattice read their circulations from one table (``_rung_specs``),
-    which is released once the group's last rung is assembled.  A window
-    that is not finite with lo < hi, a box half-length that is not finite,
-    a density that is not positive and finite, node counts that do not
-    strictly increase, or a largest rung above ``EIG_CAP`` nodes raise
-    ``ValueError`` before any assembly.
+    lattice read their circulations from one table (``_rung_specs``): one
+    array of the largest rung's pairs, one block per displacement, which
+    the rungs' gauge carries and ``rep`` reads a rung's rows from as
+    strided slices; it is released once the group's last rung is
+    assembled.  A window that is not finite with lo < hi, a box
+    half-length that is not finite, a density that is not positive and
+    finite, node counts that do not strictly increase, or a largest rung
+    above ``EIG_CAP`` nodes raise ``ValueError`` before any assembly.
     """
     lo, hi = _window(window, finite=True)
     boxes = tuple(float(b) for b in boxes)
@@ -1076,8 +1078,8 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     if rungs[0].bc == "periodic" or pot._transversal is None:
         return specs
     # node counts are even, so the axes (i - (n-1)/2)·δ of rungs with one
-    # spacing are slices of each other bit for bit; the table checks every
-    # node it is asked for
+    # spacing are slices of each other bit for bit; rep checks that the
+    # table covers each rung it reads it for
     groups = {}
     for i, g in enumerate(rungs):
         groups.setdefault(g.delta, []).append(i)

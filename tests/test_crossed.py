@@ -1484,17 +1484,58 @@ def test_rep_memory_does_not_grow_with_order():
         assert peak <= 32e6, peak
 
 
+@pytest.mark.parametrize("bc", ["truncated", "periodic"])
+@pytest.mark.parametrize("dim, n, count", [(1, 8, 7), (2, 6, 5), (3, 4, 3)])
+def test_window_walk_visits_rep_pairs(dim, n, count, bc):
+    # the sub-boxes of every displacement cover each (row, window index,
+    # column) of the node arithmetic done by hand exactly once: every pair
+    # on a periodic box, across its wrap, and on a truncated one the pairs
+    # of u = 0 and the lexicographically positive u, inside its edge
+    g = BoxGrid(dim=dim, half_length=2.0, n=n, bc=bc)
+    index = np.arange(g.size).reshape((n,) * dim)
+    seen = []
+    for j, rows, cols in crossed._window_walk(g, count):
+        x, y = index[rows].ravel(), index[cols].ravel()
+        seen += zip(x.tolist(), [j] * len(x), y.tolist())
+    x, j, y, _ = rep_pairs(g, count)
+    keep = j >= (0 if bc == "periodic" else count**dim // 2)
+    want = list(zip(x[keep].tolist(), j[keep].tolist(), y[keep].tolist()))
+    assert len(seen) == len(set(seen)) == len(want)
+    assert set(seen) == set(want)
+
+
 def test_circulation_table_keeps_the_gauge_order():
     # the table integrates at the gauge's order (4 × 4 nodes here, not 4
-    # radial and 8 line nodes) and hands that order on
+    # radial and 8 line nodes) and hands that order on; its array holds one
+    # block per lexicographically non-negative u, the rows of u in C order
     g = BoxGrid(dim=2, half_length=3.0, n=8)
     fld = variable_field()
     table = crossed._circulation_table(transversal_gauge(fld, order=4), g, 5)
     x, j, _, steps = rep_pairs(g, 5)
-    keep = j >= 25 // 2
+    keep = np.lexsort((x, j))
+    keep = keep[j[keep] >= 25 // 2]
     q, u = g.points()[x[keep]], steps[keep] * g.delta
     assert table.order == 4
-    assert same_bits(table.circulation(q, u), _flux_quadrature(fld, None, q, u, 4, 4))
+    assert same_bits(table._table[2], _flux_quadrature(fld, None, q, u, 4, 4))
+
+
+@pytest.mark.parametrize("q_independent", [False, True])
+def test_rep_through_a_table_is_rep_through_its_gauge(q_independent):
+    # on the table's box, and on a smaller box of its lattice that sits 2
+    # nodes in from its edge on every axis, at the table's window and a
+    # narrower one, both forms read the gauge's own circulations bit for bit
+    fld = variable_field()
+    pot = transversal_gauge(fld)
+    table = crossed._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12), 7)
+    rng = np.random.default_rng(120)
+    for g in (BoxGrid(dim=2, half_length=3.0, n=12), BoxGrid(dim=2, half_length=2.0, n=8)):
+        for d in (7, 5):
+            shape = (d, d) if q_independent else (g.n, g.n, d, d)
+            values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            k = KernelSample(grid=g, values=values, q_independent=q_independent)
+            want = rep(pot, k).mat
+            assert np.array_equal(rep(table, k).mat, want)
+            assert np.array_equal(rep_banded(table, k).to_dense(), want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from magweyl.fields import MagneticField
+from magweyl.crossed import op_weyl
+from magweyl.fields import MagneticField, transversal_gauge
 from magweyl.grid import (
     BoxGrid,
     PhaseGridFunction,
@@ -13,7 +14,6 @@ from magweyl.grid import (
     symbol_from_kernel_full,
     kernel_from_symbol_full,
     shift_q,
-    _neighbours,
     _shift_axis_half,
 )
 from magweyl.moyal import moyal
@@ -120,6 +120,18 @@ def test_kernel_truncation_records_tail():
     dropped = np.abs(full.values).sum() - np.abs(trunc.values).sum()
     assert abs(trunc.tail_mass - (dropped * g.delta + full.tail_mass)) < 1e-12
     assert 0 < trunc.tail_mass < 1e-4
+
+
+@pytest.mark.parametrize("r_disp", [np.nan, np.inf, 0.0, -1.0])
+def test_displacement_radius_must_be_positive_and_finite(r_disp):
+    # NaN failed in numpy with "cannot convert float NaN to integer" and
+    # inf with OverflowError, both through partial_fourier_inv and op_weyl
+    g = BoxGrid(dim=1, half_length=4.0, n=16)
+    f = PhaseGridFunction.sample(lambda p: np.sum(p**2, -1), g)
+    with pytest.raises(ValueError, match="displacement radius must be positive and finite"):
+        partial_fourier_inv(f, r_disp=r_disp)
+    with pytest.raises(ValueError, match="displacement radius must be positive and finite"):
+        op_weyl(transversal_gauge(MagneticField.zero(1)), f, r_disp=r_disp)
 
 
 def test_symbol_kernel_symbol_identity_without_truncation():
@@ -268,24 +280,6 @@ def test_periodic_shift_wraps():
     vals = rng.normal(size=8)
     got = shift_q(vals, g, [2])
     assert np.abs(got - np.roll(vals, -1)).max() == 0.0
-
-
-@pytest.mark.parametrize("bc", ["truncated", "periodic"])
-@pytest.mark.parametrize("dim, n, count", [(1, 8, 7), (2, 6, 5), (3, 4, 3)])
-def test_neighbours_is_the_box_edge_rule(dim, n, count, bc):
-    # every (row, step) against the node arithmetic done by hand: the step
-    # adds (j - count // 2) per axis, stays in the box on a periodic one by
-    # wrapping, and leaves a truncated one past its edge
-    g = BoxGrid(dim=dim, half_length=2.0, n=n, bc=bc)
-    rows = np.arange(1, g.size, 3)
-    col, inside = _neighbours(g, rows, count)
-    assert col.shape == inside.shape == (len(rows), count**dim)
-    steps = np.stack(np.unravel_index(np.arange(count**dim), (count,) * dim), axis=-1) - count // 2
-    node = np.stack(np.unravel_index(rows, (n,) * dim), axis=-1)[:, None, :] + steps[None]
-    want_inside = np.all((node >= 0) & (node < n), axis=-1) | (bc == "periodic")
-    assert np.array_equal(inside, want_inside)
-    want_col = np.ravel_multi_index(tuple(np.moveaxis(node % n, -1, 0)), (n,) * dim)
-    assert np.array_equal(col[inside], want_col[inside])
 
 
 def test_whole_shifts_past_the_box():

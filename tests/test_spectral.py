@@ -536,6 +536,17 @@ def test_fibered_matches_dense_bulk_spectrum():
     assert gaps.max() <= 0.1
 
 
+@pytest.mark.parametrize("collar", [np.nan, np.inf, -1.0])
+def test_bulk_scores_refuse_a_collar_that_is_not_finite_and_non_negative(collar):
+    # NaN or inf left no interior node, so every score read 0.0 and every
+    # state an edge state; -1 kept every node, so every score read 1.0
+    grid = BoxGrid(dim=2, half_length=3.0, n=8)
+    res = eig(assemble(SchrodingerSpec(h=free_kinetic, field=None, grid=grid)), (0.0, 8.0), vectors=True)
+    assert len(res) and np.all((res.bulk_scores() > 0) & (res.bulk_scores() < 1))
+    with pytest.raises(ValueError, match="collar must be finite and >= 0"):
+        res.bulk_scores(collar)
+
+
 def test_fiber_gauge_is_the_profile_antiderivative():
     # B = 1 + 0.5 tanh(x/0.7) integrates to x + 0.35 log cosh(x/0.7)
     for grid in (BoxGrid(dim=1, half_length=5.0, n=24), BoxGrid(dim=1, half_length=6.0, n=12)):
@@ -1169,9 +1180,9 @@ def test_ladder_integrates_the_largest_rungs_pairs_once(monkeypatch):
     circulation = spectral_module.VectorPotential.circulation
 
     def spy(self, q, x):
-        # quadrature only: the table's lookups have a closed circulation
-        if self.circulation_exact is None:
-            integrated.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
+        # every call: the rungs read the table's array and call no
+        # circulation of their own
+        integrated.append(np.broadcast(np.asarray(q), np.asarray(x)).size // self.dim)
         return circulation(self, q, x)
 
     monkeypatch.setattr(spectral_module.VectorPotential, "circulation", spy)
@@ -1229,28 +1240,24 @@ def test_ladder_groups_rungs_by_lattice(monkeypatch, boxes, tabled):
         assert np.array_equal(mat, assemble(spec.with_grid(g)).mat)
 
 
-def test_circulation_table_refuses_pairs_it_does_not_hold():
+def test_circulation_table_refuses_a_grid_it_does_not_cover():
+    # the table holds the pairs of truncated boxes of its lattice centred in
+    # its own, at windows no wider than its own; rep and rep_banded refuse
+    # any other grid rather than integrate or misread its pairs
     grid = BoxGrid(dim=2, half_length=3.0, n=12)
     pot = transversal_gauge(variable_field())
-    table = crossed_module._circulation_table(pot, grid, 11)
-    node, step = grid.axis(), grid.delta
-    q = np.array([[node[2], node[5]], [node[0], node[11]], [node[4], node[4]]])
-    x = np.array([[0.0, 0.0], [5 * step, -5 * step], [step, -3 * step]])
-    assert np.array_equal(table.circulation(q, x), pot.circulation(q, x))
-    bad = [
-        ([node[2] + 0.1, node[5]], [step, 0.0]),  # base point off the nodes
-        ([node[2], node[5]], [0.3, 0.0]),  # displacement off the lattice
-        ([np.nan, node[5]], [step, 0.0]),
-        ([node[2], node[5]], [np.inf, 0.0]),
-        ([node[2], node[5]], [-step, 0.0]),  # lexicographically negative
-        ([node[2], node[5]], [0.0, -step]),
-        ([node[11], node[5]], [step, 0.0]),  # target outside the box
-        ([node[11] + step, node[5]], [0.0, 0.0]),  # base point outside the box
-        ([node[2], node[5]], [6 * step, 0.0]),  # beyond the window
+    table = crossed_module._circulation_table(pot, grid, 7)
+    uncovered = [
+        (BoxGrid(dim=2, half_length=3.1, n=12), 7),  # another spacing
+        (grid, 9),  # a wider window
+        (BoxGrid(dim=2, half_length=3.0, n=12, bc="periodic"), 7),
+        (BoxGrid(dim=2, half_length=3.5, n=14), 7),  # a larger box
     ]
-    for bq, bx in bad:
-        with pytest.raises(ValueError, match="circulation table holds"):
-            table.circulation(np.array(bq), np.array(bx))
+    for g, d in uncovered:
+        k = kernel_from_func(lambda q, x: np.exp(-np.sum((q + x) ** 2, axis=-1)) + 0j, g, disp_count=d)
+        for route in (rep, rep_banded):
+            with pytest.raises(ValueError, match="circulation table covers"):
+                route(table, k)
     with pytest.raises(ValueError, match="truncated boxes"):
         crossed_module._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12, bc="periodic"), 11)
 
