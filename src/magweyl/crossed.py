@@ -136,14 +136,20 @@ The layer runs one fixed configuration:
   (``_QUAD_BLOCK``, 1024 pairs for a gauge of order 8); one box of rows of
   the left factor per leading row of the
   right factor in the constant-field twisted convolution; and for the
-  general GEMM route, tiles of 4 rows on every trailing axis
-  (``_GEMM_TRAIL``), 16 matrix rows per tile of A (base points r,
-  ``_GEMM_ROWS``: 4 leading rows in two dimensions), and 128 matrix rows per tile of the summed
-  rows S of the right factor, rounded to whole rows of the leading axis
+  general GEMM route, 128 matrix rows per tile of the summed rows S of
+  the right factor, rounded to whole rows of the leading axis
   (``_GEMM_DEPTH``: 4 of them at n=32 in two dimensions), which also fix
-  the order in which the output accumulates.  A product of two 31-node
-  windows at n=32 then runs 5.8e8 multiply-adds, and its windows and
-  tiles peak near 7.4 MB besides the output and the sheared factor.
+  the order in which the output accumulates, and tiles of base points r
+  sized per product from its windows (``_tile_plan``).  Every GEMM's
+  fixed cost (packing its tiles, the strided add of its product) is paid
+  per call, and wider tiles sum more zeros, so in two dimensions a tile
+  of A holds 4 leading rows by 8 trailing ones, 4 by 16 from n=32 when
+  the right factor is a stencil of at most 3 nodes per axis, whose GEMMs
+  are thin, and 2 by 8 when the left one is; one axis keeps 16 rows and
+  three keep 1 by 4 by 4, which measured fastest there.  A product of
+  two 31-node windows at n=32 then runs 7.0e8 multiply-adds in 208 GEMMs,
+  where 4-row trailing tiles ran 5.8e8 in 416, and its windows and tiles
+  peak near 8 MB besides the output and the sheared factor.
 """
 
 from __future__ import annotations
@@ -204,9 +210,7 @@ _SCHEME = "linear"
 _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
-_GEMM_ROWS = 16
 _GEMM_DEPTH = 128
-_GEMM_TRAIL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -520,41 +524,78 @@ def _dress(arr, tables, rows, cols):
         arr *= table[tuple(index)]
 
 
+def _tile_plan(dim, n, nb, da, db):
+    """The tiles of one ``_tiled_product``: base points r per leading tile
+    ("lead") and per tile of each trailing axis ("trail", None on one
+    axis), and rows S of b per depth tile ("depth": ``_GEMM_DEPTH`` matrix
+    rows in whole leading rows, which fix the order the output accumulates
+    in), for a product of windows of da and db nodes per axis with nb rows
+    of b per axis.
+
+    A GEMM costs more than its multiply-adds: its right-hand tile is
+    packed, its left one copied and its product added along diagonals, per
+    call.  Wider trailing tiles make fewer calls but sum more zeros, (t +
+    da - 1)(t + out_count - 1) terms per trailing row.  Measured on one
+    Xeon core with OpenBLAS 0.3.31, two axes run 8 trailing rows by 4
+    leading ones, 3-12% faster than 4 by 4 for windows of 11 to 47 nodes
+    at n = 24 to 48.  A stencil of at most 3 nodes per axis makes thin
+    GEMMs: on the left it meets only k + 2 rows r per depth tile, and 2
+    leading rows ran 3-15% faster than 4 at n = 16 to 48; on the right it
+    has k + 2 columns per leading row, and from n = 32 it takes 16
+    trailing rows: half the GEMMs of 8, 4% faster at n = 48 and as fast at
+    n = 32; below n = 32 they ran 4-20% slower.  One and three
+    axes keep 16 and 1 leading rows by 4 per trailing axis: 8 trailing rows
+    ran a 3-D product of 11-node windows at n=12 16% slower.
+    """
+    depth = max(1, _GEMM_DEPTH // nb ** (dim - 1))
+    if dim != 2:
+        lead, trail = (16, None) if dim == 1 else (1, 4)
+    elif db <= 3:
+        lead, trail = 4, 16 if n >= 32 else 8
+    else:
+        lead, trail = 2 if da <= 3 else 4, 8
+    return {"lead": lead, "trail": trail, "depth": depth}
+
+
 def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     """The shifted convolution out[r; y+w+off] = Σ a[r;y] b[r+y+pad; w] of
     the general product as one banded matrix product (GEMM); returns the
-    output and the multiply-adds its GEMMs ran.
+    output and the work its GEMMs did: ``multiply_adds``, ``gemm_calls``
+    and the ``tile_plan`` (``_tile_plan``).
 
     Per axis, with S = r + y - ka + pad the row of b and T = r + X the
     column of the kept output node X, A[r,S] = a[r; S-r+ka-pad] and
     B[S,T] = b[S; T-S-c] (zero outside each window, c = out_count//2 -
     db//2 - pad) give out[r; T-r] = Σ_S A[r,S] B[S,T], with the
-    multi-indices r, S, T over all axes flattened.  Every axis is tiled:
+    multi-indices r, S, T over all axes flattened.  Every axis is tiled
+    by the plan's rows:
 
-    * on the leading axis, S is summed in tiles of k rows (``_GEMM_DEPTH``
-      matrix rows), which fix the order the output accumulates in, and r
-      is split into tiles of m rows (``_GEMM_ROWS`` matrix rows);
-    * on every trailing axis, r is split into tiles of ``_GEMM_TRAIL``
-      rows, and the whole band of S that a tile's rows meet is summed in
-      one GEMM;
+    * on the leading axis, S is summed in tiles of k = depth rows, which
+      fix the order the output accumulates in, and r is split into tiles
+      of m = lead rows;
+    * on every trailing axis, r is split into tiles of t = trail rows, and
+      the whole band of S that a tile's rows meet is summed in one GEMM;
     * a tile keeps the columns T of its rows' kept output windows, and
       sums the rows S where the bands of a and b meet them.
 
     These cuts drop zero terms only, so the output equals that of dense
-    trailing axes bit for bit.  The outer loop writes the rows of b in a
+    trailing axes up to the rounding of the GEMMs, which a BLAS may make
+    depend on a GEMM's shape (it may split a long sum, or round the last
+    columns apart).  The outer loop writes the rows of b in a
     tile of S along the diagonals T = S + c + w of one zeroed window, and
     copies each trailing tile's B out of it; the inner loop copies each A
     tile out of a zero-padded window of a (``_band_tile``), multiplies it
     by the rows and columns of B it meets, and adds the product to the
     output along the diagonals T = r + X in one strided add.  With da
-    and db nodes per axis in the windows of a and b, nb = n + 2·pad rows
-    of b and t = ``_GEMM_TRAIL``, the GEMMs run about
-
-        nb (da + k)(db + k) [n (t + da - 1)(t + out_count - 1)]^(N-1)
-
-    multiply-adds, fewer where the box edges cut the bands; dense trailing
-    axes put n·nb·(n + out_count - 1) in the bracket.  Two 31-node windows
-    at n=32 take 5.8e8 against 1.33e9.  A factor without base axes is
+    and db nodes per axis in the windows of a and b and nb = n + 2·pad
+    rows of b, the GEMMs run L·P^(N-1) multiply-adds: on the leading axis
+    L sums rows × S rows × columns over its GEMMs, at most k (k + db - 1)
+    per row r, and on each trailing axis P sums t' |S_t'| (t' + out_count -
+    1) over its tiles of t' ≤ t rows, about n (t + da - 1)(t + out_count -
+    1) where the box does not cut the bands |S_t'| of S.  Two 31-node
+    windows at n=32 run L = 21,312 and P = 32,832, 7.0e8 in all; 4-row
+    trailing tiles ran P = 27,200 in twice the GEMMs, and dense trailing
+    axes put n·nb·(n + out_count - 1) in P.  A factor without base axes is
     read at every base point alike; ``b`` carries ``pad`` extra base
     points per face.
 
@@ -571,15 +612,15 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     c = out_count // 2 - db // 2 - pad
     nb, nt = n + 2 * pad, n + out_count - 1
     rest = dim - 1
-    m = max(1, _GEMM_ROWS // _GEMM_TRAIL**rest)
-    k = max(1, _GEMM_DEPTH // nb**rest)
+    plan = _tile_plan(dim, n, nb, da, db)
+    m, t, k = plan["lead"], plan["trail"], plan["depth"]
     # the columns of B's windows: every T a band reaches, every kept one
     t0, t1 = min(0, c), max(nt, nb - 1 + c + db)
     # per trailing axis, tiles of rows r with the band of S they meet and
     # their kept columns T
     trail = []
-    for r0 in range(0, n, _GEMM_TRAIL):
-        r1 = min(r0 + _GEMM_TRAIL, n)
+    for r0 in range(0, n, t) if rest else ():
+        r1 = min(r0 + t, n)
         trail.append((slice(r0, r1), slice(max(0, r0 - oa), min(nb, r1 - 1 - oa + da)),
                       slice(r0, r1 - 1 + out_count)))
     if bmat is not None:
@@ -591,7 +632,7 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
         phase_b = _phase_tables(pos_s, pos_t, bmat, -1)
     out = np.zeros((n,) * dim + (out_count,) * dim, dtype=complex)
     every = slice(None)
-    madds = 0
+    madds = calls = 0
     for s0 in range(0, nb, k):
         s1 = min(s0 + k, nb)
         # columns met by b's band on these rows
@@ -643,6 +684,7 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
                           btile[(sa - s0) * sc:(sb - s0) * sc, (lo - t_lo) * tc:(hi - t_lo) * tc],
                           out=flat[:, left:right])
                 madds += len(flat) * (sb - sa) * sc * (hi - lo) * tc
+                calls += 1
                 out[tuple(rows) + (slice(x_lo, x_hi),)] += _skew(
                     prod, nr, (x_hi - x_lo,) + (out_count,) * rest, 1, (0,) * dim)
                 # drop each tile before the next is made
@@ -651,7 +693,7 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     if bmat is not None:
         _dress(out, _phase_tables(pos_r, grid.disp_axis(out_count), bmat, 1), [every] * dim,
                [every] * dim)
-    return out, madds
+    return out, {"multiply_adds": madds, "gemm_calls": calls, "tile_plan": plan}
 
 
 def _twisted_convolution(a, b, out_count, grid, bmat):
@@ -661,7 +703,7 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
 
     on the kept window (the cocycle exp(-i/2 yᵀBw), w = x - y, equals this
     phase since B is antisymmetric); returns the output and the
-    multiply-adds its GEMMs ran.  With the leading N-1 axes x', y' fixed
+    ``multiply_adds`` its GEMMs ran.  With the leading N-1 axes x', y' fixed
     the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row
     in y_N and one of the output row in x_N, so the sum over y_N is a
     product with the Toeplitz matrix T_k'[y_N, x_N] = b[k'; x_N - off - y_N]
@@ -718,7 +760,7 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
         madds += prod.size * da
         out[xbox + (slice(lo, hi),)] += prod.reshape(rows.shape[:-1] + (hi - lo,)) * out_mod[ybox]
     out *= grid.cell_volume
-    return out, madds
+    return out, {"multiply_adds": madds}
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
@@ -854,7 +896,10 @@ def twisted_product(
     other product is the shifted convolution of the sheared values,
     computed as one banded matrix product in tiles
     (:func:`_tiled_product`).  Both record the multiply-adds their GEMMs
-    ran in the output's ``meta["multiply_adds"]``.  The cocycle enters as
+    ran in the output's ``meta["multiply_adds"]``; the tiled one also
+    records its ``meta["gemm_calls"]`` and its ``meta["tile_plan"]``, the
+    rows per tile it chose from the windows (``_tile_plan``: "lead" and
+    "trail" base points, "depth" rows of ψ).  The cocycle enters as
     the transversal gauge's circulation phases: in closed form for a
     constant field (a row phase on the left factor, a column phase on the
     right one and an output phase), as dressing tables of the triangle-flux
@@ -889,7 +934,7 @@ def twisted_product(
 
     q_independent = phi.q_independent and psi.q_independent
     sup_phi, sup_psi = phi.sup_over_q(), psi.sup_over_q()
-    madds = None
+    work = {}
     if phi.disp_count == 1 or psi.disp_count == 1:
         left = phi.disp_count == 1
         v, other = (phi, psi) if left else (psi, phi)
@@ -899,7 +944,7 @@ def twisted_product(
         if on_tilde and not tilde:
             vals = _shear(vals, grid, -1, scheme, inplace=True)
     elif q_independent and field.is_constant:
-        vals, madds = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
+        vals, work = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
     else:
         q_independent = False
         # the right factor is read at shifted base points r + y; callables
@@ -908,7 +953,7 @@ def twisted_product(
         a = _tilde_values(phi, scheme)
         b = _tilde_values(psi, scheme, pad=pad)
         if field.is_constant:
-            vals, madds = _tiled_product(a, b, out_count, pad, grid, field.constant)
+            vals, work = _tiled_product(a, b, out_count, pad, grid, field.constant)
         else:
             # gauge dressing turns the twisted sum into a plain shifted
             # convolution; one table on the box serves the left factor, the
@@ -918,7 +963,7 @@ def twisted_product(
             lam_b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) if pad else lam
             a = _fit_window(lam, phi.disp_count, grid.dim) * a
             b = _fit_window(lam_b, psi.disp_count, grid.dim) * b
-            vals, madds = _tiled_product(a, b, out_count, pad, grid)
+            vals, work = _tiled_product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
             vals *= np.conj(_fit_window(lam, out_count, grid.dim))
         vals *= grid.cell_volume
@@ -939,8 +984,7 @@ def twisted_product(
         tail, norm_phi * norm_psi, "twisted product discarded", "enlarge the displacement window", tail_warn
     ):
         out.meta["tail_warning"] = True
-    if madds is not None:
-        out.meta["multiply_adds"] = madds
+    out.meta.update(work)
     return out
 
 

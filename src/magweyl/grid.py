@@ -514,6 +514,7 @@ _HALF_STENCILS = {
     "linear": np.array([0.5, 0.5]),
     "cubic": np.array([-1.0 / 16.0, 9.0 / 16.0, 9.0 / 16.0, -1.0 / 16.0]),
 }
+_GATHER_BLOCK = 1 << 13
 
 
 def _axis_runs(n: int, steps: int, grid: BoxGrid, within: int = 0) -> list:
@@ -603,7 +604,11 @@ def _shear_pass(src: np.ndarray, out: np.ndarray, ax: int, grid: BoxGrid, h: int
     displacement index j_e (the axis ``grid.dim - ax`` places from the end)
     moves along base axis e = ax by h·(j_e - k) half steps, written into
     ``out``.  With ``out`` the same array as ``src`` the slab j_e = k, which
-    does not move, is skipped."""
+    does not move, is skipped.  The pass along the last base axis runs by
+    blocks of base points instead (``_shear_last_pass``)."""
+    if ax == grid.dim - 1:
+        _shear_last_pass(src, out, grid, h, scheme)
+        return
     d = out.shape[ax - grid.dim]
     kk = d // 2
     for j in range(d):
@@ -612,6 +617,54 @@ def _shear_pass(src: np.ndarray, out: np.ndarray, ax: int, grid: BoxGrid, h: int
             continue
         sl = (Ellipsis, j) + (slice(None),) * (grid.dim - 1 - ax)
         out[sl] = _shift_axis_half(src[sl], ax, steps, scheme, grid)
+
+
+def _shear_last_pass(src: np.ndarray, out: np.ndarray, grid: BoxGrid, h: int, scheme: str) -> None:
+    """The pass of :func:`_shear` along the last base axis.  Its slabs,
+    one entry of the last displacement axis each, are strided by a whole
+    row of displacements, so it runs by blocks of leading base points
+    instead, about ``_GATHER_BLOCK`` samples each.  A block is copied next
+    to a zero slot, and each tap is one ``np.take`` from the copy over
+    flat indices built from the runs of ``_axis_runs`` that the slab
+    shifts read, and from the zero slot where they read nothing.  Slabs
+    whose shift h·(j - k) is whole steps are copied; the taps of a half
+    step add into a zeroed buffer in stencil order, as ``_half_step_axis``
+    adds them, so the values are those of the slab shifts bit for bit.
+    ``out`` is C-contiguous.  Besides the input and the output only the
+    block, the gathers and their indices are alive.  At n=32 with 31-node
+    windows in two dimensions the pass takes about half the time of the
+    slab shifts, each of which reads a sample from every cache line of the
+    array."""
+    dim, st = grid.dim, _HALF_STENCILS[scheme]
+    lead, n = int(np.prod(out.shape[:dim - 1])), out.shape[dim - 1]
+    mid, d = int(np.prod(out.shape[dim:-1])), out.shape[-1]
+    size, kk, half = n * mid * d, d // 2, len(st) // 2
+    classes = [(slice(None), False)] if h % 2 == 0 else [
+        (slice(kk % 2, None, 2), False), (slice(1 - kk % 2, None, 2), True)]
+    plans = []
+    for sl, odd in classes:
+        js = np.arange(d)[sl]
+        base = h * (js - kk) // 2
+        taps = []
+        for c, off in zip(st, range(1 - half, 1 + half)) if odd else [(None, 0)]:
+            index = np.full((n, mid, js.size), size)
+            for col, (j, b) in enumerate(zip(js, base)):
+                for dst, run in _axis_runs(n, int(b + off), grid, within=int(b) if odd else 0):
+                    index[dst, :, col] = (np.arange(n)[run, None] * mid + np.arange(mid)) * d + j
+            taps.append((c, index.ravel()))
+        plans.append((sl, taps))
+    rows = min(lead, max(1, _GATHER_BLOCK // size))
+    block = np.zeros((rows, size + 1), dtype=complex)
+    src2, out4 = src.reshape(lead, size), out.reshape(lead, n, mid, d)
+    for r0 in range(0, lead, rows):
+        blk = block[:min(rows, lead - r0)]
+        blk[:, :size] = src2[r0:r0 + len(blk)]
+        for sl, taps in plans:
+            got = np.zeros((len(blk), taps[0][1].size), dtype=complex)
+            for c, index in taps:
+                part = np.take(blk, index, axis=1, mode="clip")
+                got = part if c is None else np.add(got, c * part, out=got)
+            out4[r0:r0 + len(blk), :, :, sl] = got.reshape(len(blk), n, mid, -1)
 
 
 def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool = False) -> np.ndarray:
@@ -623,10 +676,11 @@ def _shear(values: np.ndarray, grid: BoxGrid, h: int, scheme: str, inplace: bool
     translations.  One pass per grid axis e, as ``shift_q`` takes the axes
     (``_shear_pass``): the slab of displacement index j_e moves along base
     axis e by h·(j_e - k) half steps.  The first pass writes the
-    C-contiguous output and the later ones rewrite it slab by slab, so
-    besides the input one full-size buffer and a few slab temporaries are
-    alive.  ``inplace`` rewrites ``values`` itself, a complex C-contiguous
-    array the caller owns, and makes no full-size buffer.
+    C-contiguous output and the later ones rewrite it, slab by slab or, on
+    the last axis, block by block, so besides the input one full-size
+    buffer and a few slab temporaries are alive.  ``inplace`` rewrites
+    ``values`` itself, a complex C-contiguous array the caller owns, and
+    makes no full-size buffer.
     """
     _check_scheme(scheme)
     out = values if inplace else np.empty(values.shape, dtype=complex)

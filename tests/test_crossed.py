@@ -229,9 +229,10 @@ def test_general_route_memory_is_tiled():
     # one product at the n=32 resolvent's window, a base-point independent
     # factor times a dependent one on the tilde sheet: the sheared right
     # factor and the output take 15.7 MB each, and one window of B (4.3 MB)
-    # with its tiles peaks near 7.4 MB besides them (38.9 MB in all);
-    # dressing whole factors with Λ tables needs about 79 MB, and one
-    # untiled GEMM would hold two 63 MB matrices
+    # with its tiles of 4 by 8 rows peaks near 8.1 MB besides them (39.6 MB
+    # in all, 38.9 MB with 4 by 4 rows); dressing whole factors with Λ
+    # tables needs about 79 MB, and one untiled GEMM would hold two 63 MB
+    # matrices
     g = BoxGrid(dim=2, half_length=6.0, n=32)
     rng = np.random.default_rng(47)
     phi = KernelSample(grid=g, values=rng.normal(size=(31, 31)) + 0j, q_independent=True)
@@ -248,10 +249,12 @@ def random_kernel(rng, grid, count, q_independent=False):
     return KernelSample(grid=grid, values=values, q_independent=q_independent)
 
 
-@pytest.mark.parametrize("n", [12, 14, 20])
+@pytest.mark.parametrize("n", [14, 16, 18])
 def test_general_route_tiles_every_axis(n):
-    # row tiles of 4 on every axis: n = 14 leaves a partial tile of 2 rows
-    # at the far edge of each, 12 and 20 fill theirs; factors of different
+    # below n=32 every two-axis plan tiles the trailing axis by 8 rows and
+    # the leading one by 4 (2 for a stencil on the left, which fill an
+    # even axis): n = 14 and 18 leave a partial tile at the far edge of
+    # each axis and of the rows of b, 16 fills its axes; factors of different
     # windows, the residual products' 3x3 stencil on either side (on the
     # right read on padded rows), base-point independent times dependent
     # both ways, and a kept window of 3
@@ -265,6 +268,24 @@ def test_general_route_tiles_every_axis(n):
     assert_general_matches_reference(wide, stencil, fld)
     assert_general_matches_reference(qi, narrow, fld)
     assert_general_matches_reference(narrow, qi, fld)
+    assert_general_matches_reference(wide, narrow, fld, out=3)
+
+
+def test_general_route_tiles_a_right_stencil_in_wide_tiles():
+    # from n=32 a stencil on the right takes trailing tiles of 16 rows: at
+    # n = 34 its trailing axis ends in a tile of 2 rows, the leading one in
+    # a tile of 2 of 4 rows, and the 40 padded rows of b in a depth tile of
+    # 1 of 3; a wide factor times a narrow one ends in a trailing tile of 2
+    # of 8 rows
+    rng = np.random.default_rng(52)
+    g = BoxGrid(dim=2, half_length=6.0, n=34)
+    fld = MagneticField.constant_2d(0.9)
+    wide, narrow = random_kernel(rng, g, 7), random_kernel(rng, g, 5)
+    stencil = random_kernel(rng, g, 3, True)
+    plans = [twisted_product(a, b, fld, tail_warn=np.inf).meta["tile_plan"]
+             for a, b in ((wide, stencil), (wide, narrow))]
+    assert plans == [{"lead": 4, "trail": 16, "depth": 3}, {"lead": 4, "trail": 8, "depth": 3}]
+    assert_general_matches_reference(wide, stencil, fld)
     assert_general_matches_reference(wide, narrow, fld, out=3)
 
 
@@ -309,7 +330,8 @@ def test_general_route_pays_for_its_band():
     # the multiply-adds the GEMMs run at n=32, against an engine that ran
     # every trailing axis dense: 1.33e9 for a 31-window times a 31-window
     # kernel (the Neumann terms of the perturbed resolvent) and 4.73e8 for
-    # the 3x3 stencil times a 31-window kernel (its residual check)
+    # the 3x3 stencil times a 31-window kernel (its residual check); the
+    # tiles of their plans run 0.53 and 0.10 of these
     g = BoxGrid(dim=2, half_length=6.0, n=32)
     rng = np.random.default_rng(51)
     wide = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
@@ -319,6 +341,62 @@ def test_general_route_pays_for_its_band():
         prod = twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
         assert prod.disp_count == 31
         assert 0 < prod.meta["multiply_adds"] <= 0.6 * dense
+
+
+def test_general_route_work_matches_its_plan():
+    # two 31-node windows at n=32, the Neumann terms of the perturbed
+    # resolvent: 4 leading by 8 trailing rows per tile and 4 rows of S per
+    # depth tile.  Counted from the bands alone, per axis A[r,S] ≠ 0 for
+    # 0 ≤ S - r + 15 < 31, B[S,T] ≠ 0 for 0 ≤ T - S < 31, and T is kept for
+    # 0 ≤ T - r < 31: a leading tile runs a GEMM per depth tile whose rows S
+    # meet both its rows and its kept columns T, over those rows and
+    # columns; a trailing tile sums the whole band of S its rows meet in
+    # the box, over every kept column.  Multiply-adds factor into the two
+    # axes' sums
+    n, d, oa = 32, 31, 15
+    g = BoxGrid(dim=2, half_length=6.0, n=n)
+    rng = np.random.default_rng(53)
+    wide = KernelSample(grid=g, values=rng.normal(size=(n, n, d, d)) + 0j, sheet="tilde")
+    prod = twisted_product(wide, wide, MagneticField.constant_2d(0.5), sheet="tilde", tail_warn=np.inf)
+    plan = prod.meta["tile_plan"]
+    assert plan == {"lead": 4, "trail": 8, "depth": 4}
+    m, t, k = plan["lead"], plan["trail"], plan["depth"]
+    lead_calls = lead = 0
+    for s0 in range(0, n, k):
+        srows = range(s0, s0 + k)
+        for r0 in range(0, n, m):
+            rows = range(r0, min(r0 + m, n))
+            cols = [c for c in range(2 * n) if any(0 <= c - r < d for r in rows)
+                    and any(0 <= c - s < d for s in srows)]
+            met = [s for s in srows if any(0 <= s - r + oa < d for r in rows)
+                   and any(0 <= c - s < d for c in cols)]
+            if cols and met:
+                lead_calls += 1
+                lead += len(rows) * len(met) * len(cols)
+    trail = [range(r0, min(r0 + t, n)) for r0 in range(0, n, t)]
+    band = sum(len(r) * len(range(max(0, r[0] - oa), min(n, r[-1] - oa + d))) * (len(r) + d - 1)
+               for r in trail)
+    assert prod.meta["gemm_calls"] == lead_calls * len(trail) == 208
+    assert prod.meta["multiply_adds"] == lead * band == 21312 * 32832
+
+
+def test_stencil_products_run_few_gemms():
+    # the residual checks of the n=32 perturbed resolvent multiply its
+    # 31-node correction by the 3x3 stencil of h - z on either side; on the
+    # right the stencil is read on padded rows, 62 per axis, in depth tiles
+    # of 2, and 4 by 4-row tiles ran 1,088 GEMMs of 16 rows there (176 on
+    # the left)
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    rng = np.random.default_rng(54)
+    corr = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
+    stencil = KernelSample(grid=g, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
+    fld = MagneticField.constant_2d(0.5)
+    right = twisted_product(corr, stencil, fld, sheet="tilde", tail_warn=np.inf)
+    left = twisted_product(stencil, corr, fld, sheet="tilde", tail_warn=np.inf)
+    assert right.meta["tile_plan"] == {"lead": 4, "trail": 16, "depth": 2}
+    assert right.meta["gemm_calls"] <= 1088 // 3
+    assert left.meta["tile_plan"] == {"lead": 2, "trail": 8, "depth": 4}
+    assert left.meta["gemm_calls"] < 176
 
 
 # ---------------------------------------------------------------------------
