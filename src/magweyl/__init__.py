@@ -39,7 +39,6 @@ from .crossed import (
     twisted_involution,
     rep,
     rep_banded,
-    op_weyl,
     op_norm,
 )
 from .moyal import (
@@ -48,6 +47,7 @@ from .moyal import (
     moyal,
     moyal_direct,
     moyal_nonmagnetic,
+    op_weyl,
     involution,
     regularize,
     trim_kernel,

@@ -117,9 +117,9 @@ The layer runs one fixed configuration:
 
 * Interpolation is linear (``_SCHEME``), the default of ``twisted_product``,
   ``twisted_product_reference`` and ``rep`` and the fixed choice of
-  ``rep_banded`` and ``op_weyl``.  The products integrate the cocycle at
-  order 8 by default (``fields.DEFAULT_ORDER``); circulations run at
-  their gauge's ``order``.
+  ``rep_banded`` and ``moyal.op_weyl``.  The products integrate the
+  cocycle at order 8 by default (``fields.DEFAULT_ORDER``); circulations
+  run at their gauge's ``order``.
 * A product attaches a warning when its discarded tail exceeds 1e-2 of
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).  That
   comparison is made in one helper, ``_warn_dropped``, which the
@@ -158,7 +158,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,8 +172,6 @@ from .fields import (
 from .grid import (
     BoxGrid,
     KernelSample,
-    PhaseGridFunction,
-    partial_fourier_inv,
     shift_q,
     _axis_runs,
     _central,
@@ -201,7 +199,6 @@ __all__ = [
     "twisted_product_reference",
     "rep",
     "rep_banded",
-    "op_weyl",
     "op_norm",
 ]
 
@@ -253,7 +250,6 @@ def kernel_from_func(
     grid: BoxGrid,
     disp_count: Optional[int] = None,
     q_independent: bool = False,
-    attach_func: bool = True,
 ) -> KernelSample:
     """Sample a kernel callable func(q, x) on the (base, displacement) lattice."""
     if disp_count is None:
@@ -271,7 +267,7 @@ def kernel_from_func(
         grid=grid,
         values=values,
         q_independent=q_independent,
-        func=func if attach_func else None,
+        func=func,
     )
 
 
@@ -713,16 +709,13 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
     result adds into the box of output rows x'.  The rows k' add in
     ascending order, so the result does not depend on how the work is
     blocked.  T_k' is a strided view of b's row padded by d_a - 1 zeros
-    per side, over the c kept columns x_N that the natural window reaches
-    (every kept one unless the kept window is wider): at most d_b^(N-1)
-    GEMMs of Σ pairs·d_a·c multiply-adds, d_a the nodes per axis of a's
-    window.
+    per side, over the c kept columns x_N: at most d_b^(N-1) GEMMs of
+    Σ pairs·d_a·c multiply-adds, d_a the nodes per axis of a's window.
     """
     p = grid.dim - 1
     da, db = a.shape[-1], b.shape[-1]
+    # the kept window is at most the natural one, so off <= 0
     off = out_count // 2 - da // 2 - db // 2
-    # kept nodes of the last output axis
-    lo, hi = max(0, off), min(out_count, da + db - 1 + off)
     ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
 
     def on_axis(pos, e):
@@ -736,13 +729,13 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
         return np.exp(-0.5j * np.multiply.outer(lead, last))
 
     in_mod = modulation(xo, bmat[p, :p], ya)
-    out_mod = modulation(ya, bmat[:p, p], xo[lo:hi])
+    out_mod = modulation(ya, bmat[:p, p], xo)
     # b's rows with d_a - 1 zeros on either side; T_k'[i, j] reads node
-    # lo - off + j + (d_a - 1 - i) of row k', a window of d_a nodes reversed
+    # j - off + (d_a - 1 - i) of row k', a window of d_a nodes reversed
     bpad = np.zeros((db,) * p + (db + 2 * (da - 1),), dtype=complex)
     bpad[..., da - 1:da - 1 + db] = b
     toeplitz = np.lib.stride_tricks.sliding_window_view(bpad, da, axis=-1)
-    toeplitz = toeplitz[..., lo - off:hi - off, ::-1].swapaxes(-1, -2)
+    toeplitz = toeplitz[..., -off:out_count - off, ::-1].swapaxes(-1, -2)
     out = np.zeros((out_count,) * grid.dim, dtype=complex)
     madds = 0
     for k in np.ndindex(*(db,) * p):
@@ -758,7 +751,7 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
             rows *= np.exp(-0.5j * cross)[..., None]
         prod = rows.reshape(-1, da) @ toeplitz[k]
         madds += prod.size * da
-        out[xbox + (slice(lo, hi),)] += prod.reshape(rows.shape[:-1] + (hi - lo,)) * out_mod[ybox]
+        out[xbox] += prod.reshape(rows.shape[:-1] + (out_count,)) * out_mod[ybox]
     out *= grid.cell_volume
     return out, {"multiply_adds": madds}
 
@@ -848,10 +841,10 @@ def _multiply(v, other, h, scheme, tilde):
 # ---------------------------------------------------------------------------
 
 
-def _check_operands(phi, psi, field, sheet, scheme, out_disp_count) -> int:
+def _check_operands(phi, psi, field, sheet, scheme) -> int:
     """Check the operands and the interpolation scheme of a product, on
-    every path, and return its output count: the kept window, by default
-    the natural one, at most the largest one the box represents."""
+    every path, and return its output count: the natural window, at most
+    the largest one the box represents."""
     _common_grid(phi.grid, psi, field=field)
     if phi.grid.bc == "periodic":
         # the shear wraps base points around the torus while the product
@@ -863,14 +856,7 @@ def _check_operands(phi, psi, field, sheet, scheme, out_disp_count) -> int:
     if sheet not in ("centered", "tilde"):
         raise ValueError("sheet must be 'centered' or 'tilde'")
     _check_scheme(scheme)
-    if out_disp_count is None:
-        out_disp_count = phi.disp_count + psi.disp_count - 1
-    elif (
-        isinstance(out_disp_count, bool) or not isinstance(out_disp_count, (int, np.integer))
-        or out_disp_count < 1 or out_disp_count % 2 != 1
-    ):
-        raise ValueError(f"output displacement count must be a positive odd number, got {out_disp_count}")
-    return min(out_disp_count, phi.grid.max_disp_count())
+    return min(phi.disp_count + psi.disp_count - 1, phi.grid.max_disp_count())
 
 
 def twisted_product(
@@ -880,7 +866,6 @@ def twisted_product(
     *,
     scheme: str = _SCHEME,
     order: int = DEFAULT_ORDER,
-    out_disp_count: Optional[int] = None,
     tail_warn: float = TAIL_WARN_FRACTION,
     sheet: str = "centered",
 ) -> KernelSample:
@@ -906,9 +891,9 @@ def twisted_product(
     quadratures of a transversal gauge of order ``order`` for a variable
     one.
 
-    Every path returns the output displacement window asked for, by
-    default the natural one of d_φ + d_ψ - 1 nodes per axis, capped at the
-    largest representable one.  Mass pushed past it is recorded in
+    Every path returns the natural output window of d_φ + d_ψ - 1 nodes
+    per axis, capped at the largest one the box represents (the window
+    rule of :mod:`magweyl.grid`).  Mass pushed past the cap is recorded in
     ``tail_mass`` as the sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)
     over the dropped nodes, which is at least the exact clipped L¹ mass,
     plus the inputs' inherited tails; a warning is attached when the total
@@ -928,7 +913,7 @@ def twisted_product(
     multiplier branch works on the other factor's sheet and shears its
     output back when the other sheet is asked for.
     """
-    out_count = _check_operands(phi, psi, field, sheet, scheme, out_disp_count)
+    out_count = _check_operands(phi, psi, field, sheet, scheme)
     grid = phi.grid
     tilde = sheet == "tilde"
 
@@ -940,7 +925,8 @@ def twisted_product(
         v, other = (phi, psi) if left else (psi, phi)
         on_tilde = tilde or (other.sheet == "tilde" and not other.q_independent)
         h = (0 if left else 2) if on_tilde else (-1 if left else 1)
-        vals = _fit_window(_multiply(v, other, h, scheme, on_tilde), out_count, grid.dim)
+        # the natural window of a multiplier product is the other factor's
+        vals = _multiply(v, other, h, scheme, on_tilde)
         if on_tilde and not tilde:
             vals = _shear(vals, grid, -1, scheme, inplace=True)
     elif q_independent and field.is_constant:
@@ -1010,7 +996,6 @@ def twisted_product_reference(
     *,
     scheme: str = _SCHEME,
     order: int = DEFAULT_ORDER,
-    out_disp_count: Optional[int] = None,
     sheet: str = "centered",
 ) -> KernelSample:
     """Direct evaluation of the ⋄-sum with per-pair flux quadrature.
@@ -1022,7 +1007,7 @@ def twisted_product_reference(
     sheet every factor sits at an on-lattice base point, so the two routes
     must agree there to quadrature accuracy.
     """
-    out_count = _check_operands(phi, psi, field, sheet, scheme, out_disp_count)
+    out_count = _check_operands(phi, psi, field, sheet, scheme)
     # the oracle reads stored values as centered, independently of the fast route
     _require_centered(phi, "twisted_product_reference")
     _require_centered(psi, "twisted_product_reference")
@@ -1334,23 +1319,6 @@ def rep(pot: VectorPotential, kernel: KernelSample, *, scheme: str = _SCHEME) ->
     for rows, cols, values in _rep_blocks(pot, kernel, scheme):
         _diagonal(mat, grid, rows, cols)[...] = values
     return OperatorMatrix(mat=mat, grid=grid)
-
-
-def op_weyl(
-    pot: VectorPotential,
-    f: Union[PhaseGridFunction, Callable],
-    grid: Optional[BoxGrid] = None,
-    *,
-    r_disp: Optional[float] = None,
-    q_independent: bool = True,
-) -> OperatorMatrix:
-    """Quantization of a phase-space symbol: rep of its partial Fourier kernel."""
-    if not isinstance(f, PhaseGridFunction):
-        if grid is None:
-            raise ValueError("grid required when the symbol is a callable")
-        f = PhaseGridFunction.sample(f, grid, q_independent=q_independent)
-    kernel = partial_fourier_inv(f, r_disp=r_disp)
-    return rep(pot, kernel)
 
 
 def op_norm(op, *, tol: float = 1e-4, seed: int = 0) -> float:

@@ -31,7 +31,14 @@ from here instead of restating them:
 * windows: a window of c displacement nodes sits centrally in one of d
   nodes, displacement 0 at node c // 2 of the one and d // 2 of the other
   (``_central``); the full n-node lattice is such a window, and
-  ``_fit_window`` cuts or zero-pads from one window to another.
+  ``_fit_window`` cuts or zero-pads from one window to another.  One rule
+  sizes every kernel window.  ``partial_fourier_inv`` keeps the largest
+  symmetric window, n - 1 nodes (|x|_inf <= L - delta), and records the
+  dropped -L row in ``tail_mass``; a symbol's kernel is that window trimmed
+  to its support, the rows above 1e-15 of its largest entry
+  (``moyal._symbol_kernel``); a product of windows of d_phi and d_psi nodes
+  keeps its natural window, d_phi + d_psi - 1 nodes, capped at n - 1, and
+  records the mass pushed past the cap (``crossed.twisted_product``).
 * the box edge: a step from a node reaches a node in the box, or leaves
   the box.  A truncated box ends at its edge, so past it values are zero;
   a periodic box wraps every step, so every step stays in the box.  One
@@ -56,8 +63,8 @@ Three input rules live here as well, each in one helper every layer calls:
   (``_common_grid``).
 
 Kernels of phase-space symbols are stored as ``KernelSample``: values over
-(base point, displacement) with the displacement window truncated to
-|x|_inf <= R_disp and the discarded mass recorded.  Base-point independent
+(base point, displacement) on a window of the rule above, with the
+discarded mass recorded.  Base-point independent
 kernels drop the q axes entirely; several hot paths dispatch on that flag.
 
 Array layouts are fixed: base-point axes lead and the displacement or
@@ -147,13 +154,6 @@ class BoxGrid:
     def max_disp_count(self) -> int:
         """Largest symmetric displacement window, |x| <= L - delta."""
         return self.n - 1
-
-    def disp_count_for_radius(self, r_disp: float) -> int:
-        if not (np.isfinite(r_disp) and r_disp > 0):
-            raise ValueError(f"displacement radius must be positive and finite, got {r_disp}")
-        k = int(np.floor(r_disp / self.delta + 1e-9))
-        k = min(k, self.n // 2 - 1)
-        return 2 * k + 1
 
     def interior_mask(self, collar: float) -> np.ndarray:
         """Boolean mask of nodes at distance > collar from the box boundary.
@@ -409,15 +409,8 @@ class KernelSample:
     def disp_count(self) -> int:
         return self.values.shape[-1]
 
-    @property
-    def disp_radius(self) -> float:
-        return (self.disp_count // 2) * self.grid.delta
-
     def disp_axis(self) -> np.ndarray:
         return self.grid.disp_axis(self.disp_count)
-
-    def disp_mesh(self) -> np.ndarray:
-        return _tensor_mesh(self.disp_axis(), self.grid.dim)
 
     def as_q_dependent(self) -> np.ndarray:
         """Values broadcast over the q axes (view when possible)."""
@@ -473,24 +466,19 @@ def partial_fourier(kernel: KernelSample) -> PhaseGridFunction:
     return PhaseGridFunction(grid=grid, values=symbol, q_independent=kernel.q_independent)
 
 
-def partial_fourier_inv(symbol: PhaseGridFunction, r_disp: Optional[float] = None) -> KernelSample:
-    """Transform a symbol to its kernel, truncating the displacement window
-    to radius ``r_disp``.
+def partial_fourier_inv(symbol: PhaseGridFunction) -> KernelSample:
+    """Transform a symbol to its kernel on the largest symmetric window
+    (radius L - delta).
 
-    The default window is the largest symmetric one (radius L - delta).
-    The L1 mass dropped by the truncation is recorded in ``tail_mass``; the
-    unpaired displacement row at -L is always dropped.  Length-1 axes of
-    the symbol are broadcast to length n first, so the kernel is that of
-    the full array, bit for bit.
+    The unpaired displacement row at -L is dropped and its L1 mass is
+    recorded in ``tail_mass``.  Length-1 axes of the symbol are broadcast
+    to length n first, so the kernel is that of the full array, bit for
+    bit.
     """
     grid = symbol.grid
     dim = grid.dim
     full = kernel_from_symbol_full(np.broadcast_to(symbol.values, (grid.n,) * symbol.values.ndim), grid)
-    if r_disp is None:
-        disp_count = grid.max_disp_count()
-    else:
-        disp_count = grid.disp_count_for_radius(r_disp)
-    kept = _fit_window(full, disp_count, dim)
+    kept = _fit_window(full, grid.max_disp_count(), dim)
     if symbol.q_independent:
         total = np.abs(full)
         kept_abs = np.abs(kept)

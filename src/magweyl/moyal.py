@@ -1,4 +1,4 @@
-"""Phase-space symbols and their magnetic composition product.
+"""Phase-space symbols, their magnetic composition product and quantization.
 
 The production route computes f∘g through the kernel algebra,
 
@@ -41,24 +41,25 @@ The layer runs one fixed configuration:
   scalar per point (``grid._checked_samples``) and, for a plain callable,
   samples whose minimum lies on the outer shell of the momentum mesh (not
   elliptic).
-* Every momentum kernel of those layers comes from such samples through
-  ``_momentum_kernel``, which drops displacement rows relatively below
-  1e-15 (``_KERNEL_TRIM``); on the benchmark grids the |p|² kernel keeps
-  every row.
-* ``moyal`` transports both factors over the largest displacement window
-  and keeps the product's natural window; interpolation and quadrature
+* Every kernel of a symbol, the momentum kernels of those layers
+  (``_momentum_kernel``), ``moyal``'s two factors and ``op_weyl``'s, comes
+  from one helper, ``_symbol_kernel``: the largest displacement window
+  trimmed to the rows above 1e-15 (``_KERNEL_TRIM``) of its largest
+  entry, so a stencil keeps its width.  On the benchmark grids the |p|²
+  kernel keeps every row.  ``moyal`` keeps the product's natural window
+  (the window rule of :mod:`magweyl.grid`); interpolation and quadrature
   order are those of :mod:`magweyl.crossed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .crossed import _SCHEME, twisted_product
-from .fields import MagneticField, omega_b
+from .crossed import _SCHEME, OperatorMatrix, rep, twisted_product
+from .fields import MagneticField, VectorPotential, omega_b
 from .grid import (
     BoxGrid,
     KernelSample,
@@ -76,6 +77,7 @@ __all__ = [
     "moyal",
     "moyal_direct",
     "moyal_nonmagnetic",
+    "op_weyl",
     "involution",
     "regularize",
     "trim_kernel",
@@ -281,7 +283,7 @@ def regularize(f: PhaseGridFunction, n: float) -> PhaseGridFunction:
 # ---------------------------------------------------------------------------
 
 
-def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
+def trim_kernel(k: KernelSample, rel_tol: float) -> KernelSample:
     """Shrink the displacement window to the support of the kernel.
 
     Symbols that are trigonometric polynomials in p (multipliers included)
@@ -316,10 +318,14 @@ def trim_kernel(k: KernelSample, rel_tol: float = 1e-14) -> KernelSample:
     )
 
 
+def _symbol_kernel(f: PhaseGridFunction) -> KernelSample:
+    """The kernel of a sampled symbol, trimmed to its support."""
+    return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
+
+
 def _momentum_kernel(values: np.ndarray, grid: BoxGrid) -> KernelSample:
     """Trimmed kernel of a base-point independent symbol from its momentum samples."""
-    f = PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex))
-    return trim_kernel(partial_fourier_inv(f), _KERNEL_TRIM)
+    return _symbol_kernel(PhaseGridFunction(grid=grid, values=np.asarray(values, dtype=complex)))
 
 
 def moyal(
@@ -328,23 +334,33 @@ def moyal(
     field: MagneticField,
     *,
     scheme: str = _SCHEME,
-    trim_tol: float = 1e-14,
 ) -> PhaseGridFunction:
     """Magnetic composition product of two sampled symbols.
 
-    Both factors are transported to kernels over the full displacement
-    window, multiplied in the twisted algebra and transported back.  Rows
-    of relative size below ``trim_tol`` are dropped from the factor kernels
-    first; set 0 to keep every row.
+    Both factors are transported to their trimmed kernels, multiplied in
+    the twisted algebra and transported back.
     """
     _common_grid(f.grid, g, field=field)
-    kf = trim_kernel(partial_fourier_inv(f), trim_tol)
-    kg = trim_kernel(partial_fourier_inv(g), trim_tol)
-    prod = twisted_product(kf, kg, field, scheme=scheme)
+    prod = twisted_product(_symbol_kernel(f), _symbol_kernel(g), field, scheme=scheme)
     out = partial_fourier(prod)
     if not np.all(np.isfinite(out.values.view(float))):
         raise FloatingPointError("composition product produced non-finite values")
     return out
+
+
+def op_weyl(
+    pot: VectorPotential,
+    f: Union[PhaseGridFunction, Callable],
+    grid: Optional[BoxGrid] = None,
+    *,
+    q_independent: bool = True,
+) -> OperatorMatrix:
+    """Quantization of a phase-space symbol: rep of its trimmed kernel."""
+    if not isinstance(f, PhaseGridFunction):
+        if grid is None:
+            raise ValueError("grid required when the symbol is a callable")
+        f = PhaseGridFunction.sample(f, grid, q_independent=q_independent)
+    return rep(pot, _symbol_kernel(f))
 
 
 def involution(f: PhaseGridFunction) -> PhaseGridFunction:

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from magweyl.grid import (
     partial_fourier_inv,
     shift_q,
 )
-from magweyl.moyal import trim_kernel
+from magweyl.moyal import op_weyl, trim_kernel
 from magweyl.spectral import eig
 from magweyl.crossed import (
     BandedOperator,
@@ -38,7 +37,6 @@ from magweyl.crossed import (
     l1_norm,
     multiplier_kernel,
     op_norm,
-    op_weyl,
     rep,
     rep_banded,
     twisted_involution,
@@ -77,13 +75,11 @@ def variable_field():
 
 
 def pair_on(grid, disp_count, attach=True):
-    phi = kernel_from_func(
-        gauss_kernel([0.3, -0.2], [0.1, 0.0]), grid, disp_count=disp_count, attach_func=attach
+    pair = (
+        kernel_from_func(gauss_kernel([0.3, -0.2], [0.1, 0.0]), grid, disp_count=disp_count),
+        kernel_from_func(gauss_kernel([-0.1, 0.4], [0.0, -0.2], amp=0.7), grid, disp_count=disp_count),
     )
-    psi = kernel_from_func(
-        gauss_kernel([-0.1, 0.4], [0.0, -0.2], amp=0.7), grid, disp_count=disp_count, attach_func=attach
-    )
-    return phi, psi
+    return pair if attach else tuple(replace(k, func=None) for k in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +99,24 @@ def test_b_zero_qindep_is_plain_convolution():
     prod = twisted_product(phi, psi, MagneticField.zero(2))
     assert prod.q_independent
     assert np.abs(prod.values - oracle).max() < 1e-10
-    # asymmetric windows, kept window clipped to 5 of the natural 9
-    phi = KernelSample(grid=g, values=rng.normal(size=(7, 7)) + 0j, q_independent=True)
-    psi = KernelSample(grid=g, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
-    oracle = fftconvolve(phi.values, psi.values)[2:7, 2:7] * g.cell_volume
-    prod = twisted_product(phi, psi, MagneticField.zero(2), out_disp_count=5, tail_warn=np.inf)
+    # asymmetric windows whose natural window of 7 nodes the box clips to 5
+    small = BoxGrid(dim=2, half_length=1.5, n=6)
+    phi = KernelSample(grid=small, values=rng.normal(size=(5, 5)) + 0j, q_independent=True)
+    psi = KernelSample(grid=small, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
+    oracle = fftconvolve(phi.values, psi.values)[1:6, 1:6] * small.cell_volume
+    prod = twisted_product(phi, psi, MagneticField.zero(2), tail_warn=np.inf)
     assert np.abs(prod.values - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
-def assert_general_matches_reference(phi, psi, fld, out=None, order=8):
+def assert_general_matches_reference(phi, psi, fld, order=8):
     """The general route on both sheets against the reference's tilde
     values: the centered output is the tilde output recentred by the shear
     the routes share, so both must agree to rounding."""
-    r = twisted_product_reference(phi, psi, fld, sheet="tilde", out_disp_count=out, order=order)
+    r = twisted_product_reference(phi, psi, fld, sheet="tilde", order=order)
     scale = np.abs(r.values).max()
     assert scale > 0
     for sheet in ("tilde", "centered"):
-        p = twisted_product(phi, psi, fld, sheet=sheet, out_disp_count=out, order=order,
-                            tail_warn=np.inf)
+        p = twisted_product(phi, psi, fld, sheet=sheet, order=order, tail_warn=np.inf)
         want = r.values if sheet == "tilde" else _shear(r.values, phi.grid, -1, "linear")
         assert p.sheet == sheet and not p.q_independent
         assert p.values.shape == want.shape
@@ -131,13 +127,11 @@ def assert_general_matches_reference(phi, psi, fld, out=None, order=8):
 def test_tilde_route_agreement_all_fields(attach):
     # attached callables extend the right factor past the box (padded rows
     # of b); plain arrays zero-extend; the natural window 13 is clipped to
-    # the grid's 11, and further to 7
+    # the grid's 11
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     phi, psi = pair_on(g, 7, attach=attach)
-    fields = [MagneticField.zero(2), MagneticField.constant_2d(0.9), variable_field()]
-    for fld in fields:
-        for out in (None, 7):
-            assert_general_matches_reference(phi, psi, fld, out=out)
+    for fld in (MagneticField.zero(2), MagneticField.constant_2d(0.9), variable_field()):
+        assert_general_matches_reference(phi, psi, fld)
 
 
 def test_tilde_route_agreement_mixed_inputs():
@@ -172,8 +166,10 @@ def test_tilde_route_agreement_qindep_times_qdep(fld, qindep_left):
         qi = KernelSample(grid=g, values=a, q_independent=True)
         phi, psi = (qi, qd) if qindep_left else (qd, qi)
         assert_general_matches_reference(phi, psi, fld, order=order)
-    # a clipped window
-    assert_general_matches_reference(phi, psi, fld, out=5, order=order)
+    # a natural window of 9 nodes that the box clips to 5
+    small = BoxGrid(dim=2, half_length=1.5, n=6)
+    qi, qd = random_kernel(rng, small, 5, True), random_kernel(rng, small, 5)
+    assert_general_matches_reference(*((qi, qd) if qindep_left else (qd, qi)), fld, order=order)
 
 
 def test_tilde_route_agreement_qindep_against_variable_field():
@@ -211,7 +207,8 @@ def test_tilde_route_agreement_qindep_against_variable_field():
 def test_general_route_other_dimensions(grid, fld, counts):
     # one axis leaves the tiled product no trailing axes, three leave it
     # two; three axes also exercise every pair of entries of B in the
-    # closed-form phases
+    # closed-form phases; a right factor of n - 1 nodes gives a natural
+    # window the box clips
     rng = np.random.default_rng(46)
     da, db = counts
     shape = (grid.n,) * grid.dim
@@ -222,7 +219,7 @@ def test_general_route_other_dimensions(grid, fld, counts):
     )
     assert_general_matches_reference(qd_a, qd_b, fld)
     assert_general_matches_reference(qd_a, qi_b, fld)
-    assert_general_matches_reference(qd_a, qd_b, fld, out=3)
+    assert_general_matches_reference(qd_b, random_kernel(rng, grid, grid.n - 1), fld)
 
 
 def test_general_route_memory_is_tiled():
@@ -257,7 +254,8 @@ def test_general_route_tiles_every_axis(n):
     # each axis and of the rows of b, 16 fills its axes; factors of different
     # windows, the residual products' 3x3 stencil on either side (on the
     # right read on padded rows), base-point independent times dependent
-    # both ways, and a kept window of 3
+    # both ways, and a right factor of n - 1 nodes, whose natural window
+    # the box clips
     rng = np.random.default_rng(48)
     g = BoxGrid(dim=2, half_length=3.0, n=n)
     fld = MagneticField.constant_2d(0.9)
@@ -268,7 +266,7 @@ def test_general_route_tiles_every_axis(n):
     assert_general_matches_reference(wide, stencil, fld)
     assert_general_matches_reference(qi, narrow, fld)
     assert_general_matches_reference(narrow, qi, fld)
-    assert_general_matches_reference(wide, narrow, fld, out=3)
+    assert_general_matches_reference(random_kernel(rng, g, 3), random_kernel(rng, g, n - 1), fld)
 
 
 def test_general_route_tiles_a_right_stencil_in_wide_tiles():
@@ -286,18 +284,19 @@ def test_general_route_tiles_a_right_stencil_in_wide_tiles():
              for a, b in ((wide, stencil), (wide, narrow))]
     assert plans == [{"lead": 4, "trail": 16, "depth": 3}, {"lead": 4, "trail": 8, "depth": 3}]
     assert_general_matches_reference(wide, stencil, fld)
-    assert_general_matches_reference(wide, narrow, fld, out=3)
+    assert_general_matches_reference(wide, narrow, fld)
 
 
 def test_general_route_tiles_a_padded_callable_under_a_variable_field():
     # the right factor's callable extends it past the box, so it is read on
-    # padded rows, each dressed by the padded table of Λ
+    # padded rows, each dressed by the padded table of Λ; on a box of 6
+    # nodes the natural window of 9 is clipped to 5
     g = BoxGrid(dim=2, half_length=3.0, n=14)
-    phi, psi = pair_on(g, 5, attach=True)
+    _, psi = pair_on(g, 5, attach=True)
     wide = random_kernel(np.random.default_rng(49), g, 7)
     fld = variable_field()
     assert_general_matches_reference(wide, psi, fld, order=16)
-    assert_general_matches_reference(phi, psi, fld, out=3, order=16)
+    assert_general_matches_reference(*pair_on(BoxGrid(dim=2, half_length=1.5, n=6), 5), fld, order=16)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +314,8 @@ def test_general_route_tiles_a_padded_callable_under_a_variable_field():
 )
 def test_general_route_tiles_other_dimensions(grid, fld):
     # one axis has no trailing tiles and a partial leading one; three have
-    # two trailing axes with a partial tile each
+    # two trailing axes with a partial tile each; a right factor of n - 1
+    # nodes gives a natural window the box clips
     rng = np.random.default_rng(50)
     da, db = (9, 5) if grid.dim == 1 else (5, 3)
     wide, narrow = random_kernel(rng, grid, da), random_kernel(rng, grid, db)
@@ -323,7 +323,7 @@ def test_general_route_tiles_other_dimensions(grid, fld):
     assert_general_matches_reference(wide, narrow, fld)
     assert_general_matches_reference(stencil, wide, fld)
     assert_general_matches_reference(wide, stencil, fld)
-    assert_general_matches_reference(wide, narrow, fld, out=3)
+    assert_general_matches_reference(narrow, random_kernel(rng, grid, grid.n - 1), fld)
 
 
 def test_general_route_pays_for_its_band():
@@ -535,7 +535,8 @@ def test_products_and_bands_match_per_node_loops(monkeypatch):
 def test_variable_field_product_builds_one_table_per_window(monkeypatch):
     # one Λ table at the widest window serves the left factor, the output
     # and an unpadded right factor, cut centrally; a padded right factor
-    # (here one with a callable) adds a table of its own
+    # (here one with a callable) adds a table of its own; on a box of 6
+    # nodes the output is clipped to the factors' 5
     g = BoxGrid(dim=2, half_length=3.0, n=12)
     fld = variable_field()
     pot = transversal_gauge(fld)
@@ -547,13 +548,10 @@ def test_variable_field_product_builds_one_table_per_window(monkeypatch):
 
     monkeypatch.setattr(crossed, "_lambda_factors", spy)
     arrays, callables = pair_on(g, 5, attach=False), pair_on(g, 5)
-    for (phi, psi), kw, want in (
-        (arrays, {}, [(9, 0)]),
-        (arrays, {"out_disp_count": 3}, [(5, 0)]),
-        (callables, {}, [(9, 0), (5, 2)]),
-    ):
+    clipped = pair_on(BoxGrid(dim=2, half_length=1.5, n=6), 5, attach=False)
+    for (phi, psi), want in ((arrays, [(9, 0)]), (clipped, [(5, 0)]), (callables, [(9, 0), (5, 2)])):
         tables.clear()
-        twisted_product(phi, psi, fld, tail_warn=np.inf, **kw)
+        twisted_product(phi, psi, fld, tail_warn=np.inf)
         assert tables == want
     # the cut equals the table of the narrower window bit for bit
     wide = _lambda_factors(pot, g, 9)
@@ -777,18 +775,20 @@ def test_qindep_const_fast_path_matches_reference():
 
 
 def test_clipped_qindep_const_product_keeps_window_and_bounds_tail():
-    # a kept window narrower than the natural one: the kept nodes match the
-    # reference and the recorded tail bounds the exact clipped L1 mass
+    # a natural window of 11 nodes that the box clips to its 7: the kept
+    # nodes match the reference on a box of the same step that holds all
+    # 11, and the recorded tail bounds the exact clipped L1 mass
     rng = np.random.default_rng(43)
-    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    g = BoxGrid(dim=2, half_length=2.0, n=8)
     a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     phi = KernelSample(grid=g, values=a, q_independent=True)
     psi = KernelSample(grid=g, values=b, q_independent=True)
     fld = MagneticField.constant_2d(0.9)
     with pytest.warns(UserWarning, match="discarded"):
-        p = twisted_product(phi, psi, fld, out_disp_count=7)
-    full = twisted_product_reference(phi, psi, fld)
+        p = twisted_product(phi, psi, fld)
+    wide = BoxGrid(dim=2, half_length=3.0, n=12)
+    full = twisted_product_reference(replace(phi, grid=wide), replace(psi, grid=wide), fld)
     assert p.disp_count == 7 < full.disp_count == 11
     kept = full.values[2:9, 2:9]
     assert np.abs(p.values - kept).max() < 1e-12
@@ -864,9 +864,10 @@ fld = mw.MagneticField.constant_2d(0.5)
 h = lambda p: 1.0 + np.sum(2.0 * (1.0 - np.cos(p * g.delta)), axis=-1) / g.delta**2
 mw.resolvent(h, fld, g, -1.0 + 1.0j, a0=0.0)
 rng = np.random.default_rng(0)
-a, b = (mw.KernelSample(grid=g, values=rng.normal(size=(d, d)) + 0j, q_independent=True)
+small = mw.BoxGrid(dim=2, half_length=2.0, n=8)
+a, b = (mw.KernelSample(grid=small, values=rng.normal(size=(d, d)) + 0j, q_independent=True)
         for d in (7, 5))
-assert mw.twisted_product(a, b, fld, out_disp_count=7).tail_mass > 0
+assert mw.twisted_product(a, b, fld).tail_mass > 0
 f = lambda q, x: np.exp(-np.sum(q * q, axis=-1) / 4 - np.sum(x * x, axis=-1))
 k = mw.kernel_from_func(f, g, disp_count=5)
 mw.twisted_product(k, k, mw.MagneticField.from_scalar_2d(lambda p: 1.0 + np.exp(-np.sum(p * p, axis=-1))))
@@ -886,39 +887,33 @@ def qindep_pair(g, da, db, seed):
     return KernelSample(grid=g, values=a, q_independent=True), KernelSample(grid=g, values=b, q_independent=True)
 
 
-def assert_matches_reference(phi, psi, fld, out=None):
-    p = twisted_product(phi, psi, fld, out_disp_count=out, tail_warn=np.inf)
-    r = twisted_product_reference(phi, psi, fld, out_disp_count=out)
+def assert_matches_reference(phi, psi, fld):
+    p = twisted_product(phi, psi, fld, tail_warn=np.inf)
+    r = twisted_product_reference(phi, psi, fld)
     assert p.q_independent and r.q_independent
     assert p.values.shape == r.values.shape
     assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
-    return p
+    assert p.disp_count == min(phi.disp_count + psi.disp_count - 1, phi.grid.max_disp_count())
 
 
-# kept windows: natural, wider than natural (the Toeplitz matrices cover
-# only the columns b's window reaches), one node, and one node of a right
-# factor so wide that most of its rows meet no kept output row
-WINDOW_CASES = [(3, 5, 11), (5, 3, 9), (7, 5, 1), (3, 15, 1)]
-WINDOW_IDS = ["3x5-wider", "5x3-wider", "one-node", "3x15-one-node"]
-
-
-@pytest.mark.parametrize("da, db, out", [(7, 5, None)] + WINDOW_CASES, ids=["natural"] + WINDOW_IDS)
-def test_gemm_route_dim1_zero_field(da, db, out):
-    # one axis: no leading axes, the product is a single 1-D convolution
+@pytest.mark.parametrize("da, db", [(7, 5), (3, 15)], ids=["natural", "clipped"])
+def test_gemm_route_dim1_zero_field(da, db):
+    # one axis: no leading axes, the product is a single 1-D convolution;
+    # the box clips the natural window of 3x15 to 15 nodes
     g = BoxGrid(dim=1, half_length=4.0, n=16)
     phi, psi = qindep_pair(g, da, db, seed=50)
-    assert_matches_reference(phi, psi, MagneticField.zero(1), out)
+    assert_matches_reference(phi, psi, MagneticField.zero(1))
 
 
 @pytest.mark.parametrize(
-    "da, db, out", [(7, 7, None), (3, 11, None), (11, 3, None), (11, 11, 7)] + WINDOW_CASES,
-    ids=["equal", "3x11", "11x3", "clipped"] + WINDOW_IDS,
+    "da, db", [(7, 7), (3, 11), (11, 3), (3, 21)], ids=["equal", "3x11", "11x3", "clipped"]
 )
-def test_gemm_route_constant_field_2d(da, db, out):
+def test_gemm_route_constant_field_2d(da, db):
+    # the box clips the natural window of 3x21 to 21 nodes, so the
+    # Toeplitz matrices drop a column on either side
     g = BoxGrid(dim=2, half_length=3.0, n=22)
     phi, psi = qindep_pair(g, da, db, seed=51)
-    p = assert_matches_reference(phi, psi, MagneticField.constant_2d(0.9), out)
-    assert p.disp_count == (out or da + db - 1)
+    assert_matches_reference(phi, psi, MagneticField.constant_2d(0.9))
 
 
 @pytest.mark.parametrize("da, db", [(3, 5), (5, 5), (3, 7)], ids=["natural", "clipped", "3x7"])
@@ -927,8 +922,7 @@ def test_gemm_route_constant_field_3d(da, db):
     g = BoxGrid(dim=3, half_length=3.0, n=8)
     bmat = np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
     phi, psi = qindep_pair(g, da, db, seed=52)
-    p = assert_matches_reference(phi, psi, MagneticField(dim=3, constant=bmat))
-    assert p.disp_count == min(da + db - 1, g.max_disp_count())
+    assert_matches_reference(phi, psi, MagneticField(dim=3, constant=bmat))
 
 
 def test_gemm_route_memory_is_blocked():
@@ -999,9 +993,9 @@ def test_reference_centered_branch_reads_stored_values_exactly_for_linear_kernel
 
     funcs = (linear(1.0, [0.3, -0.2], 1.0), linear(0.5, [-0.1, 0.25], 0.7))
     exact = [kernel_from_func(f, g, disp_count=5) for f in funcs]
-    stored = [kernel_from_func(f, g, disp_count=5, attach_func=False) for f in funcs]
-    want = twisted_product_reference(*exact, fld, out_disp_count=5).values
-    got = twisted_product_reference(*stored, fld, out_disp_count=5).values
+    stored = [replace(k, func=None) for k in exact]
+    want = twisted_product_reference(*exact, fld).values
+    got = twisted_product_reference(*stored, fld).values
     inner = (slice(2, -2),) * 2
     scale = np.abs(want[inner]).max()
     assert np.abs(got[inner] - want[inner]).max() <= 1e-12 * scale
@@ -1060,57 +1054,14 @@ def test_multiplier_closed_form_matches_reference():
     assert np.abs(right.values - rref.values).max() < 1e-12
 
 
-@pytest.mark.parametrize("out", [7, 9])
-@pytest.mark.parametrize("path", ["fft", "general"])
-def test_window_wider_than_natural_clips_nothing(path, out):
-    # 3x3 factors have a natural window of 5 nodes: a wider kept window
-    # drops no mass, so nothing is recorded and no warning fires
-    rng = np.random.default_rng(44)
-    g = BoxGrid(dim=2, half_length=3.0, n=12)
-    fld = MagneticField.constant_2d(0.9)
-    base = () if path == "fft" else (12, 12)
-    a = rng.normal(size=base + (3, 3)) + 1j * rng.normal(size=base + (3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    phi = KernelSample(grid=g, values=a, q_independent=path == "fft")
-    psi = KernelSample(grid=g, values=b, q_independent=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        p = twisted_product(phi, psi, fld, out_disp_count=out, sheet="tilde")
-    r = twisted_product_reference(phi, psi, fld, out_disp_count=out, sheet="tilde")
-    assert p.disp_count == r.disp_count == out
-    assert p.tail_mass == 0.0
-    assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
-
-
-@pytest.mark.parametrize("out", [3, 9])
-@pytest.mark.parametrize("left", [True, False], ids=["v_left", "v_right"])
-def test_multiplier_product_keeps_requested_window(left, out):
-    # the multiplier path returns the window asked for, like the other
-    # paths: cut centrally with the clipped mass bounded, or zero-padded
-    g = BoxGrid(dim=2, half_length=3.0, n=12)
-    fld = variable_field()
-    _, psi = pair_on(g, 7)
-    v = multiplier_kernel(lambda q: 1.0 / (1.0 + np.sum(q * q, axis=-1)), g)
-    pair = (v, psi) if left else (psi, v)
-    p = twisted_product(*pair, fld, out_disp_count=out, tail_warn=np.inf)
-    r = twisted_product_reference(*pair, fld, out_disp_count=out)
-    assert p.disp_count == r.disp_count == out
-    assert np.abs(p.values - r.values).max() < 1e-12 * np.abs(r.values).max()
-    full = twisted_product_reference(*pair, fld)
-    sup = np.abs(full.values).max(axis=(0, 1))
-    k = (7 - min(out, 7)) // 2
-    exact = (sup.sum() - sup[k:7 - k, k:7 - k].sum()) * g.cell_volume
-    assert p.tail_mass >= exact
-    assert (exact > 0) == (out < 7)
-
-
 def test_tail_mass_recorded_and_warns():
     rng = np.random.default_rng(34)
-    g = BoxGrid(dim=2, half_length=3.0, n=12)
+    # the box clips the natural window of 13 nodes to 7
+    g = BoxGrid(dim=2, half_length=2.0, n=8)
     a = rng.normal(size=(7, 7))
     phi = KernelSample(grid=g, values=a, q_independent=True)
     with pytest.warns(UserWarning, match="discarded"):
-        prod = twisted_product(phi, phi, MagneticField.zero(2), out_disp_count=3)
+        prod = twisted_product(phi, phi, MagneticField.zero(2))
     assert prod.tail_mass > 0
     assert prod.meta.get("tail_warning")
 
@@ -1139,18 +1090,6 @@ def test_products_refuse_periodic_boxes():
     for route in (twisted_product, twisted_product_reference):
         with pytest.raises(ValueError, match="periodic box"):
             route(phi, psi, MagneticField.zero(1), sheet="tilde")
-
-
-@pytest.mark.parametrize("count", [-1, 0, 2, 5.0, True])
-def test_products_refuse_a_window_that_is_not_a_positive_odd_count(count):
-    # -1 failed in numpy with "negative dimensions are not allowed", 5.0
-    # with "slice indices must be integers", True with "an integer is
-    # required"
-    g = BoxGrid(dim=2, half_length=3.0, n=12)
-    k = KernelSample(grid=g, values=np.ones((5, 5), dtype=complex), q_independent=True)
-    for route in (twisted_product, twisted_product_reference):
-        with pytest.raises(ValueError, match="must be a positive odd number"):
-            route(k, k, MagneticField.constant_2d(0.5), out_disp_count=count)
 
 
 def test_product_refuses_an_unknown_sheet():
@@ -1399,8 +1338,8 @@ def test_homomorphism_refinement_sweep():
     for n in (16, 32, 64):
         g = BoxGrid(dim=1, half_length=4.0, n=n)
         dc = 2 * int(round(1.4 / g.delta)) + 1
-        phi = kernel_from_func(profile(0.4, 1.0), g, disp_count=dc, attach_func=False)
-        psi = kernel_from_func(profile(-0.7, 0.8), g, disp_count=dc, attach_func=False)
+        phi, psi = (replace(kernel_from_func(profile(c, amp), g, disp_count=dc), func=None)
+                    for c, amp in ((0.4, 1.0), (-0.7, 0.8)))
         prod = twisted_product(phi, psi, fld, scheme="cubic")
         Mp = rep(pot, prod, scheme="cubic").mat
         Ma = rep(pot, phi, scheme="cubic").mat @ rep(pot, psi, scheme="cubic").mat
@@ -1635,7 +1574,8 @@ def test_op_weyl_potential_is_diagonal():
 
 def test_op_weyl_momentum_multiplier_plane_waves():
     # band-limited symbol: its kernel is exactly one lattice step wide, so
-    # plane waves are exact eigenvectors with eigenvalue h(p)
+    # the trimmed kernel gives a 3-point band (wrapping on the periodic
+    # box) and plane waves are exact eigenvectors with eigenvalue h(p)
     g = BoxGrid(dim=1, half_length=4.0, n=16, bc="periodic")
     pot = transversal_gauge(MagneticField.zero(1))
     d = g.delta
@@ -1643,7 +1583,10 @@ def test_op_weyl_momentum_multiplier_plane_waves():
     def h(p):
         return 2.0 * (1.0 - np.cos(p[..., 0] * d)) / d**2 + 0.7
 
-    M = op_weyl(pot, h, g, r_disp=1.2 * d).mat
+    M = op_weyl(pot, h, g).mat
+    gap = np.subtract.outer(np.arange(g.n), np.arange(g.n)) % g.n
+    band = (gap <= 1) | (gap == g.n - 1)
+    assert np.all(M[~band] == 0.0) and np.all(M[band] != 0.0)
     pts = g.points()[:, 0]
     for m in (-3, 0, 5):
         p = m * np.pi / g.half_length
@@ -1659,7 +1602,7 @@ def test_real_symbol_gives_hermitian_matrix():
     def symbol(q, p):
         return np.sum(p * p, axis=-1) + 0.1 * np.exp(-np.sum(q * q, axis=-1))
 
-    out = op_weyl(pot, symbol, g, q_independent=False, r_disp=1.5)
+    out = op_weyl(pot, symbol, g, q_independent=False)
     assert np.abs(out.mat - out.mat.conj().T).max() <= 1e-12 * np.abs(out.mat).max()
 
 

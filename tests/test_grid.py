@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from magweyl.crossed import op_weyl
-from magweyl.fields import MagneticField, transversal_gauge
+from magweyl.fields import MagneticField
 from magweyl.grid import (
     BoxGrid,
     PhaseGridFunction,
@@ -110,28 +109,17 @@ def test_plane_wave_symbol_shifts_forward():
 
 
 def test_kernel_truncation_records_tail():
+    # the kernel keeps the n - 1 nodes of the largest symmetric window: the
+    # unpaired row at -L is dropped and its L1 mass recorded
     g = BoxGrid(dim=1, half_length=4.0, n=64)
-    # wide symbol = narrow kernel (width 1/4), so radius 1.5 covers 6 sigma
-    f = PhaseGridFunction.sample(lambda p: np.exp(-np.sum(p**2, -1) / 32), g)
-    full = partial_fourier_inv(f)
-    trunc = partial_fourier_inv(f, r_disp=1.5)
-    assert trunc.disp_count < full.disp_count
-    assert trunc.disp_radius <= 1.5 + 1e-12
-    dropped = np.abs(full.values).sum() - np.abs(trunc.values).sum()
-    assert abs(trunc.tail_mass - (dropped * g.delta + full.tail_mass)) < 1e-12
-    assert 0 < trunc.tail_mass < 1e-4
-
-
-@pytest.mark.parametrize("r_disp", [np.nan, np.inf, 0.0, -1.0])
-def test_displacement_radius_must_be_positive_and_finite(r_disp):
-    # NaN failed in numpy with "cannot convert float NaN to integer" and
-    # inf with OverflowError, both through partial_fourier_inv and op_weyl
-    g = BoxGrid(dim=1, half_length=4.0, n=16)
-    f = PhaseGridFunction.sample(lambda p: np.sum(p**2, -1), g)
-    with pytest.raises(ValueError, match="displacement radius must be positive and finite"):
-        partial_fourier_inv(f, r_disp=r_disp)
-    with pytest.raises(ValueError, match="displacement radius must be positive and finite"):
-        op_weyl(transversal_gauge(MagneticField.zero(1)), f, r_disp=r_disp)
+    # narrow symbol = wide kernel, exp(-x^2/16), which still carries mass at -L
+    f = PhaseGridFunction.sample(lambda p: np.exp(-4.0 * np.sum(p**2, -1)), g)
+    full = kernel_from_symbol_full(f.values, g)
+    ker = partial_fourier_inv(f)
+    assert ker.disp_count == g.max_disp_count() == g.n - 1
+    assert np.array_equal(ker.values, full[1:])
+    assert abs(ker.tail_mass - np.abs(full[0]) * g.delta) < 1e-12
+    assert ker.tail_mass > 1e-3
 
 
 def test_symbol_kernel_symbol_identity_without_truncation():
@@ -220,10 +208,9 @@ def test_involution_axis_helpers():
         values=np.arange(5 * 5, dtype=complex).reshape(5, 5),
         q_independent=True,
     )
-    m = ks.disp_mesh()
-    assert m.shape == (5, 5, 2)
-    assert np.allclose(m[2, 2], 0.0)
-    assert np.allclose(m, -m[::-1, ::-1])
+    ax = ks.disp_axis()
+    assert ax.shape == (5,) and ax[2] == 0.0
+    assert np.array_equal(ax, -ax[::-1])
 
 
 def test_interior_mask():

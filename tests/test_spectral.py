@@ -26,6 +26,7 @@ from magweyl.fields import (
     transversal_gauge,
 )
 from magweyl.grid import BoxGrid, PhaseGridFunction, partial_fourier_inv
+from magweyl.moyal import _symbol_kernel
 from magweyl.spectral import (
     SchrodingerSpec,
     assemble,
@@ -234,7 +235,8 @@ def kernel_case(case):
         prod = twisted_product(phi, phi, variable_field(), sheet="tilde")
         assert prod.sheet == "tilde"
         return prod
-    return kernel_from_func(gauss, grid, disp_count=7, attach_func=(case != "q_dependent"))
+    k = kernel_from_func(gauss, grid, disp_count=7)
+    return replace(k, func=None) if case == "q_dependent" else k
 
 
 @pytest.mark.parametrize("case", ["q_independent", "q_dependent", "periodic", "periodic_q_independent", "tilde"])
@@ -1318,3 +1320,115 @@ def test_stencil_ladder_tabulates_at_the_kernel_window(monkeypatch):
     full = essential_estimate(spec, boxes, window, density=4.0)
     assert len(est.points) > 0 and est.points.shape == full.points.shape
     assert np.abs(est.points - full.points).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# paper checks: Weyl quotients away from the box edge, Landau levels of
+# radial symbols
+# ---------------------------------------------------------------------------
+
+
+def fd6_kinetic(grid):
+    """Sixth-order finite-difference Laplacian symbol; its kernel reaches
+    r = 3 nodes per axis."""
+    d = grid.delta
+
+    def f(p):
+        pd = np.asarray(p) * d
+        return np.sum(49 / 18 - 3 * np.cos(pd) + 0.3 * np.cos(2 * pd) - np.cos(3 * pd) / 45, axis=-1) / d**2
+
+    return f
+
+
+def box_csr(h, field, grid):
+    """rep_banded's CSR matrix of Op^A(h) on a truncated box, from the
+    trimmed kernel of h's samples."""
+    kernel = _symbol_kernel(PhaseGridFunction.sample(h, grid, q_independent=True))
+    return rep_banded(transversal_gauge(field), kernel).mat
+
+
+def shell(grid, inner, outer):
+    """Flat indices of the nodes with inner <= |x|_inf <= outer."""
+    radius = np.abs(grid.points()).max(axis=-1)
+    return np.flatnonzero((radius >= inner) & (radius <= outer))
+
+
+def weyl_quotient(mat, cols, t):
+    """μ = σ_min((M - t)[:, cols]): ‖(M - t)u‖/‖u‖ minimised over the u
+    supported on ``cols``.  Entries of A = (M - t)[:, cols] below 1e-13 of
+    M's largest are cut; their sum, returned with μ, bounds the change
+    the cut makes in μ.  G = AᴴA is factored by ``splu`` and ARPACK finds
+    G⁻¹'s largest eigenvalue 1/μ² at tol 1e-3."""
+    from scipy.sparse import csc_array, identity
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
+    a = csc_array(mat - t * identity(mat.shape[0], format="csr"))[:, cols]
+    drop = np.abs(a.data) < 1e-13 * np.abs(mat.data).max()
+    dropped = float(np.abs(a.data[drop]).sum())
+    a.data[drop] = 0.0
+    a.eliminate_zeros()
+    solve = splu(csc_array(a.conj().T @ a)).solve
+    top = eigsh(LinearOperator((len(cols),) * 2, matvec=solve, dtype=complex), k=1, tol=1e-3,
+                return_eigenvectors=False)[0]
+    return 1.0 / np.sqrt(top.real), dropped
+
+
+def test_weyl_quotient_gate_tightens_under_a_decaying_field():
+    # Persson: dist(t, σ_ess) = lim_R μ_R(t).  On {R <= |x|_inf <= L - (r + ½)δ}
+    # a u has (M - t)u = (H - t)u exactly, so the box edge never enters.
+    # b = 1 + 0.5 exp(-|x|²), fd6 at 3 nodes per unit length, R = 2.5:
+    # measured μ(1) 0.245 -> 1.17e-2, μ(3) 0.713 -> 5.51e-2, μ(2) 1.004 and
+    # 1.000 at L = 8 and 10, with cut sums 9.9e-12 and 1.6e-11
+    desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=lambda x: 0.5 * np.exp(-np.sum(x * x, axis=-1)))
+    rungs = []
+    for half_length in (8.0, 10.0):
+        grid = BoxGrid(dim=2, half_length=half_length, n=round(6 * half_length))
+        mat = box_csr(fd6_kinetic(grid), desc.field(), grid)
+        cols = shell(grid, 2.5, half_length - 3.5 * grid.delta)
+        quotients = [weyl_quotient(mat, cols, t) for t in (1.0, 2.0, 3.0)]
+        assert max(dropped for _, dropped in quotients) <= 1e-10
+        rungs.append([mu for mu, _ in quotients])
+    (gap1, mid, gap3), (end1, end_mid, end3) = rungs
+    assert end1 <= gap1 / 4 and end3 <= gap3 / 4
+    assert max(end1, end3) <= 0.08
+    assert min(mid, end_mid) >= 0.9
+
+
+def test_weyl_quotient_needs_a_collar_against_edge_states():
+    # constant b = 1, trig symbol (r = 1): t = 2 sits in the Landau gap;
+    # a one-node collar keeps μ at the gap distance (measured 1.007), while
+    # on every node edge states fill the gap (measured 0.145)
+    grid = BoxGrid(dim=2, half_length=4.0, n=32)
+    d = grid.delta
+    mat = box_csr(lambda p: np.sum(2.0 * (1.0 - np.cos(p * d)), axis=-1) / d**2,
+                  MagneticField.constant_2d(1.0), grid)
+    collared, _ = weyl_quotient(mat, shell(grid, 0.0, 4.0 - 1.5 * d), 2.0)
+    bare, _ = weyl_quotient(mat, np.arange(grid.size), 2.0)
+    assert collared >= 0.9 and bare <= 0.2
+
+
+def laguerre_levels(f, b, count, nodes=40):
+    """λ_k = ((-1)^k/b) ∫₀^∞ f(s) e^{-s/b} L_k(2s/b) ds, k < count: the
+    Landau levels of Op^A(f(|p|²)) under a constant field b, by
+    Gauss-Laguerre in u = s/b."""
+    u, w = np.polynomial.laguerre.laggauss(nodes)
+    lk = np.polynomial.laguerre.lagvander(2.0 * u, count - 1).T
+    return (-1.0) ** np.arange(count) * ((lk * f(b * u)) @ w)
+
+
+def test_radial_symbol_landau_levels():
+    k = np.arange(4)
+    for b in (0.5, 1.0, 2.0):
+        assert np.allclose(laguerre_levels(lambda s: s, b, 4), (2 * k + 1) * b, rtol=1e-12, atol=0)
+        assert np.allclose(laguerre_levels(lambda s: s * s, b, 4), ((2 * k + 1) ** 2 + 1) * b * b,
+                           rtol=1e-12, atol=0)
+    # h = sqrt(1 + |p|²) at b = 1: Op^A(h) is not h(Π^A), whose lowest
+    # level would be sqrt(2); the box bulk (measured 1.3784) finds λ₀
+    lowest = laguerre_levels(lambda s: np.sqrt(1.0 + s), 1.0, 1)[0]
+    assert abs(lowest - 1.378936) <= 1e-6
+    spec = SchrodingerSpec(h=lambda p: np.sqrt(1.0 + free_kinetic(p)), field=MagneticField.constant_2d(1.0),
+                           grid=BoxGrid(dim=2, half_length=4.0, n=32))
+    res = eig(assemble(spec), (0.0, 2.5), vectors=True)
+    bulk = res.values[res.bulk_scores() >= 0.6].min()
+    assert abs(bulk - lowest) <= 1e-3
+    assert abs(bulk - np.sqrt(2.0)) >= 0.03
