@@ -134,10 +134,17 @@ The layer runs one fixed configuration:
   another order, which integrates a pair on order² nodes; about 2^16 flux
   quadrature nodes per block of a table of circulation phases Λ
   (``_QUAD_BLOCK``, 1024 pairs for a gauge of order 8); one box of rows of
-  the left factor per leading row of the
-  right factor in the constant-field twisted convolution; and for the
-  general GEMM route, 128 matrix rows per tile of the summed rows S of
-  the right factor, rounded to whole rows of the leading axis
+  the left factor per leading row of the right factor in the
+  constant-field twisted convolution, whose rows run in place in two
+  buffers sized once for the largest box; what that route reads of the
+  shapes, the box and the field (the modulation tables, each row's boxes,
+  the cross phases in three dimensions and the Toeplitz view's strides)
+  is planned once per key (grid, d_a, d_b, kept window, B), and the 16
+  most recently used plans are kept (``_toeplitz_plan``,
+  ``_PLAN_CACHE``), so the 41 products of 47-node windows in the
+  resolvent at n=48 plan once; and for the general GEMM route, 128
+  matrix rows per tile of the summed rows S of the right factor, rounded
+  to whole rows of the leading axis
   (``_GEMM_DEPTH``: 4 of them at n=32 in two dimensions), which also fix
   the order in which the output accumulates, and tiles of base points r
   sized per product from its windows (``_tile_plan``).  Every GEMM's
@@ -154,6 +161,7 @@ The layer runs one fixed configuration:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -208,6 +216,7 @@ _NORM_MAXITER = 500
 _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
 _GEMM_DEPTH = 128
+_PLAN_CACHE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -692,28 +701,34 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     return out, {"multiply_adds": madds, "gemm_calls": calls, "tile_plan": plan}
 
 
-def _twisted_convolution(a, b, out_count, grid, bmat):
-    """Product of two base-point independent kernels in a constant field B,
+@dataclass(frozen=True)
+class _ToeplitzPlan:
+    """What ``_twisted_convolution`` reads of its shapes, box and field.
 
-        out[x] = Δ^N Σ_y a[y] b[x-y] exp(-i/2 yᵀBx),
-
-    on the kept window (the cocycle exp(-i/2 yᵀBw), w = x - y, equals this
-    phase since B is antisymmetric); returns the output and the
-    ``multiply_adds`` its GEMMs ran.  With the leading N-1 axes x', y' fixed
-    the phase splits into exp(-i/2 y'ᵀB'x'), a modulation of the left row
-    in y_N and one of the output row in x_N, so the sum over y_N is a
-    product with the Toeplitz matrix T_k'[y_N, x_N] = b[k'; x_N - off - y_N]
-    of b's leading row k' = x' - y' - off (zero outside b's window).  For
-    one k' the pairs (x', y') form a box of leading rows, so one GEMM
-    multiplies the box's modulated rows of a by T_k' and the modulated
-    result adds into the box of output rows x'.  The rows k' add in
-    ascending order, so the result does not depend on how the work is
-    blocked.  T_k' is a strided view of b's row padded by d_a - 1 zeros
-    per side, over the c kept columns x_N: at most d_b^(N-1) GEMMs of
-    Σ pairs·d_a·c multiply-adds, d_a the nodes per axis of a's window.
+    ``steps`` holds one entry per leading row k' of b whose box is not
+    empty, in ascending order: k', a's row box, the output box, the
+    modulations of those rows (``in_mod`` cut to the output box,
+    ``out_mod`` cut to a's), the cross phase exp(-i/2 y'ᵀB'x') over the
+    box in three dimensions (else None), and the box's row count;
+    ``max_rows`` is the largest count.  ``pad`` is the shape of b's padded
+    rows, and ``view`` the shape, strides and byte offset of the Toeplitz
+    view over them.
     """
+
+    steps: tuple
+    max_rows: int
+    pad: tuple
+    view: tuple
+    multiply_adds: int
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _toeplitz_plan(grid, da, db, out_count, bkey):
+    """The plan of a twisted convolution of windows of da and db nodes per
+    axis into out_count kept nodes, on ``grid`` in the constant field whose
+    matrix B reads ``bkey`` in C order."""
     p = grid.dim - 1
-    da, db = a.shape[-1], b.shape[-1]
+    bmat = np.array(bkey).reshape(grid.dim, grid.dim)
     # the kept window is at most the natural one, so off <= 0
     off = out_count // 2 - da // 2 - db // 2
     ya, xo = grid.disp_axis(da), grid.disp_axis(out_count)
@@ -730,30 +745,83 @@ def _twisted_convolution(a, b, out_count, grid, bmat):
 
     in_mod = modulation(xo, bmat[p, :p], ya)
     out_mod = modulation(ya, bmat[:p, p], xo)
-    # b's rows with d_a - 1 zeros on either side; T_k'[i, j] reads node
-    # j - off + (d_a - 1 - i) of row k', a window of d_a nodes reversed
-    bpad = np.zeros((db,) * p + (db + 2 * (da - 1),), dtype=complex)
-    bpad[..., da - 1:da - 1 + db] = b
-    toeplitz = np.lib.stride_tricks.sliding_window_view(bpad, da, axis=-1)
-    toeplitz = toeplitz[..., -off:out_count - off, ::-1].swapaxes(-1, -2)
-    out = np.zeros((out_count,) * grid.dim, dtype=complex)
-    madds = 0
+    # every caller shares the plan, so its arrays and their views are read-only
+    in_mod.flags.writeable = out_mod.flags.writeable = False
+    steps, madds = [], 0
     for k in np.ndindex(*(db,) * p):
         ybox = tuple(slice(max(0, -j - off), min(da, out_count - j - off)) for j in k)
         if any(s.stop <= s.start for s in ybox):
             continue
         xbox = tuple(slice(s.start + j + off, s.stop + j + off) for s, j in zip(ybox, k))
-        rows = a[ybox] * in_mod[xbox]
+        cross = None
         if p > 1:
-            # exp(-i/2 y'ᵀB'x') over the box
             cross = sum(bmat[e, f] * on_axis(ya[ybox[e]], e) * on_axis(xo[xbox[f]], f)
                         for e, f in zip(*np.nonzero(bmat[:p, :p])))
-            rows *= np.exp(-0.5j * cross)[..., None]
-        prod = rows.reshape(-1, da) @ toeplitz[k]
-        madds += prod.size * da
-        out[xbox] += prod.reshape(rows.shape[:-1] + (out_count,)) * out_mod[ybox]
+            cross = np.exp(-0.5j * cross)[..., None]
+            cross.flags.writeable = False
+        count = math.prod(s.stop - s.start for s in ybox)
+        steps.append((k, ybox, xbox, in_mod[xbox], out_mod[ybox], cross, count))
+        madds += count * out_count * da
+    # b's rows with d_a - 1 zeros on either side; T_k'[i, j] reads node
+    # j - off + (d_a - 1 - i) of row k', a window of d_a nodes reversed
+    pad = (db,) * p + (db + 2 * (da - 1),)
+    item = np.dtype(complex).itemsize
+    strides = tuple(item * math.prod(pad[e + 1:]) for e in range(p)) + (-item, item)
+    view = ((db,) * p + (da, out_count), strides, (da - 1 - off) * item)
+    return _ToeplitzPlan(tuple(steps), max((s[-1] for s in steps), default=0), pad, view, madds)
+
+
+def _twisted_convolution(a, b, out_count, grid, bmat):
+    """Product of two base-point independent kernels in a constant field B,
+
+        out[x] = Δ^N Σ_y a[y] b[x-y] exp(-i/2 yᵀBx),
+
+    on the kept window (the cocycle exp(-i/2 yᵀBw), w = x - y, equals this
+    phase since B is antisymmetric); returns the output and the work its
+    GEMMs did: ``multiply_adds`` and ``gemm_calls``.  With the leading N-1
+    axes x', y' fixed the phase splits into exp(-i/2 y'ᵀB'x'), a modulation
+    of the left row in y_N and one of the output row in x_N, so the sum
+    over y_N is a product with the Toeplitz matrix T_k'[y_N, x_N] = b[k';
+    x_N - off - y_N] of b's leading row k' = x' - y' - off (zero outside
+    b's window).  For one k' the pairs (x', y') form a box of leading rows,
+    so one GEMM multiplies the box's modulated rows of a by T_k' and the
+    modulated result adds into the box of output rows x'.  T_k' is a
+    strided view of b's row padded by d_a - 1 zeros per side, over the c
+    kept columns x_N: at most d_b^(N-1) GEMMs of Σ pairs·d_a·c
+    multiply-adds, d_a the nodes per axis of a's window.
+
+    Everything but b's padded rows depends only on the shapes, the box and
+    the field, and is planned once per (grid, d_a, d_b, c, B) by
+    ``_toeplitz_plan``, which keeps the ``_PLAN_CACHE`` most recently used
+    plans: the modulations, each row k''s boxes, the cross phases in three
+    dimensions and the geometry of the Toeplitz view.  The sweep fills b's
+    padded rows and runs the rows k' in ascending order, each as one
+    multiply of a's box by its modulation, one GEMM and one modulation of
+    its product in place, and one add into the output, in two buffers
+    sized once for the largest box; the rows add in the same order, so the
+    result does not depend on how the work is blocked.
+    """
+    da, db = a.shape[-1], b.shape[-1]
+    plan = _toeplitz_plan(grid, da, db, out_count, tuple(np.ravel(bmat).tolist()))
+    bpad = np.zeros(plan.pad, dtype=complex)
+    bpad[..., da - 1:da - 1 + db] = b
+    shape, strides, offset = plan.view
+    toeplitz = np.ndarray(shape, complex, bpad, offset, strides)
+    row_buf = np.empty(plan.max_rows * da, dtype=complex)
+    prod_buf = np.empty(plan.max_rows * out_count, dtype=complex)
+    out = np.zeros((out_count,) * grid.dim, dtype=complex)
+    for k, ybox, xbox, in_rows, out_rows, cross, count in plan.steps:
+        rows = row_buf[:count * da].reshape(in_rows.shape)
+        np.multiply(a[ybox], in_rows, out=rows)
+        if cross is not None:
+            rows *= cross
+        prod = prod_buf[:count * out_count].reshape(count, out_count)
+        np.matmul(rows.reshape(count, da), toeplitz[k], out=prod)
+        prod = prod.reshape(out_rows.shape)
+        prod *= out_rows
+        out[xbox] += prod
     out *= grid.cell_volume
-    return out, {"multiply_adds": madds}
+    return out, {"multiply_adds": plan.multiply_adds, "gemm_calls": len(plan.steps)}
 
 
 def _clip_mass(sup_a, sup_b, keep_count, cell):
@@ -770,11 +838,14 @@ def _clip_mass(sup_a, sup_b, keep_count, cell):
     # the kept nodes kfull - kk .. kfull + kk of the convolution meet sup_b at
     # lo - y .. hi - y - 1 from node y of sup_a
     y = np.arange(da)
-    lo = np.clip(kfull - kk - y, 0, db)
-    hi = np.clip(kfull + kk + 1 - y, 0, db)
-    box = np.pad(sup_b, [(1, 0)] * sup_b.ndim)
+    lo = np.minimum(np.maximum(kfull - kk - y, 0), db)
+    hi = np.minimum(np.maximum(kfull + kk + 1 - y, 0), db)
+    # the prefix sums, behind one zero row per axis
+    cum = sup_b
     for ax in range(sup_b.ndim):
-        box = np.cumsum(box, axis=ax)
+        cum = np.cumsum(cum, axis=ax)
+    box = np.zeros((db + 1,) * sup_b.ndim, dtype=cum.dtype)
+    box[(slice(1, None),) * sup_b.ndim] = cum
     for ax in range(sup_b.ndim):
         box = np.take(box, hi, axis=ax) - np.take(box, lo, axis=ax)
     total = sup_a.sum() * sup_b.sum()
@@ -880,11 +951,12 @@ def twisted_product(
     (:func:`_twisted_convolution`), and base-point independent.  Every
     other product is the shifted convolution of the sheared values,
     computed as one banded matrix product in tiles
-    (:func:`_tiled_product`).  Both record the multiply-adds their GEMMs
-    ran in the output's ``meta["multiply_adds"]``; the tiled one also
-    records its ``meta["gemm_calls"]`` and its ``meta["tile_plan"]``, the
-    rows per tile it chose from the windows (``_tile_plan``: "lead" and
-    "trail" base points, "depth" rows of ψ).  The cocycle enters as
+    (:func:`_tiled_product`).  Both record the work their GEMMs did in the
+    output's ``meta``: the ``"multiply_adds"`` and the ``"gemm_calls"``
+    (for the twisted convolution, the leading rows of ψ whose box of rows
+    is not empty); the tiled one also records its ``meta["tile_plan"]``,
+    the rows per tile it chose from the windows (``_tile_plan``: "lead"
+    and "trail" base points, "depth" rows of ψ).  The cocycle enters as
     the transversal gauge's circulation phases: in closed form for a
     constant field (a row phase on the left factor, a column phase on the
     right one and an output phase), as dressing tables of the triangle-flux

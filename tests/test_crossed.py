@@ -926,18 +926,19 @@ def test_gemm_route_constant_field_3d(da, db):
 
 
 def test_gemm_route_memory_is_blocked():
-    # one GEMM per leading row of the right factor: besides the output,
-    # the modulation tables and the padded rows of the right factor, only
-    # one row box of the left factor, its Toeplitz matrix and its product
-    # are alive; one product at the n=48 resolvent's window peaks near
-    # 0.4 MB
+    # one GEMM per leading row of the right factor: besides the output and
+    # the padded rows of the right factor, only buffers for one row box of
+    # the left factor and its product are alive (the modulation tables are
+    # planned by the first product); one product at the n=48 resolvent's
+    # window peaks near 0.25 MB, where a batch over all 47 rows would need
+    # about 3.3 MB
     g = BoxGrid(dim=2, half_length=6.0, n=48)
     k = kernel_from_func(lambda q, x: np.exp(-np.sum(x * x, axis=-1)), g, q_independent=True)
     fld = MagneticField.constant_2d(0.5)
     assert k.disp_count == 47
     twisted_product(k, k, fld)
     peak, _ = traced_peak(lambda: twisted_product(k, k, fld))
-    assert peak <= 5e6
+    assert peak <= 1e6
 
 
 def test_gemm_route_zero_field_2d():
@@ -960,6 +961,34 @@ def test_gemm_route_counts_its_multiply_adds():
     pairs = int(np.sum((x - y - off >= 0) & (x - y - off < 47)))
     assert out == 47 and pairs == 1657
     assert p.meta["multiply_adds"] == pairs * 47 * out <= 47**4
+    # one GEMM per leading row of b, each of which meets a row of a here
+    assert p.meta["gemm_calls"] == 47
+
+
+def test_toeplitz_plan_is_keyed_by_everything_it_reads():
+    # two boxes with the same n and windows but different steps, each under
+    # two fields, and a 3-D pair, run twice in turn: on the second pass each
+    # product finds the plans of the others cached, and must read its own
+    bmat = np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
+    cases = []
+    for half_length in (3.0, 4.0):
+        g = BoxGrid(dim=2, half_length=half_length, n=22)
+        phi, psi = qindep_pair(g, 7, 9, seed=58)
+        cases += [(phi, psi, MagneticField.constant_2d(b)) for b in (0.9, -0.4)]
+    phi, psi = qindep_pair(BoxGrid(dim=3, half_length=3.0, n=8), 3, 5, seed=59)
+    cases.append((phi, psi, MagneticField(dim=3, constant=bmat)))
+    cold = []
+    for phi, psi, fld in cases:
+        crossed._toeplitz_plan.cache_clear()
+        cold.append(twisted_product(phi, psi, fld, tail_warn=np.inf).values)
+    crossed._toeplitz_plan.cache_clear()
+    warm = [twisted_product(phi, psi, fld, tail_warn=np.inf).values
+            for _ in range(2) for phi, psi, fld in cases][len(cases):]
+    assert crossed._toeplitz_plan.cache_info().currsize == len(cases)
+    for (phi, psi, fld), c, w in zip(cases, cold, warm):
+        r = twisted_product_reference(phi, psi, fld).values
+        assert np.abs(w - r).max() < 1e-12 * np.abs(r).max()
+        assert np.array_equal(w, c)
 
 
 def test_centered_route_agreement_refines():
