@@ -39,19 +39,26 @@ the output is the only full-size array it makes.  ``_add_into`` adds a
 term into a sum the caller owns with the same roundings, which is how the
 Neumann series and the residual checks of ``resolvent`` accumulate.
 
-``twisted_product`` has three branches.  A factor with one displacement
-node is a multiplier and scales the other factor at shifted base points,
-one slab of the leading displacement index at a time (``_multiply``): the
+``twisted_product`` takes one of four routes, chosen by its factors'
+windows and base-point dependence.  A factor with one displacement node is
+a multiplier and scales the other factor at shifted base points, one slab
+of the leading displacement index at a time (``_multiply``): the
 multiplier's samples are shifted by ``_shear``'s own passes, or its
-callable is read on blocks of a slab, so no full-size sheared copy of the
-multiplier is made and the values equal those of one bit for bit.
-For a constant field and two base-point independent kernels the 2-cocycle
-ω^B(y,w) = exp(-i/2 yᵀBw) depends on the displacements only, and the
-product is a twisted convolution (``_twisted_convolution``): one GEMM per
-leading row of the right factor, with a Toeplitz matrix of that row, about
-d^(2N) multiply-adds in at most d^(N-1) GEMMs for d nodes per axis.  Every
-other product is one banded matrix product (``_tiled_product``): with S =
-r + y the base point of the right factor and T = r + x the output column,
+callable is read once on the distinct points the slabs read, so no
+full-size sheared copy of the multiplier is made and the values equal
+those of one bit for bit.  For a constant field and two base-point
+independent kernels the 2-cocycle ω^B(y,w) = exp(-i/2 yᵀBw) depends on the
+displacements only, and the product is a twisted convolution
+(``_twisted_convolution``): one GEMM per leading row of the right factor,
+with a Toeplitz matrix of that row, about d^(2N) multiply-adds in at most
+d^(N-1) GEMMs for d nodes per axis.  Of the other products, one with a
+factor of at most ``_TAP_NODES`` = 3 nodes per axis, such as the stencil
+of a nearest-neighbour symbol, is summed one node (tap) of that thin
+factor at a time (``_tap_product``), each tap a shifted elementwise
+product over the other factor's window, so it pays for its 3^N taps only.
+Every other product is one banded matrix product (``_tiled_product``):
+with S = r + y the base point of the right factor and T = r + x the output
+column,
 
     (φ ⋄ ψ)~(r;x) = Δ^N Σ_S A[r,S] B[S,T],  A[r,S] = φ~(r;S-r),  B[S,T] = ψ~(S;T-S)
 
@@ -65,12 +72,14 @@ internal transversal-gauge potential A₀ of B; this is an exact identity
 (verified against direct flux quadrature by ``twisted_product_reference``),
 so the phases are absorbed into A, B and the output.  For a constant field
 Λ(r;u) = exp(-i/2 rᵀBu) in closed form: a row phase on the tiles of A, a
-column phase on those of B and one on the output, from tables formed once
-per product and sliced per tile, with no quadrature; a
-variable field dresses the factors with tables of Λ, whose transversal
-circulations are triangle fluxes computed by quadrature: one table on the
-box at the widest window it serves, cut for the left factor, the output
-and an unpadded right factor, and one more for a padded right factor.
+column phase on the values of B as they are written to its windows and
+one on the output, from tables formed once per product and read per tile,
+with no quadrature; the tap sum takes the three together, exp(-i/2 yᵀBw)
+per tap.  A variable field dresses the factors of either route with
+tables of Λ, whose transversal circulations are triangle fluxes computed
+by quadrature: one table on the box at the widest window it serves, cut
+for the left factor, the output and an unpadded right factor, and one
+more for a padded right factor.
 Mass falling outside the kept output window is recorded as the
 sup-convolution bound Σ (sup_q|φ| * sup_q|ψ|)(x) Δ^{2N} over the dropped
 nodes x, an upper bound on the exact clipped L¹ mass; it is the total
@@ -127,11 +136,16 @@ The layer runs one fixed configuration:
 * ``op_norm`` runs at most 500 power iterations (``_NORM_MAXITER``); on a
   complex array it makes no temporary of the array's size.
 * Block sizes, which bound the temporaries whatever the window: 8192
-  node pairs per block when callable tilde values are tabled, and about
-  as many points per call of a multiplier's callable (``_PAIR_BLOCK``);
-  one sub-box of a displacement's rows per circulation call of ``rep``,
-  split above as many pairs at order 8 and (8/order)² times as many at
-  another order, which integrates a pair on order² nodes; about 2^16 flux
+  node pairs per block when callable tilde values are tabled
+  (``_PAIR_BLOCK``); one call of a multiplier's callable on the tensor
+  mesh of the distinct coordinates a product reads it at, at most as many
+  points as the product's output has entries and 93² at n=32 with a
+  31-node window, besides one gathered slab of its values at a time; one
+  leading base row of the output per block of the tap sum, each tap's
+  term a temporary of that row's size; one sub-box of a displacement's
+  rows per circulation call of ``rep``, split above as many pairs at
+  order 8 and (8/order)² times as many at another order, which
+  integrates a pair on order² nodes; about 2^16 flux
   quadrature nodes per block of a table of circulation phases Λ
   (``_QUAD_BLOCK``, 1024 pairs for a gauge of order 8); one box of rows of
   the left factor per leading row of the right factor in the
@@ -147,13 +161,11 @@ The layer runs one fixed configuration:
   to whole rows of the leading axis
   (``_GEMM_DEPTH``: 4 of them at n=32 in two dimensions), which also fix
   the order in which the output accumulates, and tiles of base points r
-  sized per product from its windows (``_tile_plan``).  Every GEMM's
-  fixed cost (packing its tiles, the strided add of its product) is paid
-  per call, and wider tiles sum more zeros, so in two dimensions a tile
-  of A holds 4 leading rows by 8 trailing ones, 4 by 16 from n=32 when
-  the right factor is a stencil of at most 3 nodes per axis, whose GEMMs
-  are thin, and 2 by 8 when the left one is; one axis keeps 16 rows and
-  three keep 1 by 4 by 4, which measured fastest there.  A product of
+  per dimension (``_tile_plan``).  Every GEMM's fixed cost (packing its
+  tiles, the strided add of its product) is paid per call, and wider
+  tiles sum more zeros, so in two dimensions a tile of A holds 4 leading
+  rows by 8 trailing ones; one axis keeps 16 rows and three keep 1 by 4
+  by 4, which measured fastest there.  A product of
   two 31-node windows at n=32 then runs 7.0e8 multiply-adds in 208 GEMMs,
   where 4-row trailing tiles ran 5.8e8 in 416, and its windows and tiles
   peak near 8 MB besides the output and the sheared factor.
@@ -169,6 +181,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .fields import (
     DEFAULT_ORDER,
@@ -217,6 +230,7 @@ _PAIR_BLOCK = 8192
 _QUAD_BLOCK = 1 << 16
 _GEMM_DEPTH = 128
 _PLAN_CACHE = 16
+_TAP_NODES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -529,36 +543,40 @@ def _dress(arr, tables, rows, cols):
         arr *= table[tuple(index)]
 
 
-def _tile_plan(dim, n, nb, da, db):
+def _diagonal_factor(table, e, f, rows, start, shift, db):
+    """The view F[i; w] = table[start_e + i_e, start_f + i_f + shift + w_f]
+    of a phase table of ``_phase_tables`` (rows along axis e, columns along
+    axis f) over ``rows`` values of i per axis and db of w: the table read
+    on the diagonals T = S + shift + w that the values of B land on."""
+    dim = len(rows)
+    tab = table.reshape(table.shape[e], table.shape[dim + f])[start[e]:, start[f] + shift:]
+    shape, strides = [1] * (2 * dim), [0] * (2 * dim)
+    shape[e], shape[f], shape[dim + f] = rows[e], rows[f], db
+    strides[e] += tab.strides[0]
+    strides[f] += tab.strides[1]
+    strides[dim + f] = tab.strides[1]
+    return as_strided(tab, shape, strides, writeable=False)
+
+
+def _tile_plan(dim, nb):
     """The tiles of one ``_tiled_product``: base points r per leading tile
     ("lead") and per tile of each trailing axis ("trail", None on one
     axis), and rows S of b per depth tile ("depth": ``_GEMM_DEPTH`` matrix
     rows in whole leading rows, which fix the order the output accumulates
-    in), for a product of windows of da and db nodes per axis with nb rows
-    of b per axis.
+    in), for a product with nb rows of b per axis.
 
     A GEMM costs more than its multiply-adds: its right-hand tile is
     packed, its left one copied and its product added along diagonals, per
     call.  Wider trailing tiles make fewer calls but sum more zeros, (t +
-    da - 1)(t + out_count - 1) terms per trailing row.  Measured on one
-    Xeon core with OpenBLAS 0.3.31, two axes run 8 trailing rows by 4
-    leading ones, 3-12% faster than 4 by 4 for windows of 11 to 47 nodes
-    at n = 24 to 48.  A stencil of at most 3 nodes per axis makes thin
-    GEMMs: on the left it meets only k + 2 rows r per depth tile, and 2
-    leading rows ran 3-15% faster than 4 at n = 16 to 48; on the right it
-    has k + 2 columns per leading row, and from n = 32 it takes 16
-    trailing rows: half the GEMMs of 8, 4% faster at n = 48 and as fast at
-    n = 32; below n = 32 they ran 4-20% slower.  One and three
-    axes keep 16 and 1 leading rows by 4 per trailing axis: 8 trailing rows
-    ran a 3-D product of 11-node windows at n=12 16% slower.
+    da - 1)(t + out_count - 1) terms per trailing row for da nodes per
+    axis in a's window.  Measured on one Xeon core with OpenBLAS 0.3.31,
+    two axes run 8 trailing rows by 4 leading ones, 3-12% faster than 4 by
+    4 for windows of 11 to 47 nodes at n = 24 to 48.  One and three axes
+    keep 16 and 1 leading rows by 4 per trailing axis: 8 trailing rows ran
+    a 3-D product of 11-node windows at n=12 16% slower.
     """
     depth = max(1, _GEMM_DEPTH // nb ** (dim - 1))
-    if dim != 2:
-        lead, trail = (16, None) if dim == 1 else (1, 4)
-    elif db <= 3:
-        lead, trail = 4, 16 if n >= 32 else 8
-    else:
-        lead, trail = 2 if da <= 3 else 4, 8
+    lead, trail = {1: (16, None), 2: (4, 8)}.get(dim, (1, 4))
     return {"lead": lead, "trail": trail, "depth": depth}
 
 
@@ -607,9 +625,11 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     With ``bmat`` (a constant field) the transversal-gauge dressing has the
     closed form Λ(r;u) = exp(-i/2 rᵀBu), applied as a row phase
     exp(-i/2 rᵀBs) to the tiles of A, a column phase exp(-i/2 sᵀBt) to
-    the windows of B and exp(+i/2 rᵀBx) to the output, with r, s, t = r + x
-    the node positions, from tables formed once per product; no quadrature
-    runs.  Otherwise the caller dresses the factors.
+    the values of B, one row of S at a time as they are written to its
+    window (the zeros around them take none), and exp(+i/2 rᵀBx) to the
+    output, with r, s, t = r + x the node positions, from tables formed once
+    per product; no quadrature runs.  Otherwise the caller dresses the
+    factors.
     """
     dim, n = grid.dim, grid.n
     da, db = a.shape[-1], b.shape[-1]
@@ -617,7 +637,7 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
     c = out_count // 2 - db // 2 - pad
     nb, nt = n + 2 * pad, n + out_count - 1
     rest = dim - 1
-    plan = _tile_plan(dim, n, nb, da, db)
+    plan = _tile_plan(dim, nb)
     m, t, k = plan["lead"], plan["trail"], plan["depth"]
     # the columns of B's windows: every T a band reaches, every kept one
     t0, t1 = min(0, c), max(nt, nb - 1 + c + db)
@@ -628,6 +648,7 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
         r1 = min(r0 + t, n)
         trail.append((slice(r0, r1), slice(max(0, r0 - oa), min(nb, r1 - 1 - oa + da)),
                       slice(r0, r1 - 1 + out_count)))
+    phase_b = []
     if bmat is not None:
         # node positions of the base points r, the rows S and the columns T
         pos_r = grid.axis()
@@ -650,10 +671,23 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
         # the diagonals T = S + c + w of a zeroed window
         brows = (s1 - s0,) + (nb,) * rest
         wb = np.zeros(brows + (s1 - s0 + db - 1,) + (t1 - t0,) * rest, dtype=complex)
-        _skew(wb, brows, (db,) * dim, 1, (0,) + (c - t0,) * rest)[...] = b[s0:s1] if b.ndim > dim else b
-        if bmat is not None:
-            _dress(wb, phase_b, [slice(s0, s1)] + [every] * rest,
-                   [slice(s0 + c - t0, s1 - 1 + c + db - t0)] + [every] * rest)
+        diag = _skew(wb, brows, (db,) * dim, 1, (0,) + (c - t0,) * rest)
+        # only b's values take the column phases, read on the diagonals they
+        # are written to, one row of S at a time through a buffer
+        vals = np.broadcast_to(b[s0:s1] if b.ndim > dim else b, diag.shape)
+        factors = [np.broadcast_to(_diagonal_factor(table, e, f, brows, (s0,) + (0,) * rest, c - t0, db),
+                                   diag.shape) for e, f, table in phase_b]
+        if factors:
+            buf = np.empty(diag.shape[1:], dtype=complex)
+            for i in range(s1 - s0):
+                np.multiply(vals[i], factors[0][i], out=buf)
+                for factor in factors[1:]:
+                    buf *= factor[i]
+                diag[i] = buf
+            del buf
+        else:
+            diag[...] = vals
+        del diag, vals, factors
         for tiles in itertools.product(trail, repeat=rest):
             trows = [r for r, _, _ in tiles]
             srows = [s for _, s, _ in tiles]
@@ -694,11 +728,111 @@ def _tiled_product(a, b, out_count, pad, grid, bmat=None):
                     prod, nr, (x_hi - x_lo,) + (out_count,) * rest, 1, (0,) * dim)
                 # drop each tile before the next is made
                 del atile, prod, flat
-        del wb
+        del wb, btile
     if bmat is not None:
         _dress(out, _phase_tables(pos_r, grid.disp_axis(out_count), bmat, 1), [every] * dim,
                [every] * dim)
     return out, {"multiply_adds": madds, "gemm_calls": calls, "tile_plan": plan}
+
+
+def _tap_product(a, b, out_count, pad, grid, bmat=None):
+    """The shifted convolution of ``_tiled_product``, out[r; y+w+off] =
+    Σ a[r;y] b[r+y+pad; w], summed one node (tap) of its thin factor at a
+    time: b when it has at most ``_TAP_NODES`` nodes per axis, else a.
+    Returns the output and its work: ``taps``, the thin factor's nodes,
+    and ``multiply_adds``, the terms summed.
+
+    For a node w of a thin b, the output nodes y + w + off gain a[r; y]
+    times b's w-slab at the base point r + y + pad: one strided view of the
+    slab over (r, y), b's rows first zero-extended to every base point it
+    is read at, or one value when b has no base axes.  For a node y of a
+    thin a, the output nodes y + w + off gain a[r; y] times b's rows
+    shifted by y + pad, over the base points r whose row is one of b's.
+    Each tap reads the nodes of the wide factor whose output node is kept.
+
+    With ``bmat`` (a constant field) a tap also carries the cocycle
+    exp(-i/2 yᵀBw), which on the tilde sheet does not depend on r: it is
+    the row, column and output phases of ``_tiled_product`` together.  The
+    dressed variable-field form takes no phase.  One factor at least has
+    base axes.  The output is filled one leading base row at a time, each
+    tap's term one temporary of a row's size; the taps add in node order,
+    which fixes the order every entry sums in.
+    """
+    dim, n = grid.dim, grid.n
+    da, db = a.shape[-1], b.shape[-1]
+    ka = da // 2
+    off = out_count // 2 - ka - db // 2
+    right = db <= _TAP_NODES
+    thin, wide = (b, a) if right else (a, b)
+    out = np.zeros((n,) * dim + (out_count,) * dim, dtype=complex)
+    if right and b.ndim > dim and pad < ka:
+        padded = np.zeros((n + 2 * ka,) * dim + (db,) * dim, dtype=complex)
+        padded[(slice(ka - pad, ka - pad + len(b)),) * dim] = b
+        b, pad = padded, ka
+    nb = len(b)
+    if bmat is not None:
+        # yᵀBw = Σ_e c_e u_e over the nodes u of the wide factor, c = Bw for
+        # a node w on the right and yᵀB for a node y on the left: the phase
+        # is one factor per axis, tabled for every tap at once
+        c = _disp_nodes(grid, thin.shape[-1]) @ (bmat.T if right else bmat)
+        phases = np.exp((-0.5j * c)[..., None] * grid.disp_axis(wide.shape[-1]))
+    # per tap: the wide factor's box, the output's, the coefficient (the
+    # thin factor's value without base axes, times the phase), and a thin
+    # b's strided slab or a thin a's node
+    taps = []
+    for k, t in enumerate(np.ndindex(*thin.shape[-dim:])):
+        # the wide factor's nodes whose output node t + u + off is kept
+        box = tuple(slice(max(0, -j - off), min(wide.shape[-1], out_count - j - off)) for j in t)
+        if any(s.stop <= s.start for s in box):
+            continue
+        obox = tuple(slice(s.start + j + off, s.stop + j + off) for s, j in zip(box, t))
+        coef = thin[t] if thin.ndim == dim else None
+        if bmat is not None:
+            for e, s in enumerate(box):
+                if c[k, e]:
+                    phase = phases[k, e, s].reshape((-1,) + (1,) * (dim - 1 - e))
+                    coef = phase if coef is None else coef * phase
+        if not right:
+            taps.append((box, obox, coef, t))
+        elif b.ndim > dim:
+            slab = b[(slice(pad - ka, None),) * dim + t]
+            view = as_strided(slab, (n,) * dim + (da,) * dim, slab.strides * 2, writeable=False)
+            taps.append((box, obox, coef, view))
+        else:
+            taps.append((box, obox, coef, None))
+    madds = 0
+    every = (Ellipsis,)
+    for r in range(n):
+        o = out[r]
+        for box, obox, coef, extra in taps:
+            rows = every
+            if right:
+                term = (a if a.ndim == dim else a[r])[every + box]
+                if extra is None:
+                    term = term * coef
+                else:
+                    term = term * extra[r][every + box]
+                    if coef is not None:
+                        term *= coef
+            else:
+                shift = [j - ka + pad for j in extra]
+                if b.ndim == dim:
+                    src = b[box]
+                else:
+                    if not 0 <= r + shift[0] < nb:
+                        continue
+                    rows = tuple(slice(max(0, -s), min(n, nb - s)) for s in shift[1:])
+                    src = b[(r + shift[0],) + tuple(slice(x.start + s, x.stop + s)
+                                                    for x, s in zip(rows, shift[1:])) + box]
+                if a.ndim == dim:
+                    term = src * coef
+                else:
+                    term = src * a[(r,) + rows + extra][every + (None,) * dim]
+                    if coef is not None:
+                        term *= coef
+            o[rows + obox] += term
+            madds += term.size
+    return out, {"taps": thin.shape[-1] ** dim, "multiply_adds": madds}
 
 
 @dataclass(frozen=True)
@@ -862,13 +996,19 @@ def _multiply(v, other, h, scheme, tilde):
     left shift drops out, (v ⋄ ψ)~(r;x) = v(r) ψ~(r;x) (h = 0), and
     (φ ⋄ v)~(r;x) = φ~(r;x) v(r + x) (h = +2).  The output is filled one
     slab of the leading displacement index j at a time.  v comes from its
-    callable when it has one and h ≠ 0, called on about ``_PAIR_BLOCK``
-    points of a slab at a time, else from its samples: broadcast over the
-    displacements for h = 0, shifted for h ≠ 0 as ``_shear`` moves them,
-    along base axis 0 by h·(j - k) half steps and then by ``_shear``'s
-    passes along the later axes, so a slab equals that of the sheared
-    broadcast bit for bit.  Besides the output and the other factor's values only
-    temporaries of one slab are alive.
+    callable when it has one and h ≠ 0, else from its samples.  The
+    callable is read once: every axis reads it at the coordinates
+    axis[i] + (h/2)·disp[j], formed with the floats a per-point loop
+    forms, and a slab gathers its values from one call on the tensor mesh
+    of the distinct ones (93² points at n=32 with a 31-node window and
+    h = ±1, 62² for h = 2, where the pairs are 32²·31²; never more than
+    the pairs), so a slab equals one call per point bit for bit.  Samples
+    are broadcast over the displacements for h = 0 and shifted for h ≠ 0
+    as ``_shear`` moves them, along base axis 0 by h·(j - k) half steps
+    and then by ``_shear``'s passes along the later axes, so a slab equals
+    that of the sheared broadcast bit for bit.  Besides the output, the
+    other factor's values and the callable's table only temporaries of one
+    slab are alive.
     """
     grid = v.grid
     dim = grid.dim
@@ -881,15 +1021,22 @@ def _multiply(v, other, h, scheme, tilde):
     # a base-point independent factor reads alike at every base point
     vals = np.broadcast_to(vals, out.shape)
     if h and v.func is not None:
-        mesh = grid.mesh().reshape((n,) * dim + (1,) * (dim - 1) + (dim,))
-        disp = _tensor_mesh(grid.disp_axis(d), dim)
-        rows = max(1, _PAIR_BLOCK // (n * d) ** (dim - 1))
+        # every axis reads v at the coordinates axis[i] + (h/2)·disp[j], which
+        # repeat where the half steps meet: one call on the tensor mesh of the
+        # distinct ones, gathered per slab
+        coords, where = np.unique(np.add.outer(grid.axis(), 0.5 * h * grid.disp_axis(d)),
+                                  return_inverse=True)
+        table = v.func(_tensor_mesh(coords, dim), np.zeros(dim)) * grid.cell_volume
+        where = where.reshape(n, d)
+        # taking where[i_e, j_e] along every later axis e leaves the slab's
+        # axes in the order i_0, i_1, j_1, i_2, j_2, ...
+        order = [0] + list(range(1, 2 * dim - 1, 2)) + list(range(2, 2 * dim - 1, 2))
         for j in range(d):
             sl = (Ellipsis, j) + (slice(None),) * (dim - 1)
-            for r in range(0, n, rows):
-                block = slice(r, r + rows)
-                vv = v.func(mesh[block] + 0.5 * h * disp[j], np.zeros(dim)) * grid.cell_volume
-                np.multiply(vv, vals[block][sl], out=out[block][sl])
+            vv = table[where[:, j]]
+            for e in range(1, dim):
+                vv = vv.take(where, axis=2 * e - 1)
+            np.multiply(vv.transpose(order), vals[sl], out=out[sl])
         return out
     samples = v.values[(Ellipsis,) + (0,) * dim] * grid.cell_volume
     if h:
@@ -942,26 +1089,34 @@ def twisted_product(
 ) -> KernelSample:
     """The ⋄-product of two kernels twisted by the field's 2-cocycle.
 
-    A factor with a single displacement node is a multiplier: the other
-    factor's values are multiplied by it at shifted base points.  For two
-    base-point independent kernels and a constant (or zero) field the
-    cocycle depends only on the displacements: the product is a twisted
-    convolution, one GEMM with a Toeplitz matrix per leading row of ψ,
-    about d^(2N) multiply-adds for d nodes per axis
-    (:func:`_twisted_convolution`), and base-point independent.  Every
-    other product is the shifted convolution of the sheared values,
-    computed as one banded matrix product in tiles
-    (:func:`_tiled_product`).  Both record the work their GEMMs did in the
-    output's ``meta``: the ``"multiply_adds"`` and the ``"gemm_calls"``
-    (for the twisted convolution, the leading rows of ψ whose box of rows
-    is not empty); the tiled one also records its ``meta["tile_plan"]``,
-    the rows per tile it chose from the windows (``_tile_plan``: "lead"
-    and "trail" base points, "depth" rows of ψ).  The cocycle enters as
-    the transversal gauge's circulation phases: in closed form for a
-    constant field (a row phase on the left factor, a column phase on the
-    right one and an output phase), as dressing tables of the triangle-flux
-    quadratures of a transversal gauge of order ``order`` for a variable
-    one.
+    Each product takes one of four routes, by its factors' windows:
+
+    * a factor with a single displacement node is a multiplier: the other
+      factor's values are multiplied by it at shifted base points
+      (:func:`_multiply`), its callable read once per distinct point;
+    * two base-point independent kernels in a constant (or zero) field
+      make a twisted convolution, one GEMM with a Toeplitz matrix per
+      leading row of ψ, about d^(2N) multiply-adds for d nodes per axis
+      (:func:`_twisted_convolution`), and base-point independent;
+    * otherwise a factor of at most 3 nodes per axis is thin: the product
+      of the sheared values is summed one node (tap) of it at a time
+      (:func:`_tap_product`);
+    * every other product is the shifted convolution of the sheared
+      values, computed as one banded matrix product in tiles
+      (:func:`_tiled_product`).
+
+    The last three record their work in the output's ``meta``: the
+    ``"multiply_adds"``; the tap sum its ``"taps"``, the thin factor's
+    nodes; the GEMM routes their ``"gemm_calls"`` (for the twisted
+    convolution, the leading rows of ψ whose box of rows is not empty),
+    and the tiled one its ``meta["tile_plan"]``, the rows per tile
+    (``_tile_plan``: "lead" and "trail" base points, "depth" rows of ψ).
+    The cocycle enters as the transversal gauge's circulation phases: in
+    closed form for a constant field (a row phase on the left factor, a
+    column phase on the right one and an output phase, which the tap sum
+    takes together as one phase per tap), as dressing tables of the
+    triangle-flux quadratures of a transversal gauge of order ``order``
+    for a variable one.
 
     Every path returns the natural output window of d_φ + d_ψ - 1 nodes
     per axis, capped at the largest one the box represents (the window
@@ -979,11 +1134,11 @@ def twisted_product(
     is the right object for cross-route validation and for ``rep``.
 
     A base-point dependent factor is read on the sheet its tag names, and
-    its callable, when it has one, wins on either sheet.  The general
-    branch reads every factor sheared, so a tilde-tagged factor spares a
-    shear and gives the product of its centered source bit for bit.  The
-    multiplier branch works on the other factor's sheet and shears its
-    output back when the other sheet is asked for.
+    its callable, when it has one, wins on either sheet.  The tap sum and
+    the tiled route read every factor sheared, so a tilde-tagged factor
+    spares a shear and gives the product of its centered source bit for
+    bit.  The multiplier route works on the other factor's sheet and
+    shears its output back when the other sheet is asked for.
     """
     out_count = _check_operands(phi, psi, field, sheet, scheme)
     grid = phi.grid
@@ -1005,13 +1160,15 @@ def twisted_product(
         vals, work = _twisted_convolution(phi.values, psi.values, out_count, grid, field.constant)
     else:
         q_independent = False
+        # a factor of at most _TAP_NODES nodes per axis is summed tap by tap
+        product = _tap_product if min(phi.disp_count, psi.disp_count) <= _TAP_NODES else _tiled_product
         # the right factor is read at shifted base points r + y; callables
         # and base-point independent kernels extend past the box, arrays do not
         pad = phi.disp_count // 2 if (psi.q_independent or psi.func is not None) else 0
         a = _tilde_values(phi, scheme)
         b = _tilde_values(psi, scheme, pad=pad)
         if field.is_constant:
-            vals, work = _tiled_product(a, b, out_count, pad, grid, field.constant)
+            vals, work = product(a, b, out_count, pad, grid, field.constant)
         else:
             # gauge dressing turns the twisted sum into a plain shifted
             # convolution; one table on the box serves the left factor, the
@@ -1021,7 +1178,7 @@ def twisted_product(
             lam_b = _lambda_factors(pot, grid, psi.disp_count, pad=pad) if pad else lam
             a = _fit_window(lam, phi.disp_count, grid.dim) * a
             b = _fit_window(lam_b, psi.disp_count, grid.dim) * b
-            vals, work = _tiled_product(a, b, out_count, pad, grid)
+            vals, work = product(a, b, out_count, pad, grid)
             # undress: out~ = conj(Λ(r;x)) acc(r;x)
             vals *= np.conj(_fit_window(lam, out_count, grid.dim))
         vals *= grid.cell_volume

@@ -605,11 +605,15 @@ def resolvent_with_potential(
     GEMM tiles and the base kernel: the series' sum, -V ⋄ Φ, left factor
     and product (V ⋄ Φ is handed to the series, which negates it in
     place), then in the residual checks the correction, the kernel, the
-    running sum and one product; V multiplies one displacement slab at a
-    time.  w is released once the correction exists, and base.kernel is
-    read, never written.  With the benchmark's symbol, field, V and z a
-    call on ``BoxGrid(2, 6.0, 24)`` peaks at 4.77 times the returned
-    kernel's size, and at 4.51 times at n=32.
+    running sum and one product.  The products of the thin factors take
+    no GEMM tiles: V multiplies one displacement slab at a time from one
+    table of its values at the distinct points the product reads, and the
+    3x3 stencil of h - z is summed tap by tap, one base row of the output
+    at a time.  w is released once the correction exists, and base.kernel
+    is read, never written.  With the benchmark's symbol, field, V and z a
+    repeated call on ``BoxGrid(2, 6.0, 24)`` peaks at 5.00 times the
+    returned kernel's size, within a Neumann product's GEMM tiles, and at
+    4.51 times at n=32.
     """
     z = _finite_z(z)
     hv = _symbol_samples(h, grid)

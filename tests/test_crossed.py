@@ -205,10 +205,10 @@ def test_tilde_route_agreement_qindep_against_variable_field():
     ids=["dim1", "dim3"],
 )
 def test_general_route_other_dimensions(grid, fld, counts):
-    # one axis leaves the tiled product no trailing axes, three leave it
-    # two; three axes also exercise every pair of entries of B in the
-    # closed-form phases; a right factor of n - 1 nodes gives a natural
-    # window the box clips
+    # one axis leaves the tiled product no trailing axes; three axes of
+    # 3-node windows take the tap sum, whose phases exercise every pair of
+    # entries of B; a right factor of n - 1 nodes gives a natural window
+    # the box clips
     rng = np.random.default_rng(46)
     da, db = counts
     shape = (grid.n,) * grid.dim
@@ -248,14 +248,12 @@ def random_kernel(rng, grid, count, q_independent=False):
 
 @pytest.mark.parametrize("n", [14, 16, 18])
 def test_general_route_tiles_every_axis(n):
-    # below n=32 every two-axis plan tiles the trailing axis by 8 rows and
-    # the leading one by 4 (2 for a stencil on the left, which fill an
-    # even axis): n = 14 and 18 leave a partial tile at the far edge of
-    # each axis and of the rows of b, 16 fills its axes; factors of different
-    # windows, the residual products' 3x3 stencil on either side (on the
-    # right read on padded rows), base-point independent times dependent
-    # both ways, and a right factor of n - 1 nodes, whose natural window
-    # the box clips
+    # every two-axis plan tiles the trailing axis by 8 rows and the leading
+    # one by 4: n = 14 and 18 leave a partial tile at the far edge of each
+    # axis and of the rows of b, 16 fills its axes; factors of different
+    # windows, base-point independent times dependent both ways, and a
+    # right factor of n - 1 nodes, whose natural window the box clips.  The
+    # residual products' 3x3 stencil on either side takes the tap sum
     rng = np.random.default_rng(48)
     g = BoxGrid(dim=2, half_length=3.0, n=n)
     fld = MagneticField.constant_2d(0.9)
@@ -269,20 +267,21 @@ def test_general_route_tiles_every_axis(n):
     assert_general_matches_reference(random_kernel(rng, g, 3), random_kernel(rng, g, n - 1), fld)
 
 
-def test_general_route_tiles_a_right_stencil_in_wide_tiles():
-    # from n=32 a stencil on the right takes trailing tiles of 16 rows: at
-    # n = 34 its trailing axis ends in a tile of 2 rows, the leading one in
-    # a tile of 2 of 4 rows, and the 40 padded rows of b in a depth tile of
-    # 1 of 3; a wide factor times a narrow one ends in a trailing tile of 2
-    # of 8 rows
+def test_general_route_sums_a_right_stencil_by_taps():
+    # at n = 34 a stencil on the right is summed tap by tap and records no
+    # tile plan; a wide factor times a narrow one is tiled, its trailing
+    # axis ending in a tile of 2 of 8 rows, the leading one in a tile of 2
+    # of 4 rows, and the 34 rows of b in a depth tile of 1 of 3
     rng = np.random.default_rng(52)
     g = BoxGrid(dim=2, half_length=6.0, n=34)
     fld = MagneticField.constant_2d(0.9)
     wide, narrow = random_kernel(rng, g, 7), random_kernel(rng, g, 5)
     stencil = random_kernel(rng, g, 3, True)
-    plans = [twisted_product(a, b, fld, tail_warn=np.inf).meta["tile_plan"]
-             for a, b in ((wide, stencil), (wide, narrow))]
-    assert plans == [{"lead": 4, "trail": 16, "depth": 3}, {"lead": 4, "trail": 8, "depth": 3}]
+    taps, tiled = (twisted_product(a, b, fld, tail_warn=np.inf).meta
+                   for a, b in ((wide, stencil), (wide, narrow)))
+    assert "tile_plan" not in taps and "gemm_calls" not in taps
+    assert taps["taps"] == 9 and 0 < taps["multiply_adds"] <= 9 * 34**2 * 7**2
+    assert tiled["tile_plan"] == {"lead": 4, "trail": 8, "depth": 3} and "taps" not in tiled
     assert_general_matches_reference(wide, stencil, fld)
     assert_general_matches_reference(wide, narrow, fld)
 
@@ -315,7 +314,9 @@ def test_general_route_tiles_a_padded_callable_under_a_variable_field():
 def test_general_route_tiles_other_dimensions(grid, fld):
     # one axis has no trailing tiles and a partial leading one; three have
     # two trailing axes with a partial tile each; a right factor of n - 1
-    # nodes gives a natural window the box clips
+    # nodes gives a natural window the box clips.  A 3-node factor takes
+    # the tap sum, so in three axes the tiled product runs the wide factor
+    # times the clipped one
     rng = np.random.default_rng(50)
     da, db = (9, 5) if grid.dim == 1 else (5, 3)
     wide, narrow = random_kernel(rng, grid, da), random_kernel(rng, grid, db)
@@ -324,23 +325,30 @@ def test_general_route_tiles_other_dimensions(grid, fld):
     assert_general_matches_reference(stencil, wide, fld)
     assert_general_matches_reference(wide, stencil, fld)
     assert_general_matches_reference(narrow, random_kernel(rng, grid, grid.n - 1), fld)
+    if grid.dim == 3:
+        clipped = random_kernel(rng, grid, grid.n - 1)
+        assert "tile_plan" in twisted_product(wide, clipped, fld, tail_warn=np.inf).meta
+        assert_general_matches_reference(wide, clipped, fld)
 
 
 def test_general_route_pays_for_its_band():
     # the multiply-adds the GEMMs run at n=32, against an engine that ran
     # every trailing axis dense: 1.33e9 for a 31-window times a 31-window
-    # kernel (the Neumann terms of the perturbed resolvent) and 4.73e8 for
-    # the 3x3 stencil times a 31-window kernel (its residual check); the
-    # tiles of their plans run 0.53 and 0.10 of these
+    # kernel (the Neumann terms of the perturbed resolvent), which the
+    # tiles of its plan run 0.53 of; the 3x3 stencil times a 31-window
+    # kernel (its residual check) sums its 9 taps, each over at most every
+    # node of the wide window at every base point
     g = BoxGrid(dim=2, half_length=6.0, n=32)
     rng = np.random.default_rng(51)
     wide = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
     stencil = KernelSample(grid=g, values=rng.normal(size=(3, 3)) + 0j, q_independent=True)
     fld = MagneticField.constant_2d(0.5)
-    for (phi, psi), dense in (((wide, wide), 1.33e9), ((stencil, wide), 4.73e8)):
-        prod = twisted_product(phi, psi, fld, sheet="tilde", tail_warn=np.inf)
-        assert prod.disp_count == 31
-        assert 0 < prod.meta["multiply_adds"] <= 0.6 * dense
+    prod = twisted_product(wide, wide, fld, sheet="tilde", tail_warn=np.inf)
+    assert prod.disp_count == 31
+    assert 0 < prod.meta["multiply_adds"] <= 0.6 * 1.33e9
+    prod = twisted_product(stencil, wide, fld, sheet="tilde", tail_warn=np.inf)
+    assert prod.disp_count == 31 and prod.meta["taps"] == 9
+    assert 0 < prod.meta["multiply_adds"] <= 9 * 32**2 * 31**2
 
 
 def test_general_route_work_matches_its_plan():
@@ -380,12 +388,14 @@ def test_general_route_work_matches_its_plan():
     assert prod.meta["multiply_adds"] == lead * band == 21312 * 32832
 
 
-def test_stencil_products_run_few_gemms():
+def test_stencil_products_sum_their_taps():
     # the residual checks of the n=32 perturbed resolvent multiply its
-    # 31-node correction by the 3x3 stencil of h - z on either side; on the
-    # right the stencil is read on padded rows, 62 per axis, in depth tiles
-    # of 2, and 4 by 4-row tiles ran 1,088 GEMMs of 16 rows there (176 on
-    # the left)
+    # 31-node correction by the 3x3 stencil of h - z on either side, 9 taps
+    # each.  Per axis, on the right tap j reads the correction's nodes y
+    # with y + j - 1 in the kept window (30, 31 and 30 of them) at every
+    # base point; on the left tap y reads the correction's rows r + y - 1
+    # that lie in the box (31, 32 and 31 of them) over the nodes w with
+    # y + w - 1 kept
     g = BoxGrid(dim=2, half_length=6.0, n=32)
     rng = np.random.default_rng(54)
     corr = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
@@ -393,10 +403,100 @@ def test_stencil_products_run_few_gemms():
     fld = MagneticField.constant_2d(0.5)
     right = twisted_product(corr, stencil, fld, sheet="tilde", tail_warn=np.inf)
     left = twisted_product(stencil, corr, fld, sheet="tilde", tail_warn=np.inf)
-    assert right.meta["tile_plan"] == {"lead": 4, "trail": 16, "depth": 2}
-    assert right.meta["gemm_calls"] <= 1088 // 3
-    assert left.meta["tile_plan"] == {"lead": 2, "trail": 8, "depth": 4}
-    assert left.meta["gemm_calls"] < 176
+    kept = 30 + 31 + 30
+    for prod, madds in ((right, 32**2 * kept**2), (left, (31 * 30 + 32 * 31 + 31 * 30) ** 2)):
+        assert prod.meta["taps"] == 9 and "gemm_calls" not in prod.meta
+        assert prod.meta["multiply_adds"] == madds <= 9 * 32**2 * 31**2
+
+
+def bump_on(grid, count):
+    """A base-point dependent kernel with its exact callable, in any
+    dimension; as a right factor it is read on padded rows."""
+    def f(q, x):
+        q, x = np.asarray(q, float), np.asarray(x, float)
+        return np.exp(-0.5 * np.sum((q - 0.2) ** 2, axis=-1) - np.sum(x * x, axis=-1)) * (1 + 0.3j)
+
+    return kernel_from_func(f, grid, disp_count=count)
+
+
+@pytest.mark.parametrize("thin_left", [True, False], ids=["thin_left", "thin_right"])
+@pytest.mark.parametrize(
+    "grid, fld",
+    [
+        (BoxGrid(dim=1, half_length=4.0, n=16), MagneticField.zero(1)),
+        (BoxGrid(dim=2, half_length=2.0, n=8), MagneticField.zero(2)),
+        (BoxGrid(dim=2, half_length=2.0, n=8), MagneticField.constant_2d(0.9)),
+        (BoxGrid(dim=2, half_length=2.0, n=8), variable_field()),
+        (
+            BoxGrid(dim=3, half_length=3.0, n=6),
+            MagneticField(
+                dim=3, constant=np.array([[0.0, 0.7, -0.4], [-0.7, 0.0, 0.9], [0.4, -0.9, 0.0]])
+            ),
+        ),
+    ],
+    ids=["dim1", "dim2_zero", "dim2_constant", "dim2_variable", "dim3"],
+)
+def test_tap_sum_matches_the_reference_and_the_tiled_route(grid, fld, thin_left, monkeypatch):
+    # a 3-node factor on either side of a 5-node one: thin factors with and
+    # without base axes, the wide one an array or, on the right, a padded
+    # callable; on the right a thin factor with base axes is an array or a
+    # padded callable too.  Two factors without base axes take the twisted
+    # convolution in a constant field and the tap sum in a variable one.
+    # Random kernels weight the largest displacement triangles fully, so a
+    # variable field runs both phase quadratures at order 16.  Every case
+    # meets the tiled route on the tilde sheet, and below three axes the
+    # reference on both sheets; in three the reference takes seconds here,
+    # and the stencil cases of test_general_route_other_dimensions and
+    # test_general_route_tiles_other_dimensions hold the tap sum to it
+    rng = np.random.default_rng(56)
+    order = 8 if fld.is_constant else 16
+    wide = random_kernel(rng, grid, 5)
+    pairs = []
+    for thin in (random_kernel(rng, grid, 3), random_kernel(rng, grid, 3, True)):
+        pairs.append((thin, wide) if thin_left else (wide, thin))
+    pairs.append((pairs[0][0], bump_on(grid, 5)) if thin_left else (wide, bump_on(grid, 3)))
+    qi_thin, qi_wide = random_kernel(rng, grid, 3, True), random_kernel(rng, grid, 5, True)
+    qi_pair = (qi_thin, qi_wide) if thin_left else (qi_wide, qi_thin)
+    if fld.is_constant:
+        p = twisted_product(*qi_pair, fld, tail_warn=np.inf)
+        assert "taps" not in p.meta and p.meta["gemm_calls"] > 0
+    else:
+        pairs.append(qi_pair)
+    taps = []
+    for phi, psi in pairs:
+        p = twisted_product(phi, psi, fld, sheet="tilde", order=order, tail_warn=np.inf)
+        assert p.meta["taps"] == 3 ** grid.dim and "gemm_calls" not in p.meta
+        taps.append(p)
+        if grid.dim < 3:
+            assert_general_matches_reference(phi, psi, fld, order=order)
+    monkeypatch.setattr(crossed, "_tap_product", crossed._tiled_product)
+    for (phi, psi), p in zip(pairs, taps):
+        want = twisted_product(phi, psi, fld, sheet="tilde", order=order, tail_warn=np.inf)
+        assert "taps" not in want.meta
+        assert np.abs(p.values - want.values).max() < 1e-12 * np.abs(want.values).max()
+
+
+def test_multiplier_reads_its_callable_once_per_distinct_point():
+    # at n=32 with a 31-node factor, V is read at q - x/2 (centered, V ⋄ Φ)
+    # on 93 distinct half-lattice coordinates per axis, and at r + x (tilde,
+    # Φ~ ⋄ V) on 62 lattice ones: one call each, where one call per
+    # (base point, displacement) pair would pass 32²·31² points
+    g = BoxGrid(dim=2, half_length=6.0, n=32)
+    calls = []
+
+    def v(q):
+        calls.append(len(q))
+        return 0.3 * np.exp(-np.sum(q * q, axis=-1))
+
+    mult = multiplier_kernel(v, g)
+    rng = np.random.default_rng(76)
+    phi = KernelSample(grid=g, values=rng.normal(size=(31, 31)) + 0j, q_independent=True)
+    phi_t = KernelSample(grid=g, values=rng.normal(size=(32, 32, 31, 31)) + 0j, sheet="tilde")
+    fld = MagneticField.constant_2d(0.5)
+    for a, b, sheet, points in ((mult, phi, "centered", 93**2), (phi_t, mult, "tilde", 62**2)):
+        calls.clear()
+        twisted_product(a, b, fld, sheet=sheet)
+        assert calls == [points]
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,23 @@ def test_potential_default_base_is_the_resolvent():
     assert got.residual == want.residual and got.meta["base_residual"] == want.meta["base_residual"]
 
 
+def test_potential_thin_products_sum_taps_without_moving_the_kernel(monkeypatch):
+    # V and the 3x3 stencil of h - z are the thin factors of the perturbed
+    # resolvent: the tap sum runs the stencil's products with the
+    # correction, which feed only the residual checks, so the kernel keeps
+    # its bits and the residual moves by rounding against the tiled
+    # product those products took before
+    g = box(12, 3.0)
+    h = trig_kinetic(g)
+    base = resolvent(h, FIELD, g, Z1)
+    got = resolvent_with_potential(h, bump_potential, FIELD, g, Z1, base=base)
+    crossed = importlib.import_module("magweyl.crossed")
+    monkeypatch.setattr(crossed, "_tap_product", crossed._tiled_product)
+    want = resolvent_with_potential(h, bump_potential, FIELD, g, Z1, base=base)
+    assert np.array_equal(got.kernel.values, want.kernel.values)
+    assert abs(got.residual - want.residual) <= 1e-12 * want.residual
+
+
 def test_potential_constant_shifts_z():
     # adding the constant c must reproduce the resolvent at z - c
     c = 0.4
@@ -557,8 +574,8 @@ def test_potential_holds_five_kernel_arrays():
     # the benchmark's symbol, field, V and z on a smaller box, the base
     # resolvent made first: the series holds its sum, -g, the left factor
     # and the product, the residual check its running sum, one product,
-    # the correction and the kernel; 4.77 kernels at the peak with the
-    # product's tiles (the eight-array route peaked at 8.05)
+    # the correction and the kernel; 5.00 kernels at the peak, within a
+    # Neumann product's tiles (the eight-array route peaked at 8.05)
     g = box(24)
     ht = trig_kinetic(g)
     base = resolvent(ht, FIELD, g, Z1, a0=0.0)
