@@ -108,18 +108,23 @@ Which node a step reaches, and whether it is in the box, is the box-edge
 convention of :mod:`magweyl.grid` (``grid._axis_runs``), which the pair
 walk and the shifts read on the grid they are given.
 
-``rep`` walks the window one displacement u at a time (``_window_walk``):
-the rows x with x + u in the box form one sub-box per run of
+``rep`` walks the kernel's support one displacement u at a time
+(``_window_walk``): the nodes u of the window where sup_q |φ(q;u)|
+exceeds 1e-15 of the kernel's largest (``_support`` at ``_KERNEL_TRIM``,
+the rule ``moyal.trim_kernel`` applies to whole rows), so the cross of a
+sum of one-axis symbols such as |p|² costs its cross and not its square.
+The rows x with x + u in the box form one sub-box per run of
 ``grid._axis_runs`` on each axis, whose circulations are one
 ``pot.circulation`` call and whose entries ``rep`` writes along M's
 u-diagonal through one strided view.  On a truncated box each unordered
 node pair is integrated once: reversing [x, y] negates its circulation, so
 the phase of a lexicographically positive u also dresses the reverse
-entry, which reads its own kernel value φ~(y;-u).  Periodic boxes
-integrate every pair, since a wrapped column's reverse segment is not the
-negated one.  ``rep`` and ``rep_banded`` fill from the same blocks
-(``_rep_blocks``), into a dense and a CSR matrix.  ``_circulation_table``
-integrates the pairs once for a ladder of nested boxes on one lattice into
+entry, which reads its own kernel value φ~(y;-u); the walk visits u when u
+or -u is in the support.  Periodic boxes integrate every pair of the
+support, since a wrapped column's reverse segment is not the negated one.
+``rep`` and ``rep_banded`` fill from the same blocks (``_rep_blocks``),
+into a dense and a CSR matrix.  ``_circulation_table`` integrates the
+pairs of a support once for a ladder of nested boxes on one lattice into
 one array, which ``rep`` reads by strided slices.
 
 The layer runs one fixed configuration:
@@ -129,6 +134,9 @@ The layer runs one fixed configuration:
   ``rep_banded`` and ``moyal.op_weyl``.  The products integrate the
   cocycle at order 8 by default (``fields.DEFAULT_ORDER``); circulations
   run at their gauge's ``order``.
+* ``rep`` and ``rep_banded`` leave out the displacements whose sup over
+  base points is at most 1e-15 of the kernel's largest (``_KERNEL_TRIM``),
+  the tolerance of every symbol kernel's trim in :mod:`magweyl.moyal`.
 * A product attaches a warning when its discarded tail exceeds 1e-2 of
   ‖φ‖₁‖ψ‖₁ (``TAIL_WARN_FRACTION``, the default of ``tail_warn``).  That
   comparison is made in one helper, ``_warn_dropped``, which the
@@ -231,6 +239,7 @@ _QUAD_BLOCK = 1 << 16
 _GEMM_DEPTH = 128
 _PLAN_CACHE = 16
 _TAP_NODES = 3
+_KERNEL_TRIM = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -1376,8 +1385,9 @@ def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
 
     The sparse form of :func:`rep` at its default scheme, for
     ``matvec``/``rmatvec`` users.  ``rep``'s blocks of entries, one per
-    sub-box of its walk (``_rep_blocks``), go into one CSR matrix at the
-    flat node indices of their rows and columns, with no entry-wise cut;
+    sub-box of its walk of the kernel's support (``_rep_blocks``), go into
+    one CSR matrix at the flat node indices of their rows and columns, so
+    it stores the pairs of the support and no rounding residue around it;
     ``rep`` writes each (row, column) once, so no entry is summed and
     ``to_dense()`` equals ``rep`` bit for bit.  ``scipy.sparse`` is
     imported on the first call.
@@ -1394,25 +1404,48 @@ def rep_banded(pot: VectorPotential, kernel: KernelSample) -> BandedOperator:
     return BandedOperator(grid=grid, mat=mat)
 
 
-def _window_walk(grid: BoxGrid, d: int):
-    """``rep``'s walk over the displacements u of a window of ``d`` nodes
-    per axis, in window order: every u on a periodic box, u = 0 and the
-    lexicographically positive u on a truncated one.  The rows x whose
-    column x + u lies in the box (wrapped on a periodic box) form one
-    sub-box per choice of a run of ``grid._axis_runs`` on every axis; yields
-    u's window index j and, per nonempty sub-box, the slices of its rows
-    and of their columns, one per axis."""
-    count = d**grid.dim
+def _support(k: KernelSample, rel_tol: float) -> np.ndarray:
+    """The support of ``k``, a boolean array of its window's shape: the
+    displacement nodes u where the sup over base points of |φ(·;u)|
+    exceeds ``rel_tol`` of the largest.  A NaN keeps every node, so it
+    reaches what is built from the kernel."""
+    amax = k.sup_over_q()
+    return ~(amax <= rel_tol * np.max(amax))
+
+
+def _walked(support: np.ndarray, bc: str) -> np.ndarray:
+    """The flat window indices of the displacements ``rep`` walks for a
+    kernel of support ``support``: every u of it on a periodic box, and on
+    a truncated one u = 0 and the lexicographically positive u where u or
+    -u is in it, as one visit writes both M[x, x + u] and M[x + u, x]."""
+    flat = support.ravel()
+    if bc == "periodic":
+        return flat
     # displacement nodes are in lexicographic order, so u = 0 is the middle
-    # node and the lexicographically positive ones follow it
-    for j in range(0 if grid.bc == "periodic" else count // 2, count):
-        steps = np.unravel_index(j, (d,) * grid.dim)
+    # node, the lexicographically positive ones follow it, and -u of node j
+    # is node count - 1 - j
+    walked = flat | flat[::-1]
+    walked[: flat.size // 2] = False
+    return walked
+
+
+def _window_walk(grid: BoxGrid, support: np.ndarray):
+    """``rep``'s walk over the displacements u of a kernel's ``support``
+    (``_walked``), a boolean array over a window of d nodes per axis, in
+    window order.  The rows x whose column x + u lies in the box (wrapped
+    on a periodic box) form one sub-box per choice of a run of
+    ``grid._axis_runs`` on every axis; yields u's window index j and, per
+    nonempty sub-box, the slices of its rows and of their columns, one per
+    axis."""
+    d = support.shape[0]
+    for j in np.flatnonzero(_walked(support, grid.bc)).tolist():
+        steps = np.unravel_index(j, support.shape)
         for runs in itertools.product(*(_axis_runs(grid.n, int(s) - d // 2, grid) for s in steps)):
             if all(dst.start < dst.stop for dst, _ in runs):
                 yield j, tuple(dst for dst, _ in runs), tuple(src for _, src in runs)
 
 
-def _walk_circulations(pot: VectorPotential, grid: BoxGrid, d: int):
+def _walk_circulations(pot: VectorPotential, grid: BoxGrid, support: np.ndarray):
     """``_window_walk`` with the circulation of ``pot`` along [x, x + u] for
     each sub-box's rows x, an array of the sub-box's shape.
 
@@ -1420,53 +1453,64 @@ def _walk_circulations(pot: VectorPotential, grid: BoxGrid, d: int):
     ``_PAIR_BLOCK`` pairs for a gauge of order 8 and (8/order)² times as
     many for another, as it integrates a pair on order² nodes.  A gauge
     from ``_circulation_table`` reads each sub-box as a strided slice of
-    u's block of its table instead, and refuses a grid its table does not
-    cover.  A gauge of another dimension than the grid's is refused.
+    u's block of its table instead, and refuses a grid or a support its
+    table does not cover.  A gauge of another dimension than the grid's is
+    refused.
     """
     _common_grid(grid, field=pot, of=" of the vector potential")
     if pot._table is not None:
-        yield from _table_circulations(pot._table, grid, d)
+        yield from _table_circulations(pot._table, grid, support)
         return
-    mesh, disp = grid.mesh(), _disp_nodes(grid, d)
+    mesh, disp = grid.mesh(), _disp_nodes(grid, support.shape[0])
     per_call = max(1, _PAIR_BLOCK * DEFAULT_ORDER**2 // pot.order**2)
-    for j, rows, cols in _window_walk(grid, d):
+    for j, rows, cols in _window_walk(grid, support):
         sub = mesh[rows]
         q = sub.reshape(-1, grid.dim)
         circ = [pot.circulation(q[s:s + per_call], disp[j]) for s in range(0, len(q), per_call)]
         yield j, rows, cols, np.concatenate(circ).reshape(sub.shape[:-1])
 
 
-def _table_circulations(table: tuple, grid: BoxGrid, d: int):
+def _table_circulations(table: tuple, grid: BoxGrid, support: np.ndarray):
     """``_walk_circulations`` read from a table of ``_circulation_table``.
 
     The table covers a truncated box of its lattice (bit for bit the same
-    spacing) centred in its own, at a window no wider than its own: the
-    rows of u on such a box are a centred slice of u's block, whose rows
-    run over the table box's sub-box for u in C order."""
-    tgrid, td, values, starts = table
-    if not (grid.bc == "truncated" and grid.delta == tgrid.delta and grid.n <= tgrid.n and d <= td):
+    spacing) centred in its own, for a support whose walked displacements
+    its own walk holds: the rows of u on such a box are a centred slice of
+    u's block, whose rows run over the table box's sub-box for u in C
+    order."""
+    tgrid, tsupport, values, starts = table
+    d, td = support.shape[0], tsupport.shape[0]
+    covered = grid.bc == "truncated" and grid.delta == tgrid.delta and grid.n <= tgrid.n
+    if covered:
+        # the table's walk holds every displacement this walk visits
+        width = max(d, td)
+        mine, held = (np.pad(_walked(s, "truncated").reshape(s.shape), (width - s.shape[0]) // 2)
+                      for s in (support, tsupport))
+        covered = not np.any(mine & ~held)
+    if not covered:
         raise ValueError(
             "circulation table covers truncated boxes of its lattice centred in its own, "
-            "at windows no wider than its own"
+            "for kernel supports within its own"
         )
     offset = (tgrid.n - grid.n) // 2
-    for j, rows, cols in _window_walk(grid, d):
-        steps = np.array(np.unravel_index(j, (d,) * grid.dim)) - d // 2
-        block = np.ravel_multi_index(tuple(steps + td // 2), (td,) * grid.dim) - td**grid.dim // 2
+    for j, rows, cols in _window_walk(grid, support):
+        steps = np.array(np.unravel_index(j, support.shape)) - d // 2
+        block = np.ravel_multi_index(tuple(steps + td // 2), tsupport.shape) - tsupport.size // 2
         rows_of_u = values[starts[block]:starts[block + 1]].reshape(tgrid.n - np.abs(steps))
         yield j, rows, cols, rows_of_u[tuple(slice(offset, offset + r.stop - r.start) for r in rows)]
 
 
 def _rep_blocks(pot: VectorPotential, kernel: KernelSample, scheme: str):
-    """``rep``'s entries, per sub-box of the walk: the slices of the rows x
-    and the columns y = x + u of the sub-box and the entries M[x, y], an
-    array of its shape, then on a truncated box for u ≠ 0 the reverse
-    entries M[y, x], which share the phase."""
+    """``rep``'s entries, per sub-box of the walk of the kernel's support
+    (``_support`` at ``_KERNEL_TRIM``): the slices of the rows x and the
+    columns y = x + u of the sub-box and the entries M[x, y], an array of
+    its shape, then on a truncated box for u ≠ 0 the reverse entries
+    M[y, x], which share the phase."""
     grid = kernel.grid
     d, dim = kernel.disp_count, grid.dim
     # a base-point independent kernel reads its one row at every row
     tilde = np.broadcast_to(_tilde_values(kernel, scheme), (grid.n,) * dim + (d,) * dim)
-    for j, rows, cols, circ in _walk_circulations(pot, grid, d):
+    for j, rows, cols, circ in _walk_circulations(pot, grid, _support(kernel, _KERNEL_TRIM)):
         u = np.unravel_index(j, (d,) * dim)
         phase = np.exp(-1j * circ)
         # the kernel values are views: numpy writes a product into a large
@@ -1478,34 +1522,38 @@ def _rep_blocks(pot: VectorPotential, kernel: KernelSample, scheme: str):
             yield cols, rows, np.conj(phase) * tilde[cols + minus_u] * grid.cell_volume
 
 
-def _circulation_table(pot: VectorPotential, grid: BoxGrid, d: int) -> VectorPotential:
+def _circulation_table(pot: VectorPotential, grid: BoxGrid, support: np.ndarray) -> VectorPotential:
     """The gauge ``pot`` with the circulations of ``rep``'s pairs tabulated.
 
     Integrates circulation(x, u) once for every pair that ``rep`` walks on
-    the truncated box ``grid`` with a window of ``d`` nodes per axis, one
-    ``_walk_circulations`` sub-box per lexicographically non-negative u,
-    into one array: u's block holds its rows in C order.  Returns a copy
-    of ``pot`` with that array attached, at ``pot``'s order; ``rep`` on a
-    truncated box of the same spacing bit for bit, centred in ``grid``, at
-    a window no wider than ``d``, reads its pairs as strided slices of the
-    blocks and refuses any other grid.  A segment's circulation depends
-    on its end points only, and the quadrature on neither the box nor the
-    batch, so ``rep`` through the table equals ``rep`` through ``pot`` bit
-    for bit.  The copy's own ``circulation`` integrates as ``pot`` does.
+    the truncated box ``grid`` for a kernel of support ``support`` (a
+    boolean array over a window of d nodes per axis), one
+    ``_walk_circulations`` sub-box per walked u, into one array: u's block
+    holds its rows in C order, and a lexicographically non-negative u
+    that is not walked has a block of size 0.  Returns a copy of ``pot``
+    with that array attached, at ``pot``'s order; ``rep`` on a truncated
+    box of the same spacing bit for bit, centred in ``grid``, for a
+    kernel whose walked displacements the table's walk holds (the
+    support centred in ``support``'s window), reads its pairs as strided
+    slices of the blocks and refuses any other grid or support.  A
+    segment's circulation depends on its end points only, and the
+    quadrature on neither the box nor the batch, so ``rep`` through the
+    table equals ``rep`` through ``pot`` bit for bit.  The copy's own
+    ``circulation`` integrates as ``pot`` does.
     """
     if grid.bc == "periodic":
         raise ValueError("circulation tables cover truncated boxes only")
-    half = d**grid.dim // 2
-    sizes = np.zeros(d**grid.dim - half + 1, dtype=np.intp)
-    for j, rows, _ in _window_walk(grid, d):
+    half = support.size // 2
+    sizes = np.zeros(support.size - half + 1, dtype=np.intp)
+    for j, rows, _ in _window_walk(grid, support):
         sizes[j - half + 1] = math.prod(r.stop - r.start for r in rows)
     starts = np.cumsum(sizes)
     values = np.empty(starts[-1])
-    for j, _, _, circ in _walk_circulations(pot, grid, d):
+    for j, _, _, circ in _walk_circulations(pot, grid, support):
         values[starts[j - half]:starts[j - half + 1]] = circ.ravel()
     tabulated = VectorPotential(dim=pot.dim, func=pot.func, circulation_exact=pot.circulation_exact)
     tabulated._transversal, tabulated._order = pot._transversal, pot.order
-    tabulated._table = (grid, d, values, starts)
+    tabulated._table = (grid, support, values, starts)
     return tabulated
 
 
@@ -1527,8 +1575,10 @@ def rep(pot: VectorPotential, kernel: KernelSample, *, scheme: str = _SCHEME) ->
     """Dense matrix of the representation, M[x,y] = Δ^N λ^A(x;y-x) φ((x+y)/2;y-x).
 
     Filled directly over the node pairs whose difference u = y - x lies in
-    the kernel window, one displacement at a time (``_rep_blocks``): the
-    rows x with x + u in the box form sub-boxes, one ``pot.circulation``
+    the kernel's support, the displacements whose sup over base points
+    exceeds 1e-15 of the kernel's largest (``_support``), one displacement
+    at a time (``_rep_blocks``); the entries of the other displacements are
+    left 0.  The rows x with x + u in the box form sub-boxes, one ``pot.circulation``
     call each, and their entries Δ^N exp(-i circulation(x, u)) φ~(x;u),
     at the gauge's order, with the sheared value φ~(x;u) = φ(x + u/2; u),
     taken as stored for tilde-sheet kernels, go along M's u-diagonal
@@ -1536,10 +1586,11 @@ def rep(pot: VectorPotential, kernel: KernelSample, *, scheme: str = _SCHEME) ->
     unordered pair is integrated once: the circulation c of a
     lexicographically positive u (and of u = 0) also gives the reverse
     entry Δ^N exp(+i c) φ~(y;-u), since reversing the segment negates its
-    line integral.  Only the phase is shared, so a non-Hermitian kernel
+    line integral, and u is walked when u or -u is in the support.  Only
+    the phase is shared, so a non-Hermitian kernel
     gives a non-Hermitian matrix.  Periodic boxes wrap the column index and
-    integrate every pair: a wrapped column's reverse segment is not the
-    negated one.  A gauge from ``_circulation_table`` reads the same
+    integrate every pair of the support: a wrapped column's reverse
+    segment is not the negated one.  A gauge from ``_circulation_table`` reads the same
     circulations from a table built once for a box ladder.  Entries equal
     those of ``rep_banded(...).to_dense()`` bit for bit.
     """

@@ -248,8 +248,8 @@ class VectorPotential:
     # variable-field transversal gauge's, or that of the gauge it shifts
     _transversal: Optional[MagneticField] = dc_field(default=None, init=False, repr=False, compare=False)
     _order: int = dc_field(default=DEFAULT_ORDER, init=False, repr=False, compare=False)
-    # the circulations of a box's pairs, tabulated once for a ladder of
-    # nested boxes by crossed._circulation_table and read there by rep
+    # the circulations of the pairs a kernel support walks on a box, tabulated
+    # once for nested boxes by crossed._circulation_table and read by rep
     _table: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property

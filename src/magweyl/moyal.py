@@ -44,11 +44,11 @@ The layer runs one fixed configuration:
 * Every kernel of a symbol, the momentum kernels of those layers
   (``_momentum_kernel``), ``moyal``'s two factors and ``op_weyl``'s, comes
   from one helper, ``_symbol_kernel``: the largest displacement window
-  trimmed to the rows above 1e-15 (``_KERNEL_TRIM``) of its largest
-  entry, so a stencil keeps its width.  On the benchmark grids the |p|²
-  kernel keeps every row.  ``moyal`` keeps the product's natural window
-  (the window rule of :mod:`magweyl.grid`); interpolation and quadrature
-  order are those of :mod:`magweyl.crossed`.
+  trimmed to the rows above 1e-15 (``crossed._KERNEL_TRIM``) of its
+  largest entry, so a stencil keeps its width.  On the benchmark grids
+  the |p|² kernel keeps every row.  ``moyal`` keeps the product's natural
+  window (the window rule of :mod:`magweyl.grid`); interpolation and
+  quadrature order are those of :mod:`magweyl.crossed`.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .crossed import _SCHEME, OperatorMatrix, rep, twisted_product
+from .crossed import _KERNEL_TRIM, _SCHEME, OperatorMatrix, _support, rep, twisted_product
 from .fields import MagneticField, VectorPotential, omega_b
 from .grid import (
     BoxGrid,
@@ -88,7 +88,6 @@ _SAMPLE_RADIUS = 40.0
 _N_SAMPLE = 48
 _N_INFIMUM_SAMPLE = 128
 _GROWTH_SLACK = 2.0
-_KERNEL_TRIM = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,8 @@ def regularize(f: PhaseGridFunction, n: float) -> PhaseGridFunction:
 
 
 def trim_kernel(k: KernelSample, rel_tol: float) -> KernelSample:
-    """Shrink the displacement window to the support of the kernel.
+    """Shrink the displacement window to the smallest square window that
+    holds the kernel's support (``crossed._support`` at ``rel_tol``).
 
     Symbols that are trigonometric polynomials in p (multipliers included)
     produce exactly banded kernels whose outer rows are rounding residue;
@@ -298,13 +298,8 @@ def trim_kernel(k: KernelSample, rel_tol: float) -> KernelSample:
     if rel_tol <= 0.0 or d <= 1:
         return k
     dim = k.grid.dim
-    amax = k.sup_over_q()
-    top = float(np.max(amax))
-    if top == 0.0:
-        keep = 0
-    else:
-        cheb = np.max(np.abs(np.indices((d,) * dim) - d // 2), axis=0)
-        keep = int(np.max(cheb[amax > rel_tol * top], initial=0))
+    cheb = np.max(np.abs(np.indices((d,) * dim) - d // 2), axis=0)
+    keep = int(np.max(cheb[_support(k, rel_tol)], initial=0))
     if 2 * keep + 1 >= d:
         return k
     return KernelSample(

@@ -17,16 +17,18 @@ takes the complex solve.
 Assembly has one route: ``rep(gauge, kernel)`` of the symbol's trimmed
 kernel (``moyal._momentum_kernel``, which drops displacement rows below
 1e-15 of the largest, so a stencil symbol keeps its stencil width) plus
-the diagonal potential.  Only the gauge depends on the spec, and
-``_gauge`` picks it for ``assemble`` and the box ladder alike: an
-explicit ``vector_potential``, else the transversal gauge (closed
+the diagonal potential; ``rep`` walks the kernel's support, the nodes
+above that 1e-15, so |p|²'s kernel costs its cross of one-axis terms.
+Only the gauge depends on the spec, and ``_gauge`` picks it for
+``assemble`` and the box ladder alike: an explicit
+``vector_potential``, else the transversal gauge (closed
 circulation for constant fields, else the flux through the triangle
 (0, x, y) by one tensor quadrature).  The operator is gauge covariant,
 so one gauge per field suffices.  A box ladder whose gauge needs that
 quadrature, directly or under ``gauge_shift``, tabulates it once per
 lattice group: rungs with one spacing and nested node axes read their
-circulations from one table of the largest rung's pairs at the widest
-kernel window of the group, dropped once the group is assembled.
+circulations from one table of the largest rung's pairs over the union of
+the group's kernel supports, dropped once the group is assembled.
 Periodic boxes, which admit only a vanishing field, use the exact
 Fourier multiplier instead, ``grid._periodic_multiplier``, as do the
 kinetic rows of separable fibers; the meshes, the Fourier convention and
@@ -87,7 +89,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .crossed import OperatorMatrix, _circulation_table, rep
+from .crossed import _KERNEL_TRIM, OperatorMatrix, _circulation_table, _support, rep
 from .fields import (
     MagneticField,
     VectorPotential,
@@ -95,7 +97,7 @@ from .fields import (
     transversal_gauge,
     unit_gauss_legendre,
 )
-from .grid import BoxGrid, _checked_samples, _common_grid, _node_values, _periodic_multiplier
+from .grid import BoxGrid, _central, _checked_samples, _common_grid, _node_values, _periodic_multiplier
 from .moyal import Symbol, _momentum_kernel, _symbol_samples
 
 # dense eigensolver cap; above this the O(size^3) cost and the O(size^2)
@@ -954,10 +956,10 @@ def essential_estimate(
     Rungs are assembled and solved one after the other (in a pool with
     ``threads`` > 1).  Where the gauge needs quadrature, rungs on one
     lattice read their circulations from one table (``_rung_specs``): one
-    array of the largest rung's pairs, one block per displacement, which
-    the rungs' gauge carries and ``rep`` reads a rung's rows from as
-    strided slices; it is released once the group's last rung is
-    assembled.  A window that is not finite with lo < hi, a box
+    array of the largest rung's pairs over the union of the rungs' kernel
+    supports, one block per displacement, which the rungs' gauge carries
+    and ``rep`` reads a rung's rows from as strided slices; it is released
+    once the group's last rung is assembled.  A window that is not finite with lo < hi, a box
     half-length that is not finite, a density that is not positive and
     finite, node counts that do not strictly increase, or a largest rung
     above ``EIG_CAP`` nodes raise ``ValueError`` before any assembly.
@@ -1067,11 +1069,11 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     (the transversal gauge of a variable field or a ``gauge_shift`` of
     one), rungs with a bit-identical spacing form a group: each one's node
     axis is a slice of the largest one's.  A group of two or more rungs gets
-    one circulation table of the largest rung's pairs at the widest of the
-    rungs' kernel windows, so each pair is integrated once for the whole
-    ladder and every rung's matrix equals its own assembly bit for bit; a
-    lone rung integrates its own pairs, as a table read once saves
-    nothing.  The table is reachable through the rung specs only.
+    one circulation table of the largest rung's pairs over the union of the
+    rungs' kernel supports, centred in the widest of their windows, so each
+    pair is integrated once for the whole ladder and every rung's matrix
+    equals its own assembly bit for bit; a lone rung integrates its own
+    pairs, as a table read once saves nothing.  The table is reachable through the rung specs only.
     """
     specs = [spec.with_grid(g) for g in rungs]
     pot = _gauge(spec)
@@ -1086,11 +1088,14 @@ def _rung_specs(spec: SchrodingerSpec, rungs: list) -> list:
     for members in groups.values():
         if len(members) > 1:
             # refuse what assemble refuses before paying for the quadrature;
-            # the table spans the widest kernel window of the group
-            width = max(
-                _momentum_kernel(_checked_values(specs[i])[0], rungs[i]).disp_count for i in members
-            )
-            tabulated = _circulation_table(pot, rungs[members[-1]], width)
+            # the table holds the union of the kernels' supports, centred in
+            # the widest window of the group
+            kernels = [_momentum_kernel(_checked_values(specs[i])[0], rungs[i]) for i in members]
+            width = max(k.disp_count for k in kernels)
+            support = np.zeros((width,) * rungs[0].dim, dtype=bool)
+            for k in kernels:
+                support[_central(k.disp_count, width, k.grid.dim)] |= _support(k, _KERNEL_TRIM)
+            tabulated = _circulation_table(pot, rungs[members[-1]], support)
             for i in members:
                 specs[i] = replace(specs[i], vector_potential=tabulated)
     return specs

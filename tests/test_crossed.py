@@ -1633,21 +1633,57 @@ def test_rep_memory_does_not_grow_with_order():
 @pytest.mark.parametrize("bc", ["truncated", "periodic"])
 @pytest.mark.parametrize("dim, n, count", [(1, 8, 7), (2, 6, 5), (3, 4, 3)])
 def test_window_walk_visits_rep_pairs(dim, n, count, bc):
-    # the sub-boxes of every displacement cover each (row, window index,
-    # column) of the node arithmetic done by hand exactly once: every pair
-    # on a periodic box, across its wrap, and on a truncated one the pairs
-    # of u = 0 and the lexicographically positive u, inside its edge
+    # the sub-boxes of every walked displacement cover each (row, window
+    # index, column) of the node arithmetic done by hand exactly once:
+    # every pair of the support on a periodic box, across its wrap, and on
+    # a truncated one the pairs of u = 0 and the lexicographically positive
+    # u where u or -u is in the support, inside its edge; for the whole
+    # window and for a sparse support that holds nodes whose negation it
+    # lacks, on either side of u = 0
     g = BoxGrid(dim=dim, half_length=2.0, n=n, bc=bc)
     index = np.arange(g.size).reshape((n,) * dim)
-    seen = []
-    for j, rows, cols in crossed._window_walk(g, count):
-        x, y = index[rows].ravel(), index[cols].ravel()
-        seen += zip(x.tolist(), [j] * len(x), y.tolist())
     x, j, y, _ = rep_pairs(g, count)
-    keep = j >= (0 if bc == "periodic" else count**dim // 2)
-    want = list(zip(x[keep].tolist(), j[keep].tolist(), y[keep].tolist()))
-    assert len(seen) == len(set(seen)) == len(want)
-    assert set(seen) == set(want)
+    whole = np.ones((count,) * dim, dtype=bool)
+    sparse = np.random.default_rng(count).random(whole.shape) < 0.4
+    for mask in (whole, sparse):
+        seen = []
+        for jw, rows, cols in crossed._window_walk(g, mask):
+            xw, yw = index[rows].ravel(), index[cols].ravel()
+            seen += zip(xw.tolist(), [jw] * len(xw), yw.tolist())
+        flat = mask.ravel()
+        if bc == "periodic":
+            keep = flat[j]
+        else:
+            keep = (j >= count**dim // 2) & (flat[j] | flat[count**dim - 1 - j])
+        want = list(zip(x[keep].tolist(), j[keep].tolist(), y[keep].tolist()))
+        assert len(seen) == len(set(seen)) == len(want)
+        assert set(seen) == set(want)
+    assert 0 < sparse.sum() < sparse.size and np.any(sparse != sparse[(slice(None, None, -1),) * dim])
+
+
+def test_rep_writes_both_entries_of_a_one_sided_support():
+    # u = (0, 1) is in the support and -u holds 1e-17 of the largest, below
+    # the cut; u = (-1, 0) is in it and (1, 0) is not.  One visit writes
+    # M[x, x + u] and M[x + u, x], so the reverse entries stay, equal to a
+    # walk of the whole window bit for bit
+    g = BoxGrid(dim=2, half_length=2.0, n=8)
+    values = np.zeros((5, 5), dtype=complex)
+    values[2, 2], values[2, 3], values[2, 1] = 1.0, 0.5 + 0.2j, 1e-17
+    values[1, 2], values[3, 2] = 0.3j, 2e-17
+    k = KernelSample(grid=g, values=values, q_independent=True)
+    assert crossed._support(k, crossed._KERNEL_TRIM).sum() == 3
+    pot = transversal_gauge(variable_field())
+    got = rep(pot, k).mat
+    index = np.arange(g.size).reshape(8, 8)
+    for step in ((0, 1), (1, 0)):
+        x = index[: 8 - step[0], : 8 - step[1]].ravel()
+        y = index[step[0]:, step[1]:].ravel()
+        assert np.all(got[x, y] != 0) and np.all(got[y, x] != 0)
+    assert np.array_equal(rep_banded(pot, k).to_dense(), got)
+    whole = np.ones((5, 5), dtype=bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossed, "_support", lambda kernel, rel_tol: whole)
+        assert np.array_equal(rep(pot, k).mat, got)
 
 
 def test_circulation_table_keeps_the_gauge_order():
@@ -1656,7 +1692,7 @@ def test_circulation_table_keeps_the_gauge_order():
     # block per lexicographically non-negative u, the rows of u in C order
     g = BoxGrid(dim=2, half_length=3.0, n=8)
     fld = variable_field()
-    table = crossed._circulation_table(transversal_gauge(fld, order=4), g, 5)
+    table = crossed._circulation_table(transversal_gauge(fld, order=4), g, np.ones((5, 5), dtype=bool))
     x, j, _, steps = rep_pairs(g, 5)
     keep = np.lexsort((x, j))
     keep = keep[j[keep] >= 25 // 2]
@@ -1672,7 +1708,7 @@ def test_rep_through_a_table_is_rep_through_its_gauge(q_independent):
     # narrower one, both forms read the gauge's own circulations bit for bit
     fld = variable_field()
     pot = transversal_gauge(fld)
-    table = crossed._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12), 7)
+    table = crossed._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12), np.ones((7, 7), dtype=bool))
     rng = np.random.default_rng(120)
     for g in (BoxGrid(dim=2, half_length=3.0, n=12), BoxGrid(dim=2, half_length=2.0, n=8)):
         for d in (7, 5):

@@ -1155,11 +1155,12 @@ def record_assembly(monkeypatch):
     return seen
 
 
-def unordered_pairs(grid):
-    # in-box node pairs of the kernel window (|u_e| <= n/2 - 1), the
-    # diagonal once and each other unordered pair once
-    per_axis = sum(grid.n - abs(s) for s in range(-(grid.n // 2 - 1), grid.n // 2))
-    return (per_axis**grid.dim + grid.size) // 2
+def cross_pairs(grid):
+    # in-box node pairs of |p|²'s kernel support, the cross of u on an axis
+    # with |u_e| <= n/2 - 1 (the rest of its window is rounding residue):
+    # the diagonal once and each other unordered pair once
+    per_axis = sum(grid.n - s for s in range(1, grid.n // 2))
+    return grid.size + grid.dim * grid.n ** (grid.dim - 1) * per_axis
 
 
 def test_ladder_rungs_read_one_table_bit_for_bit(monkeypatch):
@@ -1189,7 +1190,8 @@ def test_ladder_integrates_the_largest_rungs_pairs_once(monkeypatch):
 
     monkeypatch.setattr(spectral_module.VectorPotential, "circulation", spy)
     essential_estimate(decay_spec(3.0, 12), (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
-    assert sum(integrated) == unordered_pairs(BoxGrid(dim=2, half_length=5.0, n=20)) == 42250
+    # the square window held 42,250 pairs
+    assert sum(integrated) == cross_pairs(BoxGrid(dim=2, half_length=5.0, n=20)) == 5800
 
 
 def shifted_spec(spec):
@@ -1210,7 +1212,7 @@ def test_ladder_tabulates_a_shifted_quadrature_gauge(monkeypatch):
     monkeypatch.setattr(fields_module, "_flux_quadrature", spy)
     spec = shifted_spec(decay_spec(3.0, 12))
     est = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
-    assert sum(integrated) == 42250
+    assert sum(integrated) == 5800
     monkeypatch.setattr(spectral_module, "_rung_specs", lambda s, rungs: [s.with_grid(g) for g in rungs])
     plain = essential_estimate(spec, (3.0, 4.0, 5.0), (0.0, 8.0), density=2.0)
     assert len(est.points) and np.array_equal(est.points, plain.points)
@@ -1244,11 +1246,11 @@ def test_ladder_groups_rungs_by_lattice(monkeypatch, boxes, tabled):
 
 def test_circulation_table_refuses_a_grid_it_does_not_cover():
     # the table holds the pairs of truncated boxes of its lattice centred in
-    # its own, at windows no wider than its own; rep and rep_banded refuse
-    # any other grid rather than integrate or misread its pairs
+    # its own, for kernel supports within its own; rep and rep_banded refuse
+    # any other grid or support rather than integrate or misread its pairs
     grid = BoxGrid(dim=2, half_length=3.0, n=12)
     pot = transversal_gauge(variable_field())
-    table = crossed_module._circulation_table(pot, grid, 7)
+    table = crossed_module._circulation_table(pot, grid, np.ones((7, 7), dtype=bool))
     uncovered = [
         (BoxGrid(dim=2, half_length=3.1, n=12), 7),  # another spacing
         (grid, 9),  # a wider window
@@ -1261,7 +1263,52 @@ def test_circulation_table_refuses_a_grid_it_does_not_cover():
             with pytest.raises(ValueError, match="circulation table covers"):
                 route(table, k)
     with pytest.raises(ValueError, match="truncated boxes"):
-        crossed_module._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12, bc="periodic"), 11)
+        crossed_module._circulation_table(pot, BoxGrid(dim=2, half_length=3.0, n=12, bc="periodic"), np.ones((11, 11), dtype=bool))
+    # a table of a 9-node cross reads a rung of that support, at its window
+    # or from a wider one whose other nodes are 0, and refuses a rung whose
+    # support leaves the cross: |p|²'s 11-node cross, or a full square
+    kernel = symbol_kernel(grid)
+    cross = np.zeros((11, 11), dtype=bool)
+    cross[5, :] = cross[:, 5] = True
+    assert np.array_equal(crossed_module._support(kernel, crossed_module._KERNEL_TRIM), cross)
+    table = crossed_module._circulation_table(pot, grid, cross[1:10, 1:10])
+    inner = kernel.values[1:10, 1:10]
+    for k in (replace(kernel, values=inner), replace(kernel, values=np.pad(inner, 1))):
+        assert np.array_equal(rep(table, k).mat, rep(pot, k).mat)
+    square = kernel_from_func(lambda q, x: np.exp(-np.sum((q + x) ** 2, axis=-1)) + 0j, grid, disp_count=3)
+    for k in (kernel, square):
+        for route in (rep, rep_banded):
+            with pytest.raises(ValueError, match="circulation table covers"):
+                route(table, k)
+
+
+def test_support_walk_keeps_the_window_walks_entries_and_spectrum(monkeypatch):
+    # |p|²'s kernel is a cross; the rest of its window is rounding residue.
+    # rep walks the cross only: on it the entries are a walk of the whole
+    # window's bit for bit, the entries it drops hold at most 1e-15 of the
+    # largest, and the window's eigenvalues agree to 1e-12
+    spec = decay_spec(5.0, 20)
+    kernel = symbol_kernel(spec.grid)
+    pot = transversal_gauge(spec.field)
+    support = crossed_module._support(kernel, crossed_module._KERNEL_TRIM)
+    got = rep(pot, kernel).mat
+    res = eig(assemble(spec), (0.0, 8.0))
+    whole = np.ones_like(support)
+    monkeypatch.setattr(crossed_module, "_support", lambda k, rel_tol: whole)
+    want = rep(pot, kernel).mat
+    full = eig(assemble(spec), (0.0, 8.0))
+    # the pairs written: y - x or x - y in the support, which padded by 10
+    # nodes a side spans every step of the box
+    reach = np.pad(support, 10)
+    node = np.stack(np.unravel_index(np.arange(spec.grid.size), (20, 20)), axis=-1)
+    steps = node[None, :, :] - node[:, None, :] + 19
+    written = reach[steps[..., 0], steps[..., 1]] | reach[::-1, ::-1][steps[..., 0], steps[..., 1]]
+    assert np.count_nonzero(support) == 2 * 19 - 1 and not written.all()
+    assert np.array_equal(got[written], want[written])
+    assert np.all(got[~written] == 0)
+    assert np.abs(want[~written]).max() <= 1e-15 * np.abs(want).max()
+    assert len(res.values) > 0 and res.values.shape == full.values.shape
+    assert np.abs(res.values - full.values).max() <= 1e-12
 
 
 def test_ladder_table_is_released_before_the_largest_eig(monkeypatch):
@@ -1355,22 +1402,16 @@ def shell(grid, inner, outer):
 
 def weyl_quotient(mat, cols, t):
     """μ = σ_min((M - t)[:, cols]): ‖(M - t)u‖/‖u‖ minimised over the u
-    supported on ``cols``.  Entries of A = (M - t)[:, cols] below 1e-13 of
-    M's largest are cut; their sum, returned with μ, bounds the change
-    the cut makes in μ.  G = AᴴA is factored by ``splu`` and ARPACK finds
-    G⁻¹'s largest eigenvalue 1/μ² at tol 1e-3."""
+    supported on ``cols``.  G = AᴴA of A = (M - t)[:, cols] is factored by
+    ``splu`` and ARPACK finds G⁻¹'s largest eigenvalue 1/μ² at tol 1e-3."""
     from scipy.sparse import csc_array, identity
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     a = csc_array(mat - t * identity(mat.shape[0], format="csr"))[:, cols]
-    drop = np.abs(a.data) < 1e-13 * np.abs(mat.data).max()
-    dropped = float(np.abs(a.data[drop]).sum())
-    a.data[drop] = 0.0
-    a.eliminate_zeros()
     solve = splu(csc_array(a.conj().T @ a)).solve
     top = eigsh(LinearOperator((len(cols),) * 2, matvec=solve, dtype=complex), k=1, tol=1e-3,
                 return_eigenvectors=False)[0]
-    return 1.0 / np.sqrt(top.real), dropped
+    return 1.0 / np.sqrt(top.real)
 
 
 def test_weyl_quotient_gate_tightens_under_a_decaying_field():
@@ -1378,16 +1419,16 @@ def test_weyl_quotient_gate_tightens_under_a_decaying_field():
     # a u has (M - t)u = (H - t)u exactly, so the box edge never enters.
     # b = 1 + 0.5 exp(-|x|²), fd6 at 3 nodes per unit length, R = 2.5:
     # measured μ(1) 0.245 -> 1.17e-2, μ(3) 0.713 -> 5.51e-2, μ(2) 1.004 and
-    # 1.000 at L = 8 and 10, with cut sums 9.9e-12 and 1.6e-11
+    # 1.000 at L = 8 and 10.  rep walks fd6's 13-point cross, so the CSR
+    # holds about 12.6 entries per row, where the 7 × 7 window held 46.2
     desc = ConstPlusDecay(dim=2, b_inf=1.0, b_decay=lambda x: 0.5 * np.exp(-np.sum(x * x, axis=-1)))
     rungs = []
     for half_length in (8.0, 10.0):
         grid = BoxGrid(dim=2, half_length=half_length, n=round(6 * half_length))
         mat = box_csr(fd6_kinetic(grid), desc.field(), grid)
+        assert mat.nnz <= 13 * grid.size
         cols = shell(grid, 2.5, half_length - 3.5 * grid.delta)
-        quotients = [weyl_quotient(mat, cols, t) for t in (1.0, 2.0, 3.0)]
-        assert max(dropped for _, dropped in quotients) <= 1e-10
-        rungs.append([mu for mu, _ in quotients])
+        rungs.append([weyl_quotient(mat, cols, t) for t in (1.0, 2.0, 3.0)])
     (gap1, mid, gap3), (end1, end_mid, end3) = rungs
     assert end1 <= gap1 / 4 and end3 <= gap3 / 4
     assert max(end1, end3) <= 0.08
@@ -1402,8 +1443,8 @@ def test_weyl_quotient_needs_a_collar_against_edge_states():
     d = grid.delta
     mat = box_csr(lambda p: np.sum(2.0 * (1.0 - np.cos(p * d)), axis=-1) / d**2,
                   MagneticField.constant_2d(1.0), grid)
-    collared, _ = weyl_quotient(mat, shell(grid, 0.0, 4.0 - 1.5 * d), 2.0)
-    bare, _ = weyl_quotient(mat, np.arange(grid.size), 2.0)
+    collared = weyl_quotient(mat, shell(grid, 0.0, 4.0 - 1.5 * d), 2.0)
+    bare = weyl_quotient(mat, np.arange(grid.size), 2.0)
     assert collared >= 0.9 and bare <= 0.2
 
 
